@@ -34,8 +34,9 @@ from .arrangements import (Configuration, DegenerateIntersectionError,
                            select_general_position)
 from .config import PrecisionConfig
 from .nevanlinna import (DegenerateCurveError, DivisorContainsCurveError,
-                         ExpCurve, GrowthSample, counting, defect_estimate,
-                         main_theorem_check, order_estimate,
+                         ExpCurve, GrowthSample, NotGeneralPositionError,
+                         QuadratureFailureError, ZeroOnContourError, counting,
+                         defect_estimate, main_theorem_check, order_estimate,
                          three_quadrics_certificate)
 from .polynomials import (NotHomogeneousError, PolySyntaxError, parse_poly)
 from .scalars import parse_scalar_string
@@ -49,10 +50,28 @@ EXIT_DEGENERATE = 4
 
 
 def _digest(path: Optional[str]) -> str:
+    """sha256 of the input file; "-" without one, or when it cannot be read
+    (the subcommand's parse step then reports the error with exit 2)."""
     if path is None:
         return "-"
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+    try:
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+    except OSError:
+        return "-"
+
+
+def _command(argv: List[str]) -> str:
+    """The run's arguments, less the --json-out destination: where a report
+    is written does not change it."""
+    out: List[str] = []
+    it = iter(argv)
+    for tok in it:
+        if tok == "--json-out":
+            next(it, None)
+        elif not tok.startswith("--json-out="):
+            out.append(tok)
+    return " ".join(out)
 
 
 def _manifest(args, input_path: Optional[str]) -> dict:
@@ -62,7 +81,7 @@ def _manifest(args, input_path: Optional[str]) -> dict:
         ts = time.strftime("%Y-%m-%dT%H:%M:%SZ",
                            time.gmtime(int(env) if env else time.time()))
     return {
-        "command": " ".join(sys.argv[1:]),
+        "command": _command(args.argv),
         "input_digest": _digest(input_path),
         "precision_bits": args.precision_bits,
         "precision_cap": args.precision_cap,
@@ -86,8 +105,12 @@ def _emit(args, manifest: dict, report: dict) -> None:
 def _parse_radii(text: str) -> List[float]:
     if text.startswith("logspace:"):
         _, a, b, n = text.split(":")
-        return [float(r) for r in np.logspace(float(a), float(b), int(n))]
-    return [float(x) for x in text.split(",") if x.strip()]
+        radii = [float(r) for r in np.logspace(float(a), float(b), int(n))]
+    else:
+        radii = [float(x) for x in text.split(",") if x.strip()]
+    if not radii or min(radii) < 1.0:
+        raise ValueError(f"radii must be >= 1: {text!r}")
+    return radii
 
 
 def _precision(args) -> PrecisionConfig:
@@ -224,29 +247,39 @@ def cmd_square(args) -> int:
         return EXIT_OK
 
 
+def _parse_divisors(args, curve: ExpCurve):
+    divisors = [parse_poly(d) for d in (args.divisor or [])]
+    for d in divisors:
+        if any(d.degree_in(i) for i in range(curve.dim + 1, 3)):
+            raise ValueError(f"divisor {d} uses more variables than the curve has")
+        if args.main_theorem == "second" and d.degree != 1:
+            raise ValueError(f"the second main theorem needs hyperplanes, not {d}")
+    return divisors
+
+
 def cmd_nevanlinna(args) -> int:
     manifest = _manifest(args, args.path)
     try:
         with open(args.path) as fh:
             curve = ExpCurve.from_json(json.load(fh))
-        divisors = [parse_poly(d) for d in (args.divisor or [])]
+        divisors = _parse_divisors(args, curve)
+        radii = _parse_radii(args.radii)
     except (OSError, json.JSONDecodeError, PolySyntaxError,
             NotHomogeneousError, ValueError, KeyError) as exc:
         _emit(args, manifest, {"error": f"parse error: {exc}"})
         return EXIT_PARSE
-    radii = _parse_radii(args.radii)
     report: dict = {}
-    growth = GrowthSample.compute(curve, radii)
-    report["characteristic"] = [
-        {"r": r, "T": t, "error": e}
-        for r, t, e in zip(growth.radii, growth.values, growth.errors)]
-    if args.order:
-        try:
-            order, degen = order_estimate(growth)
-            report["order"] = {"value": order, "degenerate": degen}
-        except Exception as exc:
-            report["order"] = {"error": str(exc)}
     try:
+        growth = GrowthSample.compute(curve, radii)
+        report["characteristic"] = [
+            {"r": r, "T": t, "error": e}
+            for r, t, e in zip(growth.radii, growth.values, growth.errors)]
+        if args.order:
+            try:
+                order, degen = order_estimate(growth)
+                report["order"] = {"value": order, "degenerate": degen}
+            except Exception as exc:
+                report["order"] = {"error": str(exc)}
         if divisors:
             report["counting"] = []
             for d in divisors:
@@ -260,10 +293,13 @@ def cmd_nevanlinna(args) -> int:
             if args.main_theorem:
                 rep = main_theorem_check(curve, divisors, args.main_theorem, radii)
                 report["main_theorem"] = rep.to_json()
-    except DivisorContainsCurveError as exc:
-        _emit(args, manifest, {"error": str(exc)})
-        return EXIT_DEGENERATE
-    except DegenerateCurveError as exc:
+    except NotGeneralPositionError as exc:
+        _emit(args, manifest, {"error": f"parse error: {exc}"})
+        return EXIT_PARSE
+    except (ZeroOnContourError, QuadratureFailureError) as exc:
+        _emit(args, manifest, {"error": f"undecided: {type(exc).__name__}: {exc}"})
+        return EXIT_UNDECIDED
+    except (DivisorContainsCurveError, DegenerateCurveError) as exc:
         _emit(args, manifest, {"error": str(exc)})
         return EXIT_DEGENERATE
     _emit(args, manifest, report)
@@ -272,7 +308,15 @@ def cmd_nevanlinna(args) -> int:
 
 def cmd_demo_three_quadrics(args) -> int:
     manifest = _manifest(args, None)
-    alphas = [parse_scalar_string(a) for a in args.alphas.split(",")]
+    try:
+        alphas = [parse_scalar_string(a) for a in args.alphas.split(",")]
+        if len(alphas) != 3:
+            raise ValueError(f"three coefficients expected, got {len(alphas)}")
+        if args.r_check <= 0:
+            raise ValueError("--r-check must be positive")
+    except ValueError as exc:
+        _emit(args, manifest, {"error": f"parse error: {exc}"})
+        return EXIT_PARSE
     cert = three_quadrics_certificate(alphas, quadrature_check=args.quadrature_check,
                                       r_check=args.r_check)
     _emit(args, manifest, cert.to_json())
@@ -323,7 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     args = build_parser().parse_args(argv)
+    args.argv = argv
     return args.func(args)
 
 

@@ -14,6 +14,10 @@ which vanishes for constant curves, is exactly scale invariant, and
 reproduces the classical closed forms (T([1:e^xi], r) = r/pi) without an
 O(1) offset.  Zero counting uses integer winding numbers on adaptively
 subdivided rectangles, then Newton polishing.
+
+An ExpCurve keeps every T(r) and counting sample computed on it for its
+lifetime, so the growth checks of one run share each quadrature and each
+zero search.
 """
 
 from __future__ import annotations
@@ -72,7 +76,7 @@ def _poly_key(p: UniPoly):
 class ExpSum:
     """Finite sum of c_m(xi) * exp(Q_m(xi)) with exact polynomial data."""
 
-    __slots__ = ("terms", "_np_cache")
+    __slots__ = ("terms", "_py_cache", "_np_cache")
 
     def __init__(self, terms: Sequence[Tuple[UniPoly, UniPoly]]):
         combined: Dict[tuple, UniPoly] = {}
@@ -88,6 +92,7 @@ class ExpSum:
                 order.append(k)
         self.terms = tuple(
             (combined[k], UniPoly(list(k))) for k in order if not combined[k].is_zero)
+        self._py_cache = None
         self._np_cache = None
 
     @staticmethod
@@ -141,14 +146,35 @@ class ExpSum:
 
     # -- numeric evaluation -------------------------------------------------
 
+    def _py_data(self):
+        """Per term, the coefficient and exponent polynomials as tuples of
+        Python complex numbers, highest power first (Horner order)."""
+        if self._py_cache is None:
+            def conv(p):
+                return tuple(complex(scalar_to_complex(c)) for c in reversed(p.coeffs))
+            self._py_cache = tuple((conv(cp), conv(ep)) for cp, ep in self.terms)
+        return self._py_cache
+
     def _np_data(self):
         if self._np_cache is None:
-            coeffs = [np.array([complex(scalar_to_complex(c)) for c in reversed(cp.coeffs)]
-                               or [0j]) for cp, _ in self.terms]
-            expos = [np.array([complex(scalar_to_complex(c)) for c in reversed(ep.coeffs)]
-                              or [0j]) for _, ep in self.terms]
+            py = self._py_data()
+            coeffs = [np.array(c or [0j]) for c, _ in py]
+            expos = [np.array(e or [0j]) for _, e in py]
             self._np_cache = (coeffs, expos)
         return self._np_cache
+
+    def _term_values(self, xi: complex) -> List[Tuple[complex, complex]]:
+        """(coefficient value, exponent value) of each term at one point."""
+        out = []
+        for cs, es in self._py_data():
+            q = complex(0)
+            for c in es:
+                q = q * xi + c
+            cv = complex(0)
+            for c in cs:
+                cv = cv * xi + c
+            out.append((cv, q))
+        return out
 
     def logeval(self, xi):
         """log|value| and phase on a 1-d array of points.
@@ -171,13 +197,7 @@ class ExpSum:
 
     def eval_one(self, xi: complex) -> complex:
         total = 0j
-        for cp, ep in self.terms:
-            q = complex(0)
-            for c in reversed(ep.coeffs):
-                q = q * xi + complex(scalar_to_complex(c))
-            cv = complex(0)
-            for c in reversed(cp.coeffs):
-                cv = cv * xi + complex(scalar_to_complex(c))
+        for cv, q in self._term_values(xi):
             total += cv * cmath.exp(q)
         return total
 
@@ -194,18 +214,8 @@ class ExpSum:
 
 def _exp_logeval_scalar(es: ExpSum, xi: complex) -> complex:
     """Complex log value at one point via dominant-exponent factoring."""
-    best = None
-    vals = []
-    for cp, ep in es.terms:
-        q = complex(0)
-        for c in reversed(ep.coeffs):
-            q = q * xi + complex(scalar_to_complex(c))
-        cv = complex(0)
-        for c in reversed(cp.coeffs):
-            cv = cv * xi + complex(scalar_to_complex(c))
-        vals.append((cv, q))
-        if best is None or q.real > best:
-            best = q.real
+    vals = es._term_values(xi)
+    best = max((q.real for _, q in vals), default=0.0)
     h = sum(cv * cmath.exp(q - best) for cv, q in vals)
     if h == 0:
         return complex(-math.inf, 0.0)
@@ -235,15 +245,20 @@ class ExpCurve:
     coefficients per component, index = power of xi), producing the curve
     [e^{P_0} : ... : e^{P_n}].  Components that are genuine sums support
     the degenerate test cases.
+
+    The components are a tuple and never change, so the curve can keep
+    what characteristic() and counting() computed on it: _memo maps
+    ("T", r, tol) to (T, error) and ("N", divisor, r) to a CountingSample.
     """
 
     def __init__(self, components: Sequence[ExpSum], order_bound: Optional[int] = None):
-        comps = list(components)
+        comps = tuple(components)
         if any(c.is_zero for c in comps):
             raise ValueError("zero component")
         if len(comps) < 2:
             raise ValueError("a curve needs at least two components")
         self.components = comps
+        self._memo: Dict[tuple, object] = {}
         lam = max(c.max_exponent_degree() for c in comps)
         self.order_bound = order_bound if order_bound is not None else max(lam, 0)
 
@@ -349,7 +364,15 @@ def characteristic(curve: ExpCurve, r: float, tol: float = 1e-9
     Composite-Simpson integration with interval doubling; the returned
     error combines the last refinement difference with a float rounding
     allowance.  Raises QuadratureFailureError when refinement stalls.
+    The curve keeps the result for later calls with the same r and tol.
     """
+    key = ("T", r, tol)
+    if key not in curve._memo:
+        curve._memo[key] = _characteristic(curve, r, tol)
+    return curve._memo[key]
+
+
+def _characteristic(curve: ExpCurve, r: float, tol: float) -> Tuple[float, float]:
     if r <= 0:
         raise ValueError("radius must be positive")
     center = _center_value(curve)
@@ -514,9 +537,9 @@ class _ContourData:
         self.speed = put(self.speed, mspeed)
 
 
-def _winding_rectangle(g: ExpSum, x0, x1, y0, y1,
+def _winding_rectangle(g: ExpSum, gp: ExpSum, x0, x1, y0, y1,
                        max_refine=60) -> Tuple[int, float]:
-    """Integer winding of g around the rectangle boundary.
+    """Integer winding of g around the rectangle boundary; gp is g'.
 
     Phase tracking with three refinement criteria per segment: the phase
     jump, the modulus jump, and the segment length against the local
@@ -524,7 +547,7 @@ def _winding_rectangle(g: ExpSum, x0, x1, y0, y1,
     phase turn on stretches of constant modulus).
     """
     per_side = 24
-    data = _ContourData(g, g.derivative(), _rect_boundary(x0, x1, y0, y1, per_side))
+    data = _ContourData(g, gp, _rect_boundary(x0, x1, y0, y1, per_side))
     for it in range(max_refine):
         dphi = _wrap_angle(np.diff(data.phase))
         dlog = np.abs(np.diff(data.logabs))
@@ -548,12 +571,12 @@ def _winding_rectangle(g: ExpSum, x0, x1, y0, y1,
     return w, residual
 
 
-def _winding_with_perturbation(g, x0, x1, y0, y1):
+def _winding_with_perturbation(g, gp, x0, x1, y0, y1):
     side = max(x1 - x0, y1 - y0)
     eps = 0.0
     for k in range(8):
         try:
-            return _winding_rectangle(g, x0 - eps, x1 + eps, y0 - eps, y1 + eps), eps
+            return _winding_rectangle(g, gp, x0 - eps, x1 + eps, y0 - eps, y1 + eps), eps
         except ZeroOnContourError:
             eps = side * (2.0 ** (-9 + k))
     raise ZeroOnContourError("persistent zero on contour after perturbation")
@@ -595,12 +618,12 @@ class _ZeroSearch:
         self.max_residual = 0.0
 
     def _winding(self, x0, x1, y0, y1):
-        w, residual = _winding_rectangle(self.g, x0, x1, y0, y1)
+        w, residual = _winding_rectangle(self.g, self.gp, x0, x1, y0, y1)
         self.max_residual = max(self.max_residual, residual)
         return w
 
     def run(self, x0, x1, y0, y1):
-        (w, residual), eps = _winding_with_perturbation(self.g, x0, x1, y0, y1)
+        (w, residual), eps = _winding_with_perturbation(self.g, self.gp, x0, x1, y0, y1)
         self.max_residual = max(self.max_residual, residual)
         self._descend(x0 - eps, x1 + eps, y0 - eps, y1 + eps, w, 0)
 
@@ -717,8 +740,16 @@ def counting(curve: ExpCurve, divisor: HomPoly, r: float) -> CountingSample:
 
     The zero search runs on the circumscribing square and the disk filter
     keeps moduli <= r; exact containment of the curve in the divisor is
-    detected symbolically first.
+    detected symbolically first.  The curve keeps the sample for later
+    calls with the same divisor and r; callers must not modify it.
     """
+    key = ("N", divisor, r)
+    if key not in curve._memo:
+        curve._memo[key] = _counting(curve, divisor, r)
+    return curve._memo[key]
+
+
+def _counting(curve: ExpCurve, divisor: HomPoly, r: float) -> CountingSample:
     if r < R0:
         raise ValueError("radius below the base radius")
     g = curve.compose(divisor)

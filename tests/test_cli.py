@@ -1,8 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import quadrics
 from quadrics.cli import main
+from quadrics.nevanlinna import (ExpCurve, GrowthSample, QuadratureFailureError,
+                                 ZeroOnContourError, counting, defect_estimate,
+                                 main_theorem_check, order_estimate)
+from quadrics.polynomials import parse_poly
 
 EXAMPLE_CONFIG = {
     "family": [1, 2, 2],
@@ -21,6 +30,11 @@ TRIPLE_CONFIG = {
         "-3*z0^2 - 3*z0*z1 - z0*z2 + 2*z1^2 - 3*z1*z2 + 2*z2^2",
     ],
 }
+
+LINE_CURVE = {"exponents": [["0"], ["0", "1"]]}  # [1 : e^xi]
+GROWTH_DIVISORS = ["z1 - z0", "z1 + z0"]
+GROWTH_ARGS = ["--divisor", GROWTH_DIVISORS[0], "--divisor", GROWTH_DIVISORS[1],
+               "--radii", "logspace:0:2:8", "--order", "--defect", "--main-theorem", "first"]
 
 
 def _write(tmp_path, name, obj):
@@ -161,3 +175,121 @@ def test_reports_validate_against_schema(tmp_path):
     for args, name in runs:
         _, doc = _run(args, tmp_path, name)
         jsonschema.validate(doc, schema)
+
+
+def test_manifest_command_is_the_callers_argv(tmp_path, capsys):
+    argv = ["--timestamp", "T", "demo-three-quadrics", "--alphas", "0,1,2"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["manifest"]["command"] == " ".join(argv)
+    # the report's destination is not part of the command
+    out = tmp_path / "demo.json"
+    assert main(["--json-out", str(out)] + argv) == 0
+    assert json.loads(out.read_text())["manifest"]["command"] == " ".join(argv)
+
+
+def _cli_process(args):
+    """Run the CLI in a fresh interpreter: (exit code, stdout, stderr)."""
+    src = os.path.dirname(os.path.dirname(quadrics.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "quadrics.cli", "--timestamp", "T"] + args,
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["check-config", "{missing}"], id="check-config-missing"),
+    pytest.param(["lines", "{missing}"], id="lines-missing"),
+    pytest.param(["square", "{missing}"], id="square-missing"),
+    pytest.param(["nevanlinna", "{missing}"], id="nevanlinna-missing"),
+    pytest.param(["nevanlinna", "{curve}", "--radii", "0.5"], id="nevanlinna-radius-below-one"),
+    pytest.param(["nevanlinna", "{curve}", "--divisor", "z2"], id="nevanlinna-divisor-uses-z2"),
+    pytest.param(["nevanlinna", "{curve}", "--divisor", "z0^2", "--main-theorem", "second"],
+                 id="nevanlinna-second-theorem-conic"),
+    pytest.param(["nevanlinna", "{curve}", "--divisor", "z0", "--divisor", "z0",
+                  "--divisor", "z1", "--main-theorem", "second"],
+                 id="nevanlinna-hyperplanes-not-general"),
+    pytest.param(["demo-three-quadrics", "--alphas", "0,1"], id="demo-two-alphas"),
+    pytest.param(["demo-three-quadrics", "--alphas", "0,1,2", "--r-check", "0"],
+                 id="demo-radius-zero"),
+])
+def test_bad_input_exits_two_without_traceback(tmp_path, args):
+    curve = _write(tmp_path, "curve.json", LINE_CURVE)
+    missing = str(tmp_path / "no-such-file.json")
+    args = [a.format(missing=missing, curve=curve) for a in args]
+    code, out, err = _cli_process(args)
+    assert code == 2
+    assert "Traceback" not in err
+    assert json.loads(out)["report"]["error"].startswith("parse error")
+
+
+@pytest.mark.parametrize("name, exc", [
+    ("locate_zeros_in_box", ZeroOnContourError),
+    ("_characteristic", QuadratureFailureError),
+])
+def test_nevanlinna_numeric_failure_exits_undecided(tmp_path, monkeypatch, capsys, name, exc):
+    import quadrics.nevanlinna as nv
+
+    def fail(*args, **kwargs):
+        raise exc("injected failure")
+
+    monkeypatch.setattr(nv, name, fail)
+    curve = _write(tmp_path, "curve.json", LINE_CURVE)
+    code, doc = _run(["nevanlinna", curve, "--divisor", "z1 - z0", "--radii", "10,20"],
+                     tmp_path)
+    assert code == 3
+    assert "injected failure" in doc["report"]["error"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_nevanlinna_searches_zeros_once_per_divisor(tmp_path, monkeypatch):
+    import quadrics.nevanlinna as nv
+
+    calls = {"locate": 0, "derivative": 0}
+    locate, derivative = nv.locate_zeros_in_box, nv.ExpSum.derivative
+
+    def counted_locate(*args, **kwargs):
+        calls["locate"] += 1
+        return locate(*args, **kwargs)
+
+    def counted_derivative(self):
+        calls["derivative"] += 1
+        return derivative(self)
+
+    monkeypatch.setattr(nv, "locate_zeros_in_box", counted_locate)
+    monkeypatch.setattr(nv.ExpSum, "derivative", counted_derivative)
+    curve = _write(tmp_path, "curve.json", LINE_CURVE)
+    code, _ = _run(["nevanlinna", curve] + GROWTH_ARGS, tmp_path)
+    assert code == 0
+    assert calls == {"locate": 2, "derivative": 2}
+
+
+def test_nevanlinna_report_matches_fresh_curves(tmp_path):
+    """Sections that share one curve's stored samples equal the same
+    sections computed each on a newly built curve."""
+    path = _write(tmp_path, "curve.json", LINE_CURVE)
+    code, doc = _run(["nevanlinna", path] + GROWTH_ARGS, tmp_path)
+    assert code == 0
+
+    def fresh():
+        return ExpCurve.from_json(LINE_CURVE)
+
+    radii = [float(r) for r in np.logspace(0, 2, 8)]
+    divisors = [parse_poly(d) for d in GROWTH_DIVISORS]
+    growth = GrowthSample.compute(fresh(), radii)
+    order, degenerate = order_estimate(growth)
+    counts = []
+    for d in divisors:
+        sample = counting(fresh(), d, max(radii))
+        entry = sample.to_json()
+        entry["N_series"] = [{"r": r, "N": sample.N_at(r)} for r in growth.radii]
+        counts.append(entry)
+    expected = {
+        "characteristic": [{"r": r, "T": t, "error": e}
+                           for r, t, e in zip(growth.radii, growth.values, growth.errors)],
+        "order": {"value": order, "degenerate": degenerate},
+        "counting": counts,
+        "defects": [defect_estimate(fresh(), d, radii).to_json() for d in divisors],
+        "main_theorem": main_theorem_check(fresh(), divisors, "first", radii).to_json(),
+    }
+    assert doc["report"] == json.loads(json.dumps(expected, default=str))

@@ -299,3 +299,56 @@ def test_compose_groups_exponents_exactly():
     assert g.is_zero
     h = f.compose(parse_poly("z1^2 - 2*z0*z2"))
     assert not h.is_zero
+
+
+# ---------------------------------------------------------------------------
+# Stored T(r) values and counting samples
+# ---------------------------------------------------------------------------
+
+def test_curve_memo_keeps_radii_divisors_and_tol_apart(monkeypatch):
+    import quadrics.nevanlinna as nv
+
+    passes = []
+    grid = nv._curve_logmax_grid
+
+    def counted_grid(*args):
+        passes.append(args)
+        return grid(*args)
+
+    monkeypatch.setattr(nv, "_curve_logmax_grid", counted_grid)
+
+    def fresh():
+        return ExpCurve.from_exponents([[0], [0, 1]])
+
+    curve = fresh()
+    for r, tol in ((10.0, 1e-9), (20.0, 1e-9), (10.0, 1e-3)):
+        before = len(passes)
+        value = characteristic(curve, r, tol)
+        assert len(passes) > before            # a new key runs the quadrature
+        assert value == characteristic(fresh(), r, tol)
+        before = len(passes)
+        assert characteristic(curve, r, tol) is value
+        assert len(passes) == before           # a stored key does not
+
+    samples = {}
+    for text, r in (("z1 - z0", 10.0), ("z1 + z0", 10.0), ("z1 - z0", 20.0)):
+        d = parse_poly(text)
+        sample = counting(curve, d, r)
+        assert sample.to_json() == counting(fresh(), d, r).to_json()
+        assert counting(curve, parse_poly(text), r) is sample
+        samples[text, r] = sample
+    # e^xi = 1 and e^xi = -1 have disjoint zero sets; r = 20 has more zeros
+    positions = {k: {z.position for z in s.zeros} for k, s in samples.items()}
+    assert not positions["z1 - z0", 10.0] & positions["z1 + z0", 10.0]
+    assert samples["z1 - z0", 20.0].n_at(20.0) > samples["z1 - z0", 10.0].n_at(10.0)
+
+
+def test_failed_calls_are_not_stored():
+    f = ExpCurve.from_exponents([[0], [0, 1], [0, 2]])
+    contains = parse_poly("z1^2 - z0*z2")
+    for _ in range(2):
+        with pytest.raises(DivisorContainsCurveError):
+            counting(f, contains, 10.0)
+        with pytest.raises(ValueError):
+            characteristic(f, 0.0)
+    assert counting(f, parse_poly("z1"), 10.0).zeros == []
