@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import mpmath as mp
 
 from .config import DEFAULT_PRECISION, PrecisionConfig
-from .linalg import nullspace, rank, solve
+from .linalg import det, nullspace, rank, solve
 from .polynomials import (DegenerateLeadingFormError, HomPoly,
                           PrecisionExhaustedError, ProjPointNum, QuadricForm,
                           ZeroPolynomialError, coerce_point,
@@ -160,8 +160,7 @@ class NumLine:
     @staticmethod
     def from_exact(line: HomPoly) -> "NumLine":
         _, prim = line.content_primitive()
-        ve = [prim.coeff((1, 0, 0)), prim.coeff((0, 1, 0)), prim.coeff((0, 0, 1))]
-        v = tuple(mp.mpc(scalar_to_complex(c)) for c in ve)
+        v = tuple(mp.mpc(scalar_to_complex(c)) for c in prim.linear_coeffs())
         s = _sup(v)
         return NumLine(tuple(c / s for c in v), mp.mpf(0), exact=prim)
 
@@ -188,12 +187,7 @@ def _certified_sign(value, err):
 def lines_concurrent(l1: NumLine, l2: NumLine, l3: NumLine):
     """True/False/None for det of the three coefficient vectors."""
     if all(l.exact is not None for l in (l1, l2, l3)):
-        from .polynomials import matrix_det3
-        rows = []
-        for l in (l1, l2, l3):
-            rows.append([l.exact.coeff((1, 0, 0)), l.exact.coeff((0, 1, 0)),
-                         l.exact.coeff((0, 0, 1))])
-        return matrix_det3(rows) == 0
+        return det([l.exact.linear_coeffs() for l in (l1, l2, l3)]) == 0
     rows = [l.vec for l in (l1, l2, l3)]
     d = (rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
          - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
@@ -368,38 +362,44 @@ def intersection_points(p: HomPoly, q: HomPoly, *,
         raise ZeroPolynomialError("intersection with zero polynomial")
     if p.degree < 1 or q.degree < 1:
         raise ValueError("components must have positive degree")
-    if has_common_component(p, q):
-        raise CommonComponentError(
-            witness=common_component_witness(p, q, precision.start_bits))
 
     target = p.degree * q.degree
     last_error = None
-    for prec in precision.ladder():
-        with mp.workprec(prec):
-            changes = _coordinate_changes()
-            for _ in range(12):
-                U = next(changes)
-                recs = _try_intersection(p, q, U, prec, pair, target)
-                if recs is not None:
-                    _fill_tangential(p, q, recs, prec)
-                    recs.sort(key=_record_sort_key)
-                    return recs
+    try:
+        for prec in precision.ladder():
+            with mp.workprec(prec):
+                changes = _coordinate_changes()
+                for _ in range(12):
+                    U = next(changes)
+                    recs = _try_intersection(p, q, U, prec, pair, target)
+                    if recs is not None:
+                        _fill_tangential(p, q, recs, prec)
+                        recs.sort(key=_record_sort_key)
+                        return recs
             last_error = f"no admissible coordinate change at {prec} bits"
+    except CommonComponentError:
+        # the witness search runs at the caller's precision
+        raise CommonComponentError(
+            witness=common_component_witness(p, q, precision.start_bits)) from None
     raise PrecisionExhaustedError(last_error or "intersection failed")
 
 
 def _try_intersection(p, q, U, prec, pair, target):
+    """Records after the change U; None to try the next change.
+
+    Raises CommonComponentError when the curves share a component: once
+    both curves keep their full degree in z0, their leading coefficients
+    in z0 are constants, so Res_{z0} vanishes identically exactly when
+    they have a common factor.
+    """
     args = [HomPoly.linear_form(U[i]) for i in range(3)]
     p2 = p.compose(args)
     q2 = q.compose(args)
     if p2.degree_in(0) != p.degree or q2.degree_in(0) != q.degree:
         return None  # projection center sits on a curve
-    try:
-        rho = resultant(p2, q2, 0)
-    except DegenerateLeadingFormError:
-        return None
+    rho = resultant(p2, q2, 0)
     if rho.is_zero:
-        return None
+        raise CommonComponentError()
     roots = binary_form_roots(rho, 1, 2, prec)
     recs: List[IntersectionRecord] = []
     for hi, lo, mult, exact, rad in roots:
@@ -516,9 +516,7 @@ def tangent_to_conic(line: NumLine, q: HomPoly):
     """Is the line tangent to the smooth conic? (dual-form test)."""
     dual = poly_from_matrix(quadric_form(q).adjugate())
     if line.exact is not None:
-        le = [line.exact.coeff((1, 0, 0)), line.exact.coeff((0, 1, 0)),
-              line.exact.coeff((0, 0, 1))]
-        return dual.eval_exact(le) == 0
+        return dual.eval_exact(line.exact.linear_coeffs()) == 0
     v = dual.eval_mpc(line.vec)
     err = line.radius * 50 + mp.mpf(2) ** (8 - mp.mp.prec)
     s = _certified_sign(abs(v), err)
@@ -539,10 +537,15 @@ class Configuration:
     @staticmethod
     def from_polys(polys: Sequence[HomPoly], family: Sequence[int] | None = None) -> "Configuration":
         fam = tuple(family) if family is not None else tuple(p.degree for p in polys)
+        if len(fam) != len(polys):
+            raise ValueError(
+                f"family {list(fam)} does not match {len(polys)} components")
         comps = []
         for p, d in zip(polys, fam):
             if p.is_zero:
                 raise ValueError("zero component")
+            if p.degree == 0:
+                raise ValueError(f"constant component {p}")
             if p.degree == d:
                 comps.append((p, d))
             elif d == 1 and p.degree == 2:
@@ -773,7 +776,6 @@ def genericity_check_s4(cfg: Configuration,
     pairwise = _pairwise_data(polys, prec_cfg)
     report.conditions["s4.2"] = _transversality_verdict(polys, pairwise, prec_cfg)
 
-    degs = tuple(sorted(cfg.family))
     k = cfg.k
 
     # (3): three quadrics
@@ -783,8 +785,7 @@ def genericity_check_s4(cfg: Configuration,
         report.conditions["s4.3"] = ConditionVerdict("not_applicable")
 
     # (4): two curves of degree >= 2 plus two lines
-    if k == 4 and sorted(cfg.family)[:2] == [1, 1] and min(
-            d for d in cfg.family if d > 1) >= 2 and sum(1 for d in cfg.family if d == 1) == 2:
+    if k == 4 and sum(1 for d in cfg.family if d == 1) == 2:
         report.conditions["s4.4"] = _condition4_dd11(cfg, prec_cfg)
     else:
         report.conditions["s4.4"] = ConditionVerdict("not_applicable")
@@ -798,69 +799,59 @@ def genericity_check_s4(cfg: Configuration,
     return report
 
 
-def _condition3_222(polys, prec_cfg) -> ConditionVerdict:
+def _tangent_contact_verdict(groups, fail_note, prec_cfg) -> ConditionVerdict:
+    """Fails when a common tangent of two conics touches them at points P
+    and Q lying on a given pair of curves.
+
+    ``groups`` holds (conic for P, conic for Q, [(curve for P, curve for
+    Q), ...]).  Both conics must be smooth; a singular one, or a dual
+    intersection that degenerates, leaves the verdict undecided.
+    """
     witnesses = []
     undecided = False
-    for (i, j) in itertools.combinations(range(3), 2):
-        k = 3 - i - j
-        if quadric_form(polys[i]).rank != 3 or quadric_form(polys[j]).rank != 3:
+    for c1, c2, curve_pairs in groups:
+        if quadric_form(c1).rank != 3 or quadric_form(c2).rank != 3:
             return ConditionVerdict("undecided", note="needs smooth quadrics")
         try:
-            tangents = common_tangents(polys[i], polys[j], prec_cfg)
+            tangents = common_tangents(c1, c2, prec_cfg)
         except (CommonComponentError, PrecisionExhaustedError):
             return ConditionVerdict("undecided", note="degenerate dual intersection")
         for ell in tangents:
-            P = _contact_point(polys[i], ell)
-            Q = _contact_point(polys[j], ell)
-            onP = _lies_on(polys[k], P)
-            onQ = _lies_on(polys[k], Q)
-            if onP is None or onQ is None:
-                if onP is not False and onQ is not False:
-                    undecided = True
-                continue
-            if onP and onQ:
-                witnesses.extend([P, Q])
+            P = _contact_point(c1, ell)
+            Q = _contact_point(c2, ell)
+            for fP, fQ in curve_pairs:
+                onP = _lies_on(fP, P)
+                onQ = _lies_on(fQ, Q)
+                if onP is None or onQ is None:
+                    if onP is not False and onQ is not False:
+                        undecided = True
+                    continue
+                if onP and onQ:
+                    witnesses.extend([P, Q])
     if witnesses:
-        return ConditionVerdict("fail", witnesses=witnesses,
-                                note="third quadric meets a common tangent in both contact points")
+        return ConditionVerdict("fail", witnesses=witnesses, note=fail_note)
     if undecided:
         return ConditionVerdict("undecided")
     return ConditionVerdict("pass")
+
+
+def _condition3_222(polys, prec_cfg) -> ConditionVerdict:
+    groups = [(polys[i], polys[j], [(polys[3 - i - j], polys[3 - i - j])])
+              for i, j in itertools.combinations(range(3), 2)]
+    return _tangent_contact_verdict(
+        groups, "third quadric meets a common tangent in both contact points", prec_cfg)
 
 
 def _condition4_dd11(cfg, prec_cfg) -> ConditionVerdict:
     polys = cfg.polys()
-    curve_idx = [i for i, (_, d) in enumerate(cfg.components) if d >= 2]
-    line_idx = [i for i, (_, d) in enumerate(cfg.components) if d == 1]
-    c1, c2 = (polys[i] for i in curve_idx)
+    c1, c2 = (polys[i] for i, (_, d) in enumerate(cfg.components) if d >= 2)
     if c1.degree != 2 or c2.degree != 2:
         return ConditionVerdict("undecided",
                                 note="implemented for quadric components only")
-    l3, l4 = (polys[i] for i in line_idx)
-    witnesses = []
-    undecided = False
-    try:
-        tangents = common_tangents(c1, c2, prec_cfg)
-    except (CommonComponentError, PrecisionExhaustedError):
-        return ConditionVerdict("undecided", note="degenerate dual intersection")
-    for ell in tangents:
-        P = _contact_point(c1, ell)
-        Q = _contact_point(c2, ell)
-        for la, lb in ((l3, l4), (l4, l3)):
-            onP = _lies_on(la, P)
-            onQ = _lies_on(lb, Q)
-            if onP is None or onQ is None:
-                if onP is not False and onQ is not False:
-                    undecided = True
-                continue
-            if onP and onQ:
-                witnesses.extend([P, Q])
-    if witnesses:
-        return ConditionVerdict("fail", witnesses=witnesses,
-                                note="common tangent contact points lie on the two lines")
-    if undecided:
-        return ConditionVerdict("undecided")
-    return ConditionVerdict("pass")
+    l3, l4 = (polys[i] for i, (_, d) in enumerate(cfg.components) if d == 1)
+    return _tangent_contact_verdict(
+        [(c1, c2, [(l3, l4), (l4, l3)])],
+        "common tangent contact points lie on the two lines", prec_cfg)
 
 
 def _condition5_d111(cfg, prec_cfg) -> ConditionVerdict:
@@ -870,15 +861,17 @@ def _condition5_d111(cfg, prec_cfg) -> ConditionVerdict:
     if curve.degree != 2:
         return ConditionVerdict("undecided",
                                 note="implemented for a quadric component only")
+    qf = quadric_form(curve)
+    if qf.rank != 3:
+        # a singular conic's tangents through a point have no contact point
+        return ConditionVerdict("undecided", note="needs a smooth quadric")
     lines = [p for i, p in enumerate(polys) if i != curve_idx]
-    dual = poly_from_matrix(quadric_form(curve).adjugate())
+    dual = poly_from_matrix(qf.adjugate())
     witnesses = []
     undecided = False
     for a, b in itertools.combinations(range(3), 2):
         c = 3 - a - b
-        la = [lines[a].coeff((1, 0, 0)), lines[a].coeff((0, 1, 0)), lines[a].coeff((0, 0, 1))]
-        lb = [lines[b].coeff((1, 0, 0)), lines[b].coeff((0, 1, 0)), lines[b].coeff((0, 0, 1))]
-        X = _cross_exact(la, lb)
+        X = _cross_exact(lines[a].linear_coeffs(), lines[b].linear_coeffs())
         if all(x == 0 for x in X):
             continue  # identical lines; condition 2 already failed
         # tangents through X: dual conic cut by the dual line X
@@ -1089,9 +1082,7 @@ def _condition4_verdict(ls: LineSystem) -> ConditionVerdict:
 
 def _lines_meet_point(l1: NumLine, l2: NumLine) -> Optional[ProjPointNum]:
     if l1.exact is not None and l2.exact is not None:
-        a = [l1.exact.coeff((1, 0, 0)), l1.exact.coeff((0, 1, 0)), l1.exact.coeff((0, 0, 1))]
-        b = [l2.exact.coeff((1, 0, 0)), l2.exact.coeff((0, 1, 0)), l2.exact.coeff((0, 0, 1))]
-        v = _cross_exact(a, b)
+        v = _cross_exact(l1.exact.linear_coeffs(), l2.exact.linear_coeffs())
         if all(x == 0 for x in v):
             return None
         return ProjPointNum.from_exact(v)
@@ -1243,7 +1234,7 @@ def pencil_rank1_members(q1: HomPoly, q2: HomPoly,
             if not isinstance(c, GaussRat) and c < 0:
                 a, b, comb, c = -a, -b, -comb, -c
             vec = tuple(mp.mpc(scalar_to_complex(coerce_scalar(x)))
-                        for x in (L.coeff((1, 0, 0)), L.coeff((0, 1, 0)), L.coeff((0, 0, 1))))
+                        for x in L.linear_coeffs())
             with mp.workprec(max(64, prec_cfg.start_bits)):
                 sc = mp.sqrt(mp.mpc(scalar_to_complex(c)))
             out.append(PencilRankOneMember((a, b), comb, c, L,

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import __version__
 from .arrangements import (Configuration, DegenerateIntersectionError,
+                           InfinitelyManySolutionsError, NoSolutionError,
                            NoValidSelectionError, UnsupportedFamilyError,
                            contact_obstruction_check, cor31_hypothesis_check,
                            genericity_check_s4, genericity_check_s6,
@@ -38,7 +39,8 @@ from .nevanlinna import (DegenerateCurveError, DivisorContainsCurveError,
                          QuadratureFailureError, ZeroOnContourError, counting,
                          defect_estimate, main_theorem_check, order_estimate,
                          three_quadrics_certificate)
-from .polynomials import (NotHomogeneousError, PolySyntaxError, parse_poly)
+from .polynomials import (HomPoly, NotHomogeneousError, PolySyntaxError,
+                          parse_poly)
 from .scalars import parse_scalar_string
 from .squares import square_combination
 
@@ -85,8 +87,6 @@ def _manifest(args, input_path: Optional[str]) -> dict:
         "input_digest": _digest(input_path),
         "precision_bits": args.precision_bits,
         "precision_cap": args.precision_cap,
-        "tolerance": getattr(args, "tolerance", None),
-        "seed": args.seed,
         "version": __version__,
         "timestamp": ts,
     }
@@ -117,21 +117,59 @@ def _precision(args) -> PrecisionConfig:
     return PrecisionConfig(args.precision_bits, args.precision_cap)
 
 
-def _load_configuration(path: str) -> Configuration:
-    with open(path) as fh:
-        obj = json.load(fh)
-    return Configuration.from_json(obj)
+# Every subcommand first loads its input; any of these exceptions there
+# means the input is malformed.
+PARSE_ERRORS = (OSError, json.JSONDecodeError, PolySyntaxError,
+                NotHomogeneousError, KeyError, ValueError)
+
+# Exceptions of the run phase that have a documented exit code, most
+# specific first: (types, exit code, report error text).  Anything else
+# raised while computing is a defect and propagates.
+RUN_ERRORS = (
+    (NotGeneralPositionError, EXIT_PARSE, lambda exc: f"parse error: {exc}"),
+    ((ZeroOnContourError, QuadratureFailureError), EXIT_UNDECIDED,
+     lambda exc: f"undecided: {type(exc).__name__}: {exc}"),
+    ((DivisorContainsCurveError, DegenerateCurveError), EXIT_DEGENERATE, str),
+)
 
 
-def cmd_check_config(args) -> int:
-    manifest = _manifest(args, args.path)
+def _load_configuration(args) -> Configuration:
+    with open(args.path) as fh:
+        return Configuration.from_json(json.load(fh))
+
+
+def _load_net(args) -> List[HomPoly]:
+    """The three quadrics of a square run; a declared line enters the net
+    as its square."""
+    cfg = _load_configuration(args)
+    if cfg.k != 3:
+        raise ValueError("three components required")
+    return [p * p if d == 1 else p for p, d in cfg.components]
+
+
+def _load_growth_run(args):
+    with open(args.path) as fh:
+        curve = ExpCurve.from_json(json.load(fh))
+    divisors = [parse_poly(d) for d in args.divisor]
+    for d in divisors:
+        if any(d.degree_in(i) for i in range(curve.dim + 1, 3)):
+            raise ValueError(f"divisor {d} uses more variables than the curve has")
+        if args.main_theorem == "second" and d.degree != 1:
+            raise ValueError(f"the second main theorem needs hyperplanes, not {d}")
+    return curve, divisors, _parse_radii(args.radii)
+
+
+def _load_alphas(args):
+    alphas = [parse_scalar_string(a) for a in args.alphas.split(",")]
+    if len(alphas) != 3:
+        raise ValueError(f"three coefficients expected, got {len(alphas)}")
+    if args.r_check <= 0:
+        raise ValueError("--r-check must be positive")
+    return alphas
+
+
+def cmd_check_config(args, cfg: Configuration):
     prec = _precision(args)
-    try:
-        cfg = _load_configuration(args.path)
-    except (OSError, json.JSONDecodeError, PolySyntaxError,
-            NotHomogeneousError, ValueError) as exc:
-        _emit(args, manifest, {"error": f"parse error: {exc}"})
-        return EXIT_PARSE
     report = {}
     s4 = genericity_check_s4(cfg, prec)
     report["genericity"] = s4.to_json()
@@ -171,37 +209,25 @@ def cmd_check_config(args) -> int:
             pass
 
     report["passed"] = bool(all_pass)
-    _emit(args, manifest, report)
     if all_pass:
-        return EXIT_OK
+        return report, EXIT_OK
     any_fail = any(
         v.get("verdict") == "fail"
         for v in report["genericity"]["conditions"].values()
     ) or not all(r["pass"] for r in report["hypothesis_counts"]) or any(
         v.get("verdict") == "fail"
         for v in report.get("contact_obstruction", {}).get("conditions", {}).values())
-    return EXIT_FAIL if any_fail else EXIT_UNDECIDED
+    return report, EXIT_FAIL if any_fail else EXIT_UNDECIDED
 
 
-def cmd_lines(args) -> int:
-    manifest = _manifest(args, args.path)
-    prec = _precision(args)
-    try:
-        cfg = _load_configuration(args.path)
-    except (OSError, json.JSONDecodeError, PolySyntaxError,
-            NotHomogeneousError, ValueError) as exc:
-        _emit(args, manifest, {"error": f"parse error: {exc}"})
-        return EXIT_PARSE
+def cmd_lines(args, cfg: Configuration):
     if tuple(cfg.family) != (2, 2, 2):
-        _emit(args, manifest, {"error": "a (2,2,2) configuration is required"})
-        return EXIT_PARSE
+        return {"error": "a (2,2,2) configuration is required"}, EXIT_PARSE
     try:
-        report_obj, ls = genericity_check_s6(*cfg.polys(), precision=prec)
+        report_obj, ls = genericity_check_s6(*cfg.polys(), precision=_precision(args))
     except DegenerateIntersectionError as exc:
-        _emit(args, manifest, {
-            "error": str(exc),
-            "genericity": exc.report.to_json() if exc.report else None})
-        return EXIT_FAIL
+        return {"error": str(exc),
+                "genericity": exc.report.to_json() if exc.report else None}, EXIT_FAIL
     report = {"genericity": report_obj.to_json(), "line_system": ls.to_json()}
     try:
         sel = select_general_position(ls)
@@ -213,114 +239,55 @@ def cmd_lines(args) -> int:
     except NoValidSelectionError as exc:
         report["selected_12"] = None
         report["selection_error"] = str(exc)
-    _emit(args, manifest, report)
     if report_obj.undecided:
-        return EXIT_UNDECIDED
-    return EXIT_OK if report_obj.passed and report["selected_12"] else EXIT_FAIL
+        return report, EXIT_UNDECIDED
+    return report, EXIT_OK if report_obj.passed and report["selected_12"] else EXIT_FAIL
 
 
-def cmd_square(args) -> int:
-    manifest = _manifest(args, args.path)
-    prec = _precision(args)
+def cmd_square(args, polys: List[HomPoly]):
     try:
-        cfg = _load_configuration(args.path)
-        polys = cfg.polys()
-        if len(polys) != 3:
-            raise ValueError("three components required")
-        # a declared line enters the net as its square
-        polys = [p * p if d == 1 else p for p, d in cfg.components]
-    except (OSError, json.JSONDecodeError, PolySyntaxError,
-            NotHomogeneousError, ValueError) as exc:
-        _emit(args, manifest, {"error": f"parse error: {exc}"})
-        return EXIT_PARSE
-    from .arrangements import (InfinitelyManySolutionsError, NoSolutionError)
-    try:
-        sols = square_combination(polys[0], polys[1], polys[2], precision=prec)
-        _emit(args, manifest, {"square_combinations": [s.to_json() for s in sols]})
-        return EXIT_OK
+        sols = square_combination(*polys, precision=_precision(args))
     except NoSolutionError as exc:
-        _emit(args, manifest, {"square_combinations": [], "note": str(exc)})
-        return EXIT_OK
+        return {"square_combinations": [], "note": str(exc)}, EXIT_OK
     except InfinitelyManySolutionsError as exc:
-        _emit(args, manifest, {"square_combinations": None,
-                               "infinitely_many": True, "note": str(exc)})
-        return EXIT_OK
+        return {"square_combinations": None,
+                "infinitely_many": True, "note": str(exc)}, EXIT_OK
+    return {"square_combinations": [s.to_json() for s in sols]}, EXIT_OK
 
 
-def _parse_divisors(args, curve: ExpCurve):
-    divisors = [parse_poly(d) for d in (args.divisor or [])]
-    for d in divisors:
-        if any(d.degree_in(i) for i in range(curve.dim + 1, 3)):
-            raise ValueError(f"divisor {d} uses more variables than the curve has")
-        if args.main_theorem == "second" and d.degree != 1:
-            raise ValueError(f"the second main theorem needs hyperplanes, not {d}")
-    return divisors
-
-
-def cmd_nevanlinna(args) -> int:
-    manifest = _manifest(args, args.path)
-    try:
-        with open(args.path) as fh:
-            curve = ExpCurve.from_json(json.load(fh))
-        divisors = _parse_divisors(args, curve)
-        radii = _parse_radii(args.radii)
-    except (OSError, json.JSONDecodeError, PolySyntaxError,
-            NotHomogeneousError, ValueError, KeyError) as exc:
-        _emit(args, manifest, {"error": f"parse error: {exc}"})
-        return EXIT_PARSE
+def cmd_nevanlinna(args, growth_run):
+    curve, divisors, radii = growth_run
     report: dict = {}
-    try:
-        growth = GrowthSample.compute(curve, radii)
-        report["characteristic"] = [
-            {"r": r, "T": t, "error": e}
-            for r, t, e in zip(growth.radii, growth.values, growth.errors)]
-        if args.order:
-            try:
-                order, degen = order_estimate(growth)
-                report["order"] = {"value": order, "degenerate": degen}
-            except Exception as exc:
-                report["order"] = {"error": str(exc)}
-        if divisors:
-            report["counting"] = []
-            for d in divisors:
-                sample = counting(curve, d, max(radii))
-                entry = sample.to_json()
-                entry["N_series"] = [{"r": r, "N": sample.N_at(r)} for r in growth.radii]
-                report["counting"].append(entry)
-            if args.defect:
-                report["defects"] = [
-                    defect_estimate(curve, d, radii).to_json() for d in divisors]
-            if args.main_theorem:
-                rep = main_theorem_check(curve, divisors, args.main_theorem, radii)
-                report["main_theorem"] = rep.to_json()
-    except NotGeneralPositionError as exc:
-        _emit(args, manifest, {"error": f"parse error: {exc}"})
-        return EXIT_PARSE
-    except (ZeroOnContourError, QuadratureFailureError) as exc:
-        _emit(args, manifest, {"error": f"undecided: {type(exc).__name__}: {exc}"})
-        return EXIT_UNDECIDED
-    except (DivisorContainsCurveError, DegenerateCurveError) as exc:
-        _emit(args, manifest, {"error": str(exc)})
-        return EXIT_DEGENERATE
-    _emit(args, manifest, report)
-    return EXIT_OK
+    growth = GrowthSample.compute(curve, radii)
+    report["characteristic"] = [
+        {"r": r, "T": t, "error": e}
+        for r, t, e in zip(growth.radii, growth.values, growth.errors)]
+    if args.order:
+        try:
+            order, degen = order_estimate(growth)
+            report["order"] = {"value": order, "degenerate": degen}
+        except Exception as exc:
+            report["order"] = {"error": str(exc)}
+    if divisors:
+        report["counting"] = []
+        for d in divisors:
+            sample = counting(curve, d, max(radii))
+            entry = sample.to_json()
+            entry["N_series"] = [{"r": r, "N": sample.N_at(r)} for r in growth.radii]
+            report["counting"].append(entry)
+        if args.defect:
+            report["defects"] = [
+                defect_estimate(curve, d, radii).to_json() for d in divisors]
+        if args.main_theorem:
+            rep = main_theorem_check(curve, divisors, args.main_theorem, radii)
+            report["main_theorem"] = rep.to_json()
+    return report, EXIT_OK
 
 
-def cmd_demo_three_quadrics(args) -> int:
-    manifest = _manifest(args, None)
-    try:
-        alphas = [parse_scalar_string(a) for a in args.alphas.split(",")]
-        if len(alphas) != 3:
-            raise ValueError(f"three coefficients expected, got {len(alphas)}")
-        if args.r_check <= 0:
-            raise ValueError("--r-check must be positive")
-    except ValueError as exc:
-        _emit(args, manifest, {"error": f"parse error: {exc}"})
-        return EXIT_PARSE
+def cmd_demo_three_quadrics(args, alphas):
     cert = three_quadrics_certificate(alphas, quadrature_check=args.quadrature_check,
                                       r_check=args.r_check)
-    _emit(args, manifest, cert.to_json())
-    return EXIT_OK
+    return cert.to_json(), EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,8 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="plane quadric configurations and value-distribution numerics")
     ap.add_argument("--precision-bits", type=int, default=256)
     ap.add_argument("--precision-cap", type=int, default=4096)
-    ap.add_argument("--tolerance", type=float, default=1e-9)
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--json-out", type=str, default=None)
     ap.add_argument("--timestamp", type=str, default=None,
                     help="fixed manifest timestamp for reproducible reports")
@@ -338,15 +303,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-config", help="genericity verdicts for a configuration")
     p.add_argument("path")
-    p.set_defaults(func=cmd_check_config)
+    p.set_defaults(load=_load_configuration, run=cmd_check_config)
 
     p = sub.add_parser("lines", help="18-line system and 12-line selection")
     p.add_argument("path")
-    p.set_defaults(func=cmd_lines)
+    p.set_defaults(load=_load_configuration, run=cmd_lines)
 
     p = sub.add_parser("square", help="square combinations of a quadric triple")
     p.add_argument("path")
-    p.set_defaults(func=cmd_square)
+    p.set_defaults(load=_load_net, run=cmd_square)
 
     p = sub.add_parser("nevanlinna", help="growth and counting numerics")
     p.add_argument("path", help="curve JSON file")
@@ -355,14 +320,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", action="store_true")
     p.add_argument("--defect", action="store_true")
     p.add_argument("--main-theorem", choices=["first", "second"], default=None)
-    p.set_defaults(func=cmd_nevanlinna)
+    p.set_defaults(load=_load_growth_run, run=cmd_nevanlinna)
 
     p = sub.add_parser("demo-three-quadrics", help="growth contradiction certificate")
     p.add_argument("--alphas", type=str, required=True,
                    help="comma separated complex numbers, e.g. '0,1,2' or '0,i,1+i'")
     p.add_argument("--quadrature-check", action="store_true")
     p.add_argument("--r-check", type=float, default=20.0)
-    p.set_defaults(func=cmd_demo_three_quadrics)
+    p.set_defaults(load=_load_alphas, run=cmd_demo_three_quadrics)
     return ap
 
 
@@ -371,7 +336,22 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = build_parser().parse_args(argv)
     args.argv = argv
-    return args.func(args)
+    manifest = _manifest(args, getattr(args, "path", None))
+    try:
+        inputs = args.load(args)
+    except PARSE_ERRORS as exc:
+        report, code = {"error": f"parse error: {exc}"}, EXIT_PARSE
+    else:
+        try:
+            report, code = args.run(args, inputs)
+        except Exception as exc:
+            entry = next((e for e in RUN_ERRORS if isinstance(exc, e[0])), None)
+            if entry is None:
+                raise
+            _, code, text_of = entry
+            report = {"error": text_of(exc)}
+    _emit(args, manifest, report)
+    return code
 
 
 if __name__ == "__main__":

@@ -107,11 +107,6 @@ class ExpSum:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def is_nowhere_zero(self) -> bool:
-        """True when the sum is a single nonzero-constant exponential."""
-        return (len(self.terms) == 1 and self.terms[0][0].degree == 0)
-
     def __mul__(self, other: "ExpSum") -> "ExpSum":
         out = []
         for c1, e1 in self.terms:
@@ -773,7 +768,7 @@ def hyperplanes_general_position(forms: Sequence[HomPoly], dim: int) -> bool:
     for f in forms:
         if f.degree != 1:
             raise ValueError("hyperplanes must be linear forms")
-        vecs.append([f.coeff((1, 0, 0)), f.coeff((0, 1, 0)), f.coeff((0, 0, 1))][:dim + 1])
+        vecs.append(f.linear_coeffs()[:dim + 1])
     for sub in it.combinations(vecs, dim + 1):
         if rank([list(v) for v in sub]) < dim + 1:
             return False

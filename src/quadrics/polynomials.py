@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import mpmath as mp
 
+from .linalg import det, rank
 from .scalars import (GaussRat, Scalar, coerce_scalar, format_rat,
                       format_scalar, gauss_sqrt, scalar_to_complex)
 
@@ -119,6 +120,10 @@ class HomPoly:
     def linear_form(coeffs: Sequence) -> "HomPoly":
         return HomPoly({(1, 0, 0): coeffs[0], (0, 1, 0): coeffs[1],
                         (0, 0, 1): coeffs[2]})
+
+    def linear_coeffs(self) -> List[Scalar]:
+        """Coefficients of z0, z1, z2: the inverse of ``linear_form``."""
+        return [self.coeff((1, 0, 0)), self.coeff((0, 1, 0)), self.coeff((0, 0, 1))]
 
     # -- ring operations ---------------------------------------------------
 
@@ -248,13 +253,6 @@ class HomPoly:
                     v = v * pt[i] ** e[i]
             total = total + v
         return coerce_scalar(total)
-
-    def eval_complex(self, point) -> complex:
-        total = 0j
-        for e, c in self.terms.items():
-            total += (scalar_to_complex(c) * point[0] ** e[0]
-                      * point[1] ** e[1] * point[2] ** e[2])
-        return total
 
     def eval_mpc(self, point):
         total = mp.mpc(0)
@@ -625,39 +623,6 @@ class QuadricForm:
         return matrix_adjugate(self.matrix)
 
 
-def _matrix_rank(M) -> int:
-    rows = [list(r) for r in M]
-    n = len(rows)
-    m = len(rows[0])
-    rank = 0
-    col = 0
-    for col in range(m):
-        piv = None
-        for r in range(rank, n):
-            if rows[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        for r in range(n):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col] / pv
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == n:
-            break
-    return rank
-
-
-def matrix_det3(M) -> Scalar:
-    return coerce_scalar(
-        M[0][0] * (M[1][1] * M[2][2] - M[1][2] * M[2][1])
-        - M[0][1] * (M[1][0] * M[2][2] - M[1][2] * M[2][0])
-        + M[0][2] * (M[1][0] * M[2][1] - M[1][1] * M[2][0]))
-
-
 def matrix_adjugate(M) -> tuple:
     """Adjugate of a 3x3 matrix: adj(M) . M = det(M) . E."""
     def cof(i, j):
@@ -683,7 +648,7 @@ def quadric_form(p: HomPoly) -> QuadricForm:
             M[i][j] = coerce_scalar(M[i][j] + h)
             M[j][i] = coerce_scalar(M[j][i] + h)
     Mt = tuple(tuple(r) for r in M)
-    return QuadricForm(Mt, _matrix_rank(Mt), matrix_det3(Mt))
+    return QuadricForm(Mt, rank(Mt), det(Mt))
 
 
 def pencil_matrix_entry_forms(q1: HomPoly, q2: HomPoly, q3: HomPoly | None = None):

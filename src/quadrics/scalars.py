@@ -122,10 +122,6 @@ class GaussRat:
         """Field norm re^2 + im^2."""
         return self.re * self.re + self.im * self.im
 
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __complex__(self):
         return complex(float(self.re), float(self.im))
 
@@ -148,18 +144,6 @@ def coerce_scalar(x) -> Scalar:
     if isinstance(x, Fraction):
         return x
     raise TypeError(f"not an exact scalar: {x!r}")
-
-
-def scalar_re(x) -> Fraction:
-    return x.re if isinstance(x, GaussRat) else Fraction(x)
-
-
-def scalar_im(x) -> Fraction:
-    return x.im if isinstance(x, GaussRat) else Fraction(0)
-
-
-def scalar_conj(x):
-    return x.conjugate() if isinstance(x, GaussRat) else Fraction(x)
 
 
 def scalar_to_complex(x) -> complex:

@@ -28,8 +28,8 @@ from .linalg import det as exact_det
 from .linalg import nullspace, rank, solve
 from .polynomials import (HomPoly, ProjPointNum, matrix_adjugate, parse_poly,
                           quadric_form)
-from .scalars import (GaussRat, Scalar, coerce_scalar, gauss_sqrt,
-                      primitive_vector, scalar_to_complex)
+from .scalars import (GaussRat, Scalar, coerce_scalar, primitive_vector,
+                      scalar_to_complex)
 
 
 class NotDiagonalError(ValueError):
@@ -200,19 +200,14 @@ def generate_R(j: int) -> SignProductPoly:
     """Expand the sign product and rewrite even exponents as y variables."""
     if not 1 <= j <= 4:
         raise ValueError("j must be between 1 and 4")
-    n = j + 1
-    prod = MultiPoly.constant(n, 1)
-    for signs in itertools.product((1, -1), repeat=j):
-        f = MultiPoly.variable(n, 0)
-        for i, s in enumerate(signs, start=1):
-            f = f + MultiPoly.variable(n, i) * s
-        prod = prod * f
+    R = SignProductPoly(j, MultiPoly(j + 1, {}))
     terms: Dict[tuple, Scalar] = {}
-    for e, c in prod.terms.items():
+    for e, c in R.sign_product().terms.items():
         if any(k % 2 for k in e):
             raise AssertionError("sign product must be even in every variable")
         terms[tuple(k // 2 for k in e)] = c
-    return SignProductPoly(j, MultiPoly(n, terms))
+    R.poly = MultiPoly(j + 1, terms)
+    return R
 
 
 def expand_S(a, b, c) -> HomPoly:
@@ -240,16 +235,6 @@ class SquareCombination:
     root_numeric: tuple
     nonzero_count: int
     exact: bool = True
-
-    @property
-    def square_root_exact(self) -> Optional[HomPoly]:
-        """The root scale*L as an exact form when sqrt(scale) is Gaussian."""
-        if self.root_scale is None or self.root_form is None:
-            return None
-        s = gauss_sqrt(self.root_scale)
-        if s is None:
-            return None
-        return self.root_form.scale(s)
 
     def residual(self, quadrics) -> Optional[HomPoly]:
         if not self.exact or self.combination is None:
@@ -292,7 +277,7 @@ def _combination_from_exact(avec, quadrics) -> Optional[SquareCombination]:
         avec = [-x for x in avec]
         comb = -comb
         c = -c
-    vec = [L.coeff((1, 0, 0)), L.coeff((0, 1, 0)), L.coeff((0, 0, 1))]
+    vec = L.linear_coeffs()
     with mp.workprec(96):
         sc = mp.sqrt(mp.mpc(scalar_to_complex(c)))
         num = tuple(sc * mp.mpc(scalar_to_complex(v)) for v in vec)

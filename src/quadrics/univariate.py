@@ -329,13 +329,3 @@ def binary_form_roots(form, var_hi: int, var_lo: int, prec: int):
             out.append((ball.value, mp.mpc(1), ball.multiplicity, exact, ball.radius))
     return out
 
-
-def binary_gcd(f1, f2, var_hi: int, var_lo: int) -> UniPoly:
-    """Gcd of the dehomogenized parts of two binary forms (exact)."""
-    p1, _, z1 = binary_to_unipoly(f1, var_hi, var_lo)
-    p2, _, z2 = binary_to_unipoly(f2, var_hi, var_lo)
-    g = uni_gcd(p1, p2)
-    shared_zero = min(z1, z2)
-    if shared_zero:
-        g = g * UniPoly([Fraction(0)] * shared_zero + [Fraction(1)])
-    return g

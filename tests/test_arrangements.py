@@ -94,6 +94,80 @@ def test_bezout_on_random_pairs():
         done += 1
 
 
+def _random_form(rng, d):
+    """A random form of degree d >= 0 with coefficients in [-2, 2]."""
+    monos = [(a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)]
+    while True:
+        p = HomPoly({e: rng.randint(-2, 2) for e in monos})
+        if p.degree == d:
+            return p
+
+
+def _raises_common_component(p, q):
+    try:
+        intersection_points(p, q)
+    except CommonComponentError as exc:
+        assert exc.witness is not None
+        return True
+    return False
+
+
+@pytest.mark.parametrize("d1, d2", [(1, 2), (2, 2), (3, 2)])
+def test_common_component_agrees_with_reference(d1, d2):
+    """intersection_points reads a shared component off its own
+    elimination resultant; has_common_component is the reference.  Half
+    of the seeded pairs are built with a common linear factor."""
+    from quadrics.arrangements import has_common_component
+    rng = random.Random(611 * d1 + d2)
+    shared = 0
+    for k in range(8):
+        if k % 2:
+            f = _random_form(rng, 1)
+            p, q = f * _random_form(rng, d1 - 1), f * _random_form(rng, d2 - 1)
+        else:
+            p, q = _random_form(rng, d1), _random_form(rng, d2)
+        expected = has_common_component(p, q)
+        shared += expected
+        assert _raises_common_component(p, q) == expected, (p, q)
+    assert shared >= 4
+
+
+@pytest.mark.parametrize("p, q, expected", [
+    ("(z0 - z1)*(z0 + 2*z2)", "(z0 - z1)*(z1^2 - z0*z2)", True),
+    ("(z0^2 - z1*z2)*(z0 + z1)", "(z0^2 - z1*z2)*(z2 - z0 + 3*z1)", True),
+    ("z0^2 - z1*z2", "(z0^2 - z1*z2)*(z0 + z1 + z2)", True),
+    # the identity change is not admissible: z1 has no z0 term
+    ("z1", "z1*z2", True),
+    ("z1", "z2^2 - z0*z1", False),
+])
+def test_common_component_on_constructed_pairs(p, q, expected):
+    from quadrics.arrangements import has_common_component
+    p, q = parse_poly(p), parse_poly(q)
+    assert has_common_component(p, q) == expected
+    assert _raises_common_component(p, q) == expected
+
+
+def test_intersection_needs_one_resultant_per_change(monkeypatch):
+    import quadrics.arrangements as arr
+
+    def refuse(*args):
+        raise AssertionError("has_common_component is a reference only")
+
+    calls = []
+    resultant = arr.resultant
+
+    def counted(*args):
+        calls.append(args)
+        return resultant(*args)
+
+    monkeypatch.setattr(arr, "has_common_component", refuse)
+    monkeypatch.setattr(arr, "resultant", counted)
+    assert len(intersection_points(P1, P3)) == 4
+    assert len(calls) == 1  # the identity change is admissible for this pair
+    with pytest.raises(CommonComponentError):
+        intersection_points(P1, P1 * parse_poly("z0 + z1"))
+
+
 def test_line_conic_intersections(example_net):
     _, q1, _ = example_net
     line = parse_poly("z0")

@@ -1,10 +1,13 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quadrics
 from quadrics.cli import main
@@ -210,17 +213,94 @@ def _cli_process(args):
                   "--divisor", "z1", "--main-theorem", "second"],
                  id="nevanlinna-hyperplanes-not-general"),
     pytest.param(["demo-three-quadrics", "--alphas", "0,1"], id="demo-two-alphas"),
+    pytest.param(["check-config", "{constant}"], id="check-config-constant-component"),
+    pytest.param(["lines", "{constant}"], id="lines-constant-component"),
+    pytest.param(["square", "{constant}"], id="square-constant-component"),
+    pytest.param(["check-config", "{mismatch}"], id="check-config-family-mismatch"),
+    pytest.param(["lines", "{mismatch}"], id="lines-family-mismatch"),
+    pytest.param(["square", "{mismatch}"], id="square-family-mismatch"),
     pytest.param(["demo-three-quadrics", "--alphas", "0,1,2", "--r-check", "0"],
                  id="demo-radius-zero"),
 ])
 def test_bad_input_exits_two_without_traceback(tmp_path, args):
     curve = _write(tmp_path, "curve.json", LINE_CURVE)
     missing = str(tmp_path / "no-such-file.json")
-    args = [a.format(missing=missing, curve=curve) for a in args]
+    triple = TRIPLE_CONFIG["components"]
+    constant = _write(tmp_path, "constant.json", {"components": ["3"] + triple[1:]})
+    mismatch = _write(tmp_path, "mismatch.json", {"family": [2, 2], "components": triple})
+    args = [a.format(missing=missing, curve=curve, constant=constant, mismatch=mismatch)
+            for a in args]
     code, out, err = _cli_process(args)
     assert code == 2
     assert "Traceback" not in err
     assert json.loads(out)["report"]["error"].startswith("parse error")
+
+
+@pytest.mark.parametrize("components, family, code, condition, note", [
+    pytest.param(["-z2", "3*z0 - 2*z1 + 4*z2", "-2*z0 + 3*z1 - 3*z2", "-2*z0 - z1 - 4*z2"],
+                 [1, 1, 1, 1], 0, "s4.4", None, id="four-lines"),
+    pytest.param(["-z0^2 - z0*z1 + 4*z1^2", "-2*z0^2 + 4*z0*z1 - 3*z0*z2 + z1^2 + 2*z2^2",
+                  "-2*z0 + z1 + 2*z2", "4*z0 + 3*z1 - 4*z2"],
+                 [2, 2, 1, 1], 1, "s4.4", "needs smooth quadrics", id="line-pair-quadric"),
+    pytest.param(["-2*z0^2 - 4*z0*z2 - 2*z2^2",
+                  "4*z0^2 + 2*z0*z1 + 3*z0*z2 + 3*z1^2 + z1*z2 - 4*z2^2",
+                  "4*z0 + z1 - 3*z2", "-2*z0 + 3*z1 - 4*z2"],
+                 [2, 2, 1, 1], 1, "s4.4", "needs smooth quadrics", id="double-line-quadric"),
+    pytest.param(["2*z0^2 + z0*z1 - z0*z2 + z1*z2 - 3*z2^2", "3*z0 - z1 - 3*z2",
+                  "z0 + 3*z1 + 4*z2", "-2*z0 - 3*z1 - 4*z2"],
+                 [2, 1, 1, 1], 1, "s4.5", "needs a smooth quadric", id="line-pair-and-three-lines"),
+])
+def test_check_config_gives_s4_verdicts_where_it_crashed(tmp_path, components, family,
+                                                         code, condition, note):
+    """An all-lines family, and a singular quadric beside two or three
+    lines, once raised inside the s4.4 or s4.5 check; all now give
+    verdicts: undecided where a contact point needs a smooth quadric."""
+    cfg = _write(tmp_path, "cfg.json", {"family": family, "components": components})
+    got, out, err = _cli_process(["check-config", cfg])
+    assert "Traceback" not in err
+    assert got == code
+    conds = json.loads(out)["report"]["genericity"]["conditions"]
+    if note is None:
+        assert all(v["verdict"] in ("pass", "not_applicable") for v in conds.values())
+    else:
+        assert conds[condition]["verdict"] == "undecided"
+        assert conds[condition]["note"] == note
+
+
+def _seeded_config(seed, family):
+    """Integer coefficients in [-4, 4], one nonzero form per entry."""
+    rng = random.Random(seed)
+    components = []
+    for d in family:
+        monos = [(a, b, d - a - b) for a in range(d, -1, -1) for b in range(d - a, -1, -1)]
+        while True:
+            terms = [(rng.randint(-4, 4), e) for e in monos]
+            if any(c for c, _ in terms):
+                break
+        components.append(" + ".join(
+            f"({c})*" + "*".join(f"z{i}^{k}" for i, k in enumerate(e) if k)
+            for c, e in terms if c))
+    return {"family": list(family), "components": components}
+
+
+@given(seed=st.integers(0, 10 ** 6),
+       family=st.sampled_from([(1, 2, 2), (2, 2, 1, 1), (2, 1, 1, 1), (1, 1, 1, 1)]))
+@settings(max_examples=6, deadline=None, derandomize=True)
+def test_verdicts_never_flip_across_precision_ladders(tmp_path_factory, seed, family):
+    """No check-config condition passes on one precision ladder and fails
+    on another."""
+    tmp_path = tmp_path_factory.mktemp("ladders")
+    cfg = _write(tmp_path, "cfg.json", _seeded_config(seed, family))
+    seen = {}
+    for bits in (128, 256, 512):
+        _, doc = _run(["--precision-bits", str(bits), "check-config", cfg], tmp_path)
+        report = doc["report"]
+        conds = dict(report["genericity"]["conditions"])
+        conds.update({f"contact.{k}": v for k, v in
+                      report.get("contact_obstruction", {}).get("conditions", {}).items()})
+        for name, v in conds.items():
+            seen.setdefault(name, set()).add(v["verdict"])
+    assert not [name for name, v in seen.items() if {"pass", "fail"} <= v], seen
 
 
 @pytest.mark.parametrize("name, exc", [

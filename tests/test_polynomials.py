@@ -205,6 +205,12 @@ def test_quadric_form_wrong_degree():
         quadric_form(parse_poly("z0"))
 
 
+def test_linear_coeffs_inverts_linear_form():
+    v = [Fraction(3), Fraction(0), GaussRat(1, -2)]
+    assert HomPoly.linear_form(v).linear_coeffs() == v
+    assert parse_poly("z1 - 2*z2").linear_coeffs() == [0, 1, -2]
+
+
 def test_quadric_form_reconstructs_polynomial():
     p = parse_poly("3*z0^2 - 2*z0*z1 + 5*z1*z2 - z2^2")
     assert quadric_form(p).poly() == p
