@@ -562,8 +562,15 @@ class Configuration:
     @staticmethod
     def from_json(obj) -> "Configuration":
         from .polynomials import parse_poly
-        polys = [parse_poly(s) for s in obj["components"]]
-        return Configuration.from_polys(polys, obj.get("family"))
+        if not isinstance(obj, dict):
+            raise ValueError("a configuration must be a JSON object")
+        texts, family = obj["components"], obj.get("family")
+        if not isinstance(texts, list) or not all(isinstance(s, str) for s in texts):
+            raise ValueError("components must be a list of polynomial strings")
+        if family is not None and not (isinstance(family, list) and all(
+                isinstance(d, int) and not isinstance(d, bool) for d in family)):
+            raise ValueError("family must be a list of integer degrees")
+        return Configuration.from_polys([parse_poly(s) for s in texts], family)
 
     def polys(self) -> List[HomPoly]:
         return [p for p, _ in self.components]

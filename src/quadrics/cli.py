@@ -40,7 +40,7 @@ from .nevanlinna import (DegenerateCurveError, DivisorContainsCurveError,
                          defect_estimate, main_theorem_check, order_estimate,
                          three_quadrics_certificate)
 from .polynomials import (HomPoly, NotHomogeneousError, PolySyntaxError,
-                          parse_poly)
+                          PrecisionExhaustedError, parse_poly)
 from .scalars import parse_scalar_string
 from .squares import square_combination
 
@@ -113,12 +113,8 @@ def _parse_radii(text: str) -> List[float]:
     return radii
 
 
-def _precision(args) -> PrecisionConfig:
-    return PrecisionConfig(args.precision_bits, args.precision_cap)
-
-
-# Every subcommand first loads its input; any of these exceptions there
-# means the input is malformed.
+# Every subcommand first builds its precision ladder and loads its input;
+# any of these exceptions there means the input is malformed.
 PARSE_ERRORS = (OSError, json.JSONDecodeError, PolySyntaxError,
                 NotHomogeneousError, KeyError, ValueError)
 
@@ -127,7 +123,8 @@ PARSE_ERRORS = (OSError, json.JSONDecodeError, PolySyntaxError,
 # raised while computing is a defect and propagates.
 RUN_ERRORS = (
     (NotGeneralPositionError, EXIT_PARSE, lambda exc: f"parse error: {exc}"),
-    ((ZeroOnContourError, QuadratureFailureError), EXIT_UNDECIDED,
+    ((ZeroOnContourError, QuadratureFailureError, PrecisionExhaustedError),
+     EXIT_UNDECIDED,
      lambda exc: f"undecided: {type(exc).__name__}: {exc}"),
     ((DivisorContainsCurveError, DegenerateCurveError), EXIT_DEGENERATE, str),
 )
@@ -169,7 +166,7 @@ def _load_alphas(args):
 
 
 def cmd_check_config(args, cfg: Configuration):
-    prec = _precision(args)
+    prec = args.precision
     report = {}
     s4 = genericity_check_s4(cfg, prec)
     report["genericity"] = s4.to_json()
@@ -224,7 +221,7 @@ def cmd_lines(args, cfg: Configuration):
     if tuple(cfg.family) != (2, 2, 2):
         return {"error": "a (2,2,2) configuration is required"}, EXIT_PARSE
     try:
-        report_obj, ls = genericity_check_s6(*cfg.polys(), precision=_precision(args))
+        report_obj, ls = genericity_check_s6(*cfg.polys(), precision=args.precision)
     except DegenerateIntersectionError as exc:
         return {"error": str(exc),
                 "genericity": exc.report.to_json() if exc.report else None}, EXIT_FAIL
@@ -246,7 +243,7 @@ def cmd_lines(args, cfg: Configuration):
 
 def cmd_square(args, polys: List[HomPoly]):
     try:
-        sols = square_combination(*polys, precision=_precision(args))
+        sols = square_combination(*polys, precision=args.precision)
     except NoSolutionError as exc:
         return {"square_combinations": [], "note": str(exc)}, EXIT_OK
     except InfinitelyManySolutionsError as exc:
@@ -338,6 +335,7 @@ def main(argv=None) -> int:
     args.argv = argv
     manifest = _manifest(args, getattr(args, "path", None))
     try:
+        args.precision = PrecisionConfig(args.precision_bits, args.precision_cap)
         inputs = args.load(args)
     except PARSE_ERRORS as exc:
         report, code = {"error": f"parse error: {exc}"}, EXIT_PARSE

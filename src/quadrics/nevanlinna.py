@@ -356,7 +356,9 @@ def characteristic(curve: ExpCurve, r: float, tol: float = 1e-9
                    ) -> Tuple[float, float]:
     """Sup-norm characteristic T(f, r) with a quadrature error estimate.
 
-    Composite-Simpson integration with interval doubling; the returned
+    Composite-Simpson integration with nested interval doubling: each
+    doubling keeps the previous grid as its even nodes and evaluates only
+    the new odd ones, so every node is evaluated once.  The returned
     error combines the last refinement difference with a float rounding
     allowance.  Raises QuadratureFailureError when refinement stalls.
     The curve keeps the result for later calls with the same r and tol.
@@ -374,13 +376,23 @@ def _characteristic(curve: ExpCurve, r: float, tol: float) -> Tuple[float, float
     n = 512
     prev = None
     last_diff = None
+    # the values on the previous level's grid, None after a nudged level;
+    # n is a power of two, so that grid is this level's grid[::2] exactly
+    coarse = None
     for _ in range(12):
         thetas = np.linspace(0.0, 2 * math.pi, n + 1)
-        vals = _curve_logmax_grid(curve, r, thetas)
+        if coarse is None:
+            vals = _curve_logmax_grid(curve, r, thetas)
+        else:
+            vals = np.empty(n + 1)
+            vals[::2] = coarse
+            vals[1::2] = _curve_logmax_grid(curve, r, thetas[1::2])
+        coarse = vals
         if not np.all(np.isfinite(vals)):
             # a component hits zero on a node exactly; nudge the grid
             thetas = thetas + math.pi / (7 * n)
             vals = _curve_logmax_grid(curve, r, thetas)
+            coarse = None
             if not np.all(np.isfinite(vals)):
                 raise QuadratureFailureError("integrand unbounded on the circle")
         # composite Simpson on the uniform grid

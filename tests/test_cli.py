@@ -196,7 +196,7 @@ def _cli_process(args):
     src = os.path.dirname(os.path.dirname(quadrics.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-m", "quadrics.cli", "--timestamp", "T"] + args,
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -221,15 +221,32 @@ def _cli_process(args):
     pytest.param(["square", "{mismatch}"], id="square-family-mismatch"),
     pytest.param(["demo-three-quadrics", "--alphas", "0,1,2", "--r-check", "0"],
                  id="demo-radius-zero"),
+    pytest.param(["--precision-bits", "0", "check-config", "{triple}"], id="precision-bits-0"),
+    pytest.param(["--precision-bits", "8", "check-config", "{triple}"], id="precision-bits-8"),
+    pytest.param(["--precision-cap", "128", "check-config", "{triple}"],
+                 id="precision-cap-below-start"),
+    pytest.param(["check-config", "{family_int}"], id="family-not-a-list"),
+    pytest.param(["check-config", "{family_text}"], id="family-entry-not-an-integer"),
+    pytest.param(["check-config", "{not_object}"], id="document-not-an-object"),
+    pytest.param(["check-config", "{components_text}"], id="components-not-a-list"),
+    pytest.param(["check-config", "{component_int}"], id="component-not-a-string"),
 ])
 def test_bad_input_exits_two_without_traceback(tmp_path, args):
     curve = _write(tmp_path, "curve.json", LINE_CURVE)
     missing = str(tmp_path / "no-such-file.json")
     triple = TRIPLE_CONFIG["components"]
-    constant = _write(tmp_path, "constant.json", {"components": ["3"] + triple[1:]})
-    mismatch = _write(tmp_path, "mismatch.json", {"family": [2, 2], "components": triple})
-    args = [a.format(missing=missing, curve=curve, constant=constant, mismatch=mismatch)
-            for a in args]
+    files = {
+        "triple": TRIPLE_CONFIG,
+        "constant": {"components": ["3"] + triple[1:]},
+        "mismatch": {"family": [2, 2], "components": triple},
+        "family_int": {"family": 2, "components": triple},
+        "family_text": {"family": [2, 2, "2"], "components": triple},
+        "not_object": triple,
+        "components_text": {"components": triple[0]},
+        "component_int": {"components": [3] + triple[1:]},
+    }
+    paths = {name: _write(tmp_path, f"{name}.json", obj) for name, obj in files.items()}
+    args = [a.format(missing=missing, curve=curve, **paths) for a in args]
     code, out, err = _cli_process(args)
     assert code == 2
     assert "Traceback" not in err
@@ -319,6 +336,22 @@ def test_nevanlinna_numeric_failure_exits_undecided(tmp_path, monkeypatch, capsy
                      tmp_path)
     assert code == 3
     assert "injected failure" in doc["report"]["error"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", ["check-config", "lines", "square"])
+def test_precision_exhausted_exits_undecided(tmp_path, monkeypatch, capsys, subcommand):
+    import quadrics.arrangements as ar
+    from quadrics.polynomials import PrecisionExhaustedError
+
+    def fail(*args, **kwargs):
+        raise PrecisionExhaustedError("injected failure")
+
+    monkeypatch.setattr(ar, "intersection_points", fail)
+    cfg = _write(tmp_path, "cfg.json", TRIPLE_CONFIG)
+    code, doc = _run([subcommand, cfg], tmp_path)
+    assert code == 3
+    assert doc["report"]["error"].startswith("undecided: PrecisionExhaustedError: ")
     assert "Traceback" not in capsys.readouterr().err
 
 

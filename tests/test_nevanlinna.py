@@ -58,6 +58,109 @@ def test_characteristic_scale_invariance():
         assert abs(t0 - t1) < 1e-8 + e0 + e1
 
 
+QUADRATIC = ExpCurve.from_json(                            # [1 : e^{b xi} : e^{c xi^2}]
+    {"exponents": [["0"], ["0", "1.5"], ["0", "0", "0.25+0.5i"]]})
+
+
+def _full_grid_characteristic(curve, r, tol):
+    """Simpson doubling that evaluates every level's whole grid: the
+    reference for the nested loop.  Returns (value, err, n) with n the
+    interval count of the last level evaluated."""
+    import quadrics.nevanlinna as nv
+
+    center = nv._center_value(curve)
+    n = 512
+    prev = last_diff = None
+    for _ in range(12):
+        thetas = np.linspace(0.0, 2 * math.pi, n + 1)
+        vals = nv._curve_logmax_grid(curve, r, thetas)
+        if not np.all(np.isfinite(vals)):
+            thetas = thetas + math.pi / (7 * n)
+            vals = nv._curve_logmax_grid(curve, r, thetas)
+            assert np.all(np.isfinite(vals))
+        h = thetas[1] - thetas[0]
+        integral = (h / 3) * (vals[0] + vals[-1]
+                              + 4 * np.sum(vals[1:-1:2]) + 2 * np.sum(vals[2:-2:2]))
+        value = integral / (2 * math.pi) - center
+        if prev is not None:
+            last_diff = abs(value - prev)
+            if last_diff < max(tol, 1e-13 * max(1.0, abs(value))):
+                return value, last_diff + 1e-13 * max(1.0, abs(value)) * math.log2(n), n
+        prev = value
+        n *= 2
+    return prev, last_diff * 4, n // 2
+
+
+def _fresh(curve):
+    """A copy with an empty T(r) memo."""
+    return ExpCurve(curve.components, curve.order_bound)
+
+
+NESTED_CASES = [pytest.param(curve, r, tol, id=f"{name}-r{r:g}-tol{tol:g}")
+                for name, curve, radii, tol in (("line", EXP_LINE, (1.0, 7.5, 40.0), 1e-9),
+                                                ("quadratic", QUADRATIC, (1.0, 3.5, 8.0, 20.0), 1e-9),
+                                                ("quadratic", QUADRATIC, (8.0,), 0.0))
+                for r in radii]
+
+
+@pytest.mark.parametrize("curve, r, tol", NESTED_CASES)
+def test_nested_quadrature_matches_full_grid(monkeypatch, curve, r, tol):
+    """Nested doubling gives the full-grid (value, err) bit for bit and
+    evaluates each node once: n + 1 nodes in all for the last level's n."""
+    import quadrics.nevanlinna as nv
+
+    value, err, n = _full_grid_characteristic(_fresh(curve), r, tol)
+    if tol == 0:
+        assert n == 512 * 2 ** 11                  # ran to the 12-level cap
+    nodes = []
+    grid = nv._curve_logmax_grid
+
+    def counted_grid(c, radius, thetas):
+        nodes.append(len(thetas))
+        return grid(c, radius, thetas)
+
+    monkeypatch.setattr(nv, "_curve_logmax_grid", counted_grid)
+    got = characteristic(_fresh(curve), r, tol)
+    assert got[0].hex() == value.hex() and got[1].hex() == err.hex()
+    assert sum(nodes) == n + 1
+
+
+def test_nested_quadrature_after_a_nudge(monkeypatch):
+    """A non-finite value at one node of the n = 1024 level nudges that
+    level; the nudged grid is not reused, so the next level evaluates its
+    whole grid, and (value, err) still equal the full-grid reference."""
+    import quadrics.nevanlinna as nv
+
+    grid = nv._curve_logmax_grid
+    target = np.linspace(0.0, 2 * math.pi, 1025)[3]   # not on the n = 512 grid
+
+    def injecting(log):
+        seen = []
+
+        def faulty_grid(c, radius, thetas):
+            vals = grid(c, radius, thetas)
+            hit = thetas == target
+            if hit.any() and not seen:             # only the first time it is seen
+                seen.append(True)
+                vals[hit] = -math.inf
+            log.append(len(thetas))
+            return vals
+        return faulty_grid
+
+    ref_log, log = [], []
+    monkeypatch.setattr(nv, "_curve_logmax_grid", injecting(ref_log))
+    value, err, n = _full_grid_characteristic(_fresh(QUADRATIC), 8.0, 1e-9)
+    monkeypatch.setattr(nv, "_curve_logmax_grid", injecting(log))
+    got = characteristic(_fresh(QUADRATIC), 8.0, 1e-9)
+    assert got[0].hex() == value.hex() and got[1].hex() == err.hex()
+    assert n >= 4096
+    # the reference nudges at n = 1024 once: 513, 1025, 1025 (nudged), 2049, ...
+    assert ref_log[:4] == [513, 1025, 1025, 2049]
+    # 513; the odd nodes of n = 1024, which hold the fault; the nudged
+    # full grid; the whole n = 2048 grid; then odd nodes only
+    assert log[:5] == [513, 512, 1025, 2049, 2048]
+
+
 def test_nevanlinna_scalar_form_consistency():
     """T_0(g, r) and T([1:g], r) agree for the sup-norm convention."""
     # T_0 of e^xi computed directly from log^+ on the circle
