@@ -16,14 +16,16 @@ undecided and escalates working precision up to the configured cap.
 from __future__ import annotations
 
 import itertools
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import mpmath as mp
 
-from .config import DEFAULT_PRECISION, PrecisionConfig
+from .config import DEFAULT_PRECISION, PrecisionConfig, scoped
 from .linalg import det, nullspace, rank, solve
 from .polynomials import (DegenerateLeadingFormError, HomPoly,
                           PrecisionExhaustedError, ProjPointNum, QuadricForm,
@@ -123,6 +125,12 @@ def _cross(a, b):
             a[0] * b[1] - a[1] * b[0])
 
 
+def _det3(a, b, c):
+    return (a[0] * (b[1] * c[2] - b[2] * c[1])
+            - a[1] * (b[0] * c[2] - b[2] * c[0])
+            + a[2] * (b[0] * c[1] - b[1] * c[0]))
+
+
 def _cross_exact(a, b):
     return tuple(coerce_scalar(x) for x in (
         a[1] * b[2] - a[2] * b[1],
@@ -174,6 +182,52 @@ class NumLine:
                + mp.mpf(2) ** (8 - mp.mp.prec))
         return val, err
 
+    @cached_property
+    def _double(self):
+        """(coefficients as Python complex, radius as float) for the
+        double-precision filter; None when an entry's modulus exceeds 2."""
+        vec = tuple(complex(c) for c in self.vec)
+        if not max(abs(c) for c in vec) <= 2.0:
+            return None
+        return vec, float(self.radius)
+
+
+# Double-precision filter in front of lines_concurrent and lines_distinct
+# (Shewchuk 1997, "Adaptive precision floating-point arithmetic and fast
+# robust geometric predicates", DCG 18).  Both predicates test
+# |f(vectors)| > err, f the 3x3 determinant or the cross product, with
+# err = 6 * (sum of radii) + 2^(8-p) at p = mp.prec bits.  The filter
+# evaluates f on double copies of the vectors and answers only where that
+# test is certainly true; everything else, and any p below 53, goes on to
+# the mpmath code.  The bound, for entries of modulus <= 2:
+# - doubles (u = 2^-53): each determinant term a*b*c passes 3 conversions
+#   (u each), 2 complex products (sqrt(5)u < 3u each) and 3 sums (u each),
+#   so it errs by < 13u of its modulus; the 6 terms have moduli summing to
+#   <= 48, so the double determinant is within 624u < 2^-43 of the exact
+#   determinant of the mp entries;
+# - mpmath rounds each of its 5 operations by <= 2^(1-p), so its value is
+#   within 10 * 2^-p * 48 < 2^(9-p) of the same; its abs() and 2^(8-p)
+#   add < 2^(7-p) + 2^(8-p), all below 2^(11-p);
+# - every relative rounding of the radius sum (mpmath's, float(), the
+#   double arithmetic below, abs() in doubles) is below 2^-50, covered by
+#   the factor (1 + 2^-40); _FILTER_ABS = 2^-40 leaves a margin of 8 over
+#   2^-43 for the rest, underflow included.
+# A cross-product component has 2 terms of modulus <= 4 and fewer
+# roundings, so the same bound holds there with more room.
+_FILTER_ABS = 2.0 ** -40
+
+
+def _double_filter_exceeds(value, lines) -> bool:
+    """Is |value| of the lines' vectors, evaluated in doubles, certainly
+    above the error bound of the mpmath test at the current precision?"""
+    prec = mp.mp.prec
+    data = [l._double for l in lines]
+    if prec < 53 or None in data:
+        return False
+    bound = (_FILTER_ABS + math.ldexp(1.0, 11 - prec)
+             + 6.0 * sum(r for _, r in data) * (1.0 + _FILTER_ABS))
+    return value(*(v for v, _ in data)) > bound
+
 
 def _certified_sign(value, err):
     """1 certainly nonzero, 0 exactly zero, None ambiguous."""
@@ -188,10 +242,9 @@ def lines_concurrent(l1: NumLine, l2: NumLine, l3: NumLine):
     """True/False/None for det of the three coefficient vectors."""
     if all(l.exact is not None for l in (l1, l2, l3)):
         return det([l.exact.linear_coeffs() for l in (l1, l2, l3)]) == 0
-    rows = [l.vec for l in (l1, l2, l3)]
-    d = (rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-         - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-         + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0]))
+    if _double_filter_exceeds(lambda a, b, c: abs(_det3(a, b, c)), (l1, l2, l3)):
+        return False
+    d = _det3(l1.vec, l2.vec, l3.vec)
     err = sum(l.radius for l in (l1, l2, l3)) * 6 + mp.mpf(2) ** (8 - mp.mp.prec)
     if abs(d) > err:
         return False
@@ -206,6 +259,8 @@ def lines_concurrent(l1: NumLine, l2: NumLine, l3: NumLine):
 def lines_distinct(l1: NumLine, l2: NumLine):
     if l1.exact is not None and l2.exact is not None:
         return l1.exact != l2.exact and l1.exact != -l2.exact
+    if _double_filter_exceeds(lambda a, b: _sup(_cross(a, b)), (l1, l2)):
+        return True
     v = _cross(l1.vec, l2.vec)
     err = (l1.radius + l2.radius) * 6 + mp.mpf(2) ** (8 - mp.mp.prec)
     if _sup(v) > err:
@@ -235,10 +290,7 @@ def _coordinate_changes():
         a, b, c, d, e, f = (rng.randint(-4, 4) for _ in range(6))
         U = ((1, a, b), (c, 1 + a * c, d), (e, f + c * e, 1 + b * e + d * f))
         # keep only genuinely invertible integer matrices
-        det = (U[0][0] * (U[1][1] * U[2][2] - U[1][2] * U[2][1])
-               - U[0][1] * (U[1][0] * U[2][2] - U[1][2] * U[2][0])
-               + U[0][2] * (U[1][0] * U[2][1] - U[1][1] * U[2][0]))
-        if det != 0:
+        if _det3(*U) != 0:
             yield U
 
 
@@ -356,36 +408,56 @@ def _newton_polish(p: HomPoly, q: HomPoly, pt_vec, prec, steps=30):
 def intersection_points(p: HomPoly, q: HomPoly, *,
                         precision: PrecisionConfig | None = None,
                         pair: Tuple[int, int] = (0, 1)) -> List[IntersectionRecord]:
-    """All common projective zeros with exact Bezout multiplicities."""
+    """All common projective zeros with exact Bezout multiplicities.
+
+    Inside an analysis scope each (p, q, precision) is computed once, a
+    shared component included; ``pair`` only labels the records.  Every
+    call returns fresh records, so editing them never reaches the memo.
+    """
     precision = precision or DEFAULT_PRECISION
     if p.is_zero or q.is_zero:
         raise ZeroPolynomialError("intersection with zero polynomial")
     if p.degree < 1 or q.degree < 1:
         raise ValueError("components must have positive degree")
+    found = scoped(("intersection_points", p, q, precision),
+                   lambda: _intersection_or_shared(p, q, precision))
+    if isinstance(found, CommonComponentError):
+        raise CommonComponentError(witness=found.witness)
+    return [replace(rec, pair=pair) for rec in found]
 
-    target = p.degree * q.degree
-    last_error = None
+
+def _intersection_or_shared(p, q, precision):
+    """The records, or the CommonComponentError (with its witness) when the
+    curves share a component."""
     try:
-        for prec in precision.ladder():
-            with mp.workprec(prec):
-                changes = _coordinate_changes()
-                for _ in range(12):
-                    U = next(changes)
-                    recs = _try_intersection(p, q, U, prec, pair, target)
-                    if recs is not None:
-                        _fill_tangential(p, q, recs, prec)
-                        recs.sort(key=_record_sort_key)
-                        return recs
-            last_error = f"no admissible coordinate change at {prec} bits"
+        return _intersection_points(p, q, precision)
     except CommonComponentError:
         # the witness search runs at the caller's precision
-        raise CommonComponentError(
-            witness=common_component_witness(p, q, precision.start_bits)) from None
+        return CommonComponentError(
+            witness=common_component_witness(p, q, precision.start_bits))
+
+
+def _intersection_points(p, q, precision) -> List[IntersectionRecord]:
+    target = p.degree * q.degree
+    last_error = None
+    for prec in precision.ladder():
+        with mp.workprec(prec):
+            changes = _coordinate_changes()
+            for _ in range(12):
+                U = next(changes)
+                found = _try_intersection(p, q, U, prec, target)
+                if found is not None:
+                    recs = [IntersectionRecord(pt, mult, _tangential(p, q, pt, mult))
+                            for pt, mult in found]
+                    recs.sort(key=_record_sort_key)
+                    return recs
+        last_error = f"no admissible coordinate change at {prec} bits"
     raise PrecisionExhaustedError(last_error or "intersection failed")
 
 
-def _try_intersection(p, q, U, prec, pair, target):
-    """Records after the change U; None to try the next change.
+def _try_intersection(p, q, U, prec, target):
+    """(point, multiplicity) pairs after the change U; None to try the
+    next change.
 
     Raises CommonComponentError when the curves share a component: once
     both curves keep their full degree in z0, their leading coefficients
@@ -401,7 +473,7 @@ def _try_intersection(p, q, U, prec, pair, target):
     if rho.is_zero:
         raise CommonComponentError()
     roots = binary_form_roots(rho, 1, 2, prec)
-    recs: List[IntersectionRecord] = []
+    found: List[Tuple[ProjPointNum, int]] = []
     for hi, lo, mult, exact, rad in roots:
         if exact is not None:
             fiber = _fiber_points_exact(p2, q2, exact[0], exact[1], prec)
@@ -425,14 +497,14 @@ def _try_intersection(p, q, U, prec, pair, target):
             rec_exact = _try_exact_recovery(p, q, polished)
             if rec_exact is not None:
                 pt = ProjPointNum.from_exact(rec_exact)
-        recs.append(IntersectionRecord(pt, mult, None, pair))
-    if sum(r.multiplicity for r in recs) != target:
+        found.append((pt, mult))
+    if sum(mult for _, mult in found) != target:
         return None
     # one point per fiber also means all points are pairwise distinct
-    for a, b in itertools.combinations(recs, 2):
-        if a.point.same_point(b.point):
+    for (a, _), (b, _) in itertools.combinations(found, 2):
+        if a.same_point(b):
             return None
-    return recs
+    return found
 
 
 def _try_exact_recovery(p, q, coords):
@@ -455,23 +527,23 @@ def _record_sort_key(rec: IntersectionRecord):
     return tuple(x for cc in c for x in (float(mp.re(cc)), float(mp.im(cc))))
 
 
-def _fill_tangential(p, q, recs, prec):
-    for rec in recs:
-        if rec.multiplicity < 2:
-            rec.tangential = False
-            continue
-        smooth = True
-        for f in (p, q):
-            gx = [f.derivative(i) for i in range(3)]
-            if rec.point.is_exact():
-                vals = [g.eval_exact(rec.point.exact) for g in gx]
-                if all(v == 0 for v in vals):
-                    smooth = False
-            else:
-                vals = [gaussian_extension_eval(g, rec.point) for g in gx]
-                if not any(_certified_sign(abs(v), e) == 1 for v, e in vals):
-                    smooth = None if smooth is True else smooth
-        rec.tangential = smooth if smooth is not True else True
+def _tangential(p, q, point, multiplicity):
+    """A multiple point is tangential when both curves are smooth there;
+    None when smoothness is not certified."""
+    if multiplicity < 2:
+        return False
+    smooth = True
+    for f in (p, q):
+        gx = [f.derivative(i) for i in range(3)]
+        if point.is_exact():
+            vals = [g.eval_exact(point.exact) for g in gx]
+            if all(v == 0 for v in vals):
+                smooth = False
+        else:
+            vals = [gaussian_extension_eval(g, point) for g in gx]
+            if not any(_certified_sign(abs(v), e) == 1 for v, e in vals):
+                smooth = None if smooth is True else smooth
+    return smooth
 
 
 # ---------------------------------------------------------------------------

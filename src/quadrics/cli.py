@@ -33,7 +33,7 @@ from .arrangements import (Configuration, DegenerateIntersectionError,
                            contact_obstruction_check, cor31_hypothesis_check,
                            genericity_check_s4, genericity_check_s6,
                            select_general_position)
-from .config import PrecisionConfig
+from .config import PrecisionConfig, analysis_scope
 from .nevanlinna import (DegenerateCurveError, DivisorContainsCurveError,
                          ExpCurve, GrowthSample, NotGeneralPositionError,
                          QuadratureFailureError, ZeroOnContourError, counting,
@@ -334,14 +334,21 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args.argv = argv
     manifest = _manifest(args, getattr(args, "path", None))
+    args.precision = None
     try:
         args.precision = PrecisionConfig(args.precision_bits, args.precision_cap)
         inputs = args.load(args)
     except PARSE_ERRORS as exc:
+        if args.precision is None:
+            # a rejected ladder is no precision the run used
+            manifest["precision_bits"] = manifest["precision_cap"] = None
         report, code = {"error": f"parse error: {exc}"}, EXIT_PARSE
     else:
         try:
-            report, code = args.run(args, inputs)
+            # one command is one analysis scope: each intersection and
+            # quadric form is computed once
+            with analysis_scope():
+                report, code = args.run(args, inputs)
         except Exception as exc:
             entry = next((e for e in RUN_ERRORS if isinstance(exc, e[0])), None)
             if entry is None:

@@ -1,13 +1,20 @@
-"""Shared precision policy for numeric predicates.
+"""Shared precision policy for numeric predicates, and the analysis scope.
 
 Predicates that cannot be decided exactly escalate working precision by
 doubling until the cap; what is still ambiguous then is reported as
 undecided, never silently classified.
+
+An analysis scope (one per CLI command) computes each derived object of
+the exact side, such as an intersection or a quadric form, at most once.
+Outside a scope every call computes afresh, so library use keeps no state.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
+from typing import Callable, Hashable, Optional, TypeVar
 
 # the ladder starts no lower than double precision
 MIN_BITS = 53
@@ -32,3 +39,30 @@ class PrecisionConfig:
 
 
 DEFAULT_PRECISION = PrecisionConfig()
+
+
+T = TypeVar("T")
+
+_SCOPE: ContextVar[Optional[dict]] = ContextVar("analysis_scope", default=None)
+
+
+@contextmanager
+def analysis_scope():
+    """Memoize scoped() values until the block exits."""
+    token = _SCOPE.set({})
+    try:
+        yield
+    finally:
+        _SCOPE.reset(token)
+
+
+def scoped(key: Hashable, compute: Callable[[], T]) -> T:
+    """compute(), stored under key inside an analysis scope.  An exception
+    from compute() is not stored; a caller that wants an error memoized
+    returns it instead."""
+    memo = _SCOPE.get()
+    if memo is None:
+        return compute()
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]

@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import mpmath as mp
 
+from .config import scoped
 from .linalg import det, rank
 from .scalars import (GaussRat, Scalar, coerce_scalar, format_rat,
                       format_scalar, gauss_sqrt, scalar_to_complex)
@@ -634,9 +635,14 @@ def matrix_adjugate(M) -> tuple:
 
 
 def quadric_form(p: HomPoly) -> QuadricForm:
-    """Symmetric matrix, exact rank and determinant of a degree-2 form."""
+    """Symmetric matrix, exact rank and determinant of a degree-2 form;
+    computed once per form inside an analysis scope."""
     if p.degree != 2:
         raise WrongDegreeError(f"degree 2 required, got {p.degree}")
+    return scoped(("quadric_form", p), lambda: _quadric_form(p))
+
+
+def _quadric_form(p: HomPoly) -> QuadricForm:
     M = [[Fraction(0)] * 3 for _ in range(3)]
     for e, c in p.terms.items():
         idx = [i for i in range(3) for _ in range(e[i])]

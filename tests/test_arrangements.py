@@ -6,6 +6,8 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadrics.arrangements import (CommonComponentError, Configuration,
                                    DegenerateIntersectionError, LineInfo,
@@ -21,6 +23,7 @@ from quadrics.arrangements import (CommonComponentError, Configuration,
                                    select_general_position, tangent_line,
                                    tangent_line_numeric, NotExactPointError,
                                    SingularPointError, InfinitelyManySolutionsError)
+from quadrics.config import DEFAULT_PRECISION
 from quadrics.polynomials import HomPoly, ProjPointNum, parse_poly
 
 P1 = parse_poly("z0^2 - z1*z2")
@@ -590,3 +593,179 @@ def test_s4_smoothness_general_degree():
     rep2 = genericity_check_s4(cfg2)
     assert rep2.conditions["s4.1"].status == "pass"
     assert rep2.conditions["s4.2"].status == "pass"
+
+
+# ---------------------------------------------------------------------------
+# Analysis scope and the double-precision line filter
+# ---------------------------------------------------------------------------
+
+def _count_computations(monkeypatch):
+    """Count calls of the uncached intersection, keyed by (p, q, precision)."""
+    import quadrics.arrangements as arr
+    calls = {}
+    compute = arr._intersection_points
+
+    def counted(p, q, precision):
+        calls[(p, q, precision)] = calls.get((p, q, precision), 0) + 1
+        return compute(p, q, precision)
+
+    monkeypatch.setattr(arr, "_intersection_points", counted)
+    return calls
+
+
+def test_library_calls_outside_a_scope_compute_each_time(monkeypatch):
+    calls = _count_computations(monkeypatch)
+    a = intersection_points(P1, P2)
+    b = intersection_points(P1, P2)
+    assert sum(calls.values()) == 2
+    assert list(map(repr, a)) == list(map(repr, b))
+    assert a[0].point is not b[0].point
+
+
+def test_scope_computes_each_intersection_once(monkeypatch):
+    from quadrics.config import analysis_scope
+    from quadrics.polynomials import quadric_form
+    import quadrics.polynomials as poly
+    calls = _count_computations(monkeypatch)
+    forms = []
+    compute_form = poly._quadric_form
+    monkeypatch.setattr(poly, "_quadric_form",
+                        lambda p: forms.append(p) or compute_form(p))
+    shared = P1 * parse_poly("z0 + z1")
+    with analysis_scope():
+        a = intersection_points(P1, P2, pair=(0, 1))
+        b = intersection_points(P1, P2, pair=(1, 2))
+        errors = []
+        for _ in range(2):
+            with pytest.raises(CommonComponentError) as info:
+                intersection_points(P1, shared)
+            errors.append(info.value)
+        assert quadric_form(P1) is quadric_form(P1)
+        # each call gets fresh records: editing one leaves the memo intact
+        a[0].multiplicity += 1
+        assert intersection_points(P1, P2)[0].multiplicity == b[0].multiplicity
+    # the witness search's own intersections are computed once too
+    assert (P1, P2, DEFAULT_PRECISION) in calls and (P1, shared, DEFAULT_PRECISION) in calls
+    assert set(calls.values()) == {1}
+    assert forms == [P1]
+    # points are shared, the pair label differs
+    assert [r.pair for r in a] == [(0, 1)] * 4 and [r.pair for r in b] == [(1, 2)] * 4
+    assert all(ra.point is rb.point for ra, rb in zip(a, b))
+    # a fresh error each time, carrying the one witness
+    assert errors[0] is not errors[1]
+    assert errors[0].witness is errors[1].witness is not None
+    # the memo ends with the scope
+    intersection_points(P1, P2)
+    assert calls[(P1, P2, DEFAULT_PRECISION)] == 2
+
+
+def _reference_concurrent(l1, l2, l3):
+    """lines_concurrent as decided by mpmath alone (the filter's oracle)."""
+    from quadrics.linalg import det
+    if all(l.exact is not None for l in (l1, l2, l3)):
+        return det([l.exact.linear_coeffs() for l in (l1, l2, l3)]) == 0
+    rows = [l.vec for l in (l1, l2, l3)]
+    d = (rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
+         - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
+         + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0]))
+    err = sum(l.radius for l in (l1, l2, l3)) * 6 + mp.mpf(2) ** (8 - mp.mp.prec)
+    if abs(d) > err:
+        return False
+    if err == 0 and abs(d) == 0:
+        return True
+    if all(l.radius == 0 for l in (l1, l2, l3)) and abs(d) < mp.mpf(2) ** (4 - mp.mp.prec):
+        return True
+    return None
+
+
+def _reference_distinct(l1, l2):
+    """lines_distinct as decided by mpmath alone (the filter's oracle)."""
+    if l1.exact is not None and l2.exact is not None:
+        return l1.exact != l2.exact and l1.exact != -l2.exact
+    v = (l1.vec[1] * l2.vec[2] - l1.vec[2] * l2.vec[1],
+         l1.vec[2] * l2.vec[0] - l1.vec[0] * l2.vec[2],
+         l1.vec[0] * l2.vec[1] - l1.vec[1] * l2.vec[0])
+    err = (l1.radius + l2.radius) * 6 + mp.mpf(2) ** (8 - mp.mp.prec)
+    if max(abs(c) for c in v) > err:
+        return True
+    if err == 0:
+        return False
+    return None
+
+
+def _normalized_line(vec, radius):
+    """A NumLine normalized the way NumLine.from_points normalizes."""
+    s = max(abs(c) for c in vec)
+    j = max(range(3), key=lambda i: abs(vec[i]))
+    phase = vec[j] / abs(vec[j])
+    return NumLine(tuple(c / (s * phase) for c in vec), radius)
+
+
+def _line_triple(rng):
+    """Random lines: generic, through one point, or coincident, the last
+    two perturbed by 1e-8 ... 1e-40; radii 0 or 1e-60 ... 1e-10, half of
+    the time near the perturbation, where the mpmath test is closest to
+    its error bound; sometimes one exact line."""
+    def cvec():
+        return [mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)]
+
+    k = rng.randint(8, 40)
+    near = rng.random() < 0.5
+
+    def radius():
+        if rng.random() < 0.3:
+            return mp.mpf(0)
+        e = min(max(k + rng.randint(0, 3), 10), 60) if near else rng.randint(10, 60)
+        return mp.mpf(10) ** -e * rng.uniform(0.1, 1)
+
+    kind = rng.choice(["generic", "concurrent", "coincident"])
+    if kind == "generic":
+        vecs = [cvec(), cvec(), cvec()]
+    elif kind == "concurrent":
+        point = cvec()
+        vecs = [list(_cross_vec(point, cvec())) for _ in range(3)]
+    else:
+        base = cvec()
+        vecs = [base, list(base), cvec()]
+    if kind != "generic" and rng.random() < 0.8:
+        eps = mp.mpf(10) ** -k
+        vecs[1] = [c + eps * d for c, d in zip(vecs[1], cvec())]
+    lines = [_normalized_line(v, radius()) for v in vecs]
+    if rng.random() < 0.2:
+        lines[2] = NumLine.from_exact(HomPoly.linear_form(
+            [rng.randint(-5, 5) for _ in range(2)] + [rng.randint(1, 5)]))
+    return lines
+
+
+def _cross_vec(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), bits=st.sampled_from([256, 512]))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_double_filter_never_changes_a_line_predicate(seed, bits):
+    from quadrics.arrangements import lines_concurrent
+    rng = random.Random(seed)
+    with mp.workprec(bits):
+        lines = _line_triple(rng)
+        assert lines_concurrent(*lines) == _reference_concurrent(*lines)
+        for a, b in itertools.combinations(lines, 2):
+            assert lines_distinct(a, b) == _reference_distinct(a, b)
+
+
+def test_double_filter_settles_generic_lines():
+    from quadrics.arrangements import _det3, _double_filter_exceeds
+    rng = random.Random(7)
+    with mp.workprec(256):
+        for _ in range(50):
+            lines = [_normalized_line([mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                                       for _ in range(3)], mp.mpf(10) ** -30)
+                     for _ in range(3)]
+            assert _double_filter_exceeds(lambda a, b, c: abs(_det3(a, b, c)), lines)
+        # a concurrent triple is left to mpmath
+        point = [mp.mpc(1), mp.mpc(2), mp.mpc(3)]
+        lines = [_normalized_line(_cross_vec(point, [mp.mpc(rng.uniform(-1, 1))
+                                                     for _ in range(3)]), mp.mpf(0))
+                 for _ in range(3)]
+        assert not _double_filter_exceeds(lambda a, b, c: abs(_det3(a, b, c)), lines)

@@ -34,6 +34,11 @@ TRIPLE_CONFIG = {
     ],
 }
 
+SHARED_CONFIG = {  # the first two components coincide
+    "family": [2, 2, 2],
+    "components": ["z0^2 - z1*z2", "z0^2 - z1*z2", "z1^2 - z0*z2"],
+}
+
 LINE_CURVE = {"exponents": [["0"], ["0", "1"]]}  # [1 : e^xi]
 GROWTH_DIVISORS = ["z1 - z0", "z1 + z0"]
 GROWTH_ARGS = ["--divisor", GROWTH_DIVISORS[0], "--divisor", GROWTH_DIVISORS[1],
@@ -174,10 +179,16 @@ def test_reports_validate_against_schema(tmp_path):
         (["square", cfg], "r3.json"),
         (["nevanlinna", curve, "--divisor", "z1 - z0", "--radii", "10,20"], "r4.json"),
         (["demo-three-quadrics", "--alphas", "0,1,2"], "r5.json"),
+        (["--precision-bits", "8", "check-config", cfg], "r6.json"),
     ]
     for args, name in runs:
         _, doc = _run(args, tmp_path, name)
         jsonschema.validate(doc, schema)
+    # a rejected ladder is not echoed as the run's precision
+    code, doc = _run(runs[-1][0], tmp_path, "r6.json")
+    assert code == 2
+    assert doc["manifest"]["precision_bits"] is None
+    assert doc["manifest"]["precision_cap"] is None
 
 
 def test_manifest_command_is_the_callers_argv(tmp_path, capsys):
@@ -406,3 +417,58 @@ def test_nevanlinna_report_matches_fresh_curves(tmp_path):
         "main_theorem": main_theorem_check(fresh(), divisors, "first", radii).to_json(),
     }
     assert doc["report"] == json.loads(json.dumps(expected, default=str))
+
+
+def _count_intersections(monkeypatch):
+    """(calls into intersection_points, computations by key)."""
+    import quadrics.arrangements as ar
+    calls, computed = [], {}
+    public, compute = ar.intersection_points, ar._intersection_points
+
+    def called(*args, **kwargs):
+        calls.append(args)
+        return public(*args, **kwargs)
+
+    def counted(p, q, precision):
+        computed[(p, q, precision)] = computed.get((p, q, precision), 0) + 1
+        return compute(p, q, precision)
+
+    monkeypatch.setattr(ar, "intersection_points", called)
+    monkeypatch.setattr(ar, "_intersection_points", counted)
+    return calls, computed
+
+
+def test_check_config_computes_each_intersection_once(tmp_path, monkeypatch):
+    calls, computed = _count_intersections(monkeypatch)
+    code, _ = _run(["check-config", _write(tmp_path, "cfg.json", TRIPLE_CONFIG)], tmp_path)
+    assert code == 0
+    assert set(computed.values()) == {1}
+    assert len(calls) > len(computed)  # s4.2, s6.2 and the Cor. 3.1 counts share pairs
+
+
+def test_command_memo_ends_with_the_command(tmp_path, monkeypatch):
+    from quadrics.arrangements import intersection_points
+    from quadrics.config import _SCOPE
+    _, computed = _count_intersections(monkeypatch)
+    _run(["check-config", _write(tmp_path, "cfg.json", TRIPLE_CONFIG)], tmp_path)
+    assert _SCOPE.get() is None
+    p, q = (parse_poly(c) for c in TRIPLE_CONFIG["components"][:2])
+    key = next(k for k in computed if k[:2] == (p, q))
+    intersection_points(p, q, precision=key[2])
+    intersection_points(p, q, precision=key[2])
+    assert computed[key] == 3
+
+
+@pytest.mark.parametrize("config", [EXAMPLE_CONFIG, TRIPLE_CONFIG, SHARED_CONFIG],
+                         ids=["example", "triple", "shared-component"])
+@pytest.mark.parametrize("command", ["check-config", "lines", "square"])
+def test_commands_without_a_scope_match_main(tmp_path, config, command):
+    from quadrics import cli
+    from quadrics.config import PrecisionConfig
+    path = _write(tmp_path, "cfg.json", config)
+    code, doc = _run([command, path], tmp_path)
+    args = cli.build_parser().parse_args([command, path])
+    args.precision = PrecisionConfig(args.precision_bits, args.precision_cap)
+    report, direct_code = args.run(args, args.load(args))
+    assert direct_code == code
+    assert json.loads(json.dumps(report, default=str)) == doc["report"]
