@@ -35,8 +35,8 @@ from .polynomials import (DegenerateLeadingFormError, HomPoly,
                           quadric_form, resultant)
 from .scalars import (GaussRat, coerce_scalar, reconstruct_gauss,
                       scalar_to_complex)
-from .univariate import (UniPoly, binary_form_roots, exact_roots_small,
-                         rational_roots, roots_with_multiplicity, uni_gcd,
+from .univariate import (UniPoly, binary_form_roots, binary_to_unipoly,
+                         complex_roots, roots_with_multiplicity, uni_gcd,
                          yun_squarefree)
 
 
@@ -101,19 +101,6 @@ class UnsupportedFamilyError(ValueError):
 # ---------------------------------------------------------------------------
 # Small numeric helpers
 # ---------------------------------------------------------------------------
-
-def _mpc_polyroots(coeffs, prec):
-    """Roots of a complex-coefficient polynomial (low to high)."""
-    cs = list(coeffs)
-    while cs and abs(cs[-1]) == 0:
-        cs.pop()
-    if len(cs) <= 1:
-        return []
-    with mp.workprec(prec):
-        roots = mp.polyroots([mp.mpc(c) for c in reversed(cs)],
-                             maxsteps=200, extraprec=prec)
-    return [mp.mpc(r) for r in roots]
-
 
 def _sup(vec):
     return max(abs(c) for c in vec)
@@ -324,38 +311,28 @@ def common_component_witness(p: HomPoly, q: HomPoly, prec=256) -> Optional[ProjP
     return None
 
 
-def _fiber_points_exact(p2: HomPoly, q2: HomPoly, beta, gamma, prec):
-    """Distinct z0 values over an exact fiber; None if not single valued."""
+def _fiber_points_exact(p2: HomPoly, q2: HomPoly, beta, gamma):
+    """The exact z0 value over an exact fiber; None unless the fiber holds
+    exactly one point.
+
+    The common roots in z0 are those of the gcd; one point means that the
+    gcd's squarefree part is a single monic linear Yun factor z0 - c.
+    """
     pc = [f.eval_exact((0, beta, gamma)) for f in p2.coeffs_in(0)]
     qc = [f.eval_exact((0, beta, gamma)) for f in q2.coeffs_in(0)]
-    g = uni_gcd(UniPoly(pc), UniPoly(qc))
-    if g.degree < 1:
-        return None  # no common root above: cannot happen for resultant roots
-    parts = yun_squarefree(g)
-    squarefree = parts[0][0] if len(parts) == 1 else None
-    if squarefree is None:
-        sq = UniPoly([1])
-        for f, _ in parts:
-            sq = sq * f
-        squarefree = sq
-    if squarefree.degree > 1:
-        return "multiple"
-    roots = rational_roots(squarefree)
-    if not roots:
-        ex = exact_roots_small(squarefree)
-        roots = ex if ex is not None else []
-    if roots:
-        return [("exact", roots[0])]
-    balls = roots_with_multiplicity(squarefree, prec)
-    return [("numeric", balls[0].value, balls[0].radius)]
+    parts = yun_squarefree(uni_gcd(UniPoly(pc), UniPoly(qc)))
+    if len(parts) != 1 or parts[0][0].degree != 1:
+        return None
+    return -parts[0][0].coeffs[0]
 
 
 def _fiber_points_numeric(p2, q2, beta, gamma, rad, prec):
-    """Matched z0 roots over a numeric fiber; 'multiple' if more than one."""
+    """The matched z0 root over a numeric fiber; None unless the fiber
+    holds exactly one point."""
     pc = [f.eval_mpc((0, beta, gamma)) for f in p2.coeffs_in(0)]
     qc = [f.eval_mpc((0, beta, gamma)) for f in q2.coeffs_in(0)]
-    rp = _mpc_polyroots(pc, prec)
-    rq = _mpc_polyroots(qc, prec)
+    rp = complex_roots(pc, prec)
+    rq = complex_roots(qc, prec)
     if not rp or not rq:
         return None
     scale = max([abs(r) for r in rp + rq] + [mp.mpf(1)])
@@ -372,8 +349,8 @@ def _fiber_points_numeric(p2, q2, beta, gamma, rad, prec):
         if all(abs(v - c) > tol * 4 for c in clusters):
             clusters.append(v)
     if len(clusters) > 1:
-        return "multiple"
-    return [("numeric", clusters[0], tol)]
+        return None
+    return clusters[0]
 
 
 def _newton_polish(p: HomPoly, q: HomPoly, pt_vec, prec, steps=30):
@@ -476,22 +453,15 @@ def _try_intersection(p, q, U, prec, target):
     found: List[Tuple[ProjPointNum, int]] = []
     for hi, lo, mult, exact, rad in roots:
         if exact is not None:
-            fiber = _fiber_points_exact(p2, q2, exact[0], exact[1], prec)
+            z0 = _fiber_points_exact(p2, q2, *exact)
         else:
-            fiber = _fiber_points_numeric(p2, q2, hi, lo, rad, prec)
-        if fiber == "multiple":
+            z0 = _fiber_points_numeric(p2, q2, hi, lo, rad, prec)
+        if z0 is None:
             return None
-        if fiber is None:
-            return None
-        entry = fiber[0]
-        if entry[0] == "exact" and exact is not None:
-            w = (entry[1], exact[0], exact[1])
-            z = _apply_matrix(U, w)
-            pt = ProjPointNum.from_exact(z)
+        if exact is not None:
+            pt = ProjPointNum.from_exact(_apply_matrix(U, (z0,) + exact))
         else:
-            t = entry[1]
-            w = (t, hi, lo)
-            z = _apply_matrix(U, [mp.mpc(x) for x in w])
+            z = _apply_matrix(U, [mp.mpc(x) for x in (z0, hi, lo)])
             polished, prad = _newton_polish(p, q, z, prec)
             pt = ProjPointNum(polished, prad)
             rec_exact = _try_exact_recovery(p, q, polished)
@@ -1119,15 +1089,15 @@ def _condition4_verdict(ls: LineSystem) -> ConditionVerdict:
         elif d is None:
             undecided = True
 
-    all_points = [(g, idx, p) for g, pts in ls.points.items()
-                  for idx, p in enumerate(pts)]
+    # the three own lines of each intersection point, as index sets
+    own = {(g, idx): frozenset(n for n, li in enumerate(lines)
+                               if li.group == g and idx in li.point_ids)
+           for g, pts in ls.points.items() for idx in range(len(pts))}
 
-    def is_own(li: LineInfo, g, idx) -> bool:
-        return li.group == g and idx in li.point_ids
-
-    for g, idx, p in all_points:
-        for li in lines:
-            if is_own(li, g, idx):
+    for (g, idx), mine in own.items():
+        p = ls.points[g][idx]
+        for n, li in enumerate(lines):
+            if n in mine:
                 continue
             v, e = li.line.incidence(p)
             s = _certified_sign(v, e)
@@ -1138,10 +1108,11 @@ def _condition4_verdict(ls: LineSystem) -> ConditionVerdict:
             elif s is None:
                 undecided = True
 
-    for a, b, c in itertools.combinations(range(len(lines)), 3):
-        trip = (lines[a], lines[b], lines[c])
-        if any(all(is_own(li, g, idx) for li in trip) for g, idx, _ in all_points):
+    allowed = set(own.values())
+    for abc in itertools.combinations(range(len(lines)), 3):
+        if frozenset(abc) in allowed:
             continue  # the allowed 3-fold concurrency at an intersection point
+        trip = tuple(lines[n] for n in abc)
         conc = lines_concurrent(*(li.line for li in trip))
         if conc is None:
             undecided = True
@@ -1273,33 +1244,24 @@ def pencil_rank1_members(q1: HomPoly, q2: HomPoly,
                 minors.append(m)
     if not minors:
         raise IdenticallyDegenerateError("the whole pencil has rank <= 1")
-    from .univariate import binary_to_unipoly
     g = None
-    shared_hi = None
-    shared_lo = None
+    shared_zero = None
+    shared_inf = None
     for m in minors:
-        p, mlo, mhi = binary_to_unipoly(m, 0, 1)
+        p, m_inf, m_zero = binary_to_unipoly(m, 0, 1)
         g = p if g is None else uni_gcd(g, p)
-        shared_hi = mhi if shared_hi is None else min(shared_hi, mhi)
-        shared_lo = mlo if shared_lo is None else min(shared_lo, mlo)
+        shared_zero = m_zero if shared_zero is None else min(shared_zero, m_zero)
+        shared_inf = m_inf if shared_inf is None else min(shared_inf, m_inf)
     candidates = []
-    if shared_hi:
+    if shared_zero:
         candidates.append(("exact", (Fraction(0), Fraction(1))))
-    if shared_lo:
+    if shared_inf:
         candidates.append(("exact", (Fraction(1), Fraction(0))))
-    if g is not None and g.degree >= 1:
-        rr = rational_roots(g)
-        work = g
-        for r in rr:
-            candidates.append(("exact", (r, Fraction(1))))
-            work, _ = work.divmod(UniPoly([-r, 1]))
-        ex = exact_roots_small(work) if work.degree in (1, 2) else None
-        if ex is not None:
-            for r in ex:
-                candidates.append(("exact", (r, Fraction(1))))
-        elif work.degree >= 1:
-            for ball in roots_with_multiplicity(work, prec_cfg.start_bits):
-                candidates.append(("numeric", (ball.value, mp.mpc(1))))
+    for ball in roots_with_multiplicity(g, prec_cfg.start_bits):
+        if ball.exact is not None:
+            candidates.append(("exact", (ball.exact, Fraction(1))))
+        else:
+            candidates.append(("numeric", (ball.value, mp.mpc(1))))
     out = []
     for kind, (a, b) in candidates:
         if kind == "exact":

@@ -3,10 +3,13 @@ squarefree decomposition and certified numeric root finding.
 
 Binary homogeneous forms from resultants are routed through here: strip
 the powers of each variable, dehomogenize, decompose by Yun's algorithm,
-then solve each squarefree part (exact for degree <= 2 plus a rational
-root scan, numeric via mpmath otherwise).  Every numeric root carries the
-rigorous radius  deg * |g(z)/g'(z)|, which bounds the distance to the
-nearest true root.
+then solve each squarefree part (exact for degree <= 2, numeric
+otherwise, with Gaussian-rational roots recognized and verified exactly).
+Every numeric root carries the rigorous radius  deg * |g(z)/g'(z)|, which
+bounds the distance to the nearest true root.
+
+Every polynomial root the library finds comes from this module, and
+every numeric one from ``complex_roots``, its single numeric entry point.
 """
 
 from __future__ import annotations
@@ -194,37 +197,22 @@ def exact_roots_small(p: UniPoly) -> Optional[List[Scalar]]:
     return None
 
 
-def rational_roots(p: UniPoly, prec: int = 192) -> List[Fraction]:
-    """Rational roots, recognized from numeric approximations and then
-    verified exactly (roots with astronomically large denominators are
-    simply left to the numeric path)."""
-    out: List[Fraction] = []
-    if p.is_zero:
-        return out
-    if p.coeffs[0] == 0:
-        out.append(Fraction(0))
-        cs = list(p.coeffs)
-        while cs and cs[0] == 0:
-            cs.pop(0)
-        p = UniPoly(cs)
-        if p.degree < 1:
-            return out
-    from .scalars import reconstruct_rational
+def complex_roots(coeffs: Sequence, prec: int) -> List[mp.mpc]:
+    """Roots of a polynomial with complex coefficients (low to high) at
+    working precision ``prec``, without radii; trailing zero coefficients
+    are dropped first.  The library's only call of mpmath's polyroots."""
+    cs = list(coeffs)
+    while cs and abs(cs[-1]) == 0:
+        cs.pop()
+    if len(cs) <= 1:
+        return []
     with mp.workprec(prec):
         try:
-            roots = mp.polyroots([_c2mpc(c) for c in reversed(p.coeffs)],
-                                 maxsteps=120, extraprec=prec)
-        except Exception:
-            return out
-        for z in roots:
-            z = mp.mpc(z)
-            if abs(mp.im(z)) > mp.mpf(2) ** (-prec // 3):
-                continue
-            cand = reconstruct_rational(float(mp.re(z)), max_den=10 ** 9,
-                                        tol=1e-12)
-            if cand is not None and cand not in out and p.eval_exact(cand) == 0:
-                out.append(cand)
-    return out
+            roots = mp.polyroots([mp.mpc(c) for c in reversed(cs)],
+                                 maxsteps=200, extraprec=prec)
+        except mp.libmp.libhyper.NoConvergence as exc:  # pragma: no cover
+            raise ArithmeticError(f"root finding did not converge: {exc}")
+        return [mp.mpc(r) for r in roots]
 
 
 def _certify_radius(p: UniPoly, z: mp.mpc) -> mp.mpf:
@@ -259,13 +247,7 @@ def numeric_roots_squarefree(p: UniPoly, prec: int) -> List[RootBall]:
         return out
     from .scalars import reconstruct_gauss
     with mp.workprec(prec):
-        cs = [_c2mpc(c) for c in reversed(p.coeffs)]
-        try:
-            roots = mp.polyroots(cs, maxsteps=200, extraprec=prec)
-        except mp.libmp.libhyper.NoConvergence as exc:  # pragma: no cover
-            raise ArithmeticError(f"root finding did not converge: {exc}")
-        for z in roots:
-            z = mp.mpc(z)
+        for z in complex_roots([_c2mpc(c) for c in p.coeffs], prec):
             cand = reconstruct_gauss(float(mp.re(z)), float(mp.im(z)),
                                      max_den=10 ** 9, tol=1e-14)
             if cand is not None and p.eval_exact(cand) == 0:
@@ -293,9 +275,10 @@ def roots_with_multiplicity(p: UniPoly, prec: int) -> List[RootBall]:
 def binary_to_unipoly(form, var_hi: int, var_lo: int) -> Tuple[UniPoly, int, int]:
     """Dehomogenize a binary form in (var_hi, var_lo).
 
-    Returns (p, e_hi, e_lo): form = z_hi^e_hi * z_lo^e_lo * P(t) homog.,
-    where t = z_hi / z_lo.  Roots of the form are [t:1] for roots t of P,
-    plus [1:0] with multiplicity e_hi counted from the z_lo-power drop.
+    Returns (P, m_inf, m_zero): form = z_lo^m_inf * z_hi^m_zero * P
+    homogenized, with P a polynomial in t = z_hi / z_lo and P(0) != 0.
+    Roots of the form are [t:1] for roots t of P, plus [1:0] (t = oo) with
+    multiplicity m_inf and [0:1] (t = 0) with multiplicity m_zero.
     """
     d = form.degree
     coeffs = [Fraction(0)] * (d + 1)

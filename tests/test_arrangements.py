@@ -404,6 +404,14 @@ def test_rank1_members_diagonal():
                    ((Fraction(0), Fraction(1)), "z1")}
 
 
+def test_rank1_members_double_root_once():
+    # the minors' gcd is (t - 1)^2: one member [1:1], reported once
+    members = pencil_rank1_members(parse_poly("z0^2 + z0*z1"), parse_poly("z0^2 - z0*z1"))
+    assert len(members) == 1
+    assert members[0].scalars == (Fraction(1), Fraction(1))
+    assert members[0].square == parse_poly("2*z0^2")
+
+
 def test_rank1_members_none():
     assert pencil_rank1_members(P1, P2) == []
 

@@ -163,6 +163,25 @@ def test_reports_byte_identical(tmp_path):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+
+
+@pytest.mark.parametrize("name", ["example", "triple"])
+@pytest.mark.parametrize("command", ["check-config", "lines", "square"])
+def test_reports_match_golden_files(tmp_path, name, command):
+    """Exit code and report object equal those stored under tests/golden,
+    so report bytes are compared across commits, not only between two
+    runs of the same code.  The triple's intersection points are numeric,
+    so its reports carry point digits and radii.  A change that means to
+    alter a report rewrites the file in the same commit."""
+    config = {"example": EXAMPLE_CONFIG, "triple": TRIPLE_CONFIG}[name]
+    with open(os.path.join(GOLDEN_DIR, f"{name}_{command}.json")) as fh:
+        golden = json.load(fh)
+    code, doc = _run([command, _write(tmp_path, "cfg.json", config)], tmp_path)
+    assert code == golden["exit_code"]
+    assert doc["report"] == golden["report"]
+
+
 def test_reports_validate_against_schema(tmp_path):
     import jsonschema
     from pathlib import Path

@@ -1,9 +1,13 @@
+from collections import Counter
 from fractions import Fraction
 
 import mpmath as mp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quadrics.scalars import GaussRat, gauss_sqrt, parse_scalar_string, primitive_vector
-from quadrics.univariate import (UniPoly, binary_form_roots, rational_roots,
+from quadrics.scalars import (GaussRat, coerce_scalar, gauss_sqrt, parse_scalar_string,
+                              primitive_vector)
+from quadrics.univariate import (UniPoly, binary_form_roots,
                                  roots_with_multiplicity, uni_gcd,
                                  yun_squarefree)
 
@@ -64,10 +68,34 @@ def test_binary_form_roots_with_coordinate_roots():
     assert ("1", "1", 1) in as_set
 
 
+_RATIONAL = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 60))
+_ROOT = st.one_of(
+    _RATIONAL,
+    st.builds(lambda re, im: coerce_scalar(GaussRat(re, im)),
+              _RATIONAL, st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(_ROOT, min_size=1, max_size=4))
+def test_roots_with_multiplicity_recovers_linear_factors(roots):
+    """Every root of a product of linear factors comes back exactly, with
+    its multiplicity (the job of a rational root scan, and more)."""
+    p = UniPoly([1])
+    for r in roots:
+        p = p * UniPoly([-r, 1])
+    balls = roots_with_multiplicity(p, 128)
+    assert all(b.exact is not None for b in balls)
+    assert {b.exact: b.multiplicity for b in balls} == Counter(roots)
+    assert len(balls) == len(Counter(roots))
+
+
 def test_rational_roots_large_coefficients_fast():
-    # coefficients with huge prime-ish factors must not blow up the scan
+    # coefficients with huge prime-ish factors: three irrational roots,
+    # none of them reported as exact
     p = UniPoly([-(10 ** 12 + 39), 0, 0, 10 ** 11 + 3])
-    assert rational_roots(p) == []
+    balls = roots_with_multiplicity(p, 128)
+    assert len(balls) == 3
+    assert all(b.exact is None and b.multiplicity == 1 for b in balls)
 
 
 def test_gauss_sqrt():
