@@ -32,7 +32,7 @@ from .polynomials import (DegenerateLeadingFormError, HomPoly,
                           ZeroPolynomialError, coerce_point,
                           gaussian_extension_eval, matrix_adjugate,
                           pencil_matrix_entry_forms, poly_from_matrix,
-                          quadric_form, resultant)
+                          quadric_form, resultant, vanishes_at)
 from .scalars import (GaussRat, coerce_scalar, reconstruct_gauss,
                       scalar_to_complex)
 from .univariate import (UniPoly, binary_form_roots, binary_to_unipoly,
@@ -481,6 +481,7 @@ def _try_exact_recovery(p, q, coords):
     vals = [complex(c) for c in coords]
     rec = []
     for v in vals:
+        # only proposes a candidate: the exact evaluation below decides
         g = reconstruct_gauss(v.real, v.imag, max_den=10 ** 6, tol=1e-18)
         if g is None:
             return None
@@ -504,15 +505,11 @@ def _tangential(p, q, point, multiplicity):
         return False
     smooth = True
     for f in (p, q):
-        gx = [f.derivative(i) for i in range(3)]
-        if point.is_exact():
-            vals = [g.eval_exact(point.exact) for g in gx]
-            if all(v == 0 for v in vals):
-                smooth = False
-        else:
-            vals = [gaussian_extension_eval(g, point) for g in gx]
-            if not any(_certified_sign(abs(v), e) == 1 for v, e in vals):
-                smooth = None if smooth is True else smooth
+        on = [vanishes_at(f.derivative(i), point) for i in range(3)]
+        if all(on):
+            smooth = False
+        elif False not in on and smooth:
+            smooth = None
     return smooth
 
 
@@ -682,21 +679,12 @@ def _smoothness_verdict(p: HomPoly, prec_cfg: PrecisionConfig) -> ConditionVerdi
     bad = []
     und = False
     for rec in pts:
-        rest = [g for g in nz[2:]]
-        if not rest:
+        # with two nonzero partials the third is zero, so it vanishes too
+        on = vanishes_at(nz[2], rec.point) if len(nz) == 3 else True
+        if on:
             bad.append(rec.point)
-            continue
-        for g in rest:
-            if rec.point.is_exact():
-                if g.eval_exact(rec.point.exact) == 0:
-                    bad.append(rec.point)
-            else:
-                v, e = gaussian_extension_eval(g, rec.point)
-                s = _certified_sign(abs(v), e)
-                if s == 0:
-                    bad.append(rec.point)
-                elif s is None:
-                    und = True
+        elif on is None:
+            und = True
     if bad:
         return ConditionVerdict("fail", witnesses=bad, note="singular point")
     if und:
@@ -716,10 +704,33 @@ def _pairwise_data(polys, prec_cfg):
     return out
 
 
-def _transversality_verdict(polys, pairwise, prec_cfg) -> ConditionVerdict:
+def _triple_points(polys, pairwise):
+    """Points where two components meet a third.
+
+    ``pairwise`` is a _pairwise_data map; pairs sharing a component are
+    skipped.  Returns ([((i, j, k), point)], undecided), undecided when
+    some incidence is certified neither way.
+    """
+    found = []
+    undecided = False
+    for (i, j), recs in pairwise.items():
+        if isinstance(recs, CommonComponentError):
+            continue
+        for k in range(len(polys)):
+            if k in (i, j):
+                continue
+            for rec in recs:
+                on = vanishes_at(polys[k], rec.point)
+                if on:
+                    found.append(((i, j, k), rec.point))
+                elif on is None:
+                    undecided = True
+    return found, undecided
+
+
+def _transversality_verdict(polys, pairwise) -> ConditionVerdict:
     witnesses = []
     notes = []
-    undecided = False
     for (i, j), val in pairwise.items():
         if isinstance(val, CommonComponentError):
             if val.witness is not None:
@@ -731,26 +742,10 @@ def _transversality_verdict(polys, pairwise, prec_cfg) -> ConditionVerdict:
                 witnesses.append(rec.point)
                 notes.append(f"non-transversal contact of {i} and {j} "
                              f"(multiplicity {rec.multiplicity})")
-    # triple points
-    for (i, j), val in pairwise.items():
-        if isinstance(val, CommonComponentError):
-            continue
-        for k in range(len(polys)):
-            if k in (i, j):
-                continue
-            for rec in val:
-                if rec.point.is_exact():
-                    if polys[k].eval_exact(rec.point.exact) == 0:
-                        witnesses.append(rec.point)
-                        notes.append(f"components {i},{j},{k} meet at one point")
-                else:
-                    v, e = gaussian_extension_eval(polys[k], rec.point)
-                    s = _certified_sign(abs(v), e)
-                    if s == 0:
-                        witnesses.append(rec.point)
-                        notes.append(f"components {i},{j},{k} meet at one point")
-                    elif s is None:
-                        undecided = True
+    triples, undecided = _triple_points(polys, pairwise)
+    for (i, j, k), point in triples:
+        witnesses.append(point)
+        notes.append(f"components {i},{j},{k} meet at one point")
     if notes:
         uniq = []
         seen = set()
@@ -784,14 +779,6 @@ def _contact_point(q: HomPoly, line_pt: ProjPointNum) -> ProjPointNum:
     return ProjPointNum(v, line_pt.radius * mass * 4)
 
 
-def _lies_on(p: HomPoly, pt: ProjPointNum):
-    if pt.is_exact():
-        return p.eval_exact(pt.exact) == 0
-    v, e = gaussian_extension_eval(p, pt)
-    s = _certified_sign(abs(v), e)
-    return None if s is None else (s == 0)
-
-
 def genericity_check_s4(cfg: Configuration,
                         precision: PrecisionConfig | None = None) -> GenericityReport:
     """Genericity conditions for the supported configuration families.
@@ -823,7 +810,7 @@ def genericity_check_s4(cfg: Configuration,
         report.conditions["s4.1"] = ConditionVerdict("pass")
 
     pairwise = _pairwise_data(polys, prec_cfg)
-    report.conditions["s4.2"] = _transversality_verdict(polys, pairwise, prec_cfg)
+    report.conditions["s4.2"] = _transversality_verdict(polys, pairwise)
 
     k = cfg.k
 
@@ -869,8 +856,8 @@ def _tangent_contact_verdict(groups, fail_note, prec_cfg) -> ConditionVerdict:
             P = _contact_point(c1, ell)
             Q = _contact_point(c2, ell)
             for fP, fQ in curve_pairs:
-                onP = _lies_on(fP, P)
-                onQ = _lies_on(fQ, Q)
+                onP = vanishes_at(fP, P)
+                onQ = vanishes_at(fQ, Q)
                 if onP is None or onQ is None:
                     if onP is not False and onQ is not False:
                         undecided = True
@@ -932,7 +919,7 @@ def _condition5_d111(cfg, prec_cfg) -> ConditionVerdict:
             continue
         for rec in duals:
             P = _contact_point(curve, rec.point)
-            on = _lies_on(lines[c], P)
+            on = vanishes_at(lines[c], P)
             if on is None:
                 undecided = True
             elif on:
@@ -1290,6 +1277,7 @@ def pencil_rank1_members(q1: HomPoly, q2: HomPoly,
                           for r1, r2 in itertools.combinations(range(3), 2)
                           for c1, c2 in itertools.combinations(range(3), 2)]
             scale = max(max(abs(x) for x in row) for row in Mn) or 1.0
+            # uncertified: this fixed cut alone accepts a numeric rank-one member
             if max(minors_num) > 1e-20 * scale ** 2:
                 continue
             jj = max(range(3), key=lambda i: abs(Mn[i][i]))
@@ -1350,18 +1338,12 @@ def composite_morphism(p1: HomPoly, p2: HomPoly, p3: HomPoly,
                                   witness=exc.witness)
     certified = True
     for rec in pts:
-        if rec.point.is_exact():
-            if p3.eval_exact(rec.point.exact) == 0:
-                return MorphismDescriptor(comps, tuple(powers), degs.pop(),
-                                          False, True, witness=rec.point)
-        else:
-            v, e = gaussian_extension_eval(p3, rec.point)
-            s = _certified_sign(abs(v), e)
-            if s == 0:
-                return MorphismDescriptor(comps, tuple(powers), degs.pop(),
-                                          False, True, witness=rec.point)
-            if s is None:
-                certified = False
+        on = vanishes_at(p3, rec.point)
+        if on:
+            return MorphismDescriptor(comps, tuple(powers), degs.pop(),
+                                      False, True, witness=rec.point)
+        if on is None:
+            certified = False
     return MorphismDescriptor(comps, tuple(powers), degs.pop(), True, certified)
 
 
@@ -1597,23 +1579,17 @@ def common_zeros_of_quadratic_system(forms: Sequence[HomPoly],
         for rec in recs:
             keep = True
             for f in live:
-                if rec.point.is_exact():
-                    if f.eval_exact(rec.point.exact) != 0:
-                        keep = False
-                        break
-                else:
-                    v, e = gaussian_extension_eval(f, rec.point)
-                    s = _certified_sign(abs(v), e)
-                    if s == 1:
-                        keep = False
-                        break
-                    if s is None:
-                        exact = _try_exact_recovery(live[0], f, rec.point.coords)
-                        if exact is not None and all(
-                                g.eval_exact(exact) == 0 for g in live):
-                            rec.point = ProjPointNum.from_exact(exact)
-                        else:
-                            ambiguous = True
+                on = vanishes_at(f, rec.point)
+                if on is False:
+                    keep = False
+                    break
+                if on is None:
+                    exact = _try_exact_recovery(live[0], f, rec.point.coords)
+                    if exact is not None and all(
+                            g.eval_exact(exact) == 0 for g in live):
+                        rec.point = ProjPointNum.from_exact(exact)
+                    else:
+                        ambiguous = True
             if keep:
                 if not any(rec.point.same_point(s_) for s_ in sols):
                     sols.append(rec.point)

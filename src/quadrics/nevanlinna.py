@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .linalg import nullspace, rank
-from .polynomials import HomPoly
+from .polynomials import HomPoly, vanishes_at
 from .scalars import (GaussRat, Scalar, coerce_scalar, parse_scalar_string,
                       scalar_to_complex)
 from .univariate import UniPoly
@@ -897,8 +897,8 @@ def functoriality_check(curve: ExpCurve, morphism: Sequence[HomPoly],
     """T(R o f, r) - p T(f, r) must stay within a bounded band.
 
     The morphism components must have one common degree p and no common
-    zero (checked exactly for two components via the resultant, via the
-    certified search for three).
+    zero (checked exactly on a line via the gcd; on the plane two forms
+    always share a zero, three go through the certified search).
     """
     degs = {m.degree for m in morphism}
     if len(degs) != 1:
@@ -919,26 +919,19 @@ def functoriality_check(curve: ExpCurve, morphism: Sequence[HomPoly],
             lo = plo if lo is None else min(lo, plo)
         if (g is not None and g.degree > 0) or (hi and hi > 0) or (lo and lo > 0):
             raise NotAMorphismError("components share a zero on the line")
+    elif len(morphism) == 2:
+        # two plane curves always meet (Bezout)
+        raise NotAMorphismError("two components share a common zero")
+    elif len(morphism) == 3:
+        from .arrangements import composite_morphism
+        md = composite_morphism(morphism[0], morphism[1], morphism[2], (1, 1, 1))
+        if not md.is_morphism:
+            raise NotAMorphismError("components share a common zero")
     else:
-        if len(morphism) == 3:
-            from .arrangements import composite_morphism
-            md = composite_morphism(morphism[0], morphism[1], morphism[2], (1, 1, 1))
-            if not md.is_morphism:
+        from .arrangements import intersection_points
+        for rec in intersection_points(morphism[0], morphism[1]):
+            if all(vanishes_at(m, rec.point) is not False for m in morphism[2:]):
                 raise NotAMorphismError("components share a common zero")
-        else:
-            from .arrangements import intersection_points
-            from .polynomials import gaussian_extension_eval
-            recs = intersection_points(morphism[0], morphism[1])
-            for rec in recs:
-                vals = []
-                for m in morphism[2:]:
-                    if rec.point.is_exact():
-                        vals.append(m.eval_exact(rec.point.exact) == 0)
-                    else:
-                        v, e = gaussian_extension_eval(m, rec.point)
-                        vals.append(not (abs(v) > (e or 0)))
-                if all(vals):
-                    raise NotAMorphismError("components share a common zero")
     image = ExpCurve([curve.compose(m) for m in morphism])
     rs = sorted(float(r) for r in radii)
     diffs = []

@@ -754,6 +754,7 @@ class ProjPointNum:
         sup = max(abs(c) for c in coords)
         if sup == 0:
             raise ValueError("zero vector is not a projective point")
+        # picks the coordinate to divide by; decides no predicate, only the phase
         j = next(i for i in range(len(coords)) if abs(coords[i]) > mp.mpf("1e-30") * sup)
         coords = tuple(c / coords[j] for c in coords)
         sup = max(abs(c) for c in coords)
@@ -789,6 +790,7 @@ class ProjPointNum:
         if self.exact is not None and other.exact is not None:
             return self.exact == other.exact
         if tol is None:
+            # uncertified: the 1e-25 floor decides equality of exact-radius points
             tol = max(self.radius, other.radius, mp.mpf("1e-25")) * 8
         return self.distance(other) <= tol
 
@@ -840,6 +842,20 @@ def gaussian_extension_eval(p: HomPoly, point, target_width=None):
         raise PrecisionExhaustedError(
             f"cannot certify width {target_width} (achieved {err})")
     return val, err
+
+
+def vanishes_at(p: HomPoly, point) -> Optional[bool]:
+    """Does p vanish at the projective point?
+
+    Decided exactly at an exact point.  At a numeric point the answer is
+    False when the certified error bound separates p's value from zero and
+    None otherwise: a numeric point never certifies a zero.
+    """
+    pt = coerce_point(point)
+    if pt.is_exact():
+        return p.eval_exact(pt.exact) == 0
+    v, err = gaussian_extension_eval(p, pt)
+    return False if abs(v) > err else None
 
 
 def poly_from_matrix(M) -> HomPoly:

@@ -18,9 +18,8 @@ import mpmath as mp
 
 from .arrangements import (CommonComponentError, Configuration,
                            InfinitelyManySolutionsError, NoSolutionError,
-                           _certified_sign, _poly_coeff_vector,
-                           common_zeros_of_quadratic_system,
-                           gaussian_extension_eval, intersection_points,
+                           _certified_sign, _pairwise_data, _poly_coeff_vector,
+                           _triple_points, common_zeros_of_quadratic_system,
                            tangent_line, tangent_line_numeric, NumLine,
                            tangent_to_conic)
 from .config import DEFAULT_PRECISION, PrecisionConfig
@@ -328,6 +327,7 @@ def square_combination(q1: HomPoly, q2: HomPoly, q3: HomPoly,
         if abs(Mn[jj][jj]) == 0:
             continue
         root = tuple(Mn[i][jj] / mp.sqrt(Mn[jj][jj]) for i in range(3))
+        # uncertified: the fixed cut 1e-20 alone decides nonzero_count
         out.append(SquareCombination(tuple(avec), None, None, None, root,
                                      sum(1 for x in avec if abs(x) > mp.mpf("1e-20")),
                                      exact=False))
@@ -424,6 +424,7 @@ def b4_solve(c: Sequence, a: Sequence[Sequence], b: Sequence[Sequence],
             out.append(B4Solution(tuple(klm), True, any(x == 0 for x in klm), scomb))
         else:
             coords = pt.coords
+            # uncertified: the fixed cut 1e-25 alone decides has_zero_coordinate
             haszero = any(abs(x) < mp.mpf("1e-25") for x in coords)
             out.append(B4Solution(tuple(coords), False, haszero, None))
     out.sort(key=lambda s: str(s.point))
@@ -585,23 +586,16 @@ def _diag_rows(quadrics) -> List[List[Scalar]]:
     return rows
 
 
-def tangent_incidence_check(quadric_indices, polys,
-                            precision: PrecisionConfig | None = None):
+def tangent_incidence_check(quadric_indices, polys, pairs):
     """No tangent at an intersection point passes through another one.
 
     Tangents are taken to the listed smooth-quadric components at each of
     their intersection points with other components; incidence with every
     other pairwise intersection point is tested with certification.
+    ``pairs`` maps (i, j) to the intersection records of polys[i] and
+    polys[j], none sharing a component (see _pairwise_data).
     Returns (verdict, witnesses): verdict in pass/fail/undecided.
     """
-    prec_cfg = precision or DEFAULT_PRECISION
-    pairs = {}
-    for i, j in itertools.combinations(range(len(polys)), 2):
-        try:
-            pairs[(i, j)] = intersection_points(polys[i], polys[j],
-                                                precision=prec_cfg, pair=(i, j))
-        except CommonComponentError:
-            return "fail", []
     all_pts = [(pr, r.point) for pr, recs in pairs.items() for r in recs]
     witnesses = []
     undecided = False
@@ -650,40 +644,20 @@ def fermat_check(q1: HomPoly, q2: HomPoly, q3: HomPoly,
     report["smooth"] = [all(x != 0 for x in row) for row in rows]
 
     polys = list(quadrics)
+    pair_pts = _pairwise_data(polys, prec_cfg)
+    if any(isinstance(recs, CommonComponentError) for recs in pair_pts.values()):
+        report["condition_1_no_triple_point"] = "fail"
+        report["condition_2_tangent_incidence"] = "fail"
+        report["condition_3_no_tangency"] = "fail"
+        report["square_combinations"] = []
+        return report
     # condition 3: no pairwise tangency; condition 1: no triple point
-    tangency = []
-    triple = []
-    undecided = False
-    pair_pts = {}
-    for i, j in itertools.combinations(range(3), 2):
-        try:
-            recs = intersection_points(polys[i], polys[j], precision=prec_cfg, pair=(i, j))
-        except CommonComponentError:
-            report["condition_1_no_triple_point"] = "fail"
-            report["condition_2_tangent_incidence"] = "fail"
-            report["condition_3_no_tangency"] = "fail"
-            report["square_combinations"] = []
-            return report
-        pair_pts[(i, j)] = recs
-        for r in recs:
-            if r.multiplicity >= 2:
-                tangency.append(((i, j), r.point))
-        k = 3 - i - j
-        for r in recs:
-            if r.point.is_exact():
-                if polys[k].eval_exact(r.point.exact) == 0:
-                    triple.append(r.point)
-            else:
-                v, e = gaussian_extension_eval(polys[k], r.point)
-                s = _certified_sign(abs(v), e)
-                if s == 0:
-                    triple.append(r.point)
-                elif s is None:
-                    undecided = True
+    tangency = any(r.multiplicity >= 2 for recs in pair_pts.values() for r in recs)
+    triple, undecided = _triple_points(polys, pair_pts)
     report["condition_1_no_triple_point"] = (
         "fail" if triple else ("undecided" if undecided else "pass"))
     report["condition_3_no_tangency"] = "fail" if tangency else "pass"
-    verdict2, _ = tangent_incidence_check(range(3), polys, prec_cfg)
+    verdict2, _ = tangent_incidence_check(range(3), polys, pair_pts)
     report["condition_2_tangent_incidence"] = verdict2
 
     combos: List[SquareCombination] = []
@@ -751,24 +725,8 @@ def example_verify(precision: PrecisionConfig | None = None) -> dict:
     polys = [line, q1, q2]
 
     # item 1: no more than two components through any point
-    triple = []
-    undecided = False
-    pair_pts = {}
-    for i, j in itertools.combinations(range(3), 2):
-        recs = intersection_points(polys[i], polys[j], pair=(i, j), precision=prec_cfg)
-        pair_pts[(i, j)] = recs
-        k = 3 - i - j
-        for r in recs:
-            if r.point.is_exact():
-                if polys[k].eval_exact(r.point.exact) == 0:
-                    triple.append(r.point)
-            else:
-                v, e = gaussian_extension_eval(polys[k], r.point)
-                s = _certified_sign(abs(v), e)
-                if s == 0:
-                    triple.append(r.point)
-                elif s is None:
-                    undecided = True
+    pair_pts = _pairwise_data(polys, prec_cfg)
+    triple, undecided = _triple_points(polys, pair_pts)
     report["item1_no_triple_point"] = "fail" if triple else (
         "undecided" if undecided else "pass")
 
@@ -777,7 +735,7 @@ def example_verify(precision: PrecisionConfig | None = None) -> dict:
     report["item2_no_tangency"] = "fail" if tang else "pass"
 
     # item 3: tangents at intersection points contain no further intersection point
-    verdict3, wit3 = tangent_incidence_check((1, 2), polys, prec_cfg)
+    verdict3, wit3 = tangent_incidence_check((1, 2), polys, pair_pts)
     report["item3_tangent_incidence"] = verdict3
 
     # item 4: tangent at a point of intersection with the line is not

@@ -166,15 +166,45 @@ def test_reports_byte_identical(tmp_path):
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 
-@pytest.mark.parametrize("name", ["example", "triple"])
-@pytest.mark.parametrize("command", ["check-config", "lines", "square"])
-def test_reports_match_golden_files(tmp_path, name, command):
+# One configuration per incidence path of check-config:
+# s4.4 and s4.5 with numeric contact points (pass) and with exact contact
+# points on the lines (fail); the degree-3 smoothness test of s4.1; and
+# an exact triple point for s4.2.
+CHECK_CONFIG_GOLDENS = {
+    "dd11": {"family": [2, 2, 1, 1],
+             "components": ["z0^2 + z1^2 - z2^2", "z0^2 - 2*z1^2 + 3*z2^2 + z0*z1",
+                            "z0 + 2*z1 + 5*z2", "3*z0 - z1 + 7*z2"]},
+    "dd11_contact": {"family": [2, 2, 1, 1],
+                     "components": ["z0^2 + z1^2 - z2^2",
+                                    "z0^2 + z1^2 - 6*z0*z2 + 8*z2^2",
+                                    "z0", "z0 - 3*z2"]},
+    "d111": {"family": [2, 1, 1, 1],
+             "components": ["z0^2 + 2*z1^2 - 3*z2^2 + z1*z2", "z0 + z1 + 3*z2",
+                            "2*z0 - z1 + z2", "z0 + 4*z1 - 2*z2"]},
+    "d111_contact": {"family": [2, 1, 1, 1],
+                     "components": ["z0^2 + z1^2 - z2^2", "z1",
+                                    "3*z0 + z1 - 5*z2", "5*z0 - 3*z2"]},
+    "cubic": {"family": [3, 2, 1],
+              "components": ["z0^3 + z1^3 + z2^3", "z0*z1 - z2^2 + z1*z2",
+                             "z0 + 2*z1 - 3*z2"]},
+    "concurrent": {"family": [1, 1, 1, 1],
+                   "components": ["z0", "z1", "z0 + z1", "z2"]},
+}
+GOLDEN_CONFIGS = dict(example=EXAMPLE_CONFIG, triple=TRIPLE_CONFIG,
+                      **CHECK_CONFIG_GOLDENS)
+
+
+@pytest.mark.parametrize("command, name", [
+    (command, name) for command in ("check-config", "lines", "square")
+    for name in ("example", "triple")
+] + [("check-config", name) for name in CHECK_CONFIG_GOLDENS])
+def test_reports_match_golden_files(tmp_path, command, name):
     """Exit code and report object equal those stored under tests/golden,
     so report bytes are compared across commits, not only between two
     runs of the same code.  The triple's intersection points are numeric,
     so its reports carry point digits and radii.  A change that means to
     alter a report rewrites the file in the same commit."""
-    config = {"example": EXAMPLE_CONFIG, "triple": TRIPLE_CONFIG}[name]
+    config = GOLDEN_CONFIGS[name]
     with open(os.path.join(GOLDEN_DIR, f"{name}_{command}.json")) as fh:
         golden = json.load(fh)
     code, doc = _run([command, _write(tmp_path, "cfg.json", config)], tmp_path)

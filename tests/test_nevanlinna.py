@@ -333,6 +333,15 @@ def test_functoriality_rejects_non_morphism():
         functoriality_check(f3, [p1, p2, p1 + p2], [10.0, 20.0])
 
 
+@pytest.mark.parametrize("forms", [["z0*z1", "z0*z2"], ["z0^2", "z1^2"]])
+def test_functoriality_two_plane_forms_are_never_a_morphism(forms):
+    # two ternary forms always share a zero; the first pair also shares
+    # the component z0, which must not surface as CommonComponentError
+    curve = ExpCurve.from_exponents([[0], [0, 1], [0, 0, 1]])
+    with pytest.raises(NotAMorphismError):
+        functoriality_check(curve, [parse_poly(f) for f in forms], [10.0, 20.0])
+
+
 # ---------------------------------------------------------------------------
 # Defects
 # ---------------------------------------------------------------------------

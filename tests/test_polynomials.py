@@ -10,7 +10,7 @@ from quadrics.polynomials import (DegenerateLeadingFormError, HomPoly,
                                   NotHomogeneousError, PolySyntaxError,
                                   ProjPointNum, ZeroPolynomialError,
                                   gaussian_extension_eval, parse_poly,
-                                  quadric_form, resultant)
+                                  quadric_form, resultant, vanishes_at)
 from quadrics.scalars import GaussRat
 
 z0, z1, z2 = (HomPoly.variable(i) for i in range(3))
@@ -270,6 +270,35 @@ def test_eval_numeric_point_with_radius():
     from quadrics.polynomials import PrecisionExhaustedError
     with pytest.raises(PrecisionExhaustedError):
         gaussian_extension_eval(p, pt, target_width=mp.mpf("1e-60"))
+
+
+_gauss_ints = st.builds(GaussRat, st.integers(-3, 3), st.integers(-3, 3))
+
+
+@given(homogeneous_polys(),
+       st.lists(_gauss_ints, min_size=3, max_size=3).filter(
+           lambda v: any(x != 0 for x in v)),
+       st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_vanishes_at_is_exact_on_exact_points_and_never_true_on_numeric(
+        p, coords, through_point):
+    """Gaussian-integer coordinates are exact in binary, so the numeric
+    point below is the exact point with its exactness forgotten."""
+    if through_point:
+        # subtract p(P) z_j^d / P_j^d, which moves V(p) through P
+        j = next(i for i in range(3) if coords[i] != 0)
+        e = tuple(p.degree if i == j else 0 for i in range(3))
+        p = p - HomPoly.monomial(e, p.eval_exact(coords) / coords[j] ** p.degree)
+    if p.is_zero:
+        return
+    exact = vanishes_at(p, ProjPointNum.from_exact(coords))
+    assert exact is (p.eval_exact(coords) == 0)
+    numeric = vanishes_at(p, ProjPointNum([complex(c) for c in coords]))
+    assert numeric is not True
+    if exact:
+        assert numeric is None
+    else:
+        assert numeric in (False, None)
 
 
 def test_zero_polynomial_degree_tag():
