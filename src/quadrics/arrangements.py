@@ -24,6 +24,7 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import mpmath as mp
+import numpy as np
 
 from .config import DEFAULT_PRECISION, PrecisionConfig, scoped
 from .linalg import det, nullspace, rank, solve
@@ -1391,14 +1392,43 @@ def cor31_hypothesis_check(cfg: Configuration,
 # Contact obstruction report
 # ---------------------------------------------------------------------------
 
-def _numeric_rank4_deficient(rows6):
-    """None if rank 4 certified, else the smallest singular value."""
-    import numpy as np
-    A = np.array([[complex(x) for x in row] for row in rows6], dtype=complex)
+def _contact_tangents(quad: HomPoly, base: HomPoly, prec_cfg):
+    """(point, tangent of quad there) at each intersection point of base
+    and quad; each tangent is exact when its point is."""
+    return [(r.point, tangent_line_numeric(quad, r.point))
+            for r in intersection_points(base, quad, precision=prec_cfg)]
+
+
+def _square_vector(line: NumLine):
+    """The square of the line's form on the _poly_coeff_vector basis."""
+    v = line.vec
+    return [v[0] * v[0], v[1] * v[1], v[2] * v[2],
+            2 * v[0] * v[1], 2 * v[0] * v[2], 2 * v[1] * v[2]]
+
+
+def _contact_span(q2: HomPoly, ta: NumLine, q3: HomPoly, tb: NumLine):
+    """Rank of [Q2, Ta^2, Q3, Tb^2] on the quadratic monomials, and a detail.
+
+    Exact when both tangents are: below rank 4 the detail is a form in
+    both spans.  Otherwise the rank is 4, or None with the smallest
+    singular value when the SVD does not separate it from rank < 4.
+    """
+    if ta.exact is not None and tb.exact is not None:
+        sa, sb = ta.exact * ta.exact, tb.exact * tb.exact
+        rows = [_poly_coeff_vector(f) for f in (q2, sa, q3, sb)]
+        r = rank(rows)
+        if r == 4:
+            return r, None
+        al, be = nullspace([[rows[i][c] for i in range(4)] for c in range(6)])[0][:2]
+        return r, str(q2.scale(al) + sa.scale(be))
+    rows = [_poly_coeff_vector(q2), _square_vector(ta),
+            _poly_coeff_vector(q3), _square_vector(tb)]
+    A = np.array([[complex(x) for x in row] for row in rows], dtype=complex)
     s = np.linalg.svd(A, compute_uv=False)
+    # uncertified: this fixed cut alone decides a numeric rank 4 (pass)
     if s[-1] > 1e-9 * max(s[0], 1.0):
-        return None
-    return s[-1]
+        return 4, None
+    return None, float(s[-1])
 
 
 def contact_obstruction_check(cfg: Configuration,
@@ -1432,7 +1462,6 @@ def contact_obstruction_check(cfg: Configuration,
 
     # clause e: pairwise tangency
     witnesses = []
-    undecided = False
     for i, j in itertools.combinations(range(3), 2):
         try:
             recs = intersection_points(polys[i], polys[j], precision=prec_cfg)
@@ -1448,81 +1477,41 @@ def contact_obstruction_check(cfg: Configuration,
         note="tangential contact present" if witnesses else "")
 
     # tangency data at intersections with the first component
-    def tangents_at(quad, base):
-        recs = intersection_points(base, quad, precision=prec_cfg)
-        out = []
-        for r in recs:
-            try:
-                out.append((r.point, tangent_line(quad, r.point)))
-            except NotExactPointError:
-                out.append((r.point, tangent_line_numeric(quad, r.point)))
-        return out
-
-    t2 = tangents_at(g2, g1)
-    t3 = tangents_at(g3, g1)
+    t2 = _contact_tangents(g2, g1, prec_cfg)
+    t3 = _contact_tangents(g3, g1, prec_cfg)
 
     # clause g
-    g_wit = []
-    for pts, quad_other in ((t2, g3), (t3, g2)):
-        for pt, tl in pts:
-            line = tl if isinstance(tl, NumLine) else NumLine.from_exact(tl)
-            istan = tangent_to_conic(line, quad_other)
-            if istan is None:
-                undecided = True
-            elif istan:
-                g_wit.append(pt)
+    touch = [(pt, tangent_to_conic(line, other))
+             for ts, other in ((t2, g3), (t3, g2)) for pt, line in ts]
+    g_wit = [pt for pt, t in touch if t]
+    undecided = any(t is None for _, t in touch)
     report["g"] = ConditionVerdict(
         "fail" if g_wit else ("undecided" if undecided else "pass"),
         witnesses=g_wit,
         note="tangent at a contact point touches the other quadric" if g_wit else "")
 
-    # clause f: span intersection test, exact where possible
+    # clause f: span intersection test, exact on exact tangents
     f_entries = []
-    f_status = "pass"
+    failed = potential = False
     for (pa, ta), (pb, tb) in itertools.product(t2, t3):
-        exact_ok = isinstance(ta, HomPoly) and isinstance(tb, HomPoly)
-        if exact_ok:
-            rows = [_poly_coeff_vector(g2), _poly_coeff_vector(ta * ta),
-                    _poly_coeff_vector(g3), _poly_coeff_vector(tb * tb)]
-            r = rank(rows)
-            if r < 4:
-                ker = nullspace([[rows[i][c] for i in range(4)] for c in range(6)])
-                cand = None
-                if ker:
-                    al, be = ker[0][0], ker[0][1]
-                    cand = g2.scale(al) + (ta * ta).scale(be)
-                f_entries.append({"pair": (repr(pa), repr(pb)),
-                                  "rank": r, "candidate": str(cand) if cand else None})
-                f_status = "fail"
-        else:
-            def numvec(x):
-                if isinstance(x, HomPoly):
-                    return [complex(scalar_to_complex(v)) for v in _poly_coeff_vector(x)]
-                sq_terms = {}
-                v = x.vec
-                basis = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
-                comp = {
-                    (2, 0, 0): v[0] * v[0], (0, 2, 0): v[1] * v[1], (0, 0, 2): v[2] * v[2],
-                    (1, 1, 0): 2 * v[0] * v[1], (1, 0, 1): 2 * v[0] * v[2],
-                    (0, 1, 1): 2 * v[1] * v[2]}
-                return [complex(comp[e]) for e in basis]
-            rows = [numvec(g2), numvec(ta), numvec(g3), numvec(tb)]
-            smin = _numeric_rank4_deficient(rows)
-            if smin is not None:
-                f_entries.append({"pair": (repr(pa), repr(pb)),
-                                  "smallest_singular_value": float(smin),
-                                  "candidate": None})
-                if f_status == "pass":
-                    f_status = "potential"
-    note = ""
-    if f_status == "fail":
-        note = "span intersection nontrivial: obstruction candidate exists"
-    elif f_status == "potential":
-        note = ("numeric span intersection: potential obstruction, "
-                "not a proof of failure")
-    report["f"] = ConditionVerdict("fail" if f_status == "fail" else
-                                   ("undecided" if f_status == "potential" else "pass"),
-                                   note=note)
+        r, detail = _contact_span(g2, ta, g3, tb)
+        pair = (repr(pa), repr(pb))
+        if r is None:
+            f_entries.append({"pair": pair, "smallest_singular_value": detail,
+                              "candidate": None})
+            potential = True
+        elif r < 4:
+            f_entries.append({"pair": pair, "rank": r, "candidate": detail})
+            failed = True
+    if failed:
+        report["f"] = ConditionVerdict(
+            "fail", note="span intersection nontrivial: obstruction candidate exists")
+    elif potential:
+        report["f"] = ConditionVerdict(
+            "undecided", note="numeric span intersection: potential obstruction, "
+                              "not a proof of failure")
+    else:
+        report["f"] = ConditionVerdict("pass")
     rep = GenericityReport(conditions=report)
     rep.metadata["f_entries"] = repr(f_entries)
     return rep

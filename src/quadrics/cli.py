@@ -35,9 +35,10 @@ from .arrangements import (Configuration, DegenerateIntersectionError,
                            select_general_position)
 from .config import PrecisionConfig, analysis_scope
 from .nevanlinna import (DegenerateCurveError, DivisorContainsCurveError,
-                         ExpCurve, GrowthSample, NotGeneralPositionError,
-                         QuadratureFailureError, ZeroOnContourError, counting,
-                         defect_estimate, main_theorem_check, order_estimate,
+                         ExpCurve, GrowthSample, InsufficientSpanError,
+                         NotGeneralPositionError, QuadratureFailureError,
+                         ZeroOnContourError, counting, defect_estimate,
+                         main_theorem_check, order_estimate,
                          three_quadrics_certificate)
 from .polynomials import (HomPoly, NotHomogeneousError, PolySyntaxError,
                           PrecisionExhaustedError, parse_poly)
@@ -263,7 +264,7 @@ def cmd_nevanlinna(args, growth_run):
         try:
             order, degen = order_estimate(growth)
             report["order"] = {"value": order, "degenerate": degen}
-        except Exception as exc:
+        except InsufficientSpanError as exc:
             report["order"] = {"error": str(exc)}
     if divisors:
         report["counting"] = []

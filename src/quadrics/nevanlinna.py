@@ -23,6 +23,7 @@ zero search.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -898,7 +899,9 @@ def functoriality_check(curve: ExpCurve, morphism: Sequence[HomPoly],
 
     The morphism components must have one common degree p and no common
     zero (checked exactly on a line via the gcd; on the plane two forms
-    always share a zero, three go through the certified search).
+    always share a zero, three go through the certified search, and four
+    or more are tested at the points of their first pair without a shared
+    component).
     """
     degs = {m.degree for m in morphism}
     if len(degs) != 1:
@@ -928,10 +931,22 @@ def functoriality_check(curve: ExpCurve, morphism: Sequence[HomPoly],
         if not md.is_morphism:
             raise NotAMorphismError("components share a common zero")
     else:
-        from .arrangements import intersection_points
-        for rec in intersection_points(morphism[0], morphism[1]):
-            if all(vanishes_at(m, rec.point) is not False for m in morphism[2:]):
+        # the common zeros lie among the points of the first pair, in index
+        # order, that shares no component
+        from .arrangements import CommonComponentError, intersection_points
+        for a, b in itertools.combinations(range(len(morphism)), 2):
+            try:
+                recs = intersection_points(morphism[a], morphism[b])
+            except CommonComponentError:
+                continue
+            rest = [m for k, m in enumerate(morphism) if k not in (a, b)]
+            if any(all(vanishes_at(m, rec.point) is not False for m in rest)
+                   for rec in recs):
                 raise NotAMorphismError("components share a common zero")
+            break
+        else:
+            # pairwise shared components need not have a common zero
+            raise ValueError("every pair of components shares a component")
     image = ExpCurve([curve.compose(m) for m in morphism])
     rs = sorted(float(r) for r in radii)
     diffs = []

@@ -298,19 +298,6 @@ def primitive_vector(vec) -> list:
     return ys
 
 
-def reconstruct_rational(value: float, max_den: int = 10 ** 8,
-                         tol: float = 1e-20) -> Optional[Fraction]:
-    """Recover a small-denominator rational from an approximation."""
-    if not math.isfinite(value):
-        return None
-    cand = Fraction(value).limit_denominator(max_den)
-    err = abs(float(cand) - value)
-    scale = max(1.0, abs(value))
-    if err <= tol * scale or (cand != 0 and err <= 1e-12 * scale):
-        return cand
-    return None
-
-
 def reconstruct_gauss(re_val: float, im_val: float,
                       max_den: int = 10 ** 8,
                       tol: float = 1e-12) -> Optional[Scalar]:

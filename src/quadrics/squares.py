@@ -18,10 +18,10 @@ import mpmath as mp
 
 from .arrangements import (CommonComponentError, Configuration,
                            InfinitelyManySolutionsError, NoSolutionError,
-                           _certified_sign, _pairwise_data, _poly_coeff_vector,
-                           _triple_points, common_zeros_of_quadratic_system,
-                           tangent_line, tangent_line_numeric, NumLine,
-                           tangent_to_conic)
+                           _certified_sign, _contact_span, _contact_tangents,
+                           _pairwise_data, _poly_coeff_vector, _triple_points,
+                           common_zeros_of_quadratic_system,
+                           tangent_line_numeric, tangent_to_conic)
 from .config import DEFAULT_PRECISION, PrecisionConfig
 from .linalg import det as exact_det
 from .linalg import nullspace, rank, solve
@@ -604,10 +604,7 @@ def tangent_incidence_check(quadric_indices, polys, pairs):
             if qi not in (i, j):
                 continue
             for rec in recs:
-                try:
-                    tl = NumLine.from_exact(tangent_line(polys[qi], rec.point))
-                except Exception:
-                    tl = tangent_line_numeric(polys[qi], rec.point)
+                tl = tangent_line_numeric(polys[qi], rec.point)
                 for pr2, pt2 in all_pts:
                     if pt2.same_point(rec.point):
                         continue
@@ -740,24 +737,15 @@ def example_verify(precision: PrecisionConfig | None = None) -> dict:
 
     # item 4: tangent at a point of intersection with the line is not
     # tangent to the other smooth quadric
-    item4 = "pass"
-    for qi, other in ((1, 2), (2, 1)):
-        for r in pair_pts[(0, qi)]:
-            t = tangent_line(polys[qi], r.point)
-            if tangent_to_conic(NumLine.from_exact(t), polys[other]):
-                item4 = "fail"
-    report["item4_tangent_tangency"] = item4
+    t1 = _contact_tangents(q1, line, prec_cfg)
+    t2 = _contact_tangents(q2, line, prec_cfg)
+    touch = [tangent_to_conic(t, other) for ts, other in ((t1, q2), (t2, q1))
+             for _, t in ts]
+    report["item4_tangent_tangency"] = "fail" if any(touch) else "pass"
 
     # item 5: the contact linear systems admit only the trivial solution
-    pairs_p = pair_pts[(0, 1)]
-    pairs_q = pair_pts[(0, 2)]
-    ranks = []
-    for rp, rq in itertools.product(pairs_p, pairs_q):
-        tp = tangent_line(q1, rp.point)
-        tq = tangent_line(q2, rq.point)
-        rows = [_poly_coeff_vector(q1), _poly_coeff_vector(tp * tp),
-                _poly_coeff_vector(q2), _poly_coeff_vector(tq * tq)]
-        ranks.append(rank(rows))
+    ranks = [_contact_span(q1, tp, q2, tq)[0]
+             for (_, tp), (_, tq) in itertools.product(t1, t2)]
     report["item5_ranks"] = ranks
     report["item5_only_trivial"] = all(r == 4 for r in ranks)
 

@@ -519,6 +519,96 @@ def test_contact_obstruction_engineered_span_fails_f():
     assert rep.conditions["f"].status == "fail"
 
 
+# Clause f against an exact oracle.  On each (1,2,2) input below the line
+# meets one conic in rational points and the other in quadratic-irrational
+# ones, so exact and numeric tangents are paired.  The first is built that
+# way; the others are the (1,2,2) items of perfbench's config-sweep at seed
+# 611 (ids 13, 19, 41, 45, 48).
+CONTACT_122 = {
+    "rational_and_sqrt2": ["z2", "z0^2 - z1^2 + z0*z2 + 3*z1*z2 + 5*z2^2",
+                           "z0^2 - 2*z1^2 + 2*z0*z2 - z1*z2 + 7*z2^2"],
+    "sweep611_13": ["-3*z0 + 3*z1 + 4*z2",
+                 "3*z0^2 - 2*z0*z1 - 2*z0*z2 + z1^2 - 3*z1*z2 + 3*z2^2",
+                 "-z0^2 - 3*z0*z1 + 3*z0*z2 + 4*z1^2 + 3*z1*z2 + 2*z2^2"],
+    "sweep611_19": ["-4*z0 - z1 + 2*z2",
+                 "4*z0^2 - 4*z0*z1 + z0*z2 - 2*z1^2 + 4*z1*z2",
+                 "2*z0^2 - 2*z0*z1 - 3*z0*z2 + z1*z2 + 2*z2^2"],
+    "sweep611_41": ["3*z0 - z1 + 3*z2",
+                 "4*z0^2 - 3*z0*z1 + 3*z0*z2 + 2*z1^2 - 3*z1*z2 - 4*z2^2",
+                 "-2*z0^2 + z0*z1 - 4*z0*z2 + 4*z1^2 - 4*z1*z2 - 2*z2^2"],
+    "sweep611_45": ["-4*z1",
+                 "-3*z0^2 - z0*z1 + 2*z0*z2 - 3*z1^2 + 2*z1*z2 + z2^2",
+                 "3*z0^2 + z0*z1 - 4*z0*z2 + 3*z1*z2 - 3*z2^2"],
+    "sweep611_48": ["-z0 + 3*z1",
+                 "4*z0^2 + 3*z0*z1 + 4*z0*z2 - 3*z1^2 - 2*z1*z2",
+                 "-4*z0^2 + 3*z0*z1 - 2*z0*z2 - 4*z1^2 - 4*z1*z2 - 2*z2^2"],
+}
+
+
+def _sympy_contact_full_rank(texts):
+    """For each point p' of V(L, Q2) and p'' of V(L, Q3), whether
+    [Q2, T'^2, Q3, T''^2] has rank 4, T the tangent of its conic there.
+
+    The points are exact in sympy, with coordinates in Q(sqrt(disc)); a
+    rank is 4 iff some 4x4 minor expands to a nonzero number.
+    """
+    import sympy
+    z = sympy.symbols("z0 z1 z2")
+    s, t = sympy.symbols("s t")
+    line, q2, q3 = (sympy.sympify(x.replace("^", "**")) for x in texts)
+    P, R = sympy.Matrix([[line.coeff(v) for v in z]]).nullspace()
+
+    def points(q):
+        form = sympy.Poly(q.subs({v: s * a + t * b for v, a, b in zip(z, P, R)},
+                                 simultaneous=True), s, t)
+        A, B, C = (form.coeff_monomial(m) for m in (s ** 2, s * t, t ** 2))
+        disc = B ** 2 - 4 * A * C
+        assert disc != 0  # the line is not tangent to the conic
+        roots = ([(-B + e * sympy.sqrt(disc), 2 * A) for e in (1, -1)] if A != 0
+                 else [(1, 0), (-C, B)])
+        pts = [[u * a + w * b for a, b in zip(P, R)] for u, w in roots]
+        assert all(sympy.expand(f.subs(dict(zip(z, pt)), simultaneous=True)) == 0
+                   for pt in pts for f in (line, q))
+        return pts
+
+    monomials = [z[0] ** 2, z[1] ** 2, z[2] ** 2, z[0] * z[1], z[0] * z[2], z[1] * z[2]]
+
+    def row(f):
+        poly = sympy.Poly(sympy.expand(f), *z)
+        return [poly.coeff_monomial(m) for m in monomials]
+
+    def tangent_square(q, pt):
+        at = dict(zip(z, pt))
+        return sum(sympy.diff(q, v).subs(at, simultaneous=True) * v for v in z) ** 2
+
+    full = []
+    for pa, pb in itertools.product(points(q2), points(q3)):
+        M = sympy.Matrix([row(q2), row(tangent_square(q2, pa)),
+                          row(q3), row(tangent_square(q3, pb))])
+        full.append(any(sympy.expand(M[:, list(cols)].det()) != 0
+                        for cols in itertools.combinations(range(6), 4)))
+    return full
+
+
+@pytest.mark.parametrize("name", sorted(CONTACT_122))
+def test_contact_obstruction_f_matches_exact_rank(name):
+    texts = CONTACT_122[name]
+    cfg = Configuration.from_json({"family": [1, 2, 2], "components": texts})
+    verdict = contact_obstruction_check(cfg).conditions["f"].status
+    full = _sympy_contact_full_rank(texts)
+    assert len(full) == 4
+    # pass never meets a rank below 4, fail never meets rank 4 everywhere
+    assert verdict != "pass" or all(full)
+    assert verdict != "fail" or not all(full)
+    assert verdict == "pass"
+
+
+def test_contact_oracle_sees_the_engineered_span():
+    # the oracle itself finds the drop of rank that fails clause f above
+    texts = ["z2", "z0*z1 - z2^2 - z1^2", "z0*z1 - z2^2 - z0^2"]
+    assert not all(_sympy_contact_full_rank(texts))
+
+
 # ---------------------------------------------------------------------------
 # Shared quadratic-system solver
 # ---------------------------------------------------------------------------

@@ -399,6 +399,26 @@ def test_nevanlinna_numeric_failure_exits_undecided(tmp_path, monkeypatch, capsy
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_nevanlinna_order_short_span_is_a_report_entry(tmp_path):
+    curve = _write(tmp_path, "curve.json", LINE_CURVE)
+    code, doc = _run(["nevanlinna", curve, "--order", "--radii", "1,2,3"], tmp_path)
+    assert code == 0
+    assert "2 decades" in doc["report"]["order"]["error"]
+
+
+def test_nevanlinna_order_defect_propagates(tmp_path, monkeypatch):
+    # only a too short span of radii is an order entry; a defect is not
+    import quadrics.cli as cli
+
+    def broken(growth):
+        raise RuntimeError("injected defect")
+
+    monkeypatch.setattr(cli, "order_estimate", broken)
+    curve = _write(tmp_path, "curve.json", LINE_CURVE)
+    with pytest.raises(RuntimeError, match="injected defect"):
+        _run(["nevanlinna", curve, "--order", "--radii", "1,2,3"], tmp_path)
+
+
 @pytest.mark.parametrize("subcommand", ["check-config", "lines", "square"])
 def test_precision_exhausted_exits_undecided(tmp_path, monkeypatch, capsys, subcommand):
     import quadrics.arrangements as ar

@@ -342,6 +342,29 @@ def test_functoriality_two_plane_forms_are_never_a_morphism(forms):
         functoriality_check(curve, [parse_poly(f) for f in forms], [10.0, 20.0])
 
 
+PLANE_CURVE = ExpCurve.from_exponents([[0], [0, 1], [0, 0, 1]])
+
+
+def test_functoriality_four_plane_forms_skip_pairs_sharing_a_component():
+    # (z0*z1, z0*z2) share z0 and (z0*z1, z1^2) share z1; z0*z1 and z2^2
+    # meet at [1:0:0], where all four vanish
+    forms = [parse_poly(f) for f in ("z0*z1", "z0*z2", "z1^2", "z2^2")]
+    with pytest.raises(NotAMorphismError):
+        functoriality_check(PLANE_CURVE, forms, [10.0, 20.0])
+
+
+def test_functoriality_four_plane_forms_morphism_reports():
+    forms = [parse_poly(f) for f in ("z0^2", "z1^2", "z2^2", "z0*z1")]
+    rep = functoriality_check(PLANE_CURVE, forms, [10.0, 20.0])
+    assert rep.radii == [10.0, 20.0] and len(rep.differences) == 2
+
+
+def test_functoriality_every_pair_sharing_a_component_is_no_verdict():
+    forms = [parse_poly(f) for f in ("z0*z1", "z0*z2", "z0^2", "z0*z1 + z0*z2")]
+    with pytest.raises(ValueError, match="every pair"):
+        functoriality_check(PLANE_CURVE, forms, [10.0, 20.0])
+
+
 # ---------------------------------------------------------------------------
 # Defects
 # ---------------------------------------------------------------------------
