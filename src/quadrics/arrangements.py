@@ -172,12 +172,16 @@ class NumLine:
 
     @cached_property
     def _double(self):
-        """(coefficients as Python complex, radius as float) for the
-        double-precision filter; None when an entry's modulus exceeds 2."""
-        vec = tuple(complex(c) for c in self.vec)
-        if not max(abs(c) for c in vec) <= 2.0:
-            return None
-        return vec, float(self.radius)
+        return _double_data(self.vec, self.radius)
+
+
+def _double_data(vec, radius):
+    """(entries as Python complex, radius as float) for the
+    double-precision filters; None when an entry's modulus exceeds 2."""
+    vec = tuple(complex(c) for c in vec)
+    if not max(abs(c) for c in vec) <= 2.0:
+        return None
+    return vec, float(radius)
 
 
 # Double-precision filter in front of lines_concurrent and lines_distinct
@@ -215,6 +219,36 @@ def _double_filter_exceeds(value, lines) -> bool:
     bound = (_FILTER_ABS + math.ldexp(1.0, 11 - prec)
              + 6.0 * sum(r for _, r in data) * (1.0 + _FILTER_ABS))
     return value(*(v for v, _ in data)) > bound
+
+
+# The same filter in front of NumLine.incidence, the point-line test of
+# _condition4_verdict, which answers "nonzero" when |l.p| > err with
+# err = 3 * (r_l * sup|p| + r_p * sup|l|) + 2^(8-p).  For entries of
+# modulus <= 2:
+# - doubles: each term c*x passes 2 conversions (u each) and a complex
+#   product (< 3u), the 2 sums and abs() add u each, so with term moduli
+#   summing to <= 12 the double |l.p| is within 96u < 2^-46 of the exact
+#   |l.p| of the mp entries; that is > 2^-40 - 2^-46 > 0, so an exact line
+#   and an exact point, whose entries are within 2^(1-p) of the exact
+#   ones, are certainly not incident either;
+# - mpmath rounds each part of its 3 products once and its 2 sums and
+#   abs() once, so its |l.p| is within 106 * 2^-p < 2^(7-p) of the same;
+#   2^(10-p) covers that, 2^(8-p) and its rounding;
+# - the sups in doubles are within 3u of mpmath's, and every relative
+#   rounding of err is below 2^-48, all covered by the factor (1 + 2^-40);
+#   underflow of a radius or an entry is covered by the rest of 2^-40.
+def _double_incidence_exceeds(line: NumLine, point) -> bool:
+    """Is |l.p| in doubles certainly above NumLine.incidence's error
+    bound?  ``point`` is the point's ``_double_data`` (or None)."""
+    prec = mp.mp.prec
+    data = line._double
+    if prec < 53 or data is None or point is None:
+        return False
+    (lv, lr), (pv, pr) = data, point
+    val = abs(lv[0] * pv[0] + lv[1] * pv[1] + lv[2] * pv[2])
+    err = 3.0 * (lr * max(map(abs, pv)) + pr * max(map(abs, lv)))
+    return val > (_FILTER_ABS + math.ldexp(1.0, 10 - prec)
+                  + err * (1.0 + _FILTER_ABS))
 
 
 def _certified_sign(value, err):
@@ -1084,8 +1118,9 @@ def _condition4_verdict(ls: LineSystem) -> ConditionVerdict:
 
     for (g, idx), mine in own.items():
         p = ls.points[g][idx]
+        pd = _double_data(p.coords, p.radius)
         for n, li in enumerate(lines):
-            if n in mine:
+            if n in mine or _double_incidence_exceeds(li.line, pd):
                 continue
             v, e = li.line.incidence(p)
             s = _certified_sign(v, e)

@@ -590,17 +590,19 @@ def _winding_with_perturbation(g, gp, x0, x1, y0, y1):
     raise ZeroOnContourError("persistent zero on contour after perturbation")
 
 
-def _polish_zero(g: ExpSum, gp: ExpSum, z0: complex, tol: float) -> complex:
+def _polish_zero(g: ExpSum, gp: ExpSum, z0: complex,
+                 tol: float) -> Tuple[complex, bool]:
+    """Newton from z0: (point, whether the last step was below tol)."""
     z = z0
     for _ in range(60):
         try:
             step = _ratio_newton_step(g, gp, z)
         except ArithmeticError:
-            return z
+            return z, False
         z = z - step
         if abs(step) < tol:
-            break
-    return z
+            return z, True
+    return z, False
 
 
 @dataclass
@@ -641,13 +643,14 @@ class _ZeroSearch:
         diam = max(x1 - x0, y1 - y0)
         cx, cy = (x0 + x1) / 2, (y0 + y1) / 2
         if w == 1:
-            z = _polish_zero(self.g, self.gp, complex(cx, cy), self.tol * 1e-3)
+            z, converged = _polish_zero(self.g, self.gp, complex(cx, cy),
+                                        self.tol * 1e-3)
             inside = (x0 - 1e-12 <= z.real <= x1 + 1e-12
                       and y0 - 1e-12 <= z.imag <= y1 + 1e-12)
-            if inside:
+            if converged and inside:
                 self.zeros.append(CountedZero(z, 1, max(self.tol, 0.0)))
                 return
-            # polish escaped the cell: fall through to subdivision
+            # polish stalled or escaped the cell: fall through to subdivision
         if diam < self.tol or depth > 60:
             self.zeros.append(CountedZero(complex(cx, cy), w, diam))
             return

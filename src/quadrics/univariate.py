@@ -9,7 +9,9 @@ Every numeric root carries the rigorous radius  deg * |g(z)/g'(z)|, which
 bounds the distance to the nearest true root.
 
 Every polynomial root the library finds comes from this module, and
-every numeric one from ``complex_roots``, its single numeric entry point.
+every numeric one from ``complex_roots``, its single numeric entry point:
+mpmath's Durand-Kerner iteration, started from the companion-matrix
+eigenvalues of a double-precision copy of the polynomial.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import mpmath as mp
+import numpy as np
 
 from .scalars import (GaussRat, Scalar, coerce_scalar, gauss_sqrt,
                       scalar_to_complex)
@@ -200,16 +203,40 @@ def exact_roots_small(p: UniPoly) -> Optional[List[Scalar]]:
 def complex_roots(coeffs: Sequence, prec: int) -> List[mp.mpc]:
     """Roots of a polynomial with complex coefficients (low to high) at
     working precision ``prec``, without radii; trailing zero coefficients
-    are dropped first.  The library's only call of mpmath's polyroots."""
+    are dropped first.  The library's only call of mpmath's polyroots.
+
+    Its Durand-Kerner iteration (2 * ``prec`` bits, mpmath's own stopping
+    test) starts from the companion-matrix eigenvalues of a double copy of
+    the polynomial (``numpy.roots``), each moved by a distinct relative
+    2^-40, and from mpmath's fixed start only when that copy is unusable:
+    its leading entry underflowed to 0, an entry overflowed (LAPACK
+    refuses it), or a seed is not finite."""
     cs = list(coeffs)
     while cs and abs(cs[-1]) == 0:
         cs.pop()
     if len(cs) <= 1:
         return []
+    dbl = np.array([complex(c) for c in reversed(cs)])
+    try:
+        with np.errstate(all="ignore"):
+            seeds = np.roots(dbl) if dbl[0] != 0 else None
+    except np.linalg.LinAlgError:
+        seeds = None
+    if seeds is not None and np.isfinite(seeds).all():
+        # From real seeds of a real polynomial the iteration stays real, so
+        # it never reaches a complex pair that the double copy rounded onto
+        # the real axis (a near-double root), and equal seeds never part.
+        # A distinct offset of 2^-40 times each seed's modulus avoids both
+        # (well above a seed's rounding, one quadratic step to undo); a
+        # seed at 0, the exact root of a zero constant term, stays.
+        spread = (0.4 + 0.9j) ** np.arange(1, len(seeds) + 1) * 2.0 ** -40
+        seeds = [mp.mpc(z) for z in seeds + spread * np.abs(seeds)]
+    else:
+        seeds = None
     with mp.workprec(prec):
         try:
-            roots = mp.polyroots([mp.mpc(c) for c in reversed(cs)],
-                                 maxsteps=200, extraprec=prec)
+            roots = mp.polyroots([mp.mpc(c) for c in reversed(cs)], maxsteps=200,
+                                 extraprec=prec, roots_init=seeds)
         except mp.libmp.libhyper.NoConvergence as exc:  # pragma: no cover
             raise ArithmeticError(f"root finding did not converge: {exc}")
         return [mp.mpc(r) for r in roots]

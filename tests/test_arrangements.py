@@ -852,6 +852,67 @@ def test_double_filter_never_changes_a_line_predicate(seed, bits):
             assert lines_distinct(a, b) == _reference_distinct(a, b)
 
 
+def _line_and_point(rng):
+    """A random point and a line: generic, or through the point and then
+    perturbed by 1e-8 ... 1e-40; radii 0 or 1e-60 ... 1e-7, half of the
+    time near the perturbation; sometimes both exact."""
+    def cvec():
+        return [mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)]
+
+    k = rng.randint(8, 40)
+    near = rng.random() < 0.5
+
+    def radius():
+        if rng.random() < 0.3:
+            return mp.mpf(0)
+        e = min(max(k + rng.randint(-1, 3), 7), 60) if near else rng.randint(10, 60)
+        return mp.mpf(10) ** -e * rng.uniform(0.1, 1)
+
+    if rng.random() < 0.2:
+        pe = [rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(1, 3)]
+        le = [rng.randint(-3, 3) for _ in range(2)] + [rng.randint(1, 3)]
+        if rng.random() < 0.5:  # make the exact line pass through the point
+            le[2] = Fraction(-(le[0] * pe[0] + le[1] * pe[1]), pe[2])
+        return NumLine.from_exact(HomPoly.linear_form(le)), ProjPointNum.from_exact(pe)
+    point = ProjPointNum(cvec(), radius())
+    vec = cvec()
+    if rng.random() < 0.6:
+        vec = list(_cross_vec(point.coords, vec))
+        if rng.random() < 0.8:
+            vec = [c + mp.mpf(10) ** -k * d for c, d in zip(vec, cvec())]
+    return _normalized_line(vec, radius()), point
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), bits=st.sampled_from([53, 256, 512]))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_double_filter_never_changes_an_incidence(seed, bits):
+    """Where the filter in front of NumLine.incidence answers, mpmath's
+    test certifies the same: the point is not on the line."""
+    from quadrics.arrangements import (_certified_sign, _double_data,
+                                       _double_incidence_exceeds)
+    rng = random.Random(seed)
+    with mp.workprec(bits):
+        line, point = _line_and_point(rng)
+        if _double_incidence_exceeds(line, _double_data(point.coords, point.radius)):
+            assert _certified_sign(*line.incidence(point)) == 1
+
+
+def test_double_filter_settles_generic_incidences():
+    from quadrics.arrangements import _double_data, _double_incidence_exceeds
+    rng = random.Random(7)
+    with mp.workprec(256):
+        for _ in range(50):
+            point = ProjPointNum([mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                                  for _ in range(3)], mp.mpf(10) ** -30)
+            line = _normalized_line([mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                                     for _ in range(3)], mp.mpf(10) ** -30)
+            assert _double_incidence_exceeds(line, _double_data(point.coords, point.radius))
+        # a line through the point is left to mpmath
+        line = _normalized_line(_cross_vec(point.coords, [mp.mpc(1), mp.mpc(2), mp.mpc(3)]),
+                                mp.mpf(0))
+        assert not _double_incidence_exceeds(line, _double_data(point.coords, point.radius))
+
+
 def test_double_filter_settles_generic_lines():
     from quadrics.arrangements import _det3, _double_filter_exceeds
     rng = random.Random(7)

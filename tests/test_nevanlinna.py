@@ -228,6 +228,27 @@ def test_counting_multiple_zero_at_origin():
     assert origin and origin[0].multiplicity == 2
 
 
+def test_zero_search_rejects_an_unconverged_polish():
+    """e^{a xi} - 1, a = 250559/250000: Newton from the centre of this
+    winding-1 cell runs all its steps and stops inside the cell at
+    0.146 - 668.126i, where |g| is about 2; the cell's zero is
+    2 pi i (-107) / a = -670.80i.  The search must subdivide instead."""
+    from quadrics.nevanlinna import _polish_zero, _ZeroSearch
+    a = Fraction(250559, 250000)
+    g = ExpSum([(UniPoly([1]), UniPoly([0, a])), (UniPoly([-1]), UniPoly([]))])
+    cell = (-6.942962646484375, 1.98370361328125,
+            -676.4429321289062, -667.5162658691406)
+    half = 1000.0 * (1 + 1 / 64) + 1 / 32  # the box counting(curve, D, 1000) searches
+    search = _ZeroSearch(g, half * 1e-10)
+    centre = complex((cell[0] + cell[1]) / 2, (cell[2] + cell[3]) / 2)
+    z, converged = _polish_zero(g, search.gp, centre, search.tol * 1e-3)
+    assert not converged and cell[0] <= z.real <= cell[1] and cell[2] <= z.imag <= cell[3]
+    search._descend(*cell, 1, 8)
+    assert len(search.zeros) == 1
+    expected = 2j * math.pi * -107 / float(a)
+    assert abs(search.zeros[0].position - expected) < 1e-9
+
+
 # ---------------------------------------------------------------------------
 # Order and hull limits
 # ---------------------------------------------------------------------------

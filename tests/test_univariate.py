@@ -2,12 +2,13 @@ from collections import Counter
 from fractions import Fraction
 
 import mpmath as mp
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quadrics.scalars import (GaussRat, coerce_scalar, gauss_sqrt, parse_scalar_string,
                               primitive_vector)
-from quadrics.univariate import (UniPoly, binary_form_roots,
+from quadrics.univariate import (UniPoly, binary_form_roots, complex_roots,
                                  roots_with_multiplicity, uni_gcd,
                                  yun_squarefree)
 
@@ -118,3 +119,127 @@ def test_primitive_vector():
     assert primitive_vector([Fraction(-1, 2), Fraction(1, 4)]) == [Fraction(2), Fraction(-1)]
     assert primitive_vector([Fraction(0), Fraction(-3), Fraction(6)]) == \
         [Fraction(0), Fraction(1), Fraction(-2)]
+
+
+# ---------------------------------------------------------------------------
+# complex_roots: companion-matrix seeds against mpmath's own start
+# ---------------------------------------------------------------------------
+
+def _default_start_roots(coeffs, prec):
+    """mp.polyroots from its fixed start, with complex_roots' settings."""
+    with mp.workprec(prec):
+        return mp.polyroots([mp.mpc(c) for c in reversed(coeffs)],
+                            maxsteps=200, extraprec=prec)
+
+
+def _assert_same_roots(got, want, prec, tol_exp=None):
+    """Equal as multisets, each root within 2^tol_exp * max(1, |z|);
+    tol_exp defaults to 4 - prec."""
+    tol = mp.mpf(2) ** (4 - prec if tol_exp is None else tol_exp)
+    assert len(got) == len(want)
+    rest = list(want)
+    with mp.workprec(prec + 20):
+        for z in got:
+            k = min(range(len(rest)), key=lambda i: abs(rest[i] - z))
+            assert abs(rest.pop(k) - z) <= tol * max(1, abs(z))
+
+
+def _product(roots):
+    """Coefficients (low to high) of the monic polynomial with these roots."""
+    p = [1]
+    for r in roots:
+        p = [(p[i - 1] if i else 0) - r * (p[i] if i < len(p) else 0)
+             for i in range(len(p) + 1)]
+    return p
+
+
+def _spy_on_polyroots(monkeypatch):
+    """Record the roots_init every mp.polyroots call receives."""
+    starts = []
+    real = mp.polyroots
+
+    def spy(*args, **kwargs):
+        starts.append(kwargs.get("roots_init"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mp, "polyroots", spy)
+    return starts
+
+
+_GAUSS_INT = st.builds(complex, st.integers(-9, 9), st.integers(-9, 9))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(_GAUSS_INT, min_size=1, max_size=12),
+       _GAUSS_INT.filter(lambda c: c != 0), st.sampled_from([53, 256, 512]))
+def test_seeded_roots_match_the_default_start(low, lead, prec):
+    """Squarefree Gaussian-integer polynomials of degree 1-12: the seeded
+    solve returns the roots mpmath's own start returns."""
+    coeffs = low + [lead]
+    exact = UniPoly([GaussRat(int(c.real), int(c.imag)) for c in coeffs])
+    assume(uni_gcd(exact, exact.derivative()).degree == 0)
+    _assert_same_roots(complex_roots(coeffs, prec),
+                       _default_start_roots(coeffs, prec), prec)
+
+
+@pytest.mark.parametrize("prec", [53, 256])
+@pytest.mark.parametrize("roots", [
+    [1, 1, 2],
+    [1 + 2j, 1 + 2j, -3],
+    [1, 1 + 2 ** -20, 1 - 2 ** -20, -2],  # dyadic: the coefficients are exact
+], ids=["double", "complex-double", "cluster"])
+def test_double_root_and_cluster(roots, prec, monkeypatch):
+    """Seeded, no ArithmeticError, and the roots of mpmath's own start, to
+    about half the working bits (as far as a double root is determined)."""
+    coeffs = _product(roots)
+    starts = _spy_on_polyroots(monkeypatch)
+    got = complex_roots(coeffs, prec)
+    assert starts[0] is not None
+    half = 4 - prec // 2
+    _assert_same_roots(got, _default_start_roots(coeffs, prec), prec, half)
+    _assert_same_roots(got, [mp.mpc(r) for r in roots], prec, half)
+
+
+@pytest.mark.parametrize("prec", [256, 512])
+def test_real_seeds_reach_a_complex_pair(prec, monkeypatch):
+    """A fiber polynomial of a near-tangential line-conic intersection: two
+    roots 3.2e-37 apart, off the real axis.  Its double copy has real
+    roots; from those seeds unchanged, the iteration stays on the real
+    axis and never converges."""
+    with mp.workprec(prec):
+        coeffs = [mp.mpf("-2799.903044449283275517954122164797305503857741"
+                         "348773789668665493568819756573434"),
+                  mp.mpf("-105.8282201390401023599360663176499157969955544"
+                         "171491809271457966740256173929191"),
+                  mp.mpf(-1)]
+    starts = _spy_on_polyroots(monkeypatch)
+    got = complex_roots(coeffs, prec)
+    assert starts[0] is not None
+    _assert_same_roots(got, _default_start_roots(coeffs, prec), prec)
+    with mp.workprec(prec):
+        assert sorted(mp.sign(mp.im(z)) for z in got) == [-1, 1]
+        assert abs(got[0] - got[1]) < mp.mpf("1e-36")
+
+
+@pytest.mark.parametrize("prec", [53, 256, 512])
+@pytest.mark.parametrize("scale", ["1e401", "1e-401"])
+def test_unusable_double_copy_uses_the_default_start(scale, prec, monkeypatch):
+    """Coefficients beyond double range: (z - 1)(z - 2) times 1e401 (every
+    entry overflows) or 1e-401 (the leading entry underflows to 0)."""
+    s = mp.mpf(scale)
+    with mp.workprec(600):  # products exact: a common factor only
+        coeffs = [c * s for c in (2, -3, 1)]
+    starts = _spy_on_polyroots(monkeypatch)
+    got = complex_roots(coeffs, prec)
+    assert starts == [None]
+    _assert_same_roots(got, [mp.mpc(1), mp.mpc(2)], prec)
+
+
+@pytest.mark.parametrize("prec", [53, 256, 512])
+def test_zero_coefficients(prec):
+    # high-order zeros are dropped; low-order zeros are roots at 0
+    _assert_same_roots(complex_roots([2, -3, 1, 0, 0], prec),
+                       [mp.mpc(1), mp.mpc(2)], prec)
+    _assert_same_roots(complex_roots([0, 0, 2, -3, 1], prec),
+                       [mp.mpc(0), mp.mpc(0), mp.mpc(1), mp.mpc(2)], prec)
+    assert complex_roots([5, 0, 0], prec) == []
