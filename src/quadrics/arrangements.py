@@ -6,7 +6,10 @@ computations.  Intersection points are located numerically (resultant
 roots with certified radii, exact shortcuts when roots are recognized),
 multiplicities come from the exact squarefree decomposition of the
 eliminating resultant after a coordinate change that puts one point per
-fiber.
+fiber.  A numeric fiber's point comes from the first subresultant,
+z0 = -s0(t)/s1(t), wherever the resultant's Yun factor is coprime to s1;
+only the other fibers, which may hold more than one point, are solved
+by the root finder.
 
 Numeric predicates are three valued: pass and fail are only ever
 certified (margin excludes zero, or exact arithmetic), everything else is
@@ -28,17 +31,17 @@ import numpy as np
 
 from .config import DEFAULT_PRECISION, PrecisionConfig, scoped
 from .linalg import det, nullspace, rank, solve
-from .polynomials import (DegenerateLeadingFormError, HomPoly,
-                          PrecisionExhaustedError, ProjPointNum, QuadricForm,
-                          ZeroPolynomialError, coerce_point,
+from .polynomials import (HomPoly, PrecisionExhaustedError, ProjPointNum,
+                          QuadricForm, ZeroPolynomialError, coerce_point,
                           gaussian_extension_eval, matrix_adjugate,
                           pencil_matrix_entry_forms, poly_from_matrix,
-                          quadric_form, resultant, vanishes_at)
+                          quadric_form, resultant, subresultant1,
+                          vanishes_at)
 from .scalars import (GaussRat, coerce_scalar, reconstruct_gauss,
                       scalar_to_complex)
-from .univariate import (UniPoly, binary_form_roots, binary_to_unipoly,
-                         complex_roots, roots_with_multiplicity, uni_gcd,
-                         yun_squarefree)
+from .univariate import (RootFindingError, UniPoly, binary_form_roots,
+                         binary_to_unipoly, complex_roots,
+                         roots_with_multiplicity, uni_gcd, yun_squarefree)
 
 
 class CommonComponentError(ValueError):
@@ -320,17 +323,6 @@ def _apply_matrix(U, vec):
     return tuple(sum(U[i][j] * vec[j] for j in range(3)) for i in range(3))
 
 
-def has_common_component(p: HomPoly, q: HomPoly) -> bool:
-    for var in range(3):
-        if p.degree_in(var) > 0 and q.degree_in(var) > 0:
-            try:
-                if resultant(p, q, var).is_zero:
-                    return True
-            except DegenerateLeadingFormError:  # pragma: no cover
-                continue
-    return False
-
-
 def common_component_witness(p: HomPoly, q: HomPoly, prec=256) -> Optional[ProjPointNum]:
     """A point lying (within certification) on both curves."""
     for lc in ((1, 1, 1), (1, 2, 3), (0, 1, 1), (1, 0, 2)):
@@ -359,6 +351,22 @@ def _fiber_points_exact(p2: HomPoly, q2: HomPoly, beta, gamma):
     if len(parts) != 1 or parts[0][0].degree != 1:
         return None
     return -parts[0][0].coeffs[0]
+
+
+def _lifted_multiplicities(rho, s1):
+    """Multiplicities of the Yun factors f of rho(t, 1) whose numeric roots
+    lift by the first subresultant.
+
+    p2 and q2 keep constant leading coefficients in z0, so at every t the
+    first subresultant specializes to (s1(t), s0(t)), and where s1(t) != 0
+    the fiber holds exactly one point, z0 = -s0(t)/s1(t).  That holds at
+    every root of f exactly when gcd(f, s1(t, 1)) = 1.
+    """
+    if s1.is_zero:
+        return set()
+    s1_t = binary_to_unipoly(s1, 1, 2)[0]
+    return {mult for f, mult in yun_squarefree(binary_to_unipoly(rho, 1, 2)[0])
+            if uni_gcd(f, s1_t).degree == 0}
 
 
 def _fiber_points_numeric(p2, q2, beta, gamma, rad, prec):
@@ -457,7 +465,10 @@ def _intersection_points(p, q, precision) -> List[IntersectionRecord]:
             changes = _coordinate_changes()
             for _ in range(12):
                 U = next(changes)
-                found = _try_intersection(p, q, U, prec, target)
+                try:
+                    found = _try_intersection(p, q, U, prec, target)
+                except RootFindingError:
+                    found = None  # a failed solve ends this change too
                 if found is not None:
                     recs = [IntersectionRecord(pt, mult, _tangential(p, q, pt, mult))
                             for pt, mult in found]
@@ -470,6 +481,13 @@ def _intersection_points(p, q, precision) -> List[IntersectionRecord]:
 def _try_intersection(p, q, U, prec, target):
     """(point, multiplicity) pairs after the change U; None to try the
     next change.
+
+    Each root t of the resultant Res_{z0} gives a fiber: exact roots are
+    solved exactly, numeric ones of a Yun factor coprime to the first
+    subresultant lift to z0 = -s0(t)/s1(t), and the rest go through
+    _fiber_points_numeric; each point is then polished by Newton.  A fiber
+    with more than one point, a wrong Bezout sum or two equal points
+    rejects the change.
 
     Raises CommonComponentError when the curves share a component: once
     both curves keep their full degree in z0, their leading coefficients
@@ -484,11 +502,15 @@ def _try_intersection(p, q, U, prec, target):
     rho = resultant(p2, q2, 0)
     if rho.is_zero:
         raise CommonComponentError()
+    s1, s0 = subresultant1(p2, q2, 0)
+    lifted = _lifted_multiplicities(rho, s1)
     roots = binary_form_roots(rho, 1, 2, prec)
     found: List[Tuple[ProjPointNum, int]] = []
     for hi, lo, mult, exact, rad in roots:
         if exact is not None:
             z0 = _fiber_points_exact(p2, q2, *exact)
+        elif mult in lifted:
+            z0 = -s0.eval_mpc((0, hi, lo)) / s1.eval_mpc((0, hi, lo))
         else:
             z0 = _fiber_points_numeric(p2, q2, hi, lo, rad, prec)
         if z0 is None:
@@ -1381,13 +1403,6 @@ def composite_morphism(p1: HomPoly, p2: HomPoly, p3: HomPoly,
         if on is None:
             certified = False
     return MorphismDescriptor(comps, tuple(powers), degs.pop(), True, certified)
-
-
-def morphism_powers(d1: int, d2: int, d3: int) -> Tuple[int, int, int]:
-    """Smallest powers equalizing the degrees (least common multiple rule)."""
-    import math
-    L = math.lcm(d1, d2, d3)
-    return (L // d1, L // d2, L // d3)
 
 
 def cor31_hypothesis_check(cfg: Configuration,

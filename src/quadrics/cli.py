@@ -44,6 +44,7 @@ from .polynomials import (HomPoly, NotHomogeneousError, PolySyntaxError,
                           PrecisionExhaustedError, parse_poly)
 from .scalars import parse_scalar_string
 from .squares import square_combination
+from .univariate import RootFindingError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -124,7 +125,8 @@ PARSE_ERRORS = (OSError, json.JSONDecodeError, PolySyntaxError,
 # raised while computing is a defect and propagates.
 RUN_ERRORS = (
     (NotGeneralPositionError, EXIT_PARSE, lambda exc: f"parse error: {exc}"),
-    ((ZeroOnContourError, QuadratureFailureError, PrecisionExhaustedError),
+    ((ZeroOnContourError, QuadratureFailureError, PrecisionExhaustedError,
+      RootFindingError),
      EXIT_UNDECIDED,
      lambda exc: f"undecided: {type(exc).__name__}: {exc}"),
     ((DivisorContainsCurveError, DegenerateCurveError), EXIT_DEGENERATE, str),

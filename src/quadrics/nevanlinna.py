@@ -326,11 +326,6 @@ class ExpCurve:
             out = out + t
         return out
 
-    def scale_by_common(self, q_coeffs) -> "ExpCurve":
-        """Multiply every component by e^{Q}: the same projective curve."""
-        q = ExpSum.exponential([coerce_scalar(c) for c in q_coeffs])
-        return ExpCurve([c * q for c in self.components], self.order_bound)
-
 
 # ---------------------------------------------------------------------------
 # Characteristic function

@@ -19,6 +19,7 @@ accepted as strict extensions; everything the grammar produces parses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -677,28 +678,45 @@ def pencil_matrix_entry_forms(q1: HomPoly, q2: HomPoly, q3: HomPoly | None = Non
 # Sylvester resultant with Bareiss elimination
 # ---------------------------------------------------------------------------
 
-def _bareiss_det(M: List[List[HomPoly]]) -> HomPoly:
-    n = len(M)
-    if n == 0:
-        return HomPoly.constant(1)
+def _bareiss_last_row(M: List[List[HomPoly]]) -> List[HomPoly]:
+    """Fraction-free (Bareiss) elimination of an n x w matrix, n <= w.
+
+    Entry j of the result is the determinant of the first n-1 columns
+    together with column n-1+j (Sylvester's identity), so a square matrix
+    gives [det].
+    """
+    n, w = len(M), len(M[0])
     A = [row[:] for row in M]
     prev = HomPoly.constant(1)
     sign = 1
     for k in range(n - 1):
         if A[k][k].is_zero:
             swap = next((r for r in range(k + 1, n) if not A[r][k].is_zero), None)
-            if swap is None:
-                return HomPoly.zero()
+            if swap is None:  # columns 0..k are dependent
+                return [HomPoly.zero()] * (w - n + 1)
             A[k], A[swap] = A[swap], A[k]
             sign = -sign
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
+            for j in range(k + 1, w):
                 num = A[i][j] * A[k][k] - A[i][k] * A[k][j]
                 A[i][j] = num.exact_div(prev) if not num.is_zero else HomPoly.zero()
             A[i][k] = HomPoly.zero()
         prev = A[k][k]
-    det = A[n - 1][n - 1]
-    return -det if sign < 0 else det
+    return [-d if sign < 0 else d for d in A[n - 1][n - 1:]]
+
+
+def _sylvester_rows(pc, qc, p_rows: int, q_rows: int) -> List[List[HomPoly]]:
+    """``p_rows`` shifted rows of p above ``q_rows`` of q, coefficients
+    (``coeffs_in`` order, lowest power first) laid out highest power first."""
+    width = len(pc) - 1 + p_rows
+    rows: List[List[HomPoly]] = []
+    for cs, count in ((pc, p_rows), (qc, q_rows)):
+        for r in range(count):
+            row = [HomPoly.zero()] * width
+            for k, c in enumerate(reversed(cs)):
+                row[r + k] = c
+            rows.append(row)
+    return rows
 
 
 def resultant(p: HomPoly, q: HomPoly, var: int) -> HomPoly:
@@ -719,21 +737,37 @@ def resultant(p: HomPoly, q: HomPoly, var: int) -> HomPoly:
         return p ** n
     if n == 0:
         return q ** m
-    pc = p.coeffs_in(var)
-    qc = q.coeffs_in(var)
-    size = m + n
-    rows: List[List[HomPoly]] = []
-    for r in range(n):
-        row = [HomPoly.zero()] * size
-        for k, c in enumerate(reversed(pc)):  # highest power first
-            row[r + k] = c
-        rows.append(row)
-    for r in range(m):
-        row = [HomPoly.zero()] * size
-        for k, c in enumerate(reversed(qc)):
-            row[r + k] = c
-        rows.append(row)
-    return _bareiss_det(rows)
+    return _bareiss_last_row(
+        _sylvester_rows(p.coeffs_in(var), q.coeffs_in(var), n, m))[0]
+
+
+def subresultant1(p: HomPoly, q: HomPoly, var: int) -> Tuple[HomPoly, HomPoly]:
+    """First subresultant s1 * var + s0 of p and q, as (s1, s0), forms in
+    the other two variables.
+
+    Where p's and q's leading coefficients in ``var`` do not vanish, the
+    resultant does and s1 does not, the two share exactly one root in
+    ``var``, -s0/s1 (Collins 1967, "Subresultants and reduced polynomial
+    remainder sequences", J. ACM 14).  The Sylvester matrix of the degree-1
+    subresultant has n-1 shifted rows of p and m-1 of q (m, n their
+    degrees in ``var``); s1 is the determinant of its first m+n-2 columns,
+    s0 that of the same columns with the constant column in place of the
+    last.  When min(m, n) = 1 the linear input itself is the subresultant
+    (up to a constant factor).
+    """
+    if p.is_zero or q.is_zero:
+        raise ZeroPolynomialError("subresultant of zero polynomial")
+    m = p.degree_in(var)
+    n = q.degree_in(var)
+    if min(m, n) < 1:
+        raise DegenerateLeadingFormError(
+            f"both inputs must depend on {VAR_NAMES[var]}")
+    if min(m, n) == 1:
+        s0, s1 = (p if m == 1 else q).coeffs_in(var)
+        return s1, s0
+    s1, s0 = _bareiss_last_row(
+        _sylvester_rows(p.coeffs_in(var), q.coeffs_in(var), n - 1, m - 1))
+    return s1, s0
 
 
 # ---------------------------------------------------------------------------
@@ -789,6 +823,8 @@ class ProjPointNum:
     def same_point(self, other: "ProjPointNum", tol=None) -> bool:
         if self.exact is not None and other.exact is not None:
             return self.exact == other.exact
+        if _double_distance_exceeds(self, other, tol):
+            return False
         if tol is None:
             # uncertified: the 1e-25 floor decides equality of exact-radius points
             tol = max(self.radius, other.radius, mp.mpf("1e-25")) * 8
@@ -804,6 +840,54 @@ class ProjPointNum:
         if self.exact is not None:
             return "[" + ":".join(format_scalar(c) for c in self.exact) + "]"
         return "[" + ":".join(mp.nstr(c, 8) for c in self.coords) + "]"
+
+
+# Double-precision filter in front of same_point, in the manner of
+# arrangements._double_filter_exceeds: it answers only "distance > tol",
+# and only where mpmath's test certainly answers the same.  distance()
+# aligns both points on the phase of a's dominant coordinate j and takes
+# max_i |a_i/fa - b_i/fb|; every coordinate has modulus <= 1 (up to one
+# rounding), since the constructor divides by the sup.  For a fixed j:
+# - doubles (u = 2^-53): a coordinate's conversion errs by <= u of its
+#   modulus; the phase fa = a_j/|a_j| (hypot and two real divisions, with
+#   |a_j| >= 1/2 and |b_j| > 2^-500) errs by < 6u; each quotient
+#   a_i/fa adds < 4u, the difference and abs() < 3u, so each term, and so
+#   the max, is within 2 * (1 + 6 + 4)u + 3u = 25u < 2^-48 of its exact
+#   value on the stored entries;
+# - mpmath at p >= 53 bits rounds the same steps with 2^-p for u, and so
+#   is within 2^-48 as well;
+# - mpmath's j maximizes |a_i| at p bits, so its double modulus is within
+#   a relative 2^-50 of the largest: it is among the candidates below,
+#   whose smallest double distance is then at most d_mp + 2^-47;
+# - tol in doubles (float(), max, 8*) errs by a relative < 2^-51 and
+#   mpmath's by < 2^-52; the factor (1 + 2^-40) covers both, the absolute
+#   2^-40 the 2^-47 above and any underflow (2^-1074 per entry).
+# An exact zero b_j, which makes distance() return 2, or one below 2^-500
+# is left to mpmath.
+_SAME_POINT_MARGIN = 2.0 ** -40
+
+
+def _double_distance_exceeds(a: ProjPointNum, b: ProjPointNum, tol) -> bool:
+    """Is a.distance(b), evaluated in doubles, certainly above ``tol``
+    (same_point's default when None) at the current precision?"""
+    if mp.mp.prec < 53:
+        return False
+    if tol is None:
+        tol = 8.0 * max(float(a.radius), float(b.radius), 1e-25)
+    xs = [complex(c) for c in a.coords]
+    ys = [complex(c) for c in b.coords]
+    mags = [abs(x) for x in xs]
+    top = max(mags)
+    nearest = math.inf
+    for j, mag in enumerate(mags):
+        if mag < top * (1.0 - _SAME_POINT_MARGIN):
+            continue
+        mag_b = abs(ys[j])
+        if not mag_b > 2.0 ** -500:
+            return False
+        fa, fb = xs[j] / mag, ys[j] / mag_b
+        nearest = min(nearest, max(abs(x / fa - y / fb) for x, y in zip(xs, ys)))
+    return nearest > float(tol) * (1.0 + _SAME_POINT_MARGIN) + _SAME_POINT_MARGIN
 
 
 def coerce_point(pt) -> ProjPointNum:

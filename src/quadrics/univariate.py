@@ -200,6 +200,10 @@ def exact_roots_small(p: UniPoly) -> Optional[List[Scalar]]:
     return None
 
 
+class RootFindingError(ArithmeticError):
+    """Durand-Kerner did not converge within its step limit."""
+
+
 def complex_roots(coeffs: Sequence, prec: int) -> List[mp.mpc]:
     """Roots of a polynomial with complex coefficients (low to high) at
     working precision ``prec``, without radii; trailing zero coefficients
@@ -210,7 +214,8 @@ def complex_roots(coeffs: Sequence, prec: int) -> List[mp.mpc]:
     the polynomial (``numpy.roots``), each moved by a distinct relative
     2^-40, and from mpmath's fixed start only when that copy is unusable:
     its leading entry underflowed to 0, an entry overflowed (LAPACK
-    refuses it), or a seed is not finite."""
+    refuses it), or a seed is not finite.  Raises RootFindingError when
+    the iteration does not converge."""
     cs = list(coeffs)
     while cs and abs(cs[-1]) == 0:
         cs.pop()
@@ -237,8 +242,8 @@ def complex_roots(coeffs: Sequence, prec: int) -> List[mp.mpc]:
         try:
             roots = mp.polyroots([mp.mpc(c) for c in reversed(cs)], maxsteps=200,
                                  extraprec=prec, roots_init=seeds)
-        except mp.libmp.libhyper.NoConvergence as exc:  # pragma: no cover
-            raise ArithmeticError(f"root finding did not converge: {exc}")
+        except mp.libmp.libhyper.NoConvergence as exc:
+            raise RootFindingError(f"root finding did not converge: {exc}")
         return [mp.mpc(r) for r in roots]
 
 

@@ -15,8 +15,8 @@ import numpy as np
 
 from quadrics.arrangements import (Configuration, build_line_system,
                                    genericity_check_s4, genericity_check_s6,
-                                   has_common_component, intersection_points,
-                                   lines_distinct, select_general_position)
+                                   intersection_points, lines_distinct,
+                                   select_general_position)
 from quadrics.nevanlinna import (ExpCurve, GrowthSample, characteristic,
                                  counting, defect_estimate,
                                  functoriality_check, main_theorem_check,
@@ -24,6 +24,8 @@ from quadrics.nevanlinna import (ExpCurve, GrowthSample, characteristic,
 from quadrics.polynomials import HomPoly, ProjPointNum, parse_poly
 from quadrics.squares import (b4_solve, example_verify, expand_S, generate_R,
                               square_combination)
+
+from exact_reference import has_common_component
 
 QUAD_BASIS = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
 

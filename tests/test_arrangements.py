@@ -18,13 +18,15 @@ from quadrics.arrangements import (CommonComponentError, Configuration,
                                    contact_obstruction_check,
                                    cor31_hypothesis_check, genericity_check_s4,
                                    genericity_check_s6, intersection_points,
-                                   lines_distinct, morphism_powers,
+                                   lines_distinct,
                                    pencil_membership, pencil_rank1_members,
                                    select_general_position, tangent_line,
                                    tangent_line_numeric, NotExactPointError,
                                    SingularPointError, InfinitelyManySolutionsError)
 from quadrics.config import DEFAULT_PRECISION
 from quadrics.polynomials import HomPoly, ProjPointNum, parse_poly
+
+from exact_reference import has_common_component
 
 P1 = parse_poly("z0^2 - z1*z2")
 P2 = parse_poly("z1^2 - z0*z2")
@@ -89,7 +91,6 @@ def test_bezout_on_random_pairs():
         q = HomPoly({e: rng.randint(-6, 6) for e in basis})
         if p.degree != 2 or q.degree != 2:
             continue
-        from quadrics.arrangements import has_common_component
         if has_common_component(p, q):
             continue
         recs = intersection_points(p, q)
@@ -120,7 +121,6 @@ def test_common_component_agrees_with_reference(d1, d2):
     """intersection_points reads a shared component off its own
     elimination resultant; has_common_component is the reference.  Half
     of the seeded pairs are built with a common linear factor."""
-    from quadrics.arrangements import has_common_component
     rng = random.Random(611 * d1 + d2)
     shared = 0
     for k in range(8):
@@ -144,17 +144,60 @@ def test_common_component_agrees_with_reference(d1, d2):
     ("z1", "z2^2 - z0*z1", False),
 ])
 def test_common_component_on_constructed_pairs(p, q, expected):
-    from quadrics.arrangements import has_common_component
     p, q = parse_poly(p), parse_poly(q)
     assert has_common_component(p, q) == expected
     assert _raises_common_component(p, q) == expected
 
 
+# Records at the identity change (30 digits, multiplicity, tangential
+# flag) as the numeric fiber path gives them when it solves every fiber.
+_ROOT2 = "0.707106781186547524400844362105"
+FALLBACK_CASES = [
+    # two conics tangent at (0 : +-sqrt 2 : 1) along lines through
+    # (1:0:0): s1 = 0, so no factor lifts
+    ("z0^2 - z1^2 + 2*z2^2", "z0^2 - 3*z1^2 + 6*z2^2", set(),
+     [(("0.0", "1.0", "-" + _ROOT2), 2, True), (("0.0", "1.0", _ROOT2), 2, True)]),
+    # a cubic through the same tangency points and two transversal ones:
+    # the simple factor lifts, the double one takes the numeric path
+    ("z0^3 + z0^2*z2 + (z1^2 - 2*z2^2)*(2*z0 + z2)", "z0^2 - z1^2 + 2*z2^2", {1},
+     [(("0.0", "1.0", "-" + _ROOT2), 2, True), (("0.0", "1.0", _ROOT2), 2, True),
+      (("0.426401432711220868596875464868", "-1.0", "-0.639602149066831302895313197302"), 1, False),
+      (("0.426401432711220868596875464868", "1.0", "-0.639602149066831302895313197302"), 1, False)]),
+]
+
+
+@pytest.mark.parametrize("p, q, lifted, expected", FALLBACK_CASES)
+def test_fiber_lift_falls_back_where_s1_shares_a_root(monkeypatch, p, q, lifted, expected):
+    """A Yun factor of the resultant that shares a root with s1 keeps the
+    numeric fiber path, and the records equal those of that path alone."""
+    import quadrics.arrangements as arr
+    from quadrics.polynomials import resultant, subresultant1
+
+    identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    monkeypatch.setattr(arr, "_coordinate_changes", lambda: itertools.repeat(identity))
+    fallback = []
+    numeric = arr._fiber_points_numeric
+
+    def spy(*args):
+        fallback.append(args)
+        return numeric(*args)
+
+    monkeypatch.setattr(arr, "_fiber_points_numeric", spy)
+    p, q = parse_poly(p), parse_poly(q)
+    assert arr._lifted_multiplicities(resultant(p, q, 0), subresultant1(p, q, 0)[0]) == lifted
+    recs = intersection_points(p, q)
+    got = [(tuple(x.split(" + ")[0].strip("(") for x in r.point.to_decimal_strings(30)),
+            r.multiplicity, r.tangential) for r in recs]
+    assert got == expected
+    # only the double factor t^2 - 2 reaches the numeric fiber path
+    assert fallback
+    assert all(abs(beta ** 2 - 2) < 1e-20 for _, _, beta, _, _, _ in fallback)
+    for r in recs:  # every coordinate is real
+        assert all(x.endswith(" + 0.0j)") for x in r.point.to_decimal_strings(30))
+
+
 def test_intersection_needs_one_resultant_per_change(monkeypatch):
     import quadrics.arrangements as arr
-
-    def refuse(*args):
-        raise AssertionError("has_common_component is a reference only")
 
     calls = []
     resultant = arr.resultant
@@ -163,7 +206,6 @@ def test_intersection_needs_one_resultant_per_change(monkeypatch):
         calls.append(args)
         return resultant(*args)
 
-    monkeypatch.setattr(arr, "has_common_component", refuse)
     monkeypatch.setattr(arr, "resultant", counted)
     assert len(intersection_points(P1, P3)) == 4
     assert len(calls) == 1  # the identity change is admissible for this pair
@@ -455,9 +497,7 @@ def test_composite_morphism_example(example_net):
     assert md.is_morphism
 
 
-def test_morphism_powers_lcm():
-    assert morphism_powers(1, 2, 2) == (2, 1, 1)
-    assert morphism_powers(2, 3, 1) == (3, 2, 6)
+def test_composite_morphism_degree_mismatch():
     from quadrics.arrangements import DegreeMismatchError
     with pytest.raises(DegreeMismatchError):
         composite_morphism(parse_poly("z0"), parse_poly("z1^2"), parse_poly("z2^2"), (1, 1, 1))

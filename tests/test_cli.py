@@ -435,6 +435,37 @@ def test_precision_exhausted_exits_undecided(tmp_path, monkeypatch, capsys, subc
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_failed_root_solve_exits_undecided(tmp_path, monkeypatch, capsys):
+    """A Durand-Kerner solve that does not converge ends its coordinate
+    change; when every change fails, check-config is undecided (exit 3)
+    and its report is still valid.  Elsewhere the same error is exit 3."""
+    import jsonschema
+    from pathlib import Path
+    import quadrics.arrangements as ar
+    import quadrics.univariate as uv
+
+    def fail(*args, **kwargs):
+        raise uv.RootFindingError("injected failure")
+
+    monkeypatch.setattr(uv, "complex_roots", fail)
+    monkeypatch.setattr(ar, "complex_roots", fail)
+    cfg = _write(tmp_path, "cfg.json", TRIPLE_CONFIG)
+    code, doc = _run(["--precision-bits", "256", "--precision-cap", "512", "check-config", cfg],
+                     tmp_path)
+    assert code == 3
+    assert doc["report"]["error"].startswith(
+        "undecided: PrecisionExhaustedError: no admissible coordinate change")
+    schema = json.loads((Path(quadrics.__file__).parent / "report_schema.json").read_text())
+    jsonschema.validate(doc, schema)
+    # a failed solve outside an intersection is undecided too
+    monkeypatch.setattr("quadrics.cli.square_combination", fail)
+    code, doc = _run(["square", cfg], tmp_path, "square.json")
+    assert code == 3
+    assert doc["report"]["error"] == "undecided: RootFindingError: injected failure"
+    jsonschema.validate(doc, schema)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_nevanlinna_searches_zeros_once_per_divisor(tmp_path, monkeypatch):
     import quadrics.nevanlinna as nv
 

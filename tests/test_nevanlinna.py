@@ -51,7 +51,8 @@ def test_characteristic_monotone():
 
 def test_characteristic_scale_invariance():
     """Multiplying every component by e^Q leaves T unchanged."""
-    shifted = EXP_LINE.scale_by_common([Fraction(2), Fraction(-1, 3), Fraction(1, 7)])
+    common = ExpSum.exponential([Fraction(2), Fraction(-1, 3), Fraction(1, 7)])
+    shifted = ExpCurve([c * common for c in EXP_LINE.components], EXP_LINE.order_bound)
     for r in (5.0, 25.0):
         t0, e0 = characteristic(EXP_LINE, r)
         t1, e1 = characteristic(shifted, r)

@@ -3,14 +3,15 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quadrics.polynomials import (DegenerateLeadingFormError, HomPoly,
                                   NotHomogeneousError, PolySyntaxError,
                                   ProjPointNum, ZeroPolynomialError,
                                   gaussian_extension_eval, parse_poly,
-                                  quadric_form, resultant, vanishes_at)
+                                  quadric_form, resultant, subresultant1,
+                                  vanishes_at)
 from quadrics.scalars import GaussRat
 
 z0, z1, z2 = (HomPoly.variable(i) for i in range(3))
@@ -116,6 +117,63 @@ def test_resultant_matches_independent_implementation():
         theirs = sympy.expand(sympy.resultant(sp, sq, x))
         mine_sympy = sum(c * y ** e[1] * z ** e[2] for e, c in mine.terms.items())
         assert sympy.expand(mine_sympy - theirs) == 0
+
+
+def _sympy_form(p, xs):
+    return sum(c * xs[0] ** e[0] * xs[1] ** e[1] * xs[2] ** e[2] for e, c in p.terms.items())
+
+
+def _random_form_through(rng, d, pt):
+    """A random form of degree d in z0 alone as well, through pt if given."""
+    while True:
+        p = HomPoly({e: rng.randint(-3, 3) for e in _exponents(d)})
+        if pt is not None and not p.is_zero:
+            p = p - HomPoly.monomial((0, 0, d), p.eval_exact(pt))
+        if p.degree == d and p.degree_in(0) == d:
+            return p
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       degrees=st.sampled_from([(1, 2), (2, 1), (2, 2), (3, 2), (2, 3), (3, 3), (4, 3)]))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_subresultant1_matches_sympy(seed, degrees):
+    """(s1, s0) is proportional to the degree-1 member of sympy's
+    subresultant sequence, and at every rational root of the resultant
+    where s1 does not vanish, -s0/s1 is the exact fiber point.  Three in
+    four pairs pass through a common point (a, b, 1), so t = b is such a
+    root."""
+    import sympy
+    from quadrics.arrangements import _fiber_points_exact
+    from quadrics.univariate import binary_form_roots
+
+    rng = random.Random(seed)
+    pt = (rng.randint(-3, 3), rng.randint(-3, 3), 1) if rng.random() < 0.75 else None
+    p, q = (_random_form_through(rng, d, pt) for d in degrees)
+    s1, s0 = subresultant1(p, q, 0)
+    xs = sympy.symbols("z0 z1 z2")
+    high, low = sorted((_sympy_form(p, xs), _sympy_form(q, xs)),
+                       key=lambda f: -sympy.degree(f, xs[0]))
+    linear = [m for m in sympy.subresultants(high, low, xs[0])
+              if sympy.degree(m, xs[0]) == 1]
+    assume(linear)
+    a, b = sympy.Poly(linear[0], xs[0]).all_coeffs()
+    assert not s1.is_zero
+    assert sympy.expand(_sympy_form(s1, xs) * b - _sympy_form(s0, xs) * a) == 0
+    rational = [exact for _, _, _, exact, _ in binary_form_roots(resultant(p, q, 0), 1, 2, 64)
+                if exact is not None]
+    assert pt is None or (pt[1], 1) in rational
+    for exact in rational:
+        at = (0,) + exact
+        if s1.eval_exact(at) != 0:
+            assert _fiber_points_exact(p, q, *exact) == -s0.eval_exact(at) / s1.eval_exact(at)
+
+
+def test_subresultant1_of_a_linear_input_is_that_input():
+    line, conic = parse_poly("2*z0 - z1 + 3*z2"), parse_poly("z0^2 - z1*z2")
+    assert subresultant1(line, conic, 0) == (parse_poly("2"), parse_poly("-z1 + 3*z2"))
+    assert subresultant1(conic, line, 0) == (parse_poly("2"), parse_poly("-z1 + 3*z2"))
+    with pytest.raises(DegenerateLeadingFormError):
+        subresultant1(parse_poly("z1"), conic, 0)
 
 
 def test_resultant_degenerate_leading_form():
@@ -325,3 +383,66 @@ def test_intersection_over_gaussian_rationals():
     exact = {tuple(r.point.exact) for r in recs if r.point.is_exact()}
     assert (Fraction(1), GaussRat(0, -1), Fraction(-1)) in exact or \
            (Fraction(1), GaussRat(0, 1), Fraction(-1)) in exact
+
+
+# ---------------------------------------------------------------------------
+# same_point's double-precision filter
+# ---------------------------------------------------------------------------
+
+def _point_pair(rng):
+    """A random point and a second one: the same point under another
+    representative, moved by 1e-5 ... 1e-60 or not at all, or a generic
+    point; coordinates of equal modulus now and then (the tie case of
+    distance's dominant coordinate); radii 0 or 1e-61 ... 1e-4, half of
+    the time near the shift."""
+    def cplx():
+        return mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+    coords = [cplx() for _ in range(3)]
+    if rng.random() < 0.3:
+        i, j = rng.sample(range(3), 2)
+        coords[j] = coords[i] * mp.expjpi(rng.uniform(-1, 1))
+    phase = mp.expjpi(rng.uniform(-1, 1)) * rng.uniform(0.5, 2)
+    k = rng.randint(5, 60)
+    shift = mp.mpf(10) ** -k if rng.random() < 0.8 else 0
+    other = ([c * phase + shift * cplx() for c in coords] if rng.random() < 0.8
+             else [cplx() for _ in range(3)])
+
+    def radius():  # half of the time near the shift
+        if rng.random() < 0.3:
+            return 0
+        e = k + rng.randint(-1, 1) if rng.random() < 0.5 else rng.randint(5, 60)
+        return mp.mpf(10) ** -e * rng.uniform(0.1, 1)
+
+    return ProjPointNum(coords, radius()), ProjPointNum(other, radius())
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), bits=st.sampled_from([53, 256, 512]))
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_same_point_filter_never_changes_an_answer(seed, bits):
+    """Where the double filter answers, mpmath's distance is above tol."""
+    from quadrics.polynomials import _double_distance_exceeds
+    rng = random.Random(seed)
+    with mp.workprec(bits):
+        a, b = _point_pair(rng)
+        tol = None if rng.random() < 0.7 else mp.mpf(10) ** -rng.randint(3, 40)
+        if _double_distance_exceeds(a, b, tol):
+            if tol is None:
+                tol = max(a.radius, b.radius, mp.mpf("1e-25")) * 8
+            assert a.distance(b) > tol
+            assert not a.same_point(b, tol)
+
+
+def test_same_point_filter_settles_distinct_points():
+    from quadrics.polynomials import _double_distance_exceeds
+    rng = random.Random(7)
+    with mp.workprec(256):
+        for _ in range(50):
+            a, b = (ProjPointNum([mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                                  for _ in range(3)], mp.mpf(10) ** -30) for _ in range(2))
+            assert _double_distance_exceeds(a, b, None)
+        # another representative of a, moved by far less than 2^-40, is
+        # left to mpmath
+        near = ProjPointNum([c * mp.mpc(0, 3) + mp.mpf(10) ** -20 for c in a.coords])
+        assert not _double_distance_exceeds(a, near, None)
+        assert near.same_point(a, mp.mpf(10) ** -15)

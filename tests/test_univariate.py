@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from quadrics.scalars import (GaussRat, coerce_scalar, gauss_sqrt, parse_scalar_string,
                               primitive_vector)
-from quadrics.univariate import (UniPoly, binary_form_roots, complex_roots,
-                                 roots_with_multiplicity, uni_gcd,
-                                 yun_squarefree)
+from quadrics.univariate import (RootFindingError, UniPoly, binary_form_roots,
+                                 complex_roots, roots_with_multiplicity,
+                                 uni_gcd, yun_squarefree)
 
 
 def test_unipoly_divmod_and_gcd():
@@ -243,3 +243,12 @@ def test_zero_coefficients(prec):
     _assert_same_roots(complex_roots([0, 0, 2, -3, 1], prec),
                        [mp.mpc(0), mp.mpc(0), mp.mpc(1), mp.mpc(2)], prec)
     assert complex_roots([5, 0, 0], prec) == []
+
+
+def test_failed_solve_raises_root_finding_error():
+    """(z^2 - 2)^2 does not converge from seeds at 384 bits; the error is
+    an ArithmeticError of its own type, which the intersection code reads
+    as a failed coordinate change."""
+    with pytest.raises(RootFindingError, match="did not converge"):
+        complex_roots([4, 0, -4, 0, 1], 384)
+    assert issubclass(RootFindingError, ArithmeticError)
