@@ -110,6 +110,14 @@ def _sup(vec):
     return max(abs(c) for c in vec)
 
 
+def _phase_index(vec) -> int:
+    """The coordinate a numeric line's representative scales to modulus 1:
+    the first whose modulus is within a relative 2^-40 of the largest, so
+    that rounding-level changes never switch between tied coordinates."""
+    top = _sup(vec) * (1 - 2.0 ** -40)
+    return next(i for i, c in enumerate(vec) if abs(c) >= top)
+
+
 def _cross(a, b):
     return (a[1] * b[2] - a[2] * b[1],
             a[2] * b[0] - a[0] * b[2],
@@ -151,7 +159,7 @@ class NumLine:
         s = _sup(v)
         if s == 0:
             raise ValueError("coincident points do not span a line")
-        j = max(range(3), key=lambda i: abs(v[i]))
+        j = _phase_index(v)
         phase = v[j] / abs(v[j])
         v = tuple(c / (s * phase) for c in v)
         return NumLine(v, raw_rad / s)
@@ -551,8 +559,12 @@ def _try_exact_recovery(p, q, coords):
 
 
 def _record_sort_key(rec: IntersectionRecord):
-    c = rec.point.coords
-    return tuple(x for cc in c for x in (float(mp.re(cc)), float(mp.im(cc))))
+    """Real and imaginary parts of each coordinate in turn; a part within
+    the point's radius of zero counts as zero, so the sign of a
+    rounding-level imaginary part never orders a conjugate pair."""
+    pt = rec.point
+    return tuple(0.0 if abs(x) <= pt.radius else float(x)
+                 for cc in pt.coords for x in (mp.re(cc), mp.im(cc)))
 
 
 def _tangential(p, q, point, multiplicity):
@@ -603,20 +615,17 @@ def tangent_line_numeric(p: HomPoly, pt) -> NumLine:
         sum(abs(scalar_to_complex(c)) for c in p.derivative(i).derivative(j).terms.values())
         for i in range(3) for j in range(3))
     rad = (point.radius * hess_mass * 3 + mp.mpf(2) ** (8 - mp.mp.prec)) / s
-    j = max(range(3), key=lambda i: abs(grad[i]))
+    j = _phase_index(grad)
     phase = grad[j] / abs(grad[j])
     return NumLine(tuple(g / (s * phase) for g in grad), rad)
 
 
 def tangent_to_conic(line: NumLine, q: HomPoly):
-    """Is the line tangent to the smooth conic? (dual-form test)."""
+    """Is the line tangent to the smooth conic?  The line is a point of
+    the dual plane, on the dual conic exactly when it is tangent."""
     dual = poly_from_matrix(quadric_form(q).adjugate())
-    if line.exact is not None:
-        return dual.eval_exact(line.exact.linear_coeffs()) == 0
-    v = dual.eval_mpc(line.vec)
-    err = line.radius * 50 + mp.mpf(2) ** (8 - mp.mp.prec)
-    s = _certified_sign(abs(v), err)
-    return None if s is None else (s == 0)
+    exact = line.exact.linear_coeffs() if line.exact is not None else None
+    return vanishes_at(dual, ProjPointNum(line.vec, line.radius, exact=exact))
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,7 @@ def _poly_key(p: UniPoly):
 class ExpSum:
     """Finite sum of c_m(xi) * exp(Q_m(xi)) with exact polynomial data."""
 
-    __slots__ = ("terms", "_py_cache", "_np_cache")
+    __slots__ = ("terms", "_py_cache")
 
     def __init__(self, terms: Sequence[Tuple[UniPoly, UniPoly]]):
         combined: Dict[tuple, UniPoly] = {}
@@ -94,7 +94,6 @@ class ExpSum:
         self.terms = tuple(
             (combined[k], UniPoly(list(k))) for k in order if not combined[k].is_zero)
         self._py_cache = None
-        self._np_cache = None
 
     @staticmethod
     def constant(c) -> "ExpSum":
@@ -142,86 +141,65 @@ class ExpSum:
 
     # -- numeric evaluation -------------------------------------------------
 
-    def _py_data(self):
-        """Per term, the coefficient and exponent polynomials as tuples of
-        Python complex numbers, highest power first (Horner order)."""
+    def _scaled(self, xi):
+        """The value at xi as e^M * h, M the largest real part of an exponent.
+
+        The one evaluator of the sum: xi is a Python complex or an ndarray,
+        and the same Horner loops over the cached Python coefficients run
+        on either, so a single point never becomes a 1-point array.
+        Factoring out e^M keeps h of moderate size where the value itself
+        would overflow.  The empty sum gives M = -inf and h = 0.
+        """
         if self._py_cache is None:
-            def conv(p):
+            def conv(p):  # highest power first, for Horner
                 return tuple(complex(scalar_to_complex(c)) for c in reversed(p.coeffs))
             self._py_cache = tuple((conv(cp), conv(ep)) for cp, ep in self.terms)
-        return self._py_cache
-
-    def _np_data(self):
-        if self._np_cache is None:
-            py = self._py_data()
-            coeffs = [np.array(c or [0j]) for c, _ in py]
-            expos = [np.array(e or [0j]) for _, e in py]
-            self._np_cache = (coeffs, expos)
-        return self._np_cache
-
-    def _term_values(self, xi: complex) -> List[Tuple[complex, complex]]:
-        """(coefficient value, exponent value) of each term at one point."""
-        out = []
-        for cs, es in self._py_data():
-            q = complex(0)
+        vals = []
+        for cs, es in self._py_cache:
+            q = 0j
             for c in es:
                 q = q * xi + c
-            cv = complex(0)
+            v = 0j
             for c in cs:
-                cv = cv * xi + c
-            out.append((cv, q))
-        return out
+                v = v * xi + c
+            vals.append((v, q))
+        M = -math.inf
+        for _, q in vals:
+            M = np.maximum(M, q.real)
+        # left to right from the first term; 0j * xi gives the empty sum
+        # the shape of xi
+        parts = [v * np.exp(q - M) for v, q in vals] or [0j * xi]
+        return M, sum(parts[1:], parts[0])
 
     def logeval(self, xi):
         """log|value| and phase on a 1-d array of points.
 
-        The dominant real exponent is factored out, so the residual sum
-        has moderate magnitude; its angle is the full phase modulo 2*pi.
         okmask is False where the value underflows to zero.
         """
-        xi = np.atleast_1d(np.asarray(xi, dtype=complex))
-        coeffs, expos = self._np_data()
-        Q = np.stack([np.polyval(e, xi) for e in expos])
-        C = np.stack([np.polyval(c, xi) for c in coeffs])
-        M = np.max(Q.real, axis=0)
-        h = np.sum(C * np.exp(Q - M), axis=0)
+        M, h = self._scaled(np.atleast_1d(np.asarray(xi, dtype=complex)))
         absh = np.abs(h)
         ok = absh > 1e-280
         logabs = np.where(ok, M + np.log(np.maximum(absh, 1e-300)), -np.inf)
-        phase = np.angle(h)
-        return logabs, phase, ok
-
-    def eval_one(self, xi: complex) -> complex:
-        total = 0j
-        for cv, q in self._term_values(xi):
-            total += cv * cmath.exp(q)
-        return total
+        return logabs, np.angle(h), ok
 
     def logabs_grid(self, xi):
-        """log|value| on an ndarray (phase-free, vectorized, stable)."""
-        xi = np.asarray(xi, dtype=complex)
-        coeffs, expos = self._np_data()
-        Q = np.stack([np.polyval(e, xi) for e in expos])
-        C = np.stack([np.polyval(c, xi) for c in coeffs])
-        M = np.max(Q.real, axis=0)
-        h = np.abs(np.sum(C * np.exp(Q - M), axis=0))
-        return M + np.log(np.maximum(h, 1e-300))
+        """log|value| on an ndarray (phase-free)."""
+        M, h = self._scaled(np.asarray(xi, dtype=complex))
+        return M + np.log(np.maximum(np.abs(h), 1e-300))
 
 
-def _exp_logeval_scalar(es: ExpSum, xi: complex) -> complex:
-    """Complex log value at one point via dominant-exponent factoring."""
-    vals = es._term_values(xi)
-    best = max((q.real for _, q in vals), default=0.0)
-    h = sum(cv * cmath.exp(q - best) for cv, q in vals)
+def _log_value(es: ExpSum, xi: complex) -> complex:
+    """Complex log of the value at one point: log|value| + i * phase."""
+    M, h = es._scaled(xi)
     if h == 0:
         return complex(-math.inf, 0.0)
-    return complex(best + math.log(abs(h)), cmath.phase(h))
+    return complex(M + math.log(abs(h)), cmath.phase(h))
 
 
 def _ratio_newton_step(g: ExpSum, gp: ExpSum, xi: complex) -> complex:
     """g(xi)/g'(xi) computed through log values for overflow safety."""
-    lg = _exp_logeval_scalar(g, xi)
-    lgp = _exp_logeval_scalar(gp, xi)
+    lg = _log_value(g, xi)
+    lgp = _log_value(gp, xi)
     if lg.real == -math.inf:
         return 0j
     d = lg - lgp
@@ -338,11 +316,7 @@ def _curve_logmax_grid(curve: ExpCurve, r: float, thetas: np.ndarray) -> np.ndar
 
 
 def _center_value(curve: ExpCurve) -> float:
-    best = -math.inf
-    for c in curve.components:
-        v = c.eval_one(0j)
-        if v != 0:
-            best = max(best, math.log(abs(v)))
+    best = max(_log_value(c, 0j).real for c in curve.components)
     if best == -math.inf:
         raise ValueError("all components vanish at the origin; not an entire curve")
     return best
@@ -356,7 +330,8 @@ def characteristic(curve: ExpCurve, r: float, tol: float = 1e-9
     doubling keeps the previous grid as its even nodes and evaluates only
     the new odd ones, so every node is evaluated once.  The returned
     error combines the last refinement difference with a float rounding
-    allowance.  Raises QuadratureFailureError when refinement stalls.
+    allowance.  Raises QuadratureFailureError when refinement stalls or
+    the integrand is not finite at a node.
     The curve keeps the result for later calls with the same r and tol.
     """
     key = ("T", r, tol)
@@ -372,25 +347,20 @@ def _characteristic(curve: ExpCurve, r: float, tol: float) -> Tuple[float, float
     n = 512
     prev = None
     last_diff = None
-    # the values on the previous level's grid, None after a nudged level;
-    # n is a power of two, so that grid is this level's grid[::2] exactly
-    coarse = None
+    vals = None
     for _ in range(12):
         thetas = np.linspace(0.0, 2 * math.pi, n + 1)
-        if coarse is None:
+        if vals is None:
             vals = _curve_logmax_grid(curve, r, thetas)
         else:
-            vals = np.empty(n + 1)
+            # n is a power of two, so the previous grid is thetas[::2] exactly
+            coarse, vals = vals, np.empty(n + 1)
             vals[::2] = coarse
             vals[1::2] = _curve_logmax_grid(curve, r, thetas[1::2])
-        coarse = vals
         if not np.all(np.isfinite(vals)):
-            # a component hits zero on a node exactly; nudge the grid
-            thetas = thetas + math.pi / (7 * n)
-            vals = _curve_logmax_grid(curve, r, thetas)
-            coarse = None
-            if not np.all(np.isfinite(vals)):
-                raise QuadratureFailureError("integrand unbounded on the circle")
+            # logabs_grid floors |h| at 1e-300, so only an overflowing
+            # exponent gets here, and no shift of the grid cures that
+            raise QuadratureFailureError("integrand unbounded on the circle")
         # composite Simpson on the uniform grid
         h = thetas[1] - thetas[0]
         integral = (h / 3) * (vals[0] + vals[-1]

@@ -741,7 +741,8 @@ def example_verify(precision: PrecisionConfig | None = None) -> dict:
     t2 = _contact_tangents(q2, line, prec_cfg)
     touch = [tangent_to_conic(t, other) for ts, other in ((t1, q2), (t2, q1))
              for _, t in ts]
-    report["item4_tangent_tangency"] = "fail" if any(touch) else "pass"
+    report["item4_tangent_tangency"] = "fail" if any(touch) else (
+        "undecided" if None in touch else "pass")
 
     # item 5: the contact linear systems admit only the trivial solution
     ranks = [_contact_span(q1, tp, q2, tq)[0]

@@ -1,6 +1,13 @@
-"""Exact references that only the tests use."""
+"""References that only the tests use: exact decisions, and the
+exponential-sum evaluators that ExpSum._scaled took the place of."""
+
+import cmath
+import math
+
+import numpy as np
 
 from quadrics.polynomials import DegenerateLeadingFormError, HomPoly, resultant
+from quadrics.scalars import scalar_to_complex
 
 
 def has_common_component(p: HomPoly, q: HomPoly) -> bool:
@@ -14,3 +21,75 @@ def has_common_component(p: HomPoly, q: HomPoly) -> bool:
             except DegenerateLeadingFormError:  # pragma: no cover
                 continue
     return False
+
+
+# ---------------------------------------------------------------------------
+# The three ExpSum evaluators that ExpSum._scaled took the place of, kept
+# verbatim as references: two numpy copies of the dominant-exponent
+# formula, and a Python Horner loop for single points.
+# ---------------------------------------------------------------------------
+
+def _horner_terms(es):
+    """Per term, coefficient and exponent as Python complex tuples,
+    highest power first."""
+    def conv(p):
+        return tuple(complex(scalar_to_complex(c)) for c in reversed(p.coeffs))
+    return tuple((conv(cp), conv(ep)) for cp, ep in es.terms)
+
+
+def _np_terms(es):
+    py = _horner_terms(es)
+    return [np.array(c or [0j]) for c, _ in py], [np.array(e or [0j]) for _, e in py]
+
+
+def reference_logeval(es, xi):
+    xi = np.atleast_1d(np.asarray(xi, dtype=complex))
+    coeffs, expos = _np_terms(es)
+    Q = np.stack([np.polyval(e, xi) for e in expos])
+    C = np.stack([np.polyval(c, xi) for c in coeffs])
+    M = np.max(Q.real, axis=0)
+    h = np.sum(C * np.exp(Q - M), axis=0)
+    absh = np.abs(h)
+    ok = absh > 1e-280
+    logabs = np.where(ok, M + np.log(np.maximum(absh, 1e-300)), -np.inf)
+    phase = np.angle(h)
+    return logabs, phase, ok
+
+
+def reference_logabs_grid(es, xi):
+    xi = np.asarray(xi, dtype=complex)
+    coeffs, expos = _np_terms(es)
+    Q = np.stack([np.polyval(e, xi) for e in expos])
+    C = np.stack([np.polyval(c, xi) for c in coeffs])
+    M = np.max(Q.real, axis=0)
+    h = np.abs(np.sum(C * np.exp(Q - M), axis=0))
+    return M + np.log(np.maximum(h, 1e-300))
+
+
+def _term_values(es, xi: complex):
+    out = []
+    for cs, es_ in _horner_terms(es):
+        q = complex(0)
+        for c in es_:
+            q = q * xi + c
+        cv = complex(0)
+        for c in cs:
+            cv = cv * xi + c
+        out.append((cv, q))
+    return out
+
+
+def reference_eval_one(es, xi: complex) -> complex:
+    total = 0j
+    for cv, q in _term_values(es, xi):
+        total += cv * cmath.exp(q)
+    return total
+
+
+def reference_log_value(es, xi: complex) -> complex:
+    vals = _term_values(es, xi)
+    best = max((q.real for _, q in vals), default=0.0)
+    h = sum(cv * cmath.exp(q - best) for cv, q in vals)
+    if h == 0:
+        return complex(-math.inf, 0.0)
+    return complex(best + math.log(abs(h)), cmath.phase(h))

@@ -21,7 +21,8 @@ from quadrics.arrangements import (CommonComponentError, Configuration,
                                    lines_distinct,
                                    pencil_membership, pencil_rank1_members,
                                    select_general_position, tangent_line,
-                                   tangent_line_numeric, NotExactPointError,
+                                   tangent_line_numeric, tangent_to_conic,
+                                   NotExactPointError,
                                    SingularPointError, InfinitelyManySolutionsError)
 from quadrics.config import DEFAULT_PRECISION
 from quadrics.polynomials import HomPoly, ProjPointNum, parse_poly
@@ -248,6 +249,63 @@ def test_tangent_line_requires_exact_point():
         tangent_line(P1, pt)
     nl = tangent_line_numeric(P1, pt)
     assert nl.radius > 0
+
+
+def test_tangent_to_conic_bounds_the_dual_value_by_its_gradient():
+    """A numeric line is a point of the dual plane with the line's radius.
+    Here the dual conic's gradient at the tangent sums to about 61 off
+    the normalized coordinate, so a line that holds the true tangent
+    within its radius gives |dual| above 50 * radius: tangency is
+    undecided, not refuted."""
+    q = parse_poly("-z0^2 + 4*z1^2 + 4*z2^2 + 4*z0*z1 - 3*z0*z2 + 2*z1*z2")
+    tangent = tangent_line_numeric(q, (1, 0, 1))
+    assert tangent.exact is not None and tangent_to_conic(tangent, q) is True
+    assert tangent_to_conic(NumLine.from_exact(parse_poly("z1")), q) is False
+    with mp.workprec(128):
+        rho = mp.mpf("1e-6")
+        for sign in (1, -1):
+            shift = (sign * rho, 0, sign * rho)
+            near = NumLine(tuple(c + d for c, d in zip(tangent.vec, shift)), rho)
+            assert tangent_to_conic(near, q) is None
+            far = NumLine(tuple(c + 1000 * d for c, d in zip(tangent.vec, shift)), rho)
+            assert tangent_to_conic(far, q) is False
+
+
+def test_numeric_lines_keep_their_representative_when_moduli_tie():
+    """|v_0| and |v_2| of the line -z0 + 0.8 z1 + z2 tie; a perturbation
+    of a point far below the radius must not switch the coordinate that
+    fixes the phase, in from_points or in tangent_line_numeric."""
+    with mp.workprec(128):
+        eps = mp.mpf("1e-30")
+        b = ProjPointNum([0, 1, mp.mpf("-0.8")], radius=mp.mpf("1e-20"))
+        lines = [NumLine.from_points(ProjPointNum(a, radius=mp.mpf("1e-20")), b)
+                 for a in ([1, 0, 1 + eps], [1 + eps, 0, 1])]
+        assert max(abs(x - y) for x, y in zip(lines[0].vec, lines[1].vec)) < 1e-25
+        assert abs(lines[0].vec[0] - 1) < 1e-25
+        circle = parse_poly("z0^2 + z1^2 - 2*z2^2")   # gradient (2x, 2y, -4) at (x:y:1)
+        grads = [tangent_line_numeric(circle, ProjPointNum(pt, radius=mp.mpf("1e-20"))).vec
+                 for pt in ([2 + 2 * eps, 0, 1], [2 - 2 * eps, 0, 1])]
+        assert max(abs(x - y) for x, y in zip(grads[0], grads[1])) < 1e-25
+
+
+def test_record_sort_key_ignores_parts_within_the_radius():
+    """A conjugate pair of points whose second coordinate has an imaginary
+    part of +-1e-79, far below the radius, is ordered by the third
+    coordinate whatever that part's sign; exact points keep their key."""
+    from quadrics.arrangements import IntersectionRecord, _record_sort_key
+    from quadrics.scalars import GaussRat
+
+    def rec(tiny, im):
+        pt = ProjPointNum([1, mp.mpc(-0.25, tiny), mp.mpc(-0.5, im)], radius=mp.mpf("1e-70"))
+        return IntersectionRecord(pt, 1, False)
+
+    with mp.workprec(320):
+        for tiny in (mp.mpf("1e-79"), mp.mpf("-1e-79")):
+            recs = sorted([rec(-tiny, 0.75), rec(tiny, -0.75)], key=_record_sort_key)
+            assert [float(mp.im(r.point.coords[2])) for r in recs] == [-0.75, 0.75]
+    exact = IntersectionRecord(ProjPointNum.from_exact((1, GaussRat(-1, 2), 3)), 1, False)
+    assert _record_sort_key(exact) == tuple(
+        float(x) for c in exact.point.coords for x in (mp.re(c), mp.im(c)))
 
 
 # ---------------------------------------------------------------------------
@@ -833,8 +891,9 @@ def _reference_distinct(l1, l2):
 
 def _normalized_line(vec, radius):
     """A NumLine normalized the way NumLine.from_points normalizes."""
+    from quadrics.arrangements import _phase_index
     s = max(abs(c) for c in vec)
-    j = max(range(3), key=lambda i: abs(vec[i]))
+    j = _phase_index(vec)
     phase = vec[j] / abs(vec[j])
     return NumLine(tuple(c / (s * phase) for c in vec), radius)
 

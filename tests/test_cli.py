@@ -129,6 +129,17 @@ def test_nevanlinna_subcommand(tmp_path):
     assert abs(rep["defects"][0]["defect"]) < 0.05
 
 
+def test_nevanlinna_constant_curve_counts_no_zeros(tmp_path):
+    """On [1 : e] the divisor z1 - z0 gives the constant e - 1, a two-term
+    sum whose derivative is the empty sum; its zero search finds nothing."""
+    curve = _write(tmp_path, "curve.json", {"exponents": [["0"], ["1"]]})
+    code, doc = _run(["nevanlinna", curve, "--divisor", "z1 - z0", "--radii", "2,4"],
+                     tmp_path)
+    assert code == 0
+    assert doc["report"]["counting"][0]["zeros"] == []
+    assert all(abs(row["T"]) < 1e-12 for row in doc["report"]["characteristic"])
+
+
 def test_nevanlinna_degenerate_exit_four(tmp_path):
     curve = _write(tmp_path, "curve.json",
                    {"exponents": [["0"], ["0", "1"], ["0", "2"]]})
@@ -208,6 +219,32 @@ def test_reports_match_golden_files(tmp_path, command, name):
     with open(os.path.join(GOLDEN_DIR, f"{name}_{command}.json")) as fh:
         golden = json.load(fh)
     code, doc = _run([command, _write(tmp_path, "cfg.json", config)], tmp_path)
+    assert code == golden["exit_code"]
+    assert doc["report"] == golden["report"]
+
+
+QUADRATIC_CURVE = {"exponents": [["0"], ["0", "3/2"], ["0", "0", "1/4+1/2i"]]}
+GROWTH_GOLDENS = {
+    "line_nevanlinna": ["nevanlinna", LINE_CURVE] + GROWTH_ARGS,
+    "quadratic_nevanlinna": ["nevanlinna", QUADRATIC_CURVE,
+                             "--divisor", "z0", "--divisor", "z1", "--divisor", "z2",
+                             "--divisor", "z0 + z1 + z2", "--radii", "2,4",
+                             "--main-theorem", "second"],
+    "certificate_demo-three-quadrics": ["demo-three-quadrics", "--alphas", "0,1,1+1i",
+                                        "--quadrature-check"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROWTH_GOLDENS))
+def test_growth_reports_match_golden_files(tmp_path, name):
+    """T(r), zero positions, N series, theorem and certificate numbers
+    equal those stored under tests/golden bit for bit, so a change to the
+    exponential-sum evaluation or the quadrature shows here."""
+    args = [_write(tmp_path, "curve.json", a) if isinstance(a, dict) else a
+            for a in GROWTH_GOLDENS[name]]
+    with open(os.path.join(GOLDEN_DIR, f"{name}.json")) as fh:
+        golden = json.load(fh)
+    code, doc = _run(args, tmp_path)
     assert code == golden["exit_code"]
     assert doc["report"] == golden["report"]
 

@@ -5,6 +5,8 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quadrics.nevanlinna import (CountingSample, DegenerateCurveError,
                                  DivisorContainsCurveError, ExpCurve, ExpSum,
@@ -15,10 +17,76 @@ from quadrics.nevanlinna import (CountingSample, DegenerateCurveError,
                                  main_theorem_check, order_estimate,
                                  three_quadrics_certificate)
 from quadrics.polynomials import parse_poly
+from quadrics.scalars import GaussRat, coerce_scalar
 from quadrics.univariate import UniPoly
+
+from exact_reference import (reference_eval_one, reference_log_value,
+                             reference_logabs_grid, reference_logeval)
 
 EXP_LINE = ExpCurve.from_exponents([[0], [0, 1]])          # [1 : e^xi]
 EXP_SQUARE = ExpCurve.from_exponents([[0], [0, 0, 1]])     # [1 : e^{xi^2}]
+
+
+# ---------------------------------------------------------------------------
+# Exponential-sum evaluation
+# ---------------------------------------------------------------------------
+
+_SMALL = st.builds(lambda a, b, d: coerce_scalar(GaussRat(Fraction(a, d), Fraction(b, d))),
+                   st.integers(-8, 8), st.integers(-8, 8), st.integers(1, 4))
+_POLY = st.lists(_SMALL, max_size=4).map(UniPoly)
+_TERM = st.tuples(st.lists(_SMALL, min_size=1, max_size=3).map(UniPoly), _POLY)
+_COORD = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]),
+                   st.floats(-9.0, 9.0, allow_nan=False))
+_POINT = st.builds(complex, _COORD, _COORD)
+
+
+def _bits(x):
+    return np.asarray(x).tobytes()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(_TERM, min_size=1, max_size=4), st.lists(_POINT, min_size=2, max_size=9))
+def test_one_kernel_matches_the_replaced_evaluators(terms, points):
+    """logeval, logabs_grid and the single-point log value all read
+    ExpSum._scaled; each equals, bit for bit, the evaluator it replaced,
+    on multi-term sums with polynomial coefficients, exponents of degree
+    up to 3 (values far beyond double range) and points on the axes.
+
+    Arrays hold at least two points: on a one-point array numpy's own
+    sum over four or more terms is t0 + pairwise(t1, ...), not left to
+    right, so there the replaced code differed from itself by rounding.
+    """
+    import quadrics.nevanlinna as nv
+
+    es = ExpSum(terms)
+    assume(not es.is_zero)
+    xi = np.array(points)
+    for got, want in zip(es.logeval(xi), reference_logeval(es, xi)):
+        assert _bits(got) == _bits(want)
+    assert _bits(es.logabs_grid(xi)) == _bits(reference_logabs_grid(es, xi))
+    assert _bits(es.logabs_grid(xi.reshape(1, -1))) == _bits(
+        reference_logabs_grid(es, xi.reshape(1, -1)))
+    for z in points:
+        got, want = nv._log_value(es, z), reference_log_value(es, z)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+        try:
+            value = reference_eval_one(es, z)
+        except OverflowError:
+            continue
+        if value != 0 and math.isfinite(abs(value)):
+            assert abs(got.real - math.log(abs(value))) < 1e-9
+
+
+def test_the_empty_sum_is_zero_everywhere():
+    import quadrics.nevanlinna as nv
+
+    empty = ExpSum([])
+    xi = np.array([0j, 1 + 2j, -3.0])
+    logabs, phase, ok = empty.logeval(xi)
+    assert logabs.shape == phase.shape == ok.shape == (3,)
+    assert np.all(logabs == -np.inf) and not ok.any()
+    assert np.all(empty.logabs_grid(xi.reshape(3, 1)) == -np.inf)
+    assert nv._log_value(empty, 1j) == complex(-math.inf, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -75,10 +143,7 @@ def _full_grid_characteristic(curve, r, tol):
     for _ in range(12):
         thetas = np.linspace(0.0, 2 * math.pi, n + 1)
         vals = nv._curve_logmax_grid(curve, r, thetas)
-        if not np.all(np.isfinite(vals)):
-            thetas = thetas + math.pi / (7 * n)
-            vals = nv._curve_logmax_grid(curve, r, thetas)
-            assert np.all(np.isfinite(vals))
+        assert np.all(np.isfinite(vals))
         h = thetas[1] - thetas[0]
         integral = (h / 3) * (vals[0] + vals[-1]
                               + 4 * np.sum(vals[1:-1:2]) + 2 * np.sum(vals[2:-2:2]))
@@ -126,40 +191,30 @@ def test_nested_quadrature_matches_full_grid(monkeypatch, curve, r, tol):
     assert sum(nodes) == n + 1
 
 
-def test_nested_quadrature_after_a_nudge(monkeypatch):
-    """A non-finite value at one node of the n = 1024 level nudges that
-    level; the nudged grid is not reused, so the next level evaluates its
-    whole grid, and (value, err) still equal the full-grid reference."""
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("level_n", [512, 1024])
+def test_a_non_finite_quadrature_node_raises_at_once(monkeypatch, value, level_n):
+    """A non-finite integrand value at one node, on the first level or on
+    the odd nodes of a later one, raises QuadratureFailureError at once:
+    no further level is evaluated and nothing is stored."""
     import quadrics.nevanlinna as nv
 
     grid = nv._curve_logmax_grid
-    target = np.linspace(0.0, 2 * math.pi, 1025)[3]   # not on the n = 512 grid
+    target = np.linspace(0.0, 2 * math.pi, level_n + 1)[3]   # on no coarser grid
+    log = []
 
-    def injecting(log):
-        seen = []
+    def faulty_grid(c, radius, thetas):
+        vals = grid(c, radius, thetas)
+        vals[thetas == target] = value
+        log.append(len(thetas))
+        return vals
 
-        def faulty_grid(c, radius, thetas):
-            vals = grid(c, radius, thetas)
-            hit = thetas == target
-            if hit.any() and not seen:             # only the first time it is seen
-                seen.append(True)
-                vals[hit] = -math.inf
-            log.append(len(thetas))
-            return vals
-        return faulty_grid
-
-    ref_log, log = [], []
-    monkeypatch.setattr(nv, "_curve_logmax_grid", injecting(ref_log))
-    value, err, n = _full_grid_characteristic(_fresh(QUADRATIC), 8.0, 1e-9)
-    monkeypatch.setattr(nv, "_curve_logmax_grid", injecting(log))
-    got = characteristic(_fresh(QUADRATIC), 8.0, 1e-9)
-    assert got[0].hex() == value.hex() and got[1].hex() == err.hex()
-    assert n >= 4096
-    # the reference nudges at n = 1024 once: 513, 1025, 1025 (nudged), 2049, ...
-    assert ref_log[:4] == [513, 1025, 1025, 2049]
-    # 513; the odd nodes of n = 1024, which hold the fault; the nudged
-    # full grid; the whole n = 2048 grid; then odd nodes only
-    assert log[:5] == [513, 512, 1025, 2049, 2048]
+    monkeypatch.setattr(nv, "_curve_logmax_grid", faulty_grid)
+    curve = _fresh(QUADRATIC)
+    with pytest.raises(nv.QuadratureFailureError, match="unbounded"):
+        characteristic(curve, 8.0, 1e-9)
+    assert log == ([513] if level_n == 512 else [513, 512])
+    assert curve._memo == {}
 
 
 def test_nevanlinna_scalar_form_consistency():

@@ -3,6 +3,10 @@
 One root finder: ``mpmath.polyroots`` and ``numpy.roots`` are each called
 from exactly one place under ``src/quadrics``, ``univariate.complex_roots``,
 so every numeric polynomial root goes through the same seeded solve.
+
+One evaluator for exponential sums: ``ExpSum._scaled`` is the only reader
+of the cached term coefficients, and no ``numpy.polyval`` copy of it is
+left, so points and arrays are evaluated by the same code.
 """
 
 import ast
@@ -13,16 +17,19 @@ import quadrics
 PACKAGE = os.path.dirname(os.path.abspath(quadrics.__file__))
 
 
+def _trees():
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name)) as fh:
+                yield name, ast.parse(fh.read(), filename=name)
+
+
 def _uses(attr: str, modules: set):
     """(file, enclosing function) for every reference to ``<module>.attr``
     (``mp.polyroots``, ``numpy.roots``, ...) and every bare name ``attr``
     bound by ``from <module> import attr``."""
     found = []
-    for name in sorted(os.listdir(PACKAGE)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(PACKAGE, name)) as fh:
-            tree = ast.parse(fh.read(), filename=name)
+    for name, tree in _trees():
         imported = {alias.asname or alias.name
                     for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                     and (node.module or "").split(".")[0] in modules
@@ -49,3 +56,20 @@ def test_polyroots_is_called_only_in_complex_roots():
 
 def test_numpy_roots_is_called_only_in_complex_roots():
     assert _uses("roots", {"np", "numpy"}) == [("univariate.py", "complex_roots")]
+
+
+def test_numpy_polyval_is_not_used():
+    assert _uses("polyval", {"np", "numpy"}) == []
+
+
+def test_term_cache_is_read_only_by_the_kernel():
+    refs = set()
+    for name, tree in _trees():
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Attribute) and node.attr == "_py_cache":
+                        refs.add((name, func.name, type(node.ctx).__name__))
+    assert refs == {("nevanlinna.py", "__init__", "Store"),
+                    ("nevanlinna.py", "_scaled", "Load"),
+                    ("nevanlinna.py", "_scaled", "Store")}
