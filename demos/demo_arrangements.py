@@ -32,7 +32,7 @@ print(f"({l1}) * ({l2}) = {a} * (z0^2 - z1*z2) + {b} * (z1^2 - z0*z2)")
 print("\n== Rank-one members of a pencil ==")
 members = pencil_rank1_members(q, q_shift)
 for m in members:
-    print(f"scalars {m.scalars}: combination = {m.square} = "
+    print(f"coefficients {m.coefficients}: combination = {m.combination} = "
           f"{m.root_scale} * ({m.root_form})^2")
 print("the one-point contact pair carries the common tangent's square,")
 print("while the generic pair below has none:")

@@ -10,12 +10,12 @@ from .arrangements import (Configuration, GenericityReport, IntersectionRecord,
                            contact_classification, contact_obstruction_check,
                            cor31_hypothesis_check, genericity_check_s4,
                            genericity_check_s6, intersection_points,
-                           pencil_membership, pencil_rank1_members,
-                           select_general_position, tangent_line)
+                           pencil_membership, select_general_position,
+                           tangent_line)
 from .squares import (DegeneracyCurve, SignProductPoly, SquareCombination,
                       b4_solve, degeneracy_curve, example_verify, expand_S,
                       fermat_check, generate_R, monomial_equivalence_reduce,
-                      square_combination)
+                      pencil_rank1_members, square_combination)
 from .nevanlinna import (CountingSample, DefectEstimate, ExpCurve, ExpSum,
                          GrowthSample, ahlfors_limit, characteristic, counting,
                          defect_estimate, functoriality_check,

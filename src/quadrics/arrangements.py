@@ -22,7 +22,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -32,16 +31,14 @@ import numpy as np
 from .config import DEFAULT_PRECISION, PrecisionConfig, scoped
 from .linalg import det, nullspace, rank, solve
 from .polynomials import (HomPoly, PrecisionExhaustedError, ProjPointNum,
-                          QuadricForm, ZeroPolynomialError, coerce_point,
-                          gaussian_extension_eval, matrix_adjugate,
-                          pencil_matrix_entry_forms, poly_from_matrix,
+                          ZeroPolynomialError, coerce_point,
+                          gaussian_extension_eval, poly_from_matrix,
                           quadric_form, resultant, subresultant1,
                           vanishes_at)
-from .scalars import (GaussRat, coerce_scalar, reconstruct_gauss,
-                      scalar_to_complex)
+from .scalars import coerce_scalar, reconstruct_gauss, scalar_to_complex
 from .univariate import (RootFindingError, UniPoly, binary_form_roots,
-                         binary_to_unipoly, complex_roots,
-                         roots_with_multiplicity, uni_gcd, yun_squarefree)
+                         binary_to_unipoly, complex_roots, uni_gcd,
+                         yun_squarefree)
 
 
 class CommonComponentError(ValueError):
@@ -67,10 +64,6 @@ class NoValidSelectionError(ValueError):
 
 
 class NotInPencilError(ValueError):
-    pass
-
-
-class IdenticallyDegenerateError(ValueError):
     pass
 
 
@@ -1259,101 +1252,6 @@ def pencil_membership(l1: HomPoly, l2: HomPoly, q1: HomPoly, q2: HomPoly):
     return sol[0], sol[1]
 
 
-@dataclass
-class PencilRankOneMember:
-    scalars: tuple                  # (a, b), exact when possible
-    square: HomPoly                 # the rank-1 combination a*q1 + b*q2
-    root_scale: object              # c with square == c * root_form**2
-    root_form: Optional[HomPoly]    # primitive linear form, exact
-    root_numeric: tuple             # mpc coefficient triple of the root
-
-    @property
-    def exact_root(self) -> Optional[HomPoly]:
-        from .scalars import gauss_sqrt
-        s = gauss_sqrt(self.root_scale) if self.root_scale is not None else None
-        if s is not None and self.root_form is not None:
-            return self.root_form.scale(s)
-        return None
-
-
-def pencil_rank1_members(q1: HomPoly, q2: HomPoly,
-                         precision: PrecisionConfig | None = None
-                         ) -> List[PencilRankOneMember]:
-    """All [a:b] with rank(a*M1 + b*M2) = 1, with extracted square roots.
-
-    Found as common roots of the 2x2 minors of the matrix pencil (their
-    gcd is a binary form of degree at most 2, so roots are exact whenever
-    they are Gaussian rational).
-    """
-    if rank([_poly_coeff_vector(q1), _poly_coeff_vector(q2)]) < 2:
-        raise ValueError("q1, q2 must be linearly independent")
-    prec_cfg = precision or DEFAULT_PRECISION
-    entries = pencil_matrix_entry_forms(q1, q2)
-    minors = []
-    for rows in itertools.combinations(range(3), 2):
-        for cols in itertools.combinations(range(3), 2):
-            m = (entries[rows[0]][cols[0]] * entries[rows[1]][cols[1]]
-                 - entries[rows[0]][cols[1]] * entries[rows[1]][cols[0]])
-            if not m.is_zero:
-                minors.append(m)
-    if not minors:
-        raise IdenticallyDegenerateError("the whole pencil has rank <= 1")
-    g = None
-    shared_zero = None
-    shared_inf = None
-    for m in minors:
-        p, m_inf, m_zero = binary_to_unipoly(m, 0, 1)
-        g = p if g is None else uni_gcd(g, p)
-        shared_zero = m_zero if shared_zero is None else min(shared_zero, m_zero)
-        shared_inf = m_inf if shared_inf is None else min(shared_inf, m_inf)
-    candidates = []
-    if shared_zero:
-        candidates.append(("exact", (Fraction(0), Fraction(1))))
-    if shared_inf:
-        candidates.append(("exact", (Fraction(1), Fraction(0))))
-    for ball in roots_with_multiplicity(g, prec_cfg.start_bits):
-        if ball.exact is not None:
-            candidates.append(("exact", (ball.exact, Fraction(1))))
-        else:
-            candidates.append(("numeric", (ball.value, mp.mpc(1))))
-    out = []
-    for kind, (a, b) in candidates:
-        if kind == "exact":
-            from .scalars import primitive_vector
-            a, b = primitive_vector([a, b])
-            comb = q1.scale(a) + q2.scale(b)
-            sq = comb.as_square_of_linear()
-            if sq is None:
-                continue  # a det root that is not rank 1
-            c, L = sq
-            if not isinstance(c, GaussRat) and c < 0:
-                a, b, comb, c = -a, -b, -comb, -c
-            vec = tuple(mp.mpc(scalar_to_complex(coerce_scalar(x)))
-                        for x in L.linear_coeffs())
-            with mp.workprec(max(64, prec_cfg.start_bits)):
-                sc = mp.sqrt(mp.mpc(scalar_to_complex(c)))
-            out.append(PencilRankOneMember((a, b), comb, c, L,
-                                           tuple(sc * v for v in vec)))
-        else:
-            # numeric candidate: verify rank 1 within tolerance, keep numeric root
-            M1 = quadric_form(q1).matrix
-            M2 = quadric_form(q2).matrix
-            Mn = [[a * scalar_to_complex(M1[i][j]) + b * scalar_to_complex(M2[i][j])
-                   for j in range(3)] for i in range(3)]
-            minors_num = [abs(Mn[r1][c1] * Mn[r2][c2] - Mn[r1][c2] * Mn[r2][c1])
-                          for r1, r2 in itertools.combinations(range(3), 2)
-                          for c1, c2 in itertools.combinations(range(3), 2)]
-            scale = max(max(abs(x) for x in row) for row in Mn) or 1.0
-            # uncertified: this fixed cut alone accepts a numeric rank-one member
-            if max(minors_num) > 1e-20 * scale ** 2:
-                continue
-            jj = max(range(3), key=lambda i: abs(Mn[i][i]))
-            col = [Mn[i][jj] for i in range(3)]
-            root = tuple(c / mp.sqrt(Mn[jj][jj]) for c in col)
-            out.append(PencilRankOneMember((a, b), HomPoly.zero(), None, None, root))
-    return out
-
-
 def contact_classification(q1: HomPoly, q2: HomPoly,
                            precision: PrecisionConfig | None = None) -> str:
     """four-simple | two-tangential | one-point | other."""
@@ -1519,21 +1417,16 @@ def contact_obstruction_check(cfg: Configuration,
 
     report: Dict[str, ConditionVerdict] = {}
 
-    # clause e: pairwise tangency
-    witnesses = []
-    for i, j in itertools.combinations(range(3), 2):
-        try:
-            recs = intersection_points(polys[i], polys[j], precision=prec_cfg)
-        except CommonComponentError:
-            witnesses.append(None)
-            continue
-        for r in recs:
-            if r.multiplicity >= 2:
-                witnesses.append(r.point)
+    # clause e: pairwise tangency; a shared component is tangential too
+    pairs = _pairwise_data(polys, prec_cfg)
+    shared = any(isinstance(recs, CommonComponentError) for recs in pairs.values())
+    witnesses = [r.point for recs in pairs.values()
+                 if not isinstance(recs, CommonComponentError)
+                 for r in recs if r.multiplicity >= 2]
+    tangential = shared or bool(witnesses)
     report["e"] = ConditionVerdict(
-        "fail" if witnesses else "pass",
-        witnesses=[w for w in witnesses if w is not None],
-        note="tangential contact present" if witnesses else "")
+        "fail" if tangential else "pass", witnesses=witnesses,
+        note="tangential contact present" if tangential else "")
 
     # tangency data at intersections with the first component
     t2 = _contact_tangents(g2, g1, prec_cfg)
@@ -1588,7 +1481,10 @@ def common_zeros_of_quadratic_system(forms: Sequence[HomPoly],
     Pairs of deterministic generic combinations are intersected and the
     candidates filtered through every form.  Persistent common components
     across combinations signal a positive-dimensional solution set, which
-    is reported, not enumerated.
+    is reported, not enumerated.  Every returned point is exact: a
+    numeric candidate on which some form is undecided is either recovered
+    exactly or makes its attempt ambiguous, and an ambiguous attempt is
+    discarded.
     """
     prec_cfg = precision or DEFAULT_PRECISION
     live = [f for f in forms if not f.is_zero]

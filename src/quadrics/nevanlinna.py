@@ -31,9 +31,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .config import scoped
 from .linalg import nullspace, rank
 from .polynomials import HomPoly, vanishes_at
-from .scalars import (GaussRat, Scalar, coerce_scalar, parse_scalar_string,
+from .scalars import (GaussRat, coerce_scalar, parse_scalar_string,
                       scalar_to_complex)
 from .univariate import UniPoly
 
@@ -218,11 +219,9 @@ class ExpCurve:
     The standard constructor takes exponent polynomials (one list of
     coefficients per component, index = power of xi), producing the curve
     [e^{P_0} : ... : e^{P_n}].  Components that are genuine sums support
-    the degenerate test cases.
-
-    The components are a tuple and never change, so the curve can keep
-    what characteristic() and counting() computed on it: _memo maps
-    ("T", r, tol) to (T, error) and ("N", divisor, r) to a CountingSample.
+    the degenerate test cases.  A curve compares by identity, which is
+    how an analysis scope keys what characteristic() and counting()
+    computed on it.
     """
 
     def __init__(self, components: Sequence[ExpSum], order_bound: Optional[int] = None):
@@ -232,7 +231,6 @@ class ExpCurve:
         if len(comps) < 2:
             raise ValueError("a curve needs at least two components")
         self.components = comps
-        self._memo: Dict[tuple, object] = {}
         lam = max(c.max_exponent_degree() for c in comps)
         self.order_bound = order_bound if order_bound is not None else max(lam, 0)
 
@@ -332,12 +330,10 @@ def characteristic(curve: ExpCurve, r: float, tol: float = 1e-9
     error combines the last refinement difference with a float rounding
     allowance.  Raises QuadratureFailureError when refinement stalls or
     the integrand is not finite at a node.
-    The curve keeps the result for later calls with the same r and tol.
+    Inside an analysis scope each (curve, r, tol) is computed once.
     """
-    key = ("T", r, tol)
-    if key not in curve._memo:
-        curve._memo[key] = _characteristic(curve, r, tol)
-    return curve._memo[key]
+    return scoped(("characteristic", curve, r, tol),
+                  lambda: _characteristic(curve, r, tol))
 
 
 def _characteristic(curve: ExpCurve, r: float, tol: float) -> Tuple[float, float]:
@@ -716,13 +712,11 @@ def counting(curve: ExpCurve, divisor: HomPoly, r: float) -> CountingSample:
 
     The zero search runs on the circumscribing square and the disk filter
     keeps moduli <= r; exact containment of the curve in the divisor is
-    detected symbolically first.  The curve keeps the sample for later
-    calls with the same divisor and r; callers must not modify it.
+    detected symbolically first.  Inside an analysis scope each (curve,
+    divisor, r) is computed once; callers must not modify the sample.
     """
-    key = ("N", divisor, r)
-    if key not in curve._memo:
-        curve._memo[key] = _counting(curve, divisor, r)
-    return curve._memo[key]
+    return scoped(("counting", curve, divisor, r),
+                  lambda: _counting(curve, divisor, r))
 
 
 def _counting(curve: ExpCurve, divisor: HomPoly, r: float) -> CountingSample:

@@ -29,7 +29,7 @@ import mpmath as mp
 from .config import scoped
 from .linalg import det, rank
 from .scalars import (GaussRat, Scalar, coerce_scalar, format_rat,
-                      format_scalar, gauss_sqrt, scalar_to_complex)
+                      format_scalar, scalar_to_complex)
 
 Expo = Tuple[int, int, int]
 
@@ -609,18 +609,6 @@ class QuadricForm:
     rank: int
     det: Scalar
 
-    def poly(self) -> HomPoly:
-        M = self.matrix
-        terms: Dict[Expo, Scalar] = {}
-        for i in range(3):
-            for j in range(3):
-                e = [0, 0, 0]
-                e[i] += 1
-                e[j] += 1
-                e = tuple(e)
-                terms[e] = terms.get(e, 0) + M[i][j]
-        return HomPoly(terms)
-
     def adjugate(self) -> tuple:
         return matrix_adjugate(self.matrix)
 
@@ -896,13 +884,12 @@ def coerce_point(pt) -> ProjPointNum:
     return ProjPointNum.from_exact(pt)
 
 
-def gaussian_extension_eval(p: HomPoly, point, target_width=None):
+def gaussian_extension_eval(p: HomPoly, point):
     """Certified evaluation of p at a numeric projective point.
 
     Returns (value, error_bound).  The bound combines first-order
     propagation of the point's radius with a rounding allowance at the
-    current working precision.  Raises PrecisionExhaustedError when a
-    requested output width cannot be met.
+    current working precision.
     """
     pt = coerce_point(point)
     if pt.is_exact():
@@ -922,9 +909,6 @@ def gaussian_extension_eval(p: HomPoly, point, target_width=None):
     coeff_mass = sum(abs(scalar_to_complex(c)) for c in p.terms.values()) or mp.mpf(0)
     rounding = mp.mpf(coeff_mass) * R ** max(p.degree, 0) * mp.mpf(2) ** (12 - mp.mp.prec)
     err = grad_bound * pt.radius * mp.sqrt(3) + rounding
-    if target_width is not None and err > target_width:
-        raise PrecisionExhaustedError(
-            f"cannot certify width {target_width} (achieved {err})")
     return val, err
 
 

@@ -1,4 +1,4 @@
-"""Square-combination machinery for quadric nets.
+"""Square-combination machinery for pencils and nets of quadrics.
 
 Sign-product elimination polynomials R_j, solvers for rank-one members
 of pencils and nets (linear combinations of quadrics that are squares of
@@ -9,26 +9,28 @@ built-in worked-example verifier.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import mpmath as mp
 
-from .arrangements import (CommonComponentError, Configuration,
-                           InfinitelyManySolutionsError, NoSolutionError,
-                           _certified_sign, _contact_span, _contact_tangents,
-                           _pairwise_data, _poly_coeff_vector, _triple_points,
+from .arrangements import (CommonComponentError, InfinitelyManySolutionsError,
+                           NoSolutionError, _certified_sign, _contact_span,
+                           _contact_tangents, _pairwise_data,
+                           _poly_coeff_vector, _triple_points,
                            common_zeros_of_quadratic_system,
                            tangent_line_numeric, tangent_to_conic)
 from .config import DEFAULT_PRECISION, PrecisionConfig
 from .linalg import det as exact_det
-from .linalg import nullspace, rank, solve
-from .polynomials import (HomPoly, ProjPointNum, matrix_adjugate, parse_poly,
-                          quadric_form)
+from .linalg import nullspace, rank
+from .polynomials import (HomPoly, matrix_adjugate, parse_poly,
+                          pencil_matrix_entry_forms, quadric_form)
 from .scalars import (GaussRat, Scalar, coerce_scalar, primitive_vector,
                       scalar_to_complex)
+from .univariate import binary_to_unipoly, roots_with_multiplicity, uni_gcd
 
 
 class NotDiagonalError(ValueError):
@@ -220,12 +222,16 @@ def expand_S(a, b, c) -> HomPoly:
 
 
 # ---------------------------------------------------------------------------
-# Square combinations over a net of quadrics
+# Square combinations over pencils and nets of quadrics
 # ---------------------------------------------------------------------------
 
 @dataclass
 class SquareCombination:
-    """Coefficients a with sum(a_j Q_j) = scale * root_form^2 exactly."""
+    """Coefficients a with sum(a_j Q_j) = scale * root_form^2 exactly.
+
+    A pencil member at an irrational root (exact=False) has numeric
+    coefficients and only the numeric root, L with sum(a_j Q_j) = L^2.
+    """
 
     coefficients: tuple
     combination: Optional[HomPoly]
@@ -236,13 +242,11 @@ class SquareCombination:
     exact: bool = True
 
     def residual(self, quadrics) -> Optional[HomPoly]:
-        if not self.exact or self.combination is None:
+        if not self.exact:
             return None
         acc = HomPoly.zero()
         for aj, qj in zip(self.coefficients, quadrics):
             acc = acc + qj.scale(aj)
-        if self.root_form is None:
-            return acc - self.combination
         return acc - (self.root_form * self.root_form).scale(self.root_scale)
 
     def to_json(self):
@@ -284,14 +288,69 @@ def _combination_from_exact(avec, quadrics) -> Optional[SquareCombination]:
                              sum(1 for x in avec if x != 0))
 
 
+def _rank_one_minors(entries) -> List[HomPoly]:
+    """The distinct nonzero 2x2 minors of a 3x3 matrix of linear forms;
+    their common zeros are the members of rank <= 1.  Raises
+    InfinitelyManySolutionsError when every minor vanishes."""
+    minors = []
+    for r1, r2 in itertools.combinations(range(3), 2):
+        for c1, c2 in itertools.combinations(range(3), 2):
+            m = entries[r1][c1] * entries[r2][c2] - entries[r1][c2] * entries[r2][c1]
+            if not m.is_zero and m not in minors:
+                minors.append(m)
+    if not minors:
+        raise InfinitelyManySolutionsError("every member has rank <= 1")
+    return minors
+
+
+def pencil_rank1_members(q1: HomPoly, q2: HomPoly,
+                         precision: PrecisionConfig | None = None
+                         ) -> List[SquareCombination]:
+    """All [a:b] with rank(a*M1 + b*M2) = 1, with extracted square roots.
+
+    Every root of the exact gcd of the pencil's 2x2 minors (a binary form
+    of degree at most 2) is a rank-one member, since a*M1 + b*M2 never
+    vanishes for independent q1, q2.  A Gaussian-rational root gives an
+    exact member; any other root t gives the numeric member [t:1], both
+    of whose coefficients are nonzero because the roots t = 0 and t = oo
+    are split off exactly.
+    """
+    if rank([_poly_coeff_vector(q1), _poly_coeff_vector(q2)]) < 2:
+        raise ValueError("q1, q2 must be linearly independent")
+    prec_cfg = precision or DEFAULT_PRECISION
+    quadrics = (q1, q2)
+    forms = [binary_to_unipoly(m, 0, 1)
+             for m in _rank_one_minors(pencil_matrix_entry_forms(q1, q2))]
+    g = functools.reduce(uni_gcd, [p for p, _, _ in forms])
+    members = []
+    if all(m_zero for _, _, m_zero in forms):
+        members.append(_combination_from_exact((0, 1), quadrics))
+    if all(m_inf for _, m_inf, _ in forms):
+        members.append(_combination_from_exact((1, 0), quadrics))
+    M1, M2 = (quadric_form(q).matrix for q in quadrics)
+    for ball in roots_with_multiplicity(g, prec_cfg.start_bits):
+        if ball.exact is not None:
+            members.append(_combination_from_exact((ball.exact, 1), quadrics))
+            continue
+        t = ball.value
+        M = [[t * scalar_to_complex(x) + scalar_to_complex(y) for x, y in zip(r1, r2)]
+             for r1, r2 in zip(M1, M2)]
+        jj = max(range(3), key=lambda i: abs(M[i][i]))
+        root = tuple(M[i][jj] / mp.sqrt(M[jj][jj]) for i in range(3))
+        members.append(SquareCombination((t, mp.mpc(1)), None, None, None, root, 2,
+                                         exact=False))
+    return [m for m in members if m is not None]
+
+
 def square_combination(q1: HomPoly, q2: HomPoly, q3: HomPoly,
                        precision: PrecisionConfig | None = None
                        ) -> List[SquareCombination]:
     """All [a1:a2:a3] with rank(a1 M1 + a2 M2 + a3 M3) <= 1.
 
-    Solved from the vanishing of the 2x2 minors of the matrix net; each
-    solution carries the extracted square root with a fixed sign
-    convention (positive real scale whenever the scale is real).
+    Solved from the vanishing of the 2x2 minors of the matrix net, whose
+    common zeros are exact points; each solution carries the extracted
+    square root with a fixed sign convention (positive real scale
+    whenever the scale is real).
     """
     prec_cfg = precision or DEFAULT_PRECISION
     quadrics = (q1, q2, q3)
@@ -300,37 +359,12 @@ def square_combination(q1: HomPoly, q2: HomPoly, q3: HomPoly,
             raise ValueError("inputs must be quadratic forms")
     if rank([_poly_coeff_vector(q) for q in quadrics]) < 2:
         raise ValueError("quadrics must span at least a pencil")
-    from .polynomials import pencil_matrix_entry_forms
-    entries = pencil_matrix_entry_forms(q1, q2, q3)
-    minors = []
-    for rows in itertools.combinations(range(3), 2):
-        for cols in itertools.combinations(range(3), 2):
-            m = (entries[rows[0]][cols[0]] * entries[rows[1]][cols[1]]
-                 - entries[rows[0]][cols[1]] * entries[rows[1]][cols[0]])
-            if not m.is_zero and m not in minors:
-                minors.append(m)
-    if not minors:
-        raise InfinitelyManySolutionsError("the whole net has rank <= 1")
-    sols = common_zeros_of_quadratic_system(minors, precision=prec_cfg)
-    out: List[SquareCombination] = []
-    for pt in sols:
-        if pt.is_exact():
-            sc = _combination_from_exact(pt.exact, quadrics)
-            if sc is not None:
-                out.append(sc)
-            continue
-        avec = pt.coords
-        Ms = [quadric_form(q).matrix for q in quadrics]
-        Mn = [[sum(avec[k] * scalar_to_complex(Ms[k][i][j]) for k in range(3))
-               for j in range(3)] for i in range(3)]
-        jj = max(range(3), key=lambda i: abs(Mn[i][i]))
-        if abs(Mn[jj][jj]) == 0:
-            continue
-        root = tuple(Mn[i][jj] / mp.sqrt(Mn[jj][jj]) for i in range(3))
-        # uncertified: the fixed cut 1e-20 alone decides nonzero_count
-        out.append(SquareCombination(tuple(avec), None, None, None, root,
-                                     sum(1 for x in avec if abs(x) > mp.mpf("1e-20")),
-                                     exact=False))
+    minors = _rank_one_minors(pencil_matrix_entry_forms(q1, q2, q3))
+    out = []
+    for pt in common_zeros_of_quadratic_system(minors, precision=prec_cfg):
+        sc = _combination_from_exact(pt.exact, quadrics)
+        if sc is not None:
+            out.append(sc)
     if not out:
         raise NoSolutionError("the net contains no rank <= 1 member")
     out.sort(key=lambda s: str(s.coefficients))
@@ -343,10 +377,9 @@ def square_combination(q1: HomPoly, q2: HomPoly, q3: HomPoly,
 
 @dataclass
 class B4Solution:
-    point: tuple                 # (kappa, lambda, mu), exact when possible
-    exact: bool
+    point: tuple                 # exact primitive (kappa, lambda, mu)
     has_zero_coordinate: bool
-    combination: Optional[SquareCombination]
+    combination: SquareCombination
 
 
 def b4_system(c: Sequence, a: Sequence[Sequence], b: Sequence[Sequence]):
@@ -403,30 +436,23 @@ def b4_solve(c: Sequence, a: Sequence[Sequence], b: Sequence[Sequence],
     prec_cfg = precision or DEFAULT_PRECISION
     A, B, Ahat, dA, eqs = b4_system(c, a, b)
     quadrics = _b4_quadrics(A, B)
-    pts = common_zeros_of_quadratic_system(eqs, precision=prec_cfg)
     out: List[B4Solution] = []
-    for pt in pts:
-        if pt.is_exact():
-            klm = primitive_vector(pt.exact)
-            sqs = [x * x for x in klm]
-            avec = [sum(sqs[i] * Ahat[i][j] for i in range(3)) for j in range(3)]
-            comb = HomPoly.zero()
-            for aj, qj in zip(avec, quadrics):
-                comb = comb + qj.scale(aj)
-            L = (HomPoly.variable(0).scale(klm[0]) + HomPoly.variable(1).scale(klm[1])
-                 + HomPoly.variable(2).scale(klm[2]))
-            assert comb == (L * L).scale(dA), "square certificate failed"
-            with mp.workprec(96):
-                sc = mp.sqrt(mp.mpc(scalar_to_complex(dA)))
-            num = tuple(sc * mp.mpc(scalar_to_complex(klm[i])) for i in range(3))
-            scomb = SquareCombination(tuple(avec), comb, dA, L, num,
-                                      sum(1 for x in avec if x != 0))
-            out.append(B4Solution(tuple(klm), True, any(x == 0 for x in klm), scomb))
-        else:
-            coords = pt.coords
-            # uncertified: the fixed cut 1e-25 alone decides has_zero_coordinate
-            haszero = any(abs(x) < mp.mpf("1e-25") for x in coords)
-            out.append(B4Solution(tuple(coords), False, haszero, None))
+    for pt in common_zeros_of_quadratic_system(eqs, precision=prec_cfg):
+        klm = primitive_vector(pt.exact)
+        sqs = [x * x for x in klm]
+        avec = [sum(sqs[i] * Ahat[i][j] for i in range(3)) for j in range(3)]
+        comb = HomPoly.zero()
+        for aj, qj in zip(avec, quadrics):
+            comb = comb + qj.scale(aj)
+        L = (HomPoly.variable(0).scale(klm[0]) + HomPoly.variable(1).scale(klm[1])
+             + HomPoly.variable(2).scale(klm[2]))
+        assert comb == (L * L).scale(dA), "square certificate failed"
+        with mp.workprec(96):
+            sc = mp.sqrt(mp.mpc(scalar_to_complex(dA)))
+        num = tuple(sc * mp.mpc(scalar_to_complex(klm[i])) for i in range(3))
+        scomb = SquareCombination(tuple(avec), comb, dA, L, num,
+                                  sum(1 for x in avec if x != 0))
+        out.append(B4Solution(tuple(klm), any(x == 0 for x in klm), scomb))
     out.sort(key=lambda s: str(s.point))
     return out
 

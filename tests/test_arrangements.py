@@ -18,14 +18,14 @@ from quadrics.arrangements import (CommonComponentError, Configuration,
                                    contact_obstruction_check,
                                    cor31_hypothesis_check, genericity_check_s4,
                                    genericity_check_s6, intersection_points,
-                                   lines_distinct,
-                                   pencil_membership, pencil_rank1_members,
+                                   lines_distinct, pencil_membership,
                                    select_general_position, tangent_line,
                                    tangent_line_numeric, tangent_to_conic,
                                    NotExactPointError,
                                    SingularPointError, InfinitelyManySolutionsError)
 from quadrics.config import DEFAULT_PRECISION
 from quadrics.polynomials import HomPoly, ProjPointNum, parse_poly
+from quadrics.squares import pencil_rank1_members
 
 from exact_reference import has_common_component
 
@@ -491,15 +491,14 @@ def test_rank1_members_triple_root():
     members = pencil_rank1_members(P2, P3)
     assert len(members) == 1
     m = members[0]
-    assert m.scalars == (Fraction(1), Fraction(-1))
+    assert m.coefficients == (Fraction(1), Fraction(-1))
     assert m.root_form == parse_poly("z0")
     assert m.root_scale == 1
-    assert m.exact_root == parse_poly("z0")
 
 
 def test_rank1_members_diagonal():
     members = pencil_rank1_members(parse_poly("z0^2"), parse_poly("z1^2"))
-    got = {(m.scalars, str(m.root_form)) for m in members}
+    got = {(m.coefficients, str(m.root_form)) for m in members}
     assert got == {((Fraction(1), Fraction(0)), "z0"),
                    ((Fraction(0), Fraction(1)), "z1")}
 
@@ -508,8 +507,8 @@ def test_rank1_members_double_root_once():
     # the minors' gcd is (t - 1)^2: one member [1:1], reported once
     members = pencil_rank1_members(parse_poly("z0^2 + z0*z1"), parse_poly("z0^2 - z0*z1"))
     assert len(members) == 1
-    assert members[0].scalars == (Fraction(1), Fraction(1))
-    assert members[0].square == parse_poly("2*z0^2")
+    assert members[0].coefficients == (Fraction(1), Fraction(1))
+    assert members[0].combination == parse_poly("2*z0^2")
 
 
 def test_rank1_members_none():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from quadrics.config import analysis_scope
 from quadrics.nevanlinna import (CountingSample, DegenerateCurveError,
                                  DivisorContainsCurveError, ExpCurve, ExpSum,
                                  GrowthSample, InsufficientSpanError,
@@ -158,7 +159,8 @@ def _full_grid_characteristic(curve, r, tol):
 
 
 def _fresh(curve):
-    """A copy with an empty T(r) memo."""
+    """A new curve with the same components: no analysis-scope entry of
+    the original can answer for it."""
     return ExpCurve(curve.components, curve.order_bound)
 
 
@@ -196,7 +198,8 @@ def test_nested_quadrature_matches_full_grid(monkeypatch, curve, r, tol):
 def test_a_non_finite_quadrature_node_raises_at_once(monkeypatch, value, level_n):
     """A non-finite integrand value at one node, on the first level or on
     the odd nodes of a later one, raises QuadratureFailureError at once:
-    no further level is evaluated and nothing is stored."""
+    no further level is evaluated and nothing is stored, so a second call
+    in the same analysis scope runs the quadrature again."""
     import quadrics.nevanlinna as nv
 
     grid = nv._curve_logmax_grid
@@ -211,10 +214,12 @@ def test_a_non_finite_quadrature_node_raises_at_once(monkeypatch, value, level_n
 
     monkeypatch.setattr(nv, "_curve_logmax_grid", faulty_grid)
     curve = _fresh(QUADRATIC)
-    with pytest.raises(nv.QuadratureFailureError, match="unbounded"):
-        characteristic(curve, 8.0, 1e-9)
-    assert log == ([513] if level_n == 512 else [513, 512])
-    assert curve._memo == {}
+    levels = [513] if level_n == 512 else [513, 512]
+    with analysis_scope():
+        for calls in (1, 2):
+            with pytest.raises(nv.QuadratureFailureError, match="unbounded"):
+                characteristic(curve, 8.0, 1e-9)
+            assert log == levels * calls
 
 
 def test_nevanlinna_scalar_form_consistency():
@@ -514,7 +519,7 @@ def test_compose_groups_exponents_exactly():
 
 
 # ---------------------------------------------------------------------------
-# Stored T(r) values and counting samples
+# T(r) values and counting samples stored in an analysis scope
 # ---------------------------------------------------------------------------
 
 def test_curve_memo_keeps_radii_divisors_and_tol_apart(monkeypatch):
@@ -533,22 +538,23 @@ def test_curve_memo_keeps_radii_divisors_and_tol_apart(monkeypatch):
         return ExpCurve.from_exponents([[0], [0, 1]])
 
     curve = fresh()
-    for r, tol in ((10.0, 1e-9), (20.0, 1e-9), (10.0, 1e-3)):
-        before = len(passes)
-        value = characteristic(curve, r, tol)
-        assert len(passes) > before            # a new key runs the quadrature
-        assert value == characteristic(fresh(), r, tol)
-        before = len(passes)
-        assert characteristic(curve, r, tol) is value
-        assert len(passes) == before           # a stored key does not
-
     samples = {}
-    for text, r in (("z1 - z0", 10.0), ("z1 + z0", 10.0), ("z1 - z0", 20.0)):
-        d = parse_poly(text)
-        sample = counting(curve, d, r)
-        assert sample.to_json() == counting(fresh(), d, r).to_json()
-        assert counting(curve, parse_poly(text), r) is sample
-        samples[text, r] = sample
+    with analysis_scope():
+        for r, tol in ((10.0, 1e-9), (20.0, 1e-9), (10.0, 1e-3)):
+            before = len(passes)
+            value = characteristic(curve, r, tol)
+            assert len(passes) > before            # a new key runs the quadrature
+            assert value == characteristic(fresh(), r, tol)
+            before = len(passes)
+            assert characteristic(curve, r, tol) is value
+            assert len(passes) == before           # a stored key does not
+
+        for text, r in (("z1 - z0", 10.0), ("z1 + z0", 10.0), ("z1 - z0", 20.0)):
+            d = parse_poly(text)
+            sample = counting(curve, d, r)
+            assert sample.to_json() == counting(fresh(), d, r).to_json()
+            assert counting(curve, parse_poly(text), r) is sample
+            samples[text, r] = sample
     # e^xi = 1 and e^xi = -1 have disjoint zero sets; r = 20 has more zeros
     positions = {k: {z.position for z in s.zeros} for k, s in samples.items()}
     assert not positions["z1 - z0", 10.0] & positions["z1 + z0", 10.0]
@@ -558,9 +564,24 @@ def test_curve_memo_keeps_radii_divisors_and_tol_apart(monkeypatch):
 def test_failed_calls_are_not_stored():
     f = ExpCurve.from_exponents([[0], [0, 1], [0, 2]])
     contains = parse_poly("z1^2 - z0*z2")
-    for _ in range(2):
-        with pytest.raises(DivisorContainsCurveError):
-            counting(f, contains, 10.0)
-        with pytest.raises(ValueError):
-            characteristic(f, 0.0)
-    assert counting(f, parse_poly("z1"), 10.0).zeros == []
+    with analysis_scope():
+        for _ in range(2):
+            with pytest.raises(DivisorContainsCurveError):
+                counting(f, contains, 10.0)
+            with pytest.raises(ValueError):
+                characteristic(f, 0.0)
+        assert counting(f, parse_poly("z1"), 10.0).zeros == []
+
+
+def test_calls_outside_a_scope_keep_no_state(monkeypatch):
+    import quadrics.nevanlinna as nv
+
+    passes = []
+    grid = nv._curve_logmax_grid
+    monkeypatch.setattr(nv, "_curve_logmax_grid",
+                        lambda *args: passes.append(args) or grid(*args))
+    curve = ExpCurve.from_exponents([[0], [0, 1]])
+    first = characteristic(curve, 2.0, 1e-6)
+    once = len(passes)
+    assert characteristic(curve, 2.0, 1e-6) == first
+    assert len(passes) == 2 * once

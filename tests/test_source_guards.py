@@ -7,6 +7,11 @@ so every numeric polynomial root goes through the same seeded solve.
 One evaluator for exponential sums: ``ExpSum._scaled`` is the only reader
 of the cached term coefficients, and no ``numpy.polyval`` copy of it is
 left, so points and arrays are evaluated by the same code.
+
+One memo: derived objects are stored only through ``config.scoped``, in
+the analysis scope that ``cli.main`` opens for each command.  No object
+keeps a ``_memo`` of its own, so library calls outside a scope keep no
+state.
 """
 
 import ast
@@ -73,3 +78,11 @@ def test_term_cache_is_read_only_by_the_kernel():
     assert refs == {("nevanlinna.py", "__init__", "Store"),
                     ("nevanlinna.py", "_scaled", "Load"),
                     ("nevanlinna.py", "_scaled", "Store")}
+
+
+def test_one_memo():
+    stored = [(name, node.lineno) for name, tree in _trees() for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr == "_memo"
+              and isinstance(node.ctx, ast.Store)]
+    assert stored == []
+    assert _uses("analysis_scope", {"config"}) == [("cli.py", "main")]

@@ -2,16 +2,20 @@ import itertools
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
-from quadrics.polynomials import HomPoly, parse_poly
+from quadrics.polynomials import HomPoly, parse_poly, pencil_matrix_entry_forms
+from quadrics.scalars import scalar_to_complex
 from quadrics.squares import (AllAlphaZeroError, MalformedRelationError,
                               MultiPoly, NotDiagonalError, SingularAError,
-                              SquareCombination, b4_solve, b4_system,
-                              degeneracy_curve, example_verify, expand_S,
-                              fermat_check, generate_R,
-                              monomial_equivalence_reduce, square_combination)
-from quadrics.arrangements import InfinitelyManySolutionsError
+                              SquareCombination, _rank_one_minors, b4_solve,
+                              b4_system, degeneracy_curve, example_verify,
+                              expand_S, fermat_check, generate_R,
+                              monomial_equivalence_reduce,
+                              pencil_rank1_members, square_combination)
+from quadrics.arrangements import (InfinitelyManySolutionsError,
+                                   common_zeros_of_quadratic_system)
 
 X = HomPoly.variable(0)
 Y = HomPoly.variable(1)
@@ -195,6 +199,50 @@ def test_square_combination_infinitely_many():
         square_combination(X * X, X * Y, Y * Y)
 
 
+def _numeric_residual(coefficients, quadrics, root):
+    """Largest coefficient of sum(a_j Q_j) - L^2, L the numeric root."""
+    acc = {}
+    for aj, qj in zip(coefficients, quadrics):
+        for e, c in qj.terms.items():
+            acc[e] = acc.get(e, 0) + aj * scalar_to_complex(c)
+    for i, j in itertools.combinations_with_replacement(range(3), 2):
+        e = tuple(int(k == i) + int(k == j) for k in range(3))
+        acc[e] = acc.get(e, 0) - (1 if i == j else 2) * root[i] * root[j]
+    return max(abs(v) for v in acc.values())
+
+
+@pytest.mark.parametrize("text, t", [("z0^2 + 2*z1^2", 1 / (2 * mp.sqrt(2))),
+                                     ("z0^2 - 2*z1^2", 1j / (2 * mp.sqrt(2)))])
+def test_pencil_members_at_irrational_roots(text, t):
+    """det(a*M1 + M2) = 0 at a = +-t, where a*q1 + z0*z1 has rank one."""
+    quadrics = (parse_poly(text), parse_poly("z0*z1"))
+    members = pencil_rank1_members(*quadrics)
+    assert len(members) == 2
+    for sign in (1, -1):
+        m = next(m for m in members if abs(m.coefficients[0] - sign * t) < 1e-12)
+        assert m.coefficients[1] == 1
+        assert not m.exact and m.nonzero_count == 2 and m.residual(quadrics) is None
+        assert _numeric_residual(m.coefficients, quadrics, m.root_numeric) < 1e-12
+
+
+_NETS = [(parse_poly("z0^2"), parse_poly("z1^2 + z0*z1 + z0*z2 + (1/25)*z1*z2"),
+          parse_poly("z2^2 + 50*z0*z1 - 10*z0*z2 + 9*z1*z2")),
+         (X * X, Y * Y, Z * Z),
+         (X * X + Y * Y, Y * Y + Z * Z, X * X + Z * Z)]
+_B4_SYSTEMS = [((1, 0, 0), [[0, 1, 0], [0, 0, 1]], [[1, 1, Fraction(1, 25)], [50, -10, 9]]),
+               ((1, 0, 0), [[0, 1, 0], [0, 0, 1]], [[0, 0, 0], [0, 0, 0]])]
+
+
+@pytest.mark.parametrize("forms", [_rank_one_minors(pencil_matrix_entry_forms(*net))
+                                   for net in _NETS]
+                         + [b4_system(*args)[4] for args in _B4_SYSTEMS],
+                         ids=["example-net", "diagonal-net", "sum-net",
+                              "b4-example", "b4-no-cross-terms"])
+def test_common_zeros_are_exact_points(forms):
+    sols = common_zeros_of_quadratic_system(forms)
+    assert sols and all(p.is_exact() for p in sols)
+
+
 # ---------------------------------------------------------------------------
 # The adjugate-reduced system
 # ---------------------------------------------------------------------------
@@ -202,7 +250,7 @@ def test_square_combination_infinitely_many():
 def test_b4_example_solution():
     res = b4_solve((1, 0, 0), [[0, 1, 0], [0, 0, 1]],
                    [[1, 1, Fraction(1, 25)], [50, -10, 9]])
-    pts = {r.point for r in res if r.exact}
+    pts = {r.point for r in res}
     assert (Fraction(15), Fraction(10), Fraction(2)) in pts
     target = next(r for r in res if r.point == (Fraction(15), Fraction(10), Fraction(2)))
     assert not target.has_zero_coordinate
@@ -222,7 +270,7 @@ def test_b4_direct_arithmetic():
 def test_b4_zero_cross_terms_coordinate_points():
     res = b4_solve((1, 0, 0), [[0, 1, 0], [0, 0, 1]],
                    [[0, 0, 0], [0, 0, 0]])
-    pts = {r.point for r in res if r.exact}
+    pts = {r.point for r in res}
     assert pts == {(Fraction(1), Fraction(0), Fraction(0)),
                    (Fraction(0), Fraction(1), Fraction(0)),
                    (Fraction(0), Fraction(0), Fraction(1))}
@@ -242,7 +290,7 @@ def test_b4_solutions_yield_square_combinations(example_net):
                    [[1, 1, Fraction(1, 25)], [50, -10, 9]])
     net = {s.coefficients for s in square_combination(q0, q1, q2)}
     for r in res:
-        if r.exact and not r.has_zero_coordinate:
+        if not r.has_zero_coordinate:
             assert r.combination.residual((q0, q1, q2)).is_zero
             from quadrics.scalars import primitive_vector
             assert tuple(primitive_vector(r.combination.coefficients)) in net
