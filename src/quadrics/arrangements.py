@@ -6,10 +6,12 @@ computations.  Intersection points are located numerically (resultant
 roots with certified radii, exact shortcuts when roots are recognized),
 multiplicities come from the exact squarefree decomposition of the
 eliminating resultant after a coordinate change that puts one point per
-fiber.  A numeric fiber's point comes from the first subresultant,
-z0 = -s0(t)/s1(t), wherever the resultant's Yun factor is coprime to s1;
-only the other fibers, which may hold more than one point, are solved
-by the root finder.
+fiber.  An exact fiber's point comes from an exact gcd; a numeric
+fiber's from the first subresultant S_k of the chain whose leading
+coefficient does not vanish there, z0 = -sres_{k,k-1}/(k sres_{k,k}),
+once the fiber is checked exactly to hold one point.  Where the resultant
+vanishes identically, the first nonzero member of the same chain is the
+shared component.
 
 Numeric predicates are three valued: pass and fail are only ever
 certified (margin excludes zero, or exact arithmetic), everything else is
@@ -32,21 +34,22 @@ from .config import DEFAULT_PRECISION, PrecisionConfig, scoped
 from .linalg import det, nullspace, rank, solve
 from .polynomials import (HomPoly, PrecisionExhaustedError, ProjPointNum,
                           ZeroPolynomialError, coerce_point,
-                          gaussian_extension_eval, poly_from_matrix,
-                          quadric_form, resultant, subresultant1,
-                          vanishes_at)
+                          matrix_adjugate, poly_from_matrix, quadric_form,
+                          resultant, subresultant, vanishes_at)
 from .scalars import coerce_scalar, reconstruct_gauss, scalar_to_complex
 from .univariate import (RootFindingError, UniPoly, binary_form_roots,
-                         binary_to_unipoly, complex_roots, uni_gcd,
-                         yun_squarefree)
+                         binary_to_unipoly, uni_gcd, yun_squarefree)
 
 
 class CommonComponentError(ValueError):
-    """The two curves share a component; finite intersection undefined."""
+    """The two curves share a component: ``factor``, their primitive gcd,
+    with ``witness`` a point on it; finite intersection undefined."""
 
-    def __init__(self, message="curves share a common component", witness=None):
+    def __init__(self, message="curves share a common component", witness=None,
+                 factor=None):
         super().__init__(message)
         self.witness = witness
+        self.factor = factor
 
 
 class DegenerateIntersectionError(ValueError):
@@ -124,10 +127,7 @@ def _det3(a, b, c):
 
 
 def _cross_exact(a, b):
-    return tuple(coerce_scalar(x) for x in (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0]))
+    return tuple(coerce_scalar(x) for x in _cross(a, b))
 
 
 @dataclass
@@ -140,12 +140,8 @@ class NumLine:
 
     @staticmethod
     def from_points(a: ProjPointNum, b: ProjPointNum) -> "NumLine":
-        exact = None
         if a.is_exact() and b.is_exact():
-            ve = _cross_exact(a.exact, b.exact)
-            line = HomPoly.linear_form(ve)
-            _, line = line.content_primitive()
-            return NumLine.from_exact(line)
+            return NumLine.from_exact(HomPoly.linear_form(_cross_exact(a.exact, b.exact)))
         v = _cross(a.coords, b.coords)
         raw_rad = (_sup(a.coords) * b.radius + _sup(b.coords) * a.radius) * 4 \
             + mp.mpf(2) ** (8 - mp.mp.prec)
@@ -274,8 +270,6 @@ def lines_concurrent(l1: NumLine, l2: NumLine, l3: NumLine):
     err = sum(l.radius for l in (l1, l2, l3)) * 6 + mp.mpf(2) ** (8 - mp.mp.prec)
     if abs(d) > err:
         return False
-    if err == 0 and abs(d) == 0:
-        return True
     if all(l.radius == 0 for l in (l1, l2, l3)) and abs(d) < mp.mpf(2) ** (4 - mp.mp.prec):
         # all three lines exactly known numerically, det consistent with 0
         return True
@@ -291,8 +285,6 @@ def lines_distinct(l1: NumLine, l2: NumLine):
     err = (l1.radius + l2.radius) * 6 + mp.mpf(2) ** (8 - mp.mp.prec)
     if _sup(v) > err:
         return True
-    if err == 0:
-        return False
     return None
 
 
@@ -324,19 +316,31 @@ def _apply_matrix(U, vec):
     return tuple(sum(U[i][j] * vec[j] for j in range(3)) for i in range(3))
 
 
-def common_component_witness(p: HomPoly, q: HomPoly, prec=256) -> Optional[ProjPointNum]:
-    """A point lying (within certification) on both curves."""
+def common_component_witness(g: HomPoly, precision) -> Optional[ProjPointNum]:
+    """A point of the shared component g, so of both curves: the first
+    point where g meets the first probe line that does not divide it.
+    That line and g share no component, so no CommonComponentError."""
     for lc in ((1, 1, 1), (1, 2, 3), (0, 1, 1), (1, 0, 2)):
         line = HomPoly.linear_form(lc)
         try:
-            pts = intersection_points(p, line, precision=PrecisionConfig(prec, prec))
-        except (CommonComponentError, ZeroPolynomialError, PrecisionExhaustedError):
-            continue
-        for rec in pts:
-            v, err = gaussian_extension_eval(q, rec.point)
-            if _certified_sign(abs(v), (err or mp.mpf(0)) + mp.mpf("1e-20")) != 1:
-                return rec.point
+            g.exact_div(line)  # raises unless the line is a component of g
+        except ArithmeticError:
+            return intersection_points(g, line, precision=precision)[0].point
     return None
+
+
+def _shared_factor(p2: HomPoly, q2: HomPoly, U) -> HomPoly:
+    """gcd(p, q), primitive, from p2 = p(U z) and q2 = q(U z) whose
+    resultant in z0 vanishes identically: the first nonzero subresultant
+    S_d divided by its leading coefficient sres_{d,d}, the factor free of
+    z0 it has over the gcd (p2 and q2 have constant leading coefficients
+    in z0), mapped back by the adjugate of U."""
+    d = 1
+    while (chain := subresultant(p2, q2, 0, d))[0].is_zero:
+        d += 1
+    sd = sum((HomPoly.monomial((d - j, 0, 0)) * c for j, c in enumerate(chain)), HomPoly.zero())
+    g2 = sd.exact_div(chain[0])
+    return g2.compose([HomPoly.linear_form(r) for r in matrix_adjugate(U)]).content_primitive()[1]
 
 
 def _fiber_points_exact(p2: HomPoly, q2: HomPoly, beta, gamma):
@@ -354,47 +358,53 @@ def _fiber_points_exact(p2: HomPoly, q2: HomPoly, beta, gamma):
     return -parts[0][0].coeffs[0]
 
 
-def _lifted_multiplicities(rho, s1):
-    """Multiplicities of the Yun factors f of rho(t, 1) whose numeric roots
-    lift by the first subresultant.
+def _at_t(form: HomPoly) -> UniPoly:
+    """A form in z1, z2 on the fiber (z1 : z2) = (t : 1), a polynomial in t."""
+    coeffs = [0] * (form.degree_in(1) + 1)
+    for e, c in form.terms.items():
+        coeffs[e[1]] = c
+    return UniPoly(coeffs)
 
-    p2 and q2 keep constant leading coefficients in z0, so at every t the
-    first subresultant specializes to (s1(t), s0(t)), and where s1(t) != 0
-    the fiber holds exactly one point, z0 = -s0(t)/s1(t).  That holds at
-    every root of f exactly when gcd(f, s1(t, 1)) = 1.
+
+def _fiber_lifts(rho, p2, q2, mults):
+    """{multiplicity: (k, S_k)} for the Yun factors f of rho(t, 1) with
+    multiplicities in ``mults``; None when a fiber above a root of such an
+    f cannot be lifted.
+
+    p2 and q2 keep constant leading coefficients in z0, so above a root t
+    of f the fiber's gcd is S_k(t) for the least k with sres_{k,k}(t) != 0.
+    That k is common to the roots of f when sres_{k,k} is coprime to f and
+    f divides every sres_{j,j}, j < k.  The fiber holds one point,
+    z0 = -sres_{k,k-1}/(k s) with s = sres_{k,k}, exactly when S_k = s
+    (z0 - z0(t))^k, checked mod f coefficient by coefficient:
+    (k s)^k sres_{k,j} = s C(k, j) (k s)^j sres_{k,k-1}^(k-j).  S_1 is
+    computed once, S_k for k >= 2 only where S_1 does not lift.
     """
-    if s1.is_zero:
-        return set()
-    s1_t = binary_to_unipoly(s1, 1, 2)[0]
-    return {mult for f, mult in yun_squarefree(binary_to_unipoly(rho, 1, 2)[0])
-            if uni_gcd(f, s1_t).degree == 0}
-
-
-def _fiber_points_numeric(p2, q2, beta, gamma, rad, prec):
-    """The matched z0 root over a numeric fiber; None unless the fiber
-    holds exactly one point."""
-    pc = [f.eval_mpc((0, beta, gamma)) for f in p2.coeffs_in(0)]
-    qc = [f.eval_mpc((0, beta, gamma)) for f in q2.coeffs_in(0)]
-    rp = complex_roots(pc, prec)
-    rq = complex_roots(qc, prec)
-    if not rp or not rq:
-        return None
-    scale = max([abs(r) for r in rp + rq] + [mp.mpf(1)])
-    tol = max(mp.mpf(rad) * 100, mp.mpf(2) ** (-prec // 2)) * scale + mp.mpf(2) ** (20 - prec)
-    matches = []
-    for a in rp:
-        best = min(rq, key=lambda b: abs(a - b))
-        if abs(a - best) <= tol:
-            matches.append((a + best) / 2)
-    if not matches:
-        return None
-    clusters: List[mp.mpc] = []
-    for v in matches:
-        if all(abs(v - c) > tol * 4 for c in clusters):
-            clusters.append(v)
-    if len(clusters) > 1:
-        return None
-    return clusters[0]
+    chain: Dict[int, List[HomPoly]] = {}
+    out = {}
+    for f, mult in yun_squarefree(binary_to_unipoly(rho, 1, 2)[0]):
+        if mult not in mults:
+            continue
+        k = 1
+        while True:
+            if k not in chain:
+                chain[k] = subresultant(p2, q2, 0, k)
+            shared = uni_gcd(f, _at_t(chain[k][0])).degree
+            if shared == 0:
+                break
+            if shared < f.degree:
+                return None  # the roots of f need different k
+            k += 1
+        sres = [_at_t(c) for c in reversed(chain[k])]  # sres[j] = sres_{k,j}
+        ks = UniPoly([k]) * sres[k]
+        for j in range(k - 1):
+            lhs = math.prod([ks] * k, start=sres[j])
+            rhs = math.prod([ks] * j + [sres[k - 1]] * (k - j),
+                            start=UniPoly([math.comb(k, j)]) * sres[k])
+            if not (lhs - rhs).divmod(f)[1].is_zero:
+                return None  # more than one point above a root of f
+        out[mult] = (k, chain[k])
+    return out
 
 
 def _newton_polish(p: HomPoly, q: HomPoly, pt_vec, prec, steps=30):
@@ -412,7 +422,9 @@ def _newton_polish(p: HomPoly, q: HomPoly, pt_vec, prec, steps=30):
             J = [[grads_p[idx[0]].eval_mpc(v), grads_p[idx[1]].eval_mpc(v)],
                  [grads_q[idx[0]].eval_mpc(v), grads_q[idx[1]].eval_mpc(v)]]
             det = J[0][0] * J[1][1] - J[0][1] * J[1][0]
-            if abs(det) == 0:
+            # singular at working precision, as at a multiple point: a step is noise
+            if abs(det) <= max(abs(x) for row in J for x in row) ** 2 * mp.mpf(2) ** (16 - prec):
+                det = mp.mpf(0)
                 break
             dx = (fv * J[1][1] - gv * J[0][1]) / det
             dy = (gv * J[0][0] - fv * J[1][0]) / det
@@ -443,19 +455,18 @@ def intersection_points(p: HomPoly, q: HomPoly, *,
     found = scoped(("intersection_points", p, q, precision),
                    lambda: _intersection_or_shared(p, q, precision))
     if isinstance(found, CommonComponentError):
-        raise CommonComponentError(witness=found.witness)
+        raise CommonComponentError(witness=found.witness, factor=found.factor)
     return [replace(rec, pair=pair) for rec in found]
 
 
 def _intersection_or_shared(p, q, precision):
-    """The records, or the CommonComponentError (with its witness) when the
-    curves share a component."""
+    """The records, or the CommonComponentError (with the shared factor and
+    a witness on it) when the curves share a component."""
     try:
         return _intersection_points(p, q, precision)
-    except CommonComponentError:
-        # the witness search runs at the caller's precision
+    except CommonComponentError as exc:
         return CommonComponentError(
-            witness=common_component_witness(p, q, precision.start_bits))
+            witness=common_component_witness(exc.factor, precision), factor=exc.factor)
 
 
 def _intersection_points(p, q, precision) -> List[IntersectionRecord]:
@@ -484,16 +495,16 @@ def _try_intersection(p, q, U, prec, target):
     next change.
 
     Each root t of the resultant Res_{z0} gives a fiber: exact roots are
-    solved exactly, numeric ones of a Yun factor coprime to the first
-    subresultant lift to z0 = -s0(t)/s1(t), and the rest go through
-    _fiber_points_numeric; each point is then polished by Newton.  A fiber
-    with more than one point, a wrong Bezout sum or two equal points
-    rejects the change.
+    solved by an exact gcd, numeric ones lift by the subresultant chain
+    (_fiber_lifts); each numeric point is then polished by Newton.  A fiber
+    with more than one point, a Yun factor whose roots need different
+    subresultants, a wrong Bezout sum or two equal points rejects the
+    change.
 
-    Raises CommonComponentError when the curves share a component: once
-    both curves keep their full degree in z0, their leading coefficients
-    in z0 are constants, so Res_{z0} vanishes identically exactly when
-    they have a common factor.
+    Raises CommonComponentError, carrying the shared factor, when the
+    curves share a component: once both curves keep their full degree in
+    z0, their leading coefficients in z0 are constants, so Res_{z0}
+    vanishes identically exactly when they have a common factor.
     """
     args = [HomPoly.linear_form(U[i]) for i in range(3)]
     p2 = p.compose(args)
@@ -502,23 +513,21 @@ def _try_intersection(p, q, U, prec, target):
         return None  # projection center sits on a curve
     rho = resultant(p2, q2, 0)
     if rho.is_zero:
-        raise CommonComponentError()
-    s1, s0 = subresultant1(p2, q2, 0)
-    lifted = _lifted_multiplicities(rho, s1)
+        raise CommonComponentError(factor=_shared_factor(p2, q2, U))
     roots = binary_form_roots(rho, 1, 2, prec)
+    lifts = _fiber_lifts(rho, p2, q2, {mult for _, _, mult, exact, _ in roots if exact is None})
+    if lifts is None:
+        return None
     found: List[Tuple[ProjPointNum, int]] = []
-    for hi, lo, mult, exact, rad in roots:
+    for hi, lo, mult, exact, _ in roots:
         if exact is not None:
             z0 = _fiber_points_exact(p2, q2, *exact)
-        elif mult in lifted:
-            z0 = -s0.eval_mpc((0, hi, lo)) / s1.eval_mpc((0, hi, lo))
-        else:
-            z0 = _fiber_points_numeric(p2, q2, hi, lo, rad, prec)
-        if z0 is None:
-            return None
-        if exact is not None:
+            if z0 is None:
+                return None
             pt = ProjPointNum.from_exact(_apply_matrix(U, (z0,) + exact))
         else:
+            k, sres = lifts[mult]
+            z0 = -sres[1].eval_mpc((0, hi, lo)) / (k * sres[0].eval_mpc((0, hi, lo)))
             z = _apply_matrix(U, [mp.mpc(x) for x in (z0, hi, lo)])
             polished, prad = _newton_polish(p, q, z, prec)
             pt = ProjPointNum(polished, prad)
@@ -536,9 +545,8 @@ def _try_intersection(p, q, U, prec, target):
 
 
 def _try_exact_recovery(p, q, coords):
-    vals = [complex(c) for c in coords]
     rec = []
-    for v in vals:
+    for v in map(complex, coords):
         # only proposes a candidate: the exact evaluation below decides
         g = reconstruct_gauss(v.real, v.imag, max_den=10 ** 6, tol=1e-18)
         if g is None:
@@ -591,9 +599,7 @@ def tangent_line(p: HomPoly, pt) -> HomPoly:
     grad = [p.derivative(i).eval_exact(coords) for i in range(3)]
     if all(g == 0 for g in grad):
         raise SingularPointError(f"gradient vanishes at {point!r}")
-    line = HomPoly.linear_form(grad)
-    _, prim = line.content_primitive()
-    return prim
+    return HomPoly.linear_form(grad).content_primitive()[1]
 
 
 def tangent_line_numeric(p: HomPoly, pt) -> NumLine:
@@ -646,11 +652,7 @@ class Configuration:
                 raise ValueError(f"constant component {p}")
             if p.degree == d:
                 comps.append((p, d))
-            elif d == 1 and p.degree == 2:
-                sq = p.as_square_of_linear()
-                if sq is None:
-                    raise ValueError(
-                        f"component of degree {p.degree} declared degree {d}")
+            elif d == 1 and (sq := p.as_square_of_linear()) is not None:
                 comps.append((sq[1], 1))  # double line enters with multiplicity one
             else:
                 raise ValueError(
@@ -716,6 +718,15 @@ class GenericityReport:
         }
 
 
+def _unseparated(test: str, cases: Dict[str, List[ProjPointNum]]) -> str:
+    """An undecided note: per thing tested, how many points it was not separated from
+    zero at, and the precision reached (their largest radius, the evaluation bits)."""
+    return "; ".join(
+        f"{test}: {what}: {len(pts)} point(s) not separated from zero (radius up to "
+        f"{mp.nstr(max(pt.radius for pt in pts), 3)}, {mp.mp.prec}-bit evaluation)"
+        for what, pts in cases.items())
+
+
 def _smoothness_verdict(p: HomPoly, prec_cfg: PrecisionConfig) -> ConditionVerdict:
     if p.degree == 1:
         return ConditionVerdict("pass")
@@ -736,18 +747,19 @@ def _smoothness_verdict(p: HomPoly, prec_cfg: PrecisionConfig) -> ConditionVerdi
         w = [exc.witness] if exc.witness else []
         return ConditionVerdict("fail", witnesses=w, note="partials share a component")
     bad = []
-    und = False
+    unsure = []
     for rec in pts:
         # with two nonzero partials the third is zero, so it vanishes too
         on = vanishes_at(nz[2], rec.point) if len(nz) == 3 else True
         if on:
             bad.append(rec.point)
         elif on is None:
-            und = True
+            unsure.append(rec.point)
     if bad:
         return ConditionVerdict("fail", witnesses=bad, note="singular point")
-    if und:
-        return ConditionVerdict("undecided")
+    if unsure:
+        return ConditionVerdict("undecided", note=_unseparated("singular-point test", {
+            "the third partial at common zeros of the other two": unsure}))
     return ConditionVerdict("pass")
 
 
@@ -767,11 +779,11 @@ def _triple_points(polys, pairwise):
     """Points where two components meet a third.
 
     ``pairwise`` is a _pairwise_data map; pairs sharing a component are
-    skipped.  Returns ([((i, j, k), point)], undecided), undecided when
-    some incidence is certified neither way.
+    skipped.  Returns ([((i, j, k), point)], unsure), unsure listing the
+    ((i, j, k), point) whose incidence is certified neither way.
     """
     found = []
-    undecided = False
+    unsure = []
     for (i, j), recs in pairwise.items():
         if isinstance(recs, CommonComponentError):
             continue
@@ -783,8 +795,8 @@ def _triple_points(polys, pairwise):
                 if on:
                     found.append(((i, j, k), rec.point))
                 elif on is None:
-                    undecided = True
-    return found, undecided
+                    unsure.append(((i, j, k), rec.point))
+    return found, unsure
 
 
 def _transversality_verdict(polys, pairwise) -> ConditionVerdict:
@@ -794,28 +806,26 @@ def _transversality_verdict(polys, pairwise) -> ConditionVerdict:
         if isinstance(val, CommonComponentError):
             if val.witness is not None:
                 witnesses.append(val.witness)
-            notes.append(f"components {i} and {j} share a component")
+            notes.append(f"components {i} and {j} share the component {val.factor}")
             continue
         for rec in val:
             if rec.multiplicity >= 2:
                 witnesses.append(rec.point)
                 notes.append(f"non-transversal contact of {i} and {j} "
                              f"(multiplicity {rec.multiplicity})")
-    triples, undecided = _triple_points(polys, pairwise)
+    triples, unsure = _triple_points(polys, pairwise)
     for (i, j, k), point in triples:
         witnesses.append(point)
         notes.append(f"components {i},{j},{k} meet at one point")
     if notes:
-        uniq = []
-        seen = set()
-        for w in witnesses:
-            key = repr(w)
-            if key not in seen:
-                seen.add(key)
-                uniq.append(w)
+        keys = [repr(w) for w in witnesses]
+        uniq = [w for n, w in enumerate(witnesses) if keys[n] not in keys[:n]]
         return ConditionVerdict("fail", witnesses=uniq, note="; ".join(sorted(set(notes))))
-    if undecided:
-        return ConditionVerdict("undecided")
+    if unsure:
+        cases: Dict[str, List[ProjPointNum]] = {}
+        for (i, j, k), point in unsure:
+            cases.setdefault(f"component {k} at points of components {i} and {j}", []).append(point)
+        return ConditionVerdict("undecided", note=_unseparated("triple-point test", cases))
     return ConditionVerdict("pass")
 
 
@@ -854,17 +864,16 @@ def genericity_check_s4(cfg: Configuration,
         "third quadric must not contain both tangency points; the reading "
         "'neither point' is the stricter alternative and is not used")
 
-    verdicts = [
-        _smoothness_verdict(p, prec_cfg) for p in polys
-    ]
+    verdicts = [_smoothness_verdict(p, prec_cfg) for p in polys]
     bad = [v for v in verdicts if v.status == "fail"]
-    und = [v for v in verdicts if v.status == "undecided"]
+    und = [f"component {i}: {v.note}" for i, v in enumerate(verdicts)
+           if v.status == "undecided"]
     if bad:
         wit = [w for v in bad for w in v.witnesses]
         report.conditions["s4.1"] = ConditionVerdict(
             "fail", witnesses=wit, note="; ".join(v.note for v in bad))
     elif und:
-        report.conditions["s4.1"] = ConditionVerdict("undecided")
+        report.conditions["s4.1"] = ConditionVerdict("undecided", note="; ".join(und))
     else:
         report.conditions["s4.1"] = ConditionVerdict("pass")
 
@@ -903,7 +912,7 @@ def _tangent_contact_verdict(groups, fail_note, prec_cfg) -> ConditionVerdict:
     intersection that degenerates, leaves the verdict undecided.
     """
     witnesses = []
-    undecided = False
+    unsure: Dict[str, List[ProjPointNum]] = {}
     for c1, c2, curve_pairs in groups:
         if quadric_form(c1).rank != 3 or quadric_form(c2).rank != 3:
             return ConditionVerdict("undecided", note="needs smooth quadrics")
@@ -919,14 +928,16 @@ def _tangent_contact_verdict(groups, fail_note, prec_cfg) -> ConditionVerdict:
                 onQ = vanishes_at(fQ, Q)
                 if onP is None or onQ is None:
                     if onP is not False and onQ is not False:
-                        undecided = True
+                        unsure.setdefault(f"{fP} or {fQ} at the contact points",
+                                          []).extend([P, Q])
                     continue
                 if onP and onQ:
                     witnesses.extend([P, Q])
     if witnesses:
         return ConditionVerdict("fail", witnesses=witnesses, note=fail_note)
-    if undecided:
-        return ConditionVerdict("undecided")
+    if unsure:
+        return ConditionVerdict("undecided",
+                                note=_unseparated("common-tangent contact test", unsure))
     return ConditionVerdict("pass")
 
 
@@ -963,7 +974,8 @@ def _condition5_d111(cfg, prec_cfg) -> ConditionVerdict:
     lines = [p for i, p in enumerate(polys) if i != curve_idx]
     dual = poly_from_matrix(qf.adjugate())
     witnesses = []
-    undecided = False
+    unsure: Dict[str, List[ProjPointNum]] = {}
+    failed = []
     for a, b in itertools.combinations(range(3), 2):
         c = 3 - a - b
         X = _cross_exact(lines[a].linear_coeffs(), lines[b].linear_coeffs())
@@ -973,22 +985,24 @@ def _condition5_d111(cfg, prec_cfg) -> ConditionVerdict:
         dual_line = HomPoly.linear_form(X)
         try:
             duals = intersection_points(dual, dual_line, precision=prec_cfg)
-        except (CommonComponentError, PrecisionExhaustedError):
-            undecided = True
+        except (CommonComponentError, PrecisionExhaustedError) as exc:
+            failed.append(f"tangents through the meet of {lines[a]} and {lines[b]} "
+                          f"not found ({type(exc).__name__})")
             continue
         for rec in duals:
             P = _contact_point(curve, rec.point)
             on = vanishes_at(lines[c], P)
             if on is None:
-                undecided = True
+                unsure.setdefault(f"{lines[c]} at the contact points", []).append(P)
             elif on:
                 witnesses.append(P)
     if witnesses:
         return ConditionVerdict(
             "fail", witnesses=witnesses,
             note="tangent through a line intersection touches the curve on the third line")
-    if undecided:
-        return ConditionVerdict("undecided")
+    if failed or unsure:
+        note = _unseparated("tangent-contact test", unsure)
+        return ConditionVerdict("undecided", note="; ".join(x for x in failed + [note] if x))
     return ConditionVerdict("pass")
 
 
@@ -1124,7 +1138,7 @@ def _condition4_verdict(ls: LineSystem) -> ConditionVerdict:
     three own lines of one point are the allowed ones).
     """
     lines = ls.all_lines()
-    undecided = False
+    unsure = []  # what stayed inseparable, in the order found
     witnesses = []
     notes = []
 
@@ -1133,7 +1147,7 @@ def _condition4_verdict(ls: LineSystem) -> ConditionVerdict:
         if d is False:
             notes.append(f"lines {lines[a].label()} and {lines[b].label()} coincide")
         elif d is None:
-            undecided = True
+            unsure.append(f"lines {lines[a].label()} and {lines[b].label()} from coincident")
 
     # the three own lines of each intersection point, as index sets
     own = {(g, idx): frozenset(n for n, li in enumerate(lines)
@@ -1153,7 +1167,7 @@ def _condition4_verdict(ls: LineSystem) -> ConditionVerdict:
                 notes.append(f"extra line {li.label()} through intersection "
                              f"point {idx} of pair {g}")
             elif s is None:
-                undecided = True
+                unsure.append(f"line {li.label()} from intersection point {idx} of pair {g}")
 
     allowed = set(own.values())
     for abc in itertools.combinations(range(len(lines)), 3):
@@ -1162,7 +1176,7 @@ def _condition4_verdict(ls: LineSystem) -> ConditionVerdict:
         trip = tuple(lines[n] for n in abc)
         conc = lines_concurrent(*(li.line for li in trip))
         if conc is None:
-            undecided = True
+            unsure.append("lines " + ", ".join(li.label() for li in trip) + " from concurrent")
         elif conc:
             pt = _lines_meet_point(trip[0].line, trip[1].line)
             if pt is not None:
@@ -1172,8 +1186,10 @@ def _condition4_verdict(ls: LineSystem) -> ConditionVerdict:
     if witnesses or notes:
         return ConditionVerdict("fail", witnesses=witnesses,
                                 note="; ".join(sorted(set(notes))[:6]))
-    if undecided:
-        return ConditionVerdict("undecided")
+    if unsure:
+        more = [f"{len(unsure) - 3} more"] if len(unsure) > 3 else []
+        return ConditionVerdict("undecided", note=f"18-line test at {ls.precision_bits} "
+                                f"bits: not separated: {'; '.join(unsure[:3] + more)}")
     return ConditionVerdict("pass")
 
 
@@ -1240,13 +1256,10 @@ def pencil_membership(l1: HomPoly, l2: HomPoly, q1: HomPoly, q2: HomPoly):
     """Exact scalars (a, b) with l1*l2 = a*q1 + b*q2."""
     if l1.degree != 1 or l2.degree != 1:
         raise ValueError("l1, l2 must be linear forms")
-    if rank([_poly_coeff_vector(q1), _poly_coeff_vector(q2)]) < 2:
-        raise ValueError("q1, q2 must be linearly independent")
-    prod = l1 * l2
     cols = [_poly_coeff_vector(q1), _poly_coeff_vector(q2)]
-    M = [[cols[0][r], cols[1][r]] for r in range(6)]
-    rhs = _poly_coeff_vector(prod)
-    sol = solve(M, rhs)
+    if rank(cols) < 2:
+        raise ValueError("q1, q2 must be linearly independent")
+    sol = solve([[cols[0][r], cols[1][r]] for r in range(6)], _poly_coeff_vector(l1 * l2))
     if sol is None:
         raise NotInPencilError("product of lines is not in the pencil")
     return sol[0], sol[1]
@@ -1255,15 +1268,9 @@ def pencil_membership(l1: HomPoly, l2: HomPoly, q1: HomPoly, q2: HomPoly):
 def contact_classification(q1: HomPoly, q2: HomPoly,
                            precision: PrecisionConfig | None = None) -> str:
     """four-simple | two-tangential | one-point | other."""
-    recs = intersection_points(q1, q2, precision=precision)
-    mults = sorted(r.multiplicity for r in recs)
-    if mults == [1, 1, 1, 1]:
-        return "four-simple"
-    if mults == [2, 2]:
-        return "two-tangential"
-    if mults == [4]:
-        return "one-point"
-    return "other"
+    mults = sorted(r.multiplicity for r in intersection_points(q1, q2, precision=precision))
+    return {(1, 1, 1, 1): "four-simple", (2, 2): "two-tangential",
+            (4,): "one-point"}.get(tuple(mults), "other")
 
 
 # ---------------------------------------------------------------------------
@@ -1436,11 +1443,15 @@ def contact_obstruction_check(cfg: Configuration,
     touch = [(pt, tangent_to_conic(line, other))
              for ts, other in ((t2, g3), (t3, g2)) for pt, line in ts]
     g_wit = [pt for pt, t in touch if t]
-    undecided = any(t is None for _, t in touch)
-    report["g"] = ConditionVerdict(
-        "fail" if g_wit else ("undecided" if undecided else "pass"),
-        witnesses=g_wit,
-        note="tangent at a contact point touches the other quadric" if g_wit else "")
+    unsure = [pt for pt, t in touch if t is None]
+    if g_wit:
+        report["g"] = ConditionVerdict(
+            "fail", witnesses=g_wit, note="tangent at a contact point touches the other quadric")
+    elif unsure:
+        report["g"] = ConditionVerdict("undecided", note=_unseparated("tangency test", {
+            "the other quadric's dual at the tangents of contact points": unsure}))
+    else:
+        report["g"] = ConditionVerdict("pass")
 
     # clause f: span intersection test, exact on exact tangents
     f_entries = []

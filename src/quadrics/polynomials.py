@@ -110,9 +110,7 @@ class HomPoly:
 
     @staticmethod
     def variable(i: int) -> "HomPoly":
-        e = [0, 0, 0]
-        e[i] = 1
-        return HomPoly({tuple(e): 1})
+        return HomPoly({tuple(int(j == i) for j in range(3)): 1})
 
     @staticmethod
     def monomial(e: Expo, c=1) -> "HomPoly":
@@ -330,19 +328,13 @@ class HomPoly:
             return Fraction(1), self
         items = sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
         lead = items[0][1]
-        if isinstance(lead, GaussRat):
-            prim = HomPoly({e: c / lead for e, c in self.terms.items()})
-            return lead, prim
-        from math import gcd
+        if any(isinstance(c, GaussRat) for _, c in items):
+            return lead, HomPoly({e: c / lead for e, c in self.terms.items()})
         num_gcd = 0
         den_lcm = 1
-        all_real = all(not isinstance(c, GaussRat) for _, c in items)
-        if not all_real:
-            prim = HomPoly({e: c / lead for e, c in self.terms.items()})
-            return lead, prim
         for _, c in items:
-            num_gcd = gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
+            num_gcd = math.gcd(num_gcd, abs(c.numerator))
+            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
         f = Fraction(num_gcd, den_lcm)
         if lead < 0:
             f = -f
@@ -708,7 +700,7 @@ def _sylvester_rows(pc, qc, p_rows: int, q_rows: int) -> List[List[HomPoly]]:
 
 
 def resultant(p: HomPoly, q: HomPoly, var: int) -> HomPoly:
-    """Sylvester resultant eliminating ``var``.
+    """Sylvester resultant eliminating ``var``: the subresultant S_0.
 
     The result is a homogeneous form in the other two variables; when both
     inputs have their full degree in ``var`` it has degree deg(p)*deg(q)
@@ -725,23 +717,20 @@ def resultant(p: HomPoly, q: HomPoly, var: int) -> HomPoly:
         return p ** n
     if n == 0:
         return q ** m
-    return _bareiss_last_row(
-        _sylvester_rows(p.coeffs_in(var), q.coeffs_in(var), n, m))[0]
+    return subresultant(p, q, var, 0)[0]
 
 
-def subresultant1(p: HomPoly, q: HomPoly, var: int) -> Tuple[HomPoly, HomPoly]:
-    """First subresultant s1 * var + s0 of p and q, as (s1, s0), forms in
-    the other two variables.
+def subresultant(p: HomPoly, q: HomPoly, var: int, k: int) -> List[HomPoly]:
+    """Coefficients [sres_{k,k}, ..., sres_{k,0}] of the k-th subresultant
+    S_k of p and q in ``var``, forms in the other two variables.
 
-    Where p's and q's leading coefficients in ``var`` do not vanish, the
-    resultant does and s1 does not, the two share exactly one root in
-    ``var``, -s0/s1 (Collins 1967, "Subresultants and reduced polynomial
-    remainder sequences", J. ACM 14).  The Sylvester matrix of the degree-1
-    subresultant has n-1 shifted rows of p and m-1 of q (m, n their
-    degrees in ``var``); s1 is the determinant of its first m+n-2 columns,
-    s0 that of the same columns with the constant column in place of the
-    last.  When min(m, n) = 1 the linear input itself is the subresultant
-    (up to a constant factor).
+    With m, n the degrees in ``var`` and k < min(m, n), sres_{k,j} is the
+    determinant of the first m+n-2k-1 columns and the column of ``var``^j
+    of the Sylvester matrix with n-k shifted rows of p and m-k of q.  With
+    constant leading coefficients in ``var``, the first S_k with nonzero
+    leading coefficient is the gcd up to a factor free of ``var`` (Collins
+    1967, "Subresultants and reduced polynomial remainder sequences",
+    J. ACM 14).  S_min(m, n) is the lower-degree input (p when m = n).
     """
     if p.is_zero or q.is_zero:
         raise ZeroPolynomialError("subresultant of zero polynomial")
@@ -750,12 +739,12 @@ def subresultant1(p: HomPoly, q: HomPoly, var: int) -> Tuple[HomPoly, HomPoly]:
     if min(m, n) < 1:
         raise DegenerateLeadingFormError(
             f"both inputs must depend on {VAR_NAMES[var]}")
-    if min(m, n) == 1:
-        s0, s1 = (p if m == 1 else q).coeffs_in(var)
-        return s1, s0
-    s1, s0 = _bareiss_last_row(
-        _sylvester_rows(p.coeffs_in(var), q.coeffs_in(var), n - 1, m - 1))
-    return s1, s0
+    if not 0 <= k <= min(m, n):
+        raise ValueError(f"subresultant index {k} outside 0..{min(m, n)}")
+    if k == min(m, n):
+        return (p if m <= n else q).coeffs_in(var)[::-1]
+    return _bareiss_last_row(
+        _sylvester_rows(p.coeffs_in(var), q.coeffs_in(var), n - k, m - k))
 
 
 # ---------------------------------------------------------------------------

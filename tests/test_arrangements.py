@@ -23,7 +23,7 @@ from quadrics.arrangements import (CommonComponentError, Configuration,
                                    tangent_line_numeric, tangent_to_conic,
                                    NotExactPointError,
                                    SingularPointError, InfinitelyManySolutionsError)
-from quadrics.config import DEFAULT_PRECISION
+from quadrics.config import DEFAULT_PRECISION, PrecisionConfig
 from quadrics.polynomials import HomPoly, ProjPointNum, parse_poly
 from quadrics.squares import pencil_rank1_members
 
@@ -151,50 +151,102 @@ def test_common_component_on_constructed_pairs(p, q, expected):
 
 
 # Records at the identity change (30 digits, multiplicity, tangential
-# flag) as the numeric fiber path gives them when it solves every fiber.
+# flag), unchanged since the numeric root matching solved the fibers that
+# the first subresultant does not lift.
 _ROOT2 = "0.707106781186547524400844362105"
-FALLBACK_CASES = [
+IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+CHAIN_CASES = [
     # two conics tangent at (0 : +-sqrt 2 : 1) along lines through
-    # (1:0:0): s1 = 0, so no factor lifts
-    ("z0^2 - z1^2 + 2*z2^2", "z0^2 - 3*z1^2 + 6*z2^2", set(),
+    # (1:0:0): sres_{1,1} = 0, so the double factor lifts by S_2
+    ("z0^2 - z1^2 + 2*z2^2", "z0^2 - 3*z1^2 + 6*z2^2", {2: 2},
      [(("0.0", "1.0", "-" + _ROOT2), 2, True), (("0.0", "1.0", _ROOT2), 2, True)]),
     # a cubic through the same tangency points and two transversal ones:
-    # the simple factor lifts, the double one takes the numeric path
-    ("z0^3 + z0^2*z2 + (z1^2 - 2*z2^2)*(2*z0 + z2)", "z0^2 - z1^2 + 2*z2^2", {1},
+    # the simple factor lifts by S_1, the double one by S_2
+    ("z0^3 + z0^2*z2 + (z1^2 - 2*z2^2)*(2*z0 + z2)", "z0^2 - z1^2 + 2*z2^2", {1: 1, 2: 2},
      [(("0.0", "1.0", "-" + _ROOT2), 2, True), (("0.0", "1.0", _ROOT2), 2, True),
       (("0.426401432711220868596875464868", "-1.0", "-0.639602149066831302895313197302"), 1, False),
       (("0.426401432711220868596875464868", "1.0", "-0.639602149066831302895313197302"), 1, False)]),
 ]
 
 
-@pytest.mark.parametrize("p, q, lifted, expected", FALLBACK_CASES)
-def test_fiber_lift_falls_back_where_s1_shares_a_root(monkeypatch, p, q, lifted, expected):
-    """A Yun factor of the resultant that shares a root with s1 keeps the
-    numeric fiber path, and the records equal those of that path alone."""
+@pytest.mark.parametrize("p, q, ks, expected", CHAIN_CASES)
+def test_fiber_lift_climbs_the_chain_where_s1_shares_a_root(monkeypatch, p, q, ks, expected):
+    """A Yun factor of the resultant whose roots all kill sres_{1,1}
+    lifts by the next subresultant whose leading coefficient is coprime
+    to it, S_2 here, once the fiber is checked to hold one point."""
     import quadrics.arrangements as arr
-    from quadrics.polynomials import resultant, subresultant1
+    from quadrics.polynomials import resultant
 
-    identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    monkeypatch.setattr(arr, "_coordinate_changes", lambda: itertools.repeat(identity))
-    fallback = []
-    numeric = arr._fiber_points_numeric
-
-    def spy(*args):
-        fallback.append(args)
-        return numeric(*args)
-
-    monkeypatch.setattr(arr, "_fiber_points_numeric", spy)
+    monkeypatch.setattr(arr, "_coordinate_changes", lambda: itertools.repeat(IDENTITY))
     p, q = parse_poly(p), parse_poly(q)
-    assert arr._lifted_multiplicities(resultant(p, q, 0), subresultant1(p, q, 0)[0]) == lifted
+    lifts = arr._fiber_lifts(resultant(p, q, 0), p, q, set(ks))
+    assert {mult: k for mult, (k, _) in lifts.items()} == ks
     recs = intersection_points(p, q)
     got = [(tuple(x.split(" + ")[0].strip("(") for x in r.point.to_decimal_strings(30)),
             r.multiplicity, r.tangential) for r in recs]
     assert got == expected
-    # only the double factor t^2 - 2 reaches the numeric fiber path
-    assert fallback
-    assert all(abs(beta ** 2 - 2) < 1e-20 for _, _, beta, _, _, _ in fallback)
     for r in recs:  # every coordinate is real
         assert all(x.endswith(" + 0.0j)") for x in r.point.to_decimal_strings(30))
+
+
+def test_two_points_per_fiber_reject_the_change(monkeypatch):
+    """(z0^2 + z1^2 - 3 z2^2, z0^2 - z1^2 + z2^2) meet at (+-1 : +-sqrt 2 : 1):
+    two points above each root of t^2 - 2, where S_2 = z0^2 - 1 is no
+    square, so the identity change never lifts; another change does."""
+    import quadrics.arrangements as arr
+    from quadrics.polynomials import PrecisionExhaustedError, resultant
+
+    p, q = parse_poly("z0^2 + z1^2 - 3*z2^2"), parse_poly("z0^2 - z1^2 + z2^2")
+    recs = intersection_points(p, q)
+    assert [r.multiplicity for r in recs] == [1, 1, 1, 1]
+    assert all(abs(abs(r.point.coords[1] / r.point.coords[2]) - mp.sqrt(2)) < 1e-60
+               for r in recs)
+    assert arr._fiber_lifts(resultant(p, q, 0), p, q, {2}) is None
+    monkeypatch.setattr(arr, "_coordinate_changes", lambda: itertools.repeat(IDENTITY))
+    with pytest.raises(PrecisionExhaustedError):
+        intersection_points(p, q, precision=PrecisionConfig(64, 128))
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), dg=st.sampled_from([1, 2]),
+       da=st.sampled_from([1, 2]), db=st.sampled_from([0, 1, 2]))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_shared_factor_is_the_gcd(seed, dg, da, db):
+    """On g*a and g*b the error carries gcd(g*a, g*b) (sympy's, up to a
+    constant), and its witness lies on g: exactly at an exact witness, and
+    never certified off it at a numeric one."""
+    import sympy
+    from quadrics.polynomials import vanishes_at
+
+    rng = random.Random(seed)
+    g, a, b = _random_form(rng, dg), _random_form(rng, da), _random_form(rng, db)
+    p, q = g * a, g * b
+    with pytest.raises(CommonComponentError) as info:
+        intersection_points(p, q)
+    xs = sympy.symbols("z0 z1 z2")
+    to_sympy = lambda f: sum(c * xs[0] ** e[0] * xs[1] ** e[1] * xs[2] ** e[2]
+                             for e, c in f.terms.items())
+    factor, expected = to_sympy(info.value.factor), sympy.gcd(to_sympy(p), to_sympy(q))
+    ratio = sympy.cancel(factor / expected)
+    assert ratio != 0 and ratio.free_symbols == set()
+    w = info.value.witness
+    assert w is not None
+    for f in (info.value.factor, p, q):
+        assert vanishes_at(f, w) if w.is_exact() else vanishes_at(f, w) is not False
+
+
+def test_witness_of_the_first_probe_line_does_not_recurse():
+    """A curve equal to the first probe line z0 + z1 + z2 (up to a scalar)
+    shares it with a second curve; its witness comes from the next probe."""
+    from quadrics.arrangements import common_component_witness
+    p = parse_poly("-4*z0 - 4*z1 - 4*z2")
+    q = parse_poly("(z0 + z1 + z2)*(z0 - z2)")
+    with pytest.raises(CommonComponentError) as info:
+        intersection_points(p, q)
+    assert info.value.factor == parse_poly("z0 + z1 + z2")
+    w = info.value.witness
+    assert w.is_exact() and p.eval_exact(w.exact) == 0 and q.eval_exact(w.exact) == 0
+    line = parse_poly("z0 + z1 + z2")
+    assert common_component_witness(line, DEFAULT_PRECISION).exact == w.exact
 
 
 def test_intersection_needs_one_resultant_per_change(monkeypatch):

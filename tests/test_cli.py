@@ -472,20 +472,69 @@ def test_precision_exhausted_exits_undecided(tmp_path, monkeypatch, capsys, subc
     assert "Traceback" not in capsys.readouterr().err
 
 
+SHARED_LINE_CONFIG = {  # config-sweep seed 4101, item 0015: components 1 and 2 coincide
+    "family": [1, 1, 1, 1],
+    "components": ["4*z1", "-4*z0 - 4*z1 - 4*z2", "z0 + z1 + z2", "3*z0 + z1 + z2"],
+}
+
+IRRATIONAL_TRIPLE_CONFIG = {  # three smooth conics through (+-sqrt 2 : +-1 : 1)
+    "family": [2, 2, 2],
+    "components": ["z0^2 + z1^2 - 3*z2^2", "z0^2 - z1^2 - z2^2", "z0^2 + 2*z1^2 - 4*z2^2"],
+}
+
+
+def _schema():
+    from pathlib import Path
+    return json.loads((Path(quadrics.__file__).parent / "report_schema.json").read_text())
+
+
+def test_shared_first_probe_line_fails_without_traceback(tmp_path, capsys):
+    """A component equal to the first probe line of the witness search
+    (up to a scalar) shares it with another: s4.2 fails, its note names the
+    shared factor, and a witness on that line is reported, with exit 1."""
+    import jsonschema
+    cfg = _write(tmp_path, "cfg.json", SHARED_LINE_CONFIG)
+    code, doc = _run(["check-config", cfg], tmp_path)
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    jsonschema.validate(doc, _schema())
+    s42 = doc["report"]["genericity"]["conditions"]["s4.2"]
+    assert s42["verdict"] == "fail"
+    assert "components 1 and 2 share the component z0 + z1 + z2" in s42["note"]
+    line = parse_poly("z0 + z1 + z2")
+    points = [[complex(c.replace(" ", "")) for c in w["point"]] for w in s42["witnesses"]]
+    assert any(abs(complex(line.eval_mpc(pt))) == 0 for pt in points)
+
+
+def test_undecided_verdicts_carry_a_note(tmp_path):
+    """s4.2 and s6.4 stay undecided on three conics through irrational
+    common points; each note names its test, what it could not separate
+    and the precision reached."""
+    cfg = _write(tmp_path, "cfg.json", IRRATIONAL_TRIPLE_CONFIG)
+    code, doc = _run(["check-config", cfg], tmp_path)
+    assert code == 3
+    conds = doc["report"]["genericity"]["conditions"]
+    assert conds["s4.2"]["verdict"] == conds["s6.4"]["verdict"] == "undecided"
+    assert conds["s4.2"]["note"].startswith(
+        "triple-point test: component 2 at points of components 0 and 1: "
+        "4 point(s) not separated from zero (radius up to ")
+    assert "-bit evaluation)" in conds["s4.2"]["note"]
+    assert conds["s6.4"]["note"].startswith("18-line test at 4096 bits: not separated: ")
+    assert all(v["note"] for v in conds.values() if v["verdict"] == "undecided")
+
+
 def test_failed_root_solve_exits_undecided(tmp_path, monkeypatch, capsys):
     """A Durand-Kerner solve that does not converge ends its coordinate
     change; when every change fails, check-config is undecided (exit 3)
     and its report is still valid.  Elsewhere the same error is exit 3."""
     import jsonschema
     from pathlib import Path
-    import quadrics.arrangements as ar
     import quadrics.univariate as uv
 
     def fail(*args, **kwargs):
         raise uv.RootFindingError("injected failure")
 
     monkeypatch.setattr(uv, "complex_roots", fail)
-    monkeypatch.setattr(ar, "complex_roots", fail)
     cfg = _write(tmp_path, "cfg.json", TRIPLE_CONFIG)
     code, doc = _run(["--precision-bits", "256", "--precision-cap", "512", "check-config", cfg],
                      tmp_path)

@@ -11,7 +11,7 @@ from quadrics.polynomials import (DegenerateLeadingFormError, HomPoly,
                                   ProjPointNum, ZeroPolynomialError,
                                   gaussian_extension_eval, parse_poly,
                                   poly_from_matrix, quadric_form, resultant,
-                                  subresultant1, vanishes_at)
+                                  subresultant, vanishes_at)
 from quadrics.scalars import GaussRat
 
 z0, z1, z2 = (HomPoly.variable(i) for i in range(3))
@@ -134,14 +134,17 @@ def _random_form_through(rng, d, pt):
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1),
-       degrees=st.sampled_from([(1, 2), (2, 1), (2, 2), (3, 2), (2, 3), (3, 3), (4, 3)]))
+       degrees=st.sampled_from([(1, 2), (2, 1), (2, 2), (3, 2), (2, 3), (3, 3), (4, 3),
+                                (2, 4)]))
 @settings(max_examples=40, deadline=None, derandomize=True)
-def test_subresultant1_matches_sympy(seed, degrees):
-    """(s1, s0) is proportional to the degree-1 member of sympy's
-    subresultant sequence, and at every rational root of the resultant
-    where s1 does not vanish, -s0/s1 is the exact fiber point.  Three in
-    four pairs pass through a common point (a, b, 1), so t = b is such a
-    root."""
+def test_subresultant_chain_matches_sympy(seed, degrees):
+    """Every member S_k, k < min(m, n), of the chain equals the degree-k
+    member of sympy's subresultant sequence, taken from the higher-degree
+    input first (sign (-1)^((m-k)(n-k)) when p is the lower one); S_0 is
+    the resultant.  At every rational root of the resultant where sres_{1,1}
+    does not vanish, -sres_{1,0}/sres_{1,1} is the exact fiber point.
+    Three in four pairs pass through a common point (a, b, 1), so t = b
+    is such a root."""
     import sympy
     from quadrics.arrangements import _fiber_points_exact
     from quadrics.univariate import binary_form_roots
@@ -149,16 +152,20 @@ def test_subresultant1_matches_sympy(seed, degrees):
     rng = random.Random(seed)
     pt = (rng.randint(-3, 3), rng.randint(-3, 3), 1) if rng.random() < 0.75 else None
     p, q = (_random_form_through(rng, d, pt) for d in degrees)
-    s1, s0 = subresultant1(p, q, 0)
+    m, n = degrees
     xs = sympy.symbols("z0 z1 z2")
     high, low = sorted((_sympy_form(p, xs), _sympy_form(q, xs)),
                        key=lambda f: -sympy.degree(f, xs[0]))
-    linear = [m for m in sympy.subresultants(high, low, xs[0])
-              if sympy.degree(m, xs[0]) == 1]
-    assume(linear)
-    a, b = sympy.Poly(linear[0], xs[0]).all_coeffs()
-    assert not s1.is_zero
-    assert sympy.expand(_sympy_form(s1, xs) * b - _sympy_form(s0, xs) * a) == 0
+    members = {int(sympy.degree(f, xs[0])): f for f in sympy.subresultants(high, low, xs[0])}
+    assume(all(k in members for k in range(min(m, n))))
+    for k in range(min(m, n)):
+        chain = subresultant(p, q, 0, k)
+        assert len(chain) == k + 1 and not chain[0].is_zero
+        ours = sum(_sympy_form(c, xs) * xs[0] ** (k - j) for j, c in enumerate(chain))
+        sign = (-1) ** ((m - k) * (n - k)) if m < n else 1
+        assert sympy.expand(ours - sign * members[k]) == 0
+    assert subresultant(p, q, 0, 0) == [resultant(p, q, 0)]
+    s1, s0 = subresultant(p, q, 0, 1)
     rational = [exact for _, _, _, exact, _ in binary_form_roots(resultant(p, q, 0), 1, 2, 64)
                 if exact is not None]
     assert pt is None or (pt[1], 1) in rational
@@ -168,12 +175,17 @@ def test_subresultant1_matches_sympy(seed, degrees):
             assert _fiber_points_exact(p, q, *exact) == -s0.eval_exact(at) / s1.eval_exact(at)
 
 
-def test_subresultant1_of_a_linear_input_is_that_input():
+def test_subresultant_of_a_linear_input_is_that_input():
+    """S_k for k = min(m, n) is the lower-degree input, p at equal degrees."""
     line, conic = parse_poly("2*z0 - z1 + 3*z2"), parse_poly("z0^2 - z1*z2")
-    assert subresultant1(line, conic, 0) == (parse_poly("2"), parse_poly("-z1 + 3*z2"))
-    assert subresultant1(conic, line, 0) == (parse_poly("2"), parse_poly("-z1 + 3*z2"))
+    assert subresultant(line, conic, 0, 1) == [parse_poly("2"), parse_poly("-z1 + 3*z2")]
+    assert subresultant(conic, line, 0, 1) == [parse_poly("2"), parse_poly("-z1 + 3*z2")]
+    other = parse_poly("z0^2 + z2^2")
+    assert subresultant(conic, other, 0, 2) == conic.coeffs_in(0)[::-1]
     with pytest.raises(DegenerateLeadingFormError):
-        subresultant1(parse_poly("z1"), conic, 0)
+        subresultant(parse_poly("z1"), conic, 0, 1)
+    with pytest.raises(ValueError):
+        subresultant(line, conic, 0, 2)
 
 
 def test_resultant_degenerate_leading_form():

@@ -2,7 +2,9 @@
 
 One root finder: ``mpmath.polyroots`` and ``numpy.roots`` are each called
 from exactly one place under ``src/quadrics``, ``univariate.complex_roots``,
-so every numeric polynomial root goes through the same seeded solve.
+so every numeric polynomial root goes through the same seeded solve; and
+``complex_roots`` itself is called only by
+``univariate.numeric_roots_squarefree``.
 
 One evaluator for exponential sums: ``ExpSum._scaled`` is the only reader
 of the cached term coefficients, and no ``numpy.polyval`` copy of it is
@@ -61,6 +63,17 @@ def test_polyroots_is_called_only_in_complex_roots():
 
 def test_numpy_roots_is_called_only_in_complex_roots():
     assert _uses("roots", {"np", "numpy"}) == [("univariate.py", "complex_roots")]
+
+
+def test_complex_roots_is_called_only_for_squarefree_roots():
+    """Fibers are lifted by the subresultant chain, so no root matching is
+    left outside the root finder."""
+    assert _uses("complex_roots", {"univariate"}) == []  # imported nowhere
+    calls = [(name, func.name) for name, tree in _trees()
+             for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+             for node in ast.walk(func) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "complex_roots"]
+    assert calls == [("univariate.py", "numeric_roots_squarefree")]
 
 
 def test_numpy_polyval_is_not_used():
