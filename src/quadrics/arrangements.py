@@ -32,10 +32,11 @@ import numpy as np
 
 from .config import DEFAULT_PRECISION, PrecisionConfig, scoped
 from .linalg import det, nullspace, rank, solve
-from .polynomials import (HomPoly, PrecisionExhaustedError, ProjPointNum,
-                          ZeroPolynomialError, coerce_point,
-                          matrix_adjugate, poly_from_matrix, quadric_form,
-                          resultant, subresultant, vanishes_at)
+from .polynomials import (Ball, HomPoly, PrecisionExhaustedError, ProjPointNum,
+                          ZeroPolynomialError, _cross, ball_eval, coerce_point,
+                          coord_balls, excludes_zero, matrix_adjugate,
+                          poly_from_matrix, quadric_form, resultant,
+                          subresultant, vanishes_at)
 from .scalars import coerce_scalar, reconstruct_gauss, scalar_to_complex
 from .univariate import (RootFindingError, UniPoly, binary_form_roots,
                          binary_to_unipoly, uni_gcd, yun_squarefree)
@@ -114,16 +115,14 @@ def _phase_index(vec) -> int:
     return next(i for i, c in enumerate(vec) if abs(c) >= top)
 
 
-def _cross(a, b):
-    return (a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0])
-
-
 def _det3(a, b, c):
     return (a[0] * (b[1] * c[2] - b[2] * c[1])
             - a[1] * (b[0] * c[2] - b[2] * c[0])
             + a[2] * (b[0] * c[1] - b[1] * c[0]))
+
+
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def _cross_exact(a, b):
@@ -160,132 +159,36 @@ class NumLine:
         s = _sup(v)
         return NumLine(tuple(c / s for c in v), mp.mpf(0), exact=prim)
 
-    def incidence(self, p: ProjPointNum):
-        """(|l.p|, error bound); exact zero detected when both are exact."""
+    def passes_through(self, p: ProjPointNum) -> Optional[bool]:
+        """Does the line pass through p?  vanishes_at's contract: exact when
+        both are exact, else False where l.p certainly excludes zero and
+        None otherwise."""
         if self.exact is not None and p.is_exact():
-            v = self.exact.eval_exact(p.exact)
-            return (mp.mpf(0) if v == 0 else mp.mpf(abs(scalar_to_complex(v)))), None
-        val = abs(sum(c * x for c, x in zip(self.vec, p.coords)))
-        err = (self.radius * _sup(p.coords) * 3 + p.radius * _sup(self.vec) * 3
-               + mp.mpf(2) ** (8 - mp.mp.prec))
-        return val, err
+            return self.exact.eval_exact(p.exact) == 0
+        return False if excludes_zero(ball_eval(_dot, self, p)) else None
+
+    def balls(self, double: bool):
+        """The coefficients as Balls (``coord_balls``); doubles cached."""
+        if double:
+            return self._double_balls
+        return coord_balls(self.vec, self.radius, self.exact and self.exact.linear_coeffs(), False)
 
     @cached_property
-    def _double(self):
-        return _double_data(self.vec, self.radius)
-
-
-def _double_data(vec, radius):
-    """(entries as Python complex, radius as float) for the
-    double-precision filters; None when an entry's modulus exceeds 2."""
-    vec = tuple(complex(c) for c in vec)
-    if not max(abs(c) for c in vec) <= 2.0:
-        return None
-    return vec, float(radius)
-
-
-# Double-precision filter in front of lines_concurrent and lines_distinct
-# (Shewchuk 1997, "Adaptive precision floating-point arithmetic and fast
-# robust geometric predicates", DCG 18).  Both predicates test
-# |f(vectors)| > err, f the 3x3 determinant or the cross product, with
-# err = 6 * (sum of radii) + 2^(8-p) at p = mp.prec bits.  The filter
-# evaluates f on double copies of the vectors and answers only where that
-# test is certainly true; everything else, and any p below 53, goes on to
-# the mpmath code.  The bound, for entries of modulus <= 2:
-# - doubles (u = 2^-53): each determinant term a*b*c passes 3 conversions
-#   (u each), 2 complex products (sqrt(5)u < 3u each) and 3 sums (u each),
-#   so it errs by < 13u of its modulus; the 6 terms have moduli summing to
-#   <= 48, so the double determinant is within 624u < 2^-43 of the exact
-#   determinant of the mp entries;
-# - mpmath rounds each of its 5 operations by <= 2^(1-p), so its value is
-#   within 10 * 2^-p * 48 < 2^(9-p) of the same; its abs() and 2^(8-p)
-#   add < 2^(7-p) + 2^(8-p), all below 2^(11-p);
-# - every relative rounding of the radius sum (mpmath's, float(), the
-#   double arithmetic below, abs() in doubles) is below 2^-50, covered by
-#   the factor (1 + 2^-40); _FILTER_ABS = 2^-40 leaves a margin of 8 over
-#   2^-43 for the rest, underflow included.
-# A cross-product component has 2 terms of modulus <= 4 and fewer
-# roundings, so the same bound holds there with more room.
-_FILTER_ABS = 2.0 ** -40
-
-
-def _double_filter_exceeds(value, lines) -> bool:
-    """Is |value| of the lines' vectors, evaluated in doubles, certainly
-    above the error bound of the mpmath test at the current precision?"""
-    prec = mp.mp.prec
-    data = [l._double for l in lines]
-    if prec < 53 or None in data:
-        return False
-    bound = (_FILTER_ABS + math.ldexp(1.0, 11 - prec)
-             + 6.0 * sum(r for _, r in data) * (1.0 + _FILTER_ABS))
-    return value(*(v for v, _ in data)) > bound
-
-
-# The same filter in front of NumLine.incidence, the point-line test of
-# _condition4_verdict, which answers "nonzero" when |l.p| > err with
-# err = 3 * (r_l * sup|p| + r_p * sup|l|) + 2^(8-p).  For entries of
-# modulus <= 2:
-# - doubles: each term c*x passes 2 conversions (u each) and a complex
-#   product (< 3u), the 2 sums and abs() add u each, so with term moduli
-#   summing to <= 12 the double |l.p| is within 96u < 2^-46 of the exact
-#   |l.p| of the mp entries; that is > 2^-40 - 2^-46 > 0, so an exact line
-#   and an exact point, whose entries are within 2^(1-p) of the exact
-#   ones, are certainly not incident either;
-# - mpmath rounds each part of its 3 products once and its 2 sums and
-#   abs() once, so its |l.p| is within 106 * 2^-p < 2^(7-p) of the same;
-#   2^(10-p) covers that, 2^(8-p) and its rounding;
-# - the sups in doubles are within 3u of mpmath's, and every relative
-#   rounding of err is below 2^-48, all covered by the factor (1 + 2^-40);
-#   underflow of a radius or an entry is covered by the rest of 2^-40.
-def _double_incidence_exceeds(line: NumLine, point) -> bool:
-    """Is |l.p| in doubles certainly above NumLine.incidence's error
-    bound?  ``point`` is the point's ``_double_data`` (or None)."""
-    prec = mp.mp.prec
-    data = line._double
-    if prec < 53 or data is None or point is None:
-        return False
-    (lv, lr), (pv, pr) = data, point
-    val = abs(lv[0] * pv[0] + lv[1] * pv[1] + lv[2] * pv[2])
-    err = 3.0 * (lr * max(map(abs, pv)) + pr * max(map(abs, lv)))
-    return val > (_FILTER_ABS + math.ldexp(1.0, 10 - prec)
-                  + err * (1.0 + _FILTER_ABS))
-
-
-def _certified_sign(value, err):
-    """1 certainly nonzero, 0 exactly zero, None ambiguous."""
-    if err is None:
-        return 0 if value == 0 else 1
-    if value > err:
-        return 1
-    return None
+    def _double_balls(self):
+        return coord_balls(self.vec, self.radius, self.exact and self.exact.linear_coeffs(), True)
 
 
 def lines_concurrent(l1: NumLine, l2: NumLine, l3: NumLine):
     """True/False/None for det of the three coefficient vectors."""
     if all(l.exact is not None for l in (l1, l2, l3)):
         return det([l.exact.linear_coeffs() for l in (l1, l2, l3)]) == 0
-    if _double_filter_exceeds(lambda a, b, c: abs(_det3(a, b, c)), (l1, l2, l3)):
-        return False
-    d = _det3(l1.vec, l2.vec, l3.vec)
-    err = sum(l.radius for l in (l1, l2, l3)) * 6 + mp.mpf(2) ** (8 - mp.mp.prec)
-    if abs(d) > err:
-        return False
-    if all(l.radius == 0 for l in (l1, l2, l3)) and abs(d) < mp.mpf(2) ** (4 - mp.mp.prec):
-        # all three lines exactly known numerically, det consistent with 0
-        return True
-    return None
+    return False if excludes_zero(ball_eval(_det3, l1, l2, l3)) else None
 
 
 def lines_distinct(l1: NumLine, l2: NumLine):
     if l1.exact is not None and l2.exact is not None:
         return l1.exact != l2.exact and l1.exact != -l2.exact
-    if _double_filter_exceeds(lambda a, b: _sup(_cross(a, b)), (l1, l2)):
-        return True
-    v = _cross(l1.vec, l2.vec)
-    err = (l1.radius + l2.radius) * 6 + mp.mpf(2) ** (8 - mp.mp.prec)
-    if _sup(v) > err:
-        return True
-    return None
+    return True if excludes_zero(ball_eval(_cross, l1, l2)) else None
 
 
 # ---------------------------------------------------------------------------
@@ -718,12 +621,12 @@ class GenericityReport:
         }
 
 
-def _unseparated(test: str, cases: Dict[str, List[ProjPointNum]]) -> str:
+def _unseparated(test: str, cases: Dict[str, List[ProjPointNum]], bits=None) -> str:
     """An undecided note: per thing tested, how many points it was not separated from
     zero at, and the precision reached (their largest radius, the evaluation bits)."""
     return "; ".join(
         f"{test}: {what}: {len(pts)} point(s) not separated from zero (radius up to "
-        f"{mp.nstr(max(pt.radius for pt in pts), 3)}, {mp.mp.prec}-bit evaluation)"
+        f"{mp.nstr(max(pt.radius for pt in pts), 3)}, {bits or mp.mp.prec}-bit evaluation)"
         for what, pts in cases.items())
 
 
@@ -748,18 +651,20 @@ def _smoothness_verdict(p: HomPoly, prec_cfg: PrecisionConfig) -> ConditionVerdi
         return ConditionVerdict("fail", witnesses=w, note="partials share a component")
     bad = []
     unsure = []
-    for rec in pts:
-        # with two nonzero partials the third is zero, so it vanishes too
-        on = vanishes_at(nz[2], rec.point) if len(nz) == 3 else True
-        if on:
-            bad.append(rec.point)
-        elif on is None:
-            unsure.append(rec.point)
+    bits = max(prec_cfg.start_bits, mp.mp.prec)  # the points' precision
+    with mp.workprec(bits):
+        for rec in pts:
+            # with two nonzero partials the third is zero, so it vanishes too
+            on = vanishes_at(nz[2], rec.point) if len(nz) == 3 else True
+            if on:
+                bad.append(rec.point)
+            elif on is None:
+                unsure.append(rec.point)
     if bad:
         return ConditionVerdict("fail", witnesses=bad, note="singular point")
     if unsure:
         return ConditionVerdict("undecided", note=_unseparated("singular-point test", {
-            "the third partial at common zeros of the other two": unsure}))
+            "the third partial at common zeros of the other two": unsure}, bits))
     return ConditionVerdict("pass")
 
 
@@ -799,7 +704,7 @@ def _triple_points(polys, pairwise):
     return found, unsure
 
 
-def _transversality_verdict(polys, pairwise) -> ConditionVerdict:
+def _transversality_verdict(polys, pairwise, bits) -> ConditionVerdict:
     witnesses = []
     notes = []
     for (i, j), val in pairwise.items():
@@ -813,7 +718,8 @@ def _transversality_verdict(polys, pairwise) -> ConditionVerdict:
                 witnesses.append(rec.point)
                 notes.append(f"non-transversal contact of {i} and {j} "
                              f"(multiplicity {rec.multiplicity})")
-    triples, unsure = _triple_points(polys, pairwise)
+    with mp.workprec(bits):
+        triples, unsure = _triple_points(polys, pairwise)
     for (i, j, k), point in triples:
         witnesses.append(point)
         notes.append(f"components {i},{j},{k} meet at one point")
@@ -825,7 +731,7 @@ def _transversality_verdict(polys, pairwise) -> ConditionVerdict:
         cases: Dict[str, List[ProjPointNum]] = {}
         for (i, j, k), point in unsure:
             cases.setdefault(f"component {k} at points of components {i} and {j}", []).append(point)
-        return ConditionVerdict("undecided", note=_unseparated("triple-point test", cases))
+        return ConditionVerdict("undecided", note=_unseparated("triple-point test", cases, bits))
     return ConditionVerdict("pass")
 
 
@@ -836,16 +742,19 @@ def common_tangents(q1: HomPoly, q2: HomPoly, prec_cfg) -> List[ProjPointNum]:
     return [rec.point for rec in intersection_points(d1, d2, precision=prec_cfg)]
 
 
-def _contact_point(q: HomPoly, line_pt: ProjPointNum) -> ProjPointNum:
-    """Pole of a tangent line: the point where it touches the conic."""
-    adj = quadric_form(q).adjugate()
+def _contact_point(adj, line_pt: ProjPointNum, bits: int) -> ProjPointNum:
+    """Pole of a tangent line: the point where it touches the conic whose
+    matrix has adjugate ``adj``.  A numeric pole is formed on Balls at
+    ``bits`` (the ambient precision if higher), so that its radius covers
+    the rounding as well."""
     if line_pt.is_exact():
-        v = [sum(adj[i][j] * line_pt.exact[j] for j in range(3)) for i in range(3)]
-        return ProjPointNum.from_exact(v)
-    v = [sum(scalar_to_complex(adj[i][j]) * line_pt.coords[j] for j in range(3))
-         for i in range(3)]
-    mass = max(sum(abs(scalar_to_complex(adj[i][j])) for j in range(3)) for i in range(3))
-    return ProjPointNum(v, line_pt.radius * mass * 4)
+        return ProjPointNum.from_exact([_dot(row, line_pt.exact) for row in adj])
+    with mp.workprec(max(bits, mp.mp.prec)):
+        ell = line_pt.balls(False)
+        v = [_dot([Ball.exact(a, False) for a in row], ell) for row in adj]
+        # normalizing divides by sup|mid|; 2^(4-p) covers its rounding
+        rad = max(b.rad for b in v) / _sup([b.mid for b in v]) * 2 + mp.mpf(2) ** (4 - mp.mp.prec)
+        return ProjPointNum([b.mid for b in v], rad)
 
 
 def genericity_check_s4(cfg: Configuration,
@@ -878,7 +787,8 @@ def genericity_check_s4(cfg: Configuration,
         report.conditions["s4.1"] = ConditionVerdict("pass")
 
     pairwise = _pairwise_data(polys, prec_cfg)
-    report.conditions["s4.2"] = _transversality_verdict(polys, pairwise)
+    report.conditions["s4.2"] = _transversality_verdict(
+        polys, pairwise, max(prec_cfg.start_bits, mp.mp.prec))
 
     k = cfg.k
 
@@ -916,13 +826,14 @@ def _tangent_contact_verdict(groups, fail_note, prec_cfg) -> ConditionVerdict:
     for c1, c2, curve_pairs in groups:
         if quadric_form(c1).rank != 3 or quadric_form(c2).rank != 3:
             return ConditionVerdict("undecided", note="needs smooth quadrics")
+        adj1, adj2 = quadric_form(c1).adjugate(), quadric_form(c2).adjugate()
         try:
             tangents = common_tangents(c1, c2, prec_cfg)
         except (CommonComponentError, PrecisionExhaustedError):
             return ConditionVerdict("undecided", note="degenerate dual intersection")
         for ell in tangents:
-            P = _contact_point(c1, ell)
-            Q = _contact_point(c2, ell)
+            P = _contact_point(adj1, ell, prec_cfg.start_bits)
+            Q = _contact_point(adj2, ell, prec_cfg.start_bits)
             for fP, fQ in curve_pairs:
                 onP = vanishes_at(fP, P)
                 onQ = vanishes_at(fQ, Q)
@@ -942,10 +853,12 @@ def _tangent_contact_verdict(groups, fail_note, prec_cfg) -> ConditionVerdict:
 
 
 def _condition3_222(polys, prec_cfg) -> ConditionVerdict:
+    """s4.3, which is also s6.3: computed once per analysis scope."""
     groups = [(polys[i], polys[j], [(polys[3 - i - j], polys[3 - i - j])])
               for i, j in itertools.combinations(range(3), 2)]
-    return _tangent_contact_verdict(
-        groups, "third quadric meets a common tangent in both contact points", prec_cfg)
+    return scoped(("s4.3", tuple(polys), prec_cfg, mp.mp.prec),
+                  lambda: _tangent_contact_verdict(groups, "third quadric meets a common "
+                                                   "tangent in both contact points", prec_cfg))
 
 
 def _condition4_dd11(cfg, prec_cfg) -> ConditionVerdict:
@@ -972,7 +885,8 @@ def _condition5_d111(cfg, prec_cfg) -> ConditionVerdict:
         # a singular conic's tangents through a point have no contact point
         return ConditionVerdict("undecided", note="needs a smooth quadric")
     lines = [p for i, p in enumerate(polys) if i != curve_idx]
-    dual = poly_from_matrix(qf.adjugate())
+    adj = qf.adjugate()
+    dual = poly_from_matrix(adj)
     witnesses = []
     unsure: Dict[str, List[ProjPointNum]] = {}
     failed = []
@@ -990,7 +904,7 @@ def _condition5_d111(cfg, prec_cfg) -> ConditionVerdict:
                           f"not found ({type(exc).__name__})")
             continue
         for rec in duals:
-            P = _contact_point(curve, rec.point)
+            P = _contact_point(adj, rec.point, prec_cfg.start_bits)
             on = vanishes_at(lines[c], P)
             if on is None:
                 unsure.setdefault(f"{lines[c]} at the contact points", []).append(P)
@@ -1156,17 +1070,15 @@ def _condition4_verdict(ls: LineSystem) -> ConditionVerdict:
 
     for (g, idx), mine in own.items():
         p = ls.points[g][idx]
-        pd = _double_data(p.coords, p.radius)
         for n, li in enumerate(lines):
-            if n in mine or _double_incidence_exceeds(li.line, pd):
+            if n in mine:
                 continue
-            v, e = li.line.incidence(p)
-            s = _certified_sign(v, e)
-            if s == 0:
+            on = li.line.passes_through(p)
+            if on:
                 witnesses.append(p)
                 notes.append(f"extra line {li.label()} through intersection "
                              f"point {idx} of pair {g}")
-            elif s is None:
+            elif on is None:
                 unsure.append(f"line {li.label()} from intersection point {idx} of pair {g}")
 
     allowed = set(own.values())

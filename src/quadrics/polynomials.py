@@ -19,6 +19,7 @@ accepted as strict extensions; everything the grammar produces parses.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,6 +67,13 @@ class WrongDegreeError(ValueError):
 
 class PrecisionExhaustedError(ArithmeticError):
     pass
+
+
+def scalar_to_mp(x):
+    """x rounded to the working precision as an mpf (an mpc if a GaussRat)."""
+    if isinstance(x, GaussRat):
+        return mp.mpc(scalar_to_mp(x.re), scalar_to_mp(x.im))
+    return mp.mpf(x.numerator) / x.denominator
 
 
 def _grlex_key(e: Expo):
@@ -257,12 +265,19 @@ class HomPoly:
     def eval_mpc(self, point):
         total = mp.mpc(0)
         for e, c in self.terms.items():
-            if isinstance(c, GaussRat):
-                v = (mp.mpf(c.re.numerator) / c.re.denominator
-                     + mp.mpc(0, 1) * mp.mpf(c.im.numerator) / c.im.denominator)
-            else:
-                v = mp.mpf(c.numerator) / c.denominator
-            total += v * point[0] ** e[0] * point[1] ** e[1] * point[2] ** e[2]
+            total += scalar_to_mp(c) * point[0] ** e[0] * point[1] ** e[1] * point[2] ** e[2]
+        return total
+
+    def eval_ball(self, z):
+        """Value at a vector of Balls, term by term."""
+        double = z[0].mid.__class__ is complex
+        total = Ball.exact(0, double)
+        for e, c in self.terms.items():
+            term = Ball.exact(c, double)
+            for i, k in enumerate(e):
+                for _ in range(k):
+                    term = term * z[i]
+            total = total + term
         return total
 
     def compose(self, args: Sequence["HomPoly"]) -> "HomPoly":
@@ -748,8 +763,102 @@ def subresultant(p: HomPoly, q: HomPoly, var: int, k: int) -> List[HomPoly]:
 
 
 # ---------------------------------------------------------------------------
-# Numeric projective points and certified evaluation
+# Balls, numeric projective points and certified evaluation
 # ---------------------------------------------------------------------------
+
+# A pass's constants (eps, grow, tiny): eps bounds the rounding of one
+# complex sum, product or conversion relative to its result's modulus
+# (doubles round to nearest, mpmath's fast paths toward zero; for the
+# product, Brent, Percival & Zimmermann 2007, Math. Comp. 76), grow the
+# rounding of a radius (at most ten operations on nonnegative terms) and
+# of abs(), and tiny the underflow of a double operation.
+_DOUBLE_PASS = (2.0 ** -51, 1.0 + 2.0 ** -47, 2.0 ** -1020)
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_pass(prec):
+    return mp.mpf(2) ** (2 - prec), 1 + mp.mpf(2) ** (6 - prec), 0
+
+
+def _pass_of(mid):
+    return _DOUBLE_PASS if mid.__class__ is complex else _mp_pass(mp.mp.prec)
+
+
+class Ball:
+    """A complex ball: the true value lies within ``rad`` of ``mid``, a
+    Python complex and a float in the double pass, an mpc and an mpf at
+    the working precision.  + - * add their own rounding to the radii they
+    carry, so these operations are the one error proof of every numeric
+    predicate (van der Hoeven 2010, "Ball arithmetic"; Rump 2010, Acta
+    Numerica 19, sections 2-3).  A ball with a double that overflowed
+    excludes nothing.
+    """
+
+    __slots__ = ("mid", "rad")
+
+    def __init__(self, mid, rad):
+        self.mid, self.rad = mid, rad
+
+    @staticmethod
+    def exact(x, double: bool) -> "Ball":
+        """The exact scalar x; OverflowError beyond the range of a double."""
+        mid = scalar_to_complex(x) if double else mp.mpc(scalar_to_mp(x))
+        eps, grow, tiny = _pass_of(mid)
+        return Ball(mid, 2 * eps * abs(mid) * grow + tiny)
+
+    def __add__(self, other):
+        mid = self.mid + other.mid
+        eps, grow, tiny = _pass_of(mid)
+        return Ball(mid, (self.rad + other.rad + eps * abs(mid)) * grow + tiny)
+
+    def __sub__(self, other):
+        return self + Ball(-other.mid, other.rad)
+
+    def __mul__(self, other):
+        x, y, r, s = self.mid, other.mid, self.rad, other.rad
+        a, b = abs(x), abs(y)
+        eps, grow, tiny = _pass_of(x)
+        return Ball(x * y, (a * s + b * r + r * s + a * b * eps) * grow + tiny)
+
+    def excludes_zero(self) -> bool:
+        return self.rad * _pass_of(self.mid)[1] < abs(self.mid) < math.inf
+
+
+def coord_balls(values, radius, exact, double: bool):
+    """A coordinate vector as Balls: the exact coordinates where there are
+    any (never their double copy), else each value within ``radius``, with
+    the rounding of its conversion to the pass added."""
+    if exact is not None:
+        return tuple(Ball.exact(x, double) for x in exact)
+    convert, r = (complex, float(radius)) if double else (mp.mpc, mp.mpf(radius))
+    mids = [convert(c) for c in values]
+    eps, grow, tiny = _pass_of(mids[0])
+    return tuple(Ball(m, (r + eps * abs(m)) * grow + tiny) for m in mids)
+
+
+def ball_eval(expr, *objs):
+    """``expr`` on the double balls of ``objs`` (each with ``balls(double)``)
+    and, where that does not exclude zero or a double overflows, again on
+    balls at mp.mp.prec."""
+    try:
+        out = expr(*(o.balls(True) for o in objs))
+        if excludes_zero(out):
+            return out
+    except OverflowError:
+        pass
+    return expr(*(o.balls(False) for o in objs))
+
+
+def excludes_zero(out) -> bool:
+    """Does the Ball, or a component of the vector of Balls, exclude zero?"""
+    return any(b.excludes_zero() for b in (out if isinstance(out, tuple) else (out,)))
+
+
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
 
 class ProjPointNum:
     """Projective point with mpc coordinates and a certified error radius.
@@ -786,26 +895,15 @@ class ProjPointNum:
     def is_exact(self) -> bool:
         return self.exact is not None
 
-    def distance(self, other: "ProjPointNum"):
-        """Sup-norm distance between normalized representatives, phase-aligned."""
-        a, b = self.coords, other.coords
-        j = max(range(len(a)), key=lambda i: abs(a[i]))
-        # align phases on the dominant coordinate of a
-        if abs(b[j]) == 0:
-            return mp.mpf(2)
-        fa = a[j] / abs(a[j])
-        fb = b[j] / abs(b[j])
-        return max(abs(x / fa - y / fb) for x, y in zip(a, b))
+    def balls(self, double: bool):
+        return coord_balls(self.coords, self.radius, self.exact, double)
 
-    def same_point(self, other: "ProjPointNum", tol=None) -> bool:
+    def same_point(self, other: "ProjPointNum") -> bool:
+        """Not certainly different: equal exact points, or coordinate
+        vectors whose cross product does not exclude zero."""
         if self.exact is not None and other.exact is not None:
             return self.exact == other.exact
-        if _double_distance_exceeds(self, other, tol):
-            return False
-        if tol is None:
-            # uncertified: the 1e-25 floor decides equality of exact-radius points
-            tol = max(self.radius, other.radius, mp.mpf("1e-25")) * 8
-        return self.distance(other) <= tol
+        return not excludes_zero(ball_eval(_cross, self, other))
 
     def to_decimal_strings(self, digits=30):
         out = []
@@ -819,54 +917,6 @@ class ProjPointNum:
         return "[" + ":".join(mp.nstr(c, 8) for c in self.coords) + "]"
 
 
-# Double-precision filter in front of same_point, in the manner of
-# arrangements._double_filter_exceeds: it answers only "distance > tol",
-# and only where mpmath's test certainly answers the same.  distance()
-# aligns both points on the phase of a's dominant coordinate j and takes
-# max_i |a_i/fa - b_i/fb|; every coordinate has modulus <= 1 (up to one
-# rounding), since the constructor divides by the sup.  For a fixed j:
-# - doubles (u = 2^-53): a coordinate's conversion errs by <= u of its
-#   modulus; the phase fa = a_j/|a_j| (hypot and two real divisions, with
-#   |a_j| >= 1/2 and |b_j| > 2^-500) errs by < 6u; each quotient
-#   a_i/fa adds < 4u, the difference and abs() < 3u, so each term, and so
-#   the max, is within 2 * (1 + 6 + 4)u + 3u = 25u < 2^-48 of its exact
-#   value on the stored entries;
-# - mpmath at p >= 53 bits rounds the same steps with 2^-p for u, and so
-#   is within 2^-48 as well;
-# - mpmath's j maximizes |a_i| at p bits, so its double modulus is within
-#   a relative 2^-50 of the largest: it is among the candidates below,
-#   whose smallest double distance is then at most d_mp + 2^-47;
-# - tol in doubles (float(), max, 8*) errs by a relative < 2^-51 and
-#   mpmath's by < 2^-52; the factor (1 + 2^-40) covers both, the absolute
-#   2^-40 the 2^-47 above and any underflow (2^-1074 per entry).
-# An exact zero b_j, which makes distance() return 2, or one below 2^-500
-# is left to mpmath.
-_SAME_POINT_MARGIN = 2.0 ** -40
-
-
-def _double_distance_exceeds(a: ProjPointNum, b: ProjPointNum, tol) -> bool:
-    """Is a.distance(b), evaluated in doubles, certainly above ``tol``
-    (same_point's default when None) at the current precision?"""
-    if mp.mp.prec < 53:
-        return False
-    if tol is None:
-        tol = 8.0 * max(float(a.radius), float(b.radius), 1e-25)
-    xs = [complex(c) for c in a.coords]
-    ys = [complex(c) for c in b.coords]
-    mags = [abs(x) for x in xs]
-    top = max(mags)
-    nearest = math.inf
-    for j, mag in enumerate(mags):
-        if mag < top * (1.0 - _SAME_POINT_MARGIN):
-            continue
-        mag_b = abs(ys[j])
-        if not mag_b > 2.0 ** -500:
-            return False
-        fa, fb = xs[j] / mag, ys[j] / mag_b
-        nearest = min(nearest, max(abs(x / fa - y / fb) for x, y in zip(xs, ys)))
-    return nearest > float(tol) * (1.0 + _SAME_POINT_MARGIN) + _SAME_POINT_MARGIN
-
-
 def coerce_point(pt) -> ProjPointNum:
     if isinstance(pt, ProjPointNum):
         return pt
@@ -874,45 +924,25 @@ def coerce_point(pt) -> ProjPointNum:
 
 
 def gaussian_extension_eval(p: HomPoly, point):
-    """Certified evaluation of p at a numeric projective point.
-
-    Returns (value, error_bound).  The bound combines first-order
-    propagation of the point's radius with a rounding allowance at the
-    current working precision.
-    """
+    """Certified evaluation of p at a projective point: (value, err), the
+    Ball ``ball_eval`` gives for p at a representative of the point; at an
+    exact point, the exact value rounded to the working precision."""
     pt = coerce_point(point)
-    if pt.is_exact():
-        v = p.eval_exact(pt.exact)
-        return mp.mpc(scalar_to_complex(v)) if v != 0 else mp.mpc(0), mp.mpf(0)
-    coords = pt.coords
-    val = p.eval_mpc(coords)
-    R = max(abs(c) for c in coords) + pt.radius
-    grad_bound = mp.mpf(0)
-    for i in range(3):
-        d = p.derivative(i)
-        s = mp.mpf(0)
-        for e, c in d.terms.items():
-            s += abs(scalar_to_complex(c)) * R ** sum(e)
-        grad_bound += s ** 2
-    grad_bound = mp.sqrt(grad_bound)
-    coeff_mass = sum(abs(scalar_to_complex(c)) for c in p.terms.values()) or mp.mpf(0)
-    rounding = mp.mpf(coeff_mass) * R ** max(p.degree, 0) * mp.mpf(2) ** (12 - mp.mp.prec)
-    err = grad_bound * pt.radius * mp.sqrt(3) + rounding
-    return val, err
+    b = Ball.exact(p.eval_exact(pt.exact), False) if pt.is_exact() else ball_eval(p.eval_ball, pt)
+    return b.mid, b.rad
 
 
 def vanishes_at(p: HomPoly, point) -> Optional[bool]:
     """Does p vanish at the projective point?
 
     Decided exactly at an exact point.  At a numeric point the answer is
-    False when the certified error bound separates p's value from zero and
-    None otherwise: a numeric point never certifies a zero.
+    False when p's Ball excludes zero and None otherwise: a numeric point
+    never certifies a zero.
     """
     pt = coerce_point(point)
     if pt.is_exact():
         return p.eval_exact(pt.exact) == 0
-    v, err = gaussian_extension_eval(p, pt)
-    return False if abs(v) > err else None
+    return False if Ball(*gaussian_extension_eval(p, pt)).excludes_zero() else None
 
 
 def poly_from_matrix(M) -> HomPoly:

@@ -18,9 +18,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import mpmath as mp
 
 from .arrangements import (CommonComponentError, InfinitelyManySolutionsError,
-                           NoSolutionError, _certified_sign, _contact_span,
-                           _contact_tangents, _pairwise_data,
-                           _poly_coeff_vector, _triple_points,
+                           NoSolutionError, _contact_span, _contact_tangents,
+                           _pairwise_data, _poly_coeff_vector, _triple_points,
                            common_zeros_of_quadratic_system,
                            tangent_line_numeric, tangent_to_conic)
 from .config import DEFAULT_PRECISION, PrecisionConfig
@@ -634,11 +633,10 @@ def tangent_incidence_check(quadric_indices, polys, pairs):
                 for pr2, pt2 in all_pts:
                     if pt2.same_point(rec.point):
                         continue
-                    v, e = tl.incidence(pt2)
-                    s = _certified_sign(v, e)
-                    if s == 0:
+                    on = tl.passes_through(pt2)
+                    if on:
                         witnesses.append(pt2)
-                    elif s is None:
+                    elif on is None:
                         undecided = True
     if witnesses:
         return "fail", witnesses

@@ -1,9 +1,11 @@
-"""References that only the tests use: exact decisions, and the
-exponential-sum evaluators that ExpSum._scaled took the place of."""
+"""References that only the tests use: exact decisions, the distance of
+two numeric points, and the exponential-sum evaluators that
+ExpSum._scaled took the place of."""
 
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 
 from quadrics.polynomials import DegenerateLeadingFormError, HomPoly, resultant
@@ -21,6 +23,18 @@ def has_common_component(p: HomPoly, q: HomPoly) -> bool:
             except DegenerateLeadingFormError:  # pragma: no cover
                 continue
     return False
+
+
+def point_distance(a, b):
+    """Sup-norm distance of two ProjPointNum's normalized coordinates,
+    phases aligned on a's dominant coordinate (2 where b's is zero)."""
+    a, b = a.coords, b.coords
+    j = max(range(len(a)), key=lambda i: abs(a[i]))
+    if abs(b[j]) == 0:
+        return mp.mpf(2)
+    fa = a[j] / abs(a[j])
+    fb = b[j] / abs(b[j])
+    return max(abs(x / fa - y / fb) for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from quadrics.polynomials import HomPoly, ProjPointNum, parse_poly
 from quadrics.squares import (b4_solve, example_verify, expand_S, generate_R,
                               square_combination)
 
-from exact_reference import has_common_component
+from exact_reference import has_common_component, point_distance
 
 QUAD_BASIS = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
 
@@ -96,7 +96,7 @@ def test_criterion_4_intersection_oracle():
                ProjPointNum([omega ** 2, 1, omega])]
     ok = len(recs) == 4 and all(r.multiplicity == 1 for r in recs)
     for t in targets:
-        ok = ok and any(r.point.distance(t) < mp.mpf("1e-10") for r in recs)
+        ok = ok and any(point_distance(r.point, t) < mp.mpf("1e-10") for r in recs)
     rng = random.Random(20240809)
     done = 0
     while done < 200:

@@ -27,7 +27,7 @@ from quadrics.config import DEFAULT_PRECISION, PrecisionConfig
 from quadrics.polynomials import HomPoly, ProjPointNum, parse_poly
 from quadrics.squares import pencil_rank1_members
 
-from exact_reference import has_common_component
+from exact_reference import has_common_component, point_distance
 
 P1 = parse_poly("z0^2 - z1*z2")
 P2 = parse_poly("z1^2 - z0*z2")
@@ -56,7 +56,7 @@ def test_four_simple_points():
     for pt in numeric:
         target1 = ProjPointNum([omega, 1, omega ** 2])
         target2 = ProjPointNum([omega ** 2, 1, omega])
-        assert pt.distance(target1) < 1e-10 or pt.distance(target2) < 1e-10
+        assert point_distance(pt, target1) < 1e-10 or point_distance(pt, target2) < 1e-10
 
 
 def test_multiplicity_four_single_point():
@@ -466,11 +466,7 @@ def test_every_line_passes_through_its_points(generic_triple):
         pts = ls.points[g]
         for li in lines:
             for idx in li.point_ids:
-                v, err = li.line.incidence(pts[idx])
-                if err is None:
-                    assert v == 0
-                else:
-                    assert v <= err + mp.mpf("1e-25")
+                assert li.line.passes_through(pts[idx]) is not False
 
 
 def test_select_general_position(generic_triple):
@@ -906,8 +902,41 @@ def test_scope_computes_each_intersection_once(monkeypatch):
     assert calls[(P1, P2, DEFAULT_PRECISION)] == 2
 
 
+def test_contact_points_carry_their_rounding():
+    """c1 = z0^2 - 2 z2^2 + (z1 - z2)^2 and c2 = z0^2 - 2 z2^2 + (z1 + z2)^2
+    with l3 = z1 - z2 and l4 = z1 + z2, under an integer change of
+    coordinates: the tangent z0 = sqrt2 z2 touches c1 on l3 and c2 on l4,
+    so s4.4 must fail.  The numeric contact points lie on the lines, and
+    their radii cover the rounding of their construction, so s4.4 is never
+    a pass."""
+    cfg = Configuration.from_json({"family": [2, 2, 1, 1], "components": [
+        "3*z0^2 - 8*z0*z1 - 6*z0*z2 + 21*z1^2 + 4*z1*z2 - z2^2",
+        "-z0^2 + 12*z0*z1 - 6*z0*z2 - 3*z1^2 + 8*z1*z2 + 3*z2^2",
+        "-2*z0 + 5*z1", "z1 + 2*z2"]})
+    for bits in (64, 256, 512):
+        for ambient in (53, bits):
+            with mp.workprec(ambient):
+                rep = genericity_check_s4(cfg, precision=PrecisionConfig(bits, 4096))
+            assert rep.conditions["s4.4"].status in ("fail", "undecided")
+    # each contact point, formed at the ambient 53 bits, holds the pole of
+    # its tangent's midpoint computed at 1024 bits
+    from quadrics.arrangements import _contact_point, common_tangents
+    from quadrics.polynomials import quadric_form, scalar_to_mp
+    c1, c2 = cfg.polys()[:2]
+    for q in (c1, c2):
+        adj = quadric_form(q).adjugate()
+        for ell in common_tangents(c1, c2, DEFAULT_PRECISION):
+            P = _contact_point(adj, ell, DEFAULT_PRECISION.start_bits)
+            with mp.workprec(1024):
+                ref = ProjPointNum([sum(scalar_to_mp(a) * x for a, x in zip(row, ell.coords))
+                                    for row in adj])
+                assert point_distance(P, ref) <= 2 * P.radius
+
+
 def _reference_concurrent(l1, l2, l3):
-    """lines_concurrent as decided by mpmath alone (the filter's oracle)."""
+    """lines_concurrent as decided by mpmath alone, with a first-order
+    error bound: exact where all three lines are, else False where |det|
+    exceeds the bound and None otherwise (the oracle of the ball version)."""
     from quadrics.linalg import det
     if all(l.exact is not None for l in (l1, l2, l3)):
         return det([l.exact.linear_coeffs() for l in (l1, l2, l3)]) == 0
@@ -916,28 +945,24 @@ def _reference_concurrent(l1, l2, l3):
          - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
          + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0]))
     err = sum(l.radius for l in (l1, l2, l3)) * 6 + mp.mpf(2) ** (8 - mp.mp.prec)
-    if abs(d) > err:
-        return False
-    if err == 0 and abs(d) == 0:
-        return True
-    if all(l.radius == 0 for l in (l1, l2, l3)) and abs(d) < mp.mpf(2) ** (4 - mp.mp.prec):
-        return True
-    return None
+    return False if abs(d) > err else None
 
 
 def _reference_distinct(l1, l2):
-    """lines_distinct as decided by mpmath alone (the filter's oracle)."""
+    """lines_distinct as decided by mpmath alone (the same kind of oracle)."""
     if l1.exact is not None and l2.exact is not None:
         return l1.exact != l2.exact and l1.exact != -l2.exact
     v = (l1.vec[1] * l2.vec[2] - l1.vec[2] * l2.vec[1],
          l1.vec[2] * l2.vec[0] - l1.vec[0] * l2.vec[2],
          l1.vec[0] * l2.vec[1] - l1.vec[1] * l2.vec[0])
     err = (l1.radius + l2.radius) * 6 + mp.mpf(2) ** (8 - mp.mp.prec)
-    if max(abs(c) for c in v) > err:
-        return True
-    if err == 0:
-        return False
-    return None
+    return True if max(abs(c) for c in v) > err else None
+
+
+def _agrees(got, ref):
+    """The ball answer is the oracle's wherever the oracle decides: never
+    the opposite, never undecided instead (it may decide more)."""
+    return ref is None or got == ref
 
 
 def _normalized_line(vec, radius):
@@ -993,13 +1018,14 @@ def _cross_vec(a, b):
 @given(seed=st.integers(0, 2 ** 32 - 1), bits=st.sampled_from([256, 512]))
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_double_filter_never_changes_a_line_predicate(seed, bits):
+    """The ball predicates agree with the mpmath oracle wherever it decides."""
     from quadrics.arrangements import lines_concurrent
     rng = random.Random(seed)
     with mp.workprec(bits):
         lines = _line_triple(rng)
-        assert lines_concurrent(*lines) == _reference_concurrent(*lines)
+        assert _agrees(lines_concurrent(*lines), _reference_concurrent(*lines))
         for a, b in itertools.combinations(lines, 2):
-            assert lines_distinct(a, b) == _reference_distinct(a, b)
+            assert _agrees(lines_distinct(a, b), _reference_distinct(a, b))
 
 
 def _line_and_point(rng):
@@ -1036,19 +1062,24 @@ def _line_and_point(rng):
 @given(seed=st.integers(0, 2 ** 32 - 1), bits=st.sampled_from([53, 256, 512]))
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_double_filter_never_changes_an_incidence(seed, bits):
-    """Where the filter in front of NumLine.incidence answers, mpmath's
-    test certifies the same: the point is not on the line."""
-    from quadrics.arrangements import (_certified_sign, _double_data,
-                                       _double_incidence_exceeds)
+    """NumLine.passes_through agrees with mpmath's test wherever it decides:
+    exact when line and point are, else False where |l.p| exceeds a
+    first-order error bound."""
     rng = random.Random(seed)
     with mp.workprec(bits):
         line, point = _line_and_point(rng)
-        if _double_incidence_exceeds(line, _double_data(point.coords, point.radius)):
-            assert _certified_sign(*line.incidence(point)) == 1
+        if line.exact is not None and point.is_exact():
+            ref = line.exact.eval_exact(point.exact) == 0
+        else:
+            val = abs(sum(c * x for c, x in zip(line.vec, point.coords)))
+            err = 3 * (line.radius + point.radius) + mp.mpf(2) ** (8 - bits)
+            ref = False if val > err else None
+        assert _agrees(line.passes_through(point), ref)
 
 
 def test_double_filter_settles_generic_incidences():
-    from quadrics.arrangements import _double_data, _double_incidence_exceeds
+    """A point off a line is separated by the double pass alone."""
+    from quadrics.arrangements import _dot
     rng = random.Random(7)
     with mp.workprec(256):
         for _ in range(50):
@@ -1056,25 +1087,33 @@ def test_double_filter_settles_generic_incidences():
                                   for _ in range(3)], mp.mpf(10) ** -30)
             line = _normalized_line([mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
                                      for _ in range(3)], mp.mpf(10) ** -30)
-            assert _double_incidence_exceeds(line, _double_data(point.coords, point.radius))
-        # a line through the point is left to mpmath
+            assert _dot(line.balls(True), point.balls(True)).excludes_zero()
+            assert line.passes_through(point) is False
+        # a line through the point is left to the working precision
         line = _normalized_line(_cross_vec(point.coords, [mp.mpc(1), mp.mpc(2), mp.mpc(3)]),
-                                mp.mpf(0))
-        assert not _double_incidence_exceeds(line, _double_data(point.coords, point.radius))
+                                mp.mpf(10) ** -70)
+        assert not _dot(line.balls(True), point.balls(True)).excludes_zero()
+        assert line.passes_through(point) is None
 
 
 def test_double_filter_settles_generic_lines():
-    from quadrics.arrangements import _det3, _double_filter_exceeds
+    """Generic lines are separated by the double pass alone."""
+    from quadrics.arrangements import _det3, lines_concurrent
+    from quadrics.polynomials import _cross
     rng = random.Random(7)
     with mp.workprec(256):
         for _ in range(50):
             lines = [_normalized_line([mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
                                        for _ in range(3)], mp.mpf(10) ** -30)
                      for _ in range(3)]
-            assert _double_filter_exceeds(lambda a, b, c: abs(_det3(a, b, c)), lines)
-        # a concurrent triple is left to mpmath
+            assert _det3(*(l.balls(True) for l in lines)).excludes_zero()
+            assert any(c.excludes_zero() for c in _cross(lines[0].balls(True),
+                                                         lines[1].balls(True)))
+            assert lines_concurrent(*lines) is False
+        # a concurrent triple is left to the working precision
         point = [mp.mpc(1), mp.mpc(2), mp.mpc(3)]
         lines = [_normalized_line(_cross_vec(point, [mp.mpc(rng.uniform(-1, 1))
-                                                     for _ in range(3)]), mp.mpf(0))
+                                                     for _ in range(3)]), mp.mpf(10) ** -70)
                  for _ in range(3)]
-        assert not _double_filter_exceeds(lambda a, b, c: abs(_det3(a, b, c)), lines)
+        assert not _det3(*(l.balls(True) for l in lines)).excludes_zero()
+        assert lines_concurrent(*lines) is None

@@ -518,7 +518,9 @@ def test_undecided_verdicts_carry_a_note(tmp_path):
     assert conds["s4.2"]["note"].startswith(
         "triple-point test: component 2 at points of components 0 and 1: "
         "4 point(s) not separated from zero (radius up to ")
-    assert "-bit evaluation)" in conds["s4.2"]["note"]
+    # s4.2 evaluates at the intersection points' own precision, not the ambient 53 bits
+    assert "256-bit evaluation)" in conds["s4.2"]["note"]
+    assert "53-bit" not in conds["s4.2"]["note"]
     assert conds["s6.4"]["note"].startswith("18-line test at 4096 bits: not separated: ")
     assert all(v["note"] for v in conds.values() if v["verdict"] == "undecided")
 
@@ -658,3 +660,22 @@ def test_commands_without_a_scope_match_main(tmp_path, config, command):
     report, direct_code = args.run(args, args.load(args))
     assert direct_code == code
     assert json.loads(json.dumps(report, default=str)) == doc["report"]
+
+
+BEYOND_DOUBLE_CONFIG = {  # a coefficient no double can hold
+    "family": [2, 1, 1, 1],
+    "components": ["z0^2 + z1^2 - 3*z2^2", "10^400*z0 + z1 - z2", "z0 - z1", "z1 + 2*z2"],
+}
+
+
+def test_coefficient_beyond_a_double_exits_without_traceback(tmp_path):
+    """Exact scalars enter the ball arithmetic through mpmath, so a
+    coefficient of 10^400 gives a documented exit code and a valid report."""
+    import jsonschema
+    cfg = _write(tmp_path, "cfg.json", BEYOND_DOUBLE_CONFIG)
+    code, out, err = _cli_process(["check-config", cfg])
+    assert code in (0, 1, 3)
+    assert "Traceback" not in err
+    doc = json.loads(out)
+    jsonschema.validate(doc, _schema())
+    assert doc["report"]["genericity"]["conditions"]["s4.2"]["verdict"] == "pass"

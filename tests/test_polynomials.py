@@ -6,13 +6,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quadrics.polynomials import (DegenerateLeadingFormError, HomPoly,
+from quadrics.polynomials import (Ball, DegenerateLeadingFormError, HomPoly,
                                   NotHomogeneousError, PolySyntaxError,
-                                  ProjPointNum, ZeroPolynomialError,
-                                  gaussian_extension_eval, parse_poly,
+                                  ProjPointNum, ZeroPolynomialError, _cross,
+                                  ball_eval, coord_balls, gaussian_extension_eval,
+                                  parse_poly,
                                   poly_from_matrix, quadric_form, resultant,
                                   subresultant, vanishes_at)
 from quadrics.scalars import GaussRat
+
+from exact_reference import point_distance
 
 z0, z1, z2 = (HomPoly.variable(i) for i in range(3))
 
@@ -394,7 +397,7 @@ def test_intersection_over_gaussian_rationals():
 
 
 # ---------------------------------------------------------------------------
-# same_point's double-precision filter
+# same_point on balls
 # ---------------------------------------------------------------------------
 
 def _point_pair(rng):
@@ -428,29 +431,179 @@ def _point_pair(rng):
 @given(seed=st.integers(0, 2 ** 32 - 1), bits=st.sampled_from([53, 256, 512]))
 @settings(max_examples=400, deadline=None, derandomize=True)
 def test_same_point_filter_never_changes_an_answer(seed, bits):
-    """Where the double filter answers, mpmath's distance is above tol."""
-    from quadrics.polynomials import _double_distance_exceeds
+    """same_point never calls two points different where mpmath finds
+    representatives closer than the sum of their radii: a point of both
+    balls then lies between them."""
     rng = random.Random(seed)
     with mp.workprec(bits):
         a, b = _point_pair(rng)
-        tol = None if rng.random() < 0.7 else mp.mpf(10) ** -rng.randint(3, 40)
-        if _double_distance_exceeds(a, b, tol):
-            if tol is None:
-                tol = max(a.radius, b.radius, mp.mpf("1e-25")) * 8
-            assert a.distance(b) > tol
-            assert not a.same_point(b, tol)
+        if point_distance(a, b) + mp.mpf(2) ** (8 - bits) <= a.radius + b.radius:
+            assert a.same_point(b) and b.same_point(a)
 
 
 def test_same_point_filter_settles_distinct_points():
-    from quadrics.polynomials import _double_distance_exceeds
     rng = random.Random(7)
     with mp.workprec(256):
         for _ in range(50):
             a, b = (ProjPointNum([mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
                                   for _ in range(3)], mp.mpf(10) ** -30) for _ in range(2))
-            assert _double_distance_exceeds(a, b, None)
-        # another representative of a, moved by far less than 2^-40, is
-        # left to mpmath
+            assert any(c.excludes_zero() for c in _cross(a.balls(True), b.balls(True)))
+            assert not a.same_point(b)
+        # another representative of a, moved by 1e-20: the double pass
+        # leaves it, the working precision separates it; moved by 1e-40,
+        # within a's radius, it is not separated
         near = ProjPointNum([c * mp.mpc(0, 3) + mp.mpf(10) ** -20 for c in a.coords])
-        assert not _double_distance_exceeds(a, near, None)
-        assert near.same_point(a, mp.mpf(10) ** -15)
+        assert not any(c.excludes_zero() for c in _cross(a.balls(True), near.balls(True)))
+        assert not near.same_point(a)
+        nearer = ProjPointNum([c * mp.mpc(0, 3) + mp.mpf(10) ** -40 for c in a.coords])
+        assert nearer.same_point(a) and a.same_point(nearer)
+
+
+def test_exact_points_enter_balls_exactly():
+    """(1/3 : 1/5 : 1) against a 256-bit copy of it with radius 1e-70:
+    not called different, and a numeric line through it is not certified
+    off it, although its double copy is 1e-17 away."""
+    from quadrics.arrangements import NumLine
+    exact = ProjPointNum.from_exact([Fraction(1, 3), Fraction(1, 5), 1])
+    with mp.workprec(256):
+        copy = ProjPointNum([mp.mpf(1) / 3, mp.mpf(1) / 5, 1], mp.mpf(10) ** -70)
+        assert exact.same_point(copy) and copy.same_point(exact)
+        other = ProjPointNum([mp.mpf(1) / 3, mp.mpf(1) / 5 + mp.mpf(10) ** -60, 1],
+                             mp.mpf(10) ** -70)
+        assert not exact.same_point(other)
+        vec = _cross(copy.coords, [mp.mpc(1), mp.mpc(2), mp.mpc(7)])
+        s = max(abs(c) for c in vec)
+        line = NumLine(tuple(c / s for c in vec), mp.mpf(10) ** -70)
+        assert line.passes_through(exact) is None
+        assert line.passes_through(ProjPointNum.from_exact([1, 2, 7])) is None
+        assert line.passes_through(ProjPointNum.from_exact([1, 2, 8])) is False
+
+
+# ---------------------------------------------------------------------------
+# Ball arithmetic
+# ---------------------------------------------------------------------------
+
+def _to_mpc(x):
+    """An exact scalar or a number as an mpc at the working precision."""
+    if isinstance(x, GaussRat):
+        return mp.mpc(mp.mpf(x.re.numerator) / x.re.denominator,
+                      mp.mpf(x.im.numerator) / x.im.denominator)
+    if isinstance(x, (int, Fraction)):
+        return mp.mpc(mp.mpf(x.numerator) / x.denominator)
+    return mp.mpc(x)
+
+
+def _ball_case(rng):
+    """A random expression and nine inputs (midpoint, radius), all of
+    radius 0 now and then.  Magnitudes
+    are mostly near 1, sometimes far beyond the range of a double (1e320)
+    or below it (1e-330), or large enough that products overflow (1e200)."""
+    def mid():
+        e = rng.choice([0, 0, 0, rng.randint(-20, 20), rng.randint(-330, -300),
+                        rng.randint(150, 200), rng.randint(300, 330)])
+        return mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) * mp.mpf(10) ** e
+
+    exact = rng.random() < 0.3  # then rounding is all the output radius holds
+
+    def radius(m):
+        if exact or rng.random() < 0.3:
+            return 0
+        return abs(m) * mp.mpf(10) ** -rng.randint(1, 60)
+
+    mids = [mid() for _ in range(9)]
+    inputs = [(m, radius(m)) for m in mids]
+    c1 = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    c2 = GaussRat(Fraction(1, rng.randint(1, 7)), rng.randint(-3, 3))
+    poly = HomPoly({(i, j, d - i - j): Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                    for d in [rng.randint(1, 4)] for i in range(d + 1)
+                    for j in range(d + 1 - i)})
+    exprs = [
+        lambda v: _det3(v[0:3], v[3:6], v[6:9]),
+        lambda v: _cross(v[0:3], v[3:6]),
+        lambda v: v[0] * v[1] * v[2],
+        lambda v: v[0] + v[1] - v[2],
+        lambda v: v[4],  # the conversion alone
+        lambda v: poly.eval_ball(v[0:3]) if isinstance(v[0], Ball) else poly.eval_mpc(v[0:3]),
+        # exact scalars enter as Balls, the reference as mpc
+        lambda v: (v[0] * _exact_operand(c1, v[0]) - v[1] * v[2]
+                   + _exact_operand(c2, v[0])),
+    ]
+    return rng.choice(exprs), inputs
+
+
+def _input_ball(m, r, double):
+    """The input as a Ball: as it is where the pass holds it exactly, else
+    through coord_balls, which adds the rounding of the conversion."""
+    mid = complex(m) if double else m
+    if mp.mpc(mid) == m and (float(r) == r or not double):
+        return Ball(mid, float(r) if double else mp.mpf(r))
+    return coord_balls([m], r, None, double)[0]
+
+
+def _exact_operand(c, like):
+    if isinstance(like, Ball):
+        return Ball.exact(c, isinstance(like.mid, complex))
+    return _to_mpc(c)
+
+
+def _det3(a, b, c):
+    return (a[0] * (b[1] * c[2] - b[2] * c[1])
+            - a[1] * (b[0] * c[2] - b[2] * c[0])
+            + a[2] * (b[0] * c[1] - b[1] * c[0]))
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), double=st.booleans(),
+       bits=st.sampled_from([53, 113, 256]))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_ball_operations_enclose_every_point_of_their_inputs(seed, double, bits):
+    """At points inside the input balls, the value at 4x the precision lies
+    inside the output ball, in both passes.  A double pass that overflows
+    gives a ball that excludes nothing (or raises OverflowError, which
+    ball_eval treats the same way)."""
+    rng = random.Random(seed)
+    # inputs the pass holds exactly (only the operations round) or must round
+    with mp.workprec(rng.choice([53 if double else bits, 2 * bits])):
+        expr, inputs = _ball_case(rng)
+    with mp.workprec(bits):
+        try:
+            out = expr([_input_ball(m, r, double) for m, r in inputs])
+        except OverflowError:
+            assert double
+            return
+        outs = out if isinstance(out, tuple) else (out,)
+        for _ in range(3):
+            with mp.workprec(4 * bits):
+                pts = [m + r * rng.uniform(0, 1) * mp.expjpi(rng.uniform(-1, 1))
+                       for m, r in inputs]
+                truth = expr(pts)
+                truths = truth if isinstance(truth, tuple) else (truth,)
+                for b, t in zip(outs, truths):
+                    if not (mp.isfinite(b.rad) and mp.isfinite(mp.fabs(b.mid))):
+                        assert double and not b.excludes_zero()
+                        continue
+                    assert abs(t - _to_mpc(b.mid)) <= b.rad
+
+
+def test_ball_exact_scalars_beyond_a_double_go_to_the_working_pass():
+    big = Fraction(10 ** 400, 3)
+    with pytest.raises(OverflowError):
+        Ball.exact(big, True)
+    with mp.workprec(256):
+        b = Ball.exact(big, False)
+        assert abs(_to_mpc(big) - b.mid) <= b.rad and b.excludes_zero()
+        point = ProjPointNum([1, 2, 3], mp.mpf(10) ** -70)
+        value, err = gaussian_extension_eval(HomPoly({(1, 0, 0): big, (0, 1, 0): 1}), point)
+        assert err < abs(value) * mp.mpf(10) ** -60
+
+
+def test_ball_eval_settles_generic_values_in_doubles():
+    """A value far from zero is settled by the double pass: ball_eval
+    returns a double ball; a zero value goes on to the working precision."""
+    with mp.workprec(256):
+        p = parse_poly("z0^2 - z1*z2")
+        off = ProjPointNum([mp.mpf("0.5"), mp.mpf("0.75"), mp.mpf(1)], mp.mpf(10) ** -70)
+        assert isinstance(ball_eval(p.eval_ball, off).mid, complex)
+        on = ProjPointNum([mp.mpf("0.5"), mp.mpf("0.25"), mp.mpf(1)], mp.mpf(10) ** -70)
+        b = ball_eval(p.eval_ball, on)
+        assert isinstance(b.mid, mp.mpc) and not b.excludes_zero()
+        assert vanishes_at(p, off) is False and vanishes_at(p, on) is None
