@@ -823,6 +823,7 @@ def _tangent_contact_verdict(groups, fail_note, prec_cfg) -> ConditionVerdict:
     """
     witnesses = []
     unsure: Dict[str, List[ProjPointNum]] = {}
+    bits = max(prec_cfg.start_bits, mp.mp.prec)  # the contact points' precision
     for c1, c2, curve_pairs in groups:
         if quadric_form(c1).rank != 3 or quadric_form(c2).rank != 3:
             return ConditionVerdict("undecided", note="needs smooth quadrics")
@@ -835,8 +836,9 @@ def _tangent_contact_verdict(groups, fail_note, prec_cfg) -> ConditionVerdict:
             P = _contact_point(adj1, ell, prec_cfg.start_bits)
             Q = _contact_point(adj2, ell, prec_cfg.start_bits)
             for fP, fQ in curve_pairs:
-                onP = vanishes_at(fP, P)
-                onQ = vanishes_at(fQ, Q)
+                with mp.workprec(bits):
+                    onP = vanishes_at(fP, P)
+                    onQ = vanishes_at(fQ, Q)
                 if onP is None or onQ is None:
                     if onP is not False and onQ is not False:
                         unsure.setdefault(f"{fP} or {fQ} at the contact points",
@@ -848,7 +850,7 @@ def _tangent_contact_verdict(groups, fail_note, prec_cfg) -> ConditionVerdict:
         return ConditionVerdict("fail", witnesses=witnesses, note=fail_note)
     if unsure:
         return ConditionVerdict("undecided",
-                                note=_unseparated("common-tangent contact test", unsure))
+                                note=_unseparated("common-tangent contact test", unsure, bits))
     return ConditionVerdict("pass")
 
 
@@ -890,6 +892,7 @@ def _condition5_d111(cfg, prec_cfg) -> ConditionVerdict:
     witnesses = []
     unsure: Dict[str, List[ProjPointNum]] = {}
     failed = []
+    bits = max(prec_cfg.start_bits, mp.mp.prec)  # the contact points' precision
     for a, b in itertools.combinations(range(3), 2):
         c = 3 - a - b
         X = _cross_exact(lines[a].linear_coeffs(), lines[b].linear_coeffs())
@@ -905,7 +908,8 @@ def _condition5_d111(cfg, prec_cfg) -> ConditionVerdict:
             continue
         for rec in duals:
             P = _contact_point(adj, rec.point, prec_cfg.start_bits)
-            on = vanishes_at(lines[c], P)
+            with mp.workprec(bits):
+                on = vanishes_at(lines[c], P)
             if on is None:
                 unsure.setdefault(f"{lines[c]} at the contact points", []).append(P)
             elif on:
@@ -915,7 +919,7 @@ def _condition5_d111(cfg, prec_cfg) -> ConditionVerdict:
             "fail", witnesses=witnesses,
             note="tangent through a line intersection touches the curve on the third line")
     if failed or unsure:
-        note = _unseparated("tangent-contact test", unsure)
+        note = _unseparated("tangent-contact test", unsure, bits)
         return ConditionVerdict("undecided", note="; ".join(x for x in failed + [note] if x))
     return ConditionVerdict("pass")
 

@@ -12,12 +12,15 @@ the disk center:
 
 which vanishes for constant curves, is exactly scale invariant, and
 reproduces the classical closed forms (T([1:e^xi], r) = r/pi) without an
-O(1) offset.  Zero counting uses integer winding numbers on adaptively
-subdivided rectangles, then Newton polishing.
+O(1) offset.  When every component is a single term c e^{Q(xi)} with a
+constant c, the integrand is a maximum of trigonometric polynomials in t
+and T is summed in closed form on the arcs between its kinks; a curve
+with a genuine sum component is integrated by nested composite Simpson.
+Zero counting uses integer winding numbers on adaptively subdivided
+rectangles, then Newton polishing.
 
-An ExpCurve keeps every T(r) and counting sample computed on it for its
-lifetime, so the growth checks of one run share each quadrature and each
-zero search.
+Inside an analysis scope each T(r) and counting sample is computed once
+per curve, so the growth checks of one run share them.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .linalg import nullspace, rank
 from .polynomials import HomPoly, vanishes_at
 from .scalars import (GaussRat, coerce_scalar, parse_scalar_string,
                       scalar_to_complex)
-from .univariate import UniPoly
+from .univariate import UniPoly, complex_roots
 
 
 class QuadratureFailureError(ArithmeticError):
@@ -147,7 +150,8 @@ class ExpSum:
 
         The one evaluator of the sum: xi is a Python complex or an ndarray,
         and the same Horner loops over the cached Python coefficients run
-        on either, so a single point never becomes a 1-point array.
+        on either, so a single point never becomes a 1-point array; a
+        point with finite exponents ends in math and cmath.
         Factoring out e^M keeps h of moderate size where the value itself
         would overflow.  The empty sum gives M = -inf and h = 0.
         """
@@ -165,11 +169,17 @@ class ExpSum:
                 v = v * xi + c
             vals.append((v, q))
         M = -math.inf
-        for _, q in vals:
-            M = np.maximum(M, q.real)
-        # left to right from the first term; 0j * xi gives the empty sum
-        # the shape of xi
-        parts = [v * np.exp(q - M) for v, q in vals] or [0j * xi]
+        if isinstance(xi, complex) and all(cmath.isfinite(q) for _, q in vals):
+            # one point with finite exponents: the same IEEE operations
+            # through math and cmath, without numpy's scalar-call overhead
+            M = max((q.real for _, q in vals), default=M)
+            parts = [v * cmath.exp(q - M) for v, q in vals] or [0j]
+        else:
+            for _, q in vals:
+                M = np.maximum(M, q.real)
+            # 0j * xi gives the empty sum the shape of xi
+            parts = [v * np.exp(q - M) for v, q in vals] or [0j * xi]
+        # left to right from the first term
         return M, sum(parts[1:], parts[0])
 
     def logeval(self, xi):
@@ -320,16 +330,23 @@ def _center_value(curve: ExpCurve) -> float:
     return best
 
 
+_EPS = 2.0 ** -52
+
+
 def characteristic(curve: ExpCurve, r: float, tol: float = 1e-9
                    ) -> Tuple[float, float]:
-    """Sup-norm characteristic T(f, r) with a quadrature error estimate.
+    """Sup-norm characteristic T(f, r) with an error bound.
 
-    Composite-Simpson integration with nested interval doubling: each
+    When every component is c e^{Q(xi)} with a constant c, the integrand
+    max_j log|f_j(r e^{it})| is a maximum of trigonometric polynomials in
+    t, and T is summed in closed form over the arcs between its kinks
+    (_arc_mean); tol is unused there.  A curve with a genuine sum
+    component takes composite Simpson with nested interval doubling: each
     doubling keeps the previous grid as its even nodes and evaluates only
-    the new odd ones, so every node is evaluated once.  The returned
-    error combines the last refinement difference with a float rounding
-    allowance.  Raises QuadratureFailureError when refinement stalls or
-    the integrand is not finite at a node.
+    the new odd ones, so every node is evaluated once, and the error
+    combines the last refinement difference with a float rounding
+    allowance.  Raises QuadratureFailureError when the integrand is not
+    finite on the circle or Simpson refinement stalls.
     Inside an analysis scope each (curve, r, tol) is computed once.
     """
     return scoped(("characteristic", curve, r, tol),
@@ -340,6 +357,99 @@ def _characteristic(curve: ExpCurve, r: float, tol: float) -> Tuple[float, float
     if r <= 0:
         raise ValueError("radius must be positive")
     center = _center_value(curve)
+    branches = _trig_branches(curve, r)
+    if branches is None:
+        return _simpson(curve, r, tol, center)
+    mean, err = _arc_mean(*branches)
+    return mean - center, err + _EPS * (abs(mean) + abs(center))
+
+
+def _trig_branches(curve: ExpCurve, r: float):
+    """(ell, W) with log|f_j(r e^{it})| = ell[j] + sum_k Re(W[j, k-1] e^{ikt}),
+    or None when a component is not a single term with a constant
+    coefficient.  Raises QuadratureFailureError when a sum formed from
+    them in _arc_mean could overflow."""
+    if any(len(c.terms) != 1 or c.terms[0][0].degree > 0 for c in curve.components):
+        return None
+    ell, rows = [], []
+    for comp in curve.components:
+        coeff, expo = comp.terms[0]
+        q = [complex(scalar_to_complex(x)) for x in expo.coeffs] or [0j]
+        ell.append(math.log(abs(complex(scalar_to_complex(coeff.coeffs[0])))) + q[0].real)
+        row, rk = [], 1.0
+        for qk in q[1:]:
+            rk *= r          # a float product overflows to inf, where r ** k raises
+            row.append(qk * rk)
+        rows.append(row)
+    # bounds every difference, antiderivative and arc sum of the branches;
+    # Python float sums overflow to inf quietly
+    size = sum(map(abs, ell)) + sum(abs(w.real) + abs(w.imag) for row in rows for w in row)
+    if not math.isfinite(8 * math.pi * size):
+        raise QuadratureFailureError("integrand unbounded on the circle")
+    W = np.zeros((len(rows), max(map(len, rows))), dtype=complex)
+    for j, row in enumerate(rows):
+        W[j, :len(row)] = row
+    return np.array(ell), W
+
+
+def _arc_mean(ell: np.ndarray, W: np.ndarray) -> Tuple[float, float]:
+    """(1/2pi) int max_j phi_j(t) dt and its error bound, for the branches
+    phi_j(t) = ell[j] + sum_k Re(W[j, k-1] e^{ikt}).
+
+    Two branches tie where z^d (phi_i - phi_j)(z), z = e^{it}, vanishes,
+    a polynomial of degree 2d in z; the argument of each of its roots is
+    a cut (a root off the unit circle only adds a harmless one).  On each
+    arc between cuts the branch that wins at the midpoint is integrated
+    by its antiderivative ell t + sum_k Im(W_k e^{ikt}) / k.  The bound
+    covers the rounding of the antiderivatives and, at each cut where the
+    winner changes, the cut's angle error times the branch gap there
+    (second order, since both branches agree at a true tie): the angle
+    error is gap / |slope difference|, a Newton step towards the tie, and
+    never more than the longer half arc beside the cut, since the two
+    midpoints are won by different branches.
+    """
+    k = np.arange(1, W.shape[1] + 1)
+    cuts = [-math.pi, math.pi]
+    for i, j in itertools.combinations(range(len(ell)), 2):
+        dw = W[i] - W[j]
+        nonzero = np.nonzero(dw)[0]
+        if nonzero.size == 0:
+            continue                      # phi_i - phi_j is constant
+        d = nonzero[-1] + 1
+        poly = np.zeros(2 * d + 1, dtype=complex)
+        poly[d + 1:] = dw[:d]
+        poly[d - 1::-1] = np.conj(dw[:d])
+        poly[d] = 2 * (ell[i] - ell[j])
+        cuts += [cmath.phase(complex(z)) for z in complex_roots(poly, 53)]
+    theta = np.sort(cuts)
+    length = np.diff(theta)
+
+    def powers(t):                        # e^{ikt}, one row per angle
+        return np.exp(1j * np.outer(t, k))
+
+    win = np.argmax(ell + (powers(theta[:-1] + length / 2) @ W.T).real, axis=1)
+    E = powers(theta)
+    Wk = W[win] / k
+    F = [ell[win] * theta[s] + (E[s] * Wk).imag.sum(axis=1)
+         for s in (slice(None, -1), slice(1, None))]
+    mean = math.fsum(F[1] - F[0]) / (2 * math.pi)
+    mass = np.abs(W[win]) @ (math.pi + 1 / k)   # sum_k |W_k| (|t| + 1/k), |t| <= pi
+    rounding = 8 * _EPS * float(np.sum(np.abs(ell[win]) * math.pi + mass)) / math.pi
+    # the cut at theta[s] lies between arc s - 1 (arc -1 across t = pi) and arc s
+    a, b = np.roll(win, 1), win
+    Es = E[:-1]
+    gap = np.abs(ell[a] - ell[b] + (Es * (W[a] - W[b])).real.sum(axis=1))
+    gap += 8 * _EPS * (np.abs(ell[a]) + np.abs(ell[b])
+                       + np.abs(W[a]).sum(axis=1) + np.abs(W[b]).sum(axis=1))
+    slope = np.abs((Es * 1j * k * (W[a] - W[b])).real.sum(axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta = np.fmin(gap / slope, np.maximum(np.roll(length, 1), length) / 2)
+    cut_err = float(np.sum(np.where(a != b, delta * gap, 0.0))) / (2 * math.pi)
+    return mean, rounding + cut_err
+
+
+def _simpson(curve: ExpCurve, r: float, tol: float, center: float) -> Tuple[float, float]:
+    """Composite Simpson with nested doubling, for any curve."""
     n = 512
     prev = None
     last_diff = None

@@ -902,17 +902,21 @@ def test_scope_computes_each_intersection_once(monkeypatch):
     assert calls[(P1, P2, DEFAULT_PRECISION)] == 2
 
 
+# c1 = z0^2 - 2 z2^2 + (z1 - z2)^2 and c2 = z0^2 - 2 z2^2 + (z1 + z2)^2
+# with l3 = z1 - z2 and l4 = z1 + z2, under an integer change of
+# coordinates: the tangent z0 = sqrt2 z2 touches c1 on l3 and c2 on l4,
+# so s4.4 must fail.
+CONTACT_ON_LINES = {"family": [2, 2, 1, 1], "components": [
+    "3*z0^2 - 8*z0*z1 - 6*z0*z2 + 21*z1^2 + 4*z1*z2 - z2^2",
+    "-z0^2 + 12*z0*z1 - 6*z0*z2 - 3*z1^2 + 8*z1*z2 + 3*z2^2",
+    "-2*z0 + 5*z1", "z1 + 2*z2"]}
+
+
 def test_contact_points_carry_their_rounding():
-    """c1 = z0^2 - 2 z2^2 + (z1 - z2)^2 and c2 = z0^2 - 2 z2^2 + (z1 + z2)^2
-    with l3 = z1 - z2 and l4 = z1 + z2, under an integer change of
-    coordinates: the tangent z0 = sqrt2 z2 touches c1 on l3 and c2 on l4,
-    so s4.4 must fail.  The numeric contact points lie on the lines, and
-    their radii cover the rounding of their construction, so s4.4 is never
-    a pass."""
-    cfg = Configuration.from_json({"family": [2, 2, 1, 1], "components": [
-        "3*z0^2 - 8*z0*z1 - 6*z0*z2 + 21*z1^2 + 4*z1*z2 - z2^2",
-        "-z0^2 + 12*z0*z1 - 6*z0*z2 - 3*z1^2 + 8*z1*z2 + 3*z2^2",
-        "-2*z0 + 5*z1", "z1 + 2*z2"]})
+    """On CONTACT_ON_LINES the numeric contact points lie on the lines,
+    and their radii cover the rounding of their construction, so s4.4 is
+    never a pass."""
+    cfg = Configuration.from_json(CONTACT_ON_LINES)
     for bits in (64, 256, 512):
         for ambient in (53, bits):
             with mp.workprec(ambient):
@@ -931,6 +935,16 @@ def test_contact_points_carry_their_rounding():
                 ref = ProjPointNum([sum(scalar_to_mp(a) * x for a, x in zip(row, ell.coords))
                                     for row in adj])
                 assert point_distance(P, ref) <= 2 * P.radius
+
+
+def test_contact_tests_evaluate_at_the_points_precision():
+    """s4.4 tests its numeric contact points at their own precision (the
+    start rung, 256 bits by default), not at the ambient 53 bits, and its
+    undecided note names those bits."""
+    with mp.workprec(53):
+        s44 = genericity_check_s4(Configuration.from_json(CONTACT_ON_LINES)).conditions["s4.4"]
+    assert s44.status == "undecided"
+    assert "256-bit evaluation" in s44.note and "53-bit" not in s44.note
 
 
 def _reference_concurrent(l1, l2, l3):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -18,7 +19,8 @@ from quadrics.nevanlinna import (CountingSample, DegenerateCurveError,
                                  main_theorem_check, order_estimate,
                                  three_quadrics_certificate)
 from quadrics.polynomials import parse_poly
-from quadrics.scalars import GaussRat, coerce_scalar
+from quadrics.scalars import (GaussRat, coerce_scalar, parse_scalar_string,
+                              scalar_to_complex)
 from quadrics.univariate import UniPoly
 
 from exact_reference import (reference_eval_one, reference_log_value,
@@ -102,9 +104,9 @@ def test_characteristic_exponential_closed_form():
 
 
 def test_characteristic_constant_curve():
-    const = ExpCurve.from_exponents([[0], [3]])
-    T, _ = characteristic(const, 10.0)
-    assert abs(T) < 1e-12
+    for exponents in ([[0], [3]], [[2], [2]]):
+        T, _ = characteristic(ExpCurve.from_exponents(exponents), 10.0)
+        assert T == 0.0
 
 
 def test_characteristic_square_exponent():
@@ -130,6 +132,13 @@ def test_characteristic_scale_invariance():
 
 QUADRATIC = ExpCurve.from_json(                            # [1 : e^{b xi} : e^{c xi^2}]
     {"exponents": [["0"], ["0", "1.5"], ["0", "0", "0.25+0.5i"]]})
+# The same curves with one genuine-sum component, so that T(r) takes the
+# Simpson path: [1 : 1 + e^xi] and [1 : 1 + e^{b xi} : e^{c xi^2}].
+LINE_SUM = ExpCurve([EXP_LINE.components[0],
+                     EXP_LINE.components[0] + EXP_LINE.components[1]])
+QUADRATIC_SUM = ExpCurve([QUADRATIC.components[0],
+                          QUADRATIC.components[0] + QUADRATIC.components[1],
+                          QUADRATIC.components[2]])
 
 
 def _full_grid_characteristic(curve, r, tol):
@@ -165,9 +174,9 @@ def _fresh(curve):
 
 
 NESTED_CASES = [pytest.param(curve, r, tol, id=f"{name}-r{r:g}-tol{tol:g}")
-                for name, curve, radii, tol in (("line", EXP_LINE, (1.0, 7.5, 40.0), 1e-9),
-                                                ("quadratic", QUADRATIC, (1.0, 3.5, 8.0, 20.0), 1e-9),
-                                                ("quadratic", QUADRATIC, (8.0,), 0.0))
+                for name, curve, radii, tol in (("line", LINE_SUM, (1.0, 7.5, 40.0), 1e-9),
+                                                ("quadratic", QUADRATIC_SUM, (1.0, 3.5, 8.0, 20.0), 1e-9),
+                                                ("quadratic", QUADRATIC_SUM, (8.0,), 0.0))
                 for r in radii]
 
 
@@ -213,13 +222,89 @@ def test_a_non_finite_quadrature_node_raises_at_once(monkeypatch, value, level_n
         return vals
 
     monkeypatch.setattr(nv, "_curve_logmax_grid", faulty_grid)
-    curve = _fresh(QUADRATIC)
+    curve = _fresh(QUADRATIC_SUM)
     levels = [513] if level_n == 512 else [513, 512]
     with analysis_scope():
         for calls in (1, 2):
             with pytest.raises(nv.QuadratureFailureError, match="unbounded"):
                 characteristic(curve, 8.0, 1e-9)
             assert log == levels * calls
+
+
+def _assert_exact(got, want):
+    value, err = got
+    assert abs(value - want) <= 1e-14 * abs(want)
+    assert abs(value - want) <= err
+
+
+def _modulus(text):
+    return abs(scalar_to_complex(parse_scalar_string(text)))
+
+
+@pytest.mark.parametrize("a", ["1", "-5/2i", "3/5+4/5i", "-7/3+1/9i"])
+def test_closed_form_line_is_exact(monkeypatch, a):
+    """T([1 : e^{a xi}], r) = |a| r / pi, to 1e-14 relative and within
+    the reported error, with no quadrature node evaluated."""
+    import quadrics.nevanlinna as nv
+
+    def no_grid(*args):
+        raise AssertionError("a single-term curve reached the Simpson grid")
+
+    monkeypatch.setattr(nv, "_curve_logmax_grid", no_grid)
+    curve = ExpCurve.from_json({"exponents": [["0"], ["0", a]]})
+    for r in (1.0, 3.0, 10.0, 47.5, 100.0, 1000.0):
+        _assert_exact(characteristic(curve, r), _modulus(a) * r / math.pi)
+
+
+@pytest.mark.parametrize("d", ["1", "1/4+1/2i", "-3i"])
+def test_closed_form_pure_quadratic_is_exact(d):
+    """T([1 : e^{d xi^2}], r) = |d| r^2 / pi."""
+    curve = ExpCurve.from_json({"exponents": [["0"], ["0", "0", d]]})
+    for r in (1.0, 2.0, 20.0, 1000.0):
+        _assert_exact(characteristic(curve, r), _modulus(d) * r * r / math.pi)
+
+
+@pytest.mark.parametrize("alphas", [("0", "1", "1+1i"), ("1/3", "-2i", "2+1/2i")])
+def test_closed_form_certificate_curves_are_exact(alphas):
+    """[e^{a0 xi^2} : e^{a1 xi^2} : e^{a2 xi^2}] has T(r) = r^2 X, X the
+    pairwise-distance sum over 2 pi, and the certificate's relative
+    errors are at rounding level."""
+    a = [parse_scalar_string(x) for x in alphas]
+    X = sum(abs(scalar_to_complex(p) - scalar_to_complex(q))
+            for p, q in itertools.combinations(a, 2)) / (2 * math.pi)
+    curve = ExpCurve.from_json({"exponents": [["0", "0", x] for x in alphas]})
+    for r in (1.0, 5.0, 20.0, 300.0):
+        _assert_exact(characteristic(curve, r), r * r * X)
+    cert = three_quadrics_certificate(a, quadrature_check=True)
+    assert len(cert.quadrature_checks) == 4
+    assert all(chk["relative_error"] <= 1e-13 for chk in cert.quadrature_checks)
+
+
+MIXED = ExpCurve.from_json(                  # [1 : e^{(3/5+4i/5) xi} : e^{(4/5-3i/5) xi^2}]
+    {"exponents": [["0"], ["0", "3/5+4/5i"], ["0", "0", "4/5-3/5i"]]})
+
+
+@pytest.mark.parametrize("r", [2.0, 4.0, 8.0])
+def test_closed_form_lies_in_the_capped_simpson_error_bar(r):
+    """The closed form lies inside the error bar of Simpson run to its
+    12-level cap (2^20 intervals, tol = 0)."""
+    import quadrics.nevanlinna as nv
+
+    value, err = characteristic(MIXED, r)
+    ref, ref_err = nv._simpson(MIXED, r, 0.0, nv._center_value(MIXED))
+    assert abs(value - ref) <= ref_err
+    assert err < 1e-12 < ref_err
+
+
+def test_closed_form_overflow_raises():
+    """A radius whose power overflows raises QuadratureFailureError, and
+    so does one whose arc sums could overflow."""
+    import quadrics.nevanlinna as nv
+
+    with pytest.raises(nv.QuadratureFailureError, match="unbounded"):
+        characteristic(EXP_SQUARE, 1e200)
+    with pytest.raises(nv.QuadratureFailureError, match="unbounded"):
+        characteristic(EXP_LINE, 1.7e308)
 
 
 def test_nevanlinna_scalar_form_consistency():
@@ -535,7 +620,7 @@ def test_curve_memo_keeps_radii_divisors_and_tol_apart(monkeypatch):
     monkeypatch.setattr(nv, "_curve_logmax_grid", counted_grid)
 
     def fresh():
-        return ExpCurve.from_exponents([[0], [0, 1]])
+        return _fresh(LINE_SUM)
 
     curve = fresh()
     samples = {}
@@ -549,7 +634,7 @@ def test_curve_memo_keeps_radii_divisors_and_tol_apart(monkeypatch):
             assert characteristic(curve, r, tol) is value
             assert len(passes) == before           # a stored key does not
 
-        for text, r in (("z1 - z0", 10.0), ("z1 + z0", 10.0), ("z1 - z0", 20.0)):
+        for text, r in (("z1 - 2*z0", 10.0), ("z1", 10.0), ("z1 - 2*z0", 20.0)):
             d = parse_poly(text)
             sample = counting(curve, d, r)
             assert sample.to_json() == counting(fresh(), d, r).to_json()
@@ -557,8 +642,8 @@ def test_curve_memo_keeps_radii_divisors_and_tol_apart(monkeypatch):
             samples[text, r] = sample
     # e^xi = 1 and e^xi = -1 have disjoint zero sets; r = 20 has more zeros
     positions = {k: {z.position for z in s.zeros} for k, s in samples.items()}
-    assert not positions["z1 - z0", 10.0] & positions["z1 + z0", 10.0]
-    assert samples["z1 - z0", 20.0].n_at(20.0) > samples["z1 - z0", 10.0].n_at(10.0)
+    assert not positions["z1 - 2*z0", 10.0] & positions["z1", 10.0]
+    assert samples["z1 - 2*z0", 20.0].n_at(20.0) > samples["z1 - 2*z0", 10.0].n_at(10.0)
 
 
 def test_failed_calls_are_not_stored():
@@ -580,7 +665,7 @@ def test_calls_outside_a_scope_keep_no_state(monkeypatch):
     grid = nv._curve_logmax_grid
     monkeypatch.setattr(nv, "_curve_logmax_grid",
                         lambda *args: passes.append(args) or grid(*args))
-    curve = ExpCurve.from_exponents([[0], [0, 1]])
+    curve = _fresh(LINE_SUM)
     first = characteristic(curve, 2.0, 1e-6)
     once = len(passes)
     assert characteristic(curve, 2.0, 1e-6) == first

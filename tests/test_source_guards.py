@@ -4,7 +4,8 @@ One root finder: ``mpmath.polyroots`` and ``numpy.roots`` are each called
 from exactly one place under ``src/quadrics``, ``univariate.complex_roots``,
 so every numeric polynomial root goes through the same seeded solve; and
 ``complex_roots`` itself is called only by
-``univariate.numeric_roots_squarefree``.
+``univariate.numeric_roots_squarefree`` and, for the tie polynomials of
+the closed-form characteristic, ``nevanlinna._arc_mean``.
 
 One evaluator for exponential sums: ``ExpSum._scaled`` is the only reader
 of the cached term coefficients, and no ``numpy.polyval`` copy of it is
@@ -67,13 +68,15 @@ def test_numpy_roots_is_called_only_in_complex_roots():
 
 def test_complex_roots_is_called_only_for_squarefree_roots():
     """Fibers are lifted by the subresultant chain, so no root matching is
-    left outside the root finder."""
-    assert _uses("complex_roots", {"univariate"}) == []  # imported nowhere
+    left outside the root finder; the characteristic's cuts are the
+    arguments of all roots of each tie polynomial, with no matching."""
+    assert _uses("complex_roots", {"univariate"}) == [("nevanlinna.py", "_arc_mean")]
     calls = [(name, func.name) for name, tree in _trees()
              for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
              for node in ast.walk(func) if isinstance(node, ast.Call)
              and getattr(node.func, "id", getattr(node.func, "attr", None)) == "complex_roots"]
-    assert calls == [("univariate.py", "numeric_roots_squarefree")]
+    assert calls == [("nevanlinna.py", "_arc_mean"),
+                     ("univariate.py", "numeric_roots_squarefree")]
 
 
 def test_numpy_polyval_is_not_used():
