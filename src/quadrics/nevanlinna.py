@@ -16,8 +16,9 @@ O(1) offset.  When every component is a single term c e^{Q(xi)} with a
 constant c, the integrand is a maximum of trigonometric polynomials in t
 and T is summed in closed form on the arcs between its kinks; a curve
 with a genuine sum component is integrated by nested composite Simpson.
-Zero counting uses integer winding numbers on adaptively subdivided
-rectangles, then Newton polishing.
+Zero counting uses integer winding numbers on a quadtree of rectangles,
+searched level by level so that each refinement round evaluates the
+contours of many cells at once, then Newton polishing.
 
 Inside an analysis scope each T(r) and counting sample is computed once
 per curve, so the growth checks of one run share them.
@@ -567,97 +568,116 @@ def _wrap_angle(d):
     return (d + math.pi) % (2 * math.pi) - math.pi
 
 
-def _rect_boundary(x0, x1, y0, y1, per_side):
-    xs = np.linspace(x0, x1, per_side, endpoint=False)
-    ys = np.linspace(y0, y1, per_side, endpoint=False)
-    bottom = xs + 1j * y0
-    right = x1 + 1j * ys
-    top = np.linspace(x1, x0, per_side, endpoint=False) + 1j * y1
-    left = x0 + 1j * np.linspace(y1, y0, per_side, endpoint=False)
-    return np.concatenate([bottom, right, top, left, [x0 + 1j * y0]])
+_PER_SIDE = 24
 
 
-class _ContourData:
-    """Boundary samples with log values and local logarithmic speed."""
+def _rect_boundaries(boxes):
+    """Boundary samples of each row (x0, x1, y0, y1) of boxes, one row each.
 
-    __slots__ = ("g", "gp", "pts", "logabs", "phase", "speed")
+    Counterclockwise from (x0, y0) and closed there.  Each side is
+    linspace(start, stop, _PER_SIDE, endpoint=False) written out as
+    k * step + start, so a row holds the samples the box gets alone.
+    """
+    x0, x1, y0, y1 = (c[:, None] for c in boxes.T)
+    k = np.arange(_PER_SIDE, dtype=float)
 
-    def __init__(self, g: ExpSum, gp: ExpSum, pts):
-        self.g = g
-        self.gp = gp
-        self.pts = pts
-        self.logabs, self.phase, self.speed = self._eval(pts)
-
-    def _eval(self, pts):
-        la, ph, ok = self.g.logeval(pts)
-        if not np.all(ok):
-            raise ZeroOnContourError("value underflow on contour")
-        lap, _, okp = self.gp.logeval(pts)
-        # |g'/g|: the a-priori bound on the phase speed along the contour
-        speed = np.where(okp, np.exp(np.minimum(lap - la, 700.0)), 0.0)
-        return la, ph, speed
-
-    def insert(self, idx, mids):
-        ml, mphase, mspeed = self._eval(mids)
-        n = self.pts.size + mids.size
-        insert_at = idx + 1 + np.arange(mids.size)
-        mask = np.ones(n, dtype=bool)
-        mask[insert_at] = False
-
-        def put(old, new_vals, dtype=float):
-            arr = np.empty(n, dtype=dtype)
-            arr[mask] = old
-            arr[insert_at] = new_vals
-            return arr
-
-        self.pts = put(self.pts, mids, complex)
-        self.logabs = put(self.logabs, ml)
-        self.phase = put(self.phase, mphase)
-        self.speed = put(self.speed, mspeed)
+    def side(a, b):
+        return k * ((b - a) / _PER_SIDE) + a
+    return np.concatenate([side(x0, x1) + 1j * y0, x1 + 1j * side(y0, y1),
+                           side(x1, x0) + 1j * y1, x0 + 1j * side(y1, y0),
+                           x0 + 1j * y0], axis=1)
 
 
-def _winding_rectangle(g: ExpSum, gp: ExpSum, x0, x1, y0, y1,
-                       max_refine=60) -> Tuple[int, float]:
-    """Integer winding of g around the rectangle boundary; gp is g'.
+# A batched winding admits no box while the boxes in work hold this many
+# samples (so at most 21 boxes of 97), and past it a box waits its turn
+# to refine, so heavily refined boxes cannot pile up.
+_BATCH_SAMPLES = 2048
+_MAX_RESIDUAL = 1e-5
+
+
+def _windings(g: ExpSum, gp: ExpSum, boxes: np.ndarray,
+              max_refine=60) -> Tuple[np.ndarray, np.ndarray]:
+    """Winding of g around each row (x0, x1, y0, y1) of boxes, and its residual.
+
+    gp is g'; the residual is NaN where the box fails.
 
     Phase tracking with three refinement criteria per segment: the phase
     jump, the modulus jump, and the segment length against the local
     logarithmic derivative bound |g'/g| (which prevents a full unnoticed
-    phase turn on stretches of constant modulus).
+    phase turn on stretches of constant modulus).  A box fails when g
+    underflows on its boundary, when its refinement has not settled after
+    max_refine rounds or passes 4 M samples, or when its phase sum lies
+    more than _MAX_RESIDUAL from a multiple of 2 pi.  The boundaries of
+    the boxes in work share one flat array, so each refinement round
+    evaluates g and g' once for all of them; every box keeps the samples,
+    rounds and phase sum it gets alone.
     """
-    per_side = 24
-    data = _ContourData(g, gp, _rect_boundary(x0, x1, y0, y1, per_side))
-    for it in range(max_refine):
-        dphi = _wrap_angle(np.diff(data.phase))
-        dlog = np.abs(np.diff(data.logabs))
-        seg = np.abs(np.diff(data.pts))
-        spd = np.maximum(data.speed[:-1], data.speed[1:])
-        bad = (np.abs(dphi) > 0.8) | (dlog > 0.7) | (seg * spd > 0.6)
-        if not np.any(bad):
-            break
-        if data.pts.size > 4_000_000:
-            raise ZeroOnContourError("contour refinement exploded")
-        idx = np.nonzero(bad)[0]
-        mids = (data.pts[idx] + data.pts[idx + 1]) / 2
-        data.insert(idx, mids)
-    else:
-        raise ZeroOnContourError("phase tracking did not settle")
-    total = float(np.sum(_wrap_angle(np.diff(data.phase))))
-    w = round(total / (2 * math.pi))
-    residual = abs(total - 2 * math.pi * w)
-    if residual > 1e-5:
-        raise ZeroOnContourError(f"winding residual {residual} too large")
-    return w, residual
+    w_out, res_out = np.zeros(len(boxes), dtype=int), np.full(len(boxes), np.nan)
+    # the samples of the boxes in work, box after box: point, log|g|,
+    # phase and |g'/g|; per box its index in boxes, its sample count
+    # (closing point included) and rounds, whether it stays in work and
+    # whether it refines in this round
+    pts, la, ph, spd = np.empty(0, dtype=complex), np.empty(0), np.empty(0), np.empty(0)
+    ids = sizes = rounds = np.empty(0, dtype=int)
+    stay = refine = np.empty(0, dtype=bool)
+    idx = owner = np.empty(0, dtype=int)  # segments to halve, and their boxes
+    n0, nxt = 4 * _PER_SIDE + 1, 0
+    while stay.any() or nxt < len(boxes):
+        held = int(sizes[stay].sum()) + idx.size
+        room = (_BATCH_SAMPLES - held) // n0
+        new = boxes[nxt:nxt + max(room, int(not stay.any()))]
+        fresh = np.concatenate([(pts[idx] + pts[idx + 1]) / 2, _rect_boundaries(new).ravel()])
+        la_n, ph_n, ok = g.logeval(fresh)
+        lap, _, okp = gp.logeval(fresh)
+        # |g'/g|: the a-priori bound on the phase speed along the contour;
+        # where g underflowed the box fails below, so its la is not used
+        spd_n = np.where(okp, np.exp(np.minimum(lap - np.where(ok, la_n, 0.0), 700.0)), 0.0)
+        # each midpoint goes after its segment's first sample and the new
+        # boxes after all others; boxes that are done or underflowed leave
+        sizes = np.concatenate([sizes + np.bincount(owner, minlength=ids.size),
+                                np.full(len(new), n0)])
+        drop = np.concatenate([~stay, np.zeros(len(new), dtype=bool)])
+        drop[np.concatenate([owner, ids.size + np.arange(len(new)).repeat(n0)])[~ok]] = True
+        kept = np.repeat(~drop, sizes)
+
+        def merged(old, vals):
+            return np.concatenate([np.insert(old, idx + 1, vals[:idx.size]),
+                                   vals[idx.size:]])[kept]
+        pts, la, ph, spd = merged(pts, fresh), merged(la, la_n), merged(ph, ph_n), merged(spd, spd_n)
+        ids = np.concatenate([ids, np.arange(nxt, nxt + len(new))])[~drop]
+        rounds = np.concatenate([rounds + refine, np.zeros(len(new), dtype=int)])[~drop]
+        sizes, nxt = sizes[~drop], nxt + len(new)
+        starts = np.cumsum(sizes) - sizes
+        dphi = _wrap_angle(np.diff(ph))
+        bad = ((np.abs(dphi) > 0.8) | (np.abs(np.diff(la)) > 0.7)
+               | (np.abs(np.diff(pts)) * np.maximum(spd[:-1], spd[1:]) > 0.6))
+        bad[starts[1:] - 1] = False  # segments joining two boxes
+        unsettled = np.logical_or.reduceat(bad, starts)
+        live = rounds < max_refine
+        for j in np.nonzero(live & ~unsettled)[0]:
+            total = float(np.sum(dphi[starts[j]:starts[j] + sizes[j] - 1]))
+            w = round(total / (2 * math.pi))
+            residual = abs(total - 2 * math.pi * w)
+            if residual <= _MAX_RESIDUAL:
+                w_out[ids[j]], res_out[ids[j]] = w, residual
+        stay = live & unsettled & (sizes <= 4_000_000)
+        # the boxes in work refine in order while the samples before them
+        # stay under the cap; the others wait, keeping their rounds
+        work = sizes * stay
+        refine = stay & (np.cumsum(work) - work < _BATCH_SAMPLES)
+        idx = np.nonzero(bad & np.repeat(refine, sizes)[:-1])[0]
+        owner = np.searchsorted(starts, idx, side="right") - 1
+    return w_out, res_out
 
 
 def _winding_with_perturbation(g, gp, x0, x1, y0, y1):
     side = max(x1 - x0, y1 - y0)
     eps = 0.0
     for k in range(8):
-        try:
-            return _winding_rectangle(g, gp, x0 - eps, x1 + eps, y0 - eps, y1 + eps), eps
-        except ZeroOnContourError:
-            eps = side * (2.0 ** (-9 + k))
+        w, res = _windings(g, gp, np.array([[x0 - eps, x1 + eps, y0 - eps, y1 + eps]]))
+        if not np.isnan(res[0]):
+            return (int(w[0]), float(res[0])), eps
+        eps = side * (2.0 ** (-9 + k))
     raise ZeroOnContourError("persistent zero on contour after perturbation")
 
 
@@ -683,12 +703,18 @@ class CountedZero:
     radius: float  # localization radius
 
 
+_CUT_SHIFTS = (0.0, 1 / 16, -1 / 16, 1 / 8, -1 / 8, 3 / 16, -3 / 16)
+
+
 class _ZeroSearch:
-    """Quadtree zero search with winding conservation.
+    """Quadtree zero search with winding conservation, a level at a time.
 
     Cut lines are shifted away from zeros when a child contour fails or
     the children's windings do not add up to the parent's, so every zero
-    lands in exactly one cell.
+    lands in exactly one cell.  The children of all cells that split at
+    one level are wound in one batch, those of the cells that retry with
+    the next shifted cut in the next.  Each zero keeps its cell's path
+    in the tree, and sorting by path gives the depth-first order.
     """
 
     def __init__(self, g: ExpSum, tol: float):
@@ -698,19 +724,13 @@ class _ZeroSearch:
         self.zeros: List[CountedZero] = []
         self.max_residual = 0.0
 
-    def _winding(self, x0, x1, y0, y1):
-        w, residual = _winding_rectangle(self.g, self.gp, x0, x1, y0, y1)
-        self.max_residual = max(self.max_residual, residual)
-        return w
-
     def run(self, x0, x1, y0, y1):
         (w, residual), eps = _winding_with_perturbation(self.g, self.gp, x0, x1, y0, y1)
         self.max_residual = max(self.max_residual, residual)
         self._descend(x0 - eps, x1 + eps, y0 - eps, y1 + eps, w, 0)
 
-    def _descend(self, x0, x1, y0, y1, w, depth):
-        if w == 0:
-            return
+    def _leaf(self, x0, x1, y0, y1, w, depth) -> Optional[CountedZero]:
+        """The cell's zero when it needs no split, else None."""
         diam = max(x1 - x0, y1 - y0)
         cx, cy = (x0 + x1) / 2, (y0 + y1) / 2
         if w == 1:
@@ -719,35 +739,72 @@ class _ZeroSearch:
             inside = (x0 - 1e-12 <= z.real <= x1 + 1e-12
                       and y0 - 1e-12 <= z.imag <= y1 + 1e-12)
             if converged and inside:
-                self.zeros.append(CountedZero(z, 1, max(self.tol, 0.0)))
-                return
+                return CountedZero(z, 1, max(self.tol, 0.0))
             # polish stalled or escaped the cell: fall through to subdivision
         if diam < self.tol or depth > 60:
-            self.zeros.append(CountedZero(complex(cx, cy), w, diam))
-            return
-        for shift in (0.0, 1 / 16, -1 / 16, 1 / 8, -1 / 8, 3 / 16, -3 / 16):
-            xm = cx + shift * (x1 - x0)
-            ym = cy + shift * (y1 - y0)
-            boxes = [(x0, xm, y0, ym), (xm, x1, y0, ym),
-                     (x0, xm, ym, y1), (xm, x1, ym, y1)]
-            try:
-                ws = [self._winding(*b) for b in boxes]
-            except ZeroOnContourError:
-                continue
-            if sum(ws) != w:
-                continue
-            for b, wb in zip(boxes, ws):
-                self._descend(*b, wb, depth + 1)
-            return
-        # a multiple zero can sink the contour values below the floating
-        # point cancellation floor before the cell reaches the isolation
-        # tolerance; the parent winding (from a healthy contour) is the
-        # multiplicity, the cell is the localization
-        if w > 1 and diam < 1e-6 * max(1.0, math.hypot(cx, cy)):
-            self.zeros.append(CountedZero(complex(cx, cy), w, diam))
-            return
-        raise ZeroOnContourError(
-            f"could not split cell around ({cx}, {cy}) cleanly")
+            return CountedZero(complex(cx, cy), w, diam)
+        return None
+
+    def _descend(self, x0, x1, y0, y1, w, depth):
+        """Add the zeros of the cell of winding w, depth levels down.
+
+        A level's cells are rows in depth-first order.  A cell's key is its
+        path, child c at level L adding c * 4**(64 - L), so that the keys
+        of all levels sort depth first.
+        """
+        found = []     # (key, zero)
+        failed = None  # (key, message) of the first failure, depth first
+        boxes, ws, keys = np.array([[x0, x1, y0, y1]]), np.array([w]), [0]
+        level = 0
+        while w and ws.size:
+            split = []
+            for i, (box, wb) in enumerate(zip(boxes.tolist(), ws.tolist())):
+                zero = self._leaf(*box, wb, depth + level)
+                if zero is None:
+                    split.append(i)
+                else:
+                    found.append((keys[i], zero))
+            boxes, ws, keys = boxes[split], ws[split], [keys[i] for i in split]
+            kid_boxes, kid_ws = np.zeros((len(split), 4, 4)), np.zeros((len(split), 4), dtype=int)
+            todo = np.arange(len(split))
+            for shift in _CUT_SHIFTS:  # retried cuts of the level share a batch
+                if not todo.size:
+                    break
+                a0, a1, b0, b1 = boxes[todo].T
+                xm = (a0 + a1) / 2 + shift * (a1 - a0)
+                ym = (b0 + b1) / 2 + shift * (b1 - b0)
+                kids = np.stack([a0, xm, b0, ym, xm, a1, b0, ym,
+                                 a0, xm, ym, b1, xm, a1, ym, b1], axis=1).reshape(-1, 4, 4)
+                kw, kr = (a.reshape(-1, 4) for a in _windings(self.g, self.gp, kids.reshape(-1, 4)))
+                # a cell's residuals count up to its first failed child
+                counted = np.logical_and.accumulate(~np.isnan(kr), axis=1)
+                self.max_residual = max([self.max_residual] + kr[counted].tolist())
+                good = counted[:, -1] & (kw.sum(axis=1) == ws[todo])
+                kid_boxes[todo[good]], kid_ws[todo[good]] = kids[good], kw[good]
+                todo = todo[~good]
+            for i in todo.tolist():
+                (a0, a1, b0, b1), wb = boxes[i].tolist(), int(ws[i])
+                diam = max(a1 - a0, b1 - b0)
+                cx, cy = (a0 + a1) / 2, (b0 + b1) / 2
+                # a multiple zero can sink the contour values below the
+                # floating point cancellation floor before the cell reaches
+                # the isolation tolerance; the parent winding (from a healthy
+                # contour) is the multiplicity, the cell is the localization
+                if wb > 1 and diam < 1e-6 * max(1.0, math.hypot(cx, cy)):
+                    found.append((keys[i], CountedZero(complex(cx, cy), wb, diam)))
+                elif failed is None or keys[i] < failed[0]:
+                    failed = (keys[i], f"could not split cell around ({cx}, {cy}) cleanly")
+            level += 1
+            cell, c = np.nonzero(kid_ws)
+            keys = [keys[i] + k * 4 ** (64 - level) for i, k in zip(cell.tolist(), c.tolist())]
+            live = np.array([failed is None or k < failed[0] for k in keys], dtype=bool)
+            # cells after a failure are never reached depth first
+            boxes, ws = kid_boxes[cell, c][live], kid_ws[cell, c][live]
+            keys = [k for k, keep in zip(keys, live) if keep]
+        if failed is not None:
+            raise ZeroOnContourError(failed[1])
+        found.sort(key=lambda f: f[0])
+        self.zeros.extend(z for _, z in found)
 
 
 def locate_zeros_in_box(g: ExpSum, half_side: float,

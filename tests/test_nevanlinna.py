@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -367,8 +368,14 @@ def test_counting_polynomial_coefficient_zeros():
 
 
 def test_counting_multiple_zero_at_origin():
-    """e^{xi^2} - 1 has a double zero at 0 and rings of four simple zeros."""
-    cs = counting(EXP_SQUARE, parse_poly("z1 - z0"), 5.0)
+    """e^{xi^2} - 1 has a double zero at 0 and rings of four simple zeros.
+
+    The batched winding evaluates |g'/g| at samples where g underflows
+    near the double zero, where log|g'| - log|g| could be -inf - (-inf);
+    no warning may come of it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cs = counting(EXP_SQUARE, parse_poly("z1 - z0"), 5.0)
     assert cs.n_at(5.0) == 2 + 4 * math.floor(25 / (2 * math.pi))
     origin = [z for z in cs.zeros if abs(z.position) < 1e-5]
     assert origin and origin[0].multiplicity == 2
@@ -393,6 +400,104 @@ def test_zero_search_rejects_an_unconverged_polish():
     assert len(search.zeros) == 1
     expected = 2j * math.pi * -107 / float(a)
     assert abs(search.zeros[0].position - expected) < 1e-9
+
+
+# e^xi - 1: simple zeros at 2 pi i k
+_EXP_MINUS_1 = ExpSum([(UniPoly([1]), UniPoly([0, 1])), (UniPoly([-1]), UniPoly([]))])
+_WINDING_BOXES = [
+    (-1.0, 1.0, -1.0, 1.0),
+    (-0.5, 0.75, 5.0, 7.0),
+    (0.0, 1.0, 0.0, 1.0),        # corner on the zero 0: g underflows there
+    (-3.0, 2.0, -20.0, 20.0),    # winding 7, phase sum 7.1e-15 off 14 pi
+    (-1.0, 1.0, 2.0, 4.0),
+    (-0.3, 0.4, 5.9, 6.6),
+    (-10.0, 10.0, -10.0, 10.0),
+    (0.1, 0.2, 0.1, 0.2),
+    (-0.7, 1.3, 2 * math.pi, 8.0),  # bottom sides through the zero 2 pi i:
+    (-1.0, 1.0, 2 * math.pi, 8.0),  # 51 rounds each
+]
+
+
+@pytest.mark.parametrize("samples_cap", [1 << 11, 200, 300, 1])
+@pytest.mark.parametrize("max_refine", [60, 51, 50, 1])
+def test_batched_winding_decides_each_box_as_alone(monkeypatch, samples_cap, max_refine):
+    """Each box gets from a batch the (w, residual) or failure it gets
+    alone, whatever the sample cap makes wait or share a round.  The
+    residual bound is lowered to 5e-15 so that the winding-7 box fails on
+    it.  The 20 x 20 box needs two refinement rounds and the last two
+    boxes 51, and each fails on a lower round limit; with a cap of 200
+    samples the last box waits for the one before it, and waiting must
+    not count as a round."""
+    import quadrics.nevanlinna as nv
+    monkeypatch.setattr(nv, "_MAX_RESIDUAL", 5e-15)
+    monkeypatch.setattr(nv, "_BATCH_SAMPLES", samples_cap)
+    g = _EXP_MINUS_1
+    gp = g.derivative()
+    alone = [nv._windings(g, gp, np.array([b]), max_refine) for b in _WINDING_BOXES]
+    w, residual = nv._windings(g, gp, np.array(_WINDING_BOXES), max_refine)
+    assert w.tolist() == [int(a[0][0]) for a in alone]
+    assert _bits(residual) == _bits([a[1][0] for a in alone])
+    failed = np.isnan(residual).tolist()
+    assert failed == [False, False, True, True, False, False, max_refine == 1, False,
+                      max_refine < 51, max_refine < 51]
+    assert w.tolist() == [0 if f else k for f, k in zip(failed, [1, 1, 0, 0, 0, 1, 3, 0, 1, 1])]
+
+
+# locate_zeros_in_box as the depth-first, one-rectangle-at-a-time search
+# gave it: (sum, half side, zeros in list order, max residual).
+_ZERO_ORDER_CASES = {
+    # the root's centered cut runs through the zeros on the imaginary axis
+    # and is retried at shift 1/16
+    "exp_minus_1": (_EXP_MINUS_1, 20.0, (
+        ("-0x1.41393b54000adp-56", "-0x1.2d97c7f3321d2p+4", 1),
+        ("-0x1.ad9b4e0000000p-55", "-0x1.921fb54442d18p+3", 1),
+        ("0x1.f4219631ffff5p-55", "-0x1.921fb54442d18p+2", 1),
+        ("-0x1.4f30913000000p-56", "0x1.8000000000000p-117", 1),
+        ("-0x1.70b5600001700p-56", "0x1.921fb54442d18p+2", 1),
+        ("0x1.ea1f9a27fffd8p-55", "0x1.921fb54442d18p+3", 1),
+        ("-0x1.bf2e580000a00p-55", "0x1.2d97c7f3321d2p+4", 1)),
+        "0x1.0000000000000p-47"),
+    # e^{xi^2} - 1: retried cuts at the root and 27 levels down, where the
+    # double zero at the origin ends as a multiple-zero cell
+    "exp_square_minus_1": (
+        ExpSum([(UniPoly([1]), UniPoly([0, 0, 1])), (UniPoly([-1]), UniPoly([]))]), 3.0,
+        (
+            ("-0x1.40d931ff62706p+1", "-0x1.40d931ff62706p+1", 1),
+            ("-0x1.c5bf891b4ef6ap+0", "-0x1.c5bf891b4ef6ap+0", 1),
+            ("-0x1.7400000000000p-32", "-0x1.7400000000000p-32", 2),
+            ("0x1.40d931ff62706p+1", "-0x1.40d931ff62705p+1", 1),
+            ("0x1.c5bf891b4ef6bp+0", "-0x1.c5bf891b4ef6bp+0", 1),
+            ("-0x1.c5bf891b4ef6bp+0", "0x1.c5bf891b4ef6bp+0", 1),
+            ("-0x1.40d931ff62706p+1", "0x1.40d931ff62706p+1", 1),
+            ("0x1.c5bf891b4ef6bp+0", "0x1.c5bf891b4ef6bp+0", 1),
+            ("0x1.40d931ff62706p+1", "0x1.40d931ff62705p+1", 1)),
+        "0x1.0000000000000p-48"),
+    # 1 + e^xi + e^{xi^2}
+    "three_terms": (
+        ExpSum([(UniPoly([1]), UniPoly([])), (UniPoly([1]), UniPoly([0, 1])),
+                (UniPoly([1]), UniPoly([0, 0, 1]))]), 2.5,
+        (
+            ("-0x1.136d181d80b11p+1", "-0x1.1544cdb88bae6p+1", 1),
+            ("-0x1.3bb2797a870e8p+0", "-0x1.2d6e638c445fap+0", 1),
+            ("0x1.cae4a2d1021a3p+0", "-0x1.29067fdb9c50ap+0", 1),
+            ("-0x1.3bb2797a870e8p+0", "0x1.2d6e638c445fap+0", 1),
+            ("-0x1.136d181d80b11p+1", "0x1.1544cdb88bae6p+1", 1),
+            ("0x1.cae4a2d1021a3p+0", "0x1.29067fdb9c50ap+0", 1)),
+        "0x1.0000000000000p-49"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ZERO_ORDER_CASES))
+def test_zero_search_keeps_depth_first_order_bit_for_bit(name):
+    """The level-batched search lists the zeros in depth-first order with
+    the positions, multiplicities and max residual of the depth-first
+    search, bit for bit, so every N(r) sum adds in the same order."""
+    from quadrics.nevanlinna import locate_zeros_in_box
+    g, half, want, residual = _ZERO_ORDER_CASES[name]
+    zeros, got_residual = locate_zeros_in_box(g, half)
+    assert [(z.position.real.hex(), z.position.imag.hex(), z.multiplicity)
+            for z in zeros] == list(want)
+    assert got_residual.hex() == residual
 
 
 # ---------------------------------------------------------------------------
