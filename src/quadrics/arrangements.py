@@ -32,11 +32,11 @@ import numpy as np
 
 from .config import DEFAULT_PRECISION, PrecisionConfig, scoped
 from .linalg import det, nullspace, rank, solve
-from .polynomials import (Ball, HomPoly, PrecisionExhaustedError, ProjPointNum,
-                          ZeroPolynomialError, _cross, ball_eval, coerce_point,
-                          coord_balls, excludes_zero, matrix_adjugate,
-                          poly_from_matrix, quadric_form, resultant,
-                          subresultant, vanishes_at)
+from .polynomials import (Ball, HomPoly, MpForms, PrecisionExhaustedError,
+                          ProjPointNum, ZeroPolynomialError, _cross, ball_eval,
+                          coerce_point, coord_balls, excludes_zero,
+                          matrix_adjugate, poly_from_matrix, quadric_form,
+                          resultant, subresultant, vanishes_at)
 from .scalars import coerce_scalar, reconstruct_gauss, scalar_to_complex
 from .univariate import (RootFindingError, UniPoly, binary_form_roots,
                          binary_to_unipoly, uni_gcd, yun_squarefree)
@@ -270,9 +270,9 @@ def _at_t(form: HomPoly) -> UniPoly:
 
 
 def _fiber_lifts(rho, p2, q2, mults):
-    """{multiplicity: (k, S_k)} for the Yun factors f of rho(t, 1) with
-    multiplicities in ``mults``; None when a fiber above a root of such an
-    f cannot be lifted.
+    """{multiplicity: (k, MpForms of sres_{k,k} and sres_{k,k-1})} for the
+    Yun factors f of rho(t, 1) with multiplicities in ``mults``; None when
+    a fiber above a root of such an f cannot be lifted.
 
     p2 and q2 keep constant leading coefficients in z0, so above a root t
     of f the fiber's gcd is S_k(t) for the least k with sres_{k,k}(t) != 0.
@@ -281,9 +281,11 @@ def _fiber_lifts(rho, p2, q2, mults):
     z0 = -sres_{k,k-1}/(k s) with s = sres_{k,k}, exactly when S_k = s
     (z0 - z0(t))^k, checked mod f coefficient by coefficient:
     (k s)^k sres_{k,j} = s C(k, j) (k s)^j sres_{k,k-1}^(k-j).  S_1 is
-    computed once, S_k for k >= 2 only where S_1 does not lift.
+    computed once, S_k for k >= 2 only where S_1 does not lift; the two
+    members giving z0 are rounded once per k.
     """
     chain: Dict[int, List[HomPoly]] = {}
+    forms: Dict[int, MpForms] = {}
     out = {}
     for f, mult in yun_squarefree(binary_to_unipoly(rho, 1, 2)[0]):
         if mult not in mults:
@@ -306,24 +308,24 @@ def _fiber_lifts(rho, p2, q2, mults):
                             start=UniPoly([math.comb(k, j)]) * sres[k])
             if not (lhs - rhs).divmod(f)[1].is_zero:
                 return None  # more than one point above a root of f
-        out[mult] = (k, chain[k])
+        if k not in forms:
+            forms[k] = MpForms(chain[k][:2])
+        out[mult] = (k, forms[k])
     return out
 
 
-def _newton_polish(p: HomPoly, q: HomPoly, pt_vec, prec, steps=30):
-    """Newton iteration for the 2x2 system on the best affine chart."""
+def _newton_polish(forms: MpForms, pt_vec, prec):
+    """Newton iteration for the 2x2 system on the best affine chart;
+    ``forms`` are p, q, p's three partials and q's, rounded at ``prec``."""
     with mp.workprec(prec):
         v = [mp.mpc(c) for c in pt_vec]
         chart = max(range(3), key=lambda i: abs(v[i]))
         idx = [i for i in range(3) if i != chart]
         v = [c / v[chart] for c in v]
-        grads_p = p.gradient()
-        grads_q = q.gradient()
-        for _ in range(steps):
-            fv = p.eval_mpc(v)
-            gv = q.eval_mpc(v)
-            J = [[grads_p[idx[0]].eval_mpc(v), grads_p[idx[1]].eval_mpc(v)],
-                 [grads_q[idx[0]].eval_mpc(v), grads_q[idx[1]].eval_mpc(v)]]
+        which = (0, 1, 2 + idx[0], 2 + idx[1], 5 + idx[0], 5 + idx[1])
+        for _ in range(30):
+            fv, gv, pa, pb, qa, qb = forms.values(v, which)
+            J = [[pa, pb], [qa, qb]]
             det = J[0][0] * J[1][1] - J[0][1] * J[1][0]
             # singular at working precision, as at a multiple point: a step is noise
             if abs(det) <= max(abs(x) for row in J for x in row) ** 2 * mp.mpf(2) ** (16 - prec):
@@ -335,7 +337,7 @@ def _newton_polish(p: HomPoly, q: HomPoly, pt_vec, prec, steps=30):
             v[idx[1]] -= dy
             if max(abs(dx), abs(dy)) < mp.mpf(2) ** (16 - prec):
                 break
-        res = max(abs(p.eval_mpc(v)), abs(q.eval_mpc(v)))
+        res = max(abs(x) for x in forms.values(v, (0, 1)))
         Jn = max(sum(abs(x) for x in row) for row in J) if abs(det) else mp.mpf(1)
         radius = res / abs(det) * Jn * 8 + mp.mpf(2) ** (16 - prec) if abs(det) else mp.mpf(2) ** (-prec // 4)
         return tuple(v), radius
@@ -399,10 +401,10 @@ def _try_intersection(p, q, U, prec, target):
 
     Each root t of the resultant Res_{z0} gives a fiber: exact roots are
     solved by an exact gcd, numeric ones lift by the subresultant chain
-    (_fiber_lifts); each numeric point is then polished by Newton.  A fiber
-    with more than one point, a Yun factor whose roots need different
-    subresultants, a wrong Bezout sum or two equal points rejects the
-    change.
+    (_fiber_lifts); each numeric point is then polished by Newton on p, q
+    and their partials, rounded once per change.  A fiber with more than
+    one point, a Yun factor whose roots need different subresultants, a
+    wrong Bezout sum or two equal points rejects the change.
 
     Raises CommonComponentError, carrying the shared factor, when the
     curves share a component: once both curves keep their full degree in
@@ -418,21 +420,23 @@ def _try_intersection(p, q, U, prec, target):
     if rho.is_zero:
         raise CommonComponentError(factor=_shared_factor(p2, q2, U))
     roots = binary_form_roots(rho, 1, 2, prec)
-    lifts = _fiber_lifts(rho, p2, q2, {mult for _, _, mult, exact, _ in roots if exact is None})
+    lifts = _fiber_lifts(rho, p2, q2, {mult for _, _, mult, exact in roots if exact is None})
     if lifts is None:
         return None
     found: List[Tuple[ProjPointNum, int]] = []
-    for hi, lo, mult, exact, _ in roots:
+    polish = None
+    for hi, lo, mult, exact in roots:
         if exact is not None:
             z0 = _fiber_points_exact(p2, q2, *exact)
             if z0 is None:
                 return None
             pt = ProjPointNum.from_exact(_apply_matrix(U, (z0,) + exact))
         else:
-            k, sres = lifts[mult]
-            z0 = -sres[1].eval_mpc((0, hi, lo)) / (k * sres[0].eval_mpc((0, hi, lo)))
-            z = _apply_matrix(U, [mp.mpc(x) for x in (z0, hi, lo)])
-            polished, prad = _newton_polish(p, q, z, prec)
+            k, lift = lifts[mult]
+            s, s1 = lift.values((0, hi, lo))  # sres_{k,k} and sres_{k,k-1}
+            z = _apply_matrix(U, [mp.mpc(x) for x in (-s1 / (k * s), hi, lo)])
+            polish = polish or MpForms((p, q) + p.gradient() + q.gradient())
+            polished, prad = _newton_polish(polish, z, prec)
             pt = ProjPointNum(polished, prad)
             rec_exact = _try_exact_recovery(p, q, polished)
             if rec_exact is not None:
@@ -509,7 +513,7 @@ def tangent_line_numeric(p: HomPoly, pt) -> NumLine:
     point = coerce_point(pt)
     if point.is_exact():
         return NumLine.from_exact(tangent_line(p, point))
-    grad = [p.derivative(i).eval_mpc(point.coords) for i in range(3)]
+    grad = MpForms(p.gradient()).values(point.coords)
     s = _sup(grad)
     if s == 0:
         raise SingularPointError("numerically vanishing gradient")

@@ -76,6 +76,34 @@ def scalar_to_mp(x):
     return mp.mpf(x.numerator) / x.denominator
 
 
+class MpForms:
+    """Forms evaluated at numeric points, each coefficient rounded once
+    (``scalar_to_mp``) at the working precision of every ``values`` call.
+    ``values`` takes each ``x ** k`` once per point and multiplies a term
+    by its factors of nonzero exponent in order (x ** 0 is an exact 1), so
+    each value is bit for bit the term-by-term sum from mpc(0)."""
+
+    __slots__ = ("_forms", "_top")
+
+    def __init__(self, polys: Sequence["HomPoly"]):
+        self._top = max([p.degree for p in polys] + [0]) + 1
+        self._forms = [[(scalar_to_mp(c), [i * self._top + k for i, k in enumerate(e) if k])
+                        for e, c in p.terms.items()] for p in polys]
+
+    def values(self, point, which: Optional[Sequence[int]] = None) -> List:
+        """The values of the forms listed in ``which`` (all by default)."""
+        powers = [x ** k for x in point for k in range(self._top)]
+        out = []
+        for j in range(len(self._forms)) if which is None else which:
+            total = mp.mpc(0)
+            for c, factors in self._forms[j]:
+                for f in factors:
+                    c = c * powers[f]
+                total += c
+            out.append(total)
+        return out
+
+
 def _grlex_key(e: Expo):
     return (sum(e), e)
 
@@ -263,10 +291,7 @@ class HomPoly:
         return coerce_scalar(total)
 
     def eval_mpc(self, point):
-        total = mp.mpc(0)
-        for e, c in self.terms.items():
-            total += scalar_to_mp(c) * point[0] ** e[0] * point[1] ** e[1] * point[2] ** e[2]
-        return total
+        return MpForms([self]).values(point)[0]
 
     def eval_ball(self, z):
         """Value at a vector of Balls, term by term."""

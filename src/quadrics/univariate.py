@@ -5,8 +5,9 @@ Binary homogeneous forms from resultants are routed through here: strip
 the powers of each variable, dehomogenize, decompose by Yun's algorithm,
 then solve each squarefree part (exact for degree <= 2, numeric
 otherwise, with Gaussian-rational roots recognized and verified exactly).
-Every numeric root carries the rigorous radius  deg * |g(z)/g'(z)|, which
-bounds the distance to the nearest true root.
+Every numeric root has the rigorous radius  deg * |g(z)/g'(z)|, which
+bounds the distance to the nearest true root, computed on its first read
+at the root's own precision: a caller that never reads it never pays.
 
 Every polynomial root the library finds comes from this module, and
 every numeric one from ``complex_roots``, its single numeric entry point:
@@ -168,15 +169,25 @@ def yun_squarefree(p: UniPoly) -> List[Tuple[UniPoly, int]]:
 
 
 class RootBall:
-    """A root with certified radius; exact value when recognized."""
+    """A root of ``poly``: the exact value when recognized (radius 0), else
+    a numeric value found at ``prec`` bits, whose certified radius
+    (``_certify_radius``) is computed at ``prec`` bits on first read."""
 
-    __slots__ = ("value", "radius", "multiplicity", "exact")
+    __slots__ = ("value", "multiplicity", "exact", "_poly", "_prec", "_radius")
 
-    def __init__(self, value, radius, multiplicity=1, exact=None):
+    def __init__(self, value, multiplicity=1, exact=None, poly=None, prec=None):
         self.value = mp.mpc(value)
-        self.radius = mp.mpf(radius)
         self.multiplicity = multiplicity
         self.exact = coerce_scalar(exact) if exact is not None else None
+        self._poly, self._prec = poly, prec
+        self._radius = mp.mpf(0) if exact is not None else None
+
+    @property
+    def radius(self) -> mp.mpf:
+        if self._radius is None:
+            with mp.workprec(self._prec):
+                self._radius = _certify_radius(self._poly, self.value)
+        return self._radius
 
     def __repr__(self):
         if self.exact is not None:
@@ -267,13 +278,14 @@ def numeric_roots_squarefree(p: UniPoly, prec: int) -> List[RootBall]:
     """Roots of a squarefree polynomial at working precision ``prec``.
 
     Gaussian-rational roots are recognized from the numeric values and
-    verified exactly; everything else keeps its certified radius.
+    verified exactly; every other root's certified radius is computed
+    when it is first read.
     """
     out: List[RootBall] = []
     ex = exact_roots_small(p) if p.degree in (1, 2) else None
     if ex is not None:
         for r in ex:
-            out.append(RootBall(scalar_to_complex(r), 0, 1, exact=r))
+            out.append(RootBall(scalar_to_complex(r), 1, exact=r))
         return out
     if p.degree <= 0:
         return out
@@ -283,10 +295,9 @@ def numeric_roots_squarefree(p: UniPoly, prec: int) -> List[RootBall]:
             cand = reconstruct_gauss(float(mp.re(z)), float(mp.im(z)),
                                      max_den=10 ** 9, tol=1e-14)
             if cand is not None and p.eval_exact(cand) == 0:
-                out.append(RootBall(scalar_to_complex(cand), 0, 1, exact=cand))
+                out.append(RootBall(scalar_to_complex(cand), 1, exact=cand))
                 continue
-            rad = _certify_radius(p, z)
-            out.append(RootBall(z, rad, 1))
+            out.append(RootBall(z, 1, poly=p, prec=prec))
     return out
 
 
@@ -330,17 +341,17 @@ def binary_to_unipoly(form, var_hi: int, var_lo: int) -> Tuple[UniPoly, int, int
 def binary_form_roots(form, var_hi: int, var_lo: int, prec: int):
     """Projective roots of a nonzero binary form with multiplicities.
 
-    Yields (hi_value, lo_value, multiplicity, exact_pair_or_None, radius).
+    Yields (hi_value, lo_value, multiplicity, exact_pair_or_None).
     """
     p, mult_inf, mult_zero = binary_to_unipoly(form, var_hi, var_lo)
     out = []
     if mult_zero:
-        out.append((mp.mpc(0), mp.mpc(1), mult_zero, (Fraction(0), Fraction(1)), mp.mpf(0)))
+        out.append((mp.mpc(0), mp.mpc(1), mult_zero, (Fraction(0), Fraction(1))))
     if mult_inf:
-        out.append((mp.mpc(1), mp.mpc(0), mult_inf, (Fraction(1), Fraction(0)), mp.mpf(0)))
+        out.append((mp.mpc(1), mp.mpc(0), mult_inf, (Fraction(1), Fraction(0))))
     if p.degree >= 1:
         for ball in roots_with_multiplicity(p, prec):
             exact = (ball.exact, Fraction(1)) if ball.exact is not None else None
-            out.append((ball.value, mp.mpc(1), ball.multiplicity, exact, ball.radius))
+            out.append((ball.value, mp.mpc(1), ball.multiplicity, exact))
     return out
 

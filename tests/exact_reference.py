@@ -1,6 +1,7 @@
 """References that only the tests use: exact decisions, the distance of
-two numeric points, and the exponential-sum evaluators that
-ExpSum._scaled took the place of."""
+two numeric points, the term-by-term form evaluation that
+polynomials.MpForms took the place of, and the exponential-sum
+evaluators that ExpSum._scaled took the place of."""
 
 import cmath
 import math
@@ -8,7 +9,8 @@ import math
 import mpmath as mp
 import numpy as np
 
-from quadrics.polynomials import DegenerateLeadingFormError, HomPoly, resultant
+from quadrics.polynomials import (DegenerateLeadingFormError, HomPoly, resultant,
+                                  scalar_to_mp)
 from quadrics.scalars import scalar_to_complex
 
 
@@ -35,6 +37,15 @@ def point_distance(a, b):
     fa = a[j] / abs(a[j])
     fb = b[j] / abs(b[j])
     return max(abs(x / fa - y / fb) for x, y in zip(a, b))
+
+
+def reference_eval_mpc(p: HomPoly, point):
+    """HomPoly.eval_mpc before MpForms, kept verbatim: each term rounds its
+    coefficient and raises every coordinate to its exponent again."""
+    total = mp.mpc(0)
+    for e, c in p.terms.items():
+        total += scalar_to_mp(c) * point[0] ** e[0] * point[1] ** e[1] * point[2] ** e[2]
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import mpmath as mp
@@ -264,6 +265,37 @@ def test_intersection_needs_one_resultant_per_change(monkeypatch):
     assert len(calls) == 1  # the identity change is admissible for this pair
     with pytest.raises(CommonComponentError):
         intersection_points(P1, P1 * parse_poly("z0 + z1"))
+
+
+def test_intersection_rounds_each_form_once_per_change(monkeypatch):
+    """Two cubics meeting in 9 numeric points: no root radius is computed,
+    and scalar_to_mp rounds at most each term of p, q, their six partials
+    (once per coordinate change) and of the two members of each
+    subresultant chain that lifts fibers."""
+    import quadrics.arrangements as arr
+    import quadrics.polynomials as polys
+    import quadrics.univariate as uni
+
+    counts, chains = Counter(), []
+
+    def count(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: counts.update([name]) or real(*args))
+
+    count(polys, "scalar_to_mp")
+    count(uni, "_certify_radius")
+    count(arr, "_try_intersection")
+    monkeypatch.setattr(arr, "subresultant",
+                        lambda *args: chains.append(polys.subresultant(*args)) or chains[-1])
+    p = parse_poly("z0^3 + 2*z1^3 - 3*z2^3 + z0*z1*z2")
+    q = parse_poly("z0^3 - z1^2*z2 + 5*z2^2*z0 + 7*z0*z1*z2 + z1^3")
+    recs = intersection_points(p, q)
+    assert len(recs) == 9 and not any(r.point.is_exact() for r in recs)
+    forms = (p, q) + p.gradient() + q.gradient()
+    bound = (counts["_try_intersection"] * sum(len(f.terms) for f in forms)
+             + sum(len(m.terms) for chain in chains for m in chain[:2]))
+    assert counts["_certify_radius"] == 0
+    assert 0 < counts["scalar_to_mp"] <= bound
 
 
 def test_line_conic_intersections(example_net):

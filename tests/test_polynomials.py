@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quadrics.polynomials import (Ball, DegenerateLeadingFormError, HomPoly,
-                                  NotHomogeneousError, PolySyntaxError,
+                                  MpForms, NotHomogeneousError, PolySyntaxError,
                                   ProjPointNum, ZeroPolynomialError, _cross,
                                   ball_eval, coord_balls, gaussian_extension_eval,
                                   parse_poly,
@@ -15,7 +15,7 @@ from quadrics.polynomials import (Ball, DegenerateLeadingFormError, HomPoly,
                                   subresultant, vanishes_at)
 from quadrics.scalars import GaussRat
 
-from exact_reference import point_distance
+from exact_reference import point_distance, reference_eval_mpc
 
 z0, z1, z2 = (HomPoly.variable(i) for i in range(3))
 
@@ -169,7 +169,7 @@ def test_subresultant_chain_matches_sympy(seed, degrees):
         assert sympy.expand(ours - sign * members[k]) == 0
     assert subresultant(p, q, 0, 0) == [resultant(p, q, 0)]
     s1, s0 = subresultant(p, q, 0, 1)
-    rational = [exact for _, _, _, exact, _ in binary_form_roots(resultant(p, q, 0), 1, 2, 64)
+    rational = [exact for _, _, _, exact in binary_form_roots(resultant(p, q, 0), 1, 2, 64)
                 if exact is not None]
     assert pt is None or (pt[1], 1) in rational
     for exact in rational:
@@ -339,6 +339,49 @@ def test_eval_numeric_point_with_radius():
     v, err = gaussian_extension_eval(p, pt)
     assert err > 0
     assert abs(v) <= mp.mpf("1e-6")  # the point is exactly on the curve
+
+
+_RAT = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 4))
+
+
+@st.composite
+def _forms(draw):
+    """A form of degree 0-5 with Fraction or GaussRat coefficients, or 0."""
+    d = draw(st.integers(0, 5))
+    coeff = st.one_of(_RAT, st.builds(GaussRat, _RAT, _RAT))
+    return HomPoly({e: draw(coeff) for e in draw(st.sets(st.sampled_from(_exponents(d))))})
+
+
+@st.composite
+def _coordinates(draw):
+    """0, 1, a Python complex, or an mpc rounded at 53 to 1100 bits (so
+    finer than the evaluation, where x ** 1 rounds it)."""
+    kind = draw(st.sampled_from(["int", "complex", "mpc"]))
+    if kind == "int":
+        return draw(st.sampled_from([0, 1]))
+    re, im = draw(_RAT), draw(_RAT)
+    if kind == "complex":
+        return complex(re, im)
+    with mp.workprec(draw(st.sampled_from([53, 256, 1100]))):
+        return mp.mpc(mp.mpf(re.numerator) / re.denominator, mp.mpf(im.numerator) / im.denominator)
+
+
+@given(st.lists(_forms(), min_size=1, max_size=4), st.lists(_coordinates(), min_size=3, max_size=3),
+       st.sampled_from([53, 256, 1024]), st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_mp_forms_match_term_by_term_evaluation(forms, point, bits, rng):
+    """A power table per point and coefficients rounded once leave every
+    bit as it was: each value equals the term-by-term sum, real and
+    imaginary parts alike, for all forms, for a subset in any order, and
+    through HomPoly.eval_mpc."""
+    which = rng.sample(range(len(forms)), rng.randint(1, len(forms)))
+    with mp.workprec(bits):
+        want = [reference_eval_mpc(f, point) for f in forms]
+        evaluator = MpForms(forms)
+        got = [evaluator.values(point), evaluator.values(point, which),
+               [f.eval_mpc(point) for f in forms]]
+    for values, order in zip(got, [range(len(forms)), which, range(len(forms))]):
+        assert [(v.real, v.imag) for v in values] == [(want[j].real, want[j].imag) for j in order]
 
 
 _gauss_ints = st.builds(GaussRat, st.integers(-3, 3), st.integers(-3, 3))

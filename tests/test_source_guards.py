@@ -11,6 +11,17 @@ One evaluator for exponential sums: ``ExpSum._scaled`` is the only reader
 of the cached term coefficients, and no ``numpy.polyval`` copy of it is
 left, so points and arrays are evaluated by the same code.
 
+One evaluator for forms at numeric points: ``polynomials.MpForms``
+rounds a form's coefficients once and evaluates it on one power table
+per point.  ``scalar_to_mp`` is called only there and in ``Ball.exact``,
+``HomPoly.eval_mpc`` delegates to it with no loop of its own, and no
+library code calls ``eval_mpc`` on a form, which would round every
+coefficient again on each call (``_certify_radius`` evaluates a
+``UniPoly``).
+
+A root radius is computed only where it is read: ``_certify_radius`` is
+referenced only by the lazy ``RootBall.radius``.
+
 One memo: derived objects are stored only through ``config.scoped``, in
 the analysis scope that ``cli.main`` opens for each command.  No object
 keeps a ``_memo`` of its own, so library calls outside a scope keep no
@@ -56,6 +67,42 @@ def _uses(attr: str, modules: set):
 
         visit(tree, None)
     return found
+
+
+def _references(attr: str):
+    """(file, Class.function) for every load of the name ``attr`` and every
+    attribute ``.attr`` read under src/quadrics."""
+    found = []
+    for name, tree in _trees():
+        def visit(node, scope):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                scope = scope + (node.name,)
+            if (isinstance(node, ast.Name) and node.id == attr
+                    or isinstance(node, ast.Attribute) and node.attr == attr) \
+                    and isinstance(node.ctx, ast.Load):
+                found.append((name, ".".join(scope)))
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        visit(tree, ())
+    return found
+
+
+def test_certify_radius_is_called_only_by_the_lazy_radius():
+    assert _references("_certify_radius") == [("univariate.py", "RootBall.radius")]
+
+
+def test_forms_are_evaluated_only_by_mp_forms():
+    assert sorted(set(_references("scalar_to_mp"))) == [
+        ("polynomials.py", "Ball.exact"), ("polynomials.py", "MpForms.__init__"),
+        ("polynomials.py", "scalar_to_mp")]
+    assert {name for name, _ in _references("eval_mpc")} == {"univariate.py"}
+    tree = dict(_trees())["polynomials.py"]
+    method = next(node for cls in tree.body if getattr(cls, "name", None) == "HomPoly"
+                  for node in cls.body if getattr(node, "name", None) == "eval_mpc")
+    loops = (ast.For, ast.While, ast.comprehension)
+    assert not any(isinstance(node, loops) for node in ast.walk(method))
+    assert "MpForms" in {node.id for node in ast.walk(method) if isinstance(node, ast.Name)}
 
 
 def test_polyroots_is_called_only_in_complex_roots():

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from quadrics.scalars import (GaussRat, coerce_scalar, gauss_sqrt, parse_scalar_string,
                               primitive_vector)
-from quadrics.univariate import (RootFindingError, UniPoly, binary_form_roots,
-                                 complex_roots, roots_with_multiplicity,
-                                 uni_gcd, yun_squarefree)
+from quadrics import univariate
+from quadrics.univariate import (RootFindingError, UniPoly, _certify_radius,
+                                 binary_form_roots, complex_roots,
+                                 roots_with_multiplicity, uni_gcd, yun_squarefree)
 
 
 def test_unipoly_divmod_and_gcd():
@@ -58,12 +59,33 @@ def test_irrational_roots_carry_certified_radius():
             assert min(abs(b.value - mp.sqrt(2)), abs(b.value + mp.sqrt(2))) <= b.radius
 
 
+@pytest.mark.parametrize("read_bits", [53, 1024])
+def test_radius_is_computed_once_at_the_roots_precision(read_bits, monkeypatch):
+    """t^3 - 2 at 192 bits: a radius read under any working precision is
+    _certify_radius at 192 bits (at 1024 bits it would differ), and it is
+    computed on the first read only."""
+    p = UniPoly([-2, 0, 0, 1])
+    balls = roots_with_multiplicity(p, 192)
+    with mp.workprec(192):
+        want = [_certify_radius(p, b.value) for b in balls]
+    with mp.workprec(1024):
+        assert all(_certify_radius(p, b.value) != w for b, w in zip(balls, want))
+    calls = []
+    monkeypatch.setattr(univariate, "_certify_radius",
+                        lambda *args: calls.append(args) or _certify_radius(*args))
+    with mp.workprec(read_bits):
+        got = [b.radius for b in balls]
+        again = [b.radius for b in balls]
+    assert got == want and len(calls) == 3
+    assert all(a is g for a, g in zip(again, got))
+
+
 def test_binary_form_roots_with_coordinate_roots():
     from quadrics.polynomials import parse_poly
     # z1 * (z1 - z2) * z2^2: roots [0:1], [1:1], [1:0] (double)
     form = parse_poly("z1^2*z2^2 - z1*z2^3")
     roots = binary_form_roots(form, 1, 2, 128)
-    as_set = {(str(e[0]), str(e[1]), m) for _, _, m, e, _ in roots if e}
+    as_set = {(str(e[0]), str(e[1]), m) for _, _, m, e in roots if e}
     assert ("0", "1", 1) in as_set
     assert ("1", "0", 2) in as_set
     assert ("1", "1", 1) in as_set
