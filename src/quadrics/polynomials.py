@@ -83,16 +83,16 @@ class MpForms:
     by its factors of nonzero exponent in order (x ** 0 is an exact 1), so
     each value is bit for bit the term-by-term sum from mpc(0)."""
 
-    __slots__ = ("_forms", "_top")
+    __slots__ = ("_forms", "_stride")
 
     def __init__(self, polys: Sequence["HomPoly"]):
-        self._top = max([p.degree for p in polys] + [0]) + 1
-        self._forms = [[(scalar_to_mp(c), [i * self._top + k for i, k in enumerate(e) if k])
+        self._stride = max([p.degree for p in polys] + [0]) + 1
+        self._forms = [[(scalar_to_mp(c), [i * self._stride + k for i, k in enumerate(e) if k])
                         for e, c in p.terms.items()] for p in polys]
 
     def values(self, point, which: Optional[Sequence[int]] = None) -> List:
         """The values of the forms listed in ``which`` (all by default)."""
-        powers = [x ** k for x in point for k in range(self._top)]
+        powers = [x ** k for x in point for k in range(self._stride)]
         out = []
         for j in range(len(self._forms)) if which is None else which:
             total = mp.mpc(0)
