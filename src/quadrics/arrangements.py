@@ -154,6 +154,8 @@ class NumLine:
 
     @staticmethod
     def from_exact(line: HomPoly) -> "NumLine":
+        if line.is_zero:
+            raise ZeroPolynomialError("the zero form is not a line")
         _, prim = line.content_primitive()
         v = tuple(mp.mpc(scalar_to_complex(c)) for c in prim.linear_coeffs())
         s = _sup(v)

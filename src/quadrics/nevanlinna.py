@@ -12,10 +12,10 @@ the disk center:
 
 which vanishes for constant curves, is exactly scale invariant, and
 reproduces the classical closed forms (T([1:e^xi], r) = r/pi) without an
-O(1) offset.  When every component is a single term c e^{Q(xi)} with a
-constant c, the integrand is a maximum of trigonometric polynomials in t
-and T is summed in closed form on the arcs between its kinks; a curve
-with a genuine sum component is integrated by nested composite Simpson.
+O(1) offset.  T needs every component to be one term c e^{Q(xi)} with a
+constant c; the integrand is then a maximum of trigonometric polynomials
+in t, and T is summed in closed form on the arcs between its kinks.  Sum
+components serve counting and the exact degeneracy tests only.
 Zero counting uses integer winding numbers on a quadtree of rectangles,
 searched level by level so that each refinement round evaluates the
 contours of many cells at once, then Newton polishing.
@@ -71,6 +71,10 @@ class NotAMorphismError(ValueError):
     pass
 
 
+class SumComponentError(ValueError):
+    """T(r) was asked of a curve with a component that is not c e^{Q}."""
+
+
 # ---------------------------------------------------------------------------
 # Exponential sums
 # ---------------------------------------------------------------------------
@@ -121,9 +125,6 @@ class ExpSum:
 
     def __add__(self, other: "ExpSum") -> "ExpSum":
         return ExpSum(list(self.terms) + list(other.terms))
-
-    def scale(self, c) -> "ExpSum":
-        return ExpSum([(coeff * c, expo) for coeff, expo in self.terms])
 
     def __pow__(self, n: int) -> "ExpSum":
         out = ExpSum.constant(1)
@@ -229,8 +230,8 @@ class ExpCurve:
 
     The standard constructor takes exponent polynomials (one list of
     coefficients per component, index = power of xi), producing the curve
-    [e^{P_0} : ... : e^{P_n}].  Components that are genuine sums support
-    the degenerate test cases.  A curve compares by identity, which is
+    [e^{P_0} : ... : e^{P_n}].  Sum components serve counting and the
+    degeneracy tests, not T(r).  A curve compares by identity, which is
     how an analysis scope keys what characteristic() and counting()
     computed on it.
     """
@@ -318,12 +319,6 @@ class ExpCurve:
 # Characteristic function
 # ---------------------------------------------------------------------------
 
-def _curve_logmax_grid(curve: ExpCurve, r: float, thetas: np.ndarray) -> np.ndarray:
-    xi = r * np.exp(1j * thetas)
-    vals = np.stack([c.logabs_grid(xi) for c in curve.components])
-    return np.max(vals, axis=0)
-
-
 def _center_value(curve: ExpCurve) -> float:
     best = max(_log_value(c, 0j).real for c in curve.components)
     if best == -math.inf:
@@ -334,44 +329,40 @@ def _center_value(curve: ExpCurve) -> float:
 _EPS = 2.0 ** -52
 
 
-def characteristic(curve: ExpCurve, r: float, tol: float = 1e-9
-                   ) -> Tuple[float, float]:
+def characteristic(curve: ExpCurve, r: float) -> Tuple[float, float]:
     """Sup-norm characteristic T(f, r) with an error bound.
 
-    When every component is c e^{Q(xi)} with a constant c, the integrand
-    max_j log|f_j(r e^{it})| is a maximum of trigonometric polynomials in
-    t, and T is summed in closed form over the arcs between its kinks
-    (_arc_mean); tol is unused there.  A curve with a genuine sum
-    component takes composite Simpson with nested interval doubling: each
-    doubling keeps the previous grid as its even nodes and evaluates only
-    the new odd ones, so every node is evaluated once, and the error
-    combines the last refinement difference with a float rounding
-    allowance.  Raises QuadratureFailureError when the integrand is not
-    finite on the circle or Simpson refinement stalls.
-    Inside an analysis scope each (curve, r, tol) is computed once.
+    Every component must be c e^{Q(xi)} with a constant c; then the
+    integrand max_j log|f_j(r e^{it})| is a maximum of trigonometric
+    polynomials in t, and T is summed in closed form over the arcs
+    between its kinks (_arc_mean).  Raises SumComponentError for any
+    other component, and QuadratureFailureError when the integrand is
+    not finite on the circle.  Inside an analysis scope each (curve, r)
+    is computed once.
     """
-    return scoped(("characteristic", curve, r, tol),
-                  lambda: _characteristic(curve, r, tol))
+    return scoped(("characteristic", curve, r), lambda: _characteristic(curve, r))
 
 
-def _characteristic(curve: ExpCurve, r: float, tol: float) -> Tuple[float, float]:
+def _characteristic(curve: ExpCurve, r: float) -> Tuple[float, float]:
     if r <= 0:
         raise ValueError("radius must be positive")
-    center = _center_value(curve)
-    branches = _trig_branches(curve, r)
-    if branches is None:
-        return _simpson(curve, r, tol, center)
-    mean, err = _arc_mean(*branches)
+    try:
+        ell, W = _trig_branches(curve, r)
+        center = _center_value(curve)
+    except OverflowError:
+        # an exact coefficient or exponent beyond the double range
+        raise QuadratureFailureError("integrand unbounded on the circle") from None
+    mean, err = _arc_mean(ell, W)
     return mean - center, err + _EPS * (abs(mean) + abs(center))
 
 
 def _trig_branches(curve: ExpCurve, r: float):
-    """(ell, W) with log|f_j(r e^{it})| = ell[j] + sum_k Re(W[j, k-1] e^{ikt}),
-    or None when a component is not a single term with a constant
-    coefficient.  Raises QuadratureFailureError when a sum formed from
-    them in _arc_mean could overflow."""
+    """(ell, W) with log|f_j(r e^{it})| = ell[j] + sum_k Re(W[j, k-1] e^{ikt}).
+    Raises SumComponentError when a component is not one term with a
+    constant coefficient, and QuadratureFailureError when a sum formed
+    from the branches in _arc_mean could overflow."""
     if any(len(c.terms) != 1 or c.terms[0][0].degree > 0 for c in curve.components):
-        return None
+        raise SumComponentError("T(r) needs every component to be c e^{Q} with a constant c")
     ell, rows = [], []
     for comp in curve.components:
         coeff, expo = comp.terms[0]
@@ -447,42 +438,6 @@ def _arc_mean(ell: np.ndarray, W: np.ndarray) -> Tuple[float, float]:
         delta = np.fmin(gap / slope, np.maximum(np.roll(length, 1), length) / 2)
     cut_err = float(np.sum(np.where(a != b, delta * gap, 0.0))) / (2 * math.pi)
     return mean, rounding + cut_err
-
-
-def _simpson(curve: ExpCurve, r: float, tol: float, center: float) -> Tuple[float, float]:
-    """Composite Simpson with nested doubling, for any curve."""
-    n = 512
-    prev = None
-    last_diff = None
-    vals = None
-    for _ in range(12):
-        thetas = np.linspace(0.0, 2 * math.pi, n + 1)
-        if vals is None:
-            vals = _curve_logmax_grid(curve, r, thetas)
-        else:
-            # n is a power of two, so the previous grid is thetas[::2] exactly
-            coarse, vals = vals, np.empty(n + 1)
-            vals[::2] = coarse
-            vals[1::2] = _curve_logmax_grid(curve, r, thetas[1::2])
-        if not np.all(np.isfinite(vals)):
-            # logabs_grid floors |h| at 1e-300, so only an overflowing
-            # exponent gets here, and no shift of the grid cures that
-            raise QuadratureFailureError("integrand unbounded on the circle")
-        # composite Simpson on the uniform grid
-        h = thetas[1] - thetas[0]
-        integral = (h / 3) * (vals[0] + vals[-1]
-                              + 4 * np.sum(vals[1:-1:2]) + 2 * np.sum(vals[2:-2:2]))
-        value = integral / (2 * math.pi) - center
-        if prev is not None:
-            last_diff = abs(value - prev)
-            if last_diff < max(tol, 1e-13 * max(1.0, abs(value))):
-                err = last_diff + 1e-13 * max(1.0, abs(value)) * math.log2(n)
-                return value, err
-        prev = value
-        n *= 2
-    if last_diff is None or not math.isfinite(last_diff):
-        raise QuadratureFailureError("quadrature did not converge")
-    return prev, last_diff * 4
 
 
 @dataclass
@@ -1012,20 +967,14 @@ class FunctorialityReport:
     variation: float
     passed: bool
 
-    def to_json(self):
-        return {
-            "series": [{"r": r, "difference": d}
-                       for r, d in zip(self.radii, self.differences)],
-            "variation": self.variation,
-            "passed": self.passed,
-        }
-
 
 def functoriality_check(curve: ExpCurve, morphism: Sequence[HomPoly],
                         radii: Sequence[float],
                         tolerance: float = 0.5) -> FunctorialityReport:
     """T(R o f, r) - p T(f, r) must stay within a bounded band.
 
+    Only monomial morphisms are accepted: a component of R o f that is a
+    sum has no T(r) and raises SumComponentError.
     The morphism components must have one common degree p and no common
     zero (checked exactly on a line via the gcd; on the plane two forms
     always share a zero, three go through the certified search, and four
@@ -1157,35 +1106,37 @@ def three_quadrics_certificate(alphas: Sequence, quadrature_check: bool = False,
 
     X is the pairwise-distance sum over 2*pi; the derived inequality
     compares 9X against 8X, so any X > 0 is a contradiction and the only
-    escape is all three coefficients equal.  With quadrature_check the
-    pairwise and triple characteristic limits are validated numerically
-    against the convex-hull values.
+    escape is all three coefficients equal.  That is decided on the exact
+    coefficients (a Python complex is taken at its exact binary value).
+    With quadrature_check the pairwise and triple characteristic limits
+    are validated numerically against the convex-hull values.
     """
-    a = [complex(scalar_to_complex(coerce_scalar(x))) if not isinstance(x, complex)
-         else x for x in alphas]
-    if len(a) != 3:
+    exact = [coerce_scalar(GaussRat(Fraction(x.real), Fraction(x.imag)))
+             if isinstance(x, complex) else coerce_scalar(x) for x in alphas]
+    if len(exact) != 3:
         raise ValueError("three coefficients expected")
+    a = [scalar_to_complex(x) for x in exact]
     X = (abs(a[0] - a[1]) + abs(a[0] - a[2]) + abs(a[1] - a[2])) / (2 * math.pi)
     lhs = 9 * X
     rhs = 8 * X
-    contradiction = X > 1e-14 * max(1.0, max(abs(x) for x in a))
+    contradiction = not exact[0] == exact[1] == exact[2]
     checks: List[dict] = []
     if quadrature_check:
         zero = Fraction(0)
         for i, j in ((0, 1), (0, 2), (1, 2)):
-            diff = a[j] - a[i]
-            target = 2 * abs(diff) / (2 * math.pi)
-            curve = ExpCurve.from_exponents([[zero], [zero, zero, _to_scalar(diff)]])
+            diff = exact[j] - exact[i]
+            curve = ExpCurve.from_exponents([[zero], [zero, zero, diff]])
             T, _ = characteristic(curve, r_check)
             got = T / r_check ** 2
+            # after T(r), which rejects a difference beyond the double range
+            target = 2 * abs(scalar_to_complex(diff)) / (2 * math.pi)
             checks.append({
                 "pair": [i, j],
                 "limit_expected": target,
                 "limit_quadrature": got,
                 "relative_error": abs(got - target) / target if target else abs(got),
             })
-        curve3 = ExpCurve.from_exponents(
-            [[zero, zero, _to_scalar(x)] for x in a])
+        curve3 = ExpCurve.from_exponents([[zero, zero, x] for x in exact])
         T3, _ = characteristic(curve3, r_check)
         checks.append({
             "pair": [0, 1, 2],
@@ -1194,8 +1145,3 @@ def three_quadrics_certificate(alphas: Sequence, quadrature_check: bool = False,
             "relative_error": (abs(T3 / r_check ** 2 - X) / X) if X else abs(T3 / r_check ** 2),
         })
     return ThreeQuadricsCertificate(tuple(alphas), X, lhs, rhs, contradiction, checks)
-
-
-def _to_scalar(z: complex):
-    return coerce_scalar(GaussRat(Fraction(z.real).limit_denominator(10 ** 12),
-                                  Fraction(z.imag).limit_denominator(10 ** 12)))

@@ -115,13 +115,6 @@ class GaussRat:
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
-    def conjugate(self):
-        return GaussRat(self.re, -self.im)
-
-    def norm(self) -> Fraction:
-        """Field norm re^2 + im^2."""
-        return self.re * self.re + self.im * self.im
-
     def __complex__(self):
         return complex(float(self.re), float(self.im))
 

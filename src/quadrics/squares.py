@@ -477,19 +477,6 @@ class DegeneracyCurve:
     def is_identically_zero(self) -> bool:
         return self.poly is not None and self.poly.is_zero
 
-    def to_json(self):
-        from .scalars import format_scalar
-        return {
-            "curve": str(self.poly) if self.poly is not None else None,
-            "alphas": [format_scalar(a) for a in self.alphas],
-            "coefficients": [format_scalar(a) for a in self.a_coefficients],
-            "case": self.case,
-            "q_degree": self.q_degree,
-            "z_degree": self.z_degree,
-            "identically_zero": self.is_identically_zero,
-            "note": self.note,
-        }
-
 
 def degeneracy_curve(alphas: Sequence, as_: Sequence,
                      quadrics: Sequence[HomPoly]) -> DegeneracyCurve:

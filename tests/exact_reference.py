@@ -1,9 +1,10 @@
 """References that only the tests use: exact decisions, the distance of
 two numeric points, the term-by-term form evaluation that
-polynomials.MpForms took the place of, and the exponential-sum
-evaluators that ExpSum._scaled took the place of."""
+polynomials.MpForms took the place of, the exponential-sum evaluators
+that ExpSum._scaled took the place of, and T(r) by mpmath quadrature."""
 
 import cmath
+import itertools
 import math
 
 import mpmath as mp
@@ -118,3 +119,36 @@ def reference_log_value(es, xi: complex) -> complex:
     if h == 0:
         return complex(-math.inf, 0.0)
     return complex(best + math.log(abs(h)), cmath.phase(h))
+
+
+def reference_characteristic(curve, r, dps=50):
+    """T(curve, r) for components c e^{Q(xi)} with constant c, by
+    mp.quad at dps digits.  The integrand max_j phi_j(t),
+    phi_j(t) = log|c_j| + Re Q_j(r e^{it}), is split at every tie of two
+    branches: the arguments of the roots of z^d (phi_i - phi_j), z = e^{it},
+    that mp.polyroots finds at the same precision."""
+    with mp.workdps(dps):
+        ell, w = [], []
+        for comp in curve.components:
+            (coeff, expo), = comp.terms
+            q = [scalar_to_mp(x) for x in expo.coeffs] or [mp.mpf(0)]
+            ell.append(mp.log(abs(scalar_to_mp(coeff.coeffs[0]))) + mp.re(q[0]))
+            w.append([qk * mp.mpf(r) ** k for k, qk in enumerate(q[1:], 1)])
+        size = max(map(len, w))
+        w = [row + [mp.mpf(0)] * (size - len(row)) for row in w]
+
+        def integrand(t):
+            return max(e + sum(mp.re(wk * mp.expj(k * t)) for k, wk in enumerate(row, 1))
+                       for e, row in zip(ell, w))
+
+        cuts = [-mp.pi, mp.pi]
+        for i, j in itertools.combinations(range(len(ell)), 2):
+            dw = [a - b for a, b in zip(w[i], w[j])]
+            d = max((k for k, x in enumerate(dw, 1) if x != 0), default=0)
+            if d == 0:
+                continue                       # phi_i - phi_j is constant
+            coeffs = ([dw[k - 1] for k in range(d, 0, -1)] + [2 * (ell[i] - ell[j])]
+                      + [mp.conj(dw[k - 1]) for k in range(1, d + 1)])
+            cuts += [mp.arg(z) for z in mp.polyroots(coeffs, maxsteps=200, extraprec=mp.mp.prec)]
+        mean = mp.quad(integrand, sorted(cuts)) / (2 * mp.pi)
+        return float(mean - max(ell))

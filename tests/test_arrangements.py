@@ -25,7 +25,7 @@ from quadrics.arrangements import (CommonComponentError, Configuration,
                                    NotExactPointError,
                                    SingularPointError, InfinitelyManySolutionsError)
 from quadrics.config import DEFAULT_PRECISION, PrecisionConfig
-from quadrics.polynomials import HomPoly, ProjPointNum, parse_poly
+from quadrics.polynomials import HomPoly, ProjPointNum, ZeroPolynomialError, parse_poly
 from quadrics.squares import pencil_rank1_members
 
 from exact_reference import has_common_component, point_distance
@@ -1092,9 +1092,11 @@ def _line_and_point(rng):
 
     if rng.random() < 0.2:
         pe = [rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(1, 3)]
-        le = [rng.randint(-3, 3) for _ in range(2)] + [rng.randint(1, 3)]
-        if rng.random() < 0.5:  # make the exact line pass through the point
-            le[2] = Fraction(-(le[0] * pe[0] + le[1] * pe[1]), pe[2])
+        le = [0, 0, 0]
+        while not any(le):  # the zero form is not a line: draw again
+            le = [rng.randint(-3, 3) for _ in range(2)] + [rng.randint(1, 3)]
+            if rng.random() < 0.5:  # make the exact line pass through the point
+                le[2] = Fraction(-(le[0] * pe[0] + le[1] * pe[1]), pe[2])
         return NumLine.from_exact(HomPoly.linear_form(le)), ProjPointNum.from_exact(pe)
     point = ProjPointNum(cvec(), radius())
     vec = cvec()
@@ -1111,6 +1113,23 @@ def test_double_filter_never_changes_an_incidence(seed, bits):
     """NumLine.passes_through agrees with mpmath's test wherever it decides:
     exact when line and point are, else False where |l.p| exceeds a
     first-order error bound."""
+    _check_incidence(seed, bits)
+
+
+def test_the_zero_form_is_redrawn_and_rejected():
+    """Seed 730300788 draws le0 = le1 = 0 and a line through its point, so
+    le2 = 0 too: the generator draws that line again, and
+    NumLine.from_exact rejects the zero form by name instead of dividing
+    by its zero norm."""
+    line, _ = _line_and_point(random.Random(730300788))
+    assert line.exact is not None and not line.exact.is_zero
+    for bits in (53, 256, 512):
+        _check_incidence(730300788, bits)
+    with pytest.raises(ZeroPolynomialError, match="not a line"):
+        NumLine.from_exact(HomPoly.linear_form([0, 0, 0]))
+
+
+def _check_incidence(seed, bits):
     rng = random.Random(seed)
     with mp.workprec(bits):
         line, point = _line_and_point(rng)

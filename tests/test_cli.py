@@ -167,6 +167,19 @@ def test_demo_three_quadrics(tmp_path):
     assert doc2["report"]["contradiction"] is False
 
 
+def test_overflowing_alphas_exit_undecided(tmp_path, capsys):
+    """Alphas whose difference lies beyond the double range make the
+    check's integrand unbounded: exit 3 with a valid report."""
+    import jsonschema
+    code, doc = _run(["demo-three-quadrics", "--alphas", "1e308,-1e308,0",
+                      "--quadrature-check"], tmp_path)
+    assert code == 3
+    assert doc["report"]["error"] == (
+        "undecided: QuadratureFailureError: integrand unbounded on the circle")
+    assert "Traceback" not in capsys.readouterr().err
+    jsonschema.validate(doc, _schema())
+
+
 def test_reports_byte_identical(tmp_path):
     cfg = _write(tmp_path, "cfg.json", EXAMPLE_CONFIG)
     _, _ = _run(["check-config", cfg], tmp_path, "a.json")

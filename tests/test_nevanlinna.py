@@ -15,6 +15,7 @@ from quadrics.nevanlinna import (CountingSample, DegenerateCurveError,
                                  DivisorContainsCurveError, ExpCurve, ExpSum,
                                  GrowthSample, InsufficientSpanError,
                                  NotAMorphismError, NotGeneralPositionError,
+                                 SumComponentError,
                                  ahlfors_limit, characteristic, counting,
                                  defect_estimate, functoriality_check,
                                  main_theorem_check, order_estimate,
@@ -24,8 +25,9 @@ from quadrics.scalars import (GaussRat, coerce_scalar, parse_scalar_string,
                               scalar_to_complex)
 from quadrics.univariate import UniPoly
 
-from exact_reference import (reference_eval_one, reference_log_value,
-                             reference_logabs_grid, reference_logeval)
+from exact_reference import (reference_characteristic, reference_eval_one,
+                             reference_log_value, reference_logabs_grid,
+                             reference_logeval)
 
 EXP_LINE = ExpCurve.from_exponents([[0], [0, 1]])          # [1 : e^xi]
 EXP_SQUARE = ExpCurve.from_exponents([[0], [0, 0, 1]])     # [1 : e^{xi^2}]
@@ -131,105 +133,23 @@ def test_characteristic_scale_invariance():
         assert abs(t0 - t1) < 1e-8 + e0 + e1
 
 
-QUADRATIC = ExpCurve.from_json(                            # [1 : e^{b xi} : e^{c xi^2}]
-    {"exponents": [["0"], ["0", "1.5"], ["0", "0", "0.25+0.5i"]]})
-# The same curves with one genuine-sum component, so that T(r) takes the
-# Simpson path: [1 : 1 + e^xi] and [1 : 1 + e^{b xi} : e^{c xi^2}].
-LINE_SUM = ExpCurve([EXP_LINE.components[0],
-                     EXP_LINE.components[0] + EXP_LINE.components[1]])
-QUADRATIC_SUM = ExpCurve([QUADRATIC.components[0],
-                          QUADRATIC.components[0] + QUADRATIC.components[1],
-                          QUADRATIC.components[2]])
-
-
-def _full_grid_characteristic(curve, r, tol):
-    """Simpson doubling that evaluates every level's whole grid: the
-    reference for the nested loop.  Returns (value, err, n) with n the
-    interval count of the last level evaluated."""
-    import quadrics.nevanlinna as nv
-
-    center = nv._center_value(curve)
-    n = 512
-    prev = last_diff = None
-    for _ in range(12):
-        thetas = np.linspace(0.0, 2 * math.pi, n + 1)
-        vals = nv._curve_logmax_grid(curve, r, thetas)
-        assert np.all(np.isfinite(vals))
-        h = thetas[1] - thetas[0]
-        integral = (h / 3) * (vals[0] + vals[-1]
-                              + 4 * np.sum(vals[1:-1:2]) + 2 * np.sum(vals[2:-2:2]))
-        value = integral / (2 * math.pi) - center
-        if prev is not None:
-            last_diff = abs(value - prev)
-            if last_diff < max(tol, 1e-13 * max(1.0, abs(value))):
-                return value, last_diff + 1e-13 * max(1.0, abs(value)) * math.log2(n), n
-        prev = value
-        n *= 2
-    return prev, last_diff * 4, n // 2
-
-
 def _fresh(curve):
     """A new curve with the same components: no analysis-scope entry of
     the original can answer for it."""
     return ExpCurve(curve.components, curve.order_bound)
 
 
-NESTED_CASES = [pytest.param(curve, r, tol, id=f"{name}-r{r:g}-tol{tol:g}")
-                for name, curve, radii, tol in (("line", LINE_SUM, (1.0, 7.5, 40.0), 1e-9),
-                                                ("quadratic", QUADRATIC_SUM, (1.0, 3.5, 8.0, 20.0), 1e-9),
-                                                ("quadratic", QUADRATIC_SUM, (8.0,), 0.0))
-                for r in radii]
-
-
-@pytest.mark.parametrize("curve, r, tol", NESTED_CASES)
-def test_nested_quadrature_matches_full_grid(monkeypatch, curve, r, tol):
-    """Nested doubling gives the full-grid (value, err) bit for bit and
-    evaluates each node once: n + 1 nodes in all for the last level's n."""
-    import quadrics.nevanlinna as nv
-
-    value, err, n = _full_grid_characteristic(_fresh(curve), r, tol)
-    if tol == 0:
-        assert n == 512 * 2 ** 11                  # ran to the 12-level cap
-    nodes = []
-    grid = nv._curve_logmax_grid
-
-    def counted_grid(c, radius, thetas):
-        nodes.append(len(thetas))
-        return grid(c, radius, thetas)
-
-    monkeypatch.setattr(nv, "_curve_logmax_grid", counted_grid)
-    got = characteristic(_fresh(curve), r, tol)
-    assert got[0].hex() == value.hex() and got[1].hex() == err.hex()
-    assert sum(nodes) == n + 1
-
-
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
-@pytest.mark.parametrize("level_n", [512, 1024])
-def test_a_non_finite_quadrature_node_raises_at_once(monkeypatch, value, level_n):
-    """A non-finite integrand value at one node, on the first level or on
-    the odd nodes of a later one, raises QuadratureFailureError at once:
-    no further level is evaluated and nothing is stored, so a second call
-    in the same analysis scope runs the quadrature again."""
-    import quadrics.nevanlinna as nv
-
-    grid = nv._curve_logmax_grid
-    target = np.linspace(0.0, 2 * math.pi, level_n + 1)[3]   # on no coarser grid
-    log = []
-
-    def faulty_grid(c, radius, thetas):
-        vals = grid(c, radius, thetas)
-        vals[thetas == target] = value
-        log.append(len(thetas))
-        return vals
-
-    monkeypatch.setattr(nv, "_curve_logmax_grid", faulty_grid)
-    curve = _fresh(QUADRATIC_SUM)
-    levels = [513] if level_n == 512 else [513, 512]
-    with analysis_scope():
-        for calls in (1, 2):
-            with pytest.raises(nv.QuadratureFailureError, match="unbounded"):
-                characteristic(curve, 8.0, 1e-9)
-            assert log == levels * calls
+def test_a_sum_component_has_no_characteristic():
+    """T(r) needs single-term components: a sum component raises
+    SumComponentError, from characteristic and from the image curve of a
+    morphism that is not monomial."""
+    line_sum = ExpCurve([EXP_LINE.components[0],
+                         EXP_LINE.components[0] + EXP_LINE.components[1]])  # [1 : 1 + e^xi]
+    with pytest.raises(SumComponentError):
+        characteristic(line_sum, 2.0)
+    with pytest.raises(SumComponentError):
+        functoriality_check(EXP_LINE, [parse_poly("z0^2 + z1^2"), parse_poly("z1^2")],
+                            [10.0, 20.0])
 
 
 def _assert_exact(got, want):
@@ -243,15 +163,9 @@ def _modulus(text):
 
 
 @pytest.mark.parametrize("a", ["1", "-5/2i", "3/5+4/5i", "-7/3+1/9i"])
-def test_closed_form_line_is_exact(monkeypatch, a):
+def test_closed_form_line_is_exact(a):
     """T([1 : e^{a xi}], r) = |a| r / pi, to 1e-14 relative and within
-    the reported error, with no quadrature node evaluated."""
-    import quadrics.nevanlinna as nv
-
-    def no_grid(*args):
-        raise AssertionError("a single-term curve reached the Simpson grid")
-
-    monkeypatch.setattr(nv, "_curve_logmax_grid", no_grid)
+    the reported error."""
     curve = ExpCurve.from_json({"exponents": [["0"], ["0", a]]})
     for r in (1.0, 3.0, 10.0, 47.5, 100.0, 1000.0):
         _assert_exact(characteristic(curve, r), _modulus(a) * r / math.pi)
@@ -286,15 +200,12 @@ MIXED = ExpCurve.from_json(                  # [1 : e^{(3/5+4i/5) xi} : e^{(4/5-
 
 
 @pytest.mark.parametrize("r", [2.0, 4.0, 8.0])
-def test_closed_form_lies_in_the_capped_simpson_error_bar(r):
-    """The closed form lies inside the error bar of Simpson run to its
-    12-level cap (2^20 intervals, tol = 0)."""
-    import quadrics.nevanlinna as nv
-
+def test_closed_form_matches_the_mpmath_reference(r):
+    """The closed form agrees with mpmath.quad at 50 digits between the
+    ties that mpmath finds, within its reported error."""
     value, err = characteristic(MIXED, r)
-    ref, ref_err = nv._simpson(MIXED, r, 0.0, nv._center_value(MIXED))
-    assert abs(value - ref) <= ref_err
-    assert err < 1e-12 < ref_err
+    assert abs(value - reference_characteristic(MIXED, r)) <= err
+    assert err < 1e-12
 
 
 def test_closed_form_overflow_raises():
@@ -678,6 +589,19 @@ def test_certificate_equal_alphas_no_contradiction():
     assert not cert.contradiction
 
 
+@pytest.mark.parametrize("alphas, contradiction", [
+    (("1e-20", "0", "0"), True),
+    (("1", "1", "1.000000000000001"), True),
+    (("1+1i", "1+1i", "1+1i"), False),
+    ((2 + 1j,) * 3, False),
+])
+def test_certificate_decides_the_contradiction_exactly(alphas, contradiction):
+    """Distinct exact alphas contradict however close they are; equal ones
+    never do.  Strings are parsed as the CLI parses --alphas."""
+    a = [parse_scalar_string(x) if isinstance(x, str) else x for x in alphas]
+    assert three_quadrics_certificate(a).contradiction is contradiction
+
+
 def test_certificate_complex_alphas():
     cert = three_quadrics_certificate((0, 1j, 1 + 1j), quadrature_check=True)
     expected = (1 + 1 + math.sqrt(2)) / (2 * math.pi)
@@ -712,34 +636,35 @@ def test_compose_groups_exponents_exactly():
 # T(r) values and counting samples stored in an analysis scope
 # ---------------------------------------------------------------------------
 
-def test_curve_memo_keeps_radii_divisors_and_tol_apart(monkeypatch):
+def _count_arc_means(monkeypatch):
+    """Record each closed-form T(r) evaluation: one _arc_mean call each."""
     import quadrics.nevanlinna as nv
 
     passes = []
-    grid = nv._curve_logmax_grid
+    arc_mean = nv._arc_mean
+    monkeypatch.setattr(nv, "_arc_mean", lambda *args: passes.append(args) or arc_mean(*args))
+    return passes
 
-    def counted_grid(*args):
-        passes.append(args)
-        return grid(*args)
 
-    monkeypatch.setattr(nv, "_curve_logmax_grid", counted_grid)
+def test_curve_memo_keeps_radii_and_divisors_apart(monkeypatch):
+    passes = _count_arc_means(monkeypatch)
 
     def fresh():
-        return _fresh(LINE_SUM)
+        return _fresh(EXP_LINE)
 
     curve = fresh()
     samples = {}
     with analysis_scope():
-        for r, tol in ((10.0, 1e-9), (20.0, 1e-9), (10.0, 1e-3)):
+        for r in (10.0, 20.0):
             before = len(passes)
-            value = characteristic(curve, r, tol)
-            assert len(passes) > before            # a new key runs the quadrature
-            assert value == characteristic(fresh(), r, tol)
+            value = characteristic(curve, r)
+            assert len(passes) == before + 1       # a new key computes T(r)
+            assert value == characteristic(fresh(), r)
             before = len(passes)
-            assert characteristic(curve, r, tol) is value
+            assert characteristic(curve, r) is value
             assert len(passes) == before           # a stored key does not
 
-        for text, r in (("z1 - 2*z0", 10.0), ("z1", 10.0), ("z1 - 2*z0", 20.0)):
+        for text, r in (("z1 - z0", 10.0), ("z1 + z0", 10.0), ("z1 - z0", 20.0)):
             d = parse_poly(text)
             sample = counting(curve, d, r)
             assert sample.to_json() == counting(fresh(), d, r).to_json()
@@ -747,8 +672,8 @@ def test_curve_memo_keeps_radii_divisors_and_tol_apart(monkeypatch):
             samples[text, r] = sample
     # e^xi = 1 and e^xi = -1 have disjoint zero sets; r = 20 has more zeros
     positions = {k: {z.position for z in s.zeros} for k, s in samples.items()}
-    assert not positions["z1 - 2*z0", 10.0] & positions["z1", 10.0]
-    assert samples["z1 - 2*z0", 20.0].n_at(20.0) > samples["z1 - 2*z0", 10.0].n_at(10.0)
+    assert not positions["z1 - z0", 10.0] & positions["z1 + z0", 10.0]
+    assert samples["z1 - z0", 20.0].n_at(20.0) > samples["z1 - z0", 10.0].n_at(10.0)
 
 
 def test_failed_calls_are_not_stored():
@@ -764,14 +689,9 @@ def test_failed_calls_are_not_stored():
 
 
 def test_calls_outside_a_scope_keep_no_state(monkeypatch):
-    import quadrics.nevanlinna as nv
-
-    passes = []
-    grid = nv._curve_logmax_grid
-    monkeypatch.setattr(nv, "_curve_logmax_grid",
-                        lambda *args: passes.append(args) or grid(*args))
-    curve = _fresh(LINE_SUM)
-    first = characteristic(curve, 2.0, 1e-6)
+    passes = _count_arc_means(monkeypatch)
+    curve = _fresh(EXP_LINE)
+    first = characteristic(curve, 2.0)
     once = len(passes)
-    assert characteristic(curve, 2.0, 1e-6) == first
+    assert characteristic(curve, 2.0) == first
     assert len(passes) == 2 * once
