@@ -38,8 +38,8 @@ from .polynomials import (Ball, HomPoly, MpForms, PrecisionExhaustedError,
                           matrix_adjugate, poly_from_matrix, quadric_form,
                           resultant, subresultant, vanishes_at)
 from .scalars import coerce_scalar, reconstruct_gauss, scalar_to_complex
-from .univariate import (RootFindingError, UniPoly, binary_form_roots,
-                         binary_to_unipoly, uni_gcd, yun_squarefree)
+from .univariate import (RootFindingError, UniPoly, binary_form_roots, uni_gcd,
+                         yun_squarefree)
 
 
 class CommonComponentError(ValueError):
@@ -271,10 +271,10 @@ def _at_t(form: HomPoly) -> UniPoly:
     return UniPoly(coeffs)
 
 
-def _fiber_lifts(rho, p2, q2, mults):
+def _fiber_lifts(parts, p2, q2, mults):
     """{multiplicity: (k, MpForms of sres_{k,k} and sres_{k,k-1})} for the
-    Yun factors f of rho(t, 1) with multiplicities in ``mults``; None when
-    a fiber above a root of such an f cannot be lifted.
+    Yun factors f (``parts``, of rho(t, 1)) with multiplicities in
+    ``mults``; None when a fiber above a root of such an f cannot be lifted.
 
     p2 and q2 keep constant leading coefficients in z0, so above a root t
     of f the fiber's gcd is S_k(t) for the least k with sres_{k,k}(t) != 0.
@@ -289,7 +289,7 @@ def _fiber_lifts(rho, p2, q2, mults):
     chain: Dict[int, List[HomPoly]] = {}
     forms: Dict[int, MpForms] = {}
     out = {}
-    for f, mult in yun_squarefree(binary_to_unipoly(rho, 1, 2)[0]):
+    for f, mult in parts:
         if mult not in mults:
             continue
         k = 1
@@ -308,7 +308,7 @@ def _fiber_lifts(rho, p2, q2, mults):
             lhs = math.prod([ks] * k, start=sres[j])
             rhs = math.prod([ks] * j + [sres[k - 1]] * (k - j),
                             start=UniPoly([math.comb(k, j)]) * sres[k])
-            if not (lhs - rhs).divmod(f)[1].is_zero:
+            if uni_gcd(lhs - rhs, f).degree < f.degree:
                 return None  # more than one point above a root of f
         if k not in forms:
             forms[k] = MpForms(chain[k][:2])
@@ -421,8 +421,8 @@ def _try_intersection(p, q, U, prec, target):
     rho = resultant(p2, q2, 0)
     if rho.is_zero:
         raise CommonComponentError(factor=_shared_factor(p2, q2, U))
-    roots = binary_form_roots(rho, 1, 2, prec)
-    lifts = _fiber_lifts(rho, p2, q2, {mult for _, _, mult, exact in roots if exact is None})
+    roots, parts = binary_form_roots(rho, 1, 2, prec)
+    lifts = _fiber_lifts(parts, p2, q2, {mult for _, _, mult, exact in roots if exact is None})
     if lifts is None:
         return None
     found: List[Tuple[ProjPointNum, int]] = []

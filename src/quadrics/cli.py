@@ -42,7 +42,7 @@ from .nevanlinna import (DegenerateCurveError, DivisorContainsCurveError,
                          three_quadrics_certificate)
 from .polynomials import (HomPoly, NotHomogeneousError, PolySyntaxError,
                           PrecisionExhaustedError, parse_poly)
-from .scalars import parse_scalar_string
+from .scalars import parse_scalar_string, scalar_to_complex
 from .squares import square_combination
 from .univariate import RootFindingError
 
@@ -144,6 +144,8 @@ def _load_net(args) -> List[HomPoly]:
     cfg = _load_configuration(args)
     if cfg.k != 3:
         raise ValueError("three components required")
+    if any(d > 2 for _, d in cfg.components):
+        raise ValueError(f"lines and quadrics required, not family {list(cfg.family)}")
     return [p * p if d == 1 else p for p, d in cfg.components]
 
 
@@ -151,6 +153,9 @@ def _load_growth_run(args):
     with open(args.path) as fh:
         curve = ExpCurve.from_json(json.load(fh))
     divisors = [parse_poly(d) for d in args.divisor]
+    for flag, value in (("--main-theorem", args.main_theorem), ("--defect", args.defect)):
+        if value and not divisors:
+            raise ValueError(f"{flag} needs at least one --divisor")
     for d in divisors:
         if any(d.degree_in(i) for i in range(curve.dim + 1, 3)):
             raise ValueError(f"divisor {d} uses more variables than the curve has")
@@ -163,8 +168,12 @@ def _load_alphas(args):
     alphas = [parse_scalar_string(a) for a in args.alphas.split(",")]
     if len(alphas) != 3:
         raise ValueError(f"three coefficients expected, got {len(alphas)}")
-    if args.r_check <= 0:
-        raise ValueError("--r-check must be positive")
+    try:
+        [scalar_to_complex(a) for a in alphas]
+    except OverflowError:
+        raise ValueError("a coefficient lies beyond the range of a double") from None
+    if args.r_check is not None and not (args.quadrature_check and args.r_check > 0):
+        raise ValueError("--r-check needs --quadrature-check and a positive radius")
     return alphas
 
 
@@ -286,7 +295,7 @@ def cmd_nevanlinna(args, growth_run):
 
 def cmd_demo_three_quadrics(args, alphas):
     cert = three_quadrics_certificate(alphas, quadrature_check=args.quadrature_check,
-                                      r_check=args.r_check)
+                                      r_check=args.r_check or 20.0)
     return cert.to_json(), EXIT_OK
 
 
@@ -326,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphas", type=str, required=True,
                    help="comma separated complex numbers, e.g. '0,1,2' or '0,i,1+i'")
     p.add_argument("--quadrature-check", action="store_true")
-    p.add_argument("--r-check", type=float, default=20.0)
+    p.add_argument("--r-check", type=float, default=None)
     p.set_defaults(load=_load_alphas, run=cmd_demo_three_quadrics)
     return ap
 

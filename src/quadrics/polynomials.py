@@ -2,8 +2,9 @@
 
 The substrate for everything else: sparse term maps keyed by exponent
 triples, a recursive-descent parser for the polynomial grammar, Sylvester
-resultants with fraction-free Bareiss elimination, the symmetric-matrix
-view of quadrics, and certified numeric evaluation at projective points.
+resultants with fraction-free Bareiss elimination on dense integer
+polynomials, the symmetric-matrix view of quadrics, and certified numeric
+evaluation at projective points.
 
 Grammar (whitespace insignificant)::
 
@@ -30,7 +31,7 @@ import mpmath as mp
 from .config import scoped
 from .linalg import det, rank
 from .scalars import (GaussRat, Scalar, coerce_scalar, format_rat,
-                      format_scalar, scalar_to_complex)
+                      format_scalar, integral, scalar_to_complex)
 
 Expo = Tuple[int, int, int]
 
@@ -176,16 +177,7 @@ class HomPoly:
         return HomPoly(res)
 
     def __sub__(self, other):
-        if not isinstance(other, HomPoly):
-            return NotImplemented
-        res = dict(self.terms)
-        for e, c in other.terms.items():
-            s = res.get(e, 0) - c
-            if s == 0:
-                res.pop(e, None)
-            else:
-                res[e] = s
-        return HomPoly(res)
+        return self + -other if isinstance(other, HomPoly) else NotImplemented
 
     def __neg__(self):
         return HomPoly({e: -c for e, c in self.terms.items()})
@@ -306,9 +298,12 @@ class HomPoly:
         return total
 
     def compose(self, args: Sequence["HomPoly"]) -> "HomPoly":
-        """Substitute args[i] for variable i; args must share one degree."""
+        """Substitute args[i] for variable i; args must share one degree.
+        The identity substitution (z0, z1, z2) returns self."""
         if self.is_zero:
             return HomPoly.zero()
+        if all(a == HomPoly.variable(i) for i, a in enumerate(args)):
+            return self
         degs = {a.degree for a in args if not a.is_zero}
         if len(degs) > 1:
             raise ValueError("substituted forms must have a common degree")
@@ -370,12 +365,8 @@ class HomPoly:
         lead = items[0][1]
         if any(isinstance(c, GaussRat) for _, c in items):
             return lead, HomPoly({e: c / lead for e, c in self.terms.items()})
-        num_gcd = 0
-        den_lcm = 1
-        for _, c in items:
-            num_gcd = math.gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        f = Fraction(num_gcd, den_lcm)
+        ints, den_lcm = integral([c for _, c in items])
+        f = Fraction(math.gcd(*ints), den_lcm)
         if lead < 0:
             f = -f
         prim = HomPoly({e: c / f for e, c in self.terms.items()})
@@ -695,48 +686,74 @@ def pencil_matrix_entry_forms(q1: HomPoly, q2: HomPoly, q3: HomPoly | None = Non
 
 
 # ---------------------------------------------------------------------------
-# Sylvester resultant with Bareiss elimination
+# Sylvester resultant with Bareiss elimination over Z[t], on dense
+# polynomials over Z (Python ints) or Z[i] (GaussRats): coefficient lists
+# low to high, [] for zero, shared with univariate's gcd and Yun
 # ---------------------------------------------------------------------------
 
-def _bareiss_last_row(M: List[List[HomPoly]]) -> List[HomPoly]:
-    """Fraction-free (Bareiss) elimination of an n x w matrix, n <= w.
+def trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def poly_mul(a: list, b: list) -> list:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def poly_sub(a: list, b: list) -> list:
+    out = a + [0] * (len(b) - len(a))
+    for j, y in enumerate(b):
+        out[j] -= y
+    return trim(out)
+
+
+def poly_exquo(a: list, b: list) -> list:
+    """a / b where b divides a."""
+    db, lead = len(b) - 1, b[-1]
+    if lead == 1 and db == 0:
+        return a
+    a, out = a[:], [0] * (len(a) - db)
+    for i in range(len(out) - 1, -1, -1):
+        if a[i + db]:
+            c = out[i] = a[i + db] / lead if isinstance(lead, GaussRat) else a[i + db] // lead
+            for j in range(max(0, db - i), db):  # a[:db] gives no quotient
+                a[i + j] -= c * b[j]
+    return out
+
+
+def _bareiss_last_row(M: List[list]) -> List[list]:
+    """Fraction-free (Bareiss) elimination of an n x w matrix, n <= w, of
+    dense polynomials over Z or Z[i] (lists, as in ``poly_mul``).
 
     Entry j of the result is the determinant of the first n-1 columns
     together with column n-1+j (Sylvester's identity), so a square matrix
-    gives [det].
+    gives [det].  Each division by the previous pivot is exact.
     """
     n, w = len(M), len(M[0])
     A = [row[:] for row in M]
-    prev = HomPoly.constant(1)
-    sign = 1
+    prev, sign = [1], 1
     for k in range(n - 1):
-        if A[k][k].is_zero:
-            swap = next((r for r in range(k + 1, n) if not A[r][k].is_zero), None)
+        if not A[k][k]:
+            swap = next((r for r in range(k + 1, n) if A[r][k]), None)
             if swap is None:  # columns 0..k are dependent
-                return [HomPoly.zero()] * (w - n + 1)
+                return [[]] * (w - n + 1)
             A[k], A[swap] = A[swap], A[k]
             sign = -sign
-        for i in range(k + 1, n):
+        pivot, row_k = A[k][k], A[k]
+        for row in A[k + 1:]:
             for j in range(k + 1, w):
-                num = A[i][j] * A[k][k] - A[i][k] * A[k][j]
-                A[i][j] = num.exact_div(prev) if not num.is_zero else HomPoly.zero()
-            A[i][k] = HomPoly.zero()
-        prev = A[k][k]
-    return [-d if sign < 0 else d for d in A[n - 1][n - 1:]]
-
-
-def _sylvester_rows(pc, qc, p_rows: int, q_rows: int) -> List[List[HomPoly]]:
-    """``p_rows`` shifted rows of p above ``q_rows`` of q, coefficients
-    (``coeffs_in`` order, lowest power first) laid out highest power first."""
-    width = len(pc) - 1 + p_rows
-    rows: List[List[HomPoly]] = []
-    for cs, count in ((pc, p_rows), (qc, q_rows)):
-        for r in range(count):
-            row = [HomPoly.zero()] * width
-            for k, c in enumerate(reversed(cs)):
-                row[r + k] = c
-            rows.append(row)
-    return rows
+                num = poly_sub(poly_mul(row[j], pivot), poly_mul(row[k], row_k[j]))
+                row[j] = poly_exquo(num, prev)
+        prev = pivot
+    return [[-c for c in d] if sign < 0 else d for d in A[n - 1][n - 1:]]
 
 
 def resultant(p: HomPoly, q: HomPoly, var: int) -> HomPoly:
@@ -783,8 +800,29 @@ def subresultant(p: HomPoly, q: HomPoly, var: int, k: int) -> List[HomPoly]:
         raise ValueError(f"subresultant index {k} outside 0..{min(m, n)}")
     if k == min(m, n):
         return (p if m <= n else q).coeffs_in(var)[::-1]
-    return _bareiss_last_row(
-        _sylvester_rows(p.coeffs_in(var), q.coeffs_in(var), n - k, m - k))
+    # Each coefficient of p and q in ``var``, a form in z_hi and z_lo, as
+    # a polynomial in t = z_hi / z_lo over Z (Z[i] for Gaussian input),
+    # after scaling p and q by the lcm L of their denominators:
+    # sres_k(Lp p, Lq q) = Lp^(n-k) Lq^(m-k) sres_k(p, q).
+    hi, lo = (i for i in range(3) if i != var)
+    gauss = any(isinstance(c, GaussRat) for f in (p, q) for c in f.terms.values())
+    rows, scale = [], 1
+    for f, d, count in ((p, m, n - k), (q, n, m - k)):
+        ints, L = integral(list(f.terms.values()), gauss)
+        cs = [[0] * (f.degree - j + 1) for j in range(d + 1)]
+        for e, c in zip(f.terms, ints):
+            cs[e[var]][e[hi]] = c
+        cs = [trim(c) for c in reversed(cs)]
+        rows += [[[]] * r + cs + [[]] * (count - 1 - r) for r in range(count)]
+        scale *= L ** count
+    # entry (row, column c) has degree c plus a constant of its row
+    deg = (n - k) * (p.degree - m) + (m - k) * (q.degree - n) + (n - k) * (m - k)
+
+    def form(c, d):  # descending powers of z_hi
+        return HomPoly({tuple({var: 0, hi: a, lo: d - a}[i] for i in range(3)):
+                        c[a] / scale if gauss else Fraction(c[a], scale)
+                        for a in range(len(c) - 1, -1, -1) if c[a]})
+    return [form(c, deg + j) for j, c in enumerate(_bareiss_last_row(rows))]
 
 
 # ---------------------------------------------------------------------------

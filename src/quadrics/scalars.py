@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Sequence, Tuple, Union
 
 Rat = Fraction
 Scalar = Union[int, Fraction, "GaussRat"]
@@ -250,6 +250,18 @@ def format_scalar(x) -> str:
     return f"{format_rat(x.re)}{sign}{im_str}"
 
 
+def integral(coeffs: Sequence, gauss: bool = False) -> Tuple[list, int]:
+    """(cs, L): the exact scalars ``coeffs`` times L, the lcm of their
+    denominators, as Python ints, or as GaussRats when one of them is
+    Gaussian or ``gauss`` is set."""
+    gauss = gauss or any(isinstance(c, GaussRat) for c in coeffs)
+    L = math.lcm(*(x.denominator for c in coeffs
+                   for x in ((c.re, c.im) if isinstance(c, GaussRat) else (c,))))
+    if gauss:
+        return [GaussRat(0) + c * L for c in coeffs], L
+    return [c.numerator * (L // c.denominator) for c in coeffs], L
+
+
 def primitive_vector(vec) -> list:
     """Scale an exact vector to primitive integer coordinates.
 
@@ -258,37 +270,14 @@ def primitive_vector(vec) -> list:
     imaginary part when the real part is zero).
     """
     xs = [coerce_scalar(x) for x in vec]
-    nz = [x for x in xs if x != 0]
-    if not nz:
+    if all(x == 0 for x in xs):
         return xs
-    dens = []
-    nums = []
-    for x in xs:
-        if isinstance(x, GaussRat):
-            dens.extend([x.re.denominator, x.im.denominator])
-            nums.extend([abs(x.re.numerator), abs(x.im.numerator)])
-        else:
-            dens.append(x.denominator)
-            nums.append(abs(x.numerator))
-    L = 1
-    for d in dens:
-        L = L * d // math.gcd(L, d)
-    # gcd of the scaled numerators
-    g = 0
-    for x in xs:
-        if isinstance(x, GaussRat):
-            g = math.gcd(g, abs(int(x.re * L)))
-            g = math.gcd(g, abs(int(x.im * L)))
-        else:
-            g = math.gcd(g, abs(int(x * L)))
-    f = Fraction(L, g if g else 1)
-    ys = [coerce_scalar(x * f) for x in xs]
-    lead = next(y for y in ys if y != 0)
-    re0 = lead.re if isinstance(lead, GaussRat) else lead
-    im0 = lead.im if isinstance(lead, GaussRat) else Fraction(0)
-    if re0 < 0 or (re0 == 0 and im0 < 0):
-        ys = [coerce_scalar(-y) for y in ys]
-    return ys
+    ys, _ = integral(xs, True)
+    g = math.gcd(*(x.numerator for y in ys for x in (y.re, y.im)))
+    lead = next(y for y in ys if y)
+    if lead.re < 0 or (lead.re == 0 and lead.im < 0):
+        g = -g
+    return [coerce_scalar(y / g) for y in ys]
 
 
 def reconstruct_gauss(re_val: float, im_val: float,

@@ -17,13 +17,15 @@ eigenvalues of a double-precision copy of the polynomial.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import mpmath as mp
 import numpy as np
 
-from .scalars import (GaussRat, Scalar, coerce_scalar, gauss_sqrt,
+from .polynomials import poly_exquo, poly_mul, poly_sub, trim
+from .scalars import (GaussRat, Scalar, coerce_scalar, gauss_sqrt, integral,
                       scalar_to_complex)
 
 
@@ -40,10 +42,7 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence):
-        cs = [coerce_scalar(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self.coeffs = tuple(trim([coerce_scalar(c) for c in coeffs]))
 
     @property
     def degree(self) -> int:
@@ -60,60 +59,17 @@ class UniPoly:
         return hash(self.coeffs)
 
     def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return UniPoly([x + y for x, y in zip(a, b)])
+        return UniPoly(poly_sub(list(self.coeffs), [-c for c in other.coeffs]))
 
     def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return UniPoly([x - y for x, y in zip(a, b)])
+        return UniPoly(poly_sub(list(self.coeffs), list(other.coeffs)))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussRat)):
             return UniPoly([c * other for c in self.coeffs])
-        if self.is_zero or other.is_zero:
-            return UniPoly([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return UniPoly(out)
+        return UniPoly(poly_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return UniPoly([-c for c in self.coeffs])
-
-    def divmod(self, other: "UniPoly") -> Tuple["UniPoly", "UniPoly"]:
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero polynomial")
-        rem = list(self.coeffs)
-        dlead = other.coeffs[-1]
-        dd = other.degree
-        quot = [Fraction(0)] * max(0, len(rem) - dd)
-        while len(rem) - 1 >= dd and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < dd:
-                break
-            k = len(rem) - 1 - dd
-            f = rem[-1] / dlead
-            quot[k] = f
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] = rem[k + i] - f * c
-            rem.pop()
-        return UniPoly(quot), UniPoly(rem)
-
-    def monic(self) -> "UniPoly":
-        if self.is_zero:
-            return self
-        lc = self.coeffs[-1]
-        return UniPoly([c / lc for c in self.coeffs])
 
     def derivative(self) -> "UniPoly":
         return UniPoly([c * k for k, c in enumerate(self.coeffs)][1:])
@@ -135,37 +91,94 @@ class UniPoly:
         return f"UniPoly({list(self.coeffs)})"
 
 
+def _derivative(a: list) -> list:
+    return [k * c for k, c in enumerate(a)][1:]
+
+
+def _primitive(a: list) -> list:
+    """a divided by the gcd of the integers its coefficients are made of."""
+    if a and isinstance(a[-1], GaussRat):
+        a, _ = integral(a, True)
+        return [c / math.gcd(*(x.numerator for c in a for x in (c.re, c.im))) for c in a]
+    g = math.gcd(*a)
+    return a if g == 1 else [c // g for c in a]
+
+
+def _prem(a: list, b: list) -> list:
+    """A multiple of a by a power of lc(b), reduced modulo b."""
+    a, db, lead = a[:], len(b) - 1, b[-1]
+    while len(a) > db:
+        c = a.pop()
+        a = [x * lead for x in a]
+        for j in range(db):
+            a[len(a) - db + j] -= c * b[j]
+        trim(a)
+    return a
+
+
+def _gcd(a: list, b: list, reduce=_primitive) -> list:
+    """gcd up to a unit, each remainder primitive (or reduced modulo _P)."""
+    while b:
+        a, b = b, reduce(_prem(a, b))
+    return reduce(a)
+
+
+def _monic(a: list) -> UniPoly:
+    return UniPoly([Fraction(c, a[-1]) if isinstance(a[-1], int) else c / a[-1] for c in a])
+
+
+# A prime 1 mod 4 and a square root of -1 modulo it: mod_prime is a ring
+# map from the Gaussian rationals with denominators prime to _P.
+_P = 2 ** 64 - 59
+_I_P = next(r for g in range(2, 64) if (r := pow(g, (_P - 1) // 4, _P)) * r % _P == _P - 1)
+
+
+def mod_prime(x) -> int:
+    if isinstance(x, GaussRat):
+        return (mod_prime(x.re) + _I_P * mod_prime(x.im)) % _P
+    return x.numerator * pow(x.denominator, -1, _P) % _P
+
+
+def _mod_p(a: list) -> list:
+    return trim([c % _P for c in a])
+
+
+def _residue(image: list, x) -> int:
+    """The value at the scalar x of a polynomial given modulo _P."""
+    x, acc = mod_prime(x), 0
+    for c in reversed(image):
+        acc = (acc * x + c) % _P
+    return acc
+
+
 def uni_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic Euclidean gcd over the Gaussian rationals."""
-    while not b.is_zero:
-        _, r = a.divmod(b)
-        a, b = b, r
-    return a.monic() if not a.is_zero else a
+    """Monic gcd over the Gaussian rationals, from integer multiples."""
+    gauss = any(isinstance(c, GaussRat) for c in a.coeffs + b.coeffs)
+    return _monic(_gcd(integral(a.coeffs, gauss)[0], integral(b.coeffs, gauss)[0]))
 
 
 def yun_squarefree(p: UniPoly) -> List[Tuple[UniPoly, int]]:
-    """Yun's algorithm: list of (monic squarefree factor, multiplicity)."""
+    """Squarefree decomposition: (monic squarefree factor, multiplicity),
+    multiplicities rising, from an integer multiple f of p.  p is
+    squarefree when _P does not divide lc(f) and f, f' are coprime modulo
+    _P, as a square factor's image would divide both (von zur Gathen &
+    Gerhard, *Modern Computer Algebra*, ch. 6 and 14); otherwise each
+    gcd(w, c), from w = f / c and c = gcd(f, f'), splits off the next
+    multiplicity (Musser's form of Yun's algorithm)."""
     if p.degree <= 0:
         return []
-    p = p.monic()
-    dp = p.derivative()
-    a = uni_gcd(p, dp)
-    if a.degree == 0:
-        return [(p, 1)]
-    b, _ = p.divmod(a)
-    c, _ = dp.divmod(a)
-    d = c - b.derivative()
-    out: List[Tuple[UniPoly, int]] = []
-    k = 1
-    while b.degree > 0:
-        w = uni_gcd(b, d)
-        if w.degree > 0:
-            out.append((w.monic(), k))
-        b, _ = b.divmod(w)
-        c, _ = d.divmod(w)
-        d = c - b.derivative()
-        k += 1
-    return out
+    f, _ = integral(p.coeffs)
+    image = trim([mod_prime(c) for c in f])
+    if len(image) == len(f) and len(_gcd(image, _mod_p(_derivative(image)), _mod_p)) == 1:
+        return [(_monic(f), 1)]
+    c = _gcd(f, _derivative(f))
+    w, out, k = poly_exquo(f, c), [], 1
+    while len(c) > 1:
+        y = _gcd(w, c)
+        if len(w) > len(y):
+            out.append((_monic(poly_exquo(w, y)), k))
+        w, c, k = y, poly_exquo(c, y), k + 1
+    return out + [(_monic(w), k)]
 
 
 class RootBall:
@@ -278,8 +291,9 @@ def numeric_roots_squarefree(p: UniPoly, prec: int) -> List[RootBall]:
     """Roots of a squarefree polynomial at working precision ``prec``.
 
     Gaussian-rational roots are recognized from the numeric values and
-    verified exactly; every other root's certified radius is computed
-    when it is first read.
+    verified exactly, after a candidate whose value modulo a prime is
+    nonzero, so no root, is set aside; every other root's certified
+    radius is computed when it is first read.
     """
     out: List[RootBall] = []
     ex = exact_roots_small(p) if p.degree in (1, 2) else None
@@ -290,11 +304,13 @@ def numeric_roots_squarefree(p: UniPoly, prec: int) -> List[RootBall]:
     if p.degree <= 0:
         return out
     from .scalars import reconstruct_gauss
+    image = [mod_prime(c) for c in integral(p.coeffs)[0]]
     with mp.workprec(prec):
         for z in complex_roots([_c2mpc(c) for c in p.coeffs], prec):
+            # denominators at most 10^9 < _P
             cand = reconstruct_gauss(float(mp.re(z)), float(mp.im(z)),
                                      max_den=10 ** 9, tol=1e-14)
-            if cand is not None and p.eval_exact(cand) == 0:
+            if cand is not None and _residue(image, cand) == 0 and p.eval_exact(cand) == 0:
                 out.append(RootBall(scalar_to_complex(cand), 1, exact=cand))
                 continue
             out.append(RootBall(z, 1, poly=p, prec=prec))
@@ -323,25 +339,22 @@ def binary_to_unipoly(form, var_hi: int, var_lo: int) -> Tuple[UniPoly, int, int
     Roots of the form are [t:1] for roots t of P, plus [1:0] (t = oo) with
     multiplicity m_inf and [0:1] (t = 0) with multiplicity m_zero.
     """
-    d = form.degree
-    coeffs = [Fraction(0)] * (d + 1)
+    coeffs = [0] * (form.degree + 1)
     for e, c in form.terms.items():
         coeffs[e[var_hi]] = c
-    lo = 0
-    while lo <= d and coeffs[lo] == 0:
-        lo += 1
-    hi = d
-    while hi >= 0 and coeffs[hi] == 0:
-        hi -= 1
-    # z_hi^lo divides; z_lo^(d-hi) divides
-    p = UniPoly(coeffs[lo:hi + 1])
-    return p, d - hi, lo
+    trim(coeffs)
+    lo = next((i for i, c in enumerate(coeffs) if c), 0)
+    # z_hi^lo divides; z_lo^(d - deg) divides
+    return UniPoly(coeffs[lo:]), form.degree + 1 - len(coeffs), lo
 
 
 def binary_form_roots(form, var_hi: int, var_lo: int, prec: int):
-    """Projective roots of a nonzero binary form with multiplicities.
+    """Projective roots of a nonzero binary form with multiplicities, and
+    the squarefree decomposition they come from.
 
-    Yields (hi_value, lo_value, multiplicity, exact_pair_or_None).
+    Returns (roots, parts): roots are (hi_value, lo_value, multiplicity,
+    exact_pair_or_None), parts is ``yun_squarefree`` of the dehomogenized
+    form, once for every caller that needs both.
     """
     p, mult_inf, mult_zero = binary_to_unipoly(form, var_hi, var_lo)
     out = []
@@ -349,9 +362,9 @@ def binary_form_roots(form, var_hi: int, var_lo: int, prec: int):
         out.append((mp.mpc(0), mp.mpc(1), mult_zero, (Fraction(0), Fraction(1))))
     if mult_inf:
         out.append((mp.mpc(1), mp.mpc(0), mult_inf, (Fraction(1), Fraction(0))))
-    if p.degree >= 1:
-        for ball in roots_with_multiplicity(p, prec):
+    parts = yun_squarefree(p)
+    for factor, mult in parts:
+        for ball in numeric_roots_squarefree(factor, prec):
             exact = (ball.exact, Fraction(1)) if ball.exact is not None else None
-            out.append((ball.value, mp.mpc(1), ball.multiplicity, exact))
-    return out
-
+            out.append((ball.value, mp.mpc(1), mult, exact))
+    return out, parts

@@ -170,17 +170,23 @@ CHAIN_CASES = [
 ]
 
 
+def _resultant_parts(p, q):
+    """The Yun factors of Res_{z0}(p, q) at (t : 1), which _fiber_lifts lifts."""
+    from quadrics.polynomials import resultant
+    from quadrics.univariate import binary_to_unipoly, yun_squarefree
+    return yun_squarefree(binary_to_unipoly(resultant(p, q, 0), 1, 2)[0])
+
+
 @pytest.mark.parametrize("p, q, ks, expected", CHAIN_CASES)
 def test_fiber_lift_climbs_the_chain_where_s1_shares_a_root(monkeypatch, p, q, ks, expected):
     """A Yun factor of the resultant whose roots all kill sres_{1,1}
     lifts by the next subresultant whose leading coefficient is coprime
     to it, S_2 here, once the fiber is checked to hold one point."""
     import quadrics.arrangements as arr
-    from quadrics.polynomials import resultant
 
     monkeypatch.setattr(arr, "_coordinate_changes", lambda: itertools.repeat(IDENTITY))
     p, q = parse_poly(p), parse_poly(q)
-    lifts = arr._fiber_lifts(resultant(p, q, 0), p, q, set(ks))
+    lifts = arr._fiber_lifts(_resultant_parts(p, q), p, q, set(ks))
     assert {mult: k for mult, (k, _) in lifts.items()} == ks
     recs = intersection_points(p, q)
     got = [(tuple(x.split(" + ")[0].strip("(") for x in r.point.to_decimal_strings(30)),
@@ -195,14 +201,14 @@ def test_two_points_per_fiber_reject_the_change(monkeypatch):
     two points above each root of t^2 - 2, where S_2 = z0^2 - 1 is no
     square, so the identity change never lifts; another change does."""
     import quadrics.arrangements as arr
-    from quadrics.polynomials import PrecisionExhaustedError, resultant
+    from quadrics.polynomials import PrecisionExhaustedError
 
     p, q = parse_poly("z0^2 + z1^2 - 3*z2^2"), parse_poly("z0^2 - z1^2 + z2^2")
     recs = intersection_points(p, q)
     assert [r.multiplicity for r in recs] == [1, 1, 1, 1]
     assert all(abs(abs(r.point.coords[1] / r.point.coords[2]) - mp.sqrt(2)) < 1e-60
                for r in recs)
-    assert arr._fiber_lifts(resultant(p, q, 0), p, q, {2}) is None
+    assert arr._fiber_lifts(_resultant_parts(p, q), p, q, {2}) is None
     monkeypatch.setattr(arr, "_coordinate_changes", lambda: itertools.repeat(IDENTITY))
     with pytest.raises(PrecisionExhaustedError):
         intersection_points(p, q, precision=PrecisionConfig(64, 128))
@@ -265,6 +271,22 @@ def test_intersection_needs_one_resultant_per_change(monkeypatch):
     assert len(calls) == 1  # the identity change is admissible for this pair
     with pytest.raises(CommonComponentError):
         intersection_points(P1, P1 * parse_poly("z0 + z1"))
+
+
+def test_intersection_runs_yun_once_per_resultant(monkeypatch):
+    """Two cubics meeting in 9 numeric points: root isolation and the
+    fiber lifts share one squarefree decomposition of the resultant."""
+    import quadrics.arrangements as arr
+    import quadrics.univariate as uni
+
+    yun, resultant, calls, results = uni.yun_squarefree, arr.resultant, [], []
+    for module in (uni, arr):
+        monkeypatch.setattr(module, "yun_squarefree", lambda p: calls.append(p) or yun(p))
+    monkeypatch.setattr(arr, "resultant", lambda *a: results.append(resultant(*a)) or results[-1])
+    p = parse_poly("z0^3 + 2*z1^3 - 3*z2^3 + z0*z1*z2")
+    q = parse_poly("z0^3 - z1^2*z2 + 5*z2^2*z0 + 7*z0*z1*z2 + z1^3")
+    assert len(intersection_points(p, q)) == 9
+    assert len(calls) == len(results) == 1
 
 
 def test_intersection_rounds_each_form_once_per_change(monkeypatch):

@@ -331,6 +331,14 @@ def _cli_process(args):
     pytest.param(["square", "{mismatch}"], id="square-family-mismatch"),
     pytest.param(["demo-three-quadrics", "--alphas", "0,1,2", "--r-check", "0"],
                  id="demo-radius-zero"),
+    pytest.param(["square", "{cubics}"], id="square-three-cubics"),
+    pytest.param(["square", "{sextic}"], id="square-sextic-and-conics"),
+    pytest.param(["nevanlinna", "{curve}", "--main-theorem", "first"],
+                 id="nevanlinna-main-theorem-without-divisor"),
+    pytest.param(["nevanlinna", "{curve}", "--defect"], id="nevanlinna-defect-without-divisor"),
+    pytest.param(["demo-three-quadrics", "--alphas", "0,1,2", "--r-check", "5"],
+                 id="demo-radius-without-quadrature-check"),
+    pytest.param(["demo-three-quadrics", "--alphas", "1e400,0,0"], id="demo-alpha-beyond-double"),
     pytest.param(["--precision-bits", "0", "check-config", "{triple}"], id="precision-bits-0"),
     pytest.param(["--precision-bits", "8", "check-config", "{triple}"], id="precision-bits-8"),
     pytest.param(["--precision-cap", "128", "check-config", "{triple}"],
@@ -354,6 +362,9 @@ def test_bad_input_exits_two_without_traceback(tmp_path, args):
         "not_object": triple,
         "components_text": {"components": triple[0]},
         "component_int": {"components": [3] + triple[1:]},
+        "cubics": {"family": [3, 3, 3],
+                   "components": ["z0^3 + z1^3 - 7*z2^3", "z0^3 - z1*z2^2", "z1^3 + z0^2*z2"]},
+        "sextic": {"family": [6, 2, 2], "components": ["z0^6 + z1^6 - z2^6"] + triple[1:]},
     }
     paths = {name: _write(tmp_path, f"{name}.json", obj) for name, obj in files.items()}
     args = [a.format(missing=missing, curve=curve, **paths) for a in args]

@@ -122,8 +122,16 @@ def test_resultant_matches_independent_implementation():
         assert sympy.expand(mine_sympy - theirs) == 0
 
 
+def _sympy_scalar(c):
+    import sympy
+    if isinstance(c, GaussRat):
+        return _sympy_scalar(c.re) + sympy.I * _sympy_scalar(c.im)
+    return sympy.Rational(c.numerator, c.denominator)
+
+
 def _sympy_form(p, xs):
-    return sum(c * xs[0] ** e[0] * xs[1] ** e[1] * xs[2] ** e[2] for e, c in p.terms.items())
+    return sum(_sympy_scalar(c) * xs[0] ** e[0] * xs[1] ** e[1] * xs[2] ** e[2]
+               for e, c in p.terms.items())
 
 
 def _random_form_through(rng, d, pt):
@@ -169,13 +177,65 @@ def test_subresultant_chain_matches_sympy(seed, degrees):
         assert sympy.expand(ours - sign * members[k]) == 0
     assert subresultant(p, q, 0, 0) == [resultant(p, q, 0)]
     s1, s0 = subresultant(p, q, 0, 1)
-    rational = [exact for _, _, _, exact in binary_form_roots(resultant(p, q, 0), 1, 2, 64)
+    rational = [exact for _, _, _, exact in binary_form_roots(resultant(p, q, 0), 1, 2, 64)[0]
                 if exact is not None]
     assert pt is None or (pt[1], 1) in rational
     for exact in rational:
         at = (0,) + exact
         if s1.eval_exact(at) != 0:
             assert _fiber_points_exact(p, q, *exact) == -s0.eval_exact(at) / s1.eval_exact(at)
+
+
+_COEFFICIENTS = {
+    "integer": lambda rng: rng.randint(-3, 3),
+    "rational": lambda rng: Fraction(rng.randint(-7, 7), rng.randint(2, 5)),
+    "gaussian": lambda rng: GaussRat(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                                     rng.randint(-2, 2)),
+}
+
+
+@pytest.mark.parametrize("var", [0, 1, 2])
+@pytest.mark.parametrize("kind", sorted(_COEFFICIENTS))
+def test_resultant_and_subresultants_match_sympy_in_every_variable(kind, var):
+    """The integer kernel against sympy, eliminating each variable: Res
+    and every S_k, k < min(m, n), for degree pairs up to (4, 3) with
+    integer, non-integer rational and Gaussian coefficients.  One
+    coefficient in five is 0, so the leading coefficients in z_var are
+    often forms, not constants."""
+    import sympy
+    rng, xs, compared = random.Random(f"{kind}-{var}"), sympy.symbols("z0 z1 z2"), 0
+    for degrees in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2), (2, 3), (3, 3), (4, 3)]:
+        p, q = (_sparse_form(rng, d, var, _COEFFICIENTS[kind]) for d in degrees)
+        m, n = p.degree_in(var), q.degree_in(var)
+        high, low = sorted((_sympy_form(p, xs), _sympy_form(q, xs)),
+                           key=lambda f: -sympy.degree(f, xs[var]))
+        members = {int(sympy.degree(f, xs[var])): f
+                   for f in sympy.subresultants(high, low, xs[var])}
+
+        def sign(k):  # sympy takes the higher-degree input first
+            return (-1) ** ((m - k) * (n - k)) if m < n else 1
+        res = _sympy_form(resultant(p, q, var), xs)
+        assert sympy.expand(res - sign(0) * sympy.resultant(high, low, xs[var])) == 0
+        for k in (k for k in range(min(m, n)) if k in members):
+            chain = subresultant(p, q, var, k)
+            ours = sum(_sympy_form(c, xs) * xs[var] ** (k - j) for j, c in enumerate(chain))
+            assert sympy.expand(ours - sign(k) * members[k]) == 0
+            compared += 1
+    assert compared >= 12
+
+
+def _sparse_form(rng, d, var, draw):
+    """A random form of degree d involving z_var, one coefficient in five 0."""
+    while True:
+        p = HomPoly({e: draw(rng) if rng.random() < 0.8 else 0 for e in _exponents(d)})
+        if p.degree == d and p.degree_in(var) >= 1:
+            return p
+
+
+def test_identity_compose_returns_its_input():
+    p = parse_poly("z0^2 - 3*z1*z2 + (1/2)*z2^2")
+    assert p.compose([z0, z1, z2]) is p
+    assert p.compose([z1, z0, z2]) == parse_poly("z1^2 - 3*z0*z2 + (1/2)*z2^2")
 
 
 def test_subresultant_of_a_linear_input_is_that_input():

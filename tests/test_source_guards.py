@@ -22,6 +22,11 @@ coefficient again on each call (``_certify_radius`` evaluates a
 A root radius is computed only where it is read: ``_certify_radius`` is
 referenced only by the lazy ``RootBall.radius``.
 
+One exact elimination: ``polynomials._bareiss_last_row``, on dense
+polynomials over Z or Z[i], is the only Bareiss elimination and serves
+only ``subresultant``; ``HomPoly.exact_div`` is left to the shared
+component of two curves (``common_component_witness``, ``_shared_factor``).
+
 One memo: derived objects are stored only through ``config.scoped``, in
 the analysis scope that ``cli.main`` opens for each command.  No object
 keeps a ``_memo`` of its own, so library calls outside a scope keep no
@@ -149,3 +154,12 @@ def test_one_memo():
               and isinstance(node.ctx, ast.Store)]
     assert stored == []
     assert _uses("analysis_scope", {"config"}) == [("cli.py", "main")]
+
+
+def test_one_bareiss_elimination_and_no_form_division_in_it():
+    defined = [(name, node.name) for name, tree in _trees() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and "bareiss" in node.name.lower()]
+    assert defined == [("polynomials.py", "_bareiss_last_row")]
+    assert _references("_bareiss_last_row") == [("polynomials.py", "subresultant")]
+    assert sorted(set(_references("exact_div"))) == [
+        ("arrangements.py", "_shared_factor"), ("arrangements.py", "common_component_witness")]

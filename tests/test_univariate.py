@@ -84,7 +84,7 @@ def test_binary_form_roots_with_coordinate_roots():
     from quadrics.polynomials import parse_poly
     # z1 * (z1 - z2) * z2^2: roots [0:1], [1:1], [1:0] (double)
     form = parse_poly("z1^2*z2^2 - z1*z2^3")
-    roots = binary_form_roots(form, 1, 2, 128)
+    roots, _ = binary_form_roots(form, 1, 2, 128)
     as_set = {(str(e[0]), str(e[1]), m) for _, _, m, e in roots if e}
     assert ("0", "1", 1) in as_set
     assert ("1", "0", 2) in as_set
@@ -110,6 +110,29 @@ def test_roots_with_multiplicity_recovers_linear_factors(roots):
     assert all(b.exact is not None for b in balls)
     assert {b.exact: b.multiplicity for b in balls} == Counter(roots)
     assert len(balls) == len(Counter(roots))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(_ROOT, min_size=1, max_size=5), _ROOT.filter(lambda c: c != 0))
+def test_mod_prime_pretest_never_rejects_a_root(roots, lead):
+    """A Gaussian-rational root has residue 0 modulo the prime, so the
+    pretest in front of the exact evaluation keeps every true root; a
+    nonzero residue proves a candidate is no root."""
+    p = UniPoly([lead])
+    for r in roots:
+        p = p * UniPoly([-r, 1])
+    image = [univariate.mod_prime(c) for c in univariate.integral(p.coeffs)[0]]
+    assert all(univariate._residue(image, r) == 0 for r in roots)
+    assert univariate._residue([univariate.mod_prime(Fraction(c)) for c in (-2, 0, 1)], 1) != 0
+
+
+def test_yun_with_a_leading_coefficient_divisible_by_the_prime():
+    """The modular squarefree test proves nothing when the prime divides
+    the leading coefficient; the exact decomposition decides."""
+    big = univariate._P
+    assert yun_squarefree(UniPoly([-1, 0, big])) == [(UniPoly([Fraction(-1, big), 0, 1]), 1)]
+    square = UniPoly([1, big]) * UniPoly([1, big])
+    assert yun_squarefree(square) == [(UniPoly([Fraction(1, big), 1]), 2)]
 
 
 def test_rational_roots_large_coefficients_fast():
