@@ -34,11 +34,11 @@ from .arrangements import (Configuration, DegenerateIntersectionError,
                            genericity_check_s4, genericity_check_s6,
                            select_general_position)
 from .config import PrecisionConfig, analysis_scope
-from .nevanlinna import (DegenerateCurveError, DivisorContainsCurveError,
-                         ExpCurve, GrowthSample, InsufficientSpanError,
-                         NotGeneralPositionError, QuadratureFailureError,
-                         ZeroOnContourError, counting, defect_estimate,
-                         main_theorem_check, order_estimate,
+from .nevanlinna import (CertificateRangeError, DegenerateCurveError,
+                         DivisorContainsCurveError, ExpCurve, GrowthSample,
+                         InsufficientSpanError, NotGeneralPositionError,
+                         QuadratureFailureError, ZeroOnContourError, counting,
+                         defect_estimate, main_theorem_check, order_estimate,
                          three_quadrics_certificate)
 from .polynomials import (HomPoly, NotHomogeneousError, PolySyntaxError,
                           PrecisionExhaustedError, parse_poly)
@@ -126,7 +126,7 @@ PARSE_ERRORS = (OSError, json.JSONDecodeError, PolySyntaxError,
 RUN_ERRORS = (
     (NotGeneralPositionError, EXIT_PARSE, lambda exc: f"parse error: {exc}"),
     ((ZeroOnContourError, QuadratureFailureError, PrecisionExhaustedError,
-      RootFindingError),
+      RootFindingError, CertificateRangeError),
      EXIT_UNDECIDED,
      lambda exc: f"undecided: {type(exc).__name__}: {exc}"),
     ((DivisorContainsCurveError, DegenerateCurveError), EXIT_DEGENERATE, str),

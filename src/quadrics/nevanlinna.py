@@ -75,6 +75,11 @@ class SumComponentError(ValueError):
     """T(r) was asked of a curve with a component that is not c e^{Q}."""
 
 
+class CertificateRangeError(ArithmeticError):
+    """X, 9X or 8X of the three-quadrics certificate is beyond the double
+    range."""
+
+
 # ---------------------------------------------------------------------------
 # Exponential sums
 # ---------------------------------------------------------------------------
@@ -1109,34 +1114,42 @@ def three_quadrics_certificate(alphas: Sequence, quadrature_check: bool = False,
     escape is all three coefficients equal.  That is decided on the exact
     coefficients (a Python complex is taken at its exact binary value).
     With quadrature_check the pairwise and triple characteristic limits
-    are validated numerically against the convex-hull values.
+    are validated numerically against the convex-hull values.  X and the
+    check curves are formed from the exact differences a_j - a_i (the
+    triple curve from a_j - a0, which leaves T unchanged), so nearly equal
+    alphas do not cancel in doubles.  Raises CertificateRangeError, after
+    the checks, when 9X is beyond the double range.
     """
     exact = [coerce_scalar(GaussRat(Fraction(x.real), Fraction(x.imag)))
              if isinstance(x, complex) else coerce_scalar(x) for x in alphas]
     if len(exact) != 3:
         raise ValueError("three coefficients expected")
-    a = [scalar_to_complex(x) for x in exact]
-    X = (abs(a[0] - a[1]) + abs(a[0] - a[2]) + abs(a[1] - a[2])) / (2 * math.pi)
+    pairs = ((0, 1), (0, 2), (1, 2))
+    dist = []
+    for i, j in pairs:
+        try:
+            dist.append(abs(scalar_to_complex(exact[j] - exact[i])))
+        except OverflowError:                 # beyond the double range
+            dist.append(math.inf)
+    X = sum(dist) / (2 * math.pi)
     lhs = 9 * X
     rhs = 8 * X
     contradiction = not exact[0] == exact[1] == exact[2]
     checks: List[dict] = []
     if quadrature_check:
         zero = Fraction(0)
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            diff = exact[j] - exact[i]
-            curve = ExpCurve.from_exponents([[zero], [zero, zero, diff]])
+        for (i, j), d in zip(pairs, dist):
+            curve = ExpCurve.from_exponents([[zero], [zero, zero, exact[j] - exact[i]]])
             T, _ = characteristic(curve, r_check)
             got = T / r_check ** 2
-            # after T(r), which rejects a difference beyond the double range
-            target = 2 * abs(scalar_to_complex(diff)) / (2 * math.pi)
+            target = 2 * d / (2 * math.pi)
             checks.append({
                 "pair": [i, j],
                 "limit_expected": target,
                 "limit_quadrature": got,
                 "relative_error": abs(got - target) / target if target else abs(got),
             })
-        curve3 = ExpCurve.from_exponents([[zero, zero, x] for x in exact])
+        curve3 = ExpCurve.from_exponents([[zero, zero, x - exact[0]] for x in exact])
         T3, _ = characteristic(curve3, r_check)
         checks.append({
             "pair": [0, 1, 2],
@@ -1144,4 +1157,6 @@ def three_quadrics_certificate(alphas: Sequence, quadrature_check: bool = False,
             "limit_quadrature": T3 / r_check ** 2,
             "relative_error": (abs(T3 / r_check ** 2 - X) / X) if X else abs(T3 / r_check ** 2),
         })
+    if not math.isfinite(lhs):
+        raise CertificateRangeError("X lies beyond the double range")
     return ThreeQuadricsCertificate(tuple(alphas), X, lhs, rhs, contradiction, checks)

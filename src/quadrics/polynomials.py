@@ -109,6 +109,16 @@ def _grlex_key(e: Expo):
     return (sum(e), e)
 
 
+def _term_mul(a: Dict[Expo, Scalar], b: Dict[Expo, Scalar]) -> Dict[Expo, Scalar]:
+    """Product of two term maps, zero terms kept."""
+    res: Dict[Expo, Scalar] = {}
+    for (i1, j1, k1), c1 in a.items():
+        for (i2, j2, k2), c2 in b.items():
+            e = (i1 + i2, j1 + j2, k1 + k2)
+            res[e] = res.get(e, 0) + c1 * c2
+    return res
+
+
 class HomPoly:
     """Immutable homogeneous polynomial, zero polynomial tagged degree -1."""
 
@@ -299,7 +309,10 @@ class HomPoly:
 
     def compose(self, args: Sequence["HomPoly"]) -> "HomPoly":
         """Substitute args[i] for variable i; args must share one degree.
-        The identity substitution (z0, z1, z2) returns self."""
+        The identity substitution (z0, z1, z2) returns self.  Expanded on
+        integers: self times the lcm L of its denominators, the args times
+        the lcm M of theirs (Gaussian integers where any is Gaussian), and
+        one division by L M^deg at the end."""
         if self.is_zero:
             return HomPoly.zero()
         if all(a == HomPoly.variable(i) for i, a in enumerate(args)):
@@ -307,24 +320,23 @@ class HomPoly:
         degs = {a.degree for a in args if not a.is_zero}
         if len(degs) > 1:
             raise ValueError("substituted forms must have a common degree")
-        out = HomPoly.zero()
-        cache: Dict[Tuple[int, int], HomPoly] = {}
-
-        def powed(i, k):
-            if k == 0:
-                return HomPoly.constant(1)
-            key = (i, k)
-            if key not in cache:
-                cache[key] = args[i] ** k
-            return cache[key]
-
-        for e, c in self.terms.items():
-            t = HomPoly.constant(c)
+        cs, L = integral(list(self.terms.values()))
+        flat, M = integral([c for a in args for c in a.terms.values()])
+        flat = iter(flat)
+        ints = [{e: next(flat) for e in a.terms} for a in args]
+        powers = [[{(0, 0, 0): 1}] for _ in range(3)]
+        for e in self.terms:
             for i in range(3):
-                if e[i]:
-                    t = t * powed(i, e[i])
-            out = out + t
-        return out
+                while len(powers[i]) <= e[i]:
+                    powers[i].append(_term_mul(powers[i][-1], ints[i]))
+        out: Dict[Expo, Scalar] = {}
+        for e, c in zip(self.terms, cs):
+            prod = _term_mul(_term_mul(powers[0][e[0]], powers[1][e[1]]), powers[2][e[2]])
+            for m, v in prod.items():
+                out[m] = out.get(m, 0) + c * v
+        scale = L * M ** self.degree
+        return HomPoly({m: Fraction(v, scale) if isinstance(v, int) else v / scale
+                        for m, v in out.items()})
 
     def exact_div(self, divisor: "HomPoly") -> "HomPoly":
         """Exact quotient; raises if the division leaves a remainder."""

@@ -11,12 +11,15 @@ at the root's own precision: a caller that never reads it never pays.
 
 Every polynomial root the library finds comes from this module, and
 every numeric one from ``complex_roots``, its single numeric entry point:
-mpmath's Durand-Kerner iteration, started from the companion-matrix
-eigenvalues of a double-precision copy of the polynomial.
-"""
+Newton's iteration in doubling precision on exact Gaussian integers,
+started from the companion-matrix eigenvalues of a double-precision copy
+of the polynomial and accepted when the Newton disks of all roots are
+pairwise disjoint; mpmath's Durand-Kerner iteration from the same start
+where they are not (double roots, clusters)."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -228,18 +231,150 @@ class RootFindingError(ArithmeticError):
     """Durand-Kerner did not converge within its step limit."""
 
 
+def _gauss_ints(cs) -> List[Tuple[int, int]]:
+    """Gaussian integers A_k with cs[k] = A_k * 2^E exactly, one E for all:
+    each mpc part is m * 2^e, so scaling by 2^-E moves no root."""
+    parts = [(-m if sign else m, e) for c in cs for sign, m, e, _ in c._mpc_]
+    low = min(e for m, e in parts if m)
+    ints = [m << e - low if m else 0 for m, e in parts]
+    return list(zip(ints[::2], ints[1::2]))
+
+
+def _horner(a, x, y, f):
+    """2^(n f) p(z) and 2^((n - 1) f) p'(z) at z = (x + i y) / 2^f, exact
+    in Gaussian integers (Gauss's three products per multiplication)."""
+    n = len(a) - 1
+    br, bi = a[n]
+    cr = ci = 0
+    s, d = x + y, y - x
+    for k in range(n - 1, -1, -1):
+        k1 = x * (cr + ci)
+        cr, ci = k1 - ci * s + br, k1 + cr * d + bi
+        k1 = x * (br + bi)
+        ar, ai = a[k]
+        br, bi = k1 - bi * s + (ar << f * (n - k)), k1 + br * d + (ai << f * (n - k))
+    return br, bi, cr, ci
+
+
+def _round_div(a: int, b: int) -> int:
+    return (2 * a + b) // (2 * b)
+
+
+def _newton_root(a, seed: complex, prec: int):
+    """Newton's iteration for one root of p = sum a_k z^k from a double
+    seed, on fixed-point Gaussian integers z = (x + i y) / 2^f: p(z) and
+    p'(z) are exact, and the only rounding is the quantization of each new
+    z.  The precision doubles from 53 bits up to prec + 64, counted from
+    the seed's binary exponent e (and never coarser than 2^-(prec + 64)),
+    so tiny and huge roots keep the same relative accuracy.  Stops once a
+    correction |dz| is at most 2^e 2^(-top/2), top = prec + 64 + max(e, 0):
+    the step's error, about |dz|^2 / 2^e for a root apart from the others,
+    is then about 2^(e - top), the final quantum.  A root with one part
+    2^32 times smaller than the other, or more, takes more bits until that
+    part has prec + 64 of its own.
+
+    Returns (x, y, f, disk) with disk = (x0, y0, f0, |P|^2, |P'|^2) at the
+    last evaluation point z0 = (x0 + i y0) / 2^f0, P = 2^(n f0) p(z0) and
+    P' = 2^((n - 1) f0) p'(z0); None when p' vanishes there or there is no
+    convergence within the step cap."""
+    e = max(math.frexp(seed.real)[1], math.frexp(seed.imag)[1])
+    top = prec + 64 + max(e, 0)                     # relative bits at the end
+    bits = 53
+    f = max(bits - e, 0)
+    x, y = round(math.ldexp(seed.real, f)), round(math.ldexp(seed.imag, f))
+    steps = 8 + (top // 53).bit_length()            # the step cap
+    while steps:
+        steps -= 1
+        br, bi, cr, ci = _horner(a, x, y, f)
+        num, den = br * br + bi * bi, cr * cr + ci * ci
+        if not den:
+            return None
+        # |dz|^2 = num / (den 4^f) <= 4^e 2^-top
+        done = num << top <= den << 2 * (f + e)
+        bits = top if done else min(2 * bits, top)
+        g = max(bits - e, 0)
+        # dz 2^g = P 2^(g - f) / P'
+        qr, qi = (br * cr + bi * ci) << g - f, (bi * cr - br * ci) << g - f
+        disk = (x, y, f, num, den)
+        x, y = (x << g - f) - _round_div(qr, den), (y << g - f) - _round_div(qi, den)
+        f = g
+        if done:
+            # a part that outlives polyroots' cleanup (at least eps(prec),
+            # 2^(f + 1 - prec) units) with fewer than prec + 32 bits gets
+            # prec + 64 of its own, up to 2 prec + 64 for z
+            short = min((abs(v).bit_length() for v in (x, y) if abs(v) >> f + 1 - prec),
+                        default=top)
+            more = min(prec + 64 - short, 2 * prec + 64 + max(e, 0) - top)
+            if short >= prec + 32 or more <= 0:
+                return x, y, f, disk
+            top += more
+            steps += 2
+    return None
+
+
+def _isolated(disks, n: int) -> bool:
+    """True when the disks D(z0, n |p(z0) / p'(z0)|), radii rounded up, are
+    pairwise disjoint.  Each such disk holds a root of the degree-n p
+    (Henrici, *Applied and Computational Complex Analysis*, vol. 1), so
+    then each holds exactly one, and the n centers belong to n distinct
+    simple roots."""
+    g = max(d[2] for d in disks)
+    balls = []
+    for x, y, f, num, den in disks:
+        q = -(-(n * n * num << 2 * (g - f)) // den)     # ceil(r^2 4^g)
+        balls.append((x << g - f, y << g - f, math.isqrt(q - 1) + 1 if q else 0))
+    return all((x1 - x2) ** 2 + (y1 - y2) ** 2 > (r1 + r2) ** 2
+               for (x1, y1, r1), (x2, y2, r2) in itertools.combinations(balls, 2))
+
+
+def _newton_roots(cs, seeds, prec: int) -> Optional[List[mp.mpc]]:
+    """The roots of the polynomial with mpc coefficients cs (low to high)
+    by ``_newton_root`` from each seed, rounded once to ``prec`` bits,
+    with a part below eps(prec) dropped as polyroots does; None unless
+    every seed converges and the disks are isolated."""
+    a = _gauss_ints(cs)
+    found = [_newton_root(a, complex(s), prec) for s in seeds]
+    if None in found or not _isolated([r[3] for r in found], len(a) - 1):
+        return None
+    out = []
+    for x, y, f, _ in found:
+        # polyroots' cleanup: z, or a part of it, below eps(prec) becomes 0
+        # (f >= prec + 64, so eps is 2^(f + 1 - prec) units of 2^-f)
+        eps = 1 << f + 1 - prec
+        if x * x + y * y < eps * eps:
+            x = y = 0
+        elif abs(y) < eps:
+            y = 0
+        elif abs(x) < eps:
+            x = 0
+        out.append(mp.mpc(mp.mpf((x, -f)), mp.mpf((y, -f))))
+    return out
+
+
+def _canonical(z: mp.mpc):
+    return abs(z.imag), z.real, z.imag
+
+
 def complex_roots(coeffs: Sequence, prec: int) -> List[mp.mpc]:
     """Roots of a polynomial with complex coefficients (low to high) at
-    working precision ``prec``, without radii; trailing zero coefficients
-    are dropped first.  The library's only call of mpmath's polyroots.
+    working precision ``prec``, without radii, sorted by (|im|, re, im);
+    trailing zero coefficients are dropped first.  The coefficients are
+    rounded to ``prec`` bits.
 
-    Its Durand-Kerner iteration (2 * ``prec`` bits, mpmath's own stopping
-    test) starts from the companion-matrix eigenvalues of a double copy of
-    the polynomial (``numpy.roots``), each moved by a distinct relative
-    2^-40, and from mpmath's fixed start only when that copy is unusable:
+    Each companion-matrix eigenvalue of a double copy of the polynomial
+    (``numpy.roots``) seeds Newton's iteration in doubling precision on
+    exact Gaussian integers (``_newton_root``); the refined roots are
+    returned when their Newton disks are pairwise disjoint, so that each
+    belongs to its own simple root.  Otherwise (an unusable double copy,
+    a zero derivative, no convergence, or overlapping disks: double
+    roots, clusters, a complex pair the double copy rounded onto the real
+    axis) mpmath's Durand-Kerner iteration runs at 2 * ``prec`` bits with
+    its own stopping test, the library's only call of polyroots.  It
+    starts from the same eigenvalues, each moved by a distinct relative
+    2^-40, or from mpmath's fixed start when the double copy is unusable:
     its leading entry underflowed to 0, an entry overflowed (LAPACK
     refuses it), or a seed is not finite.  Raises RootFindingError when
-    the iteration does not converge."""
+    that iteration does not converge."""
     cs = list(coeffs)
     while cs and abs(cs[-1]) == 0:
         cs.pop()
@@ -251,24 +386,27 @@ def complex_roots(coeffs: Sequence, prec: int) -> List[mp.mpc]:
             seeds = np.roots(dbl) if dbl[0] != 0 else None
     except np.linalg.LinAlgError:
         seeds = None
-    if seeds is not None and np.isfinite(seeds).all():
-        # From real seeds of a real polynomial the iteration stays real, so
-        # it never reaches a complex pair that the double copy rounded onto
-        # the real axis (a near-double root), and equal seeds never part.
-        # A distinct offset of 2^-40 times each seed's modulus avoids both
-        # (well above a seed's rounding, one quadratic step to undo); a
-        # seed at 0, the exact root of a zero constant term, stays.
-        spread = (0.4 + 0.9j) ** np.arange(1, len(seeds) + 1) * 2.0 ** -40
-        seeds = [mp.mpc(z) for z in seeds + spread * np.abs(seeds)]
-    else:
-        seeds = None
     with mp.workprec(prec):
+        mcs = [mp.mpc(c) for c in cs]
+        if seeds is not None and np.isfinite(seeds).all():
+            roots = _newton_roots(mcs, seeds, prec)
+            if roots is not None:
+                return sorted(roots, key=_canonical)
+            # From real seeds of a real polynomial the iteration stays real, so
+            # it never reaches a complex pair that the double copy rounded onto
+            # the real axis (a near-double root), and equal seeds never part.
+            # A distinct offset of 2^-40 times each seed's modulus avoids both
+            # (well above a seed's rounding, one quadratic step to undo); a
+            # seed at 0, the exact root of a zero constant term, stays.
+            spread = (0.4 + 0.9j) ** np.arange(1, len(seeds) + 1) * 2.0 ** -40
+            seeds = [mp.mpc(z) for z in seeds + spread * np.abs(seeds)]
+        else:
+            seeds = None
         try:
-            roots = mp.polyroots([mp.mpc(c) for c in reversed(cs)], maxsteps=200,
-                                 extraprec=prec, roots_init=seeds)
+            roots = mp.polyroots(mcs[::-1], maxsteps=200, extraprec=prec, roots_init=seeds)
         except mp.libmp.libhyper.NoConvergence as exc:
             raise RootFindingError(f"root finding did not converge: {exc}")
-        return [mp.mpc(r) for r in roots]
+        return sorted(map(mp.mpc, roots), key=_canonical)
 
 
 def _certify_radius(p: UniPoly, z: mp.mpc) -> mp.mpf:

@@ -1,7 +1,9 @@
 """References that only the tests use: exact decisions, the distance of
-two numeric points, the term-by-term form evaluation that
-polynomials.MpForms took the place of, the exponential-sum evaluators
-that ExpSum._scaled took the place of, and T(r) by mpmath quadrature."""
+two numeric points, the ``HomPoly.compose`` on Fraction term maps that
+the integer expansion took the place of, the term-by-term form
+evaluation that polynomials.MpForms took the place of, the
+exponential-sum evaluators that ExpSum._scaled took the place of, and
+T(r) by mpmath quadrature."""
 
 import cmath
 import itertools
@@ -26,6 +28,30 @@ def has_common_component(p: HomPoly, q: HomPoly) -> bool:
             except DegenerateLeadingFormError:  # pragma: no cover
                 continue
     return False
+
+
+def reference_compose(p: HomPoly, args) -> HomPoly:
+    """p(args) by HomPoly products and sums of the exact scalars, one
+    cached power per variable and exponent."""
+    if p.is_zero:
+        return HomPoly.zero()
+    out = HomPoly.zero()
+    cache = {}
+
+    def powed(i, k):
+        if k == 0:
+            return HomPoly.constant(1)
+        if (i, k) not in cache:
+            cache[(i, k)] = args[i] ** k
+        return cache[(i, k)]
+
+    for e, c in p.terms.items():
+        t = HomPoly.constant(c)
+        for i in range(3):
+            if e[i]:
+                t = t * powed(i, e[i])
+        out = out + t
+    return out
 
 
 def point_distance(a, b):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -178,6 +179,43 @@ def test_overflowing_alphas_exit_undecided(tmp_path, capsys):
         "undecided: QuadratureFailureError: integrand unbounded on the circle")
     assert "Traceback" not in capsys.readouterr().err
     jsonschema.validate(doc, _schema())
+
+
+def test_certificate_x_from_exact_differences(tmp_path):
+    """X sums the exact differences: 1e-15 twice, where the alphas rounded
+    to doubles differ by 5 * 2^-52 = 1.11e-15."""
+    code, doc = _run(["demo-three-quadrics", "--alphas", "1,1,1.000000000000001"], tmp_path)
+    assert code == 0
+    rep = doc["report"]
+    want = 2e-15 / (2 * math.pi)
+    assert abs(rep["X"] - want) <= 1e-15 * want
+    assert rep["lhs_9X"] > rep["rhs_8X"] > 0
+    json.dumps(doc, allow_nan=False)
+
+
+def test_overflowing_x_exits_undecided(tmp_path, capsys):
+    """Without the check, an X beyond the double range ends the run with
+    exit 3 and a strict-JSON report instead of "X": Infinity."""
+    import jsonschema
+    code, doc = _run(["demo-three-quadrics", "--alphas", "1e308,-1e308,0"], tmp_path)
+    assert code == 3
+    assert doc["report"]["error"] == (
+        "undecided: CertificateRangeError: X lies beyond the double range")
+    assert "Traceback" not in capsys.readouterr().err
+    jsonschema.validate(doc, _schema())
+    json.dumps(doc, allow_nan=False)
+
+
+def test_triple_check_of_nearly_equal_alphas(tmp_path):
+    """The triple check curve is built from a_j - a0, so it does not cancel
+    in doubles: every check agrees with its convex-hull limit."""
+    code, doc = _run(["demo-three-quadrics", "--alphas", "1,1,1.000000000000001",
+                      "--quadrature-check"], tmp_path)
+    assert code == 0
+    checks = doc["report"]["quadrature_checks"]
+    assert [c["pair"] for c in checks] == [[0, 1], [0, 2], [1, 2], [0, 1, 2]]
+    assert max(c["relative_error"] for c in checks) < 1e-12
+    json.dumps(doc, allow_nan=False)
 
 
 def test_reports_byte_identical(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from quadrics.polynomials import (Ball, DegenerateLeadingFormError, HomPoly,
                                   subresultant, vanishes_at)
 from quadrics.scalars import GaussRat
 
-from exact_reference import point_distance, reference_eval_mpc
+from exact_reference import point_distance, reference_compose, reference_eval_mpc
 
 z0, z1, z2 = (HomPoly.variable(i) for i in range(3))
 
@@ -236,6 +237,29 @@ def test_identity_compose_returns_its_input():
     p = parse_poly("z0^2 - 3*z1*z2 + (1/2)*z2^2")
     assert p.compose([z0, z1, z2]) is p
     assert p.compose([z1, z0, z2]) == parse_poly("z1^2 - 3*z0*z2 + (1/2)*z2^2")
+
+
+_RAT = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 4), st.data(), st.booleans(), st.integers(0, 11))
+def test_compose_matches_the_fraction_reference(d, data, gauss, k):
+    """The integer expansion equals the HomPoly expansion on Fraction
+    terms, scalar types included, under the first 12 coordinate changes of
+    an intersection, on forms of degree 1-4 with Fraction or Gaussian
+    coefficients."""
+    from quadrics.arrangements import _coordinate_changes
+    U = next(itertools.islice(_coordinate_changes(), k, None))
+    coeff = st.builds(GaussRat, _RAT, _RAT) if gauss else _RAT
+    terms = {(i, j, d - i - j): data.draw(coeff)
+             for i in range(d + 1) for j in range(d + 1 - i)
+             if data.draw(st.booleans())}
+    p = HomPoly(terms)
+    args = [HomPoly.linear_form(row) for row in U]
+    got, want = p.compose(args), reference_compose(p, args)
+    assert got == want
+    assert all(type(c) is type(want.terms[e]) for e, c in got.terms.items())
 
 
 def test_subresultant_of_a_linear_input_is_that_input():

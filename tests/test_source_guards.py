@@ -2,7 +2,9 @@
 
 One root finder: ``mpmath.polyroots`` and ``numpy.roots`` are each called
 from exactly one place under ``src/quadrics``, ``univariate.complex_roots``,
-so every numeric polynomial root goes through the same seeded solve; and
+so every numeric polynomial root goes through the same seeded solve:
+Newton's iteration in doubling precision from the ``numpy.roots`` seeds,
+with the seeded ``polyroots`` call as its only fallback; and
 ``complex_roots`` itself is called only by
 ``univariate.numeric_roots_squarefree`` and, for the tie polynomials of
 the closed-form characteristic, ``nevanlinna._arc_mean``.

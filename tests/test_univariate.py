@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import mpmath as mp
 import pytest
@@ -225,6 +226,121 @@ def test_seeded_roots_match_the_default_start(low, lead, prec):
     assume(uni_gcd(exact, exact.derivative()).degree == 0)
     _assert_same_roots(complex_roots(coeffs, prec),
                        _default_start_roots(coeffs, prec), prec)
+
+
+def _in_canonical_order(roots):
+    return roots == sorted(roots, key=lambda z: (abs(z.imag), z.real, z.imag))
+
+
+def _within_one_ulp(x, y, prec):
+    """Each part of y within one unit in the last place of x's part."""
+    for a, b in ((x.real, y.real), (x.imag, y.imag)):
+        if a != b and abs(a - b) > mp.mpf(2) ** (mp.mag(a) - prec):
+            return False
+    return True
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.lists(_GAUSS_INT, min_size=1, max_size=12),
+       _GAUSS_INT.filter(lambda c: c != 0), st.sampled_from([53, 256, 512, 1024]))
+def test_newton_roots_match_the_seeded_durand_kerner(low, lead, prec):
+    """Squarefree Gaussian-integer polynomials of degree 1-12: Newton's
+    roots, in canonical order, are the seeded Durand-Kerner roots to one
+    unit in the last place."""
+    coeffs = low + [lead]
+    exact = UniPoly([GaussRat(int(c.real), int(c.imag)) for c in coeffs])
+    assume(uni_gcd(exact, exact.derivative()).degree == 0)
+    with mock.patch.object(mp, "polyroots", wraps=mp.polyroots) as spy:
+        got = complex_roots(coeffs, prec)
+    assume(not spy.called)
+    with mock.patch.object(univariate, "_newton_roots", return_value=None):
+        want = complex_roots(coeffs, prec)
+    assert _in_canonical_order(got) and len(got) == len(want) == exact.degree
+    with mp.workprec(prec + 20):
+        for z in got:
+            k = min(range(len(want)), key=lambda i: abs(want[i] - z))
+            assert _within_one_ulp(want.pop(k), z, prec)
+
+
+@pytest.mark.parametrize("prec", [53, 256, 512])
+def test_separated_roots_take_no_fallback(prec, monkeypatch):
+    roots = [1, -2, 3 + 1j, 3 - 1j, 0.5j, -0.25 - 4j]
+    starts = _spy_on_polyroots(monkeypatch)
+    got = complex_roots(_product(roots), prec)
+    assert starts == []
+    assert _in_canonical_order(got)
+    _assert_same_roots(got, [mp.mpc(r) for r in roots], prec)
+
+
+def test_roots_two_to_the_minus_60_apart_overlap():
+    """A double copy cannot hold 1 + 2^-60, so both roots get the seed 1:
+    both iterates stop at once with p(1) = 0 and their disks coincide."""
+    with mp.workprec(256):
+        cs = [mp.mpc(c) for c in _product([1, 1 + mp.mpf(2) ** -60, -2])]
+        assert univariate._newton_roots(cs, [1.0, 1.0, -2.0], 256) is None
+        a = univariate._gauss_ints(cs)
+        found = [univariate._newton_root(a, z, 256) for z in (1.0, 1.0, -2.0)]
+    assert None not in found
+    assert not univariate._isolated([r[3] for r in found], 3)
+
+
+def test_disk_radii_round_up():
+    """Radii sqrt(4.5) around 0 and 4 + i, sqrt(17) apart: the disks
+    overlap by 0.12, which radii rounded down to 2 would miss."""
+    assert not univariate._isolated([(0, 0, 0, 9, 2), (4, 1, 0, 9, 2)], 1)
+    assert univariate._isolated([(0, 0, 0, 9, 2), (7, 0, 0, 9, 2)], 1)
+
+
+def test_close_roots_take_the_fallback(monkeypatch):
+    starts = _spy_on_polyroots(monkeypatch)
+    with mp.workprec(256):
+        roots = [mp.mpc(1), 1 + mp.mpf(2) ** -60, mp.mpc(-2)]
+        cs = _product(roots)
+    got = complex_roots(cs, 256)
+    assert starts and starts[0] is not None
+    _assert_same_roots(got, roots, 256)
+
+
+def test_parts_below_eps_are_dropped_as_polyroots_does(monkeypatch):
+    """At 256 bits eps is 2^-255: a root 2^-300 (1 + i) becomes 0, and a
+    part of size 2^-300 beside a part of size 1 becomes 0, on both paths."""
+    with mp.workprec(256):
+        t = mp.mpf(2) ** -300
+        cs = _product([t * (1 + 1j), 1 + t * 1j, t + 2j, mp.mpc(-3)])
+    want = [mp.mpc(-3), mp.mpc(0), mp.mpc(1), mp.mpc(0, 2)]
+    starts = _spy_on_polyroots(monkeypatch)
+    assert complex_roots(cs, 256) == want
+    assert starts == []
+    with mock.patch.object(univariate, "_newton_roots", return_value=None):
+        assert complex_roots(cs, 256) == want
+
+
+@pytest.mark.parametrize("prec", [256, 512])
+def test_a_part_far_below_the_other_keeps_its_own_bits(prec, monkeypatch):
+    """1 + 2^-200 i: the imaginary part is above eps(prec), so it stays,
+    and it comes back exact although it is 2^-200 of the root."""
+    with mp.workprec(prec + 400):
+        roots = [1 + mp.mpc(0, mp.mpf(2) ** -200), mp.mpc(-2), mp.mpc(0, 3)]
+        cs = _product(roots)
+    starts = _spy_on_polyroots(monkeypatch)
+    got = complex_roots(cs, prec)
+    assert starts == []
+    assert got == sorted(roots, key=lambda z: (abs(z.imag), z.real, z.imag))
+
+
+@pytest.mark.parametrize("prec", [256, 512])
+@pytest.mark.parametrize("scale", [200, -200])
+def test_huge_and_tiny_roots_converge_without_fallback(scale, prec, monkeypatch):
+    """Roots near 2^200 or 2^-200 keep their relative accuracy: each
+    comes back exactly, with no fallback.  (At 53 bits polyroots' cleanup
+    makes a root below eps = 2^-52 zero, and so does the Newton path.)"""
+    roots = [mp.mpc(u) * mp.mpf(2) ** scale for u in (1, -3, 1 + 2j, 1 - 2j, 0.5 - 1j)]
+    with mp.workprec(prec + 2000):
+        cs = _product(roots)
+    starts = _spy_on_polyroots(monkeypatch)
+    got = complex_roots(cs, prec)
+    assert starts == []
+    assert got == sorted(roots, key=lambda z: (abs(z.imag), z.real, z.imag))
 
 
 @pytest.mark.parametrize("prec", [53, 256])
