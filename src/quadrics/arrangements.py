@@ -29,14 +29,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import mpmath as mp
 import numpy as np
+from mpmath import libmp
 
 from .config import DEFAULT_PRECISION, PrecisionConfig, scoped
 from .linalg import det, nullspace, rank, solve
 from .polynomials import (Ball, HomPoly, MpForms, PrecisionExhaustedError,
                           ProjPointNum, ZeroPolynomialError, _cross, ball_eval,
-                          coerce_point, coord_balls, excludes_zero,
-                          matrix_adjugate, poly_from_matrix, quadric_form,
-                          resultant, subresultant, vanishes_at)
+                          coerce_point, coord_balls, excludes_zero, gauss_div,
+                          gauss_ints, gauss_mul, matrix_adjugate,
+                          poly_from_matrix, quadric_form, resultant,
+                          subresultant, vanishes_at)
 from .scalars import coerce_scalar, reconstruct_gauss, scalar_to_complex
 from .univariate import (RootFindingError, UniPoly, binary_form_roots, uni_gcd,
                          yun_squarefree)
@@ -284,7 +286,7 @@ def _fiber_lifts(parts, p2, q2, mults):
     (z0 - z0(t))^k, checked mod f coefficient by coefficient:
     (k s)^k sres_{k,j} = s C(k, j) (k s)^j sres_{k,k-1}^(k-j).  S_1 is
     computed once, S_k for k >= 2 only where S_1 does not lift; the two
-    members giving z0 are rounded once per k.
+    members giving z0 are scaled to integers once per k.
     """
     chain: Dict[int, List[HomPoly]] = {}
     forms: Dict[int, MpForms] = {}
@@ -316,33 +318,103 @@ def _fiber_lifts(parts, p2, q2, mults):
     return out
 
 
-def _newton_polish(forms: MpForms, pt_vec, prec):
-    """Newton iteration for the 2x2 system on the best affine chart;
-    ``forms`` are p, q, p's three partials and q's, rounded at ``prec``."""
-    with mp.workprec(prec):
-        v = [mp.mpc(c) for c in pt_vec]
-        chart = max(range(3), key=lambda i: abs(v[i]))
-        idx = [i for i in range(3) if i != chart]
-        v = [c / v[chart] for c in v]
-        which = (0, 1, 2 + idx[0], 2 + idx[1], 5 + idx[0], 5 + idx[1])
+def _lifted_point(k: int, lift: MpForms, hi, lo, U):
+    """U (z0, hi, lo), z0 = -sres_{k,k-1}/(k sres_{k,k}) at (0 : hi : lo),
+    as three Gaussian integers (re, im) of one representative, exactly:
+    (hi, lo) = (X1, X2) 2^E on one binary exponent, and the lifted point is
+    (-S1, k S X1, k S X2) with S, S1 the two members' ``lift.sums`` at
+    (0, X1, X2).  None when sres_{k,k} vanishes there."""
+    (_, x1, x2), _ = gauss_ints((0, hi, lo))
+    s, s1 = lift.sums(((0, 0), x1, x2))
+    if s == (0, 0):
+        return None
+    ks = (k * s[0], k * s[1])
+    vec = [(-s1[0], -s1[1]), gauss_mul(ks, x1), gauss_mul(ks, x2)]
+    return tuple(zip(_apply_matrix(U, [x[0] for x in vec]), _apply_matrix(U, [x[1] for x in vec])))
+
+
+def _norm(x) -> int:
+    return x[0] * x[0] + x[1] * x[1]
+
+
+def _sub(x, y):
+    return x[0] - y[0], x[1] - y[1]
+
+
+def _abs(x, shift: int, rnd: str):
+    """|x| 2^shift for a Gaussian integer x, rounded to 53 bits up ("u")
+    or down ("d"), an mpf tuple: the square root of |x|^2 / 4^k, its
+    bits past the first 128 dropped, is bounded by isqrt and isqrt + 1."""
+    n = _norm(x)
+    if not n:
+        return libmp.fzero
+    k = max(n.bit_length() - 128, 0) // 2
+    r = math.isqrt(n >> 2 * k) + (rnd == "u")
+    return libmp.from_man_exp(r, k + shift, 53, rnd)
+
+
+def _max(x, y):
+    return x if libmp.mpf_cmp(x, y) >= 0 else y
+
+
+def _newton_polish(forms: Optional[MpForms], degrees, w, prec):
+    """The point with representative w (three Gaussian integers) on its
+    best affine chart, rounded once to mpc at ``prec``, and its radius.
+
+    The chart's coordinates are fixed-point Gaussian integers z = Z / 2^F,
+    with prec + 32 bits below the smallest nonzero one (F >= prec + 32).
+    With ``forms`` (p, q, p's three partials and q's; ``degrees`` are
+    those of p and q), Newton's iteration for p = q = 0 runs on them: the
+    residuals and the Jacobian are exact (``MpForms.sums``, L times the
+    forms; L cancels from every test below), so the quantization of each
+    iterate is the only rounding.  The singular test
+    |det J| <= max |J_ij|^2 2^(16 - prec) and the stop test
+    max |dz| < 2^(16 - prec) are decided on the integers; the radius is
+    res / |det J| * ||J||_inf * 8 + 2^(16 - prec), res the larger
+    residual, from magnitudes rounded up at 53 bits.  Without ``forms``
+    (a multiple point, where Newton's steps are noise) or at a singular
+    Jacobian, the point stays where it is with the radius 2^(-prec/4)."""
+    norms = [_norm(x) for x in w]
+    chart = max(range(3), key=norms.__getitem__)
+    a, b = (i for i in range(3) if i != chart)
+    F = prec + 32 + max([(norms[chart].bit_length() - n.bit_length()) // 2 + 1
+                         for n in (norms[a], norms[b]) if n] + [0])
+    z = [gauss_div(x, w[chart], F) for x in w]
+    radius = None
+    if forms is not None:
+        # The exact rows are L 2^A times p's row and L 2^B times q's,
+        # A = (deg p - 1) F and B = (deg q - 1) F.  With u = max(B - A, 0)
+        # and v = max(A - B, 0), the singular test squared and multiplied
+        # by L^4 4^(A + B) 4^(prec - 16 + u + v) reads
+        # |det|^2 4^(prec - 16 + u + v) <= max(|J_p|^4 16^u, |J_q|^4 16^v)
+        # in the exact entries, |J_p| and |J_q| the largest of each row.
+        dp, dq = degrees
+        A, B = (dp - 1) * F, (dq - 1) * F
+        u, v = max(B - A, 0), max(A - B, 0)
+        which = (0, 1, 2 + a, 2 + b, 5 + a, 5 + b)
         for _ in range(30):
-            fv, gv, pa, pb, qa, qb = forms.values(v, which)
-            J = [[pa, pb], [qa, qb]]
-            det = J[0][0] * J[1][1] - J[0][1] * J[1][0]
-            # singular at working precision, as at a multiple point: a step is noise
-            if abs(det) <= max(abs(x) for row in J for x in row) ** 2 * mp.mpf(2) ** (16 - prec):
-                det = mp.mpf(0)
+            f, g, pa, pb, qa, qb = forms.sums(z, which)
+            det = _sub(gauss_mul(pa, qb), gauss_mul(pb, qa))
+            jp, jq = max(_norm(pa), _norm(pb)), max(_norm(qa), _norm(qb))
+            if _norm(det) << 2 * (prec - 16 + u + v) <= max(jp * jp << 4 * u, jq * jq << 4 * v):
+                det = None  # singular at working precision: a step is noise
                 break
-            dx = (fv * J[1][1] - gv * J[0][1]) / det
-            dy = (gv * J[0][0] - fv * J[1][0]) / det
-            v[idx[0]] -= dx
-            v[idx[1]] -= dy
-            if max(abs(dx), abs(dy)) < mp.mpf(2) ** (16 - prec):
+            dx = gauss_div(_sub(gauss_mul(f, qb), gauss_mul(g, pb)), det)
+            dy = gauss_div(_sub(gauss_mul(g, pa), gauss_mul(f, qa)), det)
+            z[a], z[b] = _sub(z[a], dx), _sub(z[b], dy)
+            if max(_norm(dx), _norm(dy)) < 1 << 2 * (16 - prec + F):
                 break
-        res = max(abs(x) for x in forms.values(v, (0, 1)))
-        Jn = max(sum(abs(x) for x in row) for row in J) if abs(det) else mp.mpf(1)
-        radius = res / abs(det) * Jn * 8 + mp.mpf(2) ** (16 - prec) if abs(det) else mp.mpf(2) ** (-prec // 4)
-        return tuple(v), radius
+        if det is not None:
+            f, g = forms.sums(z, (0, 1))
+            res = _max(_abs(f, -dp * F, "u"), _abs(g, -dq * F, "u"))
+            jn = _max(libmp.mpf_add(_abs(pa, -A, "u"), _abs(pb, -A, "u"), 53, "u"),
+                      libmp.mpf_add(_abs(qa, -B, "u"), _abs(qb, -B, "u"), 53, "u"))
+            core = libmp.mpf_div(libmp.mpf_mul(res, jn, 53, "u"), _abs(det, -A - B, "d"), 53, "u")
+            radius = mp.make_mpf(libmp.mpf_add(libmp.mpf_shift(core, 3),
+                                               libmp.from_man_exp(1, 16 - prec), 53, "u"))
+    point = tuple(mp.make_mpc((libmp.from_man_exp(x, -F, prec, "n"),
+                               libmp.from_man_exp(y, -F, prec, "n"))) for x, y in z)
+    return point, mp.mpf(2) ** (-prec // 4) if radius is None else radius
 
 
 def intersection_points(p: HomPoly, q: HomPoly, *,
@@ -403,8 +475,10 @@ def _try_intersection(p, q, U, prec, target):
 
     Each root t of the resultant Res_{z0} gives a fiber: exact roots are
     solved by an exact gcd, numeric ones lift by the subresultant chain
-    (_fiber_lifts); each numeric point is then polished by Newton on p, q
-    and their partials, rounded once per change.  A fiber with more than
+    (_fiber_lifts), exactly on Gaussian integers together with U
+    (_lifted_point); each numeric simple point is then polished by Newton
+    on p, q and their partials, scaled to integers once per change, and a
+    multiple point keeps its lift.  A fiber with more than
     one point, a Yun factor whose roots need different subresultants, a
     wrong Bezout sum or two equal points rejects the change.
 
@@ -434,11 +508,14 @@ def _try_intersection(p, q, U, prec, target):
                 return None
             pt = ProjPointNum.from_exact(_apply_matrix(U, (z0,) + exact))
         else:
-            k, lift = lifts[mult]
-            s, s1 = lift.values((0, hi, lo))  # sres_{k,k} and sres_{k,k-1}
-            z = _apply_matrix(U, [mp.mpc(x) for x in (-s1 / (k * s), hi, lo)])
-            polish = polish or MpForms((p, q) + p.gradient() + q.gradient())
-            polished, prad = _newton_polish(polish, z, prec)
+            w = _lifted_point(*lifts[mult], hi, lo, U)
+            if w is None:
+                return None
+            if mult == 1:
+                polish = polish or MpForms((p, q) + p.gradient() + q.gradient())
+            # a multiple point keeps its lift
+            polished, prad = _newton_polish(polish if mult == 1 else None,
+                                            (p.degree, q.degree), w, prec)
             pt = ProjPointNum(polished, prad)
             rec_exact = _try_exact_recovery(p, q, polished)
             if rec_exact is not None:

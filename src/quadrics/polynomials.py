@@ -27,6 +27,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import mpmath as mp
+from mpmath import libmp
 
 from .config import scoped
 from .linalg import det, rank
@@ -77,31 +78,110 @@ def scalar_to_mp(x):
     return mp.mpf(x.numerator) / x.denominator
 
 
-class MpForms:
-    """Forms evaluated at numeric points, each coefficient rounded once
-    (``scalar_to_mp``) at the working precision of every ``values`` call.
-    ``values`` takes each ``x ** k`` once per point and multiplies a term
-    by its factors of nonzero exponent in order (x ** 0 is an exact 1), so
-    each value is bit for bit the term-by-term sum from mpc(0)."""
+def gauss_mul(x, y):
+    """The product of two Gaussian integers (re, im)."""
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
-    __slots__ = ("_forms", "_stride")
+
+def round_div(a: int, b: int) -> int:
+    """a / b rounded to the nearest integer, halves up (b > 0)."""
+    return (2 * a + b) // (2 * b)
+
+
+def gauss_div(x, y, shift: int = 0):
+    """The Gaussian integer nearest to x 2^shift / y, part by part."""
+    n = y[0] * y[0] + y[1] * y[1]
+    re, im = gauss_mul(x, (y[0], -y[1]))
+    return round_div(re << shift, n), round_div(im << shift, n)
+
+
+def gauss_ints(values) -> Tuple[List[Tuple[int, int]], int]:
+    """(X, E): Gaussian integers X_k = values[k] 2^-E exactly, one binary
+    exponent E for all, the least of a nonzero part (0 if there is none).
+    A value that is not an mpc is first converted to one at the working
+    precision (exactly for a float, a complex or a small int)."""
+    parts = [(-m if sign else m, e) for v in values
+             for sign, m, e, _ in (v if isinstance(v, mp.mpc) else mp.mpc(v))._mpc_]
+    low = min((e for m, e in parts if m), default=0)
+    ints = [m << e - low if m else 0 for m, e in parts]
+    return list(zip(ints[::2], ints[1::2])), low
+
+
+class MpForms:
+    """Forms evaluated exactly on Gaussian integers.
+
+    Each form is scaled once, at construction, to integer coefficients
+    (``scalars.integral``, one lcm L for all the forms, a coefficient in
+    Z[i] only where it is Gaussian).  ``sums`` gives L times each form at a
+    point of three Gaussian integers, exactly: each power of a coordinate
+    and each monomial is taken once per point.  ``values`` puts a numeric
+    point on Gaussian integers with one binary exponent (``gauss_ints``)
+    and rounds each exact value once to the working precision, so every
+    value is correctly rounded."""
+
+    __slots__ = ("_forms", "_monomials", "_degrees", "_scale")
 
     def __init__(self, polys: Sequence["HomPoly"]):
-        self._stride = max([p.degree for p in polys] + [0]) + 1
-        self._forms = [[(scalar_to_mp(c), [i * self._stride + k for i, k in enumerate(e) if k])
-                        for e, c in p.terms.items()] for p in polys]
+        ints, self._scale = integral([c for p in polys for c in p.terms.values()])
+        ints = iter(ints)
+        index: Dict[Expo, int] = {}
+        self._forms = []
+        for p in polys:
+            terms = []
+            for e in p.terms:
+                c = next(ints)
+                c = (c.re.numerator, c.im.numerator) if isinstance(c, GaussRat) else (c, 0)
+                terms.append((index.setdefault(e, len(index)), c))
+            self._forms.append(terms)
+        self._monomials = list(index)
+        self._degrees = [p.degree for p in polys]
+
+    def sums(self, point, which: Optional[Sequence[int]] = None) -> List[Tuple[int, int]]:
+        """L times the forms listed in ``which`` (all by default) at a point
+        of three Gaussian integers (re, im), as exact Gaussian integers."""
+        which = range(len(self._forms)) if which is None else which
+        top = max([self._degrees[j] for j in which] + [0])
+        powers = []
+        for x in point:
+            row = [(1, 0)]
+            for _ in range(top):
+                row.append(gauss_mul(row[-1], x))
+            powers.append(row)
+        monomials = [None] * len(self._monomials)
+        out = []
+        for j in which:
+            sr = si = 0
+            for m, (cr, ci) in self._forms[j]:
+                mono = monomials[m]
+                if mono is None:
+                    mr, mi = 1, 0
+                    for row, k in zip(powers, self._monomials[m]):
+                        if k:
+                            xr, xi = row[k]
+                            mr, mi = mr * xr - mi * xi, mr * xi + mi * xr
+                    mono = monomials[m] = mr, mi
+                if ci:
+                    tr, ti = gauss_mul((cr, ci), mono)
+                    sr += tr
+                    si += ti
+                else:
+                    sr += cr * mono[0]
+                    si += cr * mono[1]
+            out.append((sr, si))
+        return out
 
     def values(self, point, which: Optional[Sequence[int]] = None) -> List:
-        """The values of the forms listed in ``which`` (all by default)."""
-        powers = [x ** k for x in point for k in range(self._stride)]
+        """The values of the forms listed in ``which`` (all by default) at
+        a numeric point, each the exact value rounded once."""
+        which = range(len(self._forms)) if which is None else which
+        ints, low = gauss_ints(point)
+        prec, L = mp.mp.prec, self._scale
         out = []
-        for j in range(len(self._forms)) if which is None else which:
-            total = mp.mpc(0)
-            for c, factors in self._forms[j]:
-                for f in factors:
-                    c = c * powers[f]
-                total += c
-            out.append(total)
+        for j, s in zip(which, self.sums(ints, which)):
+            shift = self._degrees[j] * low
+            # the value is s 2^shift / L
+            out.append(mp.make_mpc(tuple(
+                libmp.mpf_shift(libmp.from_rational(x, L, prec, "n"), shift) for x in s)))
         return out
 
 

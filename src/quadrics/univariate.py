@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 import mpmath as mp
 import numpy as np
 
-from .polynomials import poly_exquo, poly_mul, poly_sub, trim
+from .polynomials import gauss_ints, poly_exquo, poly_mul, poly_sub, round_div, trim
 from .scalars import (GaussRat, Scalar, coerce_scalar, gauss_sqrt, integral,
                       scalar_to_complex)
 
@@ -231,15 +231,6 @@ class RootFindingError(ArithmeticError):
     """Durand-Kerner did not converge within its step limit."""
 
 
-def _gauss_ints(cs) -> List[Tuple[int, int]]:
-    """Gaussian integers A_k with cs[k] = A_k * 2^E exactly, one E for all:
-    each mpc part is m * 2^e, so scaling by 2^-E moves no root."""
-    parts = [(-m if sign else m, e) for c in cs for sign, m, e, _ in c._mpc_]
-    low = min(e for m, e in parts if m)
-    ints = [m << e - low if m else 0 for m, e in parts]
-    return list(zip(ints[::2], ints[1::2]))
-
-
 def _horner(a, x, y, f):
     """2^(n f) p(z) and 2^((n - 1) f) p'(z) at z = (x + i y) / 2^f, exact
     in Gaussian integers (Gauss's three products per multiplication)."""
@@ -254,10 +245,6 @@ def _horner(a, x, y, f):
         ar, ai = a[k]
         br, bi = k1 - bi * s + (ar << f * (n - k)), k1 + br * d + (ai << f * (n - k))
     return br, bi, cr, ci
-
-
-def _round_div(a: int, b: int) -> int:
-    return (2 * a + b) // (2 * b)
 
 
 def _newton_root(a, seed: complex, prec: int):
@@ -296,7 +283,7 @@ def _newton_root(a, seed: complex, prec: int):
         # dz 2^g = P 2^(g - f) / P'
         qr, qi = (br * cr + bi * ci) << g - f, (bi * cr - br * ci) << g - f
         disk = (x, y, f, num, den)
-        x, y = (x << g - f) - _round_div(qr, den), (y << g - f) - _round_div(qi, den)
+        x, y = (x << g - f) - round_div(qr, den), (y << g - f) - round_div(qi, den)
         f = g
         if done:
             # a part that outlives polyroots' cleanup (at least eps(prec),
@@ -332,7 +319,7 @@ def _newton_roots(cs, seeds, prec: int) -> Optional[List[mp.mpc]]:
     by ``_newton_root`` from each seed, rounded once to ``prec`` bits,
     with a part below eps(prec) dropped as polyroots does; None unless
     every seed converges and the disks are isolated."""
-    a = _gauss_ints(cs)
+    a, _ = gauss_ints(cs)  # one power of 2 off the coefficients moves no root
     found = [_newton_root(a, complex(s), prec) for s in seeds]
     if None in found or not _isolated([r[3] for r in found], len(a) - 1):
         return None

@@ -1,9 +1,9 @@
 """References that only the tests use: exact decisions, the distance of
 two numeric points, the ``HomPoly.compose`` on Fraction term maps that
-the integer expansion took the place of, the term-by-term form
-evaluation that polynomials.MpForms took the place of, the
-exponential-sum evaluators that ExpSum._scaled took the place of, and
-T(r) by mpmath quadrature."""
+the integer expansion took the place of, the Newton polish on mpc values
+that the exact-integer polish took the place of, the exponential-sum
+evaluators that ExpSum._scaled took the place of, and T(r) by mpmath
+quadrature."""
 
 import cmath
 import itertools
@@ -66,13 +66,34 @@ def point_distance(a, b):
     return max(abs(x / fa - y / fb) for x, y in zip(a, b))
 
 
-def reference_eval_mpc(p: HomPoly, point):
-    """HomPoly.eval_mpc before MpForms, kept verbatim: each term rounds its
-    coefficient and raises every coordinate to its exponent again."""
-    total = mp.mpc(0)
-    for e, c in p.terms.items():
-        total += scalar_to_mp(c) * point[0] ** e[0] * point[1] ** e[1] * point[2] ** e[2]
-    return total
+def reference_newton_polish(forms, pt_vec, prec):
+    """arrangements._newton_polish before the exact-integer polish, kept
+    verbatim: Newton's iteration on mpc values of ``forms`` (p, q, p's
+    three partials and q's) at ``prec`` on the best affine chart."""
+    with mp.workprec(prec):
+        v = [mp.mpc(c) for c in pt_vec]
+        chart = max(range(3), key=lambda i: abs(v[i]))
+        idx = [i for i in range(3) if i != chart]
+        v = [c / v[chart] for c in v]
+        which = (0, 1, 2 + idx[0], 2 + idx[1], 5 + idx[0], 5 + idx[1])
+        for _ in range(30):
+            fv, gv, pa, pb, qa, qb = forms.values(v, which)
+            J = [[pa, pb], [qa, qb]]
+            det = J[0][0] * J[1][1] - J[0][1] * J[1][0]
+            # singular at working precision, as at a multiple point: a step is noise
+            if abs(det) <= max(abs(x) for row in J for x in row) ** 2 * mp.mpf(2) ** (16 - prec):
+                det = mp.mpf(0)
+                break
+            dx = (fv * J[1][1] - gv * J[0][1]) / det
+            dy = (gv * J[0][0] - fv * J[1][0]) / det
+            v[idx[0]] -= dx
+            v[idx[1]] -= dy
+            if max(abs(dx), abs(dy)) < mp.mpf(2) ** (16 - prec):
+                break
+        res = max(abs(x) for x in forms.values(v, (0, 1)))
+        Jn = max(sum(abs(x) for x in row) for row in J) if abs(det) else mp.mpf(1)
+        radius = res / abs(det) * Jn * 8 + mp.mpf(2) ** (16 - prec) if abs(det) else mp.mpf(2) ** (-prec // 4)
+        return tuple(v), radius
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quadrics.arrangements import (CommonComponentError, Configuration,
@@ -25,10 +25,10 @@ from quadrics.arrangements import (CommonComponentError, Configuration,
                                    NotExactPointError,
                                    SingularPointError, InfinitelyManySolutionsError)
 from quadrics.config import DEFAULT_PRECISION, PrecisionConfig
-from quadrics.polynomials import HomPoly, ProjPointNum, ZeroPolynomialError, parse_poly
+from quadrics.polynomials import HomPoly, MpForms, ProjPointNum, ZeroPolynomialError, parse_poly
 from quadrics.squares import pencil_rank1_members
 
-from exact_reference import has_common_component, point_distance
+from exact_reference import has_common_component, point_distance, reference_newton_polish
 
 P1 = parse_poly("z0^2 - z1*z2")
 P2 = parse_poly("z1^2 - z0*z2")
@@ -196,6 +196,56 @@ def test_fiber_lift_climbs_the_chain_where_s1_shares_a_root(monkeypatch, p, q, k
         assert all(x.endswith(" + 0.0j)") for x in r.point.to_decimal_strings(30))
 
 
+def test_tangency_points_keep_their_lift():
+    """z0^3 + z1^3 - 7 z2^3 and that plus (z0 + z1 + 3 z2)^2 z1 touch at
+    (-w - 3 : w : 1), 9 w^2 + 27 w + 34 = 0.  There the Jacobian is
+    nearly singular, so Newton's steps are noise (they moved the lift by
+    about 1e-15); a point of multiplicity 2 keeps its subresultant lift,
+    with radius 2^(-prec/4)."""
+    p = parse_poly("z0^3 + z1^3 - 7*z2^3")
+    q = p + parse_poly("(z0 + z1 + 3*z2)^2*z1")
+    recs = [r for r in intersection_points(p, q) if r.multiplicity > 1 and not r.point.is_exact()]
+    assert [(r.multiplicity, r.tangential) for r in recs] == [(2, True), (2, True)]
+    with mp.workprec(DEFAULT_PRECISION.start_bits):
+        assert all(r.point.radius == mp.mpf(2) ** (-DEFAULT_PRECISION.start_bits // 4)
+                   for r in recs)
+        ws = [(-27 + s * mp.sqrt(495) * 1j) / 18 for s in (1, -1)]
+        want = [ProjPointNum((-w - 3, w, 1)) for w in ws]
+        assert all(min(point_distance(r.point, x) for x in want) < 1e-60 for r in recs)
+
+
+_PAIR_DEGREES = [(1, 2), (2, 2), (3, 2), (3, 3), (4, 3)]
+
+
+def _integer_form(rng, d, scale):
+    """A dense form of degree d, coefficients in [-4, 4], z0^d's nonzero;
+    z0 enters as 2^scale z0, so the points' z0 are 2^-scale times those
+    of the unscaled pair."""
+    terms = {(a, b, d - a - b): rng.randint(-4, 4) for a in range(d + 1) for b in range(d + 1 - a)}
+    terms[(d, 0, 0)] = rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])
+    return HomPoly({e: Fraction(2) ** (scale * e[0]) * c for e, c in terms.items() if c})
+
+
+@given(st.sampled_from(_PAIR_DEGREES), st.sampled_from([0, 200, -200]), st.sampled_from([256, 512]),
+       st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_radius_covers_the_true_point(degrees, scale, bits, rng):
+    """Each numeric simple point lies within its radius of the point that
+    the mpc Newton polish (``reference_newton_polish``) reaches from it at
+    1024 bits; with z0 scaled by 2^+-200, coordinate parts near 2^+-200."""
+    p, q = (_integer_form(rng, d, scale) for d in degrees)
+    assume(not has_common_component(p, q))
+    recs = intersection_points(p, q, precision=PrecisionConfig(bits, bits))
+    forms = MpForms((p, q) + p.gradient() + q.gradient())
+    for r in recs:
+        if r.multiplicity > 1 or r.point.is_exact():
+            continue
+        ref, ref_radius = reference_newton_polish(forms, r.point.coords, 1024)
+        with mp.workprec(1024):
+            assert ref_radius < mp.mpf(2) ** -900
+            assert point_distance(r.point, ProjPointNum(ref)) <= r.point.radius
+
+
 def test_two_points_per_fiber_reject_the_change(monkeypatch):
     """(z0^2 + z1^2 - 3 z2^2, z0^2 - z1^2 + z2^2) meet at (+-1 : +-sqrt 2 : 1):
     two points above each root of t^2 - 2, where S_2 = z0^2 - 1 is no
@@ -291,9 +341,11 @@ def test_intersection_runs_yun_once_per_resultant(monkeypatch):
 
 def test_intersection_rounds_each_form_once_per_change(monkeypatch):
     """Two cubics meeting in 9 numeric points: no root radius is computed,
-    and scalar_to_mp rounds at most each term of p, q, their six partials
-    (once per coordinate change) and of the two members of each
-    subresultant chain that lifts fibers."""
+    and MpForms scales to integers at most each term of p, q, their six
+    partials (once per coordinate change) and of the two members of each
+    subresultant chain that lifts fibers, never once per point."""
+    import sys
+
     import quadrics.arrangements as arr
     import quadrics.polynomials as polys
     import quadrics.univariate as uni
@@ -304,7 +356,15 @@ def test_intersection_rounds_each_form_once_per_change(monkeypatch):
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args: counts.update([name]) or real(*args))
 
-    count(polys, "scalar_to_mp")
+    methods = {f.__code__ for f in vars(polys.MpForms).values() if hasattr(f, "__code__")}
+
+    def integral(coeffs, *args):
+        if sys._getframe(1).f_code in methods:
+            counts["scaled"] += len(coeffs)
+        return scalars_integral(coeffs, *args)
+
+    scalars_integral = polys.integral
+    monkeypatch.setattr(polys, "integral", integral)
     count(uni, "_certify_radius")
     count(arr, "_try_intersection")
     monkeypatch.setattr(arr, "subresultant",
@@ -317,7 +377,7 @@ def test_intersection_rounds_each_form_once_per_change(monkeypatch):
     bound = (counts["_try_intersection"] * sum(len(f.terms) for f in forms)
              + sum(len(m.terms) for chain in chains for m in chain[:2]))
     assert counts["_certify_radius"] == 0
-    assert 0 < counts["scalar_to_mp"] <= bound
+    assert 0 < counts["scaled"] <= bound
 
 
 def test_line_conic_intersections(example_net):

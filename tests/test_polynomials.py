@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from mpmath import libmp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +17,7 @@ from quadrics.polynomials import (Ball, DegenerateLeadingFormError, HomPoly,
                                   subresultant, vanishes_at)
 from quadrics.scalars import GaussRat
 
-from exact_reference import point_distance, reference_compose, reference_eval_mpc
+from exact_reference import point_distance, reference_compose
 
 z0, z1, z2 = (HomPoly.variable(i) for i in range(3))
 
@@ -439,7 +440,7 @@ def _forms(draw):
 @st.composite
 def _coordinates(draw):
     """0, 1, a Python complex, or an mpc rounded at 53 to 1100 bits (so
-    finer than the evaluation, where x ** 1 rounds it)."""
+    also finer than the evaluation, which takes it exactly)."""
     kind = draw(st.sampled_from(["int", "complex", "mpc"]))
     if kind == "int":
         return draw(st.sampled_from([0, 1]))
@@ -450,22 +451,35 @@ def _coordinates(draw):
         return mp.mpc(mp.mpf(re.numerator) / re.denominator, mp.mpf(im.numerator) / im.denominator)
 
 
+def _exact_coordinate(x):
+    """A drawn coordinate as an exact Gaussian rational."""
+    if isinstance(x, int):
+        return Fraction(x)
+    parts = x._mpc_ if isinstance(x, mp.mpc) else (mp.mpf(x.real)._mpf_, mp.mpf(x.imag)._mpf_)
+    return GaussRat(*(Fraction(-m if sign else m) * Fraction(2) ** e for sign, m, e, _ in parts))
+
+
 @given(st.lists(_forms(), min_size=1, max_size=4), st.lists(_coordinates(), min_size=3, max_size=3),
        st.sampled_from([53, 256, 1024]), st.randoms(use_true_random=False))
 @settings(max_examples=300, deadline=None, derandomize=True)
-def test_mp_forms_match_term_by_term_evaluation(forms, point, bits, rng):
-    """A power table per point and coefficients rounded once leave every
-    bit as it was: each value equals the term-by-term sum, real and
-    imaginary parts alike, for all forms, for a subset in any order, and
-    through HomPoly.eval_mpc."""
+def test_mp_forms_round_the_exact_value_once(forms, point, bits, rng):
+    """Each value is the exact value of the form at the point (a Fraction
+    sum) rounded once to the working precision, bit for bit in the real
+    and imaginary parts, for all forms, for a subset in any order, and
+    through HomPoly.eval_mpc: at least as accurate as a term-by-term sum."""
     which = rng.sample(range(len(forms)), rng.randint(1, len(forms)))
+    exact = [_exact_coordinate(x) for x in point]
+    want = []
+    for f in forms:
+        v = GaussRat(0) + f.eval_exact(exact)
+        want.append(tuple(libmp.from_rational(x.numerator, x.denominator, bits, "n")
+                          for x in (v.re, v.im)))
     with mp.workprec(bits):
-        want = [reference_eval_mpc(f, point) for f in forms]
         evaluator = MpForms(forms)
         got = [evaluator.values(point), evaluator.values(point, which),
                [f.eval_mpc(point) for f in forms]]
     for values, order in zip(got, [range(len(forms)), which, range(len(forms))]):
-        assert [(v.real, v.imag) for v in values] == [(want[j].real, want[j].imag) for j in order]
+        assert [(v.real._mpf_, v.imag._mpf_) for v in values] == [want[j] for j in order]
 
 
 _gauss_ints = st.builds(GaussRat, st.integers(-3, 3), st.integers(-3, 3))

@@ -14,12 +14,15 @@ of the cached term coefficients, and no ``numpy.polyval`` copy of it is
 left, so points and arrays are evaluated by the same code.
 
 One evaluator for forms at numeric points: ``polynomials.MpForms``
-rounds a form's coefficients once and evaluates it on one power table
-per point.  ``scalar_to_mp`` is called only there and in ``Ball.exact``,
-``HomPoly.eval_mpc`` delegates to it with no loop of its own, and no
-library code calls ``eval_mpc`` on a form, which would round every
-coefficient again on each call (``_certify_radius`` evaluates a
-``UniPoly``).
+scales a form once to integer coefficients and sums its terms exactly on
+Gaussian integers, over one power table per point; no other code sums a
+form's terms at a numeric point (Balls aside, which carry their own
+error).  ``scalar_to_mp`` is called only in ``Ball.exact``,
+``HomPoly.eval_mpc`` delegates to ``MpForms`` with no loop of its own,
+and no library code calls ``eval_mpc`` on a form, which would scale
+every coefficient again on each call (``_certify_radius`` evaluates a
+``UniPoly``).  Only ``MpForms``'s own methods read its slots:
+``arrangements`` lifts and polishes through ``sums`` and ``values``.
 
 A root radius is computed only where it is read: ``_certify_radius`` is
 referenced only by the lazy ``RootBall.radius``.
@@ -39,6 +42,7 @@ import ast
 import os
 
 import quadrics
+from quadrics.polynomials import MpForms
 
 PACKAGE = os.path.dirname(os.path.abspath(quadrics.__file__))
 
@@ -101,8 +105,10 @@ def test_certify_radius_is_called_only_by_the_lazy_radius():
 
 def test_forms_are_evaluated_only_by_mp_forms():
     assert sorted(set(_references("scalar_to_mp"))) == [
-        ("polynomials.py", "Ball.exact"), ("polynomials.py", "MpForms.__init__"),
-        ("polynomials.py", "scalar_to_mp")]
+        ("polynomials.py", "Ball.exact"), ("polynomials.py", "scalar_to_mp")]
+    for slot in MpForms.__slots__:
+        assert {(name, scope.split(".")[0]) for name, scope in _references(slot)} == {
+            ("polynomials.py", "MpForms")}, slot
     assert {name for name, _ in _references("eval_mpc")} == {"univariate.py"}
     tree = dict(_trees())["polynomials.py"]
     method = next(node for cls in tree.body if getattr(cls, "name", None) == "HomPoly"
