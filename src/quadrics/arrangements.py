@@ -20,6 +20,7 @@ undecided and escalates working precision up to the configured cap.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -193,6 +194,75 @@ def lines_distinct(l1: NumLine, l2: NumLine):
     if l1.exact is not None and l2.exact is not None:
         return l1.exact != l2.exact and l1.exact != -l2.exact
     return True if excludes_zero(ball_eval(_cross, l1, l2)) else None
+
+
+@functools.lru_cache(maxsize=None)
+def _subsets(n: int, k: int) -> np.ndarray:
+    """The k-subsets of range(n) in itertools.combinations order, one
+    column each (read-only: the cache shares it)."""
+    out = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp).reshape(-1, k).T
+    out.flags.writeable = False
+    return out
+
+
+def _stacked(objs):
+    """The double coordinate Balls of lines or points as one vector of
+    array Balls, an element per object.  An object whose doubles overflow
+    gets NaN within an infinite radius, which excludes nothing."""
+    mid = np.full((3, len(objs)), np.nan, dtype=complex)
+    rad = np.full((3, len(objs)), np.inf)
+    for n, obj in enumerate(objs):
+        try:
+            balls = obj.balls(True)
+        except OverflowError:
+            continue
+        mid[:, n] = [b.mid for b in balls]
+        rad[:, n] = [b.rad for b in balls]
+    return tuple(Ball(mid[k], rad[k]) for k in range(3))
+
+
+def _take(vec, idx):
+    return tuple(Ball(b.mid[idx], b.rad[idx]) for b in vec)
+
+
+def _double_line_pass(lines: Sequence[NumLine], points: Sequence[ProjPointNum] = ()):
+    """The double pass of the line predicates for every pair, triple and
+    incidence at once, on array Balls: which pairs a < b are certainly
+    distinct (l_a x l_b excludes zero), which triples a < b < c certainly
+    not concurrent (det = l_a . (l_b x l_c), on the pair's cross product)
+    and which points p certainly off which lines l (l . p), as boolean
+    tables distinct[a, b], apart[a, b, c] and off[p, l].  A row whose
+    operands are all exact is left open for its exact decision, and so is
+    any row that does not exclude zero here: the scalar predicates decide
+    those as before."""
+    n = len(lines)
+    exact = np.array([l.exact is not None for l in lines], dtype=bool)
+    pexact = np.array([p.is_exact() for p in points], dtype=bool)
+    distinct = np.zeros((n, n), dtype=bool)
+    apart = np.zeros((n, n, n), dtype=bool)
+    off = np.zeros((len(points), n), dtype=bool)
+    vecs = _stacked(lines)
+    with np.errstate(all="ignore"):
+        a, b = _subsets(n, 2)
+        cross = _cross(_take(vecs, a), _take(vecs, b))
+        distinct[a, b] = ((cross[0].excludes_zero() | cross[1].excludes_zero()
+                           | cross[2].excludes_zero()) & ~(exact[a] & exact[b]))
+        pair = np.zeros((n, n), dtype=np.intp)
+        pair[a, b] = np.arange(a.size)
+        a, b, c = _subsets(n, 3)
+        det = _dot(_take(vecs, a), _take(cross, pair[b, c]))
+        apart[a, b, c] = det.excludes_zero() & ~(exact[a] & exact[b] & exact[c])
+        p, l = np.divmod(np.arange(off.size), n)
+        value = _dot(_take(vecs, l), _take(_stacked(points), p))
+        off[p, l] = value.excludes_zero() & ~(exact[l] & pexact[p])
+    return distinct, apart, off
+
+
+def _open_rows(table, idx, k: int):
+    """The k-subsets of positions in ``idx`` (combinations order) whose
+    row of ``table``, indexed by the lines idx[.], is not settled."""
+    rows = _subsets(len(idx), k)
+    return rows[:, ~table[tuple(np.asarray(idx)[rows])]].T.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -825,16 +895,24 @@ def common_tangents(q1: HomPoly, q2: HomPoly, prec_cfg) -> List[ProjPointNum]:
     return [rec.point for rec in intersection_points(d1, d2, precision=prec_cfg)]
 
 
-def _contact_point(adj, line_pt: ProjPointNum, bits: int) -> ProjPointNum:
+def _adjugate_balls(adj, bits: int):
+    """The entries of ``adj`` as Balls at the contact points' precision,
+    ``bits`` or the ambient precision if higher: built once per conic."""
+    with mp.workprec(max(bits, mp.mp.prec)):
+        return [[Ball.exact(a, False) for a in row] for row in adj]
+
+
+def _contact_point(adj, adj_balls, line_pt: ProjPointNum, bits: int) -> ProjPointNum:
     """Pole of a tangent line: the point where it touches the conic whose
-    matrix has adjugate ``adj``.  A numeric pole is formed on Balls at
-    ``bits`` (the ambient precision if higher), so that its radius covers
-    the rounding as well."""
+    matrix has adjugate ``adj`` (``adj_balls`` from ``_adjugate_balls`` at
+    the same ``bits``).  A numeric pole is formed on Balls at ``bits`` (the
+    ambient precision if higher), so that its radius covers the rounding
+    as well."""
     if line_pt.is_exact():
         return ProjPointNum.from_exact([_dot(row, line_pt.exact) for row in adj])
     with mp.workprec(max(bits, mp.mp.prec)):
         ell = line_pt.balls(False)
-        v = [_dot([Ball.exact(a, False) for a in row], ell) for row in adj]
+        v = [_dot(row, ell) for row in adj_balls]
         # normalizing divides by sup|mid|; 2^(4-p) covers its rounding
         rad = max(b.rad for b in v) / _sup([b.mid for b in v]) * 2 + mp.mpf(2) ** (4 - mp.mp.prec)
         return ProjPointNum([b.mid for b in v], rad)
@@ -915,9 +993,10 @@ def _tangent_contact_verdict(groups, fail_note, prec_cfg) -> ConditionVerdict:
             tangents = common_tangents(c1, c2, prec_cfg)
         except (CommonComponentError, PrecisionExhaustedError):
             return ConditionVerdict("undecided", note="degenerate dual intersection")
+        balls1, balls2 = _adjugate_balls(adj1, bits), _adjugate_balls(adj2, bits)
         for ell in tangents:
-            P = _contact_point(adj1, ell, prec_cfg.start_bits)
-            Q = _contact_point(adj2, ell, prec_cfg.start_bits)
+            P = _contact_point(adj1, balls1, ell, bits)
+            Q = _contact_point(adj2, balls2, ell, bits)
             for fP, fQ in curve_pairs:
                 with mp.workprec(bits):
                     onP = vanishes_at(fP, P)
@@ -976,6 +1055,7 @@ def _condition5_d111(cfg, prec_cfg) -> ConditionVerdict:
     unsure: Dict[str, List[ProjPointNum]] = {}
     failed = []
     bits = max(prec_cfg.start_bits, mp.mp.prec)  # the contact points' precision
+    adj_balls = _adjugate_balls(adj, bits)
     for a, b in itertools.combinations(range(3), 2):
         c = 3 - a - b
         X = _cross_exact(lines[a].linear_coeffs(), lines[b].linear_coeffs())
@@ -990,7 +1070,7 @@ def _condition5_d111(cfg, prec_cfg) -> ConditionVerdict:
                           f"not found ({type(exc).__name__})")
             continue
         for rec in duals:
-            P = _contact_point(adj, rec.point, prec_cfg.start_bits)
+            P = _contact_point(adj, adj_balls, rec.point, bits)
             with mp.workprec(bits):
                 on = vanishes_at(lines[c], P)
             if on is None:
@@ -1012,6 +1092,7 @@ def _condition5_d111(cfg, prec_cfg) -> ConditionVerdict:
 # ---------------------------------------------------------------------------
 
 PAIRINGS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
+GROUPS = ((0, 1), (0, 2), (1, 2))  # the quadric pairs, in canonical order
 
 
 @dataclass
@@ -1036,7 +1117,7 @@ class LineSystem:
 
     def all_lines(self) -> List[LineInfo]:
         out = []
-        for g in ((0, 1), (0, 2), (1, 2)):
+        for g in GROUPS:
             out.extend(self.groups[g])
         return out
 
@@ -1072,7 +1153,7 @@ def build_line_system(q1: HomPoly, q2: HomPoly, q3: HomPoly,
     polys = [q1, q2, q3]
     points: Dict[Tuple[int, int], List[ProjPointNum]] = {}
     groups: Dict[Tuple[int, int], List[LineInfo]] = {}
-    for i, j in ((0, 1), (0, 2), (1, 2)):
+    for i, j in GROUPS:
         recs = intersection_points(polys[i], polys[j], precision=prec_cfg, pair=(i, j))
         if len(recs) != 4 or any(r.multiplicity != 1 for r in recs):
             raise DegenerateIntersectionError(
@@ -1142,8 +1223,14 @@ def _condition4_verdict(ls: LineSystem) -> ConditionVerdict:
     unsure = []  # what stayed inseparable, in the order found
     witnesses = []
     notes = []
+    # the double pass settles most rows at once; the rest, in the order
+    # below, go to the scalar predicates
+    keys = [(g, idx) for g, pts in ls.points.items() for idx in range(len(pts))]
+    distinct, apart, off = _double_line_pass([li.line for li in lines],
+                                             [ls.points[g][idx] for g, idx in keys])
+    positions = range(len(lines))
 
-    for a, b in itertools.combinations(range(len(lines)), 2):
+    for a, b in _open_rows(distinct, positions, 2):
         d = lines_distinct(lines[a].line, lines[b].line)
         if d is False:
             notes.append(f"lines {lines[a].label()} and {lines[b].label()} coincide")
@@ -1153,12 +1240,12 @@ def _condition4_verdict(ls: LineSystem) -> ConditionVerdict:
     # the three own lines of each intersection point, as index sets
     own = {(g, idx): frozenset(n for n, li in enumerate(lines)
                                if li.group == g and idx in li.point_ids)
-           for g, pts in ls.points.items() for idx in range(len(pts))}
+           for g, idx in keys}
 
-    for (g, idx), mine in own.items():
+    for k, ((g, idx), mine) in enumerate(own.items()):
         p = ls.points[g][idx]
         for n, li in enumerate(lines):
-            if n in mine:
+            if n in mine or off[k, n]:
                 continue
             on = li.line.passes_through(p)
             if on:
@@ -1169,7 +1256,7 @@ def _condition4_verdict(ls: LineSystem) -> ConditionVerdict:
                 unsure.append(f"line {li.label()} from intersection point {idx} of pair {g}")
 
     allowed = set(own.values())
-    for abc in itertools.combinations(range(len(lines)), 3):
+    for abc in _open_rows(apart, positions, 3):
         if frozenset(abc) in allowed:
             continue  # the allowed 3-fold concurrency at an intersection point
         trip = tuple(lines[n] for n in abc)
@@ -1216,20 +1303,23 @@ def select_general_position(ls: LineSystem) -> List[LineInfo]:
     non-concurrent).
     """
     diagnostics = []
+    lines = ls.all_lines()
+    group_of = [gi for gi, g in enumerate(GROUPS) for _ in ls.groups[g]]
+    distinct, apart, _ = _double_line_pass([li.line for li in lines])
     with mp.workprec(max(ls.precision_bits, mp.mp.prec)):
         for drop in itertools.product(range(3), repeat=3):
-            sel: List[LineInfo] = []
-            for gi, g in enumerate(((0, 1), (0, 2), (1, 2))):
-                sel.extend(li for li in ls.groups[g] if li.pairing != drop[gi])
+            # the kept lines' positions in ``lines``, in canonical order
+            idx = [n for n, li in enumerate(lines) if li.pairing != drop[group_of[n]]]
+            sel = [lines[n] for n in idx]
             ok = True
-            for a, b in itertools.combinations(range(12), 2):
+            for a, b in _open_rows(distinct, idx, 2):
                 if lines_distinct(sel[a].line, sel[b].line) is not True:
                     ok = False
                     diagnostics.append((drop, f"lines {a},{b} not distinct"))
                     break
             if not ok:
                 continue
-            for a, b, c in itertools.combinations(range(12), 3):
+            for a, b, c in _open_rows(apart, idx, 3):
                 conc = lines_concurrent(sel[a].line, sel[b].line, sel[c].line)
                 if conc is not False:
                     ok = False

@@ -377,7 +377,7 @@ class HomPoly:
 
     def eval_ball(self, z):
         """Value at a vector of Balls, term by term."""
-        double = z[0].mid.__class__ is complex
+        double = z[0].mid.__class__ is not mp.mpc
         total = Ball.exact(0, double)
         for e, c in self.terms.items():
             term = Ball.exact(c, double)
@@ -936,17 +936,29 @@ def _mp_pass(prec):
 
 
 def _pass_of(mid):
-    return _DOUBLE_PASS if mid.__class__ is complex else _mp_pass(mp.mp.prec)
+    return _mp_pass(mp.mp.prec) if mid.__class__ is mp.mpc else _DOUBLE_PASS
 
 
 class Ball:
     """A complex ball: the true value lies within ``rad`` of ``mid``, a
-    Python complex and a float in the double pass, an mpc and an mpf at
-    the working precision.  + - * add their own rounding to the radii they
-    carry, so these operations are the one error proof of every numeric
-    predicate (van der Hoeven 2010, "Ball arithmetic"; Rump 2010, Acta
-    Numerica 19, sections 2-3).  A ball with a double that overflowed
-    excludes nothing.
+    Python complex and a float, or a numpy complex128 array and a float64
+    array, in the double pass, an mpc and an mpf at the working precision.
+    + - * add their own rounding to the radii they carry, so these
+    operations are the one error proof of every numeric predicate (van der
+    Hoeven 2010, "Ball arithmetic"; Rump 2010, Acta Numerica 19, sections
+    2-3).  A ball with a double that overflowed excludes nothing.
+
+    Arrays are balls elementwise (midpoint-radius arithmetic in vector
+    form, Rump 1999, BIT 39, "Fast and parallel interval arithmetic"), with
+    the constants of the scalar double pass, and the proof carries over:
+    numpy rounds a complex sum as Python does, and its complex product
+    errs by at most sqrt(5) u relative to |x y| without a fused
+    multiply-add (Brent, Percival & Zimmermann) and 2u with one
+    (Jeannerod, Kornerup, Louvet & Muller 2017, Math. Comp. 86), u = 2^-53,
+    both within eps = 2^-51; its abs() is a hypot within one ulp, like
+    Python's, inside the grow margin.  An overflow gives inf or nan (where
+    Python's abs() raises OverflowError), and ``excludes_zero`` is False
+    there.  Callers wrap array expressions in ``numpy.errstate``.
     """
 
     __slots__ = ("mid", "rad")
@@ -975,8 +987,10 @@ class Ball:
         eps, grow, tiny = _pass_of(x)
         return Ball(x * y, (a * s + b * r + r * s + a * b * eps) * grow + tiny)
 
-    def excludes_zero(self) -> bool:
-        return self.rad * _pass_of(self.mid)[1] < abs(self.mid) < math.inf
+    def excludes_zero(self):
+        """A bool, or a boolean array elementwise for array balls."""
+        m = abs(self.mid)
+        return (self.rad * _pass_of(self.mid)[1] < m) & (m < math.inf)
 
 
 def coord_balls(values, radius, exact, double: bool):

@@ -2,16 +2,21 @@
 two numeric points, the ``HomPoly.compose`` on Fraction term maps that
 the integer expansion took the place of, the Newton polish on mpc values
 that the exact-integer polish took the place of, the exponential-sum
-evaluators that ExpSum._scaled took the place of, and T(r) by mpmath
-quadrature."""
+evaluators that ExpSum._scaled took the place of, T(r) by mpmath
+quadrature, and the 18-line test and the 12-line selection on one scalar
+Ball predicate at a time, which the array pass of the double Balls took
+the place of."""
 
 import cmath
 import itertools
 import math
+from typing import List
 
 import mpmath as mp
 import numpy as np
 
+from quadrics.arrangements import (ConditionVerdict, LineInfo, NoValidSelectionError,
+                                   _lines_meet_point, lines_concurrent, lines_distinct)
 from quadrics.polynomials import (DegenerateLeadingFormError, HomPoly, resultant,
                                   scalar_to_mp)
 from quadrics.scalars import scalar_to_complex
@@ -199,3 +204,108 @@ def reference_characteristic(curve, r, dps=50):
             cuts += [mp.arg(z) for z in mp.polyroots(coeffs, maxsteps=200, extraprec=mp.mp.prec)]
         mean = mp.quad(integrand, sorted(cuts)) / (2 * mp.pi)
         return float(mean - max(ell))
+
+
+# ---------------------------------------------------------------------------
+# The 18-line test and the 12-line selection before the array pass, kept
+# verbatim: every pair, incidence and triple through the scalar predicates.
+# ---------------------------------------------------------------------------
+
+def reference_condition4_verdict(ls) -> ConditionVerdict:
+    """Concurrency pattern of the 18 lines.
+
+    A line passes through its two defining intersection points by
+    construction, so each of the 12 points carries exactly its three
+    own-group lines structurally; what needs certification is only the
+    negative side: no further line through those points, no coincident
+    lines, and no 3-fold concurrency elsewhere (triples consisting of the
+    three own lines of one point are the allowed ones).
+    """
+    lines = ls.all_lines()
+    unsure = []  # what stayed inseparable, in the order found
+    witnesses = []
+    notes = []
+
+    for a, b in itertools.combinations(range(len(lines)), 2):
+        d = lines_distinct(lines[a].line, lines[b].line)
+        if d is False:
+            notes.append(f"lines {lines[a].label()} and {lines[b].label()} coincide")
+        elif d is None:
+            unsure.append(f"lines {lines[a].label()} and {lines[b].label()} from coincident")
+
+    # the three own lines of each intersection point, as index sets
+    own = {(g, idx): frozenset(n for n, li in enumerate(lines)
+                               if li.group == g and idx in li.point_ids)
+           for g, pts in ls.points.items() for idx in range(len(pts))}
+
+    for (g, idx), mine in own.items():
+        p = ls.points[g][idx]
+        for n, li in enumerate(lines):
+            if n in mine:
+                continue
+            on = li.line.passes_through(p)
+            if on:
+                witnesses.append(p)
+                notes.append(f"extra line {li.label()} through intersection "
+                             f"point {idx} of pair {g}")
+            elif on is None:
+                unsure.append(f"line {li.label()} from intersection point {idx} of pair {g}")
+
+    allowed = set(own.values())
+    for abc in itertools.combinations(range(len(lines)), 3):
+        if frozenset(abc) in allowed:
+            continue  # the allowed 3-fold concurrency at an intersection point
+        trip = tuple(lines[n] for n in abc)
+        conc = lines_concurrent(*(li.line for li in trip))
+        if conc is None:
+            unsure.append("lines " + ", ".join(li.label() for li in trip) + " from concurrent")
+        elif conc:
+            pt = _lines_meet_point(trip[0].line, trip[1].line)
+            if pt is not None:
+                witnesses.append(pt)
+            notes.append("3 lines concurrent: "
+                         + ", ".join(li.label() for li in trip))
+    if witnesses or notes:
+        return ConditionVerdict("fail", witnesses=witnesses,
+                                note="; ".join(sorted(set(notes))[:6]))
+    if unsure:
+        more = [f"{len(unsure) - 3} more"] if len(unsure) > 3 else []
+        return ConditionVerdict("undecided", note=f"18-line test at {ls.precision_bits} "
+                                f"bits: not separated: {'; '.join(unsure[:3] + more)}")
+    return ConditionVerdict("pass")
+
+
+def reference_select_general_position(ls):
+    """First 12-line selection (canonical order) in general position.
+
+    Drops one pairing per quadric pair; candidates are enumerated
+    lexicographically over the dropped indices and certified by the
+    exhaustive 3-subset concurrency test (after dropping a pairing no
+    structural concurrency survives, so every triple must be certified
+    non-concurrent).
+    """
+    diagnostics = []
+    with mp.workprec(max(ls.precision_bits, mp.mp.prec)):
+        for drop in itertools.product(range(3), repeat=3):
+            sel: List[LineInfo] = []
+            for gi, g in enumerate(((0, 1), (0, 2), (1, 2))):
+                sel.extend(li for li in ls.groups[g] if li.pairing != drop[gi])
+            ok = True
+            for a, b in itertools.combinations(range(12), 2):
+                if lines_distinct(sel[a].line, sel[b].line) is not True:
+                    ok = False
+                    diagnostics.append((drop, f"lines {a},{b} not distinct"))
+                    break
+            if not ok:
+                continue
+            for a, b, c in itertools.combinations(range(12), 3):
+                conc = lines_concurrent(sel[a].line, sel[b].line, sel[c].line)
+                if conc is not False:
+                    ok = False
+                    diagnostics.append(
+                        (drop, f"lines {sel[a].label()},{sel[b].label()},{sel[c].label()} concurrent"))
+                    break
+            if ok:
+                return sel
+    raise NoValidSelectionError(
+        "no 12-line selection is in general position", diagnostics)

@@ -1,7 +1,9 @@
 import itertools
 import math
 import random
+import warnings
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -28,7 +30,9 @@ from quadrics.config import DEFAULT_PRECISION, PrecisionConfig
 from quadrics.polynomials import HomPoly, MpForms, ProjPointNum, ZeroPolynomialError, parse_poly
 from quadrics.squares import pencil_rank1_members
 
-from exact_reference import has_common_component, point_distance, reference_newton_polish
+from exact_reference import (has_common_component, point_distance,
+                             reference_condition4_verdict, reference_newton_polish,
+                             reference_select_general_position)
 
 P1 = parse_poly("z0^2 - z1*z2")
 P2 = parse_poly("z1^2 - z0*z2")
@@ -1038,13 +1042,14 @@ def test_contact_points_carry_their_rounding():
             assert rep.conditions["s4.4"].status in ("fail", "undecided")
     # each contact point, formed at the ambient 53 bits, holds the pole of
     # its tangent's midpoint computed at 1024 bits
-    from quadrics.arrangements import _contact_point, common_tangents
+    from quadrics.arrangements import _adjugate_balls, _contact_point, common_tangents
     from quadrics.polynomials import quadric_form, scalar_to_mp
     c1, c2 = cfg.polys()[:2]
+    bits = DEFAULT_PRECISION.start_bits
     for q in (c1, c2):
         adj = quadric_form(q).adjugate()
         for ell in common_tangents(c1, c2, DEFAULT_PRECISION):
-            P = _contact_point(adj, ell, DEFAULT_PRECISION.start_bits)
+            P = _contact_point(adj, _adjugate_balls(adj, bits), ell, bits)
             with mp.workprec(1024):
                 ref = ProjPointNum([sum(scalar_to_mp(a) * x for a, x in zip(row, ell.coords))
                                     for row in adj])
@@ -1264,3 +1269,84 @@ def test_double_filter_settles_generic_lines():
                  for _ in range(3)]
         assert not _det3(*(l.balls(True) for l in lines)).excludes_zero()
         assert lines_concurrent(*lines) is None
+
+
+# ---------------------------------------------------------------------------
+# The array pass of the 18-line test against the scalar predicates
+# ---------------------------------------------------------------------------
+
+def _selection(select, ls):
+    try:
+        return select(ls)
+    except NoValidSelectionError as exc:
+        return exc.diagnostics
+
+
+def _same_line_verdicts(ls):
+    """The 18-line test and the 12-line selection decide as their scalar
+    references do: status, note and witnesses (repr and radius), and the
+    selected lines or the diagnostics.  No RuntimeWarning escapes the
+    array pass, overflow included."""
+    from quadrics.arrangements import _condition4_verdict
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, ref = _condition4_verdict(ls), reference_condition4_verdict(ls)
+        assert (got.status, got.note) == (ref.status, ref.note)
+        assert [(repr(w), w.radius) for w in got.witnesses] == \
+               [(repr(w), w.radius) for w in ref.witnesses]
+        assert _selection(select_general_position, ls) == \
+               _selection(reference_select_general_position, ls)
+    return got
+
+
+def _rigged(ls, lines):
+    """ls with its first lines replaced, in canonical order, by ``lines``."""
+    new = iter(lines)
+    groups = {g: [replace(li, line=next(new, li.line)) for li in ls.groups[g]]
+              for g in ((0, 1), (0, 2), (1, 2))}
+    return LineSystem(ls.quadrics, ls.points, groups, ls.precision_bits)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), bits=st.sampled_from([256, 512]))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_array_pass_never_changes_a_line_verdict(seed, bits):
+    """On random integer quadric triples, at 256 and 512 bits."""
+    rng = random.Random(seed)
+    expos = [(i, j, 2 - i - j) for i in range(3) for j in range(3 - i)]
+    quads = [HomPoly({e: rng.randint(-4, 4) for e in expos}) for _ in range(3)]
+    assume(not any(q.is_zero for q in quads))
+    with mp.workprec(bits):
+        try:
+            ls = build_line_system(*quads, PrecisionConfig(bits, 4096))
+        except (DegenerateIntersectionError, CommonComponentError):
+            assume(False)
+        _same_line_verdicts(ls)
+
+
+def test_array_pass_on_rigged_line_systems(generic_triple):
+    """Six exact concurrent lines (no valid selection); a near-concurrent
+    triple that no precision separates; exact lines whose double products
+    overflow (10^200) or whose doubles do (10^400)."""
+    _, ls = genericity_check_s6(*generic_triple)
+    assert _same_line_verdicts(ls).status == "pass"
+    concurrent = [NumLine.from_exact(parse_poly(f)) for f in (
+        "z0 - z1", "z1 - z2", "z0 - z2", "z0 + z1 - 2*z2", "z0 + 2*z1 - 3*z2", "2*z0 - z1 - z2")]
+    assert _same_line_verdicts(_rigged(ls, concurrent)).status == "fail"
+    kept = [li.line for li in ls.all_lines()]
+    for bits, seed in itertools.product((256, 512), (5, 6)):
+        with mp.workprec(bits):
+            # seed 6: three distinct lines, not separated from concurrent;
+            # seed 5: two of them not separated from coincident.  In
+            # pairing 1 of each group, so that the first drop keeps them.
+            near = _line_triple(random.Random(seed))
+            system = _rigged(ls, [*kept[:2], near[0], *kept[3:8], near[1],
+                                  *kept[9:14], near[2]])
+            assert _same_line_verdicts(system).status == "undecided"
+    with mp.workprec(256):
+        tiny = mp.mpf(10) ** -400  # NumLine.from_exact cannot form this line in doubles
+        huge = [NumLine.from_exact(parse_poly("10^200*z0 + z1 + z2")),
+                NumLine.from_exact(parse_poly("z0 - 10^200*z1 + 2*z2")),
+                NumLine((mp.mpc(1), mp.mpc(tiny), mp.mpc(-tiny)), mp.mpf(0),
+                        exact=parse_poly("10^400*z0 + z1 - z2"))]
+        _same_line_verdicts(_rigged(ls, huge))
+        _same_line_verdicts(_rigged(ls, [huge[0], huge[1], *concurrent[:4], huge[2]]))

@@ -32,6 +32,12 @@ polynomials over Z or Z[i], is the only Bareiss elimination and serves
 only ``subresultant``; ``HomPoly.exact_div`` is left to the shared
 component of two curves (``common_component_witness``, ``_shared_factor``).
 
+One error proof for numeric predicates: the constants of the two ball
+passes, ``_DOUBLE_PASS`` and ``_mp_pass``, are read only by
+``polynomials._pass_of``, which ``Ball``'s operations call, so ``Ball``
+stays the one error proof: scalar doubles, numpy arrays of doubles (the
+array pass of the 18-line test) and the working precision alike.
+
 One memo: derived objects are stored only through ``config.scoped``, in
 the analysis scope that ``cli.main`` opens for each command.  No object
 keeps a ``_memo`` of its own, so library calls outside a scope keep no
@@ -116,6 +122,11 @@ def test_forms_are_evaluated_only_by_mp_forms():
     loops = (ast.For, ast.While, ast.comprehension)
     assert not any(isinstance(node, loops) for node in ast.walk(method))
     assert "MpForms" in {node.id for node in ast.walk(method) if isinstance(node, ast.Name)}
+
+
+def test_ball_pass_constants_are_read_only_by_pass_of():
+    for name in ("_DOUBLE_PASS", "_mp_pass"):
+        assert _references(name) == [("polynomials.py", "_pass_of")], name
 
 
 def test_polyroots_is_called_only_in_complex_roots():
