@@ -35,11 +35,11 @@ from mpmath import libmp
 from .config import DEFAULT_PRECISION, PrecisionConfig, scoped
 from .linalg import det, nullspace, rank, solve
 from .polynomials import (Ball, HomPoly, MpForms, PrecisionExhaustedError,
-                          ProjPointNum, ZeroPolynomialError, _cross, ball_eval,
-                          coerce_point, coord_balls, excludes_zero, gauss_div,
-                          gauss_ints, gauss_mul, matrix_adjugate,
-                          poly_from_matrix, quadric_form, resultant,
-                          subresultant, vanishes_at)
+                          ProjPointNum, ZeroPolynomialError, _cross, _mag,
+                          _mul_up, _up, ball_eval, coerce_point, coord_balls,
+                          excludes_zero, gauss_div, gauss_ints, gauss_mul,
+                          matrix_adjugate, poly_from_matrix, quadric_form,
+                          resultant, subresultant, vanishes_at)
 from .scalars import coerce_scalar, reconstruct_gauss, scalar_to_complex
 from .univariate import (RootFindingError, UniPoly, binary_form_roots, uni_gcd,
                          yun_squarefree)
@@ -896,26 +896,46 @@ def common_tangents(q1: HomPoly, q2: HomPoly, prec_cfg) -> List[ProjPointNum]:
 
 
 def _adjugate_balls(adj, bits: int):
-    """The entries of ``adj`` as Balls at the contact points' precision,
-    ``bits`` or the ambient precision if higher: built once per conic."""
-    with mp.workprec(max(bits, mp.mp.prec)):
-        return [[Ball.exact(a, False) for a in row] for row in adj]
+    """(rows, S, p) for ``_contact_point``, built once per conic: the
+    entries of ``adj`` rounded once to mpc at the contact points' precision
+    p, ``bits`` or the ambient precision if higher, and S, the largest row
+    sum of their moduli rounded up."""
+    prec = max(bits, mp.mp.prec)
+    with mp.workprec(prec):
+        rows = [[Ball.exact(a, False).mid for a in row] for row in adj]
+    row_sum = max(_up(*(_mag(a._mpc_) for a in row)) for row in rows)
+    return rows, row_sum, prec
 
 
 def _contact_point(adj, adj_balls, line_pt: ProjPointNum, bits: int) -> ProjPointNum:
     """Pole of a tangent line: the point where it touches the conic whose
     matrix has adjugate ``adj`` (``adj_balls`` from ``_adjugate_balls`` at
-    the same ``bits``).  A numeric pole is formed on Balls at ``bits`` (the
-    ambient precision if higher), so that its radius covers the rounding
-    as well."""
+    the same ``bits``).  A numeric pole is the mpc product of the rounded
+    adjugate with the tangent's coordinates at ``bits`` (the ambient
+    precision if higher), and its radius covers that rounding as well."""
     if line_pt.is_exact():
         return ProjPointNum.from_exact([_dot(row, line_pt.exact) for row in adj])
+    rows, row_sum, adj_prec = adj_balls
     with mp.workprec(max(bits, mp.mp.prec)):
-        ell = line_pt.balls(False)
-        v = [_dot(row, ell) for row in adj_balls]
-        # normalizing divides by sup|mid|; 2^(4-p) covers its rounding
-        rad = max(b.rad for b in v) / _sup([b.mid for b in v]) * 2 + mp.mpf(2) ** (4 - mp.mp.prec)
-        return ProjPointNum([b.mid for b in v], rad)
+        v = [_dot(row, line_pt.coords) for row in rows]
+        # An entry a~ of a row is within 2 eps |a~| of the exact one, and
+        # the tangent's coordinates have moduli at most 1 + 2^-50, each
+        # within r of a representative of the true tangent.  The dot
+        # product rounds three products and two sums, each by eps relative
+        # to the sum of |a~| |l|; so each entry of v lies within
+        # S r + 8 eps S r + 16 eps S of the true pole's, S the largest row
+        # sum and eps = 2^(2 - p) at the lower of the two precisions p.
+        S = row_sum._mpf_
+        sr = _mul_up(S, line_pt.radius._mpf_)
+        p = min(adj_prec, mp.mp.prec)
+        err = _up(sr, libmp.mpf_shift(sr, 5 - p), libmp.mpf_shift(S, 6 - p))
+        # the radius of v divided by sup|mid| where that is above 1
+        # (ProjPointNum divides by one below 1), doubled, and 2^(4-p) for
+        # the rounding of the normalization
+        sup = functools.reduce(_max, [_mag(x._mpc_, "d") for x in v], libmp.fone)
+        rad = _up(libmp.mpf_div(libmp.mpf_shift(err._mpf_, 1), sup, 53, "u"),
+                  libmp.from_man_exp(1, 4 - mp.mp.prec))
+        return ProjPointNum(v, rad)
 
 
 def genericity_check_s4(cfg: Configuration,
@@ -1290,7 +1310,7 @@ def _lines_meet_point(l1: NumLine, l2: NumLine) -> Optional[ProjPointNum]:
     err = (l1.radius + l2.radius) * 6
     if s <= err * 4:
         return None
-    return ProjPointNum(v, err / s * 4)
+    return ProjPointNum(v, err / max(s, 1) * 4)
 
 
 def select_general_position(ls: LineSystem) -> List[LineInfo]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -110,8 +111,8 @@ def _parse_radii(text: str) -> List[float]:
         radii = [float(r) for r in np.logspace(float(a), float(b), int(n))]
     else:
         radii = [float(x) for x in text.split(",") if x.strip()]
-    if not radii or min(radii) < 1.0:
-        raise ValueError(f"radii must be >= 1: {text!r}")
+    if not radii or not all(1.0 <= r < math.inf for r in radii):
+        raise ValueError(f"radii must be finite numbers >= 1: {text!r}")
     return radii
 
 
@@ -172,8 +173,10 @@ def _load_alphas(args):
         [scalar_to_complex(a) for a in alphas]
     except OverflowError:
         raise ValueError("a coefficient lies beyond the range of a double") from None
-    if args.r_check is not None and not (args.quadrature_check and args.r_check > 0):
-        raise ValueError("--r-check needs --quadrature-check and a positive radius")
+    r = args.r_check
+    if r is not None and not (args.quadrature_check and r > 0 and 0 < r * r < math.inf):
+        raise ValueError("--r-check needs --quadrature-check and a positive radius "
+                         "whose square is a finite nonzero double")
     return alphas
 
 

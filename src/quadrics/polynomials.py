@@ -20,7 +20,6 @@ accepted as strict extensions; everything the grammar produces parses.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -921,32 +920,84 @@ def subresultant(p: HomPoly, q: HomPoly, var: int, k: int) -> List[HomPoly]:
 # Balls, numeric projective points and certified evaluation
 # ---------------------------------------------------------------------------
 
-# A pass's constants (eps, grow, tiny): eps bounds the rounding of one
-# complex sum, product or conversion relative to its result's modulus
-# (doubles round to nearest, mpmath's fast paths toward zero; for the
-# product, Brent, Percival & Zimmermann 2007, Math. Comp. 76), grow the
-# rounding of a radius (at most ten operations on nonnegative terms) and
-# of abs(), and tiny the underflow of a double operation.
+# A pass's constants.  The double pass has (eps, grow, tiny): eps bounds
+# the rounding of one complex sum, product or conversion relative to its
+# result's modulus (doubles round to nearest; for the product, Brent,
+# Percival & Zimmermann 2007, Math. Comp. 76), grow the rounding of a
+# radius (at most ten operations on nonnegative terms) and of abs(), and
+# tiny the underflow of a double operation.  The working pass, on mpc
+# midpoints at mp.mp.prec, has eps = 2^(2 - prec), whose exponent
+# ``_mp_pass`` gives, for the same roundings in mpmath (to nearest, or
+# toward zero on its fast paths).  Its radii and magnitudes are 53-bit
+# mpfs formed by libmp operations rounded upward, and |mid| is rounded
+# downward where ``excludes_zero`` compares a radius with it: the radius
+# side rounds only outward, so it needs neither grow nor tiny (an mpf's
+# exponent does not underflow).  Radii stay mpfs and never become floats,
+# since a 4096-bit rung has radii near 2^-4000.
 _DOUBLE_PASS = (2.0 ** -51, 1.0 + 2.0 ** -47, 2.0 ** -1020)
 
 
-@functools.lru_cache(maxsize=None)
 def _mp_pass(prec):
-    return mp.mpf(2) ** (2 - prec), 1 + mp.mpf(2) ** (6 - prec), 0
+    return 2 - prec
 
 
 def _pass_of(mid):
     return _mp_pass(mp.mp.prec) if mid.__class__ is mp.mpc else _DOUBLE_PASS
 
 
+def _modulus(z):
+    """|z| for a finite raw mpc z as (f, e), a float f and an int e with
+    |z| within a relative 2^-51 of f 2^e, and f = 0 only for z = 0: each
+    part aligned to 64 bits (truncation errs by 2^-63), then its float
+    (2^-53) and their hypot (an ulp)."""
+    (_, x, ex, bx), (_, y, ey, by) = z
+    x, ex = (x >> (bx - 64), ex + bx - 64) if bx > 64 else (x << (64 - bx), ex + bx - 64)
+    y, ey = (y >> (by - 64), ey + by - 64) if by > 64 else (y << (64 - by), ey + by - 64)
+    if not y or (x and ex >= ey):
+        return math.hypot(x, math.ldexp(y, ey - ex)), ex
+    return math.hypot(math.ldexp(x, ex - ey), y), ey
+
+
+_OUTWARD = {"u": 1 + 2.0 ** -48, "d": 1 - 2.0 ** -48}
+
+
+def _mag(z, rnd="u"):
+    """|z| for a finite raw mpc z as a raw 53-bit mpf, rounded up ("u")
+    or down ("d"): ``_modulus`` widened by 2^-48 in that direction."""
+    f, e = _modulus(z)
+    if not f:
+        return libmp.fzero
+    m, k = math.frexp(f * _OUTWARD[rnd])
+    man = int(m * 2.0 ** 53)
+    zeros = (man & -man).bit_length() - 1
+    man >>= zeros
+    return 0, man, e + k - 53 + zeros, man.bit_length()
+
+
+def _up(*terms):
+    """The sum of raw mpfs >= 0, rounded up to 53 bits, as an mpf."""
+    total = libmp.mpf_pos(terms[0], 53, "u")
+    for t in terms[1:]:
+        total = libmp.mpf_add(total, t, 53, "u")
+    return mp.make_mpf(total)
+
+
+def _mul_up(x, y):
+    return libmp.mpf_mul(x, y, 53, "u")
+
+
 class Ball:
     """A complex ball: the true value lies within ``rad`` of ``mid``, a
     Python complex and a float, or a numpy complex128 array and a float64
-    array, in the double pass, an mpc and an mpf at the working precision.
-    + - * add their own rounding to the radii they carry, so these
-    operations are the one error proof of every numeric predicate (van der
-    Hoeven 2010, "Ball arithmetic"; Rump 2010, Acta Numerica 19, sections
-    2-3).  A ball with a double that overflowed excludes nothing.
+    array, in the double pass, an mpc at the working precision and a 53-bit
+    mpf in the working pass.  + - * add their own rounding to the radii
+    they carry, so these operations are the one error proof of every
+    numeric predicate (van der Hoeven 2010, "Ball arithmetic"; Rump 2010,
+    Acta Numerica 19, sections 2-3): the midpoint is computed at the pass's
+    precision, and the radius, from moduli of the midpoints, only needs to
+    round outward, by the grow factor in the double pass and by upward
+    rounding in the working pass.  A ball with a double that overflowed
+    excludes nothing.
 
     Arrays are balls elementwise (midpoint-radius arithmetic in vector
     form, Rump 1999, BIT 39, "Fast and parallel interval arithmetic"), with
@@ -969,12 +1020,18 @@ class Ball:
     @staticmethod
     def exact(x, double: bool) -> "Ball":
         """The exact scalar x; OverflowError beyond the range of a double."""
-        mid = scalar_to_complex(x) if double else mp.mpc(scalar_to_mp(x))
-        eps, grow, tiny = _pass_of(mid)
-        return Ball(mid, 2 * eps * abs(mid) * grow + tiny)
+        if double:
+            mid = scalar_to_complex(x)
+            eps, grow, tiny = _pass_of(mid)
+            return Ball(mid, 2 * eps * abs(mid) * grow + tiny)
+        mid = mp.mpc(scalar_to_mp(x))
+        return Ball(mid, _up(libmp.mpf_shift(_mag(mid._mpc_), 1 + _pass_of(mid))))
 
     def __add__(self, other):
         mid = self.mid + other.mid
+        if mid.__class__ is mp.mpc:
+            return Ball(mid, _up(self.rad._mpf_, other.rad._mpf_,
+                                 libmp.mpf_shift(_mag(mid._mpc_), _pass_of(mid))))
         eps, grow, tiny = _pass_of(mid)
         return Ball(mid, (self.rad + other.rad + eps * abs(mid)) * grow + tiny)
 
@@ -983,12 +1040,18 @@ class Ball:
 
     def __mul__(self, other):
         x, y, r, s = self.mid, other.mid, self.rad, other.rad
+        if x.__class__ is mp.mpc:
+            a, b, r, s = _mag(x._mpc_), _mag(y._mpc_), r._mpf_, s._mpf_
+            return Ball(x * y, _up(_mul_up(a, s), _mul_up(b, r), _mul_up(r, s),
+                                   libmp.mpf_shift(_mul_up(a, b), _pass_of(x))))
         a, b = abs(x), abs(y)
         eps, grow, tiny = _pass_of(x)
         return Ball(x * y, (a * s + b * r + r * s + a * b * eps) * grow + tiny)
 
     def excludes_zero(self):
         """A bool, or a boolean array elementwise for array balls."""
+        if self.mid.__class__ is mp.mpc:
+            return libmp.mpf_cmp(self.rad._mpf_, _mag(self.mid._mpc_, "d")) < 0
         m = abs(self.mid)
         return (self.rad * _pass_of(self.mid)[1] < m) & (m < math.inf)
 
@@ -999,10 +1062,14 @@ def coord_balls(values, radius, exact, double: bool):
     the rounding of its conversion to the pass added."""
     if exact is not None:
         return tuple(Ball.exact(x, double) for x in exact)
-    convert, r = (complex, float(radius)) if double else (mp.mpc, mp.mpf(radius))
-    mids = [convert(c) for c in values]
-    eps, grow, tiny = _pass_of(mids[0])
-    return tuple(Ball(m, (r + eps * abs(m)) * grow + tiny) for m in mids)
+    if double:
+        r, mids = float(radius), [complex(c) for c in values]
+        eps, grow, tiny = _pass_of(mids[0])
+        return tuple(Ball(m, (r + eps * abs(m)) * grow + tiny) for m in mids)
+    r = (radius if radius.__class__ is mp.mpf else mp.mpf(radius))._mpf_
+    mids = [mp.mpc(c) for c in values]
+    shift = _pass_of(mids[0])
+    return tuple(Ball(m, _up(r, libmp.mpf_shift(_mag(m._mpc_), shift))) for m in mids)
 
 
 def ball_eval(expr, *objs):
@@ -1030,30 +1097,51 @@ def _cross(a, b):
 
 
 class ProjPointNum:
-    """Projective point with mpc coordinates and a certified error radius.
+    """Projective point with mpc coordinates and an error radius.
+
+    The coordinates are the representative of sup norm 1 whose first
+    coordinate of modulus above 1e-30 of the largest is real and positive,
+    and ``radius`` bounds the distance, coordinate by coordinate, from that
+    representative to one of the true point.  The radius given to the
+    constructor refers to the given coordinates, or to them divided by their
+    sup norm where that is above 1; where it is below 1, the radius is
+    divided by it, rounded up.  An intersection point's radius is the
+    Newton-step estimate of ``arrangements._newton_polish``, not yet a
+    proof.
 
     ``exact`` optionally carries Gaussian-rational coordinates; those are
     authoritative and the numeric data is derived from them.
     """
 
-    __slots__ = ("coords", "radius", "exact")
+    __slots__ = ("coords", "radius", "exact", "_balls")
 
     def __init__(self, coords, radius=0, exact: Optional[tuple] = None):
-        coords = tuple(mp.mpc(c) for c in coords)
-        sup = max(abs(c) for c in coords)
-        if sup == 0:
+        coords = [c if c.__class__ is mp.mpc else mp.mpc(c) for c in coords]
+        # the phase coordinate j from moduli to 53 bits, which decide only
+        # the phase; sup at full precision, from the coordinates whose
+        # modulus is within 2^-40 of the largest
+        mods = [_modulus(c._mpc_) for c in coords]
+        if not any(f for f, _ in mods):
             raise ValueError("zero vector is not a projective point")
-        # picks the coordinate to divide by; decides no predicate, only the phase
-        j = next(i for i in range(len(coords)) if abs(coords[i]) > mp.mpf("1e-30") * sup)
-        coords = tuple(c / coords[j] for c in coords)
-        sup = max(abs(c) for c in coords)
-        self.coords = tuple(c / sup for c in coords)
-        self.radius = mp.mpf(radius)
+        top_e = max(e for f, e in mods if f)
+        mags = [math.ldexp(f, e - top_e) for f, e in mods]
+        top = max(mags)
+        j = next(i for i, m in enumerate(mags) if m > top * 1e-30)
+        sup, k = max((abs(coords[i]), i) for i, m in enumerate(mags) if m >= top * (1 - 2.0 ** -40))
+        cj = sup if j == k else abs(coords[j])
+        self.radius = radius if radius.__class__ is mp.mpf else mp.mpf(radius)
+        if self.radius and libmp.mpf_cmp(sup._mpf_, libmp.fone) < 0:
+            self.radius = mp.make_mpf(libmp.mpf_div(self.radius._mpf_, _mag(coords[k]._mpc_, "d"),
+                                                    53, "u"))
+        # one factor, conj(c_j) / (|c_j| sup), for every coordinate
+        scale = coords[j].conjugate() / (cj * sup)
+        self.coords = tuple(mp.mpc(cj / sup) if i == j else c * scale for i, c in enumerate(coords))
         if exact is not None:
             exact = tuple(coerce_scalar(x) for x in exact)
             j = next(i for i in range(len(exact)) if exact[i] != 0)
             exact = tuple(x / exact[j] for x in exact)
         self.exact = exact
+        self._balls = {}
 
     @staticmethod
     def from_exact(coords) -> "ProjPointNum":
@@ -1065,7 +1153,13 @@ class ProjPointNum:
         return self.exact is not None
 
     def balls(self, double: bool):
-        return coord_balls(self.coords, self.radius, self.exact, double)
+        """The coordinates as Balls (``coord_balls``), built once per pass:
+        the doubles, and the mpc Balls of each working precision."""
+        key = None if double else mp.mp.prec
+        out = self._balls.get(key)
+        if out is None:
+            out = self._balls[key] = coord_balls(self.coords, self.radius, self.exact, double)
+        return out
 
     def same_point(self, other: "ProjPointNum") -> bool:
         """Not certainly different: equal exact points, or coordinate

@@ -1056,6 +1056,31 @@ def test_contact_points_carry_their_rounding():
                 assert point_distance(P, ref) <= 2 * P.radius
 
 
+def test_contact_point_radius_covers_its_own_rounding():
+    """A tangent held exactly (radius 0) along the adjugate's weakest
+    direction: the pole's entries cancel, so the rounding of its dot
+    products, relative to the adjugate's row sums, is most of its error.
+    The radius still covers the distance to the pole at 1024 bits."""
+    from quadrics.arrangements import _adjugate_balls, _contact_point
+    from quadrics.polynomials import quadric_form, scalar_to_mp
+    rng = random.Random(5)
+    for _ in range(120):
+        q = HomPoly({e: Fraction(rng.randint(-99, 99))
+                     for e in [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)]})
+        if q.is_zero or quadric_form(q).rank != 3:
+            continue
+        adj = quadric_form(q).adjugate()
+        weakest = np.linalg.svd(np.array([[float(a) for a in row] for row in adj]))[2][2]
+        bits = rng.choice([53, 64, 113])
+        with mp.workprec(bits):
+            ell = ProjPointNum([mp.mpf(x + 1e-9 * rng.uniform(-1, 1)) for x in weakest])
+            P = _contact_point(adj, _adjugate_balls(adj, bits), ell, bits)
+        with mp.workprec(1024):
+            ref = ProjPointNum([sum(scalar_to_mp(a) * x for a, x in zip(row, ell.coords))
+                                for row in adj])
+            assert point_distance(P, ref) <= P.radius
+
+
 def test_contact_tests_evaluate_at_the_points_precision():
     """s4.4 tests its numeric contact points at their own precision (the
     start rung, 256 bits by default), not at the ambient 53 bits, and its

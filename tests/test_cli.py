@@ -377,6 +377,16 @@ def _cli_process(args):
     pytest.param(["demo-three-quadrics", "--alphas", "0,1,2", "--r-check", "5"],
                  id="demo-radius-without-quadrature-check"),
     pytest.param(["demo-three-quadrics", "--alphas", "1e400,0,0"], id="demo-alpha-beyond-double"),
+    pytest.param(["demo-three-quadrics", "--alphas", "1,1,1", "--quadrature-check",
+                  "--r-check", "1e155"], id="demo-radius-square-beyond-double"),
+    pytest.param(["demo-three-quadrics", "--alphas", "1,1,1", "--quadrature-check",
+                  "--r-check", "inf"], id="demo-radius-infinite"),
+    pytest.param(["demo-three-quadrics", "--alphas", "1,1,1", "--quadrature-check",
+                  "--r-check", "1e-170"], id="demo-radius-square-underflows"),
+    pytest.param(["nevanlinna", "{curve}", "--radii", "nan"], id="nevanlinna-radius-nan"),
+    pytest.param(["nevanlinna", "{curve}", "--radii", "inf"], id="nevanlinna-radius-infinite"),
+    pytest.param(["nevanlinna", "{curve}", "--radii", "logspace:1:400:8"],
+                 id="nevanlinna-radii-beyond-double"),
     pytest.param(["--precision-bits", "0", "check-config", "{triple}"], id="precision-bits-0"),
     pytest.param(["--precision-bits", "8", "check-config", "{triple}"], id="precision-bits-8"),
     pytest.param(["--precision-cap", "128", "check-config", "{triple}"],

@@ -603,6 +603,22 @@ def test_same_point_filter_settles_distinct_points():
         assert nearer.same_point(a) and a.same_point(nearer)
 
 
+@pytest.mark.parametrize("sup", [mp.mpf("1e-3"), mp.mpf(2) ** -100])
+def test_radius_scales_with_a_representative_scaled_up(sup):
+    """A point given by a representative of sup norm below 1 keeps the
+    radius of its sup-norm-1 representative: (1, 5e-4, 0) sup within
+    1e-3 sup holds (1, 0, 0) sup, so z1 is not certified nonzero there and
+    (1 : 0 : 0) is not certified different."""
+    with mp.workprec(256):
+        pt = ProjPointNum([sup, sup * mp.mpf("5e-4"), 0], radius=sup * mp.mpf("1e-3"))
+        assert mp.mpf("1e-3") <= pt.radius <= mp.mpf("1e-3") * (1 + mp.mpf(2) ** -40)
+        assert vanishes_at(parse_poly("z1"), pt) is None
+        assert pt.same_point(ProjPointNum([sup, 0, 0]))
+        assert pt.same_point(ProjPointNum.from_exact([1, 0, 0]))
+        # a representative of sup norm above 1 keeps its radius
+        assert ProjPointNum([3, 1, 0], radius=mp.mpf("1e-3")).radius == mp.mpf("1e-3")
+
+
 def test_exact_points_enter_balls_exactly():
     """(1/3 : 1/5 : 1) against a 256-bit copy of it with radius 1e-70:
     not called different, and a numeric line through it is not certified
@@ -641,7 +657,8 @@ def _ball_case(rng):
     """A random expression and nine inputs (midpoint, radius), all of
     radius 0 now and then.  Magnitudes
     are mostly near 1, sometimes far beyond the range of a double (1e320)
-    or below it (1e-330), or large enough that products overflow (1e200)."""
+    or below it (1e-330), or large enough that products overflow (1e200);
+    radii are mostly 1e-1 to 1e-60 of them, sometimes near 2^-3000."""
     def mid():
         e = rng.choice([0, 0, 0, rng.randint(-20, 20), rng.randint(-330, -300),
                         rng.randint(150, 200), rng.randint(300, 330)])
@@ -652,6 +669,8 @@ def _ball_case(rng):
     def radius(m):
         if exact or rng.random() < 0.3:
             return 0
+        if rng.random() < 0.2:  # far below the range of a double
+            return abs(m) * mp.mpf(2) ** -rng.randint(2990, 3010)
         return abs(m) * mp.mpf(10) ** -rng.randint(1, 60)
 
     mids = [mid() for _ in range(9)]
@@ -673,6 +692,14 @@ def _ball_case(rng):
                    + _exact_operand(c2, v[0])),
     ]
     return rng.choice(exprs), inputs
+
+
+def _unit(x):
+    """A unit complex of angle about pi x: (1 - t^2 + 2 t i) / (1 + t^2),
+    t = tan(pi x / 2), whose modulus is 1 to the working precision and
+    which costs a division where expjpi at 16384 bits costs a series."""
+    t = mp.mpf(math.tan(math.pi * x / 2))
+    return mp.mpc(1 - t * t, 2 * t) / (1 + t * t)
 
 
 def _input_ball(m, r, double):
@@ -697,28 +724,33 @@ def _det3(a, b, c):
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), double=st.booleans(),
-       bits=st.sampled_from([53, 113, 256]))
+       bits=st.sampled_from([53, 113, 256, 4096]))
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_ball_operations_enclose_every_point_of_their_inputs(seed, double, bits):
     """At points inside the input balls, the value at 4x the precision lies
     inside the output ball, in both passes.  A double pass that overflows
     gives a ball that excludes nothing (or raises OverflowError, which
-    ball_eval treats the same way)."""
+    ball_eval treats the same way).  Every radius the working pass forms
+    is an mpf with at most 53 bits of mantissa, also at 4096 bits with
+    radii near 2^-3000, far below the range of a double."""
     rng = random.Random(seed)
     # inputs the pass holds exactly (only the operations round) or must round
     with mp.workprec(rng.choice([53 if double else bits, 2 * bits])):
         expr, inputs = _ball_case(rng)
     with mp.workprec(bits):
+        balls = [_input_ball(m, r, double) for m, r in inputs]
         try:
-            out = expr([_input_ball(m, r, double) for m, r in inputs])
+            out = expr(balls)
         except OverflowError:
             assert double
             return
         outs = out if isinstance(out, tuple) else (out,)
+        for b in outs:
+            if not double and all(b is not x for x in balls):
+                assert isinstance(b.rad, mp.mpf) and b.rad._mpf_[3] <= 53
         for _ in range(3):
             with mp.workprec(4 * bits):
-                pts = [m + r * rng.uniform(0, 1) * mp.expjpi(rng.uniform(-1, 1))
-                       for m, r in inputs]
+                pts = [m + r * rng.uniform(0, 1) * _unit(rng.uniform(-1, 1)) for m, r in inputs]
                 truth = expr(pts)
                 truths = truth if isinstance(truth, tuple) else (truth,)
                 for b, t in zip(outs, truths):
@@ -726,6 +758,28 @@ def test_ball_operations_enclose_every_point_of_their_inputs(seed, double, bits)
                         assert double and not b.excludes_zero()
                         continue
                     assert abs(t - _to_mpc(b.mid)) <= b.rad
+
+
+def test_moduli_are_bounded_up_and_down_at_53_bits():
+    """polynomials._mag brackets |z|, taken at twice the precision, from
+    above and below within 2^-46, for parts of 53 to 4096 bits, zero
+    parts, and parts 2^5000 apart."""
+    from quadrics.polynomials import _mag
+    rng = random.Random(3)
+    for _ in range(2000):
+        prec = rng.choice([53, 256, 4096])
+        with mp.workprec(prec):
+            def part():
+                if rng.random() < 0.1:
+                    return mp.mpf(0)
+                return (mp.mpf(rng.uniform(-1, 1)) * (1 + mp.mpf(2) ** -rng.randint(1, prec))
+                        * mp.mpf(2) ** rng.choice([0, rng.randint(-60, 60), rng.randint(-5000, 5000)]))
+            z = mp.mpc(part(), part())
+        with mp.workprec(2 * prec):
+            t = abs(z)
+            up, down = (mp.make_mpf(_mag(z._mpc_, rnd)) for rnd in "ud")
+            assert down <= t <= up and up - down <= t * mp.mpf(2) ** -46
+            assert up._mpf_[3] <= 53 and down._mpf_[3] <= 53
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1))

@@ -33,10 +33,12 @@ only ``subresultant``; ``HomPoly.exact_div`` is left to the shared
 component of two curves (``common_component_witness``, ``_shared_factor``).
 
 One error proof for numeric predicates: the constants of the two ball
-passes, ``_DOUBLE_PASS`` and ``_mp_pass``, are read only by
-``polynomials._pass_of``, which ``Ball``'s operations call, so ``Ball``
-stays the one error proof: scalar doubles, numpy arrays of doubles (the
-array pass of the 18-line test) and the working precision alike.
+passes, ``_DOUBLE_PASS`` (eps, grow, tiny) and ``_mp_pass`` (the exponent
+of the working pass's eps, whose radii are rounded upward at 53 bits),
+are read only by ``polynomials._pass_of``, which ``Ball``'s operations
+call, so ``Ball`` stays the one error proof: scalar doubles, numpy arrays
+of doubles (the array pass of the 18-line test) and the working
+precision alike.
 
 One memo: derived objects are stored only through ``config.scoped``, in
 the analysis scope that ``cli.main`` opens for each command.  No object
