@@ -35,7 +35,7 @@ from mpmath import libmp
 from .config import DEFAULT_PRECISION, PrecisionConfig, scoped
 from .linalg import det, nullspace, rank, solve
 from .polynomials import (Ball, HomPoly, MpForms, PrecisionExhaustedError,
-                          ProjPointNum, ZeroPolynomialError, _cross, _mag,
+                          ProjPointNum, ZeroPolynomialError, _cross, _mag, _unit_vector,
                           _mul_up, _up, ball_eval, coerce_point, coord_balls,
                           excludes_zero, gauss_div, gauss_ints, gauss_mul,
                           matrix_adjugate, poly_from_matrix, quadric_form,
@@ -110,12 +110,13 @@ def _sup(vec):
     return max(abs(c) for c in vec)
 
 
-def _phase_index(vec) -> int:
-    """The coordinate a numeric line's representative scales to modulus 1:
-    the first whose modulus is within a relative 2^-40 of the largest, so
-    that rounding-level changes never switch between tied coordinates."""
-    top = _sup(vec) * (1 - 2.0 ** -40)
-    return next(i for i, c in enumerate(vec) if abs(c) >= top)
+def _unit_line(v, radius) -> "NumLine":
+    """The ``NumLine`` of coefficients v (not all zero; radius refers to v)
+    normalized by ``_unit_vector``: its first coefficient within 2^-40 of
+    the largest modulus is made real, so rounding-level changes never
+    switch between tied coefficients."""
+    coeffs, s, _ = _unit_vector(v, 1 - 2.0 ** -40)
+    return NumLine(coeffs, radius / s)
 
 
 def _det3(a, b, c):
@@ -145,15 +146,10 @@ class NumLine:
         if a.is_exact() and b.is_exact():
             return NumLine.from_exact(HomPoly.linear_form(_cross_exact(a.exact, b.exact)))
         v = _cross(a.coords, b.coords)
-        raw_rad = (_sup(a.coords) * b.radius + _sup(b.coords) * a.radius) * 4 \
-            + mp.mpf(2) ** (8 - mp.mp.prec)
-        s = _sup(v)
-        if s == 0:
+        if not any(v):
             raise ValueError("coincident points do not span a line")
-        j = _phase_index(v)
-        phase = v[j] / abs(v[j])
-        v = tuple(c / (s * phase) for c in v)
-        return NumLine(v, raw_rad / s)
+        # a and b have sup norm 1, to a rounding the factor 4 covers
+        return _unit_line(v, (a.radius + b.radius) * 4 + mp.mpf(2) ** (8 - mp.mp.prec))
 
     @staticmethod
     def from_exact(line: HomPoly) -> "NumLine":
@@ -662,17 +658,15 @@ def tangent_line_numeric(p: HomPoly, pt) -> NumLine:
     point = coerce_point(pt)
     if point.is_exact():
         return NumLine.from_exact(tangent_line(p, point))
-    grad = MpForms(p.gradient()).values(point.coords)
-    s = _sup(grad)
-    if s == 0:
-        raise SingularPointError("numerically vanishing gradient")
-    hess_mass = sum(
+    # the gradient and the coefficient mass of the nine second derivatives,
+    # once per curve in an analysis scope
+    gradient, hess_mass = scoped(("tangent_forms", p), lambda: (MpForms(p.gradient()), sum(
         sum(abs(scalar_to_complex(c)) for c in p.derivative(i).derivative(j).terms.values())
-        for i in range(3) for j in range(3))
-    rad = (point.radius * hess_mass * 3 + mp.mpf(2) ** (8 - mp.mp.prec)) / s
-    j = _phase_index(grad)
-    phase = grad[j] / abs(grad[j])
-    return NumLine(tuple(g / (s * phase) for g in grad), rad)
+        for i in range(3) for j in range(3))))
+    grad = gradient.values(point.coords)
+    if not any(grad):
+        raise SingularPointError("numerically vanishing gradient")
+    return _unit_line(grad, point.radius * hess_mass * 3 + mp.mpf(2) ** (8 - mp.mp.prec))
 
 
 def tangent_to_conic(line: NumLine, q: HomPoly):

@@ -1096,6 +1096,24 @@ def _cross(a, b):
             a[0] * b[1] - a[1] * b[0])
 
 
+def _unit_vector(coords, phase_tol: float):
+    """(coords times conj(c_j) / (|c_j| sup), sup, k) for mpc coords: sup norm
+    1, c_j real, j the first coordinate above phase_tol times the largest
+    modulus.  53-bit moduli (``_modulus``) pick j and the coordinates within
+    2^-40 of the largest, whose full-precision maximum sup is that of c_k."""
+    mods = [_modulus(c._mpc_) for c in coords]
+    if not any(f for f, _ in mods):
+        raise ValueError("zero vector is not a projective point")
+    top_e = max(e for f, e in mods if f)
+    mags = [math.ldexp(f, e - top_e) for f, e in mods]
+    top = max(mags)
+    j = next(i for i, m in enumerate(mags) if m > top * phase_tol)
+    sup, k = max((abs(coords[i]), i) for i, m in enumerate(mags) if m >= top * (1 - 2.0 ** -40))
+    cj = sup if j == k else abs(coords[j])
+    scale = coords[j].conjugate() / (cj * sup)
+    return tuple(mp.mpc(cj / sup) if i == j else c * scale for i, c in enumerate(coords)), sup, k
+
+
 class ProjPointNum:
     """Projective point with mpc coordinates and an error radius.
 
@@ -1117,25 +1135,11 @@ class ProjPointNum:
 
     def __init__(self, coords, radius=0, exact: Optional[tuple] = None):
         coords = [c if c.__class__ is mp.mpc else mp.mpc(c) for c in coords]
-        # the phase coordinate j from moduli to 53 bits, which decide only
-        # the phase; sup at full precision, from the coordinates whose
-        # modulus is within 2^-40 of the largest
-        mods = [_modulus(c._mpc_) for c in coords]
-        if not any(f for f, _ in mods):
-            raise ValueError("zero vector is not a projective point")
-        top_e = max(e for f, e in mods if f)
-        mags = [math.ldexp(f, e - top_e) for f, e in mods]
-        top = max(mags)
-        j = next(i for i, m in enumerate(mags) if m > top * 1e-30)
-        sup, k = max((abs(coords[i]), i) for i, m in enumerate(mags) if m >= top * (1 - 2.0 ** -40))
-        cj = sup if j == k else abs(coords[j])
+        self.coords, sup, k = _unit_vector(coords, 1e-30)
         self.radius = radius if radius.__class__ is mp.mpf else mp.mpf(radius)
         if self.radius and libmp.mpf_cmp(sup._mpf_, libmp.fone) < 0:
             self.radius = mp.make_mpf(libmp.mpf_div(self.radius._mpf_, _mag(coords[k]._mpc_, "d"),
                                                     53, "u"))
-        # one factor, conj(c_j) / (|c_j| sup), for every coordinate
-        scale = coords[j].conjugate() / (cj * sup)
-        self.coords = tuple(mp.mpc(cj / sup) if i == j else c * scale for i, c in enumerate(coords))
         if exact is not None:
             exact = tuple(coerce_scalar(x) for x in exact)
             j = next(i for i in range(len(exact)) if exact[i] != 0)

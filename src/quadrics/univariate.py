@@ -5,17 +5,14 @@ Binary homogeneous forms from resultants are routed through here: strip
 the powers of each variable, dehomogenize, decompose by Yun's algorithm,
 then solve each squarefree part (exact for degree <= 2, numeric
 otherwise, with Gaussian-rational roots recognized and verified exactly).
-Every numeric root has the rigorous radius  deg * |g(z)/g'(z)|, which
-bounds the distance to the nearest true root, computed on its first read
-at the root's own precision: a caller that never reads it never pays.
 
 Every polynomial root the library finds comes from this module, and
-every numeric one from ``complex_roots``, its single numeric entry point:
-Newton's iteration in doubling precision on exact Gaussian integers,
-started from the companion-matrix eigenvalues of a double-precision copy
-of the polynomial and accepted when the Newton disks of all roots are
-pairwise disjoint; mpmath's Durand-Kerner iteration from the same start
-where they are not (double roots, clusters)."""
+every numeric one from one iteration behind ``complex_roots``:
+Aberth-Ehrlich's, in doubling precision on exact Gaussian integers, from
+the companion-matrix eigenvalues of a double copy of the polynomial,
+accepted when the Henrici disks deg * |g(z0)/g'(z0)| of all roots are
+pairwise disjoint.  A numeric root's rigorous radius comes from its last
+disk, widened for the coefficients' rounding: no evaluation of its own."""
 
 from __future__ import annotations
 
@@ -26,10 +23,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import mpmath as mp
 import numpy as np
+from mpmath import libmp
 
 from .polynomials import gauss_ints, poly_exquo, poly_mul, poly_sub, round_div, trim
 from .scalars import (GaussRat, Scalar, coerce_scalar, gauss_sqrt, integral,
-                      scalar_to_complex)
+                      reconstruct_gauss, scalar_to_complex)
 
 
 def _c2mpc(c) -> mp.mpc:
@@ -83,12 +81,6 @@ class UniPoly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return coerce_scalar(acc)
-
-    def eval_mpc(self, x) -> mp.mpc:
-        acc = mp.mpc(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + _c2mpc(c)
-        return acc
 
     def __repr__(self):
         return f"UniPoly({list(self.coeffs)})"
@@ -185,25 +177,17 @@ def yun_squarefree(p: UniPoly) -> List[Tuple[UniPoly, int]]:
 
 
 class RootBall:
-    """A root of ``poly``: the exact value when recognized (radius 0), else
-    a numeric value found at ``prec`` bits, whose certified radius
-    (``_certify_radius``) is computed at ``prec`` bits on first read."""
+    """A root of a polynomial: the exact value when recognized (radius 0),
+    else a numeric value and a ``radius`` that bounds its distance to a
+    root (``_radius``)."""
 
-    __slots__ = ("value", "multiplicity", "exact", "_poly", "_prec", "_radius")
+    __slots__ = ("value", "multiplicity", "exact", "radius")
 
-    def __init__(self, value, multiplicity=1, exact=None, poly=None, prec=None):
+    def __init__(self, value, multiplicity=1, exact=None, radius=None):
         self.value = mp.mpc(value)
         self.multiplicity = multiplicity
         self.exact = coerce_scalar(exact) if exact is not None else None
-        self._poly, self._prec = poly, prec
-        self._radius = mp.mpf(0) if exact is not None else None
-
-    @property
-    def radius(self) -> mp.mpf:
-        if self._radius is None:
-            with mp.workprec(self._prec):
-                self._radius = _certify_radius(self._poly, self.value)
-        return self._radius
+        self.radius = mp.mpf(0) if exact is not None else radius
 
     def __repr__(self):
         if self.exact is not None:
@@ -228,7 +212,7 @@ def exact_roots_small(p: UniPoly) -> Optional[List[Scalar]]:
 
 
 class RootFindingError(ArithmeticError):
-    """Durand-Kerner did not converge within its step limit."""
+    """The root iteration did not converge within its step cap."""
 
 
 def _horner(a, x, y, f):
@@ -247,56 +231,94 @@ def _horner(a, x, y, f):
     return br, bi, cr, ci
 
 
-def _newton_root(a, seed: complex, prec: int):
-    """Newton's iteration for one root of p = sum a_k z^k from a double
-    seed, on fixed-point Gaussian integers z = (x + i y) / 2^f: p(z) and
-    p'(z) are exact, and the only rounding is the quantization of each new
-    z.  The precision doubles from 53 bits up to prec + 64, counted from
-    the seed's binary exponent e (and never coarser than 2^-(prec + 64)),
-    so tiny and huge roots keep the same relative accuracy.  Stops once a
-    correction |dz| is at most 2^e 2^(-top/2), top = prec + 64 + max(e, 0):
-    the step's error, about |dz|^2 / 2^e for a root apart from the others,
-    is then about 2^(e - top), the final quantum.  A root with one part
-    2^32 times smaller than the other, or more, takes more bits until that
-    part has prec + 64 of its own.
+_STEPS = 200  # the step cap of _aberth
 
-    Returns (x, y, f, disk) with disk = (x0, y0, f0, |P|^2, |P'|^2) at the
-    last evaluation point z0 = (x0 + i y0) / 2^f0, P = 2^(n f0) p(z0) and
-    P' = 2^((n - 1) f0) p'(z0); None when p' vanishes there or there is no
-    convergence within the step cap."""
-    e = max(math.frexp(seed.real)[1], math.frexp(seed.imag)[1])
-    top = prec + 64 + max(e, 0)                     # relative bits at the end
-    bits = 53
-    f = max(bits - e, 0)
-    x, y = round(math.ldexp(seed.real, f)), round(math.ldexp(seed.imag, f))
-    steps = 8 + (top // 53).bit_length()            # the step cap
-    while steps:
-        steps -= 1
-        br, bi, cr, ci = _horner(a, x, y, f)
-        num, den = br * br + bi * bi, cr * cr + ci * ci
-        if not den:
-            return None
-        # |dz|^2 = num / (den 4^f) <= 4^e 2^-top
-        done = num << top <= den << 2 * (f + e)
-        bits = top if done else min(2 * bits, top)
-        g = max(bits - e, 0)
-        # dz 2^g = P 2^(g - f) / P'
-        qr, qi = (br * cr + bi * ci) << g - f, (bi * cr - br * ci) << g - f
-        disk = (x, y, f, num, den)
-        x, y = (x << g - f) - round_div(qr, den), (y << g - f) - round_div(qi, den)
-        f = g
-        if done:
-            # a part that outlives polyroots' cleanup (at least eps(prec),
-            # 2^(f + 1 - prec) units) with fewer than prec + 32 bits gets
-            # prec + 64 of its own, up to 2 prec + 64 for z
-            short = min((abs(v).bit_length() for v in (x, y) if abs(v) >> f + 1 - prec),
-                        default=top)
-            more = min(prec + 64 - short, 2 * prec + 64 + max(e, 0) - top)
-            if short >= prec + 32 or more <= 0:
-                return x, y, f, disk
-            top += more
-            steps += 2
-    return None
+
+def _aberth(a, seeds, prec: int):
+    """The Aberth-Ehrlich iteration (Aberth 1973, Math. Comp. 27; Ehrlich
+    1967, CACM 10) for all roots of p = sum a_k z^k, one per seed, on
+    fixed-point Gaussian integers z_i = (x_i + i y_i) / 2^f_i: each step
+    moves z_i by w = N / (1 - N S), N = p(z_i) / p'(z_i) exact (``_horner``)
+    and S = sum_{j != i} 1 / (z_i - z_j) as accurate as w needs (w moves by
+    w^2 dS), so the only rounding is the quantization of each new z_i.
+
+    Each root keeps its own binary exponent e, so tiny and huge roots keep
+    their relative accuracy: its precision doubles from 53 bits up to
+    top = prec + 64 + max(e, 0), and it stops once |N| <= 2^e 2^(-top/2),
+    when the next error, about |N|^2 / 2^e apart from other roots, is the
+    final quantum.  A part 2^32 times smaller than the other takes bits
+    until it has prec + 64 of its own, up to the ceiling 2 prec + 64 +
+    max(e, 0).  When all have stopped and their disks (``_isolated``)
+    overlap, all take the ceiling's bits and go on, and a cluster
+    separates.  A multiple root, converging at about 1/3 per step, never
+    does: it is returned from the ceiling, after some (prec + 32) / log2(3)
+    steps for a double root.
+
+    Returns (x, y, f, disk) per seed, disk = (x0, y0, f0, |P|^2, |P'|^2) at
+    the last evaluation point z0 = (x0 + i y0) / 2^f0, P = 2^(n f0) p(z0),
+    P' = 2^((n - 1) f0) p'(z0); raises RootFindingError past _STEPS steps."""
+    n = len(a) - 1
+    es = [max(math.frexp(s.real)[1], math.frexp(s.imag)[1]) for s in seeds]
+    fs = [max(53 - e, 0) for e in es]
+    xs = [round(math.ldexp(s.real, f)) for s, f in zip(seeds, fs)]
+    ys = [round(math.ldexp(s.imag, f)) for s, f in zip(seeds, fs)]
+    bitss, extra, disks, active = [53] * n, [0] * n, [None] * n, list(range(n))
+    for _ in range(_STEPS):
+        evals, hs = {}, [-1] * n  # S_i is needed to 2^-h_i where h_i >= 0
+        for i in active:
+            x, y, f = xs[i], ys[i], fs[i]
+            e = es[i] = max(abs(x).bit_length(), abs(y).bit_length()) - f if x or y else es[i]
+            top = prec + 64 + max(e, 0) + extra[i]
+            br, bi, cr, ci = _horner(a, x, y, f)
+            num, den = br * br + bi * bi, cr * cr + ci * ci
+            disks[i] = (x, y, f, num, den)
+            s = top - 2 * (f + e)  # stop: |N|^2 = num / (den 4^f) <= 4^e 2^-top
+            done = num << s <= den if s >= 0 else num <= den << -s
+            bits = top if done else min(2 * bitss[i], top)
+            g = max(bits - e, f)
+            if num:  # |N| < 2^lg, so |w|^2 dS stays within a quarter of 2^-g
+                lg = (num.bit_length() - den.bit_length() + 2) // 2 - f if den else e + 1
+                hs[i] = max(g + 2 * lg + n.bit_length() + 4, 0)
+            evals[i] = (br, bi, cr, ci, done, top, bits, g)
+        sr, si = [0] * n, [0] * n  # S_i 2^h_i
+        for i, j in itertools.combinations(range(n), 2):
+            H, F = max(hs[i], hs[j]), max(fs[i], fs[j])
+            if H < 0:
+                continue
+            dx = (xs[i] << F - fs[i]) - (xs[j] << F - fs[j])
+            dy = (ys[i] << F - fs[i]) - (ys[j] << F - fs[j])
+            m = dx * dx + dy * dy
+            if m:  # equal iterates, at an exact multiple root, repel nothing
+                tr, ti = (dx << F + H) // m, (-dy << F + H) // m  # 2^H / (z_i - z_j)
+                sr[i], si[i] = sr[i] + (tr >> H - hs[i]), si[i] + (ti >> H - hs[i])
+                sr[j], si[j] = sr[j] - (tr >> H - hs[j]), si[j] - (ti >> H - hs[j])
+        moving = []
+        for i in active:
+            br, bi, cr, ci, done, top, bits, g = evals[i]
+            f, h = fs[i], hs[i]
+            x, y = xs[i] << g - f, ys[i] << g - f
+            if h >= 0:  # w 2^g = P 2^(g - f) / D, D = P' - P S 2^-f to a unit of P'
+                dr = cr - (br * sr[i] - bi * si[i] >> f + h)
+                di = ci - (br * si[i] + bi * sr[i] >> f + h)
+                dd = dr * dr + di * di or 1  # D = 0 leaves z_i where it is
+                x -= round_div((br * dr + bi * di) << g - f, dd)
+                y -= round_div((bi * dr - br * di) << g - f, dd)
+            xs[i], ys[i], fs[i], bitss[i] = x, y, g, bits
+            if done:
+                # a part above eps(prec), 2^(g + 1 - prec) units, but short gets bits
+                short = min((abs(v).bit_length() for v in (x, y) if abs(v) >> g + 1 - prec),
+                            default=top)
+                more = min(prec + 64 - short, prec - extra[i])
+                if short >= prec + 32 or more <= 0:
+                    continue
+                extra[i] += more
+            moving.append(i)
+        active = moving
+        if not active:
+            if min(extra) >= prec or _isolated(disks, n):
+                return list(zip(xs, ys, fs, disks))
+            extra, active = [prec] * n, list(range(n))
+    raise RootFindingError(f"root finding did not converge in {_STEPS} steps")
 
 
 def _isolated(disks, n: int) -> bool:
@@ -308,108 +330,90 @@ def _isolated(disks, n: int) -> bool:
     g = max(d[2] for d in disks)
     balls = []
     for x, y, f, num, den in disks:
-        q = -(-(n * n * num << 2 * (g - f)) // den)     # ceil(r^2 4^g)
+        q = -(-(n * n * num << 2 * (g - f)) // den) if num else 0  # ceil(r^2 4^g)
         balls.append((x << g - f, y << g - f, math.isqrt(q - 1) + 1 if q else 0))
     return all((x1 - x2) ** 2 + (y1 - y2) ** 2 > (r1 + r2) ** 2
                for (x1, y1, r1), (x2, y2, r2) in itertools.combinations(balls, 2))
 
 
-def _newton_roots(cs, seeds, prec: int) -> Optional[List[mp.mpc]]:
-    """The roots of the polynomial with mpc coefficients cs (low to high)
-    by ``_newton_root`` from each seed, rounded once to ``prec`` bits,
-    with a part below eps(prec) dropped as polyroots does; None unless
-    every seed converges and the disks are isolated."""
-    a, _ = gauss_ints(cs)  # one power of 2 off the coefficients moves no root
-    found = [_newton_root(a, complex(s), prec) for s in seeds]
-    if None in found or not _isolated([r[3] for r in found], len(a) - 1):
-        return None
-    out = []
-    for x, y, f, _ in found:
-        # polyroots' cleanup: z, or a part of it, below eps(prec) becomes 0
-        # (f >= prec + 64, so eps is 2^(f + 1 - prec) units of 2^-f)
-        eps = 1 << f + 1 - prec
-        if x * x + y * y < eps * eps:
-            x = y = 0
-        elif abs(y) < eps:
-            y = 0
-        elif abs(x) < eps:
-            x = 0
-        out.append(mp.mpc(mp.mpf((x, -f)), mp.mpf((y, -f))))
-    return out
+def _rounded(root, prec: int) -> mp.mpc:
+    """An ``_aberth`` root rounded to ``prec`` bits, the working precision;
+    a part below eps(prec), or all of it, becomes 0 (mpmath's cleanup)."""
+    x, y, f, _ = root
+    eps = 1 << f + 1 - prec  # f >= prec + 64: eps is 2^(f + 1 - prec) units of 2^-f
+    if x * x + y * y < eps * eps:
+        x = y = 0
+    elif abs(y) < eps:
+        y = 0
+    elif abs(x) < eps:
+        x = 0
+    return mp.mpc(mp.mpf((x, -f)), mp.mpf((y, -f)))
 
 
-def _canonical(z: mp.mpc):
-    return abs(z.imag), z.real, z.imag
+def _radius(a, root, z: mp.mpc, prec: int) -> mp.mpf:
+    """A bound on the distance from z, the ``_aberth`` root rounded, to a
+    root of any polynomial whose coefficients are within a relative
+    2^(2 - prec), part by part, of the a_k: the disk of ``_isolated`` at the
+    last evaluation point z0, widened for that error, which moves p(z0) by
+    at most 2^(3 - prec) sum |a_k| |z0|^k (a sum below n + 1 times its
+    largest term) and p'(z0) likewise, plus |z - z0|; in log2 on doubles,
+    and infinite where the error could cancel half of p'(z0)."""
+    x, y, f, (x0, y0, f0, num, den) = root
+    n, g = len(a) - 1, max(f, f0)
+    lt = math.log2(max(abs(x0) + abs(y0), 1)) - f0  # log2 |z0|, or more
+    terms = [(k, math.log2(abs(ar) + abs(ai)) + k * lt) for k, (ar, ai) in enumerate(a) if ar or ai]
+    le0 = 3 - prec + math.log2(n + 1) + max(t for _, t in terms)
+    le1 = 3 - prec + math.log2(n + 1) + max(t + math.log2(k) - lt for k, t in terms if k)
+    lp = math.log2(num) / 2 - n * f0 if num else -math.inf  # log2 |p(z0)|
+    ld = math.log2(den) / 2 - (n - 1) * f0 if den else -math.inf  # log2 |p'(z0)|
+    if le1 > ld - 1:
+        return mp.inf
+    dx = int(mp.ldexp(z.real, g)) - (x0 << g - f0)  # z 2^g is a Gaussian integer
+    dy = int(mp.ldexp(z.imag, g)) - (y0 << g - f0)
+    ldist = math.log2(dx * dx + dy * dy) / 2 - g if dx or dy else -math.inf
+    # n (|p| + e0) / (|p'| - e1) + |z - z0|, and 2^-20 for the doubles' rounding
+    lr = max(math.log2(n) + max(lp, le0) + 2 - ld, ldist) + 1 + 2.0 ** -20
+    return mp.make_mpf(libmp.mpf_shift(libmp.from_float(2.0 ** (lr % 1)), math.floor(lr)))
 
 
-def complex_roots(coeffs: Sequence, prec: int) -> List[mp.mpc]:
-    """Roots of a polynomial with complex coefficients (low to high) at
-    working precision ``prec``, without radii, sorted by (|im|, re, im);
-    trailing zero coefficients are dropped first.  The coefficients are
-    rounded to ``prec`` bits.
-
-    Each companion-matrix eigenvalue of a double copy of the polynomial
-    (``numpy.roots``) seeds Newton's iteration in doubling precision on
-    exact Gaussian integers (``_newton_root``); the refined roots are
-    returned when their Newton disks are pairwise disjoint, so that each
-    belongs to its own simple root.  Otherwise (an unusable double copy,
-    a zero derivative, no convergence, or overlapping disks: double
-    roots, clusters, a complex pair the double copy rounded onto the real
-    axis) mpmath's Durand-Kerner iteration runs at 2 * ``prec`` bits with
-    its own stopping test, the library's only call of polyroots.  It
-    starts from the same eigenvalues, each moved by a distinct relative
-    2^-40, or from mpmath's fixed start when the double copy is unusable:
-    its leading entry underflowed to 0, an entry overflowed (LAPACK
-    refuses it), or a seed is not finite.  Raises RootFindingError when
-    that iteration does not converge."""
+def _solve(coeffs: Sequence, prec: int):
+    """(a, [(z, root)]): the Gaussian-integer coefficients that
+    ``complex_roots`` solves and each root rounded, with its ``_aberth``
+    root, in its order; under ``mp.workprec(prec)``."""
     cs = list(coeffs)
     while cs and abs(cs[-1]) == 0:
         cs.pop()
-    if len(cs) <= 1:
-        return []
+    n = len(cs) - 1
+    if n <= 0:
+        return [], []
     dbl = np.array([complex(c) for c in reversed(cs)])
     try:
         with np.errstate(all="ignore"):
             seeds = np.roots(dbl) if dbl[0] != 0 else None
     except np.linalg.LinAlgError:
         seeds = None
+    if seeds is None or not np.isfinite(seeds).all():
+        seeds = (0.4 + 0.9j) ** np.arange(n)
+    else:
+        # real seeds of a real polynomial stay real, and miss a complex pair the
+        # double copy rounded onto the real axis; a seed 0 (p(0) = 0) stays
+        seeds = seeds + (0.4 + 0.9j) ** np.arange(1, n + 1) * 2.0 ** -40 * np.abs(seeds)
+    a, _ = gauss_ints([mp.mpc(c) for c in cs])  # one power of 2 off moves no root
+    found = [(_rounded(root, prec), root) for root in _aberth(a, seeds, prec)]
+    return a, sorted(found, key=lambda zr: (abs(zr[0].imag), zr[0].real, zr[0].imag))
+
+
+def complex_roots(coeffs: Sequence, prec: int) -> List[mp.mpc]:
+    """Roots of a polynomial with complex coefficients (low to high), sorted
+    by (|im|, re, im), at ``prec`` bits, to which the coefficients are
+    rounded after trailing zeros are dropped.  One iteration, ``_aberth``,
+    finds them all, accepted by pairwise disjoint Henrici disks, from the
+    eigenvalues of a double copy's companion matrix (``numpy.roots``), each
+    moved by a distinct relative 2^-40, or from mpmath's fixed start
+    (0.4 + 0.9i)^k where that copy is unusable (an entry out of double
+    range, or a seed not finite).  Raises RootFindingError past its step cap."""
     with mp.workprec(prec):
-        mcs = [mp.mpc(c) for c in cs]
-        if seeds is not None and np.isfinite(seeds).all():
-            roots = _newton_roots(mcs, seeds, prec)
-            if roots is not None:
-                return sorted(roots, key=_canonical)
-            # From real seeds of a real polynomial the iteration stays real, so
-            # it never reaches a complex pair that the double copy rounded onto
-            # the real axis (a near-double root), and equal seeds never part.
-            # A distinct offset of 2^-40 times each seed's modulus avoids both
-            # (well above a seed's rounding, one quadratic step to undo); a
-            # seed at 0, the exact root of a zero constant term, stays.
-            spread = (0.4 + 0.9j) ** np.arange(1, len(seeds) + 1) * 2.0 ** -40
-            seeds = [mp.mpc(z) for z in seeds + spread * np.abs(seeds)]
-        else:
-            seeds = None
-        try:
-            roots = mp.polyroots(mcs[::-1], maxsteps=200, extraprec=prec, roots_init=seeds)
-        except mp.libmp.libhyper.NoConvergence as exc:
-            raise RootFindingError(f"root finding did not converge: {exc}")
-        return sorted(map(mp.mpc, roots), key=_canonical)
-
-
-def _certify_radius(p: UniPoly, z: mp.mpc) -> mp.mpf:
-    """deg * |p(z)/p'(z)| bounds the distance from z to the nearest root.
-
-    A rounding cushion at the working precision is added so the bound
-    stays valid for the finite-precision evaluation of p.
-    """
-    d = p.derivative()
-    pv = p.eval_mpc(z)
-    dv = d.eval_mpc(z)
-    if abs(dv) == 0:
-        return mp.mpf("inf")
-    cushion = (max(mp.mpf(1), abs(z)) ** max(p.degree, 1)
-               * mp.mpf(2) ** (10 - mp.mp.prec))
-    return mp.mpf(p.degree) * (abs(pv) + cushion) / abs(dv)
+        return [z for z, _ in _solve(coeffs, prec)[1]]
 
 
 def numeric_roots_squarefree(p: UniPoly, prec: int) -> List[RootBall]:
@@ -417,28 +421,25 @@ def numeric_roots_squarefree(p: UniPoly, prec: int) -> List[RootBall]:
 
     Gaussian-rational roots are recognized from the numeric values and
     verified exactly, after a candidate whose value modulo a prime is
-    nonzero, so no root, is set aside; every other root's certified
-    radius is computed when it is first read.
-    """
-    out: List[RootBall] = []
+    nonzero, so no root, is set aside; every other root takes the radius
+    of ``_radius``, which covers the rounding of p's coefficients."""
     ex = exact_roots_small(p) if p.degree in (1, 2) else None
     if ex is not None:
-        for r in ex:
-            out.append(RootBall(scalar_to_complex(r), 1, exact=r))
-        return out
+        return [RootBall(scalar_to_complex(r), 1, exact=r) for r in ex]
+    out: List[RootBall] = []
     if p.degree <= 0:
         return out
-    from .scalars import reconstruct_gauss
     image = [mod_prime(c) for c in integral(p.coeffs)[0]]
     with mp.workprec(prec):
-        for z in complex_roots([_c2mpc(c) for c in p.coeffs], prec):
+        a, found = _solve([_c2mpc(c) for c in p.coeffs], prec)
+        for z, root in found:
             # denominators at most 10^9 < _P
             cand = reconstruct_gauss(float(mp.re(z)), float(mp.im(z)),
                                      max_den=10 ** 9, tol=1e-14)
             if cand is not None and _residue(image, cand) == 0 and p.eval_exact(cand) == 0:
                 out.append(RootBall(scalar_to_complex(cand), 1, exact=cand))
                 continue
-            out.append(RootBall(z, 1, poly=p, prec=prec))
+            out.append(RootBall(z, 1, radius=_radius(a, root, z, prec)))
     return out
 
 

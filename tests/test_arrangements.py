@@ -344,15 +344,14 @@ def test_intersection_runs_yun_once_per_resultant(monkeypatch):
 
 
 def test_intersection_rounds_each_form_once_per_change(monkeypatch):
-    """Two cubics meeting in 9 numeric points: no root radius is computed,
-    and MpForms scales to integers at most each term of p, q, their six
-    partials (once per coordinate change) and of the two members of each
-    subresultant chain that lifts fibers, never once per point."""
+    """Two cubics meeting in 9 numeric points: MpForms scales to integers
+    at most each term of p, q, their six partials (once per coordinate
+    change) and of the two members of each subresultant chain that lifts
+    fibers, never once per point."""
     import sys
 
     import quadrics.arrangements as arr
     import quadrics.polynomials as polys
-    import quadrics.univariate as uni
 
     counts, chains = Counter(), []
 
@@ -369,7 +368,6 @@ def test_intersection_rounds_each_form_once_per_change(monkeypatch):
 
     scalars_integral = polys.integral
     monkeypatch.setattr(polys, "integral", integral)
-    count(uni, "_certify_radius")
     count(arr, "_try_intersection")
     monkeypatch.setattr(arr, "subresultant",
                         lambda *args: chains.append(polys.subresultant(*args)) or chains[-1])
@@ -380,7 +378,6 @@ def test_intersection_rounds_each_form_once_per_change(monkeypatch):
     forms = (p, q) + p.gradient() + q.gradient()
     bound = (counts["_try_intersection"] * sum(len(f.terms) for f in forms)
              + sum(len(m.terms) for chain in chains for m in chain[:2]))
-    assert counts["_certify_radius"] == 0
     assert 0 < counts["scaled"] <= bound
 
 
@@ -1125,11 +1122,8 @@ def _agrees(got, ref):
 
 def _normalized_line(vec, radius):
     """A NumLine normalized the way NumLine.from_points normalizes."""
-    from quadrics.arrangements import _phase_index
-    s = max(abs(c) for c in vec)
-    j = _phase_index(vec)
-    phase = vec[j] / abs(vec[j])
-    return NumLine(tuple(c / (s * phase) for c in vec), radius)
+    from quadrics.arrangements import _unit_line
+    return _unit_line(vec, radius * max(abs(c) for c in vec))
 
 
 def _line_triple(rng):

@@ -598,9 +598,9 @@ def test_undecided_verdicts_carry_a_note(tmp_path):
 
 
 def test_failed_root_solve_exits_undecided(tmp_path, monkeypatch, capsys):
-    """A Durand-Kerner solve that does not converge ends its coordinate
-    change; when every change fails, check-config is undecided (exit 3)
-    and its report is still valid.  Elsewhere the same error is exit 3."""
+    """A root solve that does not converge ends its coordinate change;
+    when every change fails, check-config is undecided (exit 3) and its
+    report is still valid.  Elsewhere the same error is exit 3."""
     import jsonschema
     from pathlib import Path
     import quadrics.univariate as uv
@@ -608,7 +608,7 @@ def test_failed_root_solve_exits_undecided(tmp_path, monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise uv.RootFindingError("injected failure")
 
-    monkeypatch.setattr(uv, "complex_roots", fail)
+    monkeypatch.setattr(uv, "_solve", fail)
     cfg = _write(tmp_path, "cfg.json", TRIPLE_CONFIG)
     code, doc = _run(["--precision-bits", "256", "--precision-cap", "512", "check-config", cfg],
                      tmp_path)

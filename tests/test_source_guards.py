@@ -1,13 +1,13 @@
 """Source guards: properties of the library's code itself.
 
-One root finder: ``mpmath.polyroots`` and ``numpy.roots`` are each called
-from exactly one place under ``src/quadrics``, ``univariate.complex_roots``,
-so every numeric polynomial root goes through the same seeded solve:
-Newton's iteration in doubling precision from the ``numpy.roots`` seeds,
-with the seeded ``polyroots`` call as its only fallback; and
-``complex_roots`` itself is called only by
-``univariate.numeric_roots_squarefree`` and, for the tie polynomials of
-the closed-form characteristic, ``nevanlinna._arc_mean``.
+One root finder: ``mpmath.polyroots`` is never called under
+``src/quadrics`` and ``numpy.roots`` only by ``univariate._solve``, so
+every numeric polynomial root goes through the same seeded solve:
+Aberth-Ehrlich's iteration in doubling precision from the ``numpy.roots``
+seeds, with no fallback.  ``_solve`` serves only
+``univariate.complex_roots`` and ``univariate.numeric_roots_squarefree``,
+and ``complex_roots`` only the tie polynomials of the closed-form
+characteristic, ``nevanlinna._arc_mean``.
 
 One evaluator for exponential sums: ``ExpSum._scaled`` is the only reader
 of the cached term coefficients, and no ``numpy.polyval`` copy of it is
@@ -20,12 +20,13 @@ form's terms at a numeric point (Balls aside, which carry their own
 error).  ``scalar_to_mp`` is called only in ``Ball.exact``,
 ``HomPoly.eval_mpc`` delegates to ``MpForms`` with no loop of its own,
 and no library code calls ``eval_mpc`` on a form, which would scale
-every coefficient again on each call (``_certify_radius`` evaluates a
-``UniPoly``).  Only ``MpForms``'s own methods read its slots:
+every coefficient again on each call.  Only ``MpForms``'s own methods read
+its slots:
 ``arrangements`` lifts and polishes through ``sums`` and ``values``.
 
-A root radius is computed only where it is read: ``_certify_radius`` is
-referenced only by the lazy ``RootBall.radius``.
+A root's radius comes from the root iteration's own last disk:
+``UniPoly`` has no ``eval_mpc``, so no polynomial is evaluated again at a
+found root.
 
 One exact elimination: ``polynomials._bareiss_last_row``, on dense
 polynomials over Z or Z[i], is the only Bareiss elimination and serves
@@ -51,6 +52,7 @@ import os
 
 import quadrics
 from quadrics.polynomials import MpForms
+from quadrics.univariate import UniPoly
 
 PACKAGE = os.path.dirname(os.path.abspath(quadrics.__file__))
 
@@ -107,8 +109,11 @@ def _references(attr: str):
     return found
 
 
-def test_certify_radius_is_called_only_by_the_lazy_radius():
-    assert _references("_certify_radius") == [("univariate.py", "RootBall.radius")]
+def test_unipoly_has_no_eval_mpc():
+    tree = dict(_trees())["univariate.py"]
+    cls = next(node for node in tree.body if getattr(node, "name", None) == "UniPoly")
+    assert "eval_mpc" not in {getattr(node, "name", None) for node in cls.body}
+    assert not hasattr(UniPoly, "eval_mpc")
 
 
 def test_forms_are_evaluated_only_by_mp_forms():
@@ -117,7 +122,7 @@ def test_forms_are_evaluated_only_by_mp_forms():
     for slot in MpForms.__slots__:
         assert {(name, scope.split(".")[0]) for name, scope in _references(slot)} == {
             ("polynomials.py", "MpForms")}, slot
-    assert {name for name, _ in _references("eval_mpc")} == {"univariate.py"}
+    assert _references("eval_mpc") == []
     tree = dict(_trees())["polynomials.py"]
     method = next(node for cls in tree.body if getattr(cls, "name", None) == "HomPoly"
                   for node in cls.body if getattr(node, "name", None) == "eval_mpc")
@@ -131,12 +136,13 @@ def test_ball_pass_constants_are_read_only_by_pass_of():
         assert _references(name) == [("polynomials.py", "_pass_of")], name
 
 
-def test_polyroots_is_called_only_in_complex_roots():
-    assert _uses("polyroots", {"mp", "mpmath"}) == [("univariate.py", "complex_roots")]
+def test_polyroots_is_never_called():
+    assert _uses("polyroots", {"mp", "mpmath"}) == []
 
 
 def test_numpy_roots_is_called_only_in_complex_roots():
-    assert _uses("roots", {"np", "numpy"}) == [("univariate.py", "complex_roots")]
+    """In ``_solve``, the solve behind it."""
+    assert _uses("roots", {"np", "numpy"}) == [("univariate.py", "_solve")]
 
 
 def test_complex_roots_is_called_only_for_squarefree_roots():
@@ -148,8 +154,9 @@ def test_complex_roots_is_called_only_for_squarefree_roots():
              for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
              for node in ast.walk(func) if isinstance(node, ast.Call)
              and getattr(node.func, "id", getattr(node.func, "attr", None)) == "complex_roots"]
-    assert calls == [("nevanlinna.py", "_arc_mean"),
-                     ("univariate.py", "numeric_roots_squarefree")]
+    assert calls == [("nevanlinna.py", "_arc_mean")]
+    assert sorted(set(_references("_solve"))) == [
+        ("univariate.py", "complex_roots"), ("univariate.py", "numeric_roots_squarefree")]
 
 
 def test_numpy_polyval_is_not_used():

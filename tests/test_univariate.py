@@ -3,6 +3,7 @@ from fractions import Fraction
 from unittest import mock
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -10,8 +11,7 @@ from hypothesis import strategies as st
 from quadrics.scalars import (GaussRat, coerce_scalar, gauss_sqrt, parse_scalar_string,
                               primitive_vector)
 from quadrics import univariate
-from quadrics.univariate import (RootFindingError, UniPoly, _certify_radius,
-                                 binary_form_roots, complex_roots,
+from quadrics.univariate import (RootFindingError, UniPoly, binary_form_roots, complex_roots,
                                  roots_with_multiplicity, uni_gcd, yun_squarefree)
 
 
@@ -61,24 +61,19 @@ def test_irrational_roots_carry_certified_radius():
 
 
 @pytest.mark.parametrize("read_bits", [53, 1024])
-def test_radius_is_computed_once_at_the_roots_precision(read_bits, monkeypatch):
-    """t^3 - 2 at 192 bits: a radius read under any working precision is
-    _certify_radius at 192 bits (at 1024 bits it would differ), and it is
-    computed on the first read only."""
+def test_radius_is_computed_once_at_the_roots_precision(read_bits):
+    """t^3 - 2 at 192 bits: each radius comes with its root, from the
+    iteration's last disk at 192 bits, so a read under any working
+    precision gives the same mpf; it covers the root found at 1024 bits."""
     p = UniPoly([-2, 0, 0, 1])
     balls = roots_with_multiplicity(p, 192)
-    with mp.workprec(192):
-        want = [_certify_radius(p, b.value) for b in balls]
-    with mp.workprec(1024):
-        assert all(_certify_radius(p, b.value) != w for b, w in zip(balls, want))
-    calls = []
-    monkeypatch.setattr(univariate, "_certify_radius",
-                        lambda *args: calls.append(args) or _certify_radius(*args))
+    want = [b.radius for b in balls]
     with mp.workprec(read_bits):
-        got = [b.radius for b in balls]
-        again = [b.radius for b in balls]
-    assert got == want and len(calls) == 3
-    assert all(a is g for a, g in zip(again, got))
+        assert all(b.radius is w for b, w in zip(balls, want))
+    with mp.workprec(1024):
+        cube = [mp.cbrt(2) * mp.expjpi(mp.mpf(2 * k) / 3) for k in range(3)]
+        for b in balls:
+            assert min(abs(b.value - r) for r in cube) <= b.radius < mp.mpf("1e-30")
 
 
 def test_binary_form_roots_with_coordinate_roots():
@@ -199,6 +194,34 @@ def _product(roots):
     return p
 
 
+def _seeded_durand_kerner(coeffs, prec):
+    """mp.polyroots at 2 prec bits from the numpy.roots seeds, each moved by
+    a distinct relative 2^-40, sorted as complex_roots sorts."""
+    seeds = np.roots([complex(c) for c in reversed(coeffs)])
+    seeds = seeds + (0.4 + 0.9j) ** np.arange(1, len(seeds) + 1) * 2.0 ** -40 * np.abs(seeds)
+    with mp.workprec(prec):
+        roots = mp.polyroots([mp.mpc(c) for c in reversed(coeffs)], maxsteps=200,
+                             extraprec=prec, roots_init=[mp.mpc(z) for z in seeds])
+        return sorted(map(mp.mpc, roots), key=lambda z: (abs(z.imag), z.real, z.imag))
+
+
+def _solve_with_disks(solve, *args):
+    """solve(*args), the seeds its root iteration started from and the last
+    Henrici disk of each root."""
+    seeds, disks = [], []
+    real = univariate._aberth
+
+    def spy(a, start, bits):
+        seeds.extend(start)
+        found = real(a, start, bits)
+        disks.extend(r[3] for r in found)
+        return found
+
+    with mock.patch.object(univariate, "_aberth", spy):
+        got = solve(*args)
+    return got, seeds, disks
+
+
 def _spy_on_polyroots(monkeypatch):
     """Record the roots_init every mp.polyroots call receives."""
     starts = []
@@ -244,22 +267,52 @@ def _within_one_ulp(x, y, prec):
 @given(st.lists(_GAUSS_INT, min_size=1, max_size=12),
        _GAUSS_INT.filter(lambda c: c != 0), st.sampled_from([53, 256, 512, 1024]))
 def test_newton_roots_match_the_seeded_durand_kerner(low, lead, prec):
-    """Squarefree Gaussian-integer polynomials of degree 1-12: Newton's
-    roots, in canonical order, are the seeded Durand-Kerner roots to one
-    unit in the last place."""
+    """Squarefree Gaussian-integer polynomials of degree 1-12: the roots,
+    in canonical order, are the seeded Durand-Kerner roots to one unit in
+    the last place."""
     coeffs = low + [lead]
     exact = UniPoly([GaussRat(int(c.real), int(c.imag)) for c in coeffs])
     assume(uni_gcd(exact, exact.derivative()).degree == 0)
     with mock.patch.object(mp, "polyroots", wraps=mp.polyroots) as spy:
         got = complex_roots(coeffs, prec)
-    assume(not spy.called)
-    with mock.patch.object(univariate, "_newton_roots", return_value=None):
-        want = complex_roots(coeffs, prec)
+    assert not spy.called
+    want = _seeded_durand_kerner(coeffs, prec)
     assert _in_canonical_order(got) and len(got) == len(want) == exact.degree
     with mp.workprec(prec + 20):
         for z in got:
             k = min(range(len(want)), key=lambda i: abs(want[i] - z))
             assert _within_one_ulp(want.pop(k), z, prec)
+
+
+def _exact_mpc(c):
+    return mp.mpc(int(c.re), int(c.im)) if isinstance(c, GaussRat) else mp.mpc(int(c))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.lists(_GAUSS_INT, max_size=10), _GAUSS_INT.filter(lambda c: c != 0), _GAUSS_INT,
+       st.integers(20, 120), st.sampled_from([256, 512]))
+def test_a_pair_two_to_the_minus_k_apart_is_isolated(low, lead, center, k, prec):
+    """Squarefree Gaussian-integer polynomials of degree 2-12 with a pair
+    of roots c +- 2^-k / sqrt(2), 2^-k sqrt(2) apart (4^(k+1) (z - c)^2 - 2
+    times a random factor): the last Henrici disks are pairwise disjoint,
+    every RootBall's radius covers a root found at 2048 bits, and
+    mp.polyroots is never called."""
+    c = GaussRat(int(center.real), int(center.imag))
+    q = UniPoly([GaussRat(int(z.real), int(z.imag)) for z in low + [lead]])
+    # the pair's factor is 2 (2^(2k + 1) (z - c)^2 - 1), irreducible, and its
+    # leading coefficient does not divide q's: q shares no factor with it
+    assume(uni_gcd(q, q.derivative()).degree == 0)
+    p = q * UniPoly([4 ** (k + 1) * c * c - 2, -2 * 4 ** (k + 1) * c, 4 ** (k + 1)])
+    with mock.patch.object(mp, "polyroots", wraps=mp.polyroots) as spy:
+        balls, _, disks = _solve_with_disks(roots_with_multiplicity, p, prec)
+    assert not spy.called
+    assert len(balls) == p.degree and univariate._isolated(disks, p.degree)
+    with mp.workprec(2048):
+        ref = mp.polyroots([_exact_mpc(c) for c in reversed(p.coeffs)], maxsteps=50,
+                           extraprec=2048, roots_init=[b.value for b in balls])
+        for b in balls:
+            z = b.value if b.exact is None else univariate._c2mpc(b.exact)
+            assert min(abs(z - r) for r in ref) <= b.radius
 
 
 @pytest.mark.parametrize("prec", [53, 256, 512])
@@ -273,15 +326,22 @@ def test_separated_roots_take_no_fallback(prec, monkeypatch):
 
 
 def test_roots_two_to_the_minus_60_apart_overlap():
-    """A double copy cannot hold 1 + 2^-60, so both roots get the seed 1:
-    both iterates stop at once with p(1) = 0 and their disks coincide."""
+    """A double copy cannot hold 1 + 2^-60, so it has a double root at 1,
+    where p(1) = 0: disks at 1 coincide.  Its two seeds there, about 1e-8
+    from 1, are parted by the iteration, and its last disks are isolated."""
     with mp.workprec(256):
         cs = [mp.mpc(c) for c in _product([1, 1 + mp.mpf(2) ** -60, -2])]
-        assert univariate._newton_roots(cs, [1.0, 1.0, -2.0], 256) is None
         a, _ = univariate.gauss_ints(cs)
-        found = [univariate._newton_root(a, z, 256) for z in (1.0, 1.0, -2.0)]
-    assert None not in found
-    assert not univariate._isolated([r[3] for r in found], 3)
+    at_seeds = []
+    for z in (1, 1, -2):
+        br, bi, cr, ci = univariate._horner(a, z, 0, 0)
+        at_seeds.append((z, 0, 0, br * br + bi * bi, cr * cr + ci * ci))
+    assert not univariate._isolated(at_seeds, 3)
+    got, seeds, disks = _solve_with_disks(complex_roots, cs, 256)
+    assert sum(abs(z - 1) < 2 ** -20 for z in seeds) == 2
+    assert univariate._isolated(disks, 3)
+    with mp.workprec(256):
+        _assert_same_roots(got, [mp.mpc(1), 1 + mp.mpf(2) ** -60, mp.mpc(-2)], 256)
 
 
 def test_disk_radii_round_up():
@@ -291,13 +351,13 @@ def test_disk_radii_round_up():
     assert univariate._isolated([(0, 0, 0, 9, 2), (7, 0, 0, 9, 2)], 1)
 
 
-def test_close_roots_take_the_fallback(monkeypatch):
+def test_close_roots_are_isolated(monkeypatch):
     starts = _spy_on_polyroots(monkeypatch)
     with mp.workprec(256):
         roots = [mp.mpc(1), 1 + mp.mpf(2) ** -60, mp.mpc(-2)]
         cs = _product(roots)
-    got = complex_roots(cs, 256)
-    assert starts and starts[0] is not None
+    got, _, disks = _solve_with_disks(complex_roots, cs, 256)
+    assert starts == [] and univariate._isolated(disks, 3)
     _assert_same_roots(got, roots, 256)
 
 
@@ -311,8 +371,6 @@ def test_parts_below_eps_are_dropped_as_polyroots_does(monkeypatch):
     starts = _spy_on_polyroots(monkeypatch)
     assert complex_roots(cs, 256) == want
     assert starts == []
-    with mock.patch.object(univariate, "_newton_roots", return_value=None):
-        assert complex_roots(cs, 256) == want
 
 
 @pytest.mark.parametrize("prec", [256, 512])
@@ -350,12 +408,14 @@ def test_huge_and_tiny_roots_converge_without_fallback(scale, prec, monkeypatch)
     [1, 1 + 2 ** -20, 1 - 2 ** -20, -2],  # dyadic: the coefficients are exact
 ], ids=["double", "complex-double", "cluster"])
 def test_double_root_and_cluster(roots, prec, monkeypatch):
-    """Seeded, no ArithmeticError, and the roots of mpmath's own start, to
-    about half the working bits (as far as a double root is determined)."""
+    """No ArithmeticError, and the roots of mpmath's own start, to about
+    half the working bits (as far as a double root is determined); the
+    cluster's disks are isolated, a double root's are not."""
     coeffs = _product(roots)
     starts = _spy_on_polyroots(monkeypatch)
-    got = complex_roots(coeffs, prec)
-    assert starts[0] is not None
+    got, _, disks = _solve_with_disks(complex_roots, coeffs, prec)
+    assert starts == []
+    assert univariate._isolated(disks, len(roots)) == (len(set(roots)) == len(roots))
     half = 4 - prec // 2
     _assert_same_roots(got, _default_start_roots(coeffs, prec), prec, half)
     _assert_same_roots(got, [mp.mpc(r) for r in roots], prec, half)
@@ -374,8 +434,8 @@ def test_real_seeds_reach_a_complex_pair(prec, monkeypatch):
                          "171491809271457966740256173929191"),
                   mp.mpf(-1)]
     starts = _spy_on_polyroots(monkeypatch)
-    got = complex_roots(coeffs, prec)
-    assert starts[0] is not None
+    got, _, disks = _solve_with_disks(complex_roots, coeffs, prec)
+    assert starts == [] and univariate._isolated(disks, 2)
     _assert_same_roots(got, _default_start_roots(coeffs, prec), prec)
     with mp.workprec(prec):
         assert sorted(mp.sign(mp.im(z)) for z in got) == [-1, 1]
@@ -386,13 +446,15 @@ def test_real_seeds_reach_a_complex_pair(prec, monkeypatch):
 @pytest.mark.parametrize("scale", ["1e401", "1e-401"])
 def test_unusable_double_copy_uses_the_default_start(scale, prec, monkeypatch):
     """Coefficients beyond double range: (z - 1)(z - 2) times 1e401 (every
-    entry overflows) or 1e-401 (the leading entry underflows to 0)."""
+    entry overflows) or 1e-401 (the leading entry underflows to 0): the
+    iteration starts from mpmath's fixed start and isolates both roots."""
     s = mp.mpf(scale)
     with mp.workprec(600):  # products exact: a common factor only
         coeffs = [c * s for c in (2, -3, 1)]
     starts = _spy_on_polyroots(monkeypatch)
-    got = complex_roots(coeffs, prec)
-    assert starts == [None]
+    got, seeds, disks = _solve_with_disks(complex_roots, coeffs, prec)
+    assert starts == [] and list(seeds) == [1, 0.4 + 0.9j]
+    assert univariate._isolated(disks, 2)
     _assert_same_roots(got, [mp.mpc(1), mp.mpc(2)], prec)
 
 
@@ -407,9 +469,10 @@ def test_zero_coefficients(prec):
 
 
 def test_failed_solve_raises_root_finding_error():
-    """(z^2 - 2)^2 does not converge from seeds at 384 bits; the error is
-    an ArithmeticError of its own type, which the intersection code reads
-    as a failed coordinate change."""
+    """(z^2 - 2)^2 at 384 bits: its two double roots converge at about 1/3
+    per step and do not reach the stop test of the ceiling's bits within
+    the step cap; the error is an ArithmeticError of its own type, which
+    the intersection code reads as a failed coordinate change."""
     with pytest.raises(RootFindingError, match="did not converge"):
         complex_roots([4, 0, -4, 0, 1], 384)
     assert issubclass(RootFindingError, ArithmeticError)
