@@ -3,15 +3,17 @@
 Intersections with exact multiplicities, tangency data, genericity
 verdicts, the 18-line system attached to a quadric triple, and pencil
 computations.  Intersection points are located numerically (resultant
-roots with certified radii, exact shortcuts when roots are recognized),
-multiplicities come from the exact squarefree decomposition of the
-eliminating resultant after a coordinate change that puts one point per
-fiber.  An exact fiber's point comes from an exact gcd; a numeric
-fiber's from the first subresultant S_k of the chain whose leading
-coefficient does not vanish there, z0 = -sres_{k,k-1}/(k sres_{k,k}),
-once the fiber is checked exactly to hold one point.  Where the resultant
-vanishes identically, the first nonzero member of the same chain is the
-shared component.
+roots with certified radii), multiplicities come from the exact
+squarefree decomposition of the eliminating resultant after a coordinate
+change that puts one point per fiber.  A point is exact exactly when its
+fiber root is (``univariate.numeric_roots_squarefree`` recognizes it):
+a point with Gaussian-rational coordinates has a Gaussian-rational fiber
+root, or t = 0 or oo, under every integer change.  An exact fiber's
+point comes from an exact gcd; a numeric fiber's from the first
+subresultant S_k of the chain whose leading coefficient does not vanish
+there, z0 = -sres_{k,k-1}/(k sres_{k,k}), once the fiber is checked
+exactly to hold one point.  Where the resultant vanishes identically,
+the first nonzero member of the same chain is the shared component.
 
 Numeric predicates are three valued: pass and fail are only ever
 certified (margin excludes zero, or exact arithmetic), everything else is
@@ -40,7 +42,7 @@ from .polynomials import (Ball, HomPoly, MpForms, PrecisionExhaustedError,
                           excludes_zero, gauss_div, gauss_ints, gauss_mul,
                           matrix_adjugate, poly_from_matrix, quadric_form,
                           resultant, subresultant, vanishes_at)
-from .scalars import coerce_scalar, reconstruct_gauss, scalar_to_complex
+from .scalars import coerce_scalar, scalar_to_complex
 from .univariate import (RootFindingError, UniPoly, binary_form_roots, uni_gcd,
                          yun_squarefree)
 
@@ -156,7 +158,7 @@ class NumLine:
         if line.is_zero:
             raise ZeroPolynomialError("the zero form is not a line")
         _, prim = line.content_primitive()
-        v = tuple(mp.mpc(scalar_to_complex(c)) for c in prim.linear_coeffs())
+        v = tuple(Ball.exact(c, False).mid for c in prim.linear_coeffs())
         s = _sup(v)
         return NumLine(tuple(c / s for c in v), mp.mpf(0), exact=prim)
 
@@ -583,9 +585,6 @@ def _try_intersection(p, q, U, prec, target):
             polished, prad = _newton_polish(polish if mult == 1 else None,
                                             (p.degree, q.degree), w, prec)
             pt = ProjPointNum(polished, prad)
-            rec_exact = _try_exact_recovery(p, q, polished)
-            if rec_exact is not None:
-                pt = ProjPointNum.from_exact(rec_exact)
         found.append((pt, mult))
     if sum(mult for _, mult in found) != target:
         return None
@@ -594,21 +593,6 @@ def _try_intersection(p, q, U, prec, target):
         if a.same_point(b):
             return None
     return found
-
-
-def _try_exact_recovery(p, q, coords):
-    rec = []
-    for v in map(complex, coords):
-        # only proposes a candidate: the exact evaluation below decides
-        g = reconstruct_gauss(v.real, v.imag, max_den=10 ** 6, tol=1e-18)
-        if g is None:
-            return None
-        rec.append(g)
-    if all(x == 0 for x in rec):
-        return None
-    if p.eval_exact(rec) == 0 and q.eval_exact(rec) == 0:
-        return tuple(rec)
-    return None
 
 
 def _record_sort_key(rec: IntersectionRecord):
@@ -1596,9 +1580,9 @@ def common_zeros_of_quadratic_system(forms: Sequence[HomPoly],
     candidates filtered through every form.  Persistent common components
     across combinations signal a positive-dimensional solution set, which
     is reported, not enumerated.  Every returned point is exact: a
-    numeric candidate on which some form is undecided is either recovered
-    exactly or makes its attempt ambiguous, and an ambiguous attempt is
-    discarded.
+    candidate is exact exactly when its fiber root is (see the module
+    docstring), and a numeric candidate on which some form is undecided
+    makes its attempt ambiguous, and an ambiguous attempt is discarded.
     """
     prec_cfg = precision or DEFAULT_PRECISION
     live = [f for f in forms if not f.is_zero]
@@ -1642,12 +1626,7 @@ def common_zeros_of_quadratic_system(forms: Sequence[HomPoly],
                     keep = False
                     break
                 if on is None:
-                    exact = _try_exact_recovery(live[0], f, rec.point.coords)
-                    if exact is not None and all(
-                            g.eval_exact(exact) == 0 for g in live):
-                        rec.point = ProjPointNum.from_exact(exact)
-                    else:
-                        ambiguous = True
+                    ambiguous = True
             if keep:
                 if not any(rec.point.same_point(s_) for s_ in sols):
                     sols.append(rec.point)

@@ -982,9 +982,9 @@ def functoriality_check(curve: ExpCurve, morphism: Sequence[HomPoly],
     sum has no T(r) and raises SumComponentError.
     The morphism components must have one common degree p and no common
     zero (checked exactly on a line via the gcd; on the plane two forms
-    always share a zero, three go through the certified search, and four
-    or more are tested at the points of their first pair without a shared
-    component).
+    always share a zero, three go through ``composite_morphism``, whose
+    undecided answer is refused like a common zero, and four or more are
+    tested at the points of their first pair without a shared component).
     """
     degs = {m.degree for m in morphism}
     if len(degs) != 1:
@@ -1013,6 +1013,8 @@ def functoriality_check(curve: ExpCurve, morphism: Sequence[HomPoly],
         md = composite_morphism(morphism[0], morphism[1], morphism[2], (1, 1, 1))
         if not md.is_morphism:
             raise NotAMorphismError("components share a common zero")
+        if not md.certified:
+            raise NotAMorphismError("components may share a common zero: undecided")
     else:
         # the common zeros lie among the points of the first pair, in index
         # order, that shares no component

@@ -1149,9 +1149,9 @@ class ProjPointNum:
 
     @staticmethod
     def from_exact(coords) -> "ProjPointNum":
+        """The exact point, its coordinates rounded to the working precision."""
         ex = tuple(coerce_scalar(c) for c in coords)
-        num = [scalar_to_complex(c) for c in ex]
-        return ProjPointNum(num, 0, exact=ex)
+        return ProjPointNum([Ball.exact(c, False).mid for c in ex], 0, exact=ex)
 
     def is_exact(self) -> bool:
         return self.exact is not None

@@ -145,48 +145,6 @@ def scalar_to_complex(x) -> complex:
     return complex(float(x), 0.0)
 
 
-def rat_sqrt(x: Fraction) -> Optional[Fraction]:
-    """Exact square root of a nonnegative rational, or None."""
-    if x < 0:
-        return None
-    if x == 0:
-        return Fraction(0)
-    n, d = x.numerator, x.denominator
-    rn = math.isqrt(n)
-    rd = math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
-
-
-def gauss_sqrt(x) -> Optional[Scalar]:
-    """Exact square root inside the Gaussian rationals, or None.
-
-    Solves (u + v*i)^2 = x; requires the norm of x to be a rational
-    square and the resulting u^2 to be one as well.
-    """
-    x = coerce_scalar(x)
-    if isinstance(x, Fraction):
-        r = rat_sqrt(x)
-        if r is not None:
-            return r
-        r = rat_sqrt(-x)
-        if r is not None:
-            return GaussRat(0, r)
-        return None
-    # x = a + bi with b != 0: u^2 = (a + |x|)/2, v = b/(2u)
-    a, b = x.re, x.im
-    m = rat_sqrt(a * a + b * b)
-    if m is None:
-        return None
-    u2 = (a + m) / 2
-    u = rat_sqrt(u2)
-    if u is None or u == 0:
-        return None
-    v = b / (2 * u)
-    return coerce_scalar(GaussRat(u, v))
-
-
 _DEC_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$")
 
 
@@ -280,13 +238,13 @@ def primitive_vector(vec) -> list:
     return [coerce_scalar(y / g) for y in ys]
 
 
-def reconstruct_gauss(re_val: float, im_val: float,
-                      max_den: int = 10 ** 8,
-                      tol: float = 1e-12) -> Optional[Scalar]:
-    """Recover a Gaussian rational from float real/imag approximations."""
-    scale = max(1.0, abs(re_val), abs(im_val))
-    pr = Fraction(re_val).limit_denominator(max_den)
-    pi = Fraction(im_val).limit_denominator(max_den)
-    if abs(float(pr) - re_val) <= tol * scale and abs(float(pi) - im_val) <= tol * scale:
-        return coerce_scalar(GaussRat(pr, pi))
-    return None
+def reconstruct_gauss(re: Fraction, im: Fraction, max_den: int,
+                      radius: Fraction) -> Optional[Scalar]:
+    """The Gaussian rational c whose parts are the closest rationals to re
+    and im with denominators at most max_den, when |re + i im - c| <=
+    radius; else None.  Two distinct rationals with denominators at most
+    max_den are 1 / max_den^2 apart or more, so when 2 max_den^2 radius <=
+    1, no other such Gaussian rational lies within radius of re + i im."""
+    c = GaussRat(re.limit_denominator(max_den), im.limit_denominator(max_den))
+    dr, di = re - c.re, im - c.im
+    return coerce_scalar(c) if dr * dr + di * di <= radius * radius else None

@@ -3,8 +3,11 @@ squarefree decomposition and certified numeric root finding.
 
 Binary homogeneous forms from resultants are routed through here: strip
 the powers of each variable, dehomogenize, decompose by Yun's algorithm,
-then solve each squarefree part (exact for degree <= 2, numeric
-otherwise, with Gaussian-rational roots recognized and verified exactly).
+then solve each squarefree part numerically.  One rule, in
+``numeric_roots_squarefree``, makes a root exact: the closest Gaussian
+rational with part denominators bounded by the norm of the primitive
+leading coefficient and by the root's radius, kept when it lies within
+that radius and the polynomial vanishes there exactly.
 
 Every polynomial root the library finds comes from this module, and
 every numeric one from one iteration behind ``complex_roots``:
@@ -19,15 +22,14 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import mpmath as mp
 import numpy as np
 from mpmath import libmp
 
 from .polynomials import gauss_ints, poly_exquo, poly_mul, poly_sub, round_div, trim
-from .scalars import (GaussRat, Scalar, coerce_scalar, gauss_sqrt, integral,
-                      reconstruct_gauss, scalar_to_complex)
+from .scalars import GaussRat, coerce_scalar, integral, reconstruct_gauss, scalar_to_complex
 
 
 def _c2mpc(c) -> mp.mpc:
@@ -74,13 +76,6 @@ class UniPoly:
 
     def derivative(self) -> "UniPoly":
         return UniPoly([c * k for k, c in enumerate(self.coeffs)][1:])
-
-    def eval_exact(self, x) -> Scalar:
-        x = coerce_scalar(x)
-        acc: Scalar = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return coerce_scalar(acc)
 
     def __repr__(self):
         return f"UniPoly({list(self.coeffs)})"
@@ -138,14 +133,6 @@ def _mod_p(a: list) -> list:
     return trim([c % _P for c in a])
 
 
-def _residue(image: list, x) -> int:
-    """The value at the scalar x of a polynomial given modulo _P."""
-    x, acc = mod_prime(x), 0
-    for c in reversed(image):
-        acc = (acc * x + c) % _P
-    return acc
-
-
 def uni_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     """Monic gcd over the Gaussian rationals, from integer multiples."""
     gauss = any(isinstance(c, GaussRat) for c in a.coeffs + b.coeffs)
@@ -194,21 +181,6 @@ class RootBall:
             return f"RootBall(exact={self.exact}, m={self.multiplicity})"
         return (f"RootBall({mp.nstr(self.value, 10)} +- {mp.nstr(self.radius, 3)}, "
                 f"m={self.multiplicity})")
-
-
-def exact_roots_small(p: UniPoly) -> Optional[List[Scalar]]:
-    """All roots exactly for degree 1 and, when the discriminant has a
-    Gaussian-rational square root, degree 2.  None when not available."""
-    if p.degree == 1:
-        return [coerce_scalar(-p.coeffs[0] / p.coeffs[1])]
-    if p.degree == 2:
-        c, b, a = p.coeffs[0], p.coeffs[1], p.coeffs[2]
-        disc = b * b - 4 * a * c
-        s = gauss_sqrt(disc)
-        if s is None:
-            return None
-        return [coerce_scalar((-b + s) / (2 * a)), coerce_scalar((-b - s) / (2 * a))]
-    return None
 
 
 class RootFindingError(ArithmeticError):
@@ -416,30 +388,54 @@ def complex_roots(coeffs: Sequence, prec: int) -> List[mp.mpc]:
         return [z for z, _ in _solve(coeffs, prec)[1]]
 
 
-def numeric_roots_squarefree(p: UniPoly, prec: int) -> List[RootBall]:
-    """Roots of a squarefree polynomial at working precision ``prec``.
+def _vanishes(f: list, c) -> bool:
+    """f(c) == 0, f a list of Gaussian integers (re, im) low to high and c
+    a Gaussian rational: Horner on Gaussian integers for d^n f((u + i v) / d),
+    d the lcm of c's part denominators."""
+    c = GaussRat(0) + c  # not coerce_scalar: both parts are read
+    d = math.lcm(c.re.denominator, c.im.denominator)
+    u, v, q = int(c.re * d), int(c.im * d), 1
+    br, bi = f[-1]
+    for ar, ai in reversed(f[:-1]):
+        q *= d
+        br, bi = br * u - bi * v + ar * q, br * v + bi * u + ai * q
+    return br == 0 == bi
 
-    Gaussian-rational roots are recognized from the numeric values and
-    verified exactly, after a candidate whose value modulo a prime is
-    nonzero, so no root, is set aside; every other root takes the radius
-    of ``_radius``, which covers the rounding of p's coefficients."""
-    ex = exact_roots_small(p) if p.degree in (1, 2) else None
-    if ex is not None:
-        return [RootBall(scalar_to_complex(r), 1, exact=r) for r in ex]
-    out: List[RootBall] = []
+
+def numeric_roots_squarefree(p: UniPoly, prec: int) -> List[RootBall]:
+    """Roots of a squarefree polynomial at working precision ``prec``, each
+    with the radius of ``_radius``, which covers the rounding of p's
+    coefficients, or exact when it is a Gaussian rational within reach.
+
+    One recognizer: a Gaussian-rational root a / b of the primitive integer
+    multiple F of p has b | lc(F) in Z[i], so each of its parts has a
+    denominator dividing N(lc(F)) (the rational root theorem).  Within the
+    radius R of a root z, with D = min(N(lc(F)), floor((2 R)^(-1/2))), the
+    parts of z have that root's parts as their closest rationals with
+    denominators at most D (``reconstruct_gauss``), since 2 D^2 R <= 1; the
+    candidate c is taken iff |z - c| <= R and F(c) = 0 exactly.  So every
+    Gaussian-rational root whose part denominators are at most
+    (2 R)^(-1/2), about 2^(prec / 2 - 24) for a root of modulus near 1 apart
+    from the others, comes back exact, and no other."""
     if p.degree <= 0:
-        return out
-    image = [mod_prime(c) for c in integral(p.coeffs)[0]]
+        return []
+    f = [(int(c.re), int(c.im)) if isinstance(c, GaussRat) else (c, 0)
+         for c in _primitive(integral(p.coeffs)[0])]
+    norm = f[-1][0] ** 2 + f[-1][1] ** 2
+    out: List[RootBall] = []
     with mp.workprec(prec):
         a, found = _solve([_c2mpc(c) for c in p.coeffs], prec)
         for z, root in found:
-            # denominators at most 10^9 < _P
-            cand = reconstruct_gauss(float(mp.re(z)), float(mp.im(z)),
-                                     max_den=10 ** 9, tol=1e-14)
-            if cand is not None and _residue(image, cand) == 0 and p.eval_exact(cand) == 0:
-                out.append(RootBall(scalar_to_complex(cand), 1, exact=cand))
-                continue
-            out.append(RootBall(z, 1, radius=_radius(a, root, z, prec)))
+            radius, c = _radius(a, root, z, prec), None
+            if mp.isfinite(radius):
+                r, re, im = (Fraction(*libmp.to_rational(x)) for x in (radius._mpf_,) + z._mpc_)
+                den = min(norm, math.isqrt(int(1 / (2 * r))))
+                if den:
+                    c = reconstruct_gauss(re, im, den, r)
+            if c is not None and _vanishes(f, c):
+                out.append(RootBall(scalar_to_complex(c), 1, exact=c))
+            else:
+                out.append(RootBall(z, 1, radius=radius))
     return out
 
 

@@ -455,6 +455,25 @@ def test_numeric_lines_keep_their_representative_when_moduli_tie():
         assert max(abs(x - y) for x, y in zip(grads[0], grads[1])) < 1e-25
 
 
+def test_a_line_through_an_exact_point_covers_the_true_line():
+    """An exact point's coordinates are rounded at the working precision,
+    so the radius of a line through it and a numeric point covers the
+    true line, found at 1024 bits; double coordinates left it 3.1e-17 off
+    under a radius of 2.5e-75.  An exact line's coefficients likewise."""
+    from quadrics.arrangements import _unit_line
+    exact = (Fraction(3, 11), Fraction(-9, 11), 1)
+    with mp.workprec(256):
+        b = ProjPointNum([mp.sqrt(2), mp.mpf(1) / 3, 1])
+        line = NumLine.from_points(ProjPointNum.from_exact(exact), b)
+    with mp.workprec(1024):
+        a = [mp.mpf(x.numerator) / x.denominator for x in map(Fraction, exact)]
+        true = _unit_line(_cross_vec(a, b.coords), mp.mpf(0))
+        assert max(abs(x - y) for x, y in zip(line.vec, true.vec)) <= line.radius < 1e-60
+    with mp.workprec(256):  # an exact line's coefficients beyond 2^53 as well
+        big = NumLine.from_exact(parse_poly("(10^20 + 1)*z0 + 3*z1 - z2"))
+        assert abs(big.vec[1] - mp.mpf(3) / (10 ** 20 + 1)) < mp.mpf(2) ** -250
+
+
 def test_record_sort_key_ignores_parts_within_the_radius():
     """A conjugate pair of points whose second coordinate has an imaginary
     part of +-1e-79, far below the radius, is ordered by the third

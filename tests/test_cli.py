@@ -80,6 +80,26 @@ def test_check_config_duplicate_component_exit_one(tmp_path):
     assert doc["report"]["genericity"]["conditions"]["s4.2"]["verdict"] == "fail"
 
 
+def test_rational_triple_point_with_eleven_digit_coordinates_fails_exactly(tmp_path):
+    """The conics pass through (12345678901 : 10987654321 : 11111111113),
+    whose fiber roots have denominators far beyond 10^9: s4.2 fails on an
+    exact witness, printed with its 30 digits correct, not undecided."""
+    import mpmath as mp
+    n = "123456790165432098769"
+    cfg = _write(tmp_path, "triple.json", {"family": [2, 2, 2], "components": [
+        f"{n}*z0*z1 - 135650052122251181221*z2^2",
+        f"{n}*z0^2 + {n}*z1^2 - 273144335004386538842*z2^2",
+        f"{n}*z0^2 - {n}*z1^2 + 11111111113*z0*z2 - 31687240061152275661*z2^2"]})
+    code, doc = _run(["check-config", cfg], tmp_path)
+    assert code == 1
+    s42 = doc["report"]["genericity"]["conditions"]["s4.2"]
+    assert s42["verdict"] == "fail"
+    with mp.workprec(256):
+        want = [mp.nstr(mp.mpc(mp.mpf(x) / 12345678901), 30)
+                for x in (12345678901, 10987654321, 11111111113)]
+    assert {"point": want, "radius": "0.0"} in s42["witnesses"]
+
+
 def test_check_config_parse_error_exit_two(tmp_path):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{not json")

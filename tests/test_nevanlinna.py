@@ -516,6 +516,16 @@ def test_functoriality_rejects_non_morphism():
         functoriality_check(f3, [p1, p2, p1 + p2], [10.0, 20.0])
 
 
+def test_functoriality_refuses_an_undecided_common_zero():
+    """The three forms share (+-sqrt2 : +-sqrt2 : 1), where the third one's
+    vanishing is undecided at every precision: an uncertified morphism is
+    refused before the image curve is formed."""
+    forms = [parse_poly(f) for f in ("z0^2 - 2*z2^2", "z1^2 - 2*z2^2", "z0^2 - z1^2")]
+    f3 = ExpCurve.from_exponents([[0], [0, 1], [1, 2]])
+    with pytest.raises(NotAMorphismError, match="undecided"):
+        functoriality_check(f3, forms, [10.0, 20.0])
+
+
 @pytest.mark.parametrize("forms", [["z0*z1", "z0*z2"], ["z0^2", "z1^2"]])
 def test_functoriality_two_plane_forms_are_never_a_morphism(forms):
     # two ternary forms always share a zero; the first pair also shares

@@ -9,6 +9,14 @@ seeds, with no fallback.  ``_solve`` serves only
 and ``complex_roots`` only the tie polynomials of the closed-form
 characteristic, ``nevanlinna._arc_mean``.
 
+One recognizer for exact roots and points: ``scalars.reconstruct_gauss``
+is called only by ``univariate.numeric_roots_squarefree``, with a
+denominator bound and a radius worked out from each root (no constant),
+and the closed forms for degree 1 and 2, the mod-prime pretest and the
+recovery of polished points are gone.  ``_try_intersection`` builds
+``ProjPointNum.from_exact`` only where the fiber root is exact, so an
+intersection point is exact exactly when its fiber root is.
+
 One evaluator for exponential sums: ``ExpSum._scaled`` is the only reader
 of the cached term coefficients, and no ``numpy.polyval`` copy of it is
 left, so points and arrays are evaluated by the same code.
@@ -191,3 +199,36 @@ def test_one_bareiss_elimination_and_no_form_division_in_it():
     assert _references("_bareiss_last_row") == [("polynomials.py", "subresultant")]
     assert sorted(set(_references("exact_div"))) == [
         ("arrangements.py", "_shared_factor"), ("arrangements.py", "common_component_witness")]
+
+
+def test_one_recognizer_for_exact_roots():
+    assert _references("reconstruct_gauss") == [("univariate.py", "numeric_roots_squarefree")]
+    tree = dict(_trees())["univariate.py"]
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "reconstruct_gauss"]
+    assert len(calls) == 1
+    args = calls[0].args + [k.value for k in calls[0].keywords]
+    assert not any(isinstance(arg, ast.Constant) for arg in args)
+
+
+def test_intersection_points_are_exact_only_from_exact_fiber_roots():
+    tree = dict(_trees())["arrangements.py"]
+    func = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "_try_intersection")
+
+    def builds(node):
+        return [n for n in ast.walk(node)
+                if isinstance(n, ast.Attribute) and n.attr == "from_exact"]
+
+    branch = next(node for node in ast.walk(func) if isinstance(node, ast.If)
+                  and ast.unparse(node.test) == "exact is not None")
+    assert len(builds(func)) == 1
+    assert builds(func) == [n for stmt in branch.body for n in builds(stmt)]
+
+
+def test_the_old_recovery_paths_are_gone():
+    gone = {"exact_roots_small", "gauss_sqrt", "rat_sqrt", "_residue", "_try_exact_recovery"}
+    names = {getattr(node, attr) for _, tree in _trees() for node in ast.walk(tree)
+             for attr in ("id", "attr", "name") if isinstance(getattr(node, attr, None), str)}
+    assert not gone & names
+    assert not hasattr(UniPoly, "eval_exact")

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quadrics.scalars import (GaussRat, coerce_scalar, gauss_sqrt, parse_scalar_string,
-                              primitive_vector)
+from quadrics.scalars import GaussRat, coerce_scalar, parse_scalar_string, primitive_vector
 from quadrics import univariate
 from quadrics.univariate import (RootFindingError, UniPoly, binary_form_roots, complex_roots,
                                  roots_with_multiplicity, uni_gcd, yun_squarefree)
@@ -110,16 +109,22 @@ def test_roots_with_multiplicity_recovers_linear_factors(roots):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.lists(_ROOT, min_size=1, max_size=5), _ROOT.filter(lambda c: c != 0))
-def test_mod_prime_pretest_never_rejects_a_root(roots, lead):
-    """A Gaussian-rational root has residue 0 modulo the prime, so the
-    pretest in front of the exact evaluation keeps every true root; a
-    nonzero residue proves a candidate is no root."""
+def test_mod_prime_is_a_ring_map(roots, lead):
+    """mod_prime maps a Gaussian-rational root of p to a root of p's image
+    modulo the prime, which the modular squarefree test of yun_squarefree
+    relies on; a nonzero value there proves a scalar is no root."""
+    def residue(image, x):
+        x, acc = univariate.mod_prime(x), 0
+        for c in reversed(image):
+            acc = (acc * x + c) % univariate._P
+        return acc
+
     p = UniPoly([lead])
     for r in roots:
         p = p * UniPoly([-r, 1])
     image = [univariate.mod_prime(c) for c in univariate.integral(p.coeffs)[0]]
-    assert all(univariate._residue(image, r) == 0 for r in roots)
-    assert univariate._residue([univariate.mod_prime(Fraction(c)) for c in (-2, 0, 1)], 1) != 0
+    assert all(residue(image, r) == 0 for r in roots)
+    assert residue([univariate.mod_prime(Fraction(c)) for c in (-2, 0, 1)], 1) != 0
 
 
 def test_yun_with_a_leading_coefficient_divisible_by_the_prime():
@@ -140,11 +145,46 @@ def test_rational_roots_large_coefficients_fast():
     assert all(b.exact is None and b.multiplicity == 1 for b in balls)
 
 
-def test_gauss_sqrt():
-    assert gauss_sqrt(Fraction(9, 4)) == Fraction(3, 2)
-    assert gauss_sqrt(-4) == GaussRat(0, 2)
-    assert gauss_sqrt(GaussRat(0, 2)) == GaussRat(1, 1)  # (1+i)^2 = 2i
-    assert gauss_sqrt(Fraction(2)) is None
+_BIG = st.integers(-2 ** 64, 2 ** 64)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_BIG, _BIG, st.integers(1, 2 ** 64)), min_size=1, max_size=3),
+       st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(0, 9)),
+       st.sampled_from([256, 512]))
+def test_gaussian_rational_roots_with_huge_denominators_are_exact(factors, cubic, prec):
+    """Each root (x + i y) / b of (b t - x - i y), b up to 2^64, comes back
+    exact exactly once, next to the three roots, numeric with finite radii,
+    of an Eisenstein cubic at 2 (irreducible over Q, so no root in Q(i));
+    the recognizer's bound comes from the leading coefficient and the
+    radius, not from a fixed maximal denominator."""
+    roots = [coerce_scalar(GaussRat(Fraction(x, b), Fraction(y, b))) for x, y, b in factors]
+    assume(len(set(roots)) == len(roots))
+    k2, k1, m = cubic
+    p = UniPoly([2 * (2 * m + 1), 2 * k1, 2 * k2, 1])
+    for (x, y, b) in factors:
+        p = p * UniPoly([-GaussRat(x, y), b])
+    balls = roots_with_multiplicity(p, prec)
+    assert Counter(b.exact for b in balls if b.exact is not None) == Counter(roots)
+    numeric = [b for b in balls if b.exact is None]
+    assert len(numeric) == 3
+    assert all(b.multiplicity == 1 and mp.isfinite(b.radius) for b in numeric)
+
+
+def test_a_root_next_to_an_irrational_one_is_taken_once():
+    """-9/11 is the closest rational with denominator at most lc = 11 to
+    both -0.8182 and the irrational root -0.7913: only the root within its
+    radius of the candidate is exact."""
+    balls = roots_with_multiplicity(UniPoly([-27, -60, -24, 11]), 256)
+    assert [b.exact for b in balls if b.exact is not None] == [Fraction(-9, 11)]
+    assert sum(b.exact is None and mp.isfinite(b.radius) for b in balls) == 2
+
+
+def test_a_small_denominator_under_a_huge_leading_coefficient():
+    """(3t - 1)(3^190 t^2 - 2) at 256 bits: lc times the radius is far above
+    1/2, so rounding lc t would miss 1/3; the bound (2 R)^(-1/2) keeps it."""
+    balls = roots_with_multiplicity(UniPoly([-1, 3]) * UniPoly([-2, 0, 3 ** 190]), 256)
+    assert [b.exact for b in balls if b.exact is not None] == [Fraction(1, 3)]
 
 
 def test_parse_scalar_strings():
