@@ -27,6 +27,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -40,11 +41,10 @@ from .polynomials import (Ball, HomPoly, MpForms, PrecisionExhaustedError,
                           ProjPointNum, ZeroPolynomialError, _cross, _mag, _unit_vector,
                           _mul_up, _up, ball_eval, coerce_point, coord_balls,
                           excludes_zero, gauss_div, gauss_ints, gauss_mul,
-                          matrix_adjugate, poly_from_matrix, quadric_form,
-                          resultant, subresultant, vanishes_at)
+                          matrix_adjugate, poly_from_matrix, poly_mul, poly_sub,
+                          quadric_form, resultant, subresultant, trim, vanishes_at)
 from .scalars import coerce_scalar, scalar_to_complex
-from .univariate import (RootFindingError, UniPoly, binary_form_roots, uni_gcd,
-                         yun_squarefree)
+from .univariate import RootFindingError, binary_form_roots, uni_gcd, yun_squarefree
 
 
 class CommonComponentError(ValueError):
@@ -323,22 +323,23 @@ def _fiber_points_exact(p2: HomPoly, q2: HomPoly, beta, gamma):
     exactly one point.
 
     The common roots in z0 are those of the gcd; one point means that the
-    gcd's squarefree part is a single monic linear Yun factor z0 - c.
+    gcd's squarefree part is a single linear Yun factor c1 z0 + c0.
     """
     pc = [f.eval_exact((0, beta, gamma)) for f in p2.coeffs_in(0)]
     qc = [f.eval_exact((0, beta, gamma)) for f in q2.coeffs_in(0)]
-    parts = yun_squarefree(uni_gcd(UniPoly(pc), UniPoly(qc)))
-    if len(parts) != 1 or parts[0][0].degree != 1:
+    parts = yun_squarefree(uni_gcd(pc, qc))
+    if len(parts) != 1 or len(parts[0][0]) != 2:
         return None
-    return -parts[0][0].coeffs[0]
+    c0, c1 = parts[0][0]
+    return -Fraction(c0, c1) if isinstance(c1, int) else -c0 / c1
 
 
-def _at_t(form: HomPoly) -> UniPoly:
+def _at_t(form: HomPoly) -> list:
     """A form in z1, z2 on the fiber (z1 : z2) = (t : 1), a polynomial in t."""
     coeffs = [0] * (form.degree_in(1) + 1)
     for e, c in form.terms.items():
         coeffs[e[1]] = c
-    return UniPoly(coeffs)
+    return trim(coeffs)
 
 
 def _fiber_lifts(parts, p2, q2, mults):
@@ -366,19 +367,19 @@ def _fiber_lifts(parts, p2, q2, mults):
         while True:
             if k not in chain:
                 chain[k] = subresultant(p2, q2, 0, k)
-            shared = uni_gcd(f, _at_t(chain[k][0])).degree
-            if shared == 0:
+            shared = len(uni_gcd(f, _at_t(chain[k][0])))
+            if shared == 1:
                 break
-            if shared < f.degree:
+            if shared < len(f):
                 return None  # the roots of f need different k
             k += 1
         sres = [_at_t(c) for c in reversed(chain[k])]  # sres[j] = sres_{k,j}
-        ks = UniPoly([k]) * sres[k]
+        ks = [k * c for c in sres[k]]
         for j in range(k - 1):
-            lhs = math.prod([ks] * k, start=sres[j])
-            rhs = math.prod([ks] * j + [sres[k - 1]] * (k - j),
-                            start=UniPoly([math.comb(k, j)]) * sres[k])
-            if uni_gcd(lhs - rhs, f).degree < f.degree:
+            lhs = functools.reduce(poly_mul, [ks] * k, sres[j])
+            rhs = functools.reduce(poly_mul, [ks] * j + [sres[k - 1]] * (k - j),
+                                   [math.comb(k, j) * c for c in sres[k]])
+            if len(uni_gcd(poly_sub(lhs, rhs), f)) < len(f):
                 return None  # more than one point above a root of f
         if k not in forms:
             forms[k] = MpForms(chain[k][:2])

@@ -1,8 +1,8 @@
 """Numerical value-distribution engine for entire curves.
 
-Curves are tuples of exponential sums  sum_m c_m(xi) e^{Q_m(xi)}  with
-exact Gaussian-rational polynomial data, so degeneracy questions (a
-divisor containing the curve, linear relations among components) are
+Curves are tuples of exponential sums  sum_m c_m(xi) e^{Q_m(xi)},  with
+c_m and Q_m Gaussian-rational coefficient tuples, so degeneracy questions
+(a divisor containing the curve, linear relations among components) are
 decided exactly while growth and counting data are computed numerically.
 
 The characteristic is the sup-norm circle mean of log|f| normalized at
@@ -27,6 +27,7 @@ per curve, so the growth checks of one run share them.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -37,10 +38,10 @@ import numpy as np
 
 from .config import scoped
 from .linalg import nullspace, rank
-from .polynomials import HomPoly, vanishes_at
+from .polynomials import HomPoly, poly_mul, poly_sub, trim, vanishes_at
 from .scalars import (GaussRat, coerce_scalar, parse_scalar_string,
                       scalar_to_complex)
-from .univariate import UniPoly, complex_roots
+from .univariate import _derivative, complex_roots, dehomogenize, uni_gcd
 
 
 class QuadratureFailureError(ArithmeticError):
@@ -84,38 +85,42 @@ class CertificateRangeError(ArithmeticError):
 # Exponential sums
 # ---------------------------------------------------------------------------
 
-def _poly_key(p: UniPoly):
-    return p.coeffs
+class _Coeffs(tuple):
+    coeffs = property(lambda self: self)  # the name perfbench's tracer reads
+
+
+def _canonical(p: Sequence) -> tuple:
+    return _Coeffs(trim([coerce_scalar(c) for c in p]))
+
+
+def _plus(a: Sequence, b: Sequence) -> list:
+    return poly_sub(list(a), [-c for c in b])
 
 
 class ExpSum:
-    """Finite sum of c_m(xi) * exp(Q_m(xi)) with exact polynomial data."""
+    """Finite sum of c_m(xi) * exp(Q_m(xi)) with exact polynomial data:
+    ``terms`` pairs (c_m, Q_m) of canonical coefficient tuples, low to high,
+    one per exponent, in the order in which each exponent first came with
+    a nonzero coefficient (``_scaled`` sums the terms in that order)."""
 
     __slots__ = ("terms", "_py_cache")
 
-    def __init__(self, terms: Sequence[Tuple[UniPoly, UniPoly]]):
-        combined: Dict[tuple, UniPoly] = {}
-        order: List[tuple] = []
+    def __init__(self, terms: Sequence[Tuple[Sequence, Sequence]]):
+        combined: Dict[tuple, list] = {}
         for coeff, expo in terms:
-            if coeff.is_zero:
-                continue
-            k = _poly_key(expo)
-            if k in combined:
-                combined[k] = combined[k] + coeff
-            else:
-                combined[k] = coeff
-                order.append(k)
-        self.terms = tuple(
-            (combined[k], UniPoly(list(k))) for k in order if not combined[k].is_zero)
+            if any(coeff):
+                k = _canonical(expo)
+                combined[k] = _plus(combined.get(k, []), coeff)
+        self.terms = tuple((c, k) for k, v in combined.items() if (c := _canonical(v)))
         self._py_cache = None
 
     @staticmethod
     def constant(c) -> "ExpSum":
-        return ExpSum([(UniPoly([c]), UniPoly([]))])
+        return ExpSum([([c], [])])
 
     @staticmethod
     def exponential(expo_coeffs) -> "ExpSum":
-        return ExpSum([(UniPoly([1]), UniPoly(expo_coeffs))])
+        return ExpSum([([1], expo_coeffs)])
 
     @property
     def is_zero(self) -> bool:
@@ -125,7 +130,7 @@ class ExpSum:
         out = []
         for c1, e1 in self.terms:
             for c2, e2 in other.terms:
-                out.append((c1 * c2, e1 + e2))
+                out.append((poly_mul(c1, c2), _plus(e1, e2)))
         return ExpSum(out)
 
     def __add__(self, other: "ExpSum") -> "ExpSum":
@@ -142,13 +147,11 @@ class ExpSum:
         return out
 
     def derivative(self) -> "ExpSum":
-        out = []
-        for coeff, expo in self.terms:
-            out.append((coeff.derivative() + coeff * expo.derivative(), expo))
-        return ExpSum(out)
+        return ExpSum([(_plus(_derivative(c), poly_mul(c, _derivative(e))), e)
+                       for c, e in self.terms])
 
     def max_exponent_degree(self) -> int:
-        return max((e.degree for _, e in self.terms), default=-1)
+        return max((len(e) - 1 for _, e in self.terms), default=-1)
 
     # -- numeric evaluation -------------------------------------------------
 
@@ -164,7 +167,7 @@ class ExpSum:
         """
         if self._py_cache is None:
             def conv(p):  # highest power first, for Horner
-                return tuple(complex(scalar_to_complex(c)) for c in reversed(p.coeffs))
+                return tuple(complex(scalar_to_complex(c)) for c in reversed(p))
             self._py_cache = tuple((conv(cp), conv(ep)) for cp, ep in self.terms)
         vals = []
         for cs, es in self._py_cache:
@@ -271,9 +274,8 @@ class ExpCurve:
         keys = []
         for comp in self.components:
             for _, e in comp.terms:
-                k = _poly_key(e)
-                if k not in keys:
-                    keys.append(k)
+                if e not in keys:
+                    keys.append(e)
         return keys
 
     def component_matrix(self):
@@ -290,10 +292,10 @@ class ExpCurve:
             for comp in self.components:
                 val = Fraction(0)
                 for c, e in comp.terms:
-                    if _poly_key(e) == k:
-                        if c.degree > 0:
+                    if e == k:
+                        if len(c) > 1:
                             return None
-                        val = c.coeffs[0] if c.coeffs else Fraction(0)
+                        val = c[0]
                 row.append(val)
             M.append(row)
         return M
@@ -366,13 +368,13 @@ def _trig_branches(curve: ExpCurve, r: float):
     Raises SumComponentError when a component is not one term with a
     constant coefficient, and QuadratureFailureError when a sum formed
     from the branches in _arc_mean could overflow."""
-    if any(len(c.terms) != 1 or c.terms[0][0].degree > 0 for c in curve.components):
+    if any(len(c.terms) != 1 or len(c.terms[0][0]) > 1 for c in curve.components):
         raise SumComponentError("T(r) needs every component to be c e^{Q} with a constant c")
     ell, rows = [], []
     for comp in curve.components:
         coeff, expo = comp.terms[0]
-        q = [complex(scalar_to_complex(x)) for x in expo.coeffs] or [0j]
-        ell.append(math.log(abs(complex(scalar_to_complex(coeff.coeffs[0])))) + q[0].real)
+        q = [complex(scalar_to_complex(x)) for x in expo] or [0j]
+        ell.append(math.log(abs(complex(scalar_to_complex(coeff[0])))) + q[0].real)
         row, rk = [], 1.0
         for qk in q[1:]:
             rk *= r          # a float product overflows to inf, where r ** k raises
@@ -779,7 +781,7 @@ def locate_zeros_in_box(g: ExpSum, half_side: float,
     if len(g.terms) == 1:
         coeff, _ = g.terms[0]
         out = []
-        if coeff.degree >= 1:
+        if len(coeff) > 1:
             from .univariate import roots_with_multiplicity
             for ball in roots_with_multiplicity(coeff, 128):
                 z = complex(ball.value)
@@ -993,17 +995,10 @@ def functoriality_check(curve: ExpCurve, morphism: Sequence[HomPoly],
     if curve.dim == 1:
         # domain is the projective line: components are binary forms and a
         # common zero is a nontrivial common factor
-        from .univariate import binary_to_unipoly, uni_gcd, UniPoly
-        g = None
-        hi = lo = None
-        for m in morphism:
-            if m.degree_in(2) > 0:
-                raise ValueError("morphism components on a line must avoid z2")
-            pm, plo, phi = binary_to_unipoly(m, 0, 1)
-            g = pm if g is None else uni_gcd(g, pm)
-            hi = phi if hi is None else min(hi, phi)
-            lo = plo if lo is None else min(lo, plo)
-        if (g is not None and g.degree > 0) or (hi and hi > 0) or (lo and lo > 0):
+        if any(m.degree_in(2) > 0 for m in morphism):
+            raise ValueError("morphism components on a line must avoid z2")
+        ps, infs, zeros = zip(*(dehomogenize(m, 0, 1) for m in morphism))
+        if len(functools.reduce(uni_gcd, ps)) > 1 or min(infs) > 0 or min(zeros) > 0:
             raise NotAMorphismError("components share a zero on the line")
     elif len(morphism) == 2:
         # two plane curves always meet (Bezout)

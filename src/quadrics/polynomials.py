@@ -777,9 +777,9 @@ def pencil_matrix_entry_forms(q1: HomPoly, q2: HomPoly, q3: HomPoly | None = Non
 
 
 # ---------------------------------------------------------------------------
-# Sylvester resultant with Bareiss elimination over Z[t], on dense
-# polynomials over Z (Python ints) or Z[i] (GaussRats): coefficient lists
-# low to high, [] for zero, shared with univariate's gcd and Yun
+# Sylvester resultant with Bareiss elimination over Z[t], on the one exact
+# univariate format: dense lists over Z (ints) or Z[i] (GaussRats), low to
+# high, [] for zero, shared with univariate, the fiber lift and ExpSum
 # ---------------------------------------------------------------------------
 
 def trim(a: list) -> list:

@@ -29,7 +29,7 @@ from .polynomials import (HomPoly, matrix_adjugate, parse_poly,
                           pencil_matrix_entry_forms, quadric_form)
 from .scalars import (GaussRat, Scalar, coerce_scalar, primitive_vector,
                       scalar_to_complex)
-from .univariate import binary_to_unipoly, roots_with_multiplicity, uni_gcd
+from .univariate import dehomogenize, roots_with_multiplicity, uni_gcd
 
 
 class NotDiagonalError(ValueError):
@@ -318,7 +318,7 @@ def pencil_rank1_members(q1: HomPoly, q2: HomPoly,
         raise ValueError("q1, q2 must be linearly independent")
     prec_cfg = precision or DEFAULT_PRECISION
     quadrics = (q1, q2)
-    forms = [binary_to_unipoly(m, 0, 1)
+    forms = [dehomogenize(m, 0, 1)
              for m in _rank_one_minors(pencil_matrix_entry_forms(q1, q2))]
     g = functools.reduce(uni_gcd, [p for p, _, _ in forms])
     members = []

@@ -1,13 +1,14 @@
-"""Univariate exact polynomials over the Gaussian rationals, with
-squarefree decomposition and certified numeric root finding.
+"""Univariate polynomials over the Gaussian rationals: squarefree
+decomposition and certified numeric root finding.
 
-Binary homogeneous forms from resultants are routed through here: strip
-the powers of each variable, dehomogenize, decompose by Yun's algorithm,
-then solve each squarefree part numerically.  One rule, in
-``numeric_roots_squarefree``, makes a root exact: the closest Gaussian
-rational with part denominators bounded by the norm of the primitive
-leading coefficient and by the root's radius, kept when it lies within
-that radius and the polynomial vanishes there exactly.
+One exact format: dense coefficient lists, low to high, over Z (ints) or
+Z[i] (GaussRats with integer parts), [] for zero.  A binary form from a
+resultant is dehomogenized, split by Yun's algorithm into primitive
+integer factors, and each factor solved from its monic ratios, rounded
+once to the working precision.  One rule, in ``numeric_roots_squarefree``,
+makes a root exact: the closest Gaussian rational with part denominators
+bounded by the norm of the leading coefficient and by the root's radius,
+kept when it lies within that radius and the polynomial vanishes there.
 
 Every polynomial root the library finds comes from this module, and
 every numeric one from one iteration behind ``complex_roots``:
@@ -28,7 +29,7 @@ import mpmath as mp
 import numpy as np
 from mpmath import libmp
 
-from .polynomials import gauss_ints, poly_exquo, poly_mul, poly_sub, round_div, trim
+from .polynomials import gauss_ints, poly_exquo, round_div, trim
 from .scalars import GaussRat, coerce_scalar, integral, reconstruct_gauss, scalar_to_complex
 
 
@@ -39,58 +40,23 @@ def _c2mpc(c) -> mp.mpc:
     return mp.mpc(mp.mpf(c.numerator) / c.denominator)
 
 
-class UniPoly:
-    """Dense univariate polynomial, coefficients low to high."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence):
-        self.coeffs = tuple(trim([coerce_scalar(c) for c in coeffs]))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other):
-        return UniPoly(poly_sub(list(self.coeffs), [-c for c in other.coeffs]))
-
-    def __sub__(self, other):
-        return UniPoly(poly_sub(list(self.coeffs), list(other.coeffs)))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
-            return UniPoly([c * other for c in self.coeffs])
-        return UniPoly(poly_mul(self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly([c * k for k, c in enumerate(self.coeffs)][1:])
-
-    def __repr__(self):
-        return f"UniPoly({list(self.coeffs)})"
-
-
 def _derivative(a: list) -> list:
     return [k * c for k, c in enumerate(a)][1:]
 
 
 def _primitive(a: list) -> list:
-    """a divided by the gcd of the integers its coefficients are made of."""
+    """The primitive integer multiple of a: denominators cleared, then the
+    content in Z (leading coefficient made positive) or in Z[i] divided
+    out; the Gaussian content divides the norms' gcd, where Euclid starts."""
     if a and isinstance(a[-1], GaussRat):
         a, _ = integral(a, True)
-        return [c / math.gcd(*(x.numerator for c in a for x in (c.re, c.im))) for c in a]
-    g = math.gcd(*a)
+        g = GaussRat(math.gcd(*(c.re.numerator ** 2 + c.im.numerator ** 2 for c in a)))
+        for c in a:
+            while c:
+                q = g / c
+                g, c = c, g - c * GaussRat(round(q.re), round(q.im))
+        return [c / g for c in a]
+    g = math.gcd(*a) if not a or a[-1] > 0 else -math.gcd(*a)
     return a if g == 1 else [c // g for c in a]
 
 
@@ -113,10 +79,6 @@ def _gcd(a: list, b: list, reduce=_primitive) -> list:
     return reduce(a)
 
 
-def _monic(a: list) -> UniPoly:
-    return UniPoly([Fraction(c, a[-1]) if isinstance(a[-1], int) else c / a[-1] for c in a])
-
-
 # A prime 1 mod 4 and a square root of -1 modulo it: mod_prime is a ring
 # map from the Gaussian rationals with denominators prime to _P.
 _P = 2 ** 64 - 59
@@ -133,34 +95,36 @@ def _mod_p(a: list) -> list:
     return trim([c % _P for c in a])
 
 
-def uni_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd over the Gaussian rationals, from integer multiples."""
-    gauss = any(isinstance(c, GaussRat) for c in a.coeffs + b.coeffs)
-    return _monic(_gcd(integral(a.coeffs, gauss)[0], integral(b.coeffs, gauss)[0]))
+def uni_gcd(a: Sequence, b: Sequence) -> list:
+    """The primitive integer gcd of two polynomials with exact coefficients."""
+    gauss = any(isinstance(c, GaussRat) for c in (*a, *b))
+    return _gcd(integral(a, gauss)[0], integral(b, gauss)[0])
 
 
-def yun_squarefree(p: UniPoly) -> List[Tuple[UniPoly, int]]:
-    """Squarefree decomposition: (monic squarefree factor, multiplicity),
-    multiplicities rising, from an integer multiple f of p.  p is
-    squarefree when _P does not divide lc(f) and f, f' are coprime modulo
-    _P, as a square factor's image would divide both (von zur Gathen &
-    Gerhard, *Modern Computer Algebra*, ch. 6 and 14); otherwise each
-    gcd(w, c), from w = f / c and c = gcd(f, f'), splits off the next
-    multiplicity (Musser's form of Yun's algorithm)."""
-    if p.degree <= 0:
+def yun_squarefree(p: Sequence) -> List[Tuple[list, int]]:
+    """Squarefree decomposition of p, exact coefficients low to high:
+    (primitive integer squarefree factor, multiplicity), multiplicities
+    rising, from the primitive integer multiple f of p, whose factors they
+    are up to a unit (Gauss's lemma).  p is squarefree when _P does not
+    divide lc(f) and f, f' are coprime modulo _P, as a square factor's
+    image would divide both (von zur Gathen & Gerhard, *Modern Computer
+    Algebra*, ch. 6 and 14); otherwise each gcd(w, c), from w = f / c and
+    c = gcd(f, f'), splits off the next multiplicity (Musser's form of
+    Yun's algorithm)."""
+    if len(p) <= 1:
         return []
-    f, _ = integral(p.coeffs)
+    f = _primitive(integral(p)[0])
     image = trim([mod_prime(c) for c in f])
     if len(image) == len(f) and len(_gcd(image, _mod_p(_derivative(image)), _mod_p)) == 1:
-        return [(_monic(f), 1)]
+        return [(f, 1)]
     c = _gcd(f, _derivative(f))
     w, out, k = poly_exquo(f, c), [], 1
     while len(c) > 1:
         y = _gcd(w, c)
         if len(w) > len(y):
-            out.append((_monic(poly_exquo(w, y)), k))
+            out.append((poly_exquo(w, y), k))
         w, c, k = y, poly_exquo(c, y), k + 1
-    return out + [(_monic(w), k)]
+    return out + [(w, k)]
 
 
 class RootBall:
@@ -334,6 +298,12 @@ def _radius(a, root, z: mp.mpc, prec: int) -> mp.mpf:
     n, g = len(a) - 1, max(f, f0)
     lt = math.log2(max(abs(x0) + abs(y0), 1)) - f0  # log2 |z0|, or more
     terms = [(k, math.log2(abs(ar) + abs(ai)) + k * lt) for k, (ar, ai) in enumerate(a) if ar or ai]
+    # The error terms e0, e1 stay although numeric_roots_squarefree has the
+    # exact coefficients: it solves their monic ratios rounded to prec bits,
+    # whose roots the iteration isolates within its bits.  On the exact
+    # integers, the resultant of z0^2 + 10^400 z1^2 - z2^2 and z0 z1 - z2^2
+    # (coefficients of 1,300 bits and more, a root cluster in t) hits the
+    # step cap under every coordinate change at every precision to 4096 bits.
     le0 = 3 - prec + math.log2(n + 1) + max(t for _, t in terms)
     le1 = 3 - prec + math.log2(n + 1) + max(t + math.log2(k) - lt for k, t in terms if k)
     lp = math.log2(num) / 2 - n * f0 if num else -math.inf  # log2 |p(z0)|
@@ -402,10 +372,11 @@ def _vanishes(f: list, c) -> bool:
     return br == 0 == bi
 
 
-def numeric_roots_squarefree(p: UniPoly, prec: int) -> List[RootBall]:
-    """Roots of a squarefree polynomial at working precision ``prec``, each
-    with the radius of ``_radius``, which covers the rounding of p's
-    coefficients, or exact when it is a Gaussian rational within reach.
+def numeric_roots_squarefree(p: Sequence, prec: int) -> List[RootBall]:
+    """Roots of a squarefree polynomial p (exact coefficients, low to high)
+    at working precision ``prec``, each with the radius of ``_radius``, which
+    covers the rounding of p's monic ratios, or exact when it is a Gaussian
+    rational within reach; any nonzero multiple of p gives the same.
 
     One recognizer: a Gaussian-rational root a / b of the primitive integer
     multiple F of p has b | lc(F) in Z[i], so each of its parts has a
@@ -417,14 +388,16 @@ def numeric_roots_squarefree(p: UniPoly, prec: int) -> List[RootBall]:
     Gaussian-rational root whose part denominators are at most
     (2 R)^(-1/2), about 2^(prec / 2 - 24) for a root of modulus near 1 apart
     from the others, comes back exact, and no other."""
-    if p.degree <= 0:
+    if len(p) <= 1:
         return []
-    f = [(int(c.re), int(c.im)) if isinstance(c, GaussRat) else (c, 0)
-         for c in _primitive(integral(p.coeffs)[0])]
+    F = _primitive(integral(p)[0])
+    f = [(int(c.re), int(c.im)) if isinstance(c, GaussRat) else (c, 0) for c in F]
     norm = f[-1][0] ** 2 + f[-1][1] ** 2
+    monic = [Fraction(c, F[-1]) if isinstance(c, int) else coerce_scalar(c / F[-1]) for c in F]
     out: List[RootBall] = []
     with mp.workprec(prec):
-        a, found = _solve([_c2mpc(c) for c in p.coeffs], prec)
+        # the monic ratios, rounded once to the working precision (_radius)
+        a, found = _solve([_c2mpc(c) for c in monic], prec)
         for z, root in found:
             radius, c = _radius(a, root, z, prec), None
             if mp.isfinite(radius):
@@ -439,7 +412,7 @@ def numeric_roots_squarefree(p: UniPoly, prec: int) -> List[RootBall]:
     return out
 
 
-def roots_with_multiplicity(p: UniPoly, prec: int) -> List[RootBall]:
+def roots_with_multiplicity(p: Sequence, prec: int) -> List[RootBall]:
     """All roots with exact multiplicities via Yun decomposition."""
     out: List[RootBall] = []
     for factor, mult in yun_squarefree(p):
@@ -453,11 +426,12 @@ def roots_with_multiplicity(p: UniPoly, prec: int) -> List[RootBall]:
 # Binary homogeneous forms (two active variables of a HomPoly)
 # ---------------------------------------------------------------------------
 
-def binary_to_unipoly(form, var_hi: int, var_lo: int) -> Tuple[UniPoly, int, int]:
+def dehomogenize(form, var_hi: int, var_lo: int) -> Tuple[list, int, int]:
     """Dehomogenize a binary form in (var_hi, var_lo).
 
     Returns (P, m_inf, m_zero): form = z_lo^m_inf * z_hi^m_zero * P
-    homogenized, with P a polynomial in t = z_hi / z_lo and P(0) != 0.
+    homogenized, with P a polynomial in t = z_hi / z_lo and P(0) != 0, the
+    form's coefficients low to high.
     Roots of the form are [t:1] for roots t of P, plus [1:0] (t = oo) with
     multiplicity m_inf and [0:1] (t = 0) with multiplicity m_zero.
     """
@@ -467,7 +441,7 @@ def binary_to_unipoly(form, var_hi: int, var_lo: int) -> Tuple[UniPoly, int, int
     trim(coeffs)
     lo = next((i for i, c in enumerate(coeffs) if c), 0)
     # z_hi^lo divides; z_lo^(d - deg) divides
-    return UniPoly(coeffs[lo:]), form.degree + 1 - len(coeffs), lo
+    return coeffs[lo:], form.degree + 1 - len(coeffs), lo
 
 
 def binary_form_roots(form, var_hi: int, var_lo: int, prec: int):
@@ -478,7 +452,7 @@ def binary_form_roots(form, var_hi: int, var_lo: int, prec: int):
     exact_pair_or_None), parts is ``yun_squarefree`` of the dehomogenized
     form, once for every caller that needs both.
     """
-    p, mult_inf, mult_zero = binary_to_unipoly(form, var_hi, var_lo)
+    p, mult_inf, mult_zero = dehomogenize(form, var_hi, var_lo)
     out = []
     if mult_zero:
         out.append((mp.mpc(0), mp.mpc(1), mult_zero, (Fraction(0), Fraction(1))))

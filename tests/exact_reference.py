@@ -111,7 +111,7 @@ def _horner_terms(es):
     """Per term, coefficient and exponent as Python complex tuples,
     highest power first."""
     def conv(p):
-        return tuple(complex(scalar_to_complex(c)) for c in reversed(p.coeffs))
+        return tuple(complex(scalar_to_complex(c)) for c in reversed(p))
     return tuple((conv(cp), conv(ep)) for cp, ep in es.terms)
 
 
@@ -183,8 +183,8 @@ def reference_characteristic(curve, r, dps=50):
         ell, w = [], []
         for comp in curve.components:
             (coeff, expo), = comp.terms
-            q = [scalar_to_mp(x) for x in expo.coeffs] or [mp.mpf(0)]
-            ell.append(mp.log(abs(scalar_to_mp(coeff.coeffs[0]))) + mp.re(q[0]))
+            q = [scalar_to_mp(x) for x in expo] or [mp.mpf(0)]
+            ell.append(mp.log(abs(scalar_to_mp(coeff[0]))) + mp.re(q[0]))
             w.append([qk * mp.mpf(r) ** k for k, qk in enumerate(q[1:], 1)])
         size = max(map(len, w))
         w = [row + [mp.mpf(0)] * (size - len(row)) for row in w]

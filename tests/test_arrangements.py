@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -177,8 +178,8 @@ CHAIN_CASES = [
 def _resultant_parts(p, q):
     """The Yun factors of Res_{z0}(p, q) at (t : 1), which _fiber_lifts lifts."""
     from quadrics.polynomials import resultant
-    from quadrics.univariate import binary_to_unipoly, yun_squarefree
-    return yun_squarefree(binary_to_unipoly(resultant(p, q, 0), 1, 2)[0])
+    from quadrics.univariate import dehomogenize, yun_squarefree
+    return yun_squarefree(dehomogenize(resultant(p, q, 0), 1, 2)[0])
 
 
 @pytest.mark.parametrize("p, q, ks, expected", CHAIN_CASES)
@@ -325,6 +326,21 @@ def test_intersection_needs_one_resultant_per_change(monkeypatch):
     assert len(calls) == 1  # the identity change is admissible for this pair
     with pytest.raises(CommonComponentError):
         intersection_points(P1, P1 * parse_poly("z0 + z1"))
+
+
+def test_a_400_digit_coefficient_gives_four_simple_points():
+    """z0^2 + 10^400 z1^2 - z2^2 and z0 z1 - z2^2: the resultant has
+    coefficients of 1,300 bits and more and a root cluster in t.  The solve
+    on its monic ratios, rounded to the working precision, isolates the
+    roots at the first precision; on the exact integers the root iteration
+    hits its step cap under every coordinate change, up to the cap."""
+    start = time.perf_counter()
+    recs = intersection_points(parse_poly("z0^2 + 10^400*z1^2 - z2^2"),
+                               parse_poly("z0*z1 - z2^2"))
+    assert time.perf_counter() - start < 10
+    assert [rec.multiplicity for rec in recs] == [1, 1, 1, 1]
+    for (a, b) in itertools.combinations(recs, 2):
+        assert not a.point.same_point(b.point)
 
 
 def test_intersection_runs_yun_once_per_resultant(monkeypatch):

@@ -23,7 +23,6 @@ from quadrics.nevanlinna import (CountingSample, DegenerateCurveError,
 from quadrics.polynomials import parse_poly
 from quadrics.scalars import (GaussRat, coerce_scalar, parse_scalar_string,
                               scalar_to_complex)
-from quadrics.univariate import UniPoly
 
 from exact_reference import (reference_characteristic, reference_eval_one,
                              reference_log_value, reference_logabs_grid,
@@ -39,8 +38,8 @@ EXP_SQUARE = ExpCurve.from_exponents([[0], [0, 0, 1]])     # [1 : e^{xi^2}]
 
 _SMALL = st.builds(lambda a, b, d: coerce_scalar(GaussRat(Fraction(a, d), Fraction(b, d))),
                    st.integers(-8, 8), st.integers(-8, 8), st.integers(1, 4))
-_POLY = st.lists(_SMALL, max_size=4).map(UniPoly)
-_TERM = st.tuples(st.lists(_SMALL, min_size=1, max_size=3).map(UniPoly), _POLY)
+_POLY = st.lists(_SMALL, max_size=4)
+_TERM = st.tuples(st.lists(_SMALL, min_size=1, max_size=3), _POLY)
 _COORD = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]),
                    st.floats(-9.0, 9.0, allow_nan=False))
 _POINT = st.builds(complex, _COORD, _COORD)
@@ -271,7 +270,7 @@ def test_winding_residuals_are_integer_certificates():
 
 def test_counting_polynomial_coefficient_zeros():
     # (xi^2 + 1) e^xi has zeros at +/- i only
-    g = ExpSum([(UniPoly([1, 0, 1]), UniPoly([0, 1]))])
+    g = ExpSum([([1, 0, 1], [0, 1])])
     curve = ExpCurve([ExpSum.constant(1), g])
     cs = counting(curve, parse_poly("z1"), 10.0)
     assert cs.n_at(10.0) == 2
@@ -299,7 +298,7 @@ def test_zero_search_rejects_an_unconverged_polish():
     2 pi i (-107) / a = -670.80i.  The search must subdivide instead."""
     from quadrics.nevanlinna import _polish_zero, _ZeroSearch
     a = Fraction(250559, 250000)
-    g = ExpSum([(UniPoly([1]), UniPoly([0, a])), (UniPoly([-1]), UniPoly([]))])
+    g = ExpSum([([1], [0, a]), ([-1], [])])
     cell = (-6.942962646484375, 1.98370361328125,
             -676.4429321289062, -667.5162658691406)
     half = 1000.0 * (1 + 1 / 64) + 1 / 32  # the box counting(curve, D, 1000) searches
@@ -314,7 +313,7 @@ def test_zero_search_rejects_an_unconverged_polish():
 
 
 # e^xi - 1: simple zeros at 2 pi i k
-_EXP_MINUS_1 = ExpSum([(UniPoly([1]), UniPoly([0, 1])), (UniPoly([-1]), UniPoly([]))])
+_EXP_MINUS_1 = ExpSum([([1], [0, 1]), ([-1], [])])
 _WINDING_BOXES = [
     (-1.0, 1.0, -1.0, 1.0),
     (-0.5, 0.75, 5.0, 7.0),
@@ -371,7 +370,7 @@ _ZERO_ORDER_CASES = {
     # e^{xi^2} - 1: retried cuts at the root and 27 levels down, where the
     # double zero at the origin ends as a multiple-zero cell
     "exp_square_minus_1": (
-        ExpSum([(UniPoly([1]), UniPoly([0, 0, 1])), (UniPoly([-1]), UniPoly([]))]), 3.0,
+        ExpSum([([1], [0, 0, 1]), ([-1], [])]), 3.0,
         (
             ("-0x1.40d931ff62706p+1", "-0x1.40d931ff62706p+1", 1),
             ("-0x1.c5bf891b4ef6ap+0", "-0x1.c5bf891b4ef6ap+0", 1),
@@ -385,8 +384,7 @@ _ZERO_ORDER_CASES = {
         "0x1.0000000000000p-48"),
     # 1 + e^xi + e^{xi^2}
     "three_terms": (
-        ExpSum([(UniPoly([1]), UniPoly([])), (UniPoly([1]), UniPoly([0, 1])),
-                (UniPoly([1]), UniPoly([0, 0, 1]))]), 2.5,
+        ExpSum([([1], []), ([1], [0, 1]), ([1], [0, 0, 1])]), 2.5,
         (
             ("-0x1.136d181d80b11p+1", "-0x1.1544cdb88bae6p+1", 1),
             ("-0x1.3bb2797a870e8p+0", "-0x1.2d6e638c445fap+0", 1),
@@ -474,10 +472,10 @@ def test_second_main_theorem_p1():
 
 
 def test_second_main_theorem_rejects_degenerate_curve():
-    one = UniPoly([1])
-    f = ExpCurve([ExpSum([(one, UniPoly([]))]),
-                  ExpSum([(one, UniPoly([0, 1]))]),
-                  ExpSum([(one, UniPoly([])), (one, UniPoly([0, 1]))])])
+    one = [1]
+    f = ExpCurve([ExpSum([(one, [])]),
+                  ExpSum([(one, [0, 1])]),
+                  ExpSum([(one, []), (one, [0, 1])])])
     divs = [parse_poly(s) for s in ("z0", "z1", "z2", "z0 - z1")]
     with pytest.raises(DegenerateCurveError):
         main_theorem_check(f, divs, "second", [10.0, 100.0])
@@ -625,10 +623,10 @@ def test_certificate_complex_alphas():
 # ---------------------------------------------------------------------------
 
 def test_linear_degeneracy_detection():
-    one = UniPoly([1])
-    f = ExpCurve([ExpSum([(one, UniPoly([]))]),
-                  ExpSum([(one, UniPoly([0, 1]))]),
-                  ExpSum([(one, UniPoly([])), (one, UniPoly([0, 1]))])])
+    one = [1]
+    f = ExpCurve([ExpSum([(one, [])]),
+                  ExpSum([(one, [0, 1])]),
+                  ExpSum([(one, []), (one, [0, 1])])])
     assert f.is_linearly_degenerate() is True
     g = ExpCurve.from_exponents([[0], [0, 1], [0, 2]])
     assert g.is_linearly_degenerate() is False

@@ -33,8 +33,15 @@ its slots:
 ``arrangements`` lifts and polishes through ``sums`` and ``values``.
 
 A root's radius comes from the root iteration's own last disk:
-``UniPoly`` has no ``eval_mpc``, so no polynomial is evaluated again at a
-found root.
+``_horner`` (the root iteration's) and ``_vanishes`` (the recognizer's)
+are the only code in ``univariate`` that evaluates a polynomial, and
+``_radius`` calls neither, so no polynomial is evaluated again at a found
+root.
+
+One exact univariate format: dense coefficient lists over Z or Z[i],
+from the resultant's elimination to the root solve.  ``UniPoly``,
+``_monic`` and ``nevanlinna._poly_key`` are gone, so no polynomial is
+converted between two exact formats on the way.
 
 One exact elimination: ``polynomials._bareiss_last_row``, on dense
 polynomials over Z or Z[i], is the only Bareiss elimination and serves
@@ -60,7 +67,6 @@ import os
 
 import quadrics
 from quadrics.polynomials import MpForms
-from quadrics.univariate import UniPoly
 
 PACKAGE = os.path.dirname(os.path.abspath(quadrics.__file__))
 
@@ -117,11 +123,35 @@ def _references(attr: str):
     return found
 
 
-def test_unipoly_has_no_eval_mpc():
+def test_univariate_polynomials_are_evaluated_only_by_horner_and_vanishes():
+    """Every loop in ``univariate`` that runs over coefficients from high to
+    low (Horner's rule) is in ``_horner`` or ``_vanishes``; they serve the
+    root iteration and the recognizer, and ``_radius`` calls no function
+    of the module."""
     tree = dict(_trees())["univariate.py"]
-    cls = next(node for node in tree.body if getattr(node, "name", None) == "UniPoly")
-    assert "eval_mpc" not in {getattr(node, "name", None) for node in cls.body}
-    assert not hasattr(UniPoly, "eval_mpc")
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def descending(loop):
+        it = ast.unparse(loop.iter)
+        return it.startswith("reversed(") or it.startswith("range(") and it.endswith("-1, -1)")
+
+    horner = {name for name, func in funcs.items() for node in ast.walk(func)
+              if isinstance(node, ast.For) and descending(node)}
+    assert horner == {"_horner", "_vanishes"}
+    assert _references("_horner") == [("univariate.py", "_aberth")]
+    assert _references("_vanishes") == [("univariate.py", "numeric_roots_squarefree")]
+    called = {node.func.id for node in ast.walk(funcs["_radius"])
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert not called & set(funcs)
+    assert _uses("polyval", {"mp", "mpmath", "np", "numpy"}) == []
+
+
+def test_one_exact_univariate_format():
+    for name, _ in _trees():
+        with open(os.path.join(PACKAGE, name)) as fh:
+            text = fh.read()
+        for gone in ("UniPoly", "_monic", "_poly_key"):
+            assert gone not in text, (name, gone)
 
 
 def test_forms_are_evaluated_only_by_mp_forms():
@@ -231,4 +261,3 @@ def test_the_old_recovery_paths_are_gone():
     names = {getattr(node, attr) for _, tree in _trees() for node in ast.walk(tree)
              for attr in ("id", "attr", "name") if isinstance(getattr(node, attr, None), str)}
     assert not gone & names
-    assert not hasattr(UniPoly, "eval_exact")

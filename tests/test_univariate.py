@@ -1,3 +1,4 @@
+import functools
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -8,49 +9,56 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from quadrics.polynomials import poly_mul
 from quadrics.scalars import GaussRat, coerce_scalar, parse_scalar_string, primitive_vector
 from quadrics import univariate
-from quadrics.univariate import (RootFindingError, UniPoly, binary_form_roots, complex_roots,
-                                 roots_with_multiplicity, uni_gcd, yun_squarefree)
+from quadrics.univariate import (RootFindingError, binary_form_roots, complex_roots,
+                                 numeric_roots_squarefree, roots_with_multiplicity, uni_gcd,
+                                 yun_squarefree)
 
 
-def test_unipoly_divmod_and_gcd():
-    # (t - 1)(t + 2) and (t - 1)(t - 3)
-    a = UniPoly([-1, 1]) * UniPoly([2, 1])
-    b = UniPoly([-1, 1]) * UniPoly([-3, 1])
-    g = uni_gcd(a, b)
-    assert g == UniPoly([-1, 1])
+def _prod(*factors):
+    """The product of polynomials given as coefficient lists, low to high."""
+    return functools.reduce(poly_mul, factors, [1])
+
+
+def test_uni_gcd_is_primitive():
+    # (t - 1)(t + 2) and (t - 1)(t - 3), and their multiples by 6 and 1/4
+    a = _prod([-1, 1], [2, 1])
+    b = _prod([-1, 1], [-3, 1])
+    assert uni_gcd(a, b) == [-1, 1]
+    assert uni_gcd([6 * c for c in a], [Fraction(c, 4) for c in b]) == [-1, 1]
+    assert uni_gcd(_prod([3, 2], a), _prod([3, 2], [2, 0, 1])) == [3, 2]
 
 
 def test_yun_multiplicities():
     # (t - 1)^3 (t + 2)^2 (t - 5)
-    p = (UniPoly([-1, 1]) * UniPoly([-1, 1]) * UniPoly([-1, 1])
-         * UniPoly([2, 1]) * UniPoly([2, 1]) * UniPoly([-5, 1]))
+    p = _prod([-1, 1], [-1, 1], [-1, 1], [2, 1], [2, 1], [-5, 1])
     parts = dict()
     for f, m in yun_squarefree(p):
         parts[m] = f
     assert set(parts) == {1, 2, 3}
-    assert parts[3] == UniPoly([-1, 1])
-    assert parts[2] == UniPoly([2, 1])
-    assert parts[1] == UniPoly([-5, 1])
+    assert parts[3] == [-1, 1]
+    assert parts[2] == [2, 1]
+    assert parts[1] == [-5, 1]
 
 
 def test_roots_with_multiplicity_exact_recognition():
-    p = UniPoly([Fraction(-1, 2), 1]) * UniPoly([3, 1]) * UniPoly([3, 1])
+    p = _prod([Fraction(-1, 2), 1], [3, 1], [3, 1])
     roots = {str(b.exact): b.multiplicity for b in roots_with_multiplicity(p, 128)}
     assert roots == {"1/2": 1, "-3": 2}
 
 
 def test_gaussian_quadratic_roots():
     # t^2 + 1 over the rationals: roots +/- i, recognized exactly
-    p = UniPoly([1, 0, 1])
+    p = [1, 0, 1]
     roots = roots_with_multiplicity(p, 128)
     vals = {b.exact for b in roots}
     assert GaussRat(0, 1) in vals and GaussRat(0, -1) in vals
 
 
 def test_irrational_roots_carry_certified_radius():
-    p = UniPoly([-2, 0, 1])  # t^2 - 2
+    p = [-2, 0, 1]  # t^2 - 2
     roots = roots_with_multiplicity(p, 192)
     with mp.workprec(220):
         for b in roots:
@@ -64,7 +72,7 @@ def test_radius_is_computed_once_at_the_roots_precision(read_bits):
     """t^3 - 2 at 192 bits: each radius comes with its root, from the
     iteration's last disk at 192 bits, so a read under any working
     precision gives the same mpf; it covers the root found at 1024 bits."""
-    p = UniPoly([-2, 0, 0, 1])
+    p = [-2, 0, 0, 1]
     balls = roots_with_multiplicity(p, 192)
     want = [b.radius for b in balls]
     with mp.workprec(read_bits):
@@ -98,9 +106,7 @@ _ROOT = st.one_of(
 def test_roots_with_multiplicity_recovers_linear_factors(roots):
     """Every root of a product of linear factors comes back exactly, with
     its multiplicity (the job of a rational root scan, and more)."""
-    p = UniPoly([1])
-    for r in roots:
-        p = p * UniPoly([-r, 1])
+    p = _prod(*([-r, 1] for r in roots))
     balls = roots_with_multiplicity(p, 128)
     assert all(b.exact is not None for b in balls)
     assert {b.exact: b.multiplicity for b in balls} == Counter(roots)
@@ -119,10 +125,8 @@ def test_mod_prime_is_a_ring_map(roots, lead):
             acc = (acc * x + c) % univariate._P
         return acc
 
-    p = UniPoly([lead])
-    for r in roots:
-        p = p * UniPoly([-r, 1])
-    image = [univariate.mod_prime(c) for c in univariate.integral(p.coeffs)[0]]
+    p = _prod([lead], *([-r, 1] for r in roots))
+    image = [univariate.mod_prime(c) for c in univariate.integral(p)[0]]
     assert all(residue(image, r) == 0 for r in roots)
     assert residue([univariate.mod_prime(Fraction(c)) for c in (-2, 0, 1)], 1) != 0
 
@@ -131,15 +135,72 @@ def test_yun_with_a_leading_coefficient_divisible_by_the_prime():
     """The modular squarefree test proves nothing when the prime divides
     the leading coefficient; the exact decomposition decides."""
     big = univariate._P
-    assert yun_squarefree(UniPoly([-1, 0, big])) == [(UniPoly([Fraction(-1, big), 0, 1]), 1)]
-    square = UniPoly([1, big]) * UniPoly([1, big])
-    assert yun_squarefree(square) == [(UniPoly([Fraction(1, big), 1]), 2)]
+    assert yun_squarefree([-1, 0, big]) == [([-1, 0, big], 1)]
+    assert yun_squarefree(_prod([1, big], [1, big])) == [([1, big], 2)]
+
+
+_GAUSS_INT = st.builds(complex, st.integers(-9, 9), st.integers(-9, 9))
+
+
+_GAUSS_FACTOR = st.lists(st.builds(GaussRat, st.integers(-5, 5), st.integers(-5, 5)),
+                         min_size=2, max_size=3).filter(lambda f: f[-1] != 0)
+
+
+def _zz_i(f):
+    """f, GaussRats with integer parts low to high, as a sympy Poly over Z[i]."""
+    import sympy
+    return sympy.Poly([int(c.re) + int(c.im) * sympy.I for c in reversed(f)],
+                      sympy.Symbol("t"), domain="ZZ_I")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_GAUSS_FACTOR, st.integers(1, 3)), min_size=1, max_size=3),
+       st.builds(GaussRat, st.integers(-6, 6), st.integers(1, 6)))
+def test_yun_factors_are_primitive_and_multiply_back(factors, scale):
+    """A scalar times Gaussian-integer factors raised to powers: every Yun
+    factor has integer parts and content 1 in Z[i], and their product with
+    multiplicities is the input's primitive multiple up to a unit (sympy's
+    content and primitive part over Z[i])."""
+    import sympy
+    units = (1, -1, sympy.I, -sympy.I)
+    p = _prod([scale], *(f for f, m in factors for _ in range(m)))
+    parts = yun_squarefree(p)
+    for f, _ in parts:
+        assert all(isinstance(c, GaussRat) and c.re.denominator == c.im.denominator == 1
+                   for c in f)
+        assert _zz_i(f).content() in units
+    back = _zz_i(_prod(*(f for f, m in parts for _ in range(m))))
+    assert any(back == _zz_i(p).primitive()[1] * u for u in units)
+
+
+_SCALE = st.builds(lambda a, b, d: GaussRat(Fraction(a, d), Fraction(b, d)),
+                   st.integers(-9, 9), st.integers(-9, 9), st.integers(1, 9)).filter(bool)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(_GAUSS_INT, min_size=1, max_size=6), _GAUSS_INT.filter(lambda c: c != 0),
+       st.booleans(), st.tuples(st.integers(-9, 9), st.integers(1, 9)), _SCALE,
+       st.sampled_from([53, 256]))
+def test_a_multiple_has_the_same_roots_bit_for_bit(low, lead, real, root, c, prec):
+    """F, with a rational root x / b, and c F for a nonzero Gaussian
+    rational c: the same values, radii and exact roots, bit for bit, as
+    the solve starts from the monic ratios."""
+    x, b = root
+    q = [coerce_scalar(GaussRat(int(z.real), 0 if real else int(z.imag))) for z in low + [lead]]
+    F = _prod(q, [-x, b])
+    assume(len(uni_gcd(F, univariate._derivative(F))) == 1)
+
+    def bits(balls):
+        return [(z.value._mpc_, z.radius._mpf_, z.exact) for z in balls]
+
+    assert bits(numeric_roots_squarefree(F, prec)) == bits(
+        numeric_roots_squarefree([c * a for a in F], prec))
 
 
 def test_rational_roots_large_coefficients_fast():
     # coefficients with huge prime-ish factors: three irrational roots,
     # none of them reported as exact
-    p = UniPoly([-(10 ** 12 + 39), 0, 0, 10 ** 11 + 3])
+    p = [-(10 ** 12 + 39), 0, 0, 10 ** 11 + 3]
     balls = roots_with_multiplicity(p, 128)
     assert len(balls) == 3
     assert all(b.exact is None and b.multiplicity == 1 for b in balls)
@@ -161,9 +222,7 @@ def test_gaussian_rational_roots_with_huge_denominators_are_exact(factors, cubic
     roots = [coerce_scalar(GaussRat(Fraction(x, b), Fraction(y, b))) for x, y, b in factors]
     assume(len(set(roots)) == len(roots))
     k2, k1, m = cubic
-    p = UniPoly([2 * (2 * m + 1), 2 * k1, 2 * k2, 1])
-    for (x, y, b) in factors:
-        p = p * UniPoly([-GaussRat(x, y), b])
+    p = _prod([2 * (2 * m + 1), 2 * k1, 2 * k2, 1], *([-GaussRat(x, y), b] for x, y, b in factors))
     balls = roots_with_multiplicity(p, prec)
     assert Counter(b.exact for b in balls if b.exact is not None) == Counter(roots)
     numeric = [b for b in balls if b.exact is None]
@@ -175,7 +234,7 @@ def test_a_root_next_to_an_irrational_one_is_taken_once():
     """-9/11 is the closest rational with denominator at most lc = 11 to
     both -0.8182 and the irrational root -0.7913: only the root within its
     radius of the candidate is exact."""
-    balls = roots_with_multiplicity(UniPoly([-27, -60, -24, 11]), 256)
+    balls = roots_with_multiplicity([-27, -60, -24, 11], 256)
     assert [b.exact for b in balls if b.exact is not None] == [Fraction(-9, 11)]
     assert sum(b.exact is None and mp.isfinite(b.radius) for b in balls) == 2
 
@@ -183,7 +242,7 @@ def test_a_root_next_to_an_irrational_one_is_taken_once():
 def test_a_small_denominator_under_a_huge_leading_coefficient():
     """(3t - 1)(3^190 t^2 - 2) at 256 bits: lc times the radius is far above
     1/2, so rounding lc t would miss 1/3; the bound (2 R)^(-1/2) keeps it."""
-    balls = roots_with_multiplicity(UniPoly([-1, 3]) * UniPoly([-2, 0, 3 ** 190]), 256)
+    balls = roots_with_multiplicity(_prod([-1, 3], [-2, 0, 3 ** 190]), 256)
     assert [b.exact for b in balls if b.exact is not None] == [Fraction(1, 3)]
 
 
@@ -275,9 +334,6 @@ def _spy_on_polyroots(monkeypatch):
     return starts
 
 
-_GAUSS_INT = st.builds(complex, st.integers(-9, 9), st.integers(-9, 9))
-
-
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.lists(_GAUSS_INT, min_size=1, max_size=12),
        _GAUSS_INT.filter(lambda c: c != 0), st.sampled_from([53, 256, 512]))
@@ -285,8 +341,8 @@ def test_seeded_roots_match_the_default_start(low, lead, prec):
     """Squarefree Gaussian-integer polynomials of degree 1-12: the seeded
     solve returns the roots mpmath's own start returns."""
     coeffs = low + [lead]
-    exact = UniPoly([GaussRat(int(c.real), int(c.imag)) for c in coeffs])
-    assume(uni_gcd(exact, exact.derivative()).degree == 0)
+    exact = [GaussRat(int(c.real), int(c.imag)) for c in coeffs]
+    assume(len(uni_gcd(exact, univariate._derivative(exact))) == 1)
     _assert_same_roots(complex_roots(coeffs, prec),
                        _default_start_roots(coeffs, prec), prec)
 
@@ -311,13 +367,13 @@ def test_newton_roots_match_the_seeded_durand_kerner(low, lead, prec):
     in canonical order, are the seeded Durand-Kerner roots to one unit in
     the last place."""
     coeffs = low + [lead]
-    exact = UniPoly([GaussRat(int(c.real), int(c.imag)) for c in coeffs])
-    assume(uni_gcd(exact, exact.derivative()).degree == 0)
+    exact = [GaussRat(int(c.real), int(c.imag)) for c in coeffs]
+    assume(len(uni_gcd(exact, univariate._derivative(exact))) == 1)
     with mock.patch.object(mp, "polyroots", wraps=mp.polyroots) as spy:
         got = complex_roots(coeffs, prec)
     assert not spy.called
     want = _seeded_durand_kerner(coeffs, prec)
-    assert _in_canonical_order(got) and len(got) == len(want) == exact.degree
+    assert _in_canonical_order(got) and len(got) == len(want) == len(exact) - 1
     with mp.workprec(prec + 20):
         for z in got:
             k = min(range(len(want)), key=lambda i: abs(want[i] - z))
@@ -338,17 +394,17 @@ def test_a_pair_two_to_the_minus_k_apart_is_isolated(low, lead, center, k, prec)
     every RootBall's radius covers a root found at 2048 bits, and
     mp.polyroots is never called."""
     c = GaussRat(int(center.real), int(center.imag))
-    q = UniPoly([GaussRat(int(z.real), int(z.imag)) for z in low + [lead]])
+    q = [GaussRat(int(z.real), int(z.imag)) for z in low + [lead]]
     # the pair's factor is 2 (2^(2k + 1) (z - c)^2 - 1), irreducible, and its
     # leading coefficient does not divide q's: q shares no factor with it
-    assume(uni_gcd(q, q.derivative()).degree == 0)
-    p = q * UniPoly([4 ** (k + 1) * c * c - 2, -2 * 4 ** (k + 1) * c, 4 ** (k + 1)])
+    assume(len(uni_gcd(q, univariate._derivative(q))) == 1)
+    p = _prod(q, [4 ** (k + 1) * c * c - 2, -2 * 4 ** (k + 1) * c, 4 ** (k + 1)])
     with mock.patch.object(mp, "polyroots", wraps=mp.polyroots) as spy:
         balls, _, disks = _solve_with_disks(roots_with_multiplicity, p, prec)
     assert not spy.called
-    assert len(balls) == p.degree and univariate._isolated(disks, p.degree)
+    assert len(balls) == len(p) - 1 and univariate._isolated(disks, len(p) - 1)
     with mp.workprec(2048):
-        ref = mp.polyroots([_exact_mpc(c) for c in reversed(p.coeffs)], maxsteps=50,
+        ref = mp.polyroots([_exact_mpc(c) for c in reversed(p)], maxsteps=50,
                            extraprec=2048, roots_init=[b.value for b in balls])
         for b in balls:
             z = b.value if b.exact is None else univariate._c2mpc(b.exact)
