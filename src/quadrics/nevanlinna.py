@@ -160,8 +160,12 @@ class ExpSum:
 
         The one evaluator of the sum: xi is a Python complex or an ndarray,
         and the same Horner loops over the cached Python coefficients run
-        on either, so a single point never becomes a 1-point array; a
-        point with finite exponents ends in math and cmath.
+        on either, so a single point never becomes a 1-point array.  A
+        point with finite exponents ends in plain Python floats: M is the
+        first largest real part, as max picks it, and h the sum of the
+        v e^(q - M) from the first term, left to right, through cmath.  An
+        array, or a point with an exponent that is not finite, ends in
+        numpy with the same operations in the same order.
         Factoring out e^M keeps h of moderate size where the value itself
         would overflow.  The empty sum gives M = -inf and h = 0.
         """
@@ -178,17 +182,26 @@ class ExpSum:
             for c in cs:
                 v = v * xi + c
             vals.append((v, q))
-        M = -math.inf
-        if isinstance(xi, complex) and all(cmath.isfinite(q) for _, q in vals):
-            # one point with finite exponents: the same IEEE operations
-            # through math and cmath, without numpy's scalar-call overhead
-            M = max((q.real for _, q in vals), default=M)
-            parts = [v * cmath.exp(q - M) for v, q in vals] or [0j]
-        else:
+        if isinstance(xi, complex):
+            M = -math.inf
             for _, q in vals:
-                M = np.maximum(M, q.real)
-            # 0j * xi gives the empty sum the shape of xi
-            parts = [v * np.exp(q - M) for v, q in vals] or [0j * xi]
+                if not cmath.isfinite(q):
+                    break
+                if q.real > M:
+                    M = q.real
+            else:
+                if not vals:
+                    return M, 0j
+                (v, q), *rest = vals
+                h = v * cmath.exp(q - M)
+                for v, q in rest:
+                    h += v * cmath.exp(q - M)
+                return M, h
+        M = -math.inf
+        for _, q in vals:
+            M = np.maximum(M, q.real)
+        # 0j * xi gives the empty sum the shape of xi
+        parts = [v * np.exp(q - M) for v, q in vals] or [0j * xi]
         # left to right from the first term
         return M, sum(parts[1:], parts[0])
 
@@ -571,8 +584,9 @@ def _windings(g: ExpSum, gp: ExpSum, boxes: np.ndarray,
     max_refine rounds or passes 4 M samples, or when its phase sum lies
     more than _MAX_RESIDUAL from a multiple of 2 pi.  The boundaries of
     the boxes in work share one flat array, so each refinement round
-    evaluates g and g' once for all of them; every box keeps the samples,
-    rounds and phase sum it gets alone.
+    evaluates g and g' once for all of them and merges the new samples in
+    by one gather; every box keeps the samples, rounds and phase sum it
+    gets alone.
     """
     w_out, res_out = np.zeros(len(boxes), dtype=int), np.full(len(boxes), np.nan)
     # the samples of the boxes in work, box after box: point, log|g|,
@@ -600,12 +614,18 @@ def _windings(g: ExpSum, gp: ExpSum, boxes: np.ndarray,
                                 np.full(len(new), n0)])
         drop = np.concatenate([~stay, np.zeros(len(new), dtype=bool)])
         drop[np.concatenate([owner, ids.size + np.arange(len(new)).repeat(n0)])[~ok]] = True
-        kept = np.repeat(~drop, sizes)
-
-        def merged(old, vals):
-            return np.concatenate([np.insert(old, idx + 1, vals[:idx.size]),
-                                   vals[idx.size:]])[kept]
-        pts, la, ph, spd = merged(pts, fresh), merged(la, la_n), merged(ph, ph_n), merged(spd, spd_n)
+        # so one gather from [old samples, fresh]: the old samples fill, in
+        # order, the slots that the midpoints leave free
+        n, k = pts.size, idx.size
+        mid = idx + np.arange(1, k + 1)
+        slot = np.ones(n + k, dtype=bool)
+        slot[mid] = False
+        order = np.arange(n + fresh.size)
+        order[:n + k][slot] = np.arange(n)
+        order[mid] = np.arange(n, n + k)
+        order = order[np.repeat(~drop, sizes)]
+        pts, la, ph, spd = (np.concatenate(pair)[order] for pair in
+                            ((pts, fresh), (la, la_n), (ph, ph_n), (spd, spd_n)))
         ids = np.concatenate([ids, np.arange(nxt, nxt + len(new))])[~drop]
         rounds = np.concatenate([rounds + refine, np.zeros(len(new), dtype=int)])[~drop]
         sizes, nxt = sizes[~drop], nxt + len(new)

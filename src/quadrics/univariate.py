@@ -372,6 +372,19 @@ def _vanishes(f: list, c) -> bool:
     return br == 0 == bi
 
 
+def _near_lattice(x: tuple, n: int, r: tuple) -> bool:
+    """|x n - round(x n)| <= n r, exactly, for x and r > 0 raw finite mpf
+    values (sign, mantissa, exponent, bits): x is within r of (1/n) Z."""
+    _, man, e, _ = x
+    if e >= 0:
+        return True
+    t, s = man * n, r[2] - e  # x n = t 2^e, with the sign of x dropped
+    d = t & ((1 << -e) - 1)
+    d = min(d, (1 << -e) - d)  # |x n - round(x n)| = d 2^e
+    bound = n * r[1]
+    return d <= bound << s if s >= 0 else d << -s <= bound
+
+
 def numeric_roots_squarefree(p: Sequence, prec: int) -> List[RootBall]:
     """Roots of a squarefree polynomial p (exact coefficients, low to high)
     at working precision ``prec``, each with the radius of ``_radius``, which
@@ -384,7 +397,10 @@ def numeric_roots_squarefree(p: Sequence, prec: int) -> List[RootBall]:
     radius R of a root z, with D = min(N(lc(F)), floor((2 R)^(-1/2))), the
     parts of z have that root's parts as their closest rationals with
     denominators at most D (``reconstruct_gauss``), since 2 D^2 R <= 1; the
-    candidate c is taken iff |z - c| <= R and F(c) = 0 exactly.  So every
+    candidate c is taken iff |z - c| <= R and F(c) = 0 exactly.  A root's
+    parts lie in (1 / N(lc(F))) Z, so a z with a part farther than R from
+    that lattice (``_near_lattice``, on the exact mpf integers) has no root
+    within R and skips the recognizer, as most numeric roots do.  So every
     Gaussian-rational root whose part denominators are at most
     (2 R)^(-1/2), about 2^(prec / 2 - 24) for a root of modulus near 1 apart
     from the others, comes back exact, and no other."""
@@ -400,7 +416,7 @@ def numeric_roots_squarefree(p: Sequence, prec: int) -> List[RootBall]:
         a, found = _solve([_c2mpc(c) for c in monic], prec)
         for z, root in found:
             radius, c = _radius(a, root, z, prec), None
-            if mp.isfinite(radius):
+            if mp.isfinite(radius) and all(_near_lattice(x, norm, radius._mpf_) for x in z._mpc_):
                 r, re, im = (Fraction(*libmp.to_rational(x)) for x in (radius._mpf_,) + z._mpc_)
                 den = min(norm, math.isqrt(int(1 / (2 * r))))
                 if den:

@@ -2,10 +2,12 @@
 two numeric points, the ``HomPoly.compose`` on Fraction term maps that
 the integer expansion took the place of, the Newton polish on mpc values
 that the exact-integer polish took the place of, the exponential-sum
-evaluators that ExpSum._scaled took the place of, T(r) by mpmath
-quadrature, and the 18-line test and the 12-line selection on one scalar
-Ball predicate at a time, which the array pass of the double Balls took
-the place of."""
+evaluators that ExpSum._scaled took the place of and its own earlier
+point tail, the zero polish on the replaced single-point evaluator, the
+batched winding with the np.insert merges that one gather per round took
+the place of, T(r) by mpmath quadrature, and the 18-line test and the
+12-line selection on one scalar Ball predicate at a time, which the
+array pass of the double Balls took the place of."""
 
 import cmath
 import itertools
@@ -171,6 +173,110 @@ def reference_log_value(es, xi: complex) -> complex:
     if h == 0:
         return complex(-math.inf, 0.0)
     return complex(best + math.log(abs(h)), cmath.phase(h))
+
+
+# ---------------------------------------------------------------------------
+# nevanlinna._windings with the four np.insert merges per refinement round
+# that one gather index per round took the place of, kept verbatim but for
+# the module constants, read from nevanlinna on each call so that a test
+# can monkeypatch them.
+# ---------------------------------------------------------------------------
+
+def reference_windings(g, gp, boxes: np.ndarray, max_refine=60):
+    import quadrics.nevanlinna as nv
+    _PER_SIDE, _BATCH_SAMPLES = nv._PER_SIDE, nv._BATCH_SAMPLES
+    w_out, res_out = np.zeros(len(boxes), dtype=int), np.full(len(boxes), np.nan)
+    pts, la, ph, spd = np.empty(0, dtype=complex), np.empty(0), np.empty(0), np.empty(0)
+    ids = sizes = rounds = np.empty(0, dtype=int)
+    stay = refine = np.empty(0, dtype=bool)
+    idx = owner = np.empty(0, dtype=int)  # segments to halve, and their boxes
+    n0, nxt = 4 * _PER_SIDE + 1, 0
+    while stay.any() or nxt < len(boxes):
+        held = int(sizes[stay].sum()) + idx.size
+        room = (_BATCH_SAMPLES - held) // n0
+        new = boxes[nxt:nxt + max(room, int(not stay.any()))]
+        fresh = np.concatenate([(pts[idx] + pts[idx + 1]) / 2, nv._rect_boundaries(new).ravel()])
+        la_n, ph_n, ok = g.logeval(fresh)
+        lap, _, okp = gp.logeval(fresh)
+        spd_n = np.where(okp, np.exp(np.minimum(lap - np.where(ok, la_n, 0.0), 700.0)), 0.0)
+        sizes = np.concatenate([sizes + np.bincount(owner, minlength=ids.size),
+                                np.full(len(new), n0)])
+        drop = np.concatenate([~stay, np.zeros(len(new), dtype=bool)])
+        drop[np.concatenate([owner, ids.size + np.arange(len(new)).repeat(n0)])[~ok]] = True
+        kept = np.repeat(~drop, sizes)
+
+        def merged(old, vals):
+            return np.concatenate([np.insert(old, idx + 1, vals[:idx.size]),
+                                   vals[idx.size:]])[kept]
+        pts, la, ph, spd = merged(pts, fresh), merged(la, la_n), merged(ph, ph_n), merged(spd, spd_n)
+        ids = np.concatenate([ids, np.arange(nxt, nxt + len(new))])[~drop]
+        rounds = np.concatenate([rounds + refine, np.zeros(len(new), dtype=int)])[~drop]
+        sizes, nxt = sizes[~drop], nxt + len(new)
+        starts = np.cumsum(sizes) - sizes
+        dphi = nv._wrap_angle(np.diff(ph))
+        bad = ((np.abs(dphi) > 0.8) | (np.abs(np.diff(la)) > 0.7)
+               | (np.abs(np.diff(pts)) * np.maximum(spd[:-1], spd[1:]) > 0.6))
+        bad[starts[1:] - 1] = False  # segments joining two boxes
+        unsettled = np.logical_or.reduceat(bad, starts)
+        live = rounds < max_refine
+        for j in np.nonzero(live & ~unsettled)[0]:
+            total = float(np.sum(dphi[starts[j]:starts[j] + sizes[j] - 1]))
+            w = round(total / (2 * math.pi))
+            residual = abs(total - 2 * math.pi * w)
+            if residual <= nv._MAX_RESIDUAL:
+                w_out[ids[j]], res_out[ids[j]] = w, residual
+        stay = live & unsettled & (sizes <= 4_000_000)
+        work = sizes * stay
+        refine = stay & (np.cumsum(work) - work < _BATCH_SAMPLES)
+        idx = np.nonzero(bad & np.repeat(refine, sizes)[:-1])[0]
+        owner = np.searchsorted(starts, idx, side="right") - 1
+    return w_out, res_out
+
+
+def reference_scaled(es, xi):
+    """ExpSum._scaled before its one-pass point tail, kept verbatim: a
+    point with finite exponents sums a list of parts with max and sum."""
+    if es._py_cache is None:
+        def conv(p):  # highest power first, for Horner
+            return tuple(complex(scalar_to_complex(c)) for c in reversed(p))
+        es._py_cache = tuple((conv(cp), conv(ep)) for cp, ep in es.terms)
+    vals = []
+    for cs, es_ in es._py_cache:
+        q = 0j
+        for c in es_:
+            q = q * xi + c
+        v = 0j
+        for c in cs:
+            v = v * xi + c
+        vals.append((v, q))
+    M = -math.inf
+    if isinstance(xi, complex) and all(cmath.isfinite(q) for _, q in vals):
+        M = max((q.real for _, q in vals), default=M)
+        parts = [v * cmath.exp(q - M) for v, q in vals] or [0j]
+    else:
+        for _, q in vals:
+            M = np.maximum(M, q.real)
+        parts = [v * np.exp(q - M) for v, q in vals] or [0j * xi]
+    return M, sum(parts[1:], parts[0])
+
+
+def reference_polish_zero(g, gp, z0: complex, tol: float):
+    """nevanlinna._polish_zero with its Newton step g/g' on
+    reference_log_value: (point, whether the last step was below tol)."""
+    z = z0
+    for _ in range(60):
+        lg = reference_log_value(g, z)
+        if lg.real == -math.inf:
+            step = 0j
+        else:
+            d = lg - reference_log_value(gp, z)
+            if d.real > 200:
+                return z, False
+            step = cmath.exp(d)
+        z = z - step
+        if abs(step) < tol:
+            return z, True
+    return z, False
 
 
 def reference_characteristic(curve, r, dps=50):

@@ -3,11 +3,12 @@ import math
 import random
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadrics.config import analysis_scope
@@ -26,7 +27,8 @@ from quadrics.scalars import (GaussRat, coerce_scalar, parse_scalar_string,
 
 from exact_reference import (reference_characteristic, reference_eval_one,
                              reference_log_value, reference_logabs_grid,
-                             reference_logeval)
+                             reference_logeval, reference_polish_zero,
+                             reference_scaled, reference_windings)
 
 EXP_LINE = ExpCurve.from_exponents([[0], [0, 1]])          # [1 : e^xi]
 EXP_SQUARE = ExpCurve.from_exponents([[0], [0, 0, 1]])     # [1 : e^{xi^2}]
@@ -49,13 +51,27 @@ def _bits(x):
     return np.asarray(x).tobytes()
 
 
+def _tied(base, shifts):
+    """Terms (c, P + i k): their exponents' real parts tie at every point,
+    as Horner adds the constant coefficient last."""
+    base = base or [coerce_scalar(0)]
+    return [(c, [base[0] + GaussRat(0, k)] + base[1:]) for c, k in shifts]
+
+
+_TIED_TERMS = st.builds(_tied, _POLY, st.lists(st.tuples(st.lists(_SMALL, min_size=1, max_size=2),
+                                                         st.integers(-3, 3)),
+                                               min_size=2, max_size=4))
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(st.lists(_TERM, min_size=1, max_size=4), st.lists(_POINT, min_size=2, max_size=9))
+@given(st.one_of(st.lists(_TERM, min_size=1, max_size=4), _TIED_TERMS),
+       st.lists(_POINT, min_size=2, max_size=9))
 def test_one_kernel_matches_the_replaced_evaluators(terms, points):
     """logeval, logabs_grid and the single-point log value all read
     ExpSum._scaled; each equals, bit for bit, the evaluator it replaced,
     on multi-term sums with polynomial coefficients, exponents of degree
-    up to 3 (values far beyond double range) and points on the axes.
+    up to 3 (values far beyond double range), terms whose exponents tie
+    in the largest real part at every point, and points on the axes.
 
     Arrays hold at least two points: on a one-point array numpy's own
     sum over four or more terms is t0 + pairwise(t1, ...), not left to
@@ -80,6 +96,37 @@ def test_one_kernel_matches_the_replaced_evaluators(terms, points):
             continue
         if value != 0 and math.isfinite(abs(value)):
             assert abs(got.real - math.log(abs(value))) < 1e-9
+
+
+_SIGNED = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, math.inf, -math.inf, math.nan])
+_SIGNED_POINT = st.builds(complex, _SIGNED, _SIGNED)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.lists(st.tuples(st.lists(_SIGNED_POINT, min_size=1, max_size=2),
+                          st.lists(_SIGNED_POINT, max_size=2)), max_size=4),
+       _SIGNED_POINT)
+# at xi = -1 + i, (0j * xi).real is -0.0, so the first exponent's real
+# part is -0.0 and the second's 0.0
+@example(cache=[([1 + 0j], [complex(-0.0, 1.0)]), ([2 + 0j], [complex(0.0, 2.0)])],
+         xi=complex(-1.0, 1.0))
+@example(cache=[([1 + 0j], [complex(0.0, 1.0)]), ([2 + 0j], [complex(-0.0, 2.0)])],
+         xi=complex(-1.0, 1.0))
+def test_the_point_tail_matches_the_replaced_one(cache, xi):
+    """ExpSum._scaled at one point, (M, h) bit for bit and type for type,
+    against its tail before the one-pass sum (max, then sum of a list), on
+    hand-set term caches with signed zeros and non-finite entries.  From
+    exact terms Horner adds a constant coefficient of real part +0.0 last,
+    so no exponent has real part -0.0 there; here 0.0 ties -0.0 in the
+    largest real part, and M is the first of them, as max picks it."""
+    es = ExpSum([])
+    es._py_cache = tuple((tuple(c), tuple(e)) for c, e in cache)
+    with np.errstate(all="ignore"):
+        got, want = es._scaled(xi), reference_scaled(es, xi)
+    assert [type(x) for x in got] == [type(x) for x in want]
+    assert float(got[0]).hex() == float(want[0]).hex()
+    assert (complex(got[1]).real.hex(), complex(got[1]).imag.hex()) == (
+        complex(want[1]).real.hex(), complex(want[1]).imag.hex())
 
 
 def test_the_empty_sum_is_zero_everywhere():
@@ -314,6 +361,7 @@ def test_zero_search_rejects_an_unconverged_polish():
 
 # e^xi - 1: simple zeros at 2 pi i k
 _EXP_MINUS_1 = ExpSum([([1], [0, 1]), ([-1], [])])
+_THREE_TERMS = ExpSum([([1], []), ([1], [0, 1]), ([1], [0, 0, 1])])
 _WINDING_BOXES = [
     (-1.0, 1.0, -1.0, 1.0),
     (-0.5, 0.75, 5.0, 7.0),
@@ -351,6 +399,76 @@ def test_batched_winding_decides_each_box_as_alone(monkeypatch, samples_cap, max
     assert failed == [False, False, True, True, False, False, max_refine == 1, False,
                       max_refine < 51, max_refine < 51]
     assert w.tolist() == [0 if f else k for f, k in zip(failed, [1, 1, 0, 0, 0, 1, 3, 0, 1, 1])]
+
+
+_EDGE = st.sampled_from([0.0, 2 * math.pi, 2 * math.pi + 1e-9, 2 * math.pi - 1e-9, -2 * math.pi,
+                         4 * math.pi + 1e-13, 1e-12, -1e-12])
+_BOX = st.tuples(st.one_of(_EDGE, st.floats(-9.0, 9.0)), st.floats(0.01, 6.0),
+                 st.one_of(_EDGE, st.floats(-20.0, 20.0)), st.floats(0.01, 8.0),
+                 st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1)]))
+
+
+def _corner_box(x, w, y, h, at):
+    """The box of sides w and h with (x, y) as its corner number at."""
+    x0, y0 = x - w * at[0], y - h * at[1]
+    return (x0, x0 + w, y0, y0 + h)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.lists(_BOX, min_size=1, max_size=6), st.sampled_from([1 << 11, 300, 150, 1]),
+       st.sampled_from([60, 4, 1]), st.booleans())
+def test_the_gathered_merge_matches_the_inserted_one(boxes, samples_cap, max_refine, three):
+    """_windings, one gather per refinement round, against its np.insert
+    merges (reference_windings): w and the residual bit for bit, on boxes
+    of e^xi - 1 or 1 + e^xi + e^{xi^2} with corners on or next to zeros of
+    e^xi - 1 (where e^xi - 1 underflows, the box fails), with the sample
+    cap lowered so that boxes wait, and with low round limits."""
+    import quadrics.nevanlinna as nv
+    g = _THREE_TERMS if three else _EXP_MINUS_1
+    gp = g.derivative()
+    rows = np.array([_corner_box(*b) for b in boxes] + [(0.0, 1.0, 0.0, 1.0)])
+    with mock.patch.object(nv, "_BATCH_SAMPLES", samples_cap):
+        w, residual = nv._windings(g, gp, rows, max_refine)
+        w_ref, residual_ref = reference_windings(g, gp, rows, max_refine)
+    assert w.tolist() == w_ref.tolist()
+    assert _bits(residual) == _bits(residual_ref)
+    assert three or np.isnan(residual[-1])  # e^xi - 1 underflows at the corner 0
+
+
+_A = Fraction(250559, 250000)
+_POLISH_CASES = [
+    # e^{a xi} - 1 from next to its zeros 2 pi i k / a, and from the
+    # centre of a cell where Newton does not converge
+    *((ExpSum([([1], [0, _A]), ([-1], [])]), complex(0.3 * (-1) ** k, 2 * math.pi * k / 1.002 + 0.4))
+      for k in range(-4, 5)),
+    (ExpSum([([1], [0, _A]), ([-1], [])]), complex(-2.4796295166015625, -671.9796)),
+    # 1 + e^{b xi} + e^{c xi^2} on a grid of starts
+    *((ExpSum([([1], []), ([1], [0, b]), ([1], [0, 0, c])]), complex(x, y))
+      for b, c in ((1, 1), (GaussRat(Fraction(3, 5), Fraction(4, 5)),
+                            GaussRat(Fraction(4, 5), Fraction(-3, 5))))
+      for x in (-2.0, -0.5, 1.0, 2.5) for y in (-1.5, 0.0, 2.0)),
+]
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-13])
+def test_polish_matches_the_reference_polish(tol):
+    """_polish_zero against the same Newton iteration on the replaced
+    single-point evaluator (reference_polish_zero): the point, part by
+    part, and the converged flag, bit for bit.  Besides the starts next to
+    zeros: at -800 on e^xi - 1 g' underflows against g (the d.real > 200
+    stop), at 0 g is exactly 0 (a zero step, converged), and at 10^200 the
+    exponent xi^2 of 1 + e^xi + e^{xi^2} is not finite."""
+    from quadrics.nevanlinna import _polish_zero
+    special = [(_EXP_MINUS_1, -800 + 0j), (_EXP_MINUS_1, 0j), (_THREE_TERMS, 1e200 + 0j)]
+    got = []
+    for g, z0 in _POLISH_CASES + special:
+        gp = g.derivative()
+        (z, ok), (z_ref, ok_ref) = _polish_zero(g, gp, z0, tol), reference_polish_zero(g, gp, z0, tol)
+        assert (z.real.hex(), z.imag.hex(), ok) == (z_ref.real.hex(), z_ref.imag.hex(), ok_ref)
+        got.append((z, ok))
+    assert got[-3] == (-800 + 0j, False) and got[-2] == (0j, True)
+    assert math.isnan(got[-1][0].real) and not got[-1][1]
+    assert sum(ok for _, ok in got) > len(_POLISH_CASES) // 2
 
 
 # locate_zeros_in_box as the depth-first, one-rectangle-at-a-time search

@@ -21,6 +21,9 @@ One evaluator for exponential sums: ``ExpSum._scaled`` is the only reader
 of the cached term coefficients, and no ``numpy.polyval`` copy of it is
 left, so points and arrays are evaluated by the same code.
 
+One gather per refinement round: ``nevanlinna`` calls no ``numpy.insert``,
+so the batched winding merges its samples by one index per round.
+
 One evaluator for forms at numeric points: ``polynomials.MpForms``
 scales a form once to integer coefficients and sums its terms exactly on
 Gaussian integers, over one power table per point; no other code sums a
@@ -199,6 +202,10 @@ def test_complex_roots_is_called_only_for_squarefree_roots():
 
 def test_numpy_polyval_is_not_used():
     assert _uses("polyval", {"np", "numpy"}) == []
+
+
+def test_the_zero_search_merges_without_insert():
+    assert [use for use in _uses("insert", {"np", "numpy"}) if use[0] == "nevanlinna.py"] == []
 
 
 def test_term_cache_is_read_only_by_the_kernel():

@@ -1,4 +1,5 @@
 import functools
+import math
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -244,6 +245,63 @@ def test_a_small_denominator_under_a_huge_leading_coefficient():
     1/2, so rounding lc t would miss 1/3; the bound (2 R)^(-1/2) keeps it."""
     balls = roots_with_multiplicity(_prod([-1, 3], [-2, 0, 3 ** 190]), 256)
     assert [b.exact for b in balls if b.exact is not None] == [Fraction(1, 3)]
+
+
+_SMALL_GAUSS = st.builds(GaussRat, st.integers(-7, 7), st.integers(-7, 7))
+# the offset of a part from the root's, in units of the radius: inside, on
+# the edge, just outside, and anywhere within two radii
+_OFFSET = st.one_of(st.sampled_from([0, 1, -1, 1 - Fraction(1, 2 ** 40), 1 + Fraction(1, 2 ** 40),
+                                     -1 - Fraction(1, 2 ** 40), 1 + Fraction(1, 2 ** 20)]),
+                    st.fractions(-2, 2, max_denominator=2 ** 30))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_SMALL_GAUSS, _SMALL_GAUSS.filter(bool), st.lists(_SMALL_GAUSS, min_size=1, max_size=3),
+       _SMALL_GAUSS.filter(bool), st.integers(1, 255), st.integers(24, 90),
+       _OFFSET, _OFFSET, st.sampled_from([53, 128, 256]))
+def test_the_lattice_filter_never_rejects_a_recognized_root(a, b, low, lead, mant, k,
+                                                           dx, dy, prec):
+    """z = a / b + (dx + i dy) R, rounded to prec bits, for a root a / b of
+    F = (b t - a) q, whose parts have denominators dividing N = N(lc F):
+    ``_near_lattice`` is |x N - round(x N)| <= N R for each part x of z,
+    computed on Fractions, and wherever the recognizer takes a root of F
+    at z (``reconstruct_gauss`` within R, and F vanishing there) the filter
+    passes z."""
+    from quadrics.scalars import reconstruct_gauss
+    F = univariate._primitive(univariate.integral(_prod([-a, b], low + [lead]))[0])
+    f = [(int(c.re), int(c.im)) if isinstance(c, GaussRat) else (c, 0) for c in F]
+    norm = f[-1][0] ** 2 + f[-1][1] ** 2
+    c = a / b
+    R = Fraction(mant, 2 ** k)
+    with mp.workprec(prec):
+        z = mp.mpc(*(mp.mpf(x.numerator) / x.denominator for x in (c.re + dx * R, c.im + dy * R)))
+    radius = mp.ldexp(mant, -k)
+    re, im = (Fraction(*mp.libmp.to_rational(x)) for x in z._mpc_)
+    near = [univariate._near_lattice(x, norm, radius._mpf_) for x in z._mpc_]
+    assert near == [abs(x * norm - round(x * norm)) <= norm * R for x in (re, im)]
+    den = min(norm, math.isqrt(int(1 / (2 * R))))
+    got = reconstruct_gauss(re, im, den, R)
+    if got is not None and univariate._vanishes(f, got):
+        assert all(near)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_SMALL_GAUSS, _SMALL_GAUSS.filter(bool)), min_size=1, max_size=4),
+       st.sampled_from([[-2, 0, 1], [1, 1, 1], [GaussRat(0, 3), 0, 7]]),
+       st.sampled_from([53, 128, 256]))
+def test_the_lattice_filter_changes_no_root(factors, irreducible, prec):
+    """Gaussian-rational roots a / b beside the roots of an irreducible
+    quadratic: the values, radii and exact roots with the filter in front
+    of the recognizer are those without it, bit for bit."""
+    F = _prod(irreducible, *([-a, b] for a, b in factors))
+    assume(len(uni_gcd(F, univariate._derivative(F))) == 1)
+
+    def bits(balls):
+        return [(z.value._mpc_, z.radius._mpf_, z.exact) for z in balls]
+
+    got = bits(numeric_roots_squarefree(F, prec))
+    with mock.patch.object(univariate, "_near_lattice", lambda x, n, r: True):
+        assert got == bits(numeric_roots_squarefree(F, prec))
 
 
 def test_parse_scalar_strings():
