@@ -602,7 +602,9 @@ def _windings(g: ExpSum, gp: ExpSum, boxes: np.ndarray,
         held = int(sizes[stay].sum()) + idx.size
         room = (_BATCH_SAMPLES - held) // n0
         new = boxes[nxt:nxt + max(room, int(not stay.any()))]
-        fresh = np.concatenate([(pts[idx] + pts[idx + 1]) / 2, _rect_boundaries(new).ravel()])
+        fresh = (pts[idx] + pts[idx + 1]) / 2
+        if len(new):  # most rounds admit no box
+            fresh = np.concatenate([fresh, _rect_boundaries(new).ravel()])
         la_n, ph_n, ok = g.logeval(fresh)
         lap, _, okp = gp.logeval(fresh)
         # |g'/g|: the a-priori bound on the phase speed along the contour;
@@ -630,14 +632,14 @@ def _windings(g: ExpSum, gp: ExpSum, boxes: np.ndarray,
         rounds = np.concatenate([rounds + refine, np.zeros(len(new), dtype=int)])[~drop]
         sizes, nxt = sizes[~drop], nxt + len(new)
         starts = np.cumsum(sizes) - sizes
-        dphi = _wrap_angle(np.diff(ph))
-        bad = ((np.abs(dphi) > 0.8) | (np.abs(np.diff(la)) > 0.7)
-               | (np.abs(np.diff(pts)) * np.maximum(spd[:-1], spd[1:]) > 0.6))
+        dphi = _wrap_angle(ph[1:] - ph[:-1])
+        bad = ((np.abs(dphi) > 0.8) | (np.abs(la[1:] - la[:-1]) > 0.7)
+               | (np.abs(pts[1:] - pts[:-1]) * np.maximum(spd[:-1], spd[1:]) > 0.6))
         bad[starts[1:] - 1] = False  # segments joining two boxes
         unsettled = np.logical_or.reduceat(bad, starts)
         live = rounds < max_refine
         for j in np.nonzero(live & ~unsettled)[0]:
-            total = float(np.sum(dphi[starts[j]:starts[j] + sizes[j] - 1]))
+            total = float(dphi[starts[j]:starts[j] + sizes[j] - 1].sum())
             w = round(total / (2 * math.pi))
             residual = abs(total - 2 * math.pi * w)
             if residual <= _MAX_RESIDUAL:
