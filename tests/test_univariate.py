@@ -11,7 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quadrics.polynomials import poly_mul
-from quadrics.scalars import GaussRat, coerce_scalar, parse_scalar_string, primitive_vector
+from quadrics.scalars import (GaussRat, coerce_scalar, parse_scalar_string, primitive_vector,
+                              reconstruct_gauss)
 from quadrics import univariate
 from quadrics.univariate import (RootFindingError, binary_form_roots, complex_roots,
                                  numeric_roots_squarefree, roots_with_multiplicity, uni_gcd,
@@ -267,7 +268,6 @@ def test_the_lattice_filter_never_rejects_a_recognized_root(a, b, low, lead, man
     computed on Fractions, and wherever the recognizer takes a root of F
     at z (``reconstruct_gauss`` within R, and F vanishing there) the filter
     passes z."""
-    from quadrics.scalars import reconstruct_gauss
     F = univariate._primitive(univariate.integral(_prod([-a, b], low + [lead]))[0])
     f = [(int(c.re), int(c.im)) if isinstance(c, GaussRat) else (c, 0) for c in F]
     norm = f[-1][0] ** 2 + f[-1][1] ** 2
