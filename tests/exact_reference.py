@@ -186,6 +186,10 @@ def reference_windings(g, gp, boxes: np.ndarray, max_refine=60):
     import quadrics.nevanlinna as nv
     _PER_SIDE, _BATCH_SAMPLES = nv._PER_SIDE, nv._BATCH_SAMPLES
     w_out, res_out = np.zeros(len(boxes), dtype=int), np.full(len(boxes), np.nan)
+    # the samples of the boxes in work, box after box: point, log|g|,
+    # phase and |g'/g|; per box its index in boxes, its sample count
+    # (closing point included) and rounds, whether it stays in work and
+    # whether it refines in this round
     pts, la, ph, spd = np.empty(0, dtype=complex), np.empty(0), np.empty(0), np.empty(0)
     ids = sizes = rounds = np.empty(0, dtype=int)
     stay = refine = np.empty(0, dtype=bool)
@@ -198,7 +202,11 @@ def reference_windings(g, gp, boxes: np.ndarray, max_refine=60):
         fresh = np.concatenate([(pts[idx] + pts[idx + 1]) / 2, nv._rect_boundaries(new).ravel()])
         la_n, ph_n, ok = g.logeval(fresh)
         lap, _, okp = gp.logeval(fresh)
+        # |g'/g|: the a-priori bound on the phase speed along the contour;
+        # where g underflowed the box fails below, so its la is not used
         spd_n = np.where(okp, np.exp(np.minimum(lap - np.where(ok, la_n, 0.0), 700.0)), 0.0)
+        # each midpoint goes after its segment's first sample and the new
+        # boxes after all others; boxes that are done or underflowed leave
         sizes = np.concatenate([sizes + np.bincount(owner, minlength=ids.size),
                                 np.full(len(new), n0)])
         drop = np.concatenate([~stay, np.zeros(len(new), dtype=bool)])
@@ -226,6 +234,8 @@ def reference_windings(g, gp, boxes: np.ndarray, max_refine=60):
             if residual <= nv._MAX_RESIDUAL:
                 w_out[ids[j]], res_out[ids[j]] = w, residual
         stay = live & unsettled & (sizes <= 4_000_000)
+        # the boxes in work refine in order while the samples before them
+        # stay under the cap; the others wait, keeping their rounds
         work = sizes * stay
         refine = stay & (np.cumsum(work) - work < _BATCH_SAMPLES)
         idx = np.nonzero(bad & np.repeat(refine, sizes)[:-1])[0]
