@@ -600,9 +600,11 @@ def _record_sort_key(rec: IntersectionRecord):
     """Real and imaginary parts of each coordinate in turn; a part within
     the point's radius of zero counts as zero, so the sign of a
     rounding-level imaginary part never orders a conjugate pair."""
-    pt = rec.point
-    return tuple(0.0 if abs(x) <= pt.radius else float(x)
-                 for cc in pt.coords for x in (mp.re(cc), mp.im(cc)))
+    r = rec.point.radius._mpf_
+    # on the raw parts: an exact |x| <= r, and float(x) rounded to nearest
+    # (to_float's own default rounds toward zero)
+    return tuple(0.0 if libmp.mpf_cmp(libmp.mpf_abs(x), r) <= 0 else libmp.to_float(x, rnd="n")
+                 for cc in rec.point.coords for x in cc._mpc_)
 
 
 def _tangential(p, q, point, multiplicity):

@@ -16,6 +16,7 @@ reproducible output.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -105,10 +106,18 @@ def _emit(args, manifest: dict, report: dict) -> None:
         sys.stdout.write(text)
 
 
+# The most radii a 'logspace:a:b:n' list may ask for; n is checked before
+# anything is allocated.
+MAX_RADII = 10_000
+
+
 def _parse_radii(text: str) -> List[float]:
     if text.startswith("logspace:"):
         _, a, b, n = text.split(":")
-        radii = [float(r) for r in np.logspace(float(a), float(b), int(n))]
+        count = int(n)
+        if count > MAX_RADII:
+            raise ValueError(f"at most {MAX_RADII} radii, not {count}: {text!r}")
+        radii = [float(r) for r in np.logspace(float(a), float(b), count)]
     else:
         radii = [float(x) for x in text.split(",") if x.strip()]
     if not radii or not all(1.0 <= r < math.inf for r in radii):
@@ -343,10 +352,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call of ``main``."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(argv)
+    # One parser per process, built on first use and not at import: parsing
+    # leaves no state on it, and building it costs more than a parse.
+    args = _parser().parse_args(argv)
     args.argv = argv
     manifest = _manifest(args, getattr(args, "path", None))
     args.precision = None

@@ -1,7 +1,7 @@
 """Exact homogeneous polynomials in z0, z1, z2 over the (Gaussian) rationals.
 
 The substrate for everything else: sparse term maps keyed by exponent
-triples, a recursive-descent parser for the polynomial grammar, Sylvester
+triples, a one-pass parser for the polynomial grammar, Sylvester
 resultants with fraction-free Bareiss elimination on dense integer
 polynomials, the symmetric-matrix view of quadrics, and certified numeric
 evaluation at projective points.
@@ -15,7 +15,19 @@ Grammar (whitespace insignificant)::
     rational := int | '(' int '/' uint ')'
 
 A leading unary minus and, when ``gaussian=True``, the literal ``i`` are
-accepted as strict extensions; everything the grammar produces parses.
+accepted as strict extensions; everything the grammar produces parses,
+with parentheses nested at most ``MAX_NESTING`` (100) deep.  Past that the
+first '(' too many is a ``PolySyntaxError``.
+
+``parse_poly`` tokenizes the text, then evaluates while it parses, in one
+recursive-descent pass: sums and products are loops, so their length is
+not bounded by the stack, and each rule's value is a plain term map
+combined by the same kernels as ``HomPoly``'s operators (``_terms_add``,
+``_terms_mul``, ``_terms_neg``, ``_terms_pow``).  The one ``HomPoly`` is
+built at the end, with the terms, their order and their coefficient types
+that evaluating the parse tree through one ``HomPoly`` per node gave.
+Errors keep their precedence: a bad character anywhere, then the first
+syntax error, then the first homogeneity error in evaluation order.
 """
 
 from __future__ import annotations
@@ -189,7 +201,9 @@ def _grlex_key(e: Expo):
 
 
 def _term_mul(a: Dict[Expo, Scalar], b: Dict[Expo, Scalar]) -> Dict[Expo, Scalar]:
-    """Product of two term maps, zero terms kept."""
+    """Product of two term maps, zero terms kept: the integer expansion of
+    ``HomPoly.compose``, where a cancelled term keeps its slot and so fixes
+    the order of the composed form's terms."""
     res: Dict[Expo, Scalar] = {}
     for (i1, j1, k1), c1 in a.items():
         for (i2, j2, k2), c2 in b.items():
@@ -198,12 +212,58 @@ def _term_mul(a: Dict[Expo, Scalar], b: Dict[Expo, Scalar]) -> Dict[Expo, Scalar
     return res
 
 
+# The ring kernels on term maps {exponent: coefficient} without zero
+# coefficients.  ``HomPoly``'s operators and the parser both call them, so
+# a parsed form has the terms, in the order, that its operators give.  A
+# key keeps its slot while its coefficient is nonzero; one that cancels
+# leaves, and comes back at the end.
+
+def _terms_add(res: Dict[Expo, Scalar], b: Dict[Expo, Scalar]) -> Dict[Expo, Scalar]:
+    """res + b, written into res and returned."""
+    for e, c in b.items():
+        s = res.get(e, 0) + c
+        if s == 0:
+            res.pop(e, None)
+        else:
+            res[e] = s
+    return res
+
+
+def _terms_neg(a: Dict[Expo, Scalar]) -> Dict[Expo, Scalar]:
+    return {e: -c for e, c in a.items()}
+
+
+def _terms_mul(a: Dict[Expo, Scalar], b: Dict[Expo, Scalar]) -> Dict[Expo, Scalar]:
+    res: Dict[Expo, Scalar] = {}
+    for (i1, j1, k1), c1 in a.items():
+        for (i2, j2, k2), c2 in b.items():
+            e = (i1 + i2, j1 + j2, k1 + k2)
+            s = res.get(e, 0) + c1 * c2
+            if s == 0:
+                res.pop(e, None)
+            else:
+                res[e] = s
+    return res
+
+
+def _terms_pow(a: Dict[Expo, Scalar], n: int) -> Dict[Expo, Scalar]:
+    """a^n by binary powering, the product with 1 first."""
+    out: Dict[Expo, Scalar] = {(0, 0, 0): 1}
+    while n:
+        if n & 1:
+            out = _terms_mul(out, a)
+        n >>= 1
+        if n:
+            a = _terms_mul(a, a)
+    return out
+
+
 class HomPoly:
     """Immutable homogeneous polynomial, zero polynomial tagged degree -1."""
 
     __slots__ = ("terms", "degree", "_hash")
 
-    def __init__(self, terms: Dict[Expo, Scalar] | None = None, *, _checked=False):
+    def __init__(self, terms: Dict[Expo, Scalar] | None = None):
         tmap: Dict[Expo, Scalar] = {}
         if terms:
             for e, c in terms.items():
@@ -256,36 +316,20 @@ class HomPoly:
     def __add__(self, other):
         if not isinstance(other, HomPoly):
             return NotImplemented
-        res = dict(self.terms)
-        for e, c in other.terms.items():
-            s = res.get(e, 0) + c
-            if s == 0:
-                res.pop(e, None)
-            else:
-                res[e] = s
-        return HomPoly(res)
+        return HomPoly(_terms_add(dict(self.terms), other.terms))
 
     def __sub__(self, other):
         return self + -other if isinstance(other, HomPoly) else NotImplemented
 
     def __neg__(self):
-        return HomPoly({e: -c for e, c in self.terms.items()})
+        return HomPoly(_terms_neg(self.terms))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussRat)):
             return self.scale(other)
         if not isinstance(other, HomPoly):
             return NotImplemented
-        res: Dict[Expo, Scalar] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                s = res.get(e, 0) + c1 * c2
-                if s == 0:
-                    res.pop(e, None)
-                else:
-                    res[e] = s
-        return HomPoly(res)
+        return HomPoly(_terms_mul(self.terms, other.terms))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussRat)):
@@ -301,14 +345,7 @@ class HomPoly:
     def __pow__(self, n: int) -> "HomPoly":
         if n < 0:
             raise ValueError("negative power")
-        out = HomPoly.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return HomPoly(_terms_pow(self.terms, n))
 
     def __eq__(self, other):
         if not isinstance(other, HomPoly):
@@ -434,13 +471,8 @@ class HomPoly:
                 raise ArithmeticError("inexact polynomial division")
             c = rem[rlead] / dco
             quot[q] = c
-            for e, co in divisor.terms.items():
-                t = (e[0] + q[0], e[1] + q[1], e[2] + q[2])
-                s = rem.get(t, 0) - c * co
-                if s == 0:
-                    rem.pop(t, None)
-                else:
-                    rem[t] = s
+            _terms_add(rem, {(e[0] + q[0], e[1] + q[1], e[2] + q[2]): -(c * co)
+                             for e, co in divisor.terms.items()})
         return HomPoly(quot)
 
     def content_primitive(self) -> Tuple[Scalar, "HomPoly"]:
@@ -519,196 +551,190 @@ class HomPoly:
 # Parser
 # ---------------------------------------------------------------------------
 
-class _Tok:
-    __slots__ = ("kind", "value", "pos")
+# The deepest nesting of parentheses a form may have.  The parser recurses
+# once per level, so this bounds its stack; deeper input is a syntax error
+# at the first '(' past the limit.
+MAX_NESTING = 100
 
-    def __init__(self, kind, value, pos):
-        self.kind = kind
-        self.value = value
-        self.pos = pos
+_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def _tokenize(text: str, gaussian: bool):
-    toks = []
+    """Token kinds, values and positions, closed by an 'end' token.  Kinds
+    are 'var' (value: the variable's index), 'int', 'imag' and the
+    operator characters."""
+    kinds, values, positions = [], [], []
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
-        if ch.isspace():
+        if ch in "+-*^()/":
+            kinds.append(ch)
+            values.append(None)
+            positions.append(i)
             i += 1
-            continue
-        if text.startswith("z0", i) or text.startswith("z1", i) or text.startswith("z2", i):
-            toks.append(_Tok("var", int(text[i + 1]), i))
+        elif ch == "z" and text[i + 1:i + 2] in ("0", "1", "2"):
+            kinds.append("var")
+            values.append(int(text[i + 1]))
+            positions.append(i)
             i += 2
-            continue
-        if gaussian and ch == "i":
-            toks.append(_Tok("imag", None, i))
+        elif ch.isspace():
             i += 1
-            continue
-        if ch.isdigit():
-            j = i
+        elif ch.isdigit():
+            j = i + 1
             while j < n and text[j].isdigit():
                 j += 1
-            toks.append(_Tok("int", int(text[i:j]), i))
+            kinds.append("int")
+            values.append(int(text[i:j]))
+            positions.append(i)
             i = j
-            continue
-        if ch in "+-*^()/":
-            toks.append(_Tok(ch, ch, i))
+        elif gaussian and ch == "i":
+            kinds.append("imag")
+            values.append(None)
+            positions.append(i)
             i += 1
-            continue
-        raise PolySyntaxError(f"unexpected character {ch!r}", i)
-    toks.append(_Tok("end", None, n))
-    return toks
-
-
-@dataclass(frozen=True)
-class PolyExprAST:
-    """Parse tree node: ('+',l,r) ('-',l,r) ('*',l,r) ('^',l,int) ('var',i)
-    ('rat',Fraction) ('imag',)."""
-
-    kind: str
-    args: tuple
-
-    def evaluate(self) -> HomPoly:
-        k = self.kind
-        if k == "var":
-            return HomPoly.variable(self.args[0])
-        if k == "rat":
-            return HomPoly.constant(self.args[0])
-        if k == "imag":
-            return HomPoly.constant(GaussRat(0, 1))
-        if k == "neg":
-            return -self.args[0].evaluate()
-        if k == "^":
-            return self.args[0].evaluate() ** self.args[1]
-        a = self.args[0].evaluate()
-        b = self.args[1].evaluate()
-        if k == "+":
-            return _add_mixed(a, b)
-        if k == "-":
-            return _add_mixed(a, -b)
-        if k == "*":
-            return a * b
-        raise AssertionError(k)
-
-
-def _add_mixed(a: HomPoly, b: HomPoly) -> HomPoly:
-    if not a.is_zero and not b.is_zero and a.degree != b.degree:
-        raise NotHomogeneousError({a.degree, b.degree})
-    return a + b
+        else:
+            raise PolySyntaxError(f"unexpected character {ch!r}", i)
+    kinds.append("end")
+    values.append(None)
+    positions.append(n)
+    return kinds, values, positions
 
 
 class _Parser:
-    def __init__(self, toks, gaussian):
-        self.toks = toks
+    """One recursive-descent pass over the tokens that evaluates as it
+    parses: each rule returns its value as a term map with ``int``
+    coefficients (``Fraction`` only for a '(p/q)' literal), combined by
+    the ring kernels.  Sums and products run as loops; only parentheses
+    recurse.  The first homogeneity error, in evaluation order, is kept
+    in ``error`` and the parse goes on, so that a syntax error anywhere
+    takes precedence over it."""
+
+    __slots__ = ("kinds", "values", "positions", "k", "depth", "error")
+
+    def __init__(self, text: str, gaussian: bool):
+        self.kinds, self.values, self.positions = _tokenize(text, gaussian)
         self.k = 0
-        self.gaussian = gaussian
+        self.depth = 0
+        self.error = None
 
-    def peek(self):
-        return self.toks[self.k]
+    def _expect(self, kind):
+        k = self.k
+        if self.kinds[k] != kind:
+            raise PolySyntaxError(f"expected {kind!r}, found {self.kinds[k]!r}",
+                                  self.positions[k])
+        self.k = k + 1
+        return self.values[k]
 
-    def take(self, kind=None):
-        t = self.toks[self.k]
-        if kind is not None and t.kind != kind:
-            raise PolySyntaxError(f"expected {kind!r}, found {t.kind!r}", t.pos)
-        self.k += 1
+    def expr(self) -> Dict[Expo, Scalar]:
+        """term (('+'|'-') term)*, with a unary minus on the first term."""
+        kinds = self.kinds
+        if kinds[self.k] == "-":
+            self.k += 1
+            acc = _terms_neg(self.term())
+        else:
+            acc = self.term()
+        while True:
+            op = kinds[self.k]
+            if op != "+" and op != "-":
+                return acc
+            self.k += 1
+            rhs = self.term()
+            if op == "-":
+                rhs = _terms_neg(rhs)
+            if acc and rhs:
+                da, db = sum(next(iter(acc))), sum(next(iter(rhs)))
+                if da != db:
+                    if self.error is None:
+                        self.error = NotHomogeneousError({da, db})
+                    acc = {}
+                    continue
+            acc = _terms_add(acc, rhs)
+
+    def term(self) -> Dict[Expo, Scalar]:
+        """factor ('*' factor)*"""
+        acc = self.factor()
+        kinds = self.kinds
+        while kinds[self.k] == "*":
+            self.k += 1
+            acc = _terms_mul(acc, self.factor())
+        return acc
+
+    def factor(self) -> Dict[Expo, Scalar]:
+        """base ('^' uint)?"""
+        kinds, k = self.kinds, self.k
+        kind = kinds[k]
+        if kind == "var":
+            self.k = k + 1
+            t = {_UNITS[self.values[k]]: 1}
+        elif kind == "int":
+            self.k = k + 1
+            v = self.values[k]
+            t = {(0, 0, 0): v} if v else {}
+        elif kind == "(":
+            if self.depth == MAX_NESTING:
+                raise PolySyntaxError(f"parentheses nested deeper than {MAX_NESTING}",
+                                      self.positions[k])
+            v = self._paren_literal()
+            if v is None:
+                self.k = k + 1
+                self.depth += 1
+                t = self.expr()
+                self._expect(")")
+                self.depth -= 1
+            else:
+                t = {(0, 0, 0): v} if v else {}
+        elif kind == "-":  # a signed integer literal
+            self.k = k + 1
+            v = self._expect("int")
+            t = {(0, 0, 0): -v} if v else {}
+        elif kind == "imag":
+            self.k = k + 1
+            t = {(0, 0, 0): GaussRat(0, 1)}
+        else:
+            raise PolySyntaxError(f"unexpected token {kind!r}", self.positions[k])
+        if kinds[self.k] == "^":
+            self.k += 1
+            t = _terms_pow(t, self._expect("int"))
         return t
 
-    def parse_expr(self) -> PolyExprAST:
-        # unary minus on the leading term is a documented extension
-        if self.peek().kind == "-":
-            self.take()
-            node = PolyExprAST("neg", (self.parse_term(),))
-        else:
-            node = self.parse_term()
-        while self.peek().kind in ("+", "-"):
-            op = self.take().kind
-            rhs = self.parse_term()
-            node = PolyExprAST(op, (node, rhs))
-        return node
-
-    def parse_term(self) -> PolyExprAST:
-        node = self.parse_factor()
-        while self.peek().kind == "*":
-            self.take()
-            node = PolyExprAST("*", (node, self.parse_factor()))
-        return node
-
-    def parse_factor(self) -> PolyExprAST:
-        node = self.parse_base()
-        if self.peek().kind == "^":
-            self.take()
-            t = self.take("int")
-            node = PolyExprAST("^", (node, t.value))
-        return node
-
-    def parse_base(self) -> PolyExprAST:
-        t = self.peek()
-        if t.kind == "var":
-            self.take()
-            return PolyExprAST("var", (t.value,))
-        if t.kind == "imag":
-            self.take()
-            return PolyExprAST("imag", ())
-        if t.kind == "int":
-            self.take()
-            return PolyExprAST("rat", (Fraction(t.value),))
-        if t.kind == "-":
-            # signed integer literal
-            pos = t.pos
-            self.take()
-            t2 = self.take("int")
-            return PolyExprAST("rat", (Fraction(-t2.value),))
-        if t.kind == "(":
-            self.take()
-            # parenthesized rational '( int / uint )' or a subexpression
-            save = self.k
-            inner = self._try_paren_rational()
-            if inner is not None:
-                return inner
-            self.k = save
-            node = self.parse_expr()
-            self.take(")")
-            return node
-        raise PolySyntaxError(f"unexpected token {t.kind!r}", t.pos)
-
-    def _try_paren_rational(self) -> Optional[PolyExprAST]:
+    def _paren_literal(self):
+        """At a '(': the value of '(' ['-'] int ')' or '(' ['-'] int '/'
+        uint ')', the parser moved past the ')'; None, the parser not
+        moved, when the parentheses hold anything else."""
+        kinds, start = self.kinds, self.k
+        self.k += 1
         sign = 1
-        t = self.peek()
-        if t.kind == "-":
-            self.take()
+        if kinds[self.k] == "-":
             sign = -1
-        t = self.peek()
-        if t.kind != "int":
-            return None
-        num = self.take().value
-        if self.peek().kind == "/":
-            self.take()
-            den = self.take("int").value
-            if den == 0:
-                raise PolySyntaxError("zero denominator", t.pos)
-            if self.peek().kind != ")":
-                return None
-            self.take(")")
-            return PolyExprAST("rat", (Fraction(sign * num, den),))
-        if self.peek().kind == ")" and sign == -1:
-            self.take(")")
-            return PolyExprAST("rat", (Fraction(-num),))
+            self.k += 1
+        if kinds[self.k] == "int":
+            at = self.k
+            num = sign * self._expect("int")
+            if kinds[self.k] == "/":
+                self.k += 1
+                den = self._expect("int")
+                if den == 0:
+                    raise PolySyntaxError("zero denominator", self.positions[at])
+                if kinds[self.k] == ")":
+                    self.k += 1
+                    return Fraction(num, den)
+            elif kinds[self.k] == ")":
+                self.k += 1
+                return num
+        self.k = start
         return None
 
 
-def parse_poly_ast(text: str, gaussian: bool = False) -> PolyExprAST:
-    toks = _tokenize(text, gaussian)
-    p = _Parser(toks, gaussian)
-    node = p.parse_expr()
-    t = p.peek()
-    if t.kind != "end":
-        raise PolySyntaxError(f"trailing input {t.kind!r}", t.pos)
-    return node
-
-
 def parse_poly(text: str, gaussian: bool = False) -> HomPoly:
-    """Parse and expand; rejects inhomogeneous input."""
-    return parse_poly_ast(text, gaussian).evaluate()
+    """Parse and expand in one pass; rejects inhomogeneous input."""
+    parser = _Parser(text, gaussian)
+    terms = parser.expr()
+    k = parser.k
+    if parser.kinds[k] != "end":
+        raise PolySyntaxError(f"trailing input {parser.kinds[k]!r}", parser.positions[k])
+    if parser.error is not None:
+        raise parser.error
+    return HomPoly(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -5,23 +5,29 @@ that the exact-integer polish took the place of, the exponential-sum
 evaluators that ExpSum._scaled took the place of and its own earlier
 point tail, the zero polish on the replaced single-point evaluator, the
 batched winding with the np.insert merges that one gather per round took
-the place of, T(r) by mpmath quadrature, and the 18-line test and the
+the place of, T(r) by mpmath quadrature, the 18-line test and the
 12-line selection on one scalar Ball predicate at a time, which the
-array pass of the double Balls took the place of."""
+array pass of the double Balls took the place of, and the polynomial
+parser that built a tree of ``PolyExprAST`` nodes and evaluated it
+through one ``HomPoly`` per node, with the ring operators it evaluated
+on, which the one-pass parser and the term-map kernels took the place
+of, and the intersection records' sort key on mpf parts."""
 
 import cmath
 import itertools
 import math
-from typing import List
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Dict, List, Optional
 
 import mpmath as mp
 import numpy as np
 
 from quadrics.arrangements import (ConditionVerdict, LineInfo, NoValidSelectionError,
                                    _lines_meet_point, lines_concurrent, lines_distinct)
-from quadrics.polynomials import (DegenerateLeadingFormError, HomPoly, resultant,
-                                  scalar_to_mp)
-from quadrics.scalars import scalar_to_complex
+from quadrics.polynomials import (DegenerateLeadingFormError, HomPoly, NotHomogeneousError,
+                                  PolySyntaxError, _grlex_key, resultant, scalar_to_mp)
+from quadrics.scalars import GaussRat, scalar_to_complex
 
 
 def has_common_component(p: HomPoly, q: HomPoly) -> bool:
@@ -425,3 +431,280 @@ def reference_select_general_position(ls):
                 return sel
     raise NoValidSelectionError(
         "no 12-line selection is in general position", diagnostics)
+
+
+# ---------------------------------------------------------------------------
+# The parser before the one-pass parser, kept verbatim (its entry point
+# renamed reference_parse_poly): a token list, a tree of PolyExprAST
+# nodes, and an evaluation through one HomPoly per node.
+# ---------------------------------------------------------------------------
+
+class _Tok:
+    __slots__ = ("kind", "value", "pos")
+
+    def __init__(self, kind, value, pos):
+        self.kind = kind
+        self.value = value
+        self.pos = pos
+
+
+def _tokenize(text: str, gaussian: bool):
+    toks = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if text.startswith("z0", i) or text.startswith("z1", i) or text.startswith("z2", i):
+            toks.append(_Tok("var", int(text[i + 1]), i))
+            i += 2
+            continue
+        if gaussian and ch == "i":
+            toks.append(_Tok("imag", None, i))
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            toks.append(_Tok("int", int(text[i:j]), i))
+            i = j
+            continue
+        if ch in "+-*^()/":
+            toks.append(_Tok(ch, ch, i))
+            i += 1
+            continue
+        raise PolySyntaxError(f"unexpected character {ch!r}", i)
+    toks.append(_Tok("end", None, n))
+    return toks
+
+
+@dataclass(frozen=True)
+class PolyExprAST:
+    """Parse tree node: ('+',l,r) ('-',l,r) ('*',l,r) ('^',l,int) ('var',i)
+    ('rat',Fraction) ('imag',)."""
+
+    kind: str
+    args: tuple
+
+    def evaluate(self) -> HomPoly:
+        k = self.kind
+        if k == "var":
+            return HomPoly.variable(self.args[0])
+        if k == "rat":
+            return HomPoly.constant(self.args[0])
+        if k == "imag":
+            return HomPoly.constant(GaussRat(0, 1))
+        if k == "neg":
+            return -self.args[0].evaluate()
+        if k == "^":
+            return self.args[0].evaluate() ** self.args[1]
+        a = self.args[0].evaluate()
+        b = self.args[1].evaluate()
+        if k == "+":
+            return _add_mixed(a, b)
+        if k == "-":
+            return _add_mixed(a, -b)
+        if k == "*":
+            return a * b
+        raise AssertionError(k)
+
+
+def _add_mixed(a: HomPoly, b: HomPoly) -> HomPoly:
+    if not a.is_zero and not b.is_zero and a.degree != b.degree:
+        raise NotHomogeneousError({a.degree, b.degree})
+    return a + b
+
+
+class _Parser:
+    def __init__(self, toks, gaussian):
+        self.toks = toks
+        self.k = 0
+        self.gaussian = gaussian
+
+    def peek(self):
+        return self.toks[self.k]
+
+    def take(self, kind=None):
+        t = self.toks[self.k]
+        if kind is not None and t.kind != kind:
+            raise PolySyntaxError(f"expected {kind!r}, found {t.kind!r}", t.pos)
+        self.k += 1
+        return t
+
+    def parse_expr(self) -> PolyExprAST:
+        # unary minus on the leading term is a documented extension
+        if self.peek().kind == "-":
+            self.take()
+            node = PolyExprAST("neg", (self.parse_term(),))
+        else:
+            node = self.parse_term()
+        while self.peek().kind in ("+", "-"):
+            op = self.take().kind
+            rhs = self.parse_term()
+            node = PolyExprAST(op, (node, rhs))
+        return node
+
+    def parse_term(self) -> PolyExprAST:
+        node = self.parse_factor()
+        while self.peek().kind == "*":
+            self.take()
+            node = PolyExprAST("*", (node, self.parse_factor()))
+        return node
+
+    def parse_factor(self) -> PolyExprAST:
+        node = self.parse_base()
+        if self.peek().kind == "^":
+            self.take()
+            t = self.take("int")
+            node = PolyExprAST("^", (node, t.value))
+        return node
+
+    def parse_base(self) -> PolyExprAST:
+        t = self.peek()
+        if t.kind == "var":
+            self.take()
+            return PolyExprAST("var", (t.value,))
+        if t.kind == "imag":
+            self.take()
+            return PolyExprAST("imag", ())
+        if t.kind == "int":
+            self.take()
+            return PolyExprAST("rat", (Fraction(t.value),))
+        if t.kind == "-":
+            # signed integer literal
+            pos = t.pos
+            self.take()
+            t2 = self.take("int")
+            return PolyExprAST("rat", (Fraction(-t2.value),))
+        if t.kind == "(":
+            self.take()
+            # parenthesized rational '( int / uint )' or a subexpression
+            save = self.k
+            inner = self._try_paren_rational()
+            if inner is not None:
+                return inner
+            self.k = save
+            node = self.parse_expr()
+            self.take(")")
+            return node
+        raise PolySyntaxError(f"unexpected token {t.kind!r}", t.pos)
+
+    def _try_paren_rational(self) -> Optional[PolyExprAST]:
+        sign = 1
+        t = self.peek()
+        if t.kind == "-":
+            self.take()
+            sign = -1
+        t = self.peek()
+        if t.kind != "int":
+            return None
+        num = self.take().value
+        if self.peek().kind == "/":
+            self.take()
+            den = self.take("int").value
+            if den == 0:
+                raise PolySyntaxError("zero denominator", t.pos)
+            if self.peek().kind != ")":
+                return None
+            self.take(")")
+            return PolyExprAST("rat", (Fraction(sign * num, den),))
+        if self.peek().kind == ")" and sign == -1:
+            self.take(")")
+            return PolyExprAST("rat", (Fraction(-num),))
+        return None
+
+
+def parse_poly_ast(text: str, gaussian: bool = False) -> PolyExprAST:
+    toks = _tokenize(text, gaussian)
+    p = _Parser(toks, gaussian)
+    node = p.parse_expr()
+    t = p.peek()
+    if t.kind != "end":
+        raise PolySyntaxError(f"trailing input {t.kind!r}", t.pos)
+    return node
+
+
+def reference_parse_poly(text: str, gaussian: bool = False) -> HomPoly:
+    """Parse and expand; rejects inhomogeneous input."""
+    return parse_poly_ast(text, gaussian).evaluate()
+
+
+# ---------------------------------------------------------------------------
+# HomPoly's ring operators and exact division before the term-map kernels,
+# kept verbatim as functions (self and other spelled a and b, and the
+# products of the power written as calls of reference_mul).
+# ---------------------------------------------------------------------------
+
+def reference_add(a: HomPoly, b: HomPoly) -> HomPoly:
+    res = dict(a.terms)
+    for e, c in b.terms.items():
+        s = res.get(e, 0) + c
+        if s == 0:
+            res.pop(e, None)
+        else:
+            res[e] = s
+    return HomPoly(res)
+
+
+def reference_neg(a: HomPoly) -> HomPoly:
+    return HomPoly({e: -c for e, c in a.terms.items()})
+
+
+def reference_mul(a: HomPoly, b: HomPoly) -> HomPoly:
+    res = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
+            s = res.get(e, 0) + c1 * c2
+            if s == 0:
+                res.pop(e, None)
+            else:
+                res[e] = s
+    return HomPoly(res)
+
+
+def reference_pow(a: HomPoly, n: int) -> HomPoly:
+    out = HomPoly.constant(1)
+    base = a
+    while n:
+        if n & 1:
+            out = reference_mul(out, base)
+        base = reference_mul(base, base)
+        n >>= 1
+    return out
+
+
+def reference_exact_div(p: HomPoly, divisor: HomPoly) -> HomPoly:
+    if divisor.is_zero:
+        raise ZeroDivisionError("division by zero polynomial")
+    if p.is_zero:
+        return HomPoly.zero()
+    rem = dict(p.terms)
+    quot: Dict = {}
+    dlead = max(divisor.terms, key=_grlex_key)
+    dco = divisor.terms[dlead]
+    while rem:
+        rlead = max(rem, key=_grlex_key)
+        q = tuple(rlead[i] - dlead[i] for i in range(3))
+        if any(x < 0 for x in q):
+            raise ArithmeticError("inexact polynomial division")
+        c = rem[rlead] / dco
+        quot[q] = c
+        for e, co in divisor.terms.items():
+            t = (e[0] + q[0], e[1] + q[1], e[2] + q[2])
+            s = rem.get(t, 0) - c * co
+            if s == 0:
+                rem.pop(t, None)
+            else:
+                rem[t] = s
+    return HomPoly(quot)
+
+
+def reference_record_sort_key(rec):
+    """arrangements._record_sort_key before it read the raw parts, kept
+    verbatim: mpf parts, an mpf abs at the working precision and float()."""
+    pt = rec.point
+    return tuple(0.0 if abs(x) <= pt.radius else float(x)
+                 for cc in pt.coords for x in (mp.re(cc), mp.im(cc)))

@@ -510,6 +510,47 @@ def test_record_sort_key_ignores_parts_within_the_radius():
         float(x) for c in exact.point.coords for x in (mp.re(c), mp.im(c)))
 
 
+@given(seed=st.integers(0, 2 ** 32 - 1), bits=st.sampled_from([53, 113, 256, 512]))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_record_sort_key_matches_the_replaced_key(seed, bits):
+    """The key on raw parts equals the key on mpf parts, signs of zeros
+    included, at the working precision of the sort: parts exactly at plus
+    or minus the radius, one unit off it either way, zeros (from 0.0 and
+    -0.0), parts of more than 53 bits (rounded to nearest), tiny, huge
+    and random ones, radius zero too; and on normalized points."""
+    from types import SimpleNamespace
+
+    from quadrics.arrangements import IntersectionRecord, _record_sort_key
+    from exact_reference import reference_record_sort_key
+
+    def hexes(key):
+        return [x.hex() for x in key]
+
+    rng = random.Random(seed)
+    with mp.workprec(bits):
+        r = mp.mpf(rng.choice([0, 1e-70, 3e-20, 0.25, 1.0]))
+        ulp = mp.ldexp(1, mp.frexp(r)[1] - bits) if r else mp.mpf(2) ** -1074
+
+        def part():
+            kind = rng.randrange(9)
+            if kind < 4:
+                return rng.choice([r, -r, r + ulp, -r - ulp, r - ulp, ulp - r])
+            if kind == 4:
+                return mp.mpf(rng.choice([0.0, -0.0]))
+            if kind == 5:
+                return mp.mpf(1) / 3 * rng.choice([1, -1, 1e-40, 7e30])
+            if kind == 6:
+                return mp.mpf(rng.choice([1e-300, -1e300, 2.0 ** -1074]))
+            return mp.mpf(rng.uniform(-1, 1))
+
+        coords = [mp.mpc(part(), part()) for _ in range(3)]
+        rec = SimpleNamespace(point=SimpleNamespace(coords=coords, radius=r))
+        assert hexes(_record_sort_key(rec)) == hexes(reference_record_sort_key(rec))
+        if any(coords):
+            real = IntersectionRecord(ProjPointNum(coords, radius=r), 1, False)
+            assert hexes(_record_sort_key(real)) == hexes(reference_record_sort_key(real))
+
+
 # ---------------------------------------------------------------------------
 # Genericity reports
 # ---------------------------------------------------------------------------

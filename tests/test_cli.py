@@ -771,3 +771,60 @@ def test_coefficient_beyond_a_double_exits_without_traceback(tmp_path):
     doc = json.loads(out)
     jsonschema.validate(doc, _schema())
     assert doc["report"]["genericity"]["conditions"]["s4.2"]["verdict"] == "pass"
+
+
+def test_a_thousand_term_component_gives_the_verdict_of_its_short_form(tmp_path, capsys):
+    """A sum of 1,000 copies of z0*z1 is valid input: the sum runs as a
+    loop, so the verdict is that of 1000*z0*z1 - z2^2."""
+    codes, reports = [], []
+    for i, form in enumerate([" + ".join(["z0*z1"] * 1000) + " - z2^2", "1000*z0*z1 - z2^2"]):
+        cfg = _write(tmp_path, f"cfg{i}.json", dict(EXAMPLE_CONFIG, components=(
+            EXAMPLE_CONFIG["components"][:2] + [form])))
+        code, doc = _run(["check-config", cfg], tmp_path, f"out{i}.json")
+        codes.append(code)
+        reports.append(doc["report"])
+    assert codes[0] == codes[1] in (0, 1, 3)
+    assert reports[0] == reports[1]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_deep_parentheses_exit_two(tmp_path, capsys):
+    deep = "(" * 300 + "z0" + ")" * 300
+    cfg = _write(tmp_path, "cfg.json", dict(EXAMPLE_CONFIG, components=(
+        EXAMPLE_CONFIG["components"][:2] + [f"z1^2 - z2*{deep}"])))
+    code, doc = _run(["check-config", cfg], tmp_path)
+    assert code == 2
+    assert doc["report"]["error"] == (
+        "parse error: parentheses nested deeper than 100 (at position 110)")
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_oversized_logspace_exits_two_before_allocating(tmp_path, monkeypatch, capsys):
+    from quadrics import cli
+    calls = []
+    monkeypatch.setattr(cli.np, "logspace", lambda *a, **k: calls.append(a))
+    curve = _write(tmp_path, "curve.json", LINE_CURVE)
+    code, doc = _run(["nevanlinna", curve, "--radii", "logspace:1:2:100000000"], tmp_path)
+    assert code == 2
+    assert doc["report"]["error"] == (
+        "parse error: at most 10000 radii, not 100000000: 'logspace:1:2:100000000'")
+    assert calls == []
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_main_builds_its_argument_parser_once(tmp_path, monkeypatch):
+    """The parser is built on the first call of main, not at import, and
+    reused: a parse leaves nothing on it for the next one."""
+    from quadrics import cli
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    assert built == []
+    curve = _write(tmp_path, "curve.json", LINE_CURVE)
+    code, doc = _run(["nevanlinna", curve, "--divisor", "z1 - z0", "--radii", "2"], tmp_path)
+    assert code == 0 and len(doc["report"]["counting"]) == 1
+    code, doc = _run(["nevanlinna", curve, "--radii", "2"], tmp_path, "out2.json")
+    assert code == 0 and "counting" not in doc["report"]
+    assert built == [1]
+    assert cli._parser().parse_args(["nevanlinna", curve]).divisor == []

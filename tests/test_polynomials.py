@@ -11,7 +11,7 @@ from mpmath import libmp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quadrics.polynomials import (Ball, DegenerateLeadingFormError, HomPoly,
+from quadrics.polynomials import (MAX_NESTING, Ball, DegenerateLeadingFormError, HomPoly,
                                   MpForms, NotHomogeneousError, PolySyntaxError,
                                   ProjPointNum, ZeroPolynomialError, _cross,
                                   ball_eval, coord_balls, gaussian_extension_eval,
@@ -20,7 +20,9 @@ from quadrics.polynomials import (Ball, DegenerateLeadingFormError, HomPoly,
                                   subresultant, vanishes_at)
 from quadrics.scalars import GaussRat
 
-from exact_reference import point_distance, reference_compose
+from exact_reference import (point_distance, reference_add, reference_compose,
+                             reference_exact_div, reference_mul, reference_neg,
+                             reference_parse_poly, reference_pow)
 
 z0, z1, z2 = (HomPoly.variable(i) for i in range(3))
 
@@ -93,6 +95,175 @@ def test_print_parse_roundtrip(p):
         assert str(p) == "0"
         return
     assert parse_poly(str(p)).terms == p.terms
+
+
+def _outcome(parse, text, gaussian):
+    """Terms in order with their coefficient types, or the exception's
+    type, text and position."""
+    try:
+        p = parse(text, gaussian)
+    except (PolySyntaxError, NotHomogeneousError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+    return list(p.terms.items()), [type(c) for c in p.terms.values()], p.degree
+
+
+def _literal(rng):
+    """An integer, a zero, a '(p/q)' (rarely with q = 0), a '(-n)' or a
+    signed '-n'."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return str(rng.randint(0, 12))
+    if kind == 1:
+        return "0"
+    if kind == 2:
+        return f"({rng.randint(-9, 9)}/{rng.randint(0, 40) or rng.randint(0, 1)})"
+    return f"(-{rng.randint(0, 9)})" if kind == 3 else f"-{rng.randint(0, 9)}"
+
+
+def _grammar_expr(rng, gaussian, depth=0):
+    """An expression of the grammar: a sum of products, with an optional
+    leading minus, whose factors are variables, literals, 'i' when
+    ``gaussian``, or parenthesized expressions, some raised to a small
+    power; now and then an expression minus itself."""
+    def factor():
+        if depth < 3 and rng.random() < 0.3 - 0.1 * depth:
+            inner = f"({_grammar_expr(rng, gaussian, depth + 1)})"
+            return inner + f"^{rng.randint(0, 3)}" if rng.random() < 0.4 else inner
+        if rng.random() < 0.35:
+            return _literal(rng)
+        return rng.choice(["z0", "z1", "z2", "i"] if gaussian else ["z0", "z1", "z2"])
+
+    terms = ["*".join(factor() for _ in range(rng.randint(1, 3)))
+             for _ in range(rng.randint(1, max(1, 3 - depth)))]
+    text = rng.choice(["", "-"]) + terms[0] + "".join(
+        rng.choice([" + ", " - "]) + t for t in terms[1:])
+    if rng.random() < 0.15:
+        return rng.choice([f"{text} - ({text})", f"({text}) - {text}"])
+    return text
+
+
+def _form_text(rng, gaussian):
+    """A form in the style of the benchmark's: '(c)*z0^2 + (c)*z0*z1 ...',
+    some coefficients 'c + d*i' when ``gaussian``."""
+    terms = []
+    for a, b, c in _exponents(rng.randint(1, 4)):
+        coeff = rng.randint(-4, 4)
+        if gaussian and rng.random() < 0.5:
+            coeff = f"{coeff} + {rng.randint(-2, 2)}*i"
+        if coeff:
+            mono = "*".join(f"z{i}^{k}" if k > 1 else f"z{i}"
+                            for i, k in enumerate((a, b, c)) if k)
+            terms.append(f"({coeff})*{mono}")
+    return " + ".join(terms) or "0"
+
+
+def _parser_input(rng, gaussian):
+    """One to three grammar expressions or form texts joined by '+', '-'
+    or '*', with a syntax error on top of some: a character put in, one
+    taken out, or a bad tail."""
+    parts = [_form_text(rng, gaussian) if rng.random() < 0.3 else _grammar_expr(rng, gaussian)
+             for _ in range(rng.randint(1, 2))]
+    text = rng.choice([" + ", " - ", "*", "*"]).join(parts)
+    edit = rng.randrange(10)
+    if edit == 0:
+        k = rng.randint(0, len(text))
+        text = text[:k] + rng.choice("+-*^()/ z01i$") + text[k:]
+    elif edit == 1:
+        k = rng.randrange(len(text))
+        text = text[:k] + text[k + 1:]
+    elif edit == 2:
+        text += rng.choice([" )", " + z0 + 1", " *", " ^2", " + z3", "(", " (1/0)"])
+    return text
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), gaussian=st.booleans())
+@settings(max_examples=1000, deadline=None, derandomize=True)
+def test_one_pass_parser_matches_the_tree_parser(seed, gaussian):
+    """The one-pass parser gives the tree parser's terms, in its order and
+    with its coefficient types, or its exception with the same text and
+    position: nested parentheses, powers of sums, unary minus, (p/q),
+    (-n) and zero literals, cancellations, inhomogeneous sums, syntax and
+    homogeneity errors together, and the benchmark's form texts."""
+    text = _parser_input(random.Random(seed), gaussian)
+    assert _outcome(parse_poly, text, gaussian) == _outcome(reference_parse_poly, text, gaussian)
+
+
+@pytest.mark.parametrize("text", [
+    "z0 + 1 )", "(z0 + 1) * (z1 + z2^2", "z0 + 1 + $", "z0^2 + z1 + (1/0)",
+    "z0 + z0^2 + z1^3", "(z0 - z0)*z1 + 1", "z0 - z0 + 1", "-(z0 + z1)^2 + 3*z2^2",
+    "i*z0 + (1/2)*z1 - i", "(-3/4)*z0*z1 + (0/5)*z2^2 + (-0)*z0^2", "((z0 + z1)^2)^0",
+    "z0 + 12\u00b2", "\u00b2", "z0^2 +\u3000z1^2", "(z0 + 1)^99999999", "(1/2 3)",
+    "(- 3/4)*z0", "(-z0)", "z0 * -3", "--z0", "z0 ++ z1", "",
+])
+def test_one_pass_parser_matches_the_tree_parser_on_edge_cases(text):
+    for gaussian in (False, True):
+        assert _outcome(parse_poly, text, gaussian) == _outcome(reference_parse_poly, text, gaussian)
+
+
+def test_parse_builds_one_hompoly(monkeypatch):
+    calls = []
+    init = HomPoly.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(HomPoly, "__init__", counting)
+    p = parse_poly("(z0 + 2*z1)^3 - (1/2)*z2*(z0 - z1)^2 + (-3)*z0*z1*z2")
+    assert len(calls) == 1
+    assert p.degree == 3
+
+
+def test_long_sums_and_products_parse():
+    """Sums and products run as loops: their length is not bounded by the
+    stack."""
+    p = parse_poly(" + ".join(["z0*z1"] * 1000) + " - z2^2")
+    assert p.terms == {(1, 1, 0): Fraction(1000), (0, 0, 2): Fraction(-1)}
+    assert parse_poly("*".join(["z0"] * 1000)).terms == {(1000, 0, 0): Fraction(1)}
+
+
+def test_parentheses_nest_up_to_the_limit():
+    assert parse_poly("(" * MAX_NESTING + "z0" + ")" * MAX_NESTING) == z0
+    assert parse_poly("(" * (MAX_NESTING - 1) + "(-1/2)" + ")" * (MAX_NESTING - 1)) \
+        == HomPoly.constant(Fraction(-1, 2))
+    for depth in (MAX_NESTING + 1, 300, 5000):
+        text = "z1 + " + "(" * depth + "z0" + ")" * depth
+        with pytest.raises(PolySyntaxError, match="nested deeper than 100") as info:
+            parse_poly(text)
+        assert info.value.position == len("z1 + ") + MAX_NESTING
+
+
+@st.composite
+def _term_maps(draw):
+    """Homogeneous polynomials with small integer, rational or Gaussian
+    coefficients, so that sums and products cancel often."""
+    d = draw(st.integers(0, 3))
+    gauss = draw(st.booleans())
+    terms = {}
+    for e in draw(st.lists(st.sampled_from(_exponents(d)), max_size=6, unique=True)):
+        c = Fraction(draw(st.integers(-2, 2)), draw(st.sampled_from([1, 2])))
+        terms[e] = GaussRat(c, draw(st.integers(-1, 1))) if gauss else c
+    return HomPoly(terms)
+
+
+def _same(p, q):
+    assert list(p.terms.items()) == list(q.terms.items())
+    assert [type(c) for c in p.terms.values()] == [type(c) for c in q.terms.values()]
+
+
+@given(_term_maps(), _term_maps(), st.integers(0, 5))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_ring_operators_match_the_replaced_ones(p, q, n):
+    """HomPoly's operators on the term-map kernels give the terms, their
+    order and their types of the loops they took the place of."""
+    if p.degree == q.degree or p.is_zero or q.is_zero:
+        _same(p + q, reference_add(p, q))
+        _same(p - q, reference_add(p, reference_neg(q)))
+    _same(-p, reference_neg(p))
+    _same(p * q, reference_mul(p, q))
+    _same(p ** n, reference_pow(p, n))
+    if not q.is_zero:
+        _same((p * q).exact_div(q), reference_exact_div(p * q, q))
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,19 @@ One memo: derived objects are stored only through ``config.scoped``, in
 the analysis scope that ``cli.main`` opens for each command.  No object
 keeps a ``_memo`` of its own, so library calls outside a scope keep no
 state.
+
+One argument parser per process: ``cli.build_parser`` is called only by
+``cli._parser``, the cached accessor that ``cli.main`` calls, so the
+parser is built on the first command and not at import.
+
+One pass from text to form: the parse tree (``PolyExprAST``,
+``parse_poly_ast``, ``_add_mixed``, ``_Tok``) is gone, and the parser and
+``HomPoly``'s operators run on the same term-map kernels (``_terms_add``,
+``_terms_mul``, ``_terms_neg``, ``_terms_pow``), which drop a cancelled
+term.  The only other code in ``polynomials`` that sums term maps is the
+integer expansion of ``HomPoly.compose`` (``_term_mul`` and its own sum),
+which keeps a cancelled term in its slot and so fixes the order of a
+composed form's terms.
 """
 
 import ast
@@ -268,3 +281,53 @@ def test_the_old_recovery_paths_are_gone():
     names = {getattr(node, attr) for _, tree in _trees() for node in ast.walk(tree)
              for attr in ("id", "attr", "name") if isinstance(getattr(node, attr, None), str)}
     assert not gone & names
+
+
+def test_the_argument_parser_is_built_only_by_the_cached_accessor():
+    assert _references("build_parser") == [("cli.py", "_parser")]
+    assert _references("_parser") == [("cli.py", "main")]
+    tree = dict(_trees())["cli.py"]
+    accessor = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "_parser")
+    assert [ast.unparse(d) for d in accessor.decorator_list] == ["functools.cache"]
+
+
+def test_the_parse_tree_is_gone():
+    gone = {"PolyExprAST", "parse_poly_ast", "_add_mixed", "_Tok"}
+    names = {getattr(node, attr) for _, tree in _trees() for node in ast.walk(tree)
+             for attr in ("id", "attr", "name") if isinstance(getattr(node, attr, None), str)}
+    assert not gone & names
+
+
+def _calls(func):
+    return {node.func.id for node in ast.walk(func)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+
+
+def test_the_ring_operators_and_the_parser_share_the_term_map_kernels():
+    tree = dict(_trees())["polynomials.py"]
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    methods = {f"{cls}.{node.name}": node for cls in ("HomPoly", "_Parser")
+               for node in classes[cls].body if isinstance(node, ast.FunctionDef)}
+    kernels = {"_terms_add", "_terms_mul", "_terms_neg", "_terms_pow"}
+    assert {name: _calls(node) & kernels for name, node in methods.items()
+            if _calls(node) & kernels} == {
+        "HomPoly.__add__": {"_terms_add"}, "HomPoly.__neg__": {"_terms_neg"},
+        "HomPoly.__mul__": {"_terms_mul"}, "HomPoly.__pow__": {"_terms_pow"},
+        "HomPoly.exact_div": {"_terms_add"}, "_Parser.expr": {"_terms_add", "_terms_neg"},
+        "_Parser.term": {"_terms_mul"}, "_Parser.factor": {"_terms_pow"}}
+    # code that sums term maps: a loop over a map's items that adds into
+    # another map through .get(key, 0)
+    summing = set()
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            for loop in ast.walk(func):
+                if (isinstance(loop, ast.For) and isinstance(loop.iter, ast.Call)
+                        and getattr(loop.iter.func, "attr", None) == "items"
+                        and any(isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "get"
+                                and len(n.args) == 2 and isinstance(n.args[1], ast.Constant)
+                                and n.args[1].value == 0 for n in ast.walk(loop))):
+                    summing.add(func.name)
+    assert summing == {"_terms_add", "_terms_mul", "_term_mul", "compose"}
+    assert _references("_term_mul") == [("polynomials.py", "HomPoly.compose")] * 3
+
