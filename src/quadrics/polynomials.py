@@ -23,11 +23,11 @@ first '(' too many is a ``PolySyntaxError``.
 recursive-descent pass: sums and products are loops, so their length is
 not bounded by the stack, and each rule's value is a plain term map
 combined by the same kernels as ``HomPoly``'s operators (``_terms_add``,
-``_terms_mul``, ``_terms_neg``, ``_terms_pow``).  The one ``HomPoly`` is
-built at the end, with the terms, their order and their coefficient types
-that evaluating the parse tree through one ``HomPoly`` per node gave.
-Errors keep their precedence: a bad character anywhere, then the first
-syntax error, then the first homogeneity error in evaluation order.
+``_terms_mul``, ``_terms_neg``, ``_terms_pow``).  So the one ``HomPoly``,
+built at the end, has the terms, the term order (which ball evaluation
+follows) and the coefficient types that the operators give.  Errors keep
+their precedence: a bad character anywhere, then the first syntax error,
+then the first homogeneity error in evaluation order.
 """
 
 from __future__ import annotations
