@@ -36,14 +36,13 @@ import numpy as np
 from mpmath import libmp
 
 from .config import DEFAULT_PRECISION, PrecisionConfig, scoped
-from .linalg import det, nullspace, rank, solve
+from .linalg import adjugate, cross, det, dot, nullspace, rank, solve
 from .polynomials import (Ball, HomPoly, MpForms, PrecisionExhaustedError,
-                          ProjPointNum, ZeroPolynomialError, _cross, _mag, _unit_vector,
+                          ProjPointNum, ZeroPolynomialError, _mag, _unit_vector,
                           _mul_up, _up, ball_eval, coerce_point, coord_balls,
-                          excludes_zero, gauss_div, gauss_ints, gauss_mul,
-                          matrix_adjugate, poly_from_matrix, poly_mul, poly_sub,
-                          quadric_form, resultant, subresultant, trim, vanishes_at)
-from .scalars import coerce_scalar, scalar_to_complex
+                          excludes_zero, gauss_div, gauss_ints, gauss_mul, poly_mul,
+                          poly_sub, quadric_form, resultant, subresultant, trim, vanishes_at)
+from .scalars import scalar_to_complex
 from .univariate import RootFindingError, binary_form_roots, uni_gcd, yun_squarefree
 
 
@@ -121,20 +120,6 @@ def _unit_line(v, radius) -> "NumLine":
     return NumLine(coeffs, radius / s)
 
 
-def _det3(a, b, c):
-    return (a[0] * (b[1] * c[2] - b[2] * c[1])
-            - a[1] * (b[0] * c[2] - b[2] * c[0])
-            + a[2] * (b[0] * c[1] - b[1] * c[0]))
-
-
-def _dot(a, b):
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _cross_exact(a, b):
-    return tuple(coerce_scalar(x) for x in _cross(a, b))
-
-
 @dataclass
 class NumLine:
     """Projective line with numeric coefficient vector and error radius."""
@@ -146,8 +131,8 @@ class NumLine:
     @staticmethod
     def from_points(a: ProjPointNum, b: ProjPointNum) -> "NumLine":
         if a.is_exact() and b.is_exact():
-            return NumLine.from_exact(HomPoly.linear_form(_cross_exact(a.exact, b.exact)))
-        v = _cross(a.coords, b.coords)
+            return NumLine.from_exact(HomPoly.linear_form(cross(a.exact, b.exact)))
+        v = cross(a.coords, b.coords)
         if not any(v):
             raise ValueError("coincident points do not span a line")
         # a and b have sup norm 1, to a rounding the factor 4 covers
@@ -168,7 +153,7 @@ class NumLine:
         None otherwise."""
         if self.exact is not None and p.is_exact():
             return self.exact.eval_exact(p.exact) == 0
-        return False if excludes_zero(ball_eval(_dot, self, p)) else None
+        return False if excludes_zero(ball_eval(dot, self, p)) else None
 
     def balls(self, double: bool):
         """The coefficients as Balls (``coord_balls``); doubles cached."""
@@ -182,16 +167,17 @@ class NumLine:
 
 
 def lines_concurrent(l1: NumLine, l2: NumLine, l3: NumLine):
-    """True/False/None for det of the three coefficient vectors."""
+    """True/False/None for det of the three coefficient vectors, l1 . (l2 x l3)."""
     if all(l.exact is not None for l in (l1, l2, l3)):
         return det([l.exact.linear_coeffs() for l in (l1, l2, l3)]) == 0
-    return False if excludes_zero(ball_eval(_det3, l1, l2, l3)) else None
+    return False if excludes_zero(ball_eval(lambda a, b, c: dot(a, cross(b, c)),
+                                            l1, l2, l3)) else None
 
 
 def lines_distinct(l1: NumLine, l2: NumLine):
     if l1.exact is not None and l2.exact is not None:
         return l1.exact != l2.exact and l1.exact != -l2.exact
-    return True if excludes_zero(ball_eval(_cross, l1, l2)) else None
+    return True if excludes_zero(ball_eval(cross, l1, l2)) else None
 
 
 @functools.lru_cache(maxsize=None)
@@ -242,16 +228,16 @@ def _double_line_pass(lines: Sequence[NumLine], points: Sequence[ProjPointNum] =
     vecs = _stacked(lines)
     with np.errstate(all="ignore"):
         a, b = _subsets(n, 2)
-        cross = _cross(_take(vecs, a), _take(vecs, b))
-        distinct[a, b] = ((cross[0].excludes_zero() | cross[1].excludes_zero()
-                           | cross[2].excludes_zero()) & ~(exact[a] & exact[b]))
+        cross_ab = cross(_take(vecs, a), _take(vecs, b))
+        distinct[a, b] = ((cross_ab[0].excludes_zero() | cross_ab[1].excludes_zero()
+                           | cross_ab[2].excludes_zero()) & ~(exact[a] & exact[b]))
         pair = np.zeros((n, n), dtype=np.intp)
         pair[a, b] = np.arange(a.size)
         a, b, c = _subsets(n, 3)
-        det = _dot(_take(vecs, a), _take(cross, pair[b, c]))
-        apart[a, b, c] = det.excludes_zero() & ~(exact[a] & exact[b] & exact[c])
+        det_abc = dot(_take(vecs, a), _take(cross_ab, pair[b, c]))
+        apart[a, b, c] = det_abc.excludes_zero() & ~(exact[a] & exact[b] & exact[c])
         p, l = np.divmod(np.arange(off.size), n)
-        value = _dot(_take(vecs, l), _take(_stacked(points), p))
+        value = dot(_take(vecs, l), _take(_stacked(points), p))
         off[p, l] = value.excludes_zero() & ~(exact[l] & pexact[p])
     return distinct, apart, off
 
@@ -283,7 +269,7 @@ def _coordinate_changes():
         a, b, c, d, e, f = (rng.randint(-4, 4) for _ in range(6))
         U = ((1, a, b), (c, 1 + a * c, d), (e, f + c * e, 1 + b * e + d * f))
         # keep only genuinely invertible integer matrices
-        if _det3(*U) != 0:
+        if det(U) != 0:
             yield U
 
 
@@ -315,7 +301,7 @@ def _shared_factor(p2: HomPoly, q2: HomPoly, U) -> HomPoly:
         d += 1
     sd = sum((HomPoly.monomial((d - j, 0, 0)) * c for j, c in enumerate(chain)), HomPoly.zero())
     g2 = sd.exact_div(chain[0])
-    return g2.compose([HomPoly.linear_form(r) for r in matrix_adjugate(U)]).content_primitive()[1]
+    return g2.compose([HomPoly.linear_form(r) for r in adjugate(U)]).content_primitive()[1]
 
 
 def _fiber_points_exact(p2: HomPoly, q2: HomPoly, beta, gamma):
@@ -659,7 +645,7 @@ def tangent_line_numeric(p: HomPoly, pt) -> NumLine:
 def tangent_to_conic(line: NumLine, q: HomPoly):
     """Is the line tangent to the smooth conic?  The line is a point of
     the dual plane, on the dual conic exactly when it is tangent."""
-    dual = poly_from_matrix(quadric_form(q).adjugate())
+    dual = quadric_form(q).dual
     exact = line.exact.linear_coeffs() if line.exact is not None else None
     return vanishes_at(dual, ProjPointNum(line.vec, line.radius, exact=exact))
 
@@ -871,8 +857,7 @@ def _transversality_verdict(polys, pairwise, bits) -> ConditionVerdict:
 
 def common_tangents(q1: HomPoly, q2: HomPoly, prec_cfg) -> List[ProjPointNum]:
     """Common tangent lines of two smooth conics, as dual-plane points."""
-    d1 = poly_from_matrix(quadric_form(q1).adjugate())
-    d2 = poly_from_matrix(quadric_form(q2).adjugate())
+    d1, d2 = quadric_form(q1).dual, quadric_form(q2).dual
     return [rec.point for rec in intersection_points(d1, d2, precision=prec_cfg)]
 
 
@@ -895,10 +880,10 @@ def _contact_point(adj, adj_balls, line_pt: ProjPointNum, bits: int) -> ProjPoin
     adjugate with the tangent's coordinates at ``bits`` (the ambient
     precision if higher), and its radius covers that rounding as well."""
     if line_pt.is_exact():
-        return ProjPointNum.from_exact([_dot(row, line_pt.exact) for row in adj])
+        return ProjPointNum.from_exact([dot(row, line_pt.exact) for row in adj])
     rows, row_sum, adj_prec = adj_balls
     with mp.workprec(max(bits, mp.mp.prec)):
-        v = [_dot(row, line_pt.coords) for row in rows]
+        v = [dot(row, line_pt.coords) for row in rows]
         # An entry a~ of a row is within 2 eps |a~| of the exact one, and
         # the tangent's coordinates have moduli at most 1 + 2^-50, each
         # within r of a representative of the true tangent.  The dot
@@ -989,7 +974,7 @@ def _tangent_contact_verdict(groups, fail_note, prec_cfg) -> ConditionVerdict:
     for c1, c2, curve_pairs in groups:
         if quadric_form(c1).rank != 3 or quadric_form(c2).rank != 3:
             return ConditionVerdict("undecided", note="needs smooth quadrics")
-        adj1, adj2 = quadric_form(c1).adjugate(), quadric_form(c2).adjugate()
+        adj1, adj2 = quadric_form(c1).adjugate, quadric_form(c2).adjugate
         try:
             tangents = common_tangents(c1, c2, prec_cfg)
         except (CommonComponentError, PrecisionExhaustedError):
@@ -1050,8 +1035,7 @@ def _condition5_d111(cfg, prec_cfg) -> ConditionVerdict:
         # a singular conic's tangents through a point have no contact point
         return ConditionVerdict("undecided", note="needs a smooth quadric")
     lines = [p for i, p in enumerate(polys) if i != curve_idx]
-    adj = qf.adjugate()
-    dual = poly_from_matrix(adj)
+    adj, dual = qf.adjugate, qf.dual
     witnesses = []
     unsure: Dict[str, List[ProjPointNum]] = {}
     failed = []
@@ -1059,7 +1043,7 @@ def _condition5_d111(cfg, prec_cfg) -> ConditionVerdict:
     adj_balls = _adjugate_balls(adj, bits)
     for a, b in itertools.combinations(range(3), 2):
         c = 3 - a - b
-        X = _cross_exact(lines[a].linear_coeffs(), lines[b].linear_coeffs())
+        X = cross(lines[a].linear_coeffs(), lines[b].linear_coeffs())
         if all(x == 0 for x in X):
             continue  # identical lines; condition 2 already failed
         # tangents through X: dual conic cut by the dual line X
@@ -1282,11 +1266,11 @@ def _condition4_verdict(ls: LineSystem) -> ConditionVerdict:
 
 def _lines_meet_point(l1: NumLine, l2: NumLine) -> Optional[ProjPointNum]:
     if l1.exact is not None and l2.exact is not None:
-        v = _cross_exact(l1.exact.linear_coeffs(), l2.exact.linear_coeffs())
+        v = cross(l1.exact.linear_coeffs(), l2.exact.linear_coeffs())
         if all(x == 0 for x in v):
             return None
         return ProjPointNum.from_exact(v)
-    v = _cross(l1.vec, l2.vec)
+    v = cross(l1.vec, l2.vec)
     s = _sup(v)
     err = (l1.radius + l2.radius) * 6
     if s <= err * 4:

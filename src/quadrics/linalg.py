@@ -1,7 +1,11 @@
 """Tiny exact linear algebra over the (Gaussian) rationals.
 
-Matrices are lists of rows of exact scalars.  Everything here is plain
-Gaussian elimination; sizes never exceed a few dozen rows.
+Matrices are lists of rows of exact scalars.  ``rref`` (Gauss-Jordan
+elimination) serves ``rank``, ``nullspace`` and ``solve``; sizes never
+exceed a few dozen rows.  Every 3x3 rule comes from one cross product:
+``cross`` and ``dot`` work on any ring (exact scalars, mpc, Balls and
+arrays of them), and the adjugate and the determinant of a 3x3 matrix
+are its rows' cross products and the first row's dot product with one.
 """
 
 from __future__ import annotations
@@ -81,22 +85,23 @@ def solve(M, rhs) -> Optional[List[Scalar]]:
     return [coerce_scalar(v) for v in x]
 
 
+def cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+def dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def adjugate(M) -> tuple:
+    """Adjugate of a 3x3 matrix, adj(M) . M = det(M) . E: its columns are
+    the cross products r1 x r2, r2 x r0 and r0 x r1 of the rows."""
+    cols = (cross(M[1], M[2]), cross(M[2], M[0]), cross(M[0], M[1]))
+    return tuple(tuple(coerce_scalar(c[i]) for c in cols) for i in range(3))
+
+
 def det(M) -> Scalar:
-    A = mat_copy(M)
-    n = len(A)
-    sign = 1
-    out = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if A[i][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            A[k], A[piv] = A[piv], A[k]
-            sign = -sign
-        pv = A[k][k]
-        out = out * pv
-        for i in range(k + 1, n):
-            if A[i][k] != 0:
-                f = A[i][k] / pv
-                A[i] = [x - f * y for x, y in zip(A[i], A[k])]
-    return coerce_scalar(out * sign)
+    """Determinant of a 3x3 matrix: r0 . (r1 x r2)."""
+    return coerce_scalar(dot(M[0], cross(M[1], M[2])))

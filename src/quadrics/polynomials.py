@@ -16,8 +16,12 @@ Grammar (whitespace insignificant)::
 
 A leading unary minus and, when ``gaussian=True``, the literal ``i`` are
 accepted as strict extensions; everything the grammar produces parses,
-with parentheses nested at most ``MAX_NESTING`` (100) deep.  Past that the
-first '(' too many is a ``PolySyntaxError``.
+with parentheses nested at most ``MAX_NESTING`` (100) deep and products
+and powers of degree at most ``MAX_DEGREE`` (64).  Past those, the first
+'(' too many, or the '*' or '^' whose value would pass the degree, is a
+``PolySyntaxError``.  Digits are the ASCII ones; any other character
+outside the grammar, another script's digits included, is a
+``PolySyntaxError`` at its position.
 
 ``parse_poly`` tokenizes the text, then evaluates while it parses, in one
 recursive-descent pass: sums and products are loops, so their length is
@@ -41,7 +45,7 @@ import mpmath as mp
 from mpmath import libmp
 
 from .config import scoped
-from .linalg import det, rank
+from .linalg import adjugate, cross, dot
 from .scalars import (GaussRat, Scalar, coerce_scalar, format_rat,
                       format_scalar, integral, scalar_to_complex)
 
@@ -556,6 +560,13 @@ class HomPoly:
 # at the first '(' past the limit.
 MAX_NESTING = 100
 
+# The highest degree a product or a power may reach while parsing.  A
+# form of degree d has up to (d + 1)(d + 2)/2 terms and a product costs the
+# product of its factors' term counts, so expansion grows as d^4; the bound
+# keeps one power within a fraction of a second.  A higher degree is a
+# syntax error at its '*' or '^'.  A constant has degree 0 however large.
+MAX_DEGREE = 64
+
 _UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
@@ -579,9 +590,9 @@ def _tokenize(text: str, gaussian: bool):
             i += 2
         elif ch.isspace():
             i += 1
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             kinds.append("int")
             values.append(int(text[i:j]))
@@ -655,8 +666,12 @@ class _Parser:
         acc = self.factor()
         kinds = self.kinds
         while kinds[self.k] == "*":
+            at = self.k
             self.k += 1
-            acc = _terms_mul(acc, self.factor())
+            rhs = self.factor()
+            if acc and rhs:
+                self._check_degree(sum(next(iter(acc))) + sum(next(iter(rhs))), at)
+            acc = _terms_mul(acc, rhs)
         return acc
 
     def factor(self) -> Dict[Expo, Scalar]:
@@ -693,9 +708,17 @@ class _Parser:
         else:
             raise PolySyntaxError(f"unexpected token {kind!r}", self.positions[k])
         if kinds[self.k] == "^":
+            at = self.k
             self.k += 1
-            t = _terms_pow(t, self._expect("int"))
+            n = self._expect("int")
+            if t:
+                self._check_degree(sum(next(iter(t))) * n, at)
+            t = _terms_pow(t, n)
         return t
+
+    def _check_degree(self, degree: int, at: int):
+        if degree > MAX_DEGREE:
+            raise PolySyntaxError(f"degree {degree} above {MAX_DEGREE}", self.positions[at])
 
     def _paren_literal(self):
         """At a '(': the value of '(' ['-'] int ')' or '(' ['-'] int '/'
@@ -743,29 +766,21 @@ def parse_poly(text: str, gaussian: bool = False) -> HomPoly:
 
 @dataclass(frozen=True)
 class QuadricForm:
-    """Symmetric 3x3 matrix view of a degree-2 form: poly(z) = z^T M z."""
+    """Symmetric 3x3 matrix view of a degree-2 form: poly(z) = z^T M z,
+    with the matrix's adjugate, rank and determinant and the dual conic
+    z^T adj(M) z, whose zeros are the conic's tangent lines.  All are
+    computed in one pass from the rows' cross products."""
 
     matrix: tuple
+    adjugate: tuple
     rank: int
     det: Scalar
-
-    def adjugate(self) -> tuple:
-        return matrix_adjugate(self.matrix)
-
-
-def matrix_adjugate(M) -> tuple:
-    """Adjugate of a 3x3 matrix: adj(M) . M = det(M) . E."""
-    def cof(i, j):
-        r = [k for k in range(3) if k != i]
-        c = [k for k in range(3) if k != j]
-        minor = M[r[0]][c[0]] * M[r[1]][c[1]] - M[r[0]][c[1]] * M[r[1]][c[0]]
-        return minor if (i + j) % 2 == 0 else -minor
-    return tuple(tuple(coerce_scalar(cof(j, i)) for j in range(3)) for i in range(3))
+    dual: "HomPoly"
 
 
 def quadric_form(p: HomPoly) -> QuadricForm:
-    """Symmetric matrix, exact rank and determinant of a degree-2 form;
-    computed once per form inside an analysis scope."""
+    """Symmetric matrix, adjugate, exact rank, determinant and dual conic
+    of a degree-2 form; computed once per form inside an analysis scope."""
     if p.degree != 2:
         raise WrongDegreeError(f"degree 2 required, got {p.degree}")
     return scoped(("quadric_form", p), lambda: _quadric_form(p))
@@ -783,7 +798,12 @@ def _quadric_form(p: HomPoly) -> QuadricForm:
             M[i][j] = coerce_scalar(M[i][j] + h)
             M[j][i] = coerce_scalar(M[j][i] + h)
     Mt = tuple(tuple(r) for r in M)
-    return QuadricForm(Mt, rank(Mt), det(Mt))
+    adj = adjugate(Mt)
+    # det(M) = r0 . (r1 x r2), and r1 x r2 is the adjugate's first column;
+    # a nonzero adjugate is a nonzero 2x2 minor
+    d = coerce_scalar(dot(Mt[0], [row[0] for row in adj]))
+    rank = 3 if d != 0 else 2 if any(x != 0 for row in adj for x in row) else 1
+    return QuadricForm(Mt, adj, rank, d, poly_from_matrix(adj))
 
 
 def pencil_matrix_entry_forms(q1: HomPoly, q2: HomPoly, q3: HomPoly | None = None):
@@ -1116,12 +1136,6 @@ def excludes_zero(out) -> bool:
     return any(b.excludes_zero() for b in (out if isinstance(out, tuple) else (out,)))
 
 
-def _cross(a, b):
-    return (a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0])
-
-
 def _unit_vector(coords, phase_tol: float):
     """(coords times conj(c_j) / (|c_j| sup), sup, k) for mpc coords: sup norm
     1, c_j real, j the first coordinate above phase_tol times the largest
@@ -1196,7 +1210,7 @@ class ProjPointNum:
         vectors whose cross product does not exclude zero."""
         if self.exact is not None and other.exact is not None:
             return self.exact == other.exact
-        return not excludes_zero(ball_eval(_cross, self, other))
+        return not excludes_zero(ball_eval(cross, self, other))
 
     def to_decimal_strings(self, digits=30):
         out = []

@@ -23,9 +23,8 @@ from .arrangements import (CommonComponentError, InfinitelyManySolutionsError,
                            common_zeros_of_quadratic_system,
                            tangent_line_numeric, tangent_to_conic)
 from .config import DEFAULT_PRECISION, PrecisionConfig
-from .linalg import det as exact_det
-from .linalg import nullspace, rank
-from .polynomials import (HomPoly, matrix_adjugate, parse_poly,
+from .linalg import adjugate, det as exact_det, nullspace, rank
+from .polynomials import (HomPoly, parse_poly,
                           pencil_matrix_entry_forms, quadric_form)
 from .scalars import (GaussRat, Scalar, coerce_scalar, primitive_vector,
                       scalar_to_complex)
@@ -390,7 +389,7 @@ def b4_system(c: Sequence, a: Sequence[Sequence], b: Sequence[Sequence]):
     dA = exact_det(A)
     if dA == 0:
         raise SingularAError("det(A) = 0; adjugate reduction invalid")
-    Ahat = matrix_adjugate(A)
+    Ahat = adjugate(A)
     C = [[sum(Ahat[i][k] * B[k][j] for k in range(3)) for j in range(3)]
          for i in range(3)]
     # (k^2, l^2, m^2) . C = 2 det(A) (kl, km, lm) as forms in (z0, z1, z2)

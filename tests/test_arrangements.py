@@ -1120,7 +1120,7 @@ def test_contact_points_carry_their_rounding():
     c1, c2 = cfg.polys()[:2]
     bits = DEFAULT_PRECISION.start_bits
     for q in (c1, c2):
-        adj = quadric_form(q).adjugate()
+        adj = quadric_form(q).adjugate
         for ell in common_tangents(c1, c2, DEFAULT_PRECISION):
             P = _contact_point(adj, _adjugate_balls(adj, bits), ell, bits)
             with mp.workprec(1024):
@@ -1142,7 +1142,7 @@ def test_contact_point_radius_covers_its_own_rounding():
                      for e in [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)]})
         if q.is_zero or quadric_form(q).rank != 3:
             continue
-        adj = quadric_form(q).adjugate()
+        adj = quadric_form(q).adjugate
         weakest = np.linalg.svd(np.array([[float(a) for a in row] for row in adj]))[2][2]
         bits = rng.choice([53, 64, 113])
         with mp.workprec(bits):
@@ -1326,7 +1326,7 @@ def _check_incidence(seed, bits):
 
 def test_double_filter_settles_generic_incidences():
     """A point off a line is separated by the double pass alone."""
-    from quadrics.arrangements import _dot
+    from quadrics.linalg import dot
     rng = random.Random(7)
     with mp.workprec(256):
         for _ in range(50):
@@ -1334,35 +1334,36 @@ def test_double_filter_settles_generic_incidences():
                                   for _ in range(3)], mp.mpf(10) ** -30)
             line = _normalized_line([mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
                                      for _ in range(3)], mp.mpf(10) ** -30)
-            assert _dot(line.balls(True), point.balls(True)).excludes_zero()
+            assert dot(line.balls(True), point.balls(True)).excludes_zero()
             assert line.passes_through(point) is False
         # a line through the point is left to the working precision
         line = _normalized_line(_cross_vec(point.coords, [mp.mpc(1), mp.mpc(2), mp.mpc(3)]),
                                 mp.mpf(10) ** -70)
-        assert not _dot(line.balls(True), point.balls(True)).excludes_zero()
+        assert not dot(line.balls(True), point.balls(True)).excludes_zero()
         assert line.passes_through(point) is None
 
 
 def test_double_filter_settles_generic_lines():
     """Generic lines are separated by the double pass alone."""
-    from quadrics.arrangements import _det3, lines_concurrent
-    from quadrics.polynomials import _cross
+    from quadrics.arrangements import lines_concurrent
+    from quadrics.linalg import cross, dot
     rng = random.Random(7)
     with mp.workprec(256):
         for _ in range(50):
             lines = [_normalized_line([mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
                                        for _ in range(3)], mp.mpf(10) ** -30)
                      for _ in range(3)]
-            assert _det3(*(l.balls(True) for l in lines)).excludes_zero()
-            assert any(c.excludes_zero() for c in _cross(lines[0].balls(True),
-                                                         lines[1].balls(True)))
+            a, b, c = (l.balls(True) for l in lines)
+            assert dot(a, cross(b, c)).excludes_zero()
+            assert any(x.excludes_zero() for x in cross(a, b))
             assert lines_concurrent(*lines) is False
         # a concurrent triple is left to the working precision
         point = [mp.mpc(1), mp.mpc(2), mp.mpc(3)]
         lines = [_normalized_line(_cross_vec(point, [mp.mpc(rng.uniform(-1, 1))
                                                      for _ in range(3)]), mp.mpf(10) ** -70)
                  for _ in range(3)]
-        assert not _det3(*(l.balls(True) for l in lines)).excludes_zero()
+        a, b, c = (l.balls(True) for l in lines)
+        assert not dot(a, cross(b, c)).excludes_zero()
         assert lines_concurrent(*lines) is None
 
 

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -796,6 +797,31 @@ def test_deep_parentheses_exit_two(tmp_path, capsys):
     assert code == 2
     assert doc["report"]["error"] == (
         "parse error: parentheses nested deeper than 100 (at position 110)")
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_a_high_power_exits_two_before_expanding(tmp_path, capsys):
+    """A power past the degree bound is a parse error at its '^', so it
+    costs no expansion (degree 100 took about a second, growing as d^4)."""
+    form = "z1^2 - (z0 + 2*z1 + 3*z2)^400"
+    cfg = _write(tmp_path, "cfg.json", dict(EXAMPLE_CONFIG, components=(
+        EXAMPLE_CONFIG["components"][:2] + [form])))
+    start = time.perf_counter()
+    code, doc = _run(["check-config", cfg], tmp_path)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert doc["report"]["error"] == (
+        f"parse error: degree 400 above 64 (at position {form.index('^', 5)})")
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("form, bad", [("z0 + 12\u00b2", "\u00b2"), ("z0 + \u0663*z1", "\u0663")])
+def test_non_ascii_digits_exit_two_at_their_position(tmp_path, capsys, form, bad):
+    cfg = _write(tmp_path, "cfg.json", {"family": [1], "components": [form]})
+    code, doc = _run(["check-config", cfg], tmp_path)
+    assert code == 2
+    assert doc["report"]["error"] == (
+        f"parse error: unexpected character {bad!r} (at position {form.index(bad)})")
     assert "Traceback" not in capsys.readouterr().err
 
 

@@ -11,13 +11,14 @@ from mpmath import libmp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quadrics.polynomials import (MAX_NESTING, Ball, DegenerateLeadingFormError, HomPoly,
-                                  MpForms, NotHomogeneousError, PolySyntaxError,
-                                  ProjPointNum, ZeroPolynomialError, _cross,
+from quadrics.polynomials import (MAX_DEGREE, MAX_NESTING, Ball, DegenerateLeadingFormError,
+                                  HomPoly, MpForms, NotHomogeneousError, PolySyntaxError,
+                                  ProjPointNum, ZeroPolynomialError,
                                   ball_eval, coord_balls, gaussian_extension_eval,
                                   parse_poly,
                                   poly_from_matrix, quadric_form, resultant,
                                   subresultant, vanishes_at)
+from quadrics.linalg import adjugate, cross, det, dot
 from quadrics.scalars import GaussRat
 
 from exact_reference import (point_distance, reference_add, reference_compose,
@@ -192,7 +193,7 @@ def test_one_pass_parser_matches_the_tree_parser(seed, gaussian):
     "z0 + 1 )", "(z0 + 1) * (z1 + z2^2", "z0 + 1 + $", "z0^2 + z1 + (1/0)",
     "z0 + z0^2 + z1^3", "(z0 - z0)*z1 + 1", "z0 - z0 + 1", "-(z0 + z1)^2 + 3*z2^2",
     "i*z0 + (1/2)*z1 - i", "(-3/4)*z0*z1 + (0/5)*z2^2 + (-0)*z0^2", "((z0 + z1)^2)^0",
-    "z0 + 12\u00b2", "\u00b2", "z0^2 +\u3000z1^2", "(z0 + 1)^99999999", "(1/2 3)",
+    "z0^2 +\u3000z1^2", "(z0 + 1)^99999999", "(1/2 3)",
     "(- 3/4)*z0", "(-z0)", "z0 * -3", "--z0", "z0 ++ z1", "",
 ])
 def test_one_pass_parser_matches_the_tree_parser_on_edge_cases(text):
@@ -219,7 +220,39 @@ def test_long_sums_and_products_parse():
     stack."""
     p = parse_poly(" + ".join(["z0*z1"] * 1000) + " - z2^2")
     assert p.terms == {(1, 1, 0): Fraction(1000), (0, 0, 2): Fraction(-1)}
-    assert parse_poly("*".join(["z0"] * 1000)).terms == {(1000, 0, 0): Fraction(1)}
+    product = "*".join(["z0"] * MAX_DEGREE + ["2"] * (1000 - MAX_DEGREE))
+    assert parse_poly(product).terms == {(MAX_DEGREE, 0, 0): Fraction(2 ** (1000 - MAX_DEGREE))}
+
+
+@pytest.mark.parametrize("text, position", [
+    ("z0 + 12\u00b2", 7), ("\u00b2", 0), ("z0 + \u0663*z1", 5)])
+def test_only_ascii_digits_are_digits(text, position):
+    """A superscript two or an Arabic-Indic three is not a digit of the
+    grammar: it is an unexpected character at its position, not a failed
+    int() and not a silent 3."""
+    for gaussian in (False, True):
+        with pytest.raises(PolySyntaxError, match="unexpected character") as info:
+            parse_poly(text, gaussian)
+        assert info.value.position == position
+
+
+def test_products_and_powers_are_bounded_in_degree():
+    """Past MAX_DEGREE a power or a product is a syntax error at its '^' or
+    '*', before it is expanded; constants have degree 0, and a power of an
+    inhomogeneous base keeps its homogeneity error."""
+    assert parse_poly(f"(z0 + z1)^{MAX_DEGREE}").degree == MAX_DEGREE
+    assert parse_poly("z0^32*z1^32").degree == MAX_DEGREE
+    assert parse_poly("10^400*z0 + 7^99*z1").degree == 1
+    assert parse_poly(f"0*(z0 + z1)^{MAX_DEGREE}*z2").is_zero
+    for text, position, degree in [("z1 + (z0 + 2*z1 + 3*z2)^400", 23, 400),
+                                   ("z0^32*z1^33", 5, 65), ("(z0*z1)^33", 7, 66),
+                                   ("z0*z1^64", 2, 65)]:
+        with pytest.raises(PolySyntaxError) as info:
+            parse_poly(text)
+        assert str(info.value) == (
+            f"degree {degree} above {MAX_DEGREE} (at position {position})")
+    with pytest.raises(NotHomogeneousError):
+        parse_poly("(z0 + 1)^99999999")
 
 
 def test_parentheses_nest_up_to_the_limit():
@@ -548,6 +581,64 @@ def test_quadric_form_reconstructs_polynomial():
     assert poly_from_matrix(quadric_form(p).matrix) == p
 
 
+def _sum_of_squares(seed, n, gaussian):
+    """sum c_k l_k^2 over n random linear forms l_k, with rational or
+    Gaussian coefficients: a symmetric matrix of rank n unless the forms
+    happen to be dependent."""
+    rng = random.Random(seed)
+
+    def scalar():
+        c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        return GaussRat(c, rng.randint(-3, 3)) if gaussian else c
+
+    p = HomPoly.zero()
+    for _ in range(n):
+        line = HomPoly.linear_form([scalar() for _ in range(3)])
+        p = p + (line * line).scale(scalar())
+    return p
+
+
+def _sympy_matrix(M):
+    import sympy
+    return sympy.Matrix([[_sympy_scalar(Fraction(x) if isinstance(x, int) else x) for x in row]
+                         for row in M])
+
+
+def _same_matrix(ours, theirs):
+    import sympy
+    assert (_sympy_matrix(ours) - theirs).applyfunc(sympy.expand) == sympy.zeros(3, 3)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([1, 2, 3]), gaussian=st.booleans())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_quadric_form_matches_sympy(seed, n, gaussian):
+    """Matrix, rank, determinant, adjugate and dual conic of a form against
+    sympy's Hessian, Matrix.rank, Matrix.det and Matrix.adjugate."""
+    import sympy
+    p = _sum_of_squares(seed, n, gaussian)
+    assume(p.degree == 2)
+    xs = sympy.symbols("z0 z1 z2")
+    qf = quadric_form(p)
+    M = sympy.hessian(_sympy_form(p, xs), xs) / 2
+    _same_matrix(qf.matrix, M)
+    assert qf.rank == M.rank()
+    assert sympy.expand(_sympy_scalar(qf.det) - M.det()) == 0
+    _same_matrix(qf.adjugate, M.adjugate())
+    z = sympy.Matrix(xs)
+    assert sympy.expand(_sympy_form(qf.dual, xs) - (z.T * M.adjugate() * z)[0]) == 0
+
+
+@given(st.lists(st.integers(-4, 4), min_size=9, max_size=9))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_det_and_adjugate_match_sympy_on_integer_matrices(entries):
+    """linalg.det and linalg.adjugate on integer 3x3 matrices that need not
+    be symmetric, the kind of the coordinate changes."""
+    M = [entries[0:3], entries[3:6], entries[6:9]]
+    theirs = _sympy_matrix(M)
+    assert _sympy_scalar(det(M)) == theirs.det()
+    _same_matrix(adjugate(M), theirs.adjugate())
+
+
 @given(st.integers(min_value=-6, max_value=6), st.integers(min_value=-6, max_value=6),
        st.integers(min_value=-6, max_value=6))
 @settings(max_examples=40, deadline=None)
@@ -762,13 +853,13 @@ def test_same_point_filter_settles_distinct_points():
         for _ in range(50):
             a, b = (ProjPointNum([mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
                                   for _ in range(3)], mp.mpf(10) ** -30) for _ in range(2))
-            assert any(c.excludes_zero() for c in _cross(a.balls(True), b.balls(True)))
+            assert any(c.excludes_zero() for c in cross(a.balls(True), b.balls(True)))
             assert not a.same_point(b)
         # another representative of a, moved by 1e-20: the double pass
         # leaves it, the working precision separates it; moved by 1e-40,
         # within a's radius, it is not separated
         near = ProjPointNum([c * mp.mpc(0, 3) + mp.mpf(10) ** -20 for c in a.coords])
-        assert not any(c.excludes_zero() for c in _cross(a.balls(True), near.balls(True)))
+        assert not any(c.excludes_zero() for c in cross(a.balls(True), near.balls(True)))
         assert not near.same_point(a)
         nearer = ProjPointNum([c * mp.mpc(0, 3) + mp.mpf(10) ** -40 for c in a.coords])
         assert nearer.same_point(a) and a.same_point(nearer)
@@ -802,7 +893,7 @@ def test_exact_points_enter_balls_exactly():
         other = ProjPointNum([mp.mpf(1) / 3, mp.mpf(1) / 5 + mp.mpf(10) ** -60, 1],
                              mp.mpf(10) ** -70)
         assert not exact.same_point(other)
-        vec = _cross(copy.coords, [mp.mpc(1), mp.mpc(2), mp.mpc(7)])
+        vec = cross(copy.coords, [mp.mpc(1), mp.mpc(2), mp.mpc(7)])
         s = max(abs(c) for c in vec)
         line = NumLine(tuple(c / s for c in vec), mp.mpf(10) ** -70)
         assert line.passes_through(exact) is None
@@ -852,8 +943,8 @@ def _ball_case(rng):
                     for d in [rng.randint(1, 4)] for i in range(d + 1)
                     for j in range(d + 1 - i)})
     exprs = [
-        lambda v: _det3(v[0:3], v[3:6], v[6:9]),
-        lambda v: _cross(v[0:3], v[3:6]),
+        lambda v: dot(v[0:3], cross(v[3:6], v[6:9])),
+        lambda v: cross(v[0:3], v[3:6]),
         lambda v: v[0] * v[1] * v[2],
         lambda v: v[0] + v[1] - v[2],
         lambda v: v[4],  # the conversion alone
@@ -886,12 +977,6 @@ def _exact_operand(c, like):
     if isinstance(like, Ball):
         return Ball.exact(c, not isinstance(like.mid, mp.mpc))
     return _to_mpc(c)
-
-
-def _det3(a, b, c):
-    return (a[0] * (b[1] * c[2] - b[2] * c[1])
-            - a[1] * (b[0] * c[2] - b[2] * c[0])
-            + a[2] * (b[0] * c[1] - b[1] * c[0]))
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), double=st.booleans(),

@@ -76,6 +76,15 @@ term.  The only other code in ``polynomials`` that sums term maps is the
 integer expansion of ``HomPoly.compose`` (``_term_mul`` and its own sum),
 which keeps a cancelled term in its slot and so fixes the order of a
 composed form's terms.
+
+One 3x3 kernel: ``linalg.cross`` serves every 3x3 rule.  ``linalg.det``
+is r0 . (r1 x r2) with no loop, ``linalg.adjugate`` takes its columns
+from the rows' cross products, and no ``_det3``, ``_cross``,
+``_cross_exact``, ``_dot`` or ``matrix_adjugate`` is left beside them
+(forms and exact points coerce their own coefficients).  ``_quadric_form`` builds each
+form's adjugate, rank, determinant and dual conic in that one pass, with
+no ``rank`` or ``rref``, and is the only caller of ``poly_from_matrix``,
+so each dual conic is built once per form.
 """
 
 import ast
@@ -331,3 +340,25 @@ def test_the_ring_operators_and_the_parser_share_the_term_map_kernels():
     assert summing == {"_terms_add", "_terms_mul", "_term_mul", "compose"}
     assert _references("_term_mul") == [("polynomials.py", "HomPoly.compose")] * 3
 
+
+
+def test_one_3x3_kernel():
+    gone = {"_det3", "_cross", "_cross_exact", "_dot", "matrix_adjugate"}
+    names = {getattr(node, attr) for _, tree in _trees() for node in ast.walk(tree)
+             for attr in ("id", "attr", "name", "asname")
+             if isinstance(getattr(node, attr, None), str)}
+    assert not gone & names
+    tree = dict(_trees())["linalg.py"]
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    loops = (ast.For, ast.While, ast.comprehension)
+    assert not any(isinstance(node, loops) for node in ast.walk(funcs["det"]))
+    assert {"cross", "dot"} <= _calls(funcs["det"])
+    assert "cross" in _calls(funcs["adjugate"])
+
+
+def test_each_dual_conic_is_built_once_per_form():
+    assert _references("poly_from_matrix") == [("polynomials.py", "_quadric_form")]
+    tree = dict(_trees())["polynomials.py"]
+    func = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_quadric_form")
+    assert not {"rank", "rref", "det"} & _calls(func)
