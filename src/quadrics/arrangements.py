@@ -36,12 +36,12 @@ import numpy as np
 from mpmath import libmp
 
 from .config import DEFAULT_PRECISION, PrecisionConfig, scoped
-from .linalg import adjugate, cross, det, dot, nullspace, rank, solve
+from .linalg import adjugate, cross, det, dot, nullspace, poly_mul, poly_sub, rank, solve, trim
 from .polynomials import (Ball, HomPoly, MpForms, PrecisionExhaustedError,
                           ProjPointNum, ZeroPolynomialError, _mag, _unit_vector,
                           _mul_up, _up, ball_eval, coerce_point, coord_balls,
-                          excludes_zero, gauss_div, gauss_ints, gauss_mul, poly_mul,
-                          poly_sub, quadric_form, resultant, subresultant, trim, vanishes_at)
+                          excludes_zero, gauss_div, gauss_ints, gauss_mul, quadric_form,
+                          resultant, subresultant, vanishes_at)
 from .scalars import scalar_to_complex
 from .univariate import RootFindingError, binary_form_roots, uni_gcd, yun_squarefree
 
@@ -862,15 +862,17 @@ def common_tangents(q1: HomPoly, q2: HomPoly, prec_cfg) -> List[ProjPointNum]:
 
 
 def _adjugate_balls(adj, bits: int):
-    """(rows, S, p) for ``_contact_point``, built once per conic: the
-    entries of ``adj`` rounded once to mpc at the contact points' precision
-    p, ``bits`` or the ambient precision if higher, and S, the largest row
-    sum of their moduli rounded up."""
+    """(rows, S, p) for ``_contact_point``, once per conic and p in an
+    analysis scope: the entries of ``adj`` rounded once to mpc at the
+    contact points' precision p, ``bits`` or the ambient precision if
+    higher, and S, the largest row sum of their moduli rounded up."""
     prec = max(bits, mp.mp.prec)
-    with mp.workprec(prec):
-        rows = [[Ball.exact(a, False).mid for a in row] for row in adj]
-    row_sum = max(_up(*(_mag(a._mpc_) for a in row)) for row in rows)
-    return rows, row_sum, prec
+
+    def compute():
+        with mp.workprec(prec):
+            rows = [[Ball.exact(a, False).mid for a in row] for row in adj]
+        return rows, max(_up(*(_mag(a._mpc_) for a in row)) for row in rows), prec
+    return scoped(("adjugate_balls", adj, prec), compute)
 
 
 def _contact_point(adj, adj_balls, line_pt: ProjPointNum, bits: int) -> ProjPointNum:

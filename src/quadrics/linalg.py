@@ -1,53 +1,121 @@
-"""Tiny exact linear algebra over the (Gaussian) rationals.
+"""Exact linear algebra: one fraction-free elimination, one 3x3 kernel.
 
-Matrices are lists of rows of exact scalars.  ``rref`` (Gauss-Jordan
-elimination) serves ``rank``, ``nullspace`` and ``solve``; sizes never
-exceed a few dozen rows.  Every 3x3 rule comes from one cross product:
-``cross`` and ``dot`` work on any ring (exact scalars, mpc, Balls and
-arrays of them), and the adjugate and the determinant of a 3x3 matrix
-are its rows' cross products and the first row's dot product with one.
+The exact format is a dense list over Z (ints) or Z[i] (GaussRats), low
+to high, [] for zero, with the ring operations ``trim``, ``poly_mul``,
+``poly_sub`` and ``poly_exquo``.  ``echelon`` (Bareiss 1968, Math. Comp.
+22) is the one elimination, on matrices of such lists: Sylvester matrices
+over Z[t] for ``polynomials.subresultant``, constants for ``rank`` and
+``rref``, which serves ``nullspace`` and ``solve``.  ``cross`` and ``dot``
+work on any ring (exact scalars, mpc, Balls and arrays of them); a 3x3
+adjugate is the rows' cross products and the determinant r0 . (r1 x r2).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .scalars import Scalar, coerce_scalar
+from .scalars import GaussRat, Scalar, coerce_scalar, integral
+
+
+def trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def poly_mul(a: list, b: list) -> list:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def poly_sub(a: list, b: list) -> list:
+    out = a + [0] * (len(b) - len(a))
+    for j, y in enumerate(b):
+        out[j] -= y
+    return trim(out)
+
+
+def poly_exquo(a: list, b: list) -> list:
+    """a / b where b divides a."""
+    db, lead = len(b) - 1, b[-1]
+    if lead == 1 and db == 0:
+        return a
+    a, out = a[:], [0] * (len(a) - db)
+    for i in range(len(out) - 1, -1, -1):
+        if a[i + db]:
+            c = out[i] = a[i + db] / lead if isinstance(lead, GaussRat) else a[i + db] // lead
+            for j in range(max(0, db - i), db):  # a[:db] gives no quotient
+                a[i + j] -= c * b[j]
+    return out
+
+
+def echelon(M: List[list]) -> Tuple[List[list], List[int], int]:
+    """Fraction-free row echelon form of a matrix of dense lists over Z or
+    Z[i]: (rows, pivot columns, sign of the row swaps).  After k pivots,
+    entry (i, j) is the minor on the pivot rows and columns with row i and
+    column j (Sylvester's identity), so each division by the previous
+    pivot is exact."""
+    A = [row[:] for row in M]
+    n, w = len(A), len(A[0]) if A else 0
+    prev, sign, pivots = [1], 1, []
+    for c in range(w):
+        r = len(pivots)
+        if r == n:
+            break
+        if not A[r][c]:
+            swap = next((i for i in range(r + 1, n) if A[i][c]), None)
+            if swap is None:
+                continue
+            A[r], A[swap] = A[swap], A[r]
+            sign = -sign
+        pivot, row_r = A[r][c], A[r]
+        for row in A[r + 1:]:
+            for j in range(c + 1, w):
+                num = poly_sub(poly_mul(row[j], pivot), poly_mul(row[c], row_r[j]))
+                row[j] = poly_exquo(num, prev)
+            row[c] = []
+        prev = pivot
+        pivots.append(c)
+    return A, pivots, sign
 
 
 def mat_copy(M):
     return [[coerce_scalar(x) for x in row] for row in M]
 
 
-def rref(M) -> Tuple[List[List[Scalar]], List[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
+def _integral_rows(M):
+    """M's rows scaled to (Gaussian, when one entry is) integers, each
+    entry a constant list."""
     A = mat_copy(M)
-    if not A:
-        return A, []
-    rows, cols = len(A), len(A[0])
-    pivots: List[int] = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if A[i][c] != 0), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        pv = A[r][c]
-        A[r] = [x / pv for x in A[r]]
-        for i in range(rows):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return A, pivots
+    gauss = any(isinstance(x, GaussRat) for row in A for x in row)
+    return [[[x] if x else [] for x in integral(row, gauss)[0]] for row in A]
 
 
 def rank(M) -> int:
-    return len(rref(M)[1])
+    return len(echelon(_integral_rows(M))[1])
+
+
+def rref(M) -> Tuple[List[List[Scalar]], List[int]]:
+    """Reduced row echelon form and the list of pivot columns: each pivot
+    row of the echelon divided by its pivot, bottom up, and its column
+    cleared above it."""
+    A, pivots, _ = echelon(_integral_rows(M))
+    A = [[x[0] if x else 0 for x in row] for row in A]
+    for r in range(len(pivots) - 1, -1, -1):
+        c = pivots[r]
+        pv = coerce_scalar(A[r][c])
+        A[r] = [x / pv for x in A[r]]
+        for row in A[:r]:
+            f = row[c]
+            if f:
+                row[:] = [x - f * y for x, y in zip(row, A[r])]
+    return mat_copy(A), pivots
 
 
 def nullspace(M) -> List[List[Scalar]]:
@@ -59,8 +127,8 @@ def nullspace(M) -> List[List[Scalar]]:
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
+        v = [0] * cols
+        v[fc] = 1
         for r, pc in enumerate(pivots):
             v[pc] = -A[r][fc]
         basis.append([coerce_scalar(x) for x in v])
@@ -68,21 +136,14 @@ def nullspace(M) -> List[List[Scalar]]:
 
 
 def solve(M, rhs) -> Optional[List[Scalar]]:
-    """One solution of M x = rhs, or None when inconsistent."""
+    """One solution of M x = rhs (free entries 0), or None: the kernel
+    vector of [M | -rhs] free in its last column."""
     if not M:
         return [] if all(b == 0 for b in rhs) else None
-    cols = len(M[0])
-    aug = [row + [b] for row, b in zip(mat_copy(M), rhs)]
-    A, pivots = rref(aug)
-    for row in A:
-        if all(x == 0 for x in row[:cols]) and row[cols] != 0:
-            return None
-    x = [Fraction(0)] * cols
-    for r, pc in enumerate(pivots):
-        if pc == cols:
-            return None
-        x[pc] = A[r][cols]
-    return [coerce_scalar(v) for v in x]
+    ker = nullspace([list(row) + [-b] for row, b in zip(M, rhs)])
+    if not ker or ker[-1][-1] == 0:  # the last column has a pivot
+        return None
+    return ker[-1][:-1]
 
 
 def cross(a, b):

@@ -37,8 +37,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .config import scoped
-from .linalg import nullspace, rank
-from .polynomials import HomPoly, poly_mul, poly_sub, trim, vanishes_at
+from .linalg import nullspace, poly_mul, poly_sub, rank, trim
+from .polynomials import HomPoly, vanishes_at
 from .scalars import (GaussRat, coerce_scalar, parse_scalar_string,
                       scalar_to_complex)
 from .univariate import _derivative, complex_roots, dehomogenize, uni_gcd

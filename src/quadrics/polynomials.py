@@ -2,9 +2,9 @@
 
 The substrate for everything else: sparse term maps keyed by exponent
 triples, a one-pass parser for the polynomial grammar, Sylvester
-resultants with fraction-free Bareiss elimination on dense integer
-polynomials, the symmetric-matrix view of quadrics, and certified numeric
-evaluation at projective points.
+resultants and subresultants from ``linalg``'s fraction-free echelon on
+dense integer polynomials, the symmetric-matrix view of quadrics, and
+certified numeric evaluation at projective points.
 
 Grammar (whitespace insignificant)::
 
@@ -17,11 +17,12 @@ Grammar (whitespace insignificant)::
 A leading unary minus and, when ``gaussian=True``, the literal ``i`` are
 accepted as strict extensions; everything the grammar produces parses,
 with parentheses nested at most ``MAX_NESTING`` (100) deep and products
-and powers of degree at most ``MAX_DEGREE`` (64).  Past those, the first
-'(' too many, or the '*' or '^' whose value would pass the degree, is a
-``PolySyntaxError``.  Digits are the ASCII ones; any other character
-outside the grammar, another script's digits included, is a
-``PolySyntaxError`` at its position.
+and powers of degree at most ``MAX_DEGREE`` (64) whose coefficients stay
+within an estimated ``MAX_COEFFICIENT_BITS`` (65,536) bits.  Past those,
+the first '(' too many, or the '*' or '^' whose value would pass the
+degree or the size, is a ``PolySyntaxError``.  Digits are the ASCII
+ones; any other character outside the grammar, another script's digits
+included, is a ``PolySyntaxError`` at its position.
 
 ``parse_poly`` tokenizes the text, then evaluates while it parses, in one
 recursive-descent pass: sums and products are loops, so their length is
@@ -45,7 +46,7 @@ import mpmath as mp
 from mpmath import libmp
 
 from .config import scoped
-from .linalg import adjugate, cross, dot
+from .linalg import adjugate, cross, dot, echelon, trim
 from .scalars import (GaussRat, Scalar, coerce_scalar, format_rat,
                       format_scalar, integral, scalar_to_complex)
 
@@ -567,7 +568,21 @@ MAX_NESTING = 100
 # syntax error at its '*' or '^'.  A constant has degree 0 however large.
 MAX_DEGREE = 64
 
+# The largest coefficient size in bits, which MAX_DEGREE does not bound for
+# constants (3^4000000 would take seconds): a power's size is its exponent
+# times the bit length of its base's largest numerator or denominator part,
+# unless the base is a unit, a product's the sum of its factors' sizes.
+MAX_COEFFICIENT_BITS = 65536
+
+_UNIT_CONSTANTS = (1, -1, GaussRat(0, 1), GaussRat(0, -1))
+
 _UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def _bits(t: Dict[Expo, Scalar]) -> int:
+    """Bit length of a term map's largest numerator or denominator part."""
+    return max(max(abs(x.numerator), x.denominator) for c in t.values()
+               for x in ((c.re, c.im) if isinstance(c, GaussRat) else (c,))).bit_length()
 
 
 def _tokenize(text: str, gaussian: bool):
@@ -670,7 +685,8 @@ class _Parser:
             self.k += 1
             rhs = self.factor()
             if acc and rhs:
-                self._check_degree(sum(next(iter(acc))) + sum(next(iter(rhs))), at)
+                self._check(sum(next(iter(acc))) + sum(next(iter(rhs))),
+                            _bits(acc) + _bits(rhs), at)
             acc = _terms_mul(acc, rhs)
         return acc
 
@@ -712,13 +728,17 @@ class _Parser:
             self.k += 1
             n = self._expect("int")
             if t:
-                self._check_degree(sum(next(iter(t))) * n, at)
+                unit = len(t) == 1 and t.get((0, 0, 0)) in _UNIT_CONSTANTS
+                self._check(sum(next(iter(t))) * n, 0 if unit else _bits(t) * n, at)
             t = _terms_pow(t, n)
         return t
 
-    def _check_degree(self, degree: int, at: int):
+    def _check(self, degree: int, bits: int, at: int):
         if degree > MAX_DEGREE:
             raise PolySyntaxError(f"degree {degree} above {MAX_DEGREE}", self.positions[at])
+        if bits > MAX_COEFFICIENT_BITS:
+            raise PolySyntaxError(f"coefficients of about {bits} bits above "
+                                  f"{MAX_COEFFICIENT_BITS}", self.positions[at])
 
     def _paren_literal(self):
         """At a '(': the value of '(' ['-'] int ')' or '(' ['-'] int '/'
@@ -823,75 +843,10 @@ def pencil_matrix_entry_forms(q1: HomPoly, q2: HomPoly, q3: HomPoly | None = Non
 
 
 # ---------------------------------------------------------------------------
-# Sylvester resultant with Bareiss elimination over Z[t], on the one exact
-# univariate format: dense lists over Z (ints) or Z[i] (GaussRats), low to
-# high, [] for zero, shared with univariate, the fiber lift and ExpSum
+# Sylvester resultant by the one fraction-free elimination, ``linalg.echelon``,
+# on the one exact univariate format: dense lists over Z (ints) or Z[i]
+# (GaussRats), low to high, [] for zero
 # ---------------------------------------------------------------------------
-
-def trim(a: list) -> list:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def poly_mul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def poly_sub(a: list, b: list) -> list:
-    out = a + [0] * (len(b) - len(a))
-    for j, y in enumerate(b):
-        out[j] -= y
-    return trim(out)
-
-
-def poly_exquo(a: list, b: list) -> list:
-    """a / b where b divides a."""
-    db, lead = len(b) - 1, b[-1]
-    if lead == 1 and db == 0:
-        return a
-    a, out = a[:], [0] * (len(a) - db)
-    for i in range(len(out) - 1, -1, -1):
-        if a[i + db]:
-            c = out[i] = a[i + db] / lead if isinstance(lead, GaussRat) else a[i + db] // lead
-            for j in range(max(0, db - i), db):  # a[:db] gives no quotient
-                a[i + j] -= c * b[j]
-    return out
-
-
-def _bareiss_last_row(M: List[list]) -> List[list]:
-    """Fraction-free (Bareiss) elimination of an n x w matrix, n <= w, of
-    dense polynomials over Z or Z[i] (lists, as in ``poly_mul``).
-
-    Entry j of the result is the determinant of the first n-1 columns
-    together with column n-1+j (Sylvester's identity), so a square matrix
-    gives [det].  Each division by the previous pivot is exact.
-    """
-    n, w = len(M), len(M[0])
-    A = [row[:] for row in M]
-    prev, sign = [1], 1
-    for k in range(n - 1):
-        if not A[k][k]:
-            swap = next((r for r in range(k + 1, n) if A[r][k]), None)
-            if swap is None:  # columns 0..k are dependent
-                return [[]] * (w - n + 1)
-            A[k], A[swap] = A[swap], A[k]
-            sign = -sign
-        pivot, row_k = A[k][k], A[k]
-        for row in A[k + 1:]:
-            for j in range(k + 1, w):
-                num = poly_sub(poly_mul(row[j], pivot), poly_mul(row[k], row_k[j]))
-                row[j] = poly_exquo(num, prev)
-        prev = pivot
-    return [[-c for c in d] if sign < 0 else d for d in A[n - 1][n - 1:]]
-
 
 def resultant(p: HomPoly, q: HomPoly, var: int) -> HomPoly:
     """Sylvester resultant eliminating ``var``: the subresultant S_0.
@@ -959,7 +914,12 @@ def subresultant(p: HomPoly, q: HomPoly, var: int, k: int) -> List[HomPoly]:
         return HomPoly({tuple({var: 0, hi: a, lo: d - a}[i] for i in range(3)):
                         c[a] / scale if gauss else Fraction(c[a], scale)
                         for a in range(len(c) - 1, -1, -1) if c[a]})
-    return [form(c, deg + j) for j, c in enumerate(_bareiss_last_row(rows))]
+    # the last echelon row: entry j is the determinant of the first n-1
+    # columns and column n-1+j when those columns hold the pivots 0..n-2
+    A, pivots, sign = echelon(rows)
+    n = len(A)
+    last = A[-1][n - 1:] if pivots[:n - 1] == list(range(n - 1)) else [[]] * (len(A[0]) - n + 1)
+    return [form([-x for x in c] if sign < 0 else c, deg + j) for j, c in enumerate(last)]
 
 
 # ---------------------------------------------------------------------------

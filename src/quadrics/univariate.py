@@ -29,7 +29,8 @@ import mpmath as mp
 import numpy as np
 from mpmath import libmp
 
-from .polynomials import gauss_ints, poly_exquo, round_div, trim
+from .linalg import poly_exquo, trim
+from .polynomials import gauss_ints, round_div
 from .scalars import GaussRat, coerce_scalar, integral, reconstruct_gauss, scalar_to_complex
 
 

@@ -11,23 +11,27 @@ array pass of the double Balls took the place of, and the polynomial
 parser that built a tree of ``PolyExprAST`` nodes and evaluated it
 through one ``HomPoly`` per node, with the ring operators it evaluated
 on, which the one-pass parser and the term-map kernels took the place
-of, and the intersection records' sort key on mpf parts."""
+of, the intersection records' sort key on mpf parts, and the
+Gauss-Jordan elimination on Fractions with the ``rank``, ``nullspace``
+and ``solve`` it served, which the one fraction-free echelon of
+``linalg`` took the place of."""
 
 import cmath
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import mpmath as mp
 import numpy as np
 
 from quadrics.arrangements import (ConditionVerdict, LineInfo, NoValidSelectionError,
                                    _lines_meet_point, lines_concurrent, lines_distinct)
+from quadrics.linalg import mat_copy
 from quadrics.polynomials import (DegenerateLeadingFormError, HomPoly, NotHomogeneousError,
                                   PolySyntaxError, _grlex_key, resultant, scalar_to_mp)
-from quadrics.scalars import GaussRat, scalar_to_complex
+from quadrics.scalars import GaussRat, Scalar, coerce_scalar, scalar_to_complex
 
 
 def has_common_component(p: HomPoly, q: HomPoly) -> bool:
@@ -708,3 +712,68 @@ def reference_record_sort_key(rec):
     pt = rec.point
     return tuple(0.0 if abs(x) <= pt.radius else float(x)
                  for cc in pt.coords for x in (mp.re(cc), mp.im(cc)))
+
+
+def reference_rref(M) -> Tuple[List[List[Scalar]], List[int]]:
+    """linalg.rref by Gauss-Jordan elimination on Fractions, kept verbatim."""
+    A = mat_copy(M)
+    if not A:
+        return A, []
+    rows, cols = len(A), len(A[0])
+    pivots: List[int] = []
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if A[i][c] != 0), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        pv = A[r][c]
+        A[r] = [x / pv for x in A[r]]
+        for i in range(rows):
+            if i != r and A[i][c] != 0:
+                f = A[i][c]
+                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return A, pivots
+
+
+def reference_rank(M) -> int:
+    return len(reference_rref(M)[1])
+
+
+def reference_nullspace(M) -> List[List[Scalar]]:
+    """linalg.nullspace on the Gauss-Jordan rref, kept verbatim."""
+    if not M:
+        return []
+    A, pivots = reference_rref(M)
+    cols = len(M[0])
+    free = [c for c in range(cols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * cols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -A[r][fc]
+        basis.append([coerce_scalar(x) for x in v])
+    return basis
+
+
+def reference_solve(M, rhs) -> Optional[List[Scalar]]:
+    """linalg.solve on the Gauss-Jordan rref of [M | rhs], kept verbatim."""
+    if not M:
+        return [] if all(b == 0 for b in rhs) else None
+    cols = len(M[0])
+    aug = [row + [b] for row, b in zip(mat_copy(M), rhs)]
+    A, pivots = reference_rref(aug)
+    for row in A:
+        if all(x == 0 for x in row[:cols]) and row[cols] != 0:
+            return None
+    x = [Fraction(0)] * cols
+    for r, pc in enumerate(pivots):
+        if pc == cols:
+            return None
+        x[pc] = A[r][cols]
+    return [coerce_scalar(v) for v in x]

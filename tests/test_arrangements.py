@@ -1093,6 +1093,23 @@ def test_scope_computes_each_intersection_once(monkeypatch):
     assert calls[(P1, P2, DEFAULT_PRECISION)] == 2
 
 
+def test_scope_rounds_each_adjugate_once_per_precision():
+    """A conic's adjugate is rounded for the contact points once per
+    precision in an analysis scope, and afresh on each call outside one."""
+    import quadrics.arrangements as arr
+    from quadrics.config import analysis_scope
+    from quadrics.polynomials import quadric_form
+    adj = quadric_form(P1).adjugate
+    outside = arr._adjugate_balls(adj, 256)
+    assert arr._adjugate_balls(adj, 256) is not outside
+    with analysis_scope():
+        first = arr._adjugate_balls(adj, 256)
+        assert arr._adjugate_balls(adj, 256) is first
+        with mp.workprec(512):  # the ambient precision is the higher one
+            assert arr._adjugate_balls(adj, 256) is arr._adjugate_balls(adj, 512) is not first
+    assert repr(first) == repr(outside)
+
+
 # c1 = z0^2 - 2 z2^2 + (z1 - z2)^2 and c2 = z0^2 - 2 z2^2 + (z1 + z2)^2
 # with l3 = z1 - z2 and l4 = z1 + z2, under an integer change of
 # coordinates: the tangent z0 = sqrt2 z2 touches c1 on l3 and c2 on l4,

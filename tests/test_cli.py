@@ -417,6 +417,7 @@ def _cli_process(args):
     pytest.param(["check-config", "{not_object}"], id="document-not-an-object"),
     pytest.param(["check-config", "{components_text}"], id="components-not-a-list"),
     pytest.param(["check-config", "{component_int}"], id="component-not-a-string"),
+    pytest.param(["check-config", "{huge_constant}"], id="coefficient-past-the-bit-bound"),
 ])
 def test_bad_input_exits_two_without_traceback(tmp_path, args):
     curve = _write(tmp_path, "curve.json", LINE_CURVE)
@@ -431,6 +432,7 @@ def test_bad_input_exits_two_without_traceback(tmp_path, args):
         "not_object": triple,
         "components_text": {"components": triple[0]},
         "component_int": {"components": [3] + triple[1:]},
+        "huge_constant": {"components": ["3^4000000*z0"] + triple[1:]},
         "cubics": {"family": [3, 3, 3],
                    "components": ["z0^3 + z1^3 - 7*z2^3", "z0^3 - z1*z2^2", "z1^3 + z0^2*z2"]},
         "sextic": {"family": [6, 2, 2], "components": ["z0^6 + z1^6 - z2^6"] + triple[1:]},

@@ -11,14 +11,14 @@ from mpmath import libmp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quadrics.polynomials import (MAX_DEGREE, MAX_NESTING, Ball, DegenerateLeadingFormError,
+from quadrics.polynomials import (MAX_COEFFICIENT_BITS, MAX_DEGREE, MAX_NESTING, Ball, DegenerateLeadingFormError,
                                   HomPoly, MpForms, NotHomogeneousError, PolySyntaxError,
                                   ProjPointNum, ZeroPolynomialError,
                                   ball_eval, coord_balls, gaussian_extension_eval,
                                   parse_poly,
                                   poly_from_matrix, quadric_form, resultant,
                                   subresultant, vanishes_at)
-from quadrics.linalg import adjugate, cross, det, dot
+from quadrics.linalg import adjugate, cross, det, dot, echelon
 from quadrics.scalars import GaussRat
 
 from exact_reference import (point_distance, reference_add, reference_compose,
@@ -255,6 +255,28 @@ def test_products_and_powers_are_bounded_in_degree():
         parse_poly("(z0 + 1)^99999999")
 
 
+def test_products_and_powers_are_bounded_in_coefficient_size():
+    """Past MAX_COEFFICIENT_BITS, estimated as the sum of the factors' bit
+    lengths or the base's times the exponent (up to twice the true
+    size), a power or a product is a syntax error at its '^' or '*', before
+    it is expanded; powers of the units 1, -1, i and -i are exempt."""
+    assert MAX_COEFFICIENT_BITS == 65536
+    assert parse_poly("(10^400*z0 + z1)^49").degree == 49
+    assert parse_poly("2^32768*z0").terms == {(1, 0, 0): Fraction(2 ** 32768)}
+    assert parse_poly("(-1)^99999999*z0") == -z0
+    assert parse_poly("i^99999999*z0", gaussian=True).terms == {(1, 0, 0): GaussRat(0, -1)}
+    for text, position, bits in [("3^4000000*z0", 1, 8000000),
+                                 ("(10^400*z0 + z1)^64", 16, 85056),
+                                 ("z0*(1/3)^40000", 8, 80000),
+                                 ("(1 + i)^65537*z0", 7, 65537),
+                                 ("2^32769*z0", 1, 65538),
+                                 ("2^30000*2^30000*2^30000*z0", 15, 90002)]:
+        with pytest.raises(PolySyntaxError) as info:
+            parse_poly(text, gaussian=True)
+        assert str(info.value) == (f"coefficients of about {bits} bits above "
+                                   f"{MAX_COEFFICIENT_BITS} (at position {position})")
+
+
 def test_parentheses_nest_up_to_the_limit():
     assert parse_poly("(" * MAX_NESTING + "z0" + ")" * MAX_NESTING) == z0
     assert parse_poly("(" * (MAX_NESTING - 1) + "(-1/2)" + ")" * (MAX_NESTING - 1)) \
@@ -431,6 +453,24 @@ def test_resultant_and_subresultants_match_sympy_in_every_variable(kind, var):
             assert sympy.expand(ours - sign(k) * members[k]) == 0
             compared += 1
     assert compared >= 12
+
+
+def test_echelon_of_a_sylvester_matrix_with_dependent_first_columns():
+    """The Sylvester matrix over Z[t] of (x^2 + t)(x - 1) and (x^2 + t)(x + 2)
+    in x has rank 4 of 6 (their gcd has degree 2), so its first five columns
+    are dependent: the echelon has four pivots and a zero last row, and
+    every coefficient of S_0 and S_1 is 0."""
+    p = [[1], [-1], [0, 1], [0, -1]]  # high to low in x, entries low to high in t
+    q = [[1], [2], [0, 1], [0, 2]]
+    rows = [[[]] * r + f + [[]] * (2 - r) for f in (p, q) for r in range(3)]
+    A, pivots, _ = echelon(rows)
+    assert pivots == [0, 1, 2, 3]
+    assert A[-1] == A[-2] == [[]] * 6
+    # the same pair as forms, x = z0 and t = z1 / z2
+    fp, fq = ((z0 ** 2 + z1 * z2) * (z0 + c * z2) for c in (-1, 2))
+    for k in (0, 1):
+        assert all(c.is_zero for c in subresultant(fp, fq, 0, k))
+    assert not subresultant(fp, fq, 0, 2)[0].is_zero
 
 
 def _sparse_form(rng, d, var, draw):

@@ -46,10 +46,14 @@ from the resultant's elimination to the root solve.  ``UniPoly``,
 ``_monic`` and ``nevanlinna._poly_key`` are gone, so no polynomial is
 converted between two exact formats on the way.
 
-One exact elimination: ``polynomials._bareiss_last_row``, on dense
-polynomials over Z or Z[i], is the only Bareiss elimination and serves
-only ``subresultant``; ``HomPoly.exact_div`` is left to the shared
-component of two curves (``common_component_witness``, ``_shared_factor``).
+One exact elimination: ``linalg.echelon``, fraction-free on dense
+polynomials over Z or Z[i], is the only code that swaps rows, so the only
+elimination; ``_bareiss_last_row`` and the Gauss-Jordan loop are gone.
+It serves ``polynomials.subresultant``, ``linalg.rank`` (its pivot count,
+with no ``rref``) and ``linalg.rref``, which ``nullspace`` reads and
+``solve`` reads through ``nullspace``; ``linalg`` does not import
+``fractions``.  ``HomPoly.exact_div`` is left to the shared component of
+two curves (``common_component_witness``, ``_shared_factor``).
 
 One error proof for numeric predicates: the constants of the two ball
 passes, ``_DOUBLE_PASS`` (eps, grow, tiny) and ``_mp_pass`` (the exponent
@@ -252,10 +256,30 @@ def test_one_memo():
 
 
 def test_one_bareiss_elimination_and_no_form_division_in_it():
-    defined = [(name, node.name) for name, tree in _trees() for node in ast.walk(tree)
-               if isinstance(node, ast.FunctionDef) and "bareiss" in node.name.lower()]
-    assert defined == [("polynomials.py", "_bareiss_last_row")]
-    assert _references("_bareiss_last_row") == [("polynomials.py", "subresultant")]
+    def swaps(node):  # a[i], a[j] = a[j], a[i]
+        return (isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple)
+                and len(node.targets) == 1 and isinstance(node.targets[0], ast.Tuple)
+                and len(node.value.elts) == 2
+                and all(isinstance(e, ast.Subscript) for e in node.value.elts)
+                and [ast.unparse(e) for e in node.targets[0].elts]
+                == [ast.unparse(e) for e in reversed(node.value.elts)])
+
+    swapping = {(name, func.name) for name, tree in _trees() for func in ast.walk(tree)
+                if isinstance(func, ast.FunctionDef) and any(map(swaps, ast.walk(func)))}
+    assert swapping == {("linalg.py", "echelon")}
+    names = {getattr(node, attr) for _, tree in _trees() for node in ast.walk(tree)
+             for attr in ("id", "attr", "name") if isinstance(getattr(node, attr, None), str)}
+    assert "_bareiss_last_row" not in names
+    assert sorted(set(_references("echelon"))) == [
+        ("linalg.py", "rank"), ("linalg.py", "rref"), ("polynomials.py", "subresultant")]
+    tree = dict(_trees())["linalg.py"]
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "rref" not in _calls(funcs["rank"])
+    assert "nullspace" in _calls(funcs["solve"])
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for a in node.names}
+    assert "fractions" not in imported
     assert sorted(set(_references("exact_div"))) == [
         ("arrangements.py", "_shared_factor"), ("arrangements.py", "common_component_witness")]
 

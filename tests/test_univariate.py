@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quadrics.polynomials import poly_mul
+from quadrics.linalg import poly_mul
 from quadrics.scalars import (GaussRat, coerce_scalar, parse_scalar_string, primitive_vector,
                               reconstruct_gauss)
 from quadrics import univariate
