@@ -16,9 +16,12 @@ O(1) offset.  T needs every component to be one term c e^{Q(xi)} with a
 constant c; the integrand is then a maximum of trigonometric polynomials
 in t, and T is summed in closed form on the arcs between its kinks.  Sum
 components serve counting and the exact degeneracy tests only.
-Zero counting uses integer winding numbers on a quadtree of rectangles,
-searched level by level so that each refinement round evaluates the
-contours of many cells at once, then Newton polishing.
+Zeros of a sum of one term, or of two terms with constant coefficients
+whose exponents differ by a linear polynomial, come in closed form with a
+proved radius each.  Other sums are counted by integer winding numbers
+on a quadtree of rectangles, searched level by level so that each
+refinement round evaluates the contours of many cells at once, then
+Newton polishing.
 
 Inside an analysis scope each T(r) and counting sample is computed once
 per curve, so the growth checks of one run share them.
@@ -34,6 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import mpmath as mp
 import numpy as np
 
 from .config import scoped
@@ -41,7 +45,7 @@ from .linalg import nullspace, poly_mul, poly_sub, rank, trim
 from .polynomials import HomPoly, vanishes_at
 from .scalars import (GaussRat, coerce_scalar, parse_scalar_string,
                       scalar_to_complex)
-from .univariate import _derivative, complex_roots, dehomogenize, uni_gcd
+from .univariate import _c2mpc, _derivative, complex_roots, dehomogenize, uni_gcd
 
 
 class QuadratureFailureError(ArithmeticError):
@@ -791,12 +795,88 @@ class _ZeroSearch:
         self.zeros.extend(z for _, z in found)
 
 
+_CF_BITS = 128  # the working precision of the two-term closed form
+
+
+def _up(x: mp.mpf) -> float:
+    """The least double >= x."""
+    f = float(x)
+    return f if f >= x else math.nextafter(f, math.inf)
+
+
+def _two_term_zeros(g: ExpSum, half_side: float) -> Optional[List[CountedZero]]:
+    """The zeros of g = a e^P + b e^Q, a and b constants and P - Q of
+    degree at most 1, in the centered square, in closed form; None for any
+    other two-term sum, which is left to the quadtree.
+
+    g = a e^Q (e^D - e^L), with D = P - Q = d_0 + d_1 xi and
+    L = log(-b/a), vanishes exactly where D(xi) = L + 2 pi i k for an
+    integer k, each zero simple.  In the square |xi| <= R, its half
+    diagonal, so 2 pi |k| <= |d_0| + |d_1| R + |L|, and every k up to that
+    bound is taken, in increasing order.  A constant D gives no zero:
+    e^{d_0} is transcendental for d_0 != 0 (Lindemann), so it is never
+    -b/a.
+
+    xi_k = A + k B, A = (L - d_0) / d_1 and B = 2 pi i / d_1 in mpmath at
+    128 bits, put on fixed-point Gaussian integers of 2^-F with 2^-F
+    about 2^-128 |B|; each zero is one exact integer sum, rounded once to
+    doubles.  Its radius is
+
+        e_A + |k| e_B + 2^-52 (|Re xi_k| + |Im xi_k|) + 2^-1074,
+        e_A = 2^-120 (1 + |L| + |d_0|) / |d_1| + 2^-F,
+        e_B = 2^-120 2 pi / |d_1| + 2^-F:
+
+    with mpmath's log, pi and complex division accurate to a few units in
+    the last of 128 bits, the computed A and B are within
+    2^-123 (1 + |L| + |d_0|) / |d_1| and 2^-123 2 pi / |d_1| of the true
+    ones (the 1 covers the absolute error of L when -b/a is rounded next
+    to 1), the fixed point moves each by 2^-F / sqrt 2 at most, and
+    rounding to doubles moves each part by 2^-53 of it, or by 2^-1075
+    below the normal range.  Every term is at least sqrt 2 times what it
+    bounds, which covers the rounding of the radius's own float sum.
+    """
+    (a, P), (b, Q) = g.terms
+    D = poly_sub(list(P), list(Q))
+    if len(a) > 1 or len(b) > 1 or len(D) > 2:
+        return None
+    if len(D) < 2:
+        return []
+    out = []
+    with mp.workprec(_CF_BITS):
+        L = mp.log(_c2mpc(coerce_scalar(-b[0] / a[0])))
+        d0, d1 = (_c2mpc(c) for c in D)
+        K = int((abs(d0) + abs(d1) * mp.sqrt(2) * half_side + abs(L)) / (2 * mp.pi)) + 1
+        A, B = (L - d0) / d1, mp.mpc(0, 2 * mp.pi) / d1
+        F = max(_CF_BITS - mp.mag(B), 0)
+        (Ar, Ai), (Br, Bi) = ((int(mp.nint(mp.ldexp(x, F))) for x in (z.real, z.imag))
+                              for z in (A, B))
+        e_A = _up(mp.ldexp((1 + abs(L) + abs(d0)) / abs(d1), -120) + mp.ldexp(1, -F))
+        e_B = _up(mp.ldexp(2 * mp.pi / abs(d1), -120) + mp.ldexp(1, -F))
+    S = 1 << F
+    for k in range(-K, K + 1):
+        z = complex((Ar + k * Br) / S, (Ai + k * Bi) / S)
+        if max(abs(z.real), abs(z.imag)) <= half_side:
+            radius = e_A + abs(k) * e_B + _EPS * (abs(z.real) + abs(z.imag)) + 2.0 ** -1074
+            out.append(CountedZero(z, 1, radius))
+    return out
+
+
 def locate_zeros_in_box(g: ExpSum, half_side: float,
                         isolate_tol: Optional[float] = None) -> Tuple[List[CountedZero], float]:
-    """All zeros of g in the centered square, by quadtree winding.
+    """All zeros of g in the centered square: (zeros, max winding residual).
 
-    Returns (zeros, max winding residual).  Single-term sums reduce to
-    the polynomial coefficient's roots.
+    A zero is kept when its computed position lies in the square.  A
+    single term c(xi) e^{Q(xi)} has the roots of c, with exact
+    multiplicities and certified radii (``roots_with_multiplicity``).  Two
+    terms a e^P + b e^Q with constant a and b and P - Q of degree at most
+    1 have their zeros in closed form (``_two_term_zeros``), one
+    fixed-point sum per zero, its radius a proved bound on the rounding.
+    Both are solved without a search, and their residual is 0.0.  A
+    two-term sum with P - Q of degree 2 or more, a sum of three or more
+    terms, and a sum with a coefficient that is not constant go to the
+    quadtree (``_ZeroSearch``), whose zeros have the isolation tolerance
+    (a multiple zero its cell's diameter) as radius and whose residual is
+    the largest distance of a winding from a multiple of 2 pi.
     """
     if g.is_zero:
         raise ValueError("identically zero function")
@@ -810,6 +890,10 @@ def locate_zeros_in_box(g: ExpSum, half_side: float,
                 if max(abs(z.real), abs(z.imag)) <= half_side:
                     out.append(CountedZero(z, ball.multiplicity, float(ball.radius)))
         return out, 0.0
+    if len(g.terms) == 2:
+        zeros = _two_term_zeros(g, half_side)
+        if zeros is not None:
+            return zeros, 0.0
     tol = isolate_tol if isolate_tol is not None else max(half_side * 1e-10, 1e-13)
     search = _ZeroSearch(g, tol)
     search.run(-half_side, half_side, -half_side, half_side)
@@ -861,10 +945,15 @@ class CountingSample:
 def counting(curve: ExpCurve, divisor: HomPoly, r: float) -> CountingSample:
     """Zeros of the divisor composed with the curve, inside |xi| <= r.
 
-    The zero search runs on the circumscribing square and the disk filter
-    keeps moduli <= r; exact containment of the curve in the divisor is
-    detected symbolically first.  Inside an analysis scope each (curve,
-    divisor, r) is computed once; callers must not modify the sample.
+    Exact containment of the curve in the divisor is detected
+    symbolically first.  ``locate_zeros_in_box`` then finds the zeros in
+    the circumscribing square: a composed sum of one term, or of two terms
+    with constant coefficients whose exponents differ by a linear
+    polynomial, in closed form with a proved radius per zero, any other
+    sum by the quadtree.  The disk filter keeps moduli <= r, and a zero
+    whose disk meets |xi| = r raises ZeroOnContourError, since it could
+    lie on either side.  Inside an analysis scope each (curve, divisor, r)
+    is computed once; callers must not modify the sample.
     """
     return scoped(("counting", curve, divisor, r),
                   lambda: _counting(curve, divisor, r))
@@ -879,7 +968,14 @@ def _counting(curve: ExpCurve, divisor: HomPoly, r: float) -> CountingSample:
             f"the curve lies inside the divisor {divisor}")
     half = r * (1 + 1.0 / 64) + 1.0 / 32
     box_zeros, residual = locate_zeros_in_box(g, half)
-    inside = [z for z in box_zeros if abs(z.position) <= r]
+    inside = []
+    for z in box_zeros:
+        m = abs(z.position)
+        # abs rounds within a unit in the last place of r near the circle
+        if abs(m - r) <= z.radius + _EPS * r:
+            raise ZeroOnContourError(f"the disk of the zero at {z.position} meets |xi| = {r}")
+        if m <= r:
+            inside.append(z)
     return CountingSample(divisor, divisor.degree, r, inside, residual)
 
 

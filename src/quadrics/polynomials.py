@@ -18,11 +18,14 @@ A leading unary minus and, when ``gaussian=True``, the literal ``i`` are
 accepted as strict extensions; everything the grammar produces parses,
 with parentheses nested at most ``MAX_NESTING`` (100) deep and products
 and powers of degree at most ``MAX_DEGREE`` (64) whose coefficients stay
-within an estimated ``MAX_COEFFICIENT_BITS`` (65,536) bits.  Past those,
-the first '(' too many, or the '*' or '^' whose value would pass the
-degree or the size, is a ``PolySyntaxError``.  Digits are the ASCII
-ones; any other character outside the grammar, another script's digits
-included, is a ``PolySyntaxError`` at its position.
+within an estimated ``MAX_COEFFICIENT_BITS`` (65,536) bits, and integer
+literals of at most ``MAX_LITERAL_DIGITS`` (4,300) digits, or of the
+interpreter's ``sys.get_int_max_str_digits()`` where that is lower.  Past
+those, the first '(' too many, the '*' or '^' whose value would pass the
+degree or the size, or the first digit of the long literal is a
+``PolySyntaxError``.  Digits are the ASCII ones; any other character
+outside the grammar, another script's digits included, is a
+``PolySyntaxError`` at its position.
 
 ``parse_poly`` tokenizes the text, then evaluates while it parses, in one
 recursive-descent pass: sums and products are loops, so their length is
@@ -38,6 +41,7 @@ then the first homogeneity error in evaluation order.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -574,6 +578,14 @@ MAX_DEGREE = 64
 # unless the base is a unit, a product's the sum of its factors' sizes.
 MAX_COEFFICIENT_BITS = 65536
 
+# The most digits an integer literal may have: CPython's default limit on
+# int() of a decimal string, whose own error names no position.  About
+# 14,300 bits, within MAX_COEFFICIENT_BITS; a literal longer than this, or
+# than the interpreter's limit where PYTHONINTMAXSTRDIGITS or
+# sys.set_int_max_str_digits set it lower, is a syntax error at its first
+# digit.
+MAX_LITERAL_DIGITS = 4300
+
 _UNIT_CONSTANTS = (1, -1, GaussRat(0, 1), GaussRat(0, -1))
 
 _UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -591,6 +603,7 @@ def _tokenize(text: str, gaussian: bool):
     operator characters."""
     kinds, values, positions = [], [], []
     i, n = 0, len(text)
+    digits = min(MAX_LITERAL_DIGITS, sys.get_int_max_str_digits() or MAX_LITERAL_DIGITS)
     while i < n:
         ch = text[i]
         if ch in "+-*^()/":
@@ -609,6 +622,8 @@ def _tokenize(text: str, gaussian: bool):
             j = i + 1
             while j < n and "0" <= text[j] <= "9":
                 j += 1
+            if j - i > digits:
+                raise PolySyntaxError(f"integer literal of {j - i} digits above {digits}", i)
             kinds.append("int")
             values.append(int(text[i:j]))
             positions.append(i)

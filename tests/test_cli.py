@@ -360,10 +360,11 @@ def test_manifest_command_is_the_callers_argv(tmp_path, capsys):
     assert json.loads(out.read_text())["manifest"]["command"] == " ".join(argv)
 
 
-def _cli_process(args):
-    """Run the CLI in a fresh interpreter: (exit code, stdout, stderr)."""
+def _cli_process(args, **env):
+    """Run the CLI in a fresh interpreter, with the environment variables
+    env added: (exit code, stdout, stderr)."""
     src = os.path.dirname(os.path.dirname(quadrics.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=src, **env)
     proc = subprocess.run([sys.executable, "-m", "quadrics.cli", "--timestamp", "T"] + args,
                           capture_output=True, text=True, env=env, timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
@@ -443,6 +444,23 @@ def test_bad_input_exits_two_without_traceback(tmp_path, args):
     assert code == 2
     assert "Traceback" not in err
     assert json.loads(out)["report"]["error"].startswith("parse error")
+
+
+@pytest.mark.parametrize("length, env, limit", [
+    pytest.param(4301, {}, 4300, id="default-limit"),
+    pytest.param(2000, {"PYTHONINTMAXSTRDIGITS": "1000"}, 1000, id="lower-interpreter-limit"),
+])
+def test_a_long_integer_literal_exits_two_at_its_position(tmp_path, length, env, limit):
+    """An integer literal past polynomials.MAX_LITERAL_DIGITS, or past a
+    lower digit limit set for the interpreter, is a syntax error at its
+    first digit, not CPython's int() error."""
+    triple = TRIPLE_CONFIG["components"]
+    cfg = _write(tmp_path, "cfg.json", {"components": ["z0^2 + " + "9" * length + "*z1^2"]
+                                        + triple[1:]})
+    code, out, err = _cli_process(["check-config", cfg], **env)
+    assert code == 2 and "Traceback" not in err
+    assert json.loads(out)["report"]["error"] == (
+        f"parse error: integer literal of {length} digits above {limit} (at position 7)")
 
 
 @pytest.mark.parametrize("components, family, code, condition, note", [
@@ -668,7 +686,8 @@ def test_nevanlinna_searches_zeros_once_per_divisor(tmp_path, monkeypatch):
     curve = _write(tmp_path, "curve.json", LINE_CURVE)
     code, _ = _run(["nevanlinna", curve] + GROWTH_ARGS, tmp_path)
     assert code == 0
-    assert calls == {"locate": 2, "derivative": 2}
+    # both divisors give two-term sums, solved in closed form with no g'
+    assert calls == {"locate": 2, "derivative": 0}
 
 
 def test_nevanlinna_report_matches_fresh_curves(tmp_path):

@@ -338,6 +338,127 @@ def test_counting_multiple_zero_at_origin():
     assert origin and origin[0].multiplicity == 2
 
 
+# Two-term divisors, whose zeros locate_zeros_in_box gives in closed form:
+# (curve, divisor).  P - Q = a xi is linear, a on several directions, and
+# -b/a = 1, -1, -2 and -3/2.
+_TWO_TERM_CASES = {
+    "line": (EXP_LINE, "z1 - z0"),
+    "line_plus": (EXP_LINE, "z1 + z0"),
+    "diagonal": (ExpCurve.from_exponents([[0], [0, GaussRat(1, 1)]]), "2*z1 + 3*z0"),
+    "rotated": (ExpCurve.from_exponents([[0], [0, GaussRat(Fraction(3, 5), Fraction(-4, 5))]]),
+                "z1 - z0"),
+    "negative_imaginary": (ExpCurve.from_exponents([[0], [0, GaussRat(0, -1)]]), "z1 + 2*z0"),
+}
+
+
+@pytest.mark.parametrize("r", [10.0, 20.0])
+@pytest.mark.parametrize("name", sorted(_TWO_TERM_CASES))
+def test_two_term_closed_form_matches_the_quadtree(name, r):
+    """The closed-form zeros of a two-term divisor and the quadtree's zeros
+    on the same square: equal counts in the disk, and each closed-form
+    zero within the two radii of a distinct quadtree zero."""
+    from quadrics.nevanlinna import _ZeroSearch
+    curve, divisor = _TWO_TERM_CASES[name]
+    sample = counting(curve, parse_poly(divisor), r)
+    assert sample.winding_residual == 0.0
+    half = r * (1 + 1 / 64) + 1 / 32
+    search = _ZeroSearch(curve.compose(parse_poly(divisor)), half * 1e-10)
+    search.run(-half, half, -half, half)
+    tree = [z for z in search.zeros if abs(z.position) <= r]
+    assert len(sample.zeros) == len(tree) > 0
+    matched = set()
+    for z in sample.zeros:
+        j = min(range(len(tree)), key=lambda i: abs(tree[i].position - z.position))
+        assert abs(tree[j].position - z.position) <= z.radius + tree[j].radius
+        assert z.multiplicity == tree[j].multiplicity == 1
+        matched.add(j)
+    assert len(matched) == len(tree)
+
+
+@pytest.mark.parametrize("name", sorted(_TWO_TERM_CASES))
+def test_two_term_radii_hold_the_zeros(name):
+    """Each closed-form zero lies within its radius of the root
+    (L + 2 pi i k - d_0) / d_1 of D - L - 2 pi i k, k read off the zero,
+    with D = P - Q = d_0 + d_1 xi and L = log(-b/a), computed at 256 bits
+    from the exact coefficients."""
+    from quadrics.linalg import poly_sub
+    from quadrics.nevanlinna import locate_zeros_in_box
+    curve, divisor = _TWO_TERM_CASES[name]
+    g = curve.compose(parse_poly(divisor))
+    (a, P), (b, Q) = g.terms
+
+    def exact(c):
+        c = GaussRat(0) + c
+        return mp.mpc(mp.mpf(c.re.numerator) / c.re.denominator,
+                      mp.mpf(c.im.numerator) / c.im.denominator)
+    zeros, _ = locate_zeros_in_box(g, 20.0)
+    assert zeros
+    with mp.workprec(256):
+        L = mp.log(exact(-b[0] / a[0]))
+        d0, d1 = (exact(c) for c in poly_sub(list(P), list(Q)))
+        for z in zeros:
+            k = int(mp.nint((d0 + d1 * z.position - L).imag / (2 * mp.pi)))
+            assert abs((L + mp.mpc(0, 2 * mp.pi * k) - d0) / d1 - z.position) <= z.radius
+
+
+def test_two_term_count_at_radius_ten_thousand():
+    """[1 : e^xi] against z1 - z0 at r = 10^4: 2 floor(r / 2 pi) + 1 zeros,
+    in closed form, well within a second."""
+    import time
+    r = 1e4
+    t0 = time.perf_counter()
+    sample = counting(ExpCurve.from_exponents([[0], [0, 1]]), parse_poly("z1 - z0"), r)
+    assert time.perf_counter() - t0 < 1.0
+    assert sample.n_at(r) == len(sample.zeros) == 2 * math.floor(r / (2 * math.pi)) + 1
+
+
+def test_two_term_coefficients_beyond_the_double_range():
+    """10^400 e^xi - 1 has its zeros at -400 log 10 + 2 pi i k; no double
+    holds 10^400, and the closed form never needs one: the 123 with
+    |2 pi k| <= sqrt(1000^2 - (400 log 10)^2) lie within r = 1000."""
+    sample = counting(EXP_LINE, parse_poly("10^400*z1 - z0"), 1000.0)
+    assert len(sample.zeros) == 123
+    assert all(abs(z.position.real + 400 * math.log(10)) < 1e-9 for z in sample.zeros)
+
+
+def test_a_zero_on_the_circle_is_undecided():
+    """The zero 2 pi i of e^xi - 1 sits on |xi| = 2 pi to the last bit, so
+    its disk meets the circle: no float comparison keeps or drops it."""
+    from quadrics.nevanlinna import ZeroOnContourError
+    with pytest.raises(ZeroOnContourError, match="meets"):
+        counting(EXP_LINE, parse_poly("z1 - z0"), 2 * math.pi)
+    assert counting(EXP_LINE, parse_poly("z1 - z0"), 2 * math.pi + 1e-9).n_at(7.0) == 3
+
+
+@pytest.mark.parametrize("g, searched, at_origin", [
+    (ExpSum([([1], [0, 1]), ([-1], [])]), False, [1]),               # e^xi - 1
+    (ExpSum([([1], [1]), ([-1], [])]), False, []),                   # e - 1: no zero
+    (ExpSum([([1], [0, 1]), ([-1], [0, 0, 1])]), True, [1]),         # e^xi - e^{xi^2}
+    (ExpSum([([1], [0, 0, 1]), ([-1], [])]), True, [2]),             # e^{xi^2} - 1
+    (ExpSum([([0, 1], [0, 1]), ([-1], [])]), True, []),              # xi e^xi - 1
+    (ExpSum([([1], []), ([1], [0, 1]), ([1], [0, 0, 1])]), True, []),  # three terms
+])
+def test_only_two_constant_terms_skip_the_quadtree(g, searched, at_origin):
+    """Two terms with constant coefficients and a linear exponent
+    difference are solved in closed form; a quadratic exponent difference
+    (e^xi - e^{xi^2}, as z1 - z2 on [1 : e^xi : e^{xi^2}], and
+    e^{xi^2} - 1 with its double zero at 0), a coefficient that is not
+    constant and three terms go to the quadtree, and the double zero
+    keeps its multiplicity 2 there."""
+    import quadrics.nevanlinna as nv
+    runs = []
+
+    class Counted(nv._ZeroSearch):
+        def run(self, *box):
+            runs.append(box)
+            super().run(*box)
+
+    with mock.patch.object(nv, "_ZeroSearch", Counted):
+        zeros, residual = nv.locate_zeros_in_box(g, 3.0)
+    assert bool(runs) == searched and (residual > 0) == searched
+    assert [z.multiplicity for z in zeros if abs(z.position) < 1e-5] == at_origin
+
+
 def test_zero_search_rejects_an_unconverged_polish():
     """e^{a xi} - 1, a = 250559/250000: Newton from the centre of this
     winding-1 cell runs all its steps and stops inside the cell at
@@ -471,8 +592,9 @@ def test_polish_matches_the_reference_polish(tol):
     assert sum(ok for _, ok in got) > len(_POLISH_CASES) // 2
 
 
-# locate_zeros_in_box as the depth-first, one-rectangle-at-a-time search
-# gave it: (sum, half side, zeros in list order, max residual).
+# The quadtree on the centered square, as the depth-first,
+# one-rectangle-at-a-time search gave it: (sum, half side, zeros in list
+# order, max residual).
 _ZERO_ORDER_CASES = {
     # the root's centered cut runs through the zeros on the imaginary axis
     # and is retried at shift 1/16
@@ -518,13 +640,16 @@ _ZERO_ORDER_CASES = {
 def test_zero_search_keeps_depth_first_order_bit_for_bit(name):
     """The level-batched search lists the zeros in depth-first order with
     the positions, multiplicities and max residual of the depth-first
-    search, bit for bit, so every N(r) sum adds in the same order."""
-    from quadrics.nevanlinna import locate_zeros_in_box
+    search, bit for bit, so every N(r) sum adds in the same order.  The
+    search runs directly, with the tolerance locate_zeros_in_box gives it,
+    since that solves the two-term sums in closed form."""
+    from quadrics.nevanlinna import _ZeroSearch
     g, half, want, residual = _ZERO_ORDER_CASES[name]
-    zeros, got_residual = locate_zeros_in_box(g, half)
+    search = _ZeroSearch(g, max(half * 1e-10, 1e-13))
+    search.run(-half, half, -half, half)
     assert [(z.position.real.hex(), z.position.imag.hex(), z.multiplicity)
-            for z in zeros] == list(want)
-    assert got_residual.hex() == residual
+            for z in search.zeros] == list(want)
+    assert search.max_residual.hex() == residual
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from mpmath import libmp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quadrics.polynomials import (MAX_COEFFICIENT_BITS, MAX_DEGREE, MAX_NESTING, Ball, DegenerateLeadingFormError,
+from quadrics.polynomials import (MAX_COEFFICIENT_BITS, MAX_DEGREE, MAX_LITERAL_DIGITS, MAX_NESTING, Ball, DegenerateLeadingFormError,
                                   HomPoly, MpForms, NotHomogeneousError, PolySyntaxError,
                                   ProjPointNum, ZeroPolynomialError,
                                   ball_eval, coord_balls, gaussian_extension_eval,
@@ -275,6 +275,36 @@ def test_products_and_powers_are_bounded_in_coefficient_size():
             parse_poly(text, gaussian=True)
         assert str(info.value) == (f"coefficients of about {bits} bits above "
                                    f"{MAX_COEFFICIENT_BITS} (at position {position})")
+
+
+def test_integer_literals_are_bounded_in_length():
+    """A literal of MAX_LITERAL_DIGITS digits parses; one digit more is a
+    syntax error at its first digit, not CPython's int() limit."""
+    assert MAX_LITERAL_DIGITS == 4300
+    assert parse_poly("z0 + " + "7" * 4300 + "*z1").terms[(0, 1, 0)] == int("7" * 4300)
+    for text, position, digits in [("z0 + " + "7" * 4301 + "*z1", 5, 4301),
+                                   ("1" * 100000 + "*z2", 0, 100000),
+                                   ("(1/" + "3" * 4301 + ")*z0", 3, 4301)]:
+        with pytest.raises(PolySyntaxError) as info:
+            parse_poly(text)
+        assert str(info.value) == (f"integer literal of {digits} digits above "
+                                   f"{MAX_LITERAL_DIGITS} (at position {position})")
+
+
+def test_integer_literals_follow_a_lower_interpreter_limit():
+    """Where the interpreter's int() digit limit is below
+    MAX_LITERAL_DIGITS, the tokenizer uses that limit, so a literal past
+    it is still a syntax error at its first digit."""
+    import sys
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(1000)
+    try:
+        assert parse_poly("z0 - " + "8" * 1000 + "*z2").terms[(0, 0, 1)] == -int("8" * 1000)
+        with pytest.raises(PolySyntaxError) as info:
+            parse_poly("z0 - " + "8" * 1001 + "*z2")
+        assert str(info.value) == "integer literal of 1001 digits above 1000 (at position 5)"
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_parentheses_nest_up_to_the_limit():
