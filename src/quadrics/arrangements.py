@@ -36,13 +36,14 @@ import numpy as np
 from mpmath import libmp
 
 from .config import DEFAULT_PRECISION, PrecisionConfig, scoped
-from .linalg import adjugate, cross, det, dot, nullspace, poly_mul, poly_sub, rank, solve, trim
+from .linalg import (adjugate, cross, det, dot, echelon, nullspace, poly_mul, poly_sub, rank,
+                     solve, trim)
 from .polynomials import (Ball, HomPoly, MpForms, PrecisionExhaustedError,
-                          ProjPointNum, ZeroPolynomialError, _mag, _unit_vector,
-                          _mul_up, _up, ball_eval, coerce_point, coord_balls,
+                          ProjPointNum, ZeroPolynomialError, _unit_vector,
+                          ball_eval, coerce_point, coord_balls,
                           excludes_zero, gauss_div, gauss_ints, gauss_mul, quadric_form,
                           resultant, subresultant, vanishes_at)
-from .scalars import scalar_to_complex
+from .scalars import GaussRat, integral, scalar_to_complex
 from .univariate import RootFindingError, binary_form_roots, uni_gcd, yun_squarefree
 
 
@@ -843,6 +844,12 @@ def _transversality_verdict(polys, pairwise, bits) -> ConditionVerdict:
     for (i, j, k), point in triples:
         witnesses.append(point)
         notes.append(f"components {i},{j},{k} meet at one point")
+    if unsure and not notes and len(polys) == 3 and all(p.degree == 2 for p in polys):
+        # three transversal conics have a triple point iff they share a zero
+        if not conics_share_a_zero(*polys):
+            return ConditionVerdict("pass")
+        witnesses = [point for _, point in unsure]
+        notes.append("components 0,1,2 meet at one point")
     if notes:
         keys = [repr(w) for w in witnesses]
         uniq = [w for n, w in enumerate(witnesses) if keys[n] not in keys[:n]]
@@ -861,49 +868,37 @@ def common_tangents(q1: HomPoly, q2: HomPoly, prec_cfg) -> List[ProjPointNum]:
     return [rec.point for rec in intersection_points(d1, d2, precision=prec_cfg)]
 
 
-def _adjugate_balls(adj, bits: int):
-    """(rows, S, p) for ``_contact_point``, once per conic and p in an
-    analysis scope: the entries of ``adj`` rounded once to mpc at the
-    contact points' precision p, ``bits`` or the ambient precision if
-    higher, and S, the largest row sum of their moduli rounded up."""
-    prec = max(bits, mp.mp.prec)
+def conics_share_a_zero(a: HomPoly, b: HomPoly, d1: HomPoly, d2: HomPoly = HomPoly()) -> bool:
+    """Is some common zero of the conics a and b a zero of the quadratic
+    forms d1 and d2 (d2 may be zero)?  Exact.
 
-    def compute():
-        with mp.workprec(prec):
-            rows = [[Ball.exact(a, False).mid for a in row] for row in adj]
-        return rows, max(_up(*(_mag(a._mpc_) for a in row)) for row in rows), prec
-    return scoped(("adjugate_balls", adj, prec), compute)
+    Res(a, b, d1 + t d2) is det M / 512 up to sign (Cox, Little and
+    O'Shea, Using Algebraic Geometry, ch. 3 §2): M's rows are the
+    coefficients of the three forms and of the partials of their Jacobian
+    J1 + t J2, so each is linear in t.  If the resultant vanishes for
+    every t, one of the finitely many common zeros of a and b serves two t,
+    so d1 and d2 vanish there.  Hence the answer is rank M < 6 over Q(t):
+    one ``echelon`` over Z[t], each row scaled to integers.  Where a and b
+    share a component the answer is always True."""
+    j1, j2 = (dot(a.gradient(), cross(b.gradient(), d.gradient())) for d in (d1, d2))
+    rows = [_poly_coeff_vector(f) + _poly_coeff_vector(g)
+            for f, g in [(a, HomPoly()), (b, HomPoly()), (d1, d2)]
+            + [(j1.derivative(k), j2.derivative(k)) for k in range(3)]]
+    gauss = any(isinstance(x, GaussRat) for row in rows for x in row)
+    M = [[trim([x, y]) for x, y in zip(r[:6], r[6:])]
+         for r in (integral(row, gauss)[0] for row in rows)]
+    return len(echelon(M)[1]) < 6
 
 
-def _contact_point(adj, adj_balls, line_pt: ProjPointNum, bits: int) -> ProjPointNum:
-    """Pole of a tangent line: the point where it touches the conic whose
-    matrix has adjugate ``adj`` (``adj_balls`` from ``_adjugate_balls`` at
-    the same ``bits``).  A numeric pole is the mpc product of the rounded
-    adjugate with the tangent's coordinates at ``bits`` (the ambient
-    precision if higher), and its radius covers that rounding as well."""
-    if line_pt.is_exact():
-        return ProjPointNum.from_exact([dot(row, line_pt.exact) for row in adj])
-    rows, row_sum, adj_prec = adj_balls
-    with mp.workprec(max(bits, mp.mp.prec)):
-        v = [dot(row, line_pt.coords) for row in rows]
-        # An entry a~ of a row is within 2 eps |a~| of the exact one, and
-        # the tangent's coordinates have moduli at most 1 + 2^-50, each
-        # within r of a representative of the true tangent.  The dot
-        # product rounds three products and two sums, each by eps relative
-        # to the sum of |a~| |l|; so each entry of v lies within
-        # S r + 8 eps S r + 16 eps S of the true pole's, S the largest row
-        # sum and eps = 2^(2 - p) at the lower of the two precisions p.
-        S = row_sum._mpf_
-        sr = _mul_up(S, line_pt.radius._mpf_)
-        p = min(adj_prec, mp.mp.prec)
-        err = _up(sr, libmp.mpf_shift(sr, 5 - p), libmp.mpf_shift(S, 6 - p))
-        # the radius of v divided by sup|mid| where that is above 1
-        # (ProjPointNum divides by one below 1), doubled, and 2^(4-p) for
-        # the rounding of the normalization
-        sup = functools.reduce(_max, [_mag(x._mpc_, "d") for x in v], libmp.fone)
-        rad = _up(libmp.mpf_div(libmp.mpf_shift(err._mpf_, 1), sup, 53, "u"),
-                  libmp.from_man_exp(1, 4 - mp.mp.prec))
-        return ProjPointNum(v, rad)
+def _pole(adj, ell) -> list:
+    """adj . ell: where the tangent ell touches the conic of adjugate adj."""
+    return [dot(row, ell) for row in adj]
+
+
+def _at_contact(f: HomPoly, adj) -> HomPoly:
+    """f(adj . l), f at a tangent l's contact point, squared if f is a line."""
+    g = f.compose([HomPoly.linear_form(row) for row in adj])
+    return g * g if g.degree == 1 else g
 
 
 def genericity_check_s4(cfg: Configuration,
@@ -966,47 +961,49 @@ def _tangent_contact_verdict(groups, fail_note, prec_cfg) -> ConditionVerdict:
     """Fails when a common tangent of two conics touches them at points P
     and Q lying on a given pair of curves.
 
-    ``groups`` holds (conic for P, conic for Q, [(curve for P, curve for
-    Q), ...]).  Both conics must be smooth; a singular one, or a dual
-    intersection that degenerates, leaves the verdict undecided.
+    ``groups`` holds (the conics' label, conic for P, conic for Q,
+    [(curve for P, curve for Q), ...]).  A tangent l is a zero of both
+    dual conics and touches a conic at adj . l, so ``conics_share_a_zero``
+    of the duals and ``_at_contact`` of the curves decides a curve pair.
+    A fail lists P and Q of each exact tangent that meets the clause
+    exactly, in the tangents' order, and names a failing curve pair with
+    none, whose tangent is irrational.  Singular conics, or proportional
+    duals (where every input fails), leave the verdict undecided.
     """
     witnesses = []
-    unsure: Dict[str, List[ProjPointNum]] = {}
-    bits = max(prec_cfg.start_bits, mp.mp.prec)  # the contact points' precision
-    for c1, c2, curve_pairs in groups:
-        if quadric_form(c1).rank != 3 or quadric_form(c2).rank != 3:
+    notes = [fail_note]
+    for label, c1, c2, curve_pairs in groups:
+        qf1, qf2 = quadric_form(c1), quadric_form(c2)
+        if qf1.rank != 3 or qf2.rank != 3:
             return ConditionVerdict("undecided", note="needs smooth quadrics")
-        adj1, adj2 = quadric_form(c1).adjugate, quadric_form(c2).adjugate
-        try:
-            tangents = common_tangents(c1, c2, prec_cfg)
-        except (CommonComponentError, PrecisionExhaustedError):
+        if rank([_poly_coeff_vector(qf1.dual), _poly_coeff_vector(qf2.dual)]) < 2:
             return ConditionVerdict("undecided", note="degenerate dual intersection")
-        balls1, balls2 = _adjugate_balls(adj1, bits), _adjugate_balls(adj2, bits)
-        for ell in tangents:
-            P = _contact_point(adj1, balls1, ell, bits)
-            Q = _contact_point(adj2, balls2, ell, bits)
-            for fP, fQ in curve_pairs:
-                with mp.workprec(bits):
-                    onP = vanishes_at(fP, P)
-                    onQ = vanishes_at(fQ, Q)
-                if onP is None or onQ is None:
-                    if onP is not False and onQ is not False:
-                        unsure.setdefault(f"{fP} or {fQ} at the contact points",
-                                          []).extend([P, Q])
-                    continue
-                if onP and onQ:
-                    witnesses.extend([P, Q])
-    if witnesses:
-        return ConditionVerdict("fail", witnesses=witnesses, note=fail_note)
-    if unsure:
-        return ConditionVerdict("undecided",
-                                note=_unseparated("common-tangent contact test", unsure, bits))
+        hits = [(fP, fQ) for fP, fQ in curve_pairs if conics_share_a_zero(
+            qf1.dual, qf2.dual, _at_contact(fP, qf1.adjugate), _at_contact(fQ, qf2.adjugate))]
+        if not hits:
+            continue
+        witnessed = set()
+        for ell in common_tangents(c1, c2, prec_cfg):
+            if not ell.is_exact():
+                continue
+            P, Q = _pole(qf1.adjugate, ell.exact), _pole(qf2.adjugate, ell.exact)
+            for n, (fP, fQ) in enumerate(hits):
+                if fP.eval_exact(P) == 0 and fQ.eval_exact(Q) == 0:
+                    witnesses.extend([ProjPointNum.from_exact(P), ProjPointNum.from_exact(Q)])
+                    witnessed.add(n)
+        notes.extend(f"the common tangent of {label}"
+                     + (f" with contact points on {fP} and {fQ}" if fP != fQ else "")
+                     + " is irrational: no witness point"
+                     for n, (fP, fQ) in enumerate(hits) if n not in witnessed)
+    if len(notes) > 1 or witnesses:
+        return ConditionVerdict("fail", witnesses=witnesses, note="; ".join(notes))
     return ConditionVerdict("pass")
 
 
 def _condition3_222(polys, prec_cfg) -> ConditionVerdict:
     """s4.3, which is also s6.3: computed once per analysis scope."""
-    groups = [(polys[i], polys[j], [(polys[3 - i - j], polys[3 - i - j])])
+    groups = [(f"components {i} and {j}", polys[i], polys[j],
+               [(polys[3 - i - j], polys[3 - i - j])])
               for i, j in itertools.combinations(range(3), 2)]
     return scoped(("s4.3", tuple(polys), prec_cfg, mp.mp.prec),
                   lambda: _tangent_contact_verdict(groups, "third quadric meets a common "
@@ -1015,17 +1012,21 @@ def _condition3_222(polys, prec_cfg) -> ConditionVerdict:
 
 def _condition4_dd11(cfg, prec_cfg) -> ConditionVerdict:
     polys = cfg.polys()
-    c1, c2 = (polys[i] for i, (_, d) in enumerate(cfg.components) if d >= 2)
+    (i1, c1), (i2, c2) = ((i, polys[i]) for i, (_, d) in enumerate(cfg.components) if d >= 2)
     if c1.degree != 2 or c2.degree != 2:
         return ConditionVerdict("undecided",
                                 note="implemented for quadric components only")
     l3, l4 = (polys[i] for i, (_, d) in enumerate(cfg.components) if d == 1)
     return _tangent_contact_verdict(
-        [(c1, c2, [(l3, l4), (l4, l3)])],
+        [(f"components {i1} and {i2}", c1, c2, [(l3, l4), (l4, l3)])],
         "common tangent contact points lie on the two lines", prec_cfg)
 
 
 def _condition5_d111(cfg, prec_cfg) -> ConditionVerdict:
+    """Fails when a tangent l through the meet X of two lines touches the
+    conic on the third, l_c: then l . X = 0 = l . (adj . l_c), so l is
+    X x (adj . l_c), and either l = 0 (X is the pole of l_c) or the dual
+    conic vanishes at l.  Witnesses as in ``_tangent_contact_verdict``."""
     polys = cfg.polys()
     curve_idx = next(i for i, (_, d) in enumerate(cfg.components) if d >= 2)
     curve = polys[curve_idx]
@@ -1037,40 +1038,26 @@ def _condition5_d111(cfg, prec_cfg) -> ConditionVerdict:
         # a singular conic's tangents through a point have no contact point
         return ConditionVerdict("undecided", note="needs a smooth quadric")
     lines = [p for i, p in enumerate(polys) if i != curve_idx]
-    adj, dual = qf.adjugate, qf.dual
     witnesses = []
-    unsure: Dict[str, List[ProjPointNum]] = {}
-    failed = []
-    bits = max(prec_cfg.start_bits, mp.mp.prec)  # the contact points' precision
-    adj_balls = _adjugate_balls(adj, bits)
+    notes = ["tangent through a line intersection touches the curve on the third line"]
     for a, b in itertools.combinations(range(3), 2):
         c = 3 - a - b
         X = cross(lines[a].linear_coeffs(), lines[b].linear_coeffs())
         if all(x == 0 for x in X):
             continue  # identical lines; condition 2 already failed
-        # tangents through X: dual conic cut by the dual line X
-        dual_line = HomPoly.linear_form(X)
-        try:
-            duals = intersection_points(dual, dual_line, precision=prec_cfg)
-        except (CommonComponentError, PrecisionExhaustedError) as exc:
-            failed.append(f"tangents through the meet of {lines[a]} and {lines[b]} "
-                          f"not found ({type(exc).__name__})")
+        ell = cross(X, _pole(qf.adjugate, lines[c].linear_coeffs()))
+        if any(x != 0 for x in ell) and qf.dual.eval_exact(ell) != 0:
             continue
-        for rec in duals:
-            P = _contact_point(adj, adj_balls, rec.point, bits)
-            with mp.workprec(bits):
-                on = vanishes_at(lines[c], P)
-            if on is None:
-                unsure.setdefault(f"{lines[c]} at the contact points", []).append(P)
-            elif on:
-                witnesses.append(P)
-    if witnesses:
-        return ConditionVerdict(
-            "fail", witnesses=witnesses,
-            note="tangent through a line intersection touches the curve on the third line")
-    if failed or unsure:
-        note = _unseparated("tangent-contact test", unsure, bits)
-        return ConditionVerdict("undecided", note="; ".join(x for x in failed + [note] if x))
+        # the tangents through X: the dual conic cut by the dual line X
+        tangents = intersection_points(qf.dual, HomPoly.linear_form(X), precision=prec_cfg)
+        poles = [_pole(qf.adjugate, rec.point.exact) for rec in tangents if rec.point.is_exact()]
+        found = [ProjPointNum.from_exact(P) for P in poles if lines[c].eval_exact(P) == 0]
+        if not found:
+            notes.append(f"the tangent through the meet of {lines[a]} and {lines[b]} "
+                         "is irrational: no witness point")
+        witnesses.extend(found)
+    if len(notes) > 1 or witnesses:
+        return ConditionVerdict("fail", witnesses=witnesses, note="; ".join(notes))
     return ConditionVerdict("pass")
 
 

@@ -36,7 +36,7 @@ from .arrangements import (Configuration, DegenerateIntersectionError,
                            genericity_check_s4, genericity_check_s6,
                            select_general_position)
 from .config import PrecisionConfig, analysis_scope
-from .nevanlinna import (CertificateRangeError, DegenerateCurveError,
+from .nevanlinna import (CertificateRangeError, CoefficientRangeError, DegenerateCurveError,
                          DivisorContainsCurveError, ExpCurve, GrowthSample,
                          InsufficientSpanError, NotGeneralPositionError,
                          QuadratureFailureError, ZeroOnContourError, counting,
@@ -136,7 +136,7 @@ PARSE_ERRORS = (OSError, json.JSONDecodeError, PolySyntaxError,
 RUN_ERRORS = (
     (NotGeneralPositionError, EXIT_PARSE, lambda exc: f"parse error: {exc}"),
     ((ZeroOnContourError, QuadratureFailureError, PrecisionExhaustedError,
-      RootFindingError, CertificateRangeError),
+      RootFindingError, CertificateRangeError, CoefficientRangeError),
      EXIT_UNDECIDED,
      lambda exc: f"undecided: {type(exc).__name__}: {exc}"),
     ((DivisorContainsCurveError, DegenerateCurveError), EXIT_DEGENERATE, str),

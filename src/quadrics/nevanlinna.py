@@ -85,6 +85,10 @@ class CertificateRangeError(ArithmeticError):
     range."""
 
 
+class CoefficientRangeError(ArithmeticError):
+    """A nonzero coefficient of a sum or exponent has no finite nonzero double."""
+
+
 # ---------------------------------------------------------------------------
 # Exponential sums
 # ---------------------------------------------------------------------------
@@ -174,8 +178,15 @@ class ExpSum:
         would overflow.  The empty sum gives M = -inf and h = 0.
         """
         if self._py_cache is None:
-            def conv(p):  # highest power first, for Horner
-                return tuple(complex(scalar_to_complex(c)) for c in reversed(p))
+            def conv(p):  # highest power first, for Horner; p[-1] != 0
+                try:
+                    out = tuple(complex(scalar_to_complex(c)) for c in reversed(p))
+                except OverflowError:
+                    out = (0j,)
+                if any(c and not z for c, z in zip(reversed(p), out)):  # over- or underflow
+                    raise CoefficientRangeError(
+                        "a coefficient of the exponential sum lies beyond the range of a double")
+                return out
             self._py_cache = tuple((conv(cp), conv(ep)) for cp, ep in self.terms)
         vals = []
         for cs, es in self._py_cache:

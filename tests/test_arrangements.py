@@ -1093,23 +1093,6 @@ def test_scope_computes_each_intersection_once(monkeypatch):
     assert calls[(P1, P2, DEFAULT_PRECISION)] == 2
 
 
-def test_scope_rounds_each_adjugate_once_per_precision():
-    """A conic's adjugate is rounded for the contact points once per
-    precision in an analysis scope, and afresh on each call outside one."""
-    import quadrics.arrangements as arr
-    from quadrics.config import analysis_scope
-    from quadrics.polynomials import quadric_form
-    adj = quadric_form(P1).adjugate
-    outside = arr._adjugate_balls(adj, 256)
-    assert arr._adjugate_balls(adj, 256) is not outside
-    with analysis_scope():
-        first = arr._adjugate_balls(adj, 256)
-        assert arr._adjugate_balls(adj, 256) is first
-        with mp.workprec(512):  # the ambient precision is the higher one
-            assert arr._adjugate_balls(adj, 256) is arr._adjugate_balls(adj, 512) is not first
-    assert repr(first) == repr(outside)
-
-
 # c1 = z0^2 - 2 z2^2 + (z1 - z2)^2 and c2 = z0^2 - 2 z2^2 + (z1 + z2)^2
 # with l3 = z1 - z2 and l4 = z1 + z2, under an integer change of
 # coordinates: the tangent z0 = sqrt2 z2 touches c1 on l3 and c2 on l4,
@@ -1120,65 +1103,137 @@ CONTACT_ON_LINES = {"family": [2, 2, 1, 1], "components": [
     "-2*z0 + 5*z1", "z1 + 2*z2"]}
 
 
-def test_contact_points_carry_their_rounding():
-    """On CONTACT_ON_LINES the numeric contact points lie on the lines,
-    and their radii cover the rounding of their construction, so s4.4 is
-    never a pass."""
+def test_contact_on_an_irrational_tangent_fails_at_every_precision():
+    """On CONTACT_ON_LINES the failing tangent is irrational: s4.4 fails at
+    every start precision and ambient precision, with no witness point and
+    a note that names the pair of conics."""
     cfg = Configuration.from_json(CONTACT_ON_LINES)
     for bits in (64, 256, 512):
         for ambient in (53, bits):
             with mp.workprec(ambient):
-                rep = genericity_check_s4(cfg, precision=PrecisionConfig(bits, 4096))
-            assert rep.conditions["s4.4"].status in ("fail", "undecided")
-    # each contact point, formed at the ambient 53 bits, holds the pole of
-    # its tangent's midpoint computed at 1024 bits
-    from quadrics.arrangements import _adjugate_balls, _contact_point, common_tangents
-    from quadrics.polynomials import quadric_form, scalar_to_mp
-    c1, c2 = cfg.polys()[:2]
-    bits = DEFAULT_PRECISION.start_bits
-    for q in (c1, c2):
-        adj = quadric_form(q).adjugate
-        for ell in common_tangents(c1, c2, DEFAULT_PRECISION):
-            P = _contact_point(adj, _adjugate_balls(adj, bits), ell, bits)
-            with mp.workprec(1024):
-                ref = ProjPointNum([sum(scalar_to_mp(a) * x for a, x in zip(row, ell.coords))
-                                    for row in adj])
-                assert point_distance(P, ref) <= 2 * P.radius
+                s44 = genericity_check_s4(cfg, precision=PrecisionConfig(bits, 4096)
+                                          ).conditions["s4.4"]
+            assert s44.status == "fail"
+            assert s44.witnesses == []
+            assert s44.note.startswith("common tangent contact points lie on the two lines; "
+                                       "the common tangent of components 0 and 1 ")
+            assert "is irrational: no witness point" in s44.note
 
 
-def test_contact_point_radius_covers_its_own_rounding():
-    """A tangent held exactly (radius 0) along the adjugate's weakest
-    direction: the pole's entries cancel, so the rounding of its dot
-    products, relative to the adjugate's row sums, is most of its error.
-    The radius still covers the distance to the pole at 1024 bits."""
-    from quadrics.arrangements import _adjugate_balls, _contact_point
-    from quadrics.polynomials import quadric_form, scalar_to_mp
-    rng = random.Random(5)
-    for _ in range(120):
-        q = HomPoly({e: Fraction(rng.randint(-99, 99))
-                     for e in [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)]})
-        if q.is_zero or quadric_form(q).rank != 3:
-            continue
-        adj = quadric_form(q).adjugate
-        weakest = np.linalg.svd(np.array([[float(a) for a in row] for row in adj]))[2][2]
-        bits = rng.choice([53, 64, 113])
-        with mp.workprec(bits):
-            ell = ProjPointNum([mp.mpf(x + 1e-9 * rng.uniform(-1, 1)) for x in weakest])
-            P = _contact_point(adj, _adjugate_balls(adj, bits), ell, bits)
-        with mp.workprec(1024):
-            ref = ProjPointNum([sum(scalar_to_mp(a) * x for a, x in zip(row, ell.coords))
-                                for row in adj])
-            assert point_distance(P, ref) <= P.radius
+def _to_sympy(f, z):
+    return sum(c * z[0] ** e[0] * z[1] ** e[1] * z[2] ** e[2] for e, c in f.terms.items())
 
 
-def test_contact_tests_evaluate_at_the_points_precision():
-    """s4.4 tests its numeric contact points at their own precision (the
-    start rung, 256 bits by default), not at the ambient 53 bits, and its
-    undecided note names those bits."""
-    with mp.workprec(53):
-        s44 = genericity_check_s4(Configuration.from_json(CONTACT_ON_LINES)).conditions["s4.4"]
-    assert s44.status == "undecided"
-    assert "256-bit evaluation" in s44.note and "53-bit" not in s44.note
+def _sympy_pencil_determinant(a, b, d1, d2):
+    """The 6x6 determinant of a, b, d1 + t d2 and the partials of their
+    Jacobian, built and expanded by sympy alone."""
+    import sympy
+    z, t = sympy.symbols("z0 z1 z2"), sympy.Symbol("t")
+    forms = [_to_sympy(a, z), _to_sympy(b, z), _to_sympy(d1, z) + t * _to_sympy(d2, z)]
+    jac = sympy.Matrix([[sympy.diff(f, v) for v in z] for f in forms]).det()
+    rows = forms + [sympy.diff(jac, v) for v in z]
+    monos = [z[0] ** 2, z[1] ** 2, z[2] ** 2, z[0] * z[1], z[0] * z[2], z[1] * z[2]]
+    return sympy.expand(sympy.Matrix(
+        [[sympy.Poly(sympy.expand(r), *z).coeff_monomial(m) for m in monos] for r in rows]).det())
+
+
+def test_conics_share_a_zero_matches_the_sympy_determinant():
+    """On seeded pencils, about half of them with all four conics forced
+    through one rational point, the predicate holds exactly when sympy's
+    determinant vanishes identically in t, and exactly on the forced ones.
+    A point on a, b and d1 but off d2 is not enough."""
+    from quadrics.arrangements import conics_share_a_zero
+    rng = random.Random(3721)
+    basis = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
+
+    def conic(through=None):
+        f = HomPoly({e: rng.randint(-6, 6) for e in basis[1:]} | {basis[0]: rng.randint(1, 6)})
+        if through is None:
+            return f
+        # move the z0^2 coefficient so that f vanishes at the point (its z0 is nonzero)
+        return f - HomPoly.monomial((2, 0, 0), f.eval_exact(through) / through[0] ** 2)
+
+    for case in range(10):
+        point = (Fraction(rng.randint(1, 4)), Fraction(rng.randint(-4, 4)),
+                 Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        forced = case % 2 == 0
+        forms = [conic(point if forced else None) for _ in range(4)]
+        if case % 4 == 1:  # through the point, all but d2
+            forms = [conic(point) for _ in range(3)] + [conic()]
+            assert forms[3].eval_exact(point) != 0
+        det = _sympy_pencil_determinant(*forms)
+        assert conics_share_a_zero(*forms) == (det == 0) == forced, case
+    # d2 = 0: the resultant of three conics, zero on the irrational triple point
+    triple = [parse_poly(s) for s in ("z0^2 + z1^2 - 3*z2^2", "z0^2 - z1^2 - z2^2",
+                                      "z0^2 + 2*z1^2 - 4*z2^2")]
+    assert conics_share_a_zero(*triple)
+    assert not conics_share_a_zero(*triple[:2], parse_poly("z0^2 + 2*z1^2 - 5*z2^2"))
+    assert not conics_share_a_zero(*(parse_poly(f"z{i}^2") for i in range(3)))
+
+
+UNIT_CIRCLES = ["z0^2 + z1^2 - z2^2", "z0^2 - 6*z0*z2 + z1^2 + 8*z2^2"]
+
+
+def test_s43_on_two_unit_circles():
+    """Unit circles at 0 and at (3, 0).  The outer tangents z1 = +-z2 touch
+    them at (0, +-1) and (3, +-1), which all lie on C3 = z0^2 - 3 z0 z2 +
+    z1^2 - z2^2: s4.3 fails with those four points as witnesses, in the
+    tangents' order.  The inner tangents touch them at (2/3, -+sqrt5/3) and
+    (7/3, +-sqrt5/3), which lie on C3 + 2 z2^2: s4.3 fails with no witness
+    point and a note that names the pair.  C3 + z1 z2 holds both contact
+    points of no common tangent: s4.3 passes."""
+    c1, c2 = (parse_poly(s) for s in UNIT_CIRCLES)
+    c3 = parse_poly("z0^2 - 3*z0*z2 + z1^2 - z2^2")
+
+    def s43(third):
+        return genericity_check_s4(Configuration.from_polys([c1, c2, third])).conditions["s4.3"]
+
+    outer = s43(c3)
+    assert outer.status == "fail"
+    assert outer.note == "third quadric meets a common tangent in both contact points"
+    # P then Q on z1 = z2, then on z1 = -z2, each scaled by ProjPointNum
+    assert [tuple(w.exact) for w in outer.witnesses] == [
+        (0, 1, 1), (1, Fraction(1, 3), Fraction(1, 3)),
+        (0, 1, -1), (1, Fraction(-1, 3), Fraction(1, 3))]
+    inner = s43(c3 + parse_poly("2*z2^2"))
+    assert inner.status == "fail"
+    assert inner.witnesses == []
+    assert inner.note == ("third quadric meets a common tangent in both contact points; the "
+                          "common tangent of components 0 and 1 is irrational: no witness point")
+    assert s43(c3 + parse_poly("z1*z2")).status == "pass"
+
+
+def test_a_passing_contact_clause_computes_no_common_tangent(monkeypatch):
+    """s4.3 and s4.4 decide a pass from the resultant alone; the dual
+    conics are intersected only to list a fail's witnesses."""
+    import quadrics.arrangements as arr
+
+    def refuse(*args):
+        raise AssertionError("common tangents computed on a pass")
+
+    monkeypatch.setattr(arr, "common_tangents", refuse)
+    c1, c2 = (parse_poly(s) for s in UNIT_CIRCLES)
+    c3 = parse_poly("z0^2 - 3*z0*z2 + z1^2 - z2^2 + z1*z2")
+    assert genericity_check_s4(Configuration.from_polys([c1, c2, c3])
+                               ).conditions["s4.3"].status == "pass"
+    dd11 = Configuration.from_polys([parse_poly(s) for s in (
+        "z0^2 + 2*z1^2 - 3*z2^2 + z0*z1", "2*z0^2 - z1^2 + z2^2 + z1*z2",
+        "z0 + z1 + z2", "z0 - 2*z1 + 3*z2")])
+    assert genericity_check_s4(dd11).conditions["s4.4"].status == "pass"
+
+
+def test_s45_fails_on_the_irrational_tangents_from_the_pole():
+    """The lines z1 and z0 + z1 - 2 z2 meet at (2 : 0 : 1), the pole of the
+    third line 2 z0 - z2 for the unit circle: both tangents from it touch
+    the circle on that line, at (1/2, +-sqrt3/2), so s4.5 fails with no
+    witness point, and the note names the two lines."""
+    cfg = Configuration.from_polys([parse_poly(s) for s in (
+        "z0^2 + z1^2 - z2^2", "z1", "z0 + z1 - 2*z2", "2*z0 - z2")])
+    s45 = genericity_check_s4(cfg).conditions["s4.5"]
+    assert s45.status == "fail"
+    assert s45.witnesses == []
+    assert ("the tangent through the meet of z1 and z0 + z1 - 2*z2 is irrational: "
+            "no witness point") in s45.note
 
 
 def _reference_concurrent(l1, l2, l3):

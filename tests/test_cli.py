@@ -227,6 +227,21 @@ def test_overflowing_x_exits_undecided(tmp_path, capsys):
     json.dumps(doc, allow_nan=False)
 
 
+def test_divisor_coefficient_beyond_the_double_range_exits_undecided(tmp_path, capsys):
+    """A divisor coefficient with no finite double, 10^400, cannot be
+    evaluated: exit 3 with a named error and a valid report, no traceback."""
+    import jsonschema
+    curve = _write(tmp_path, "curve.json", {"exponents": [[0], [0, 1], [0, 0, 1]]})
+    code, doc = _run(["nevanlinna", curve, "--divisor", "10^400*z1 - z0 + z2",
+                      "--radii", "2,4"], tmp_path)
+    assert code == 3
+    assert doc["report"]["error"] == ("undecided: CoefficientRangeError: a coefficient of "
+                                      "the exponential sum lies beyond the range of a double")
+    assert "Traceback" not in capsys.readouterr().err
+    jsonschema.validate(doc, _schema())
+    json.dumps(doc, allow_nan=False)
+
+
 def test_triple_check_of_nearly_equal_alphas(tmp_path):
     """The triple check curve is built from a_j - a0, so it does not cancel
     in doubles: every check agrees with its convex-hull limit."""
@@ -619,23 +634,54 @@ def test_shared_first_probe_line_fails_without_traceback(tmp_path, capsys):
     assert any(abs(complex(line.eval_mpc(pt))) == 0 for pt in points)
 
 
+IRRATIONAL_TRIPLE_LINE_CONFIG = {  # two of those conics, and z1 = z2 through (+-sqrt 2 : 1 : 1)
+    "family": [2, 2, 1],
+    "components": ["z0^2 + z1^2 - 3*z2^2", "z0^2 - z1^2 - z2^2", "z1 - z2"],
+}
+
+
 def test_undecided_verdicts_carry_a_note(tmp_path):
-    """s4.2 and s6.4 stay undecided on three conics through irrational
-    common points; each note names its test, what it could not separate
-    and the precision reached."""
-    cfg = _write(tmp_path, "cfg.json", IRRATIONAL_TRIPLE_CONFIG)
-    code, doc = _run(["check-config", cfg], tmp_path)
-    assert code == 3
+    """s6.4 stays undecided on three conics through irrational common
+    points, and s4.2 on two of them and a line through two of those
+    points; each note names its test, what it could not separate and the
+    precision reached."""
+    code, doc = _run(["check-config", _write(tmp_path, "cfg.json", IRRATIONAL_TRIPLE_CONFIG)],
+                     tmp_path)
+    s64 = doc["report"]["genericity"]["conditions"]["s6.4"]
+    assert s64["verdict"] == "undecided"
+    assert s64["note"].startswith("18-line test at 4096 bits: not separated: ")
+    code, doc = _run(["check-config", _write(tmp_path, "line.json", IRRATIONAL_TRIPLE_LINE_CONFIG)],
+                     tmp_path)
     conds = doc["report"]["genericity"]["conditions"]
-    assert conds["s4.2"]["verdict"] == conds["s6.4"]["verdict"] == "undecided"
+    assert conds["s4.2"]["verdict"] == "undecided"
     assert conds["s4.2"]["note"].startswith(
         "triple-point test: component 2 at points of components 0 and 1: "
-        "4 point(s) not separated from zero (radius up to ")
+        "2 point(s) not separated from zero (radius up to ")
     # s4.2 evaluates at the intersection points' own precision, not the ambient 53 bits
     assert "256-bit evaluation)" in conds["s4.2"]["note"]
     assert "53-bit" not in conds["s4.2"]["note"]
-    assert conds["s6.4"]["note"].startswith("18-line test at 4096 bits: not separated: ")
     assert all(v["note"] for v in conds.values() if v["verdict"] == "undecided")
+
+
+def test_irrational_triple_point_fails_s42_exactly(tmp_path, capsys):
+    """Three conics through (+-sqrt 2 : +-1 : 1): no numeric point certifies
+    the triple point, and their resultant does, so s4.2 fails with exit 1,
+    witnessed by the four unseparated points."""
+    import jsonschema
+    code, doc = _run(["check-config", _write(tmp_path, "cfg.json", IRRATIONAL_TRIPLE_CONFIG)],
+                     tmp_path)
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    jsonschema.validate(doc, _schema())
+    s42 = doc["report"]["genericity"]["conditions"]["s4.2"]
+    assert s42["verdict"] == "fail"
+    assert s42["note"] == "components 0,1,2 meet at one point"
+    found = set()
+    for w in s42["witnesses"]:
+        x, y, z = (complex(c.replace(" ", "")) for c in w["point"])
+        assert abs(abs(x / z) - math.sqrt(2)) < 1e-12 and abs(abs(y / z) - 1) < 1e-12
+        found.add(((x / z).real > 0, (y / z).real > 0))
+    assert len(found) == 4
 
 
 def test_failed_root_solve_exits_undecided(tmp_path, monkeypatch, capsys):

@@ -49,8 +49,9 @@ converted between two exact formats on the way.
 One exact elimination: ``linalg.echelon``, fraction-free on dense
 polynomials over Z or Z[i], is the only code that swaps rows, so the only
 elimination; ``_bareiss_last_row`` and the Gauss-Jordan loop are gone.
-It serves ``polynomials.subresultant``, ``linalg.rank`` (its pivot count,
-with no ``rref``) and ``linalg.rref``, which ``nullspace`` reads and
+It serves ``polynomials.subresultant``, ``arrangements.conics_share_a_zero``
+(the resultant of three conics, on Z[t]), ``linalg.rank`` (its pivot
+count, with no ``rref``) and ``linalg.rref``, which ``nullspace`` reads and
 ``solve`` reads through ``nullspace``; ``linalg`` does not import
 ``fractions``.  ``HomPoly.exact_div`` is left to the shared component of
 two curves (``common_component_witness``, ``_shared_factor``).
@@ -89,6 +90,13 @@ from the rows' cross products, and no ``_det3``, ``_cross``,
 form's adjugate, rank, determinant and dual conic in that one pass, with
 no ``rank`` or ``rref``, and is the only caller of ``poly_from_matrix``,
 so each dual conic is built once per form.
+
+One exact decision for the contact clauses: s4.3 (s6.3), s4.4 and s4.5
+decide on exact forms, by ``conics_share_a_zero`` or a cross product,
+with no numeric contact point: ``_contact_point`` and ``_adjugate_balls``
+are gone, and no contact clause calls ``vanishes_at``.  The dual conics
+are intersected only to list the witnesses of a fail, below the test
+that skips a pass.
 """
 
 import ast
@@ -271,7 +279,8 @@ def test_one_bareiss_elimination_and_no_form_division_in_it():
              for attr in ("id", "attr", "name") if isinstance(getattr(node, attr, None), str)}
     assert "_bareiss_last_row" not in names
     assert sorted(set(_references("echelon"))) == [
-        ("linalg.py", "rank"), ("linalg.py", "rref"), ("polynomials.py", "subresultant")]
+        ("arrangements.py", "conics_share_a_zero"), ("linalg.py", "rank"),
+        ("linalg.py", "rref"), ("polynomials.py", "subresultant")]
     tree = dict(_trees())["linalg.py"]
     funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert "rref" not in _calls(funcs["rank"])
@@ -386,3 +395,31 @@ def test_each_dual_conic_is_built_once_per_form():
     func = next(node for node in tree.body
                 if isinstance(node, ast.FunctionDef) and node.name == "_quadric_form")
     assert not {"rank", "rref", "det"} & _calls(func)
+
+
+CONTACT_CLAUSES = ("_tangent_contact_verdict", "_condition3_222", "_condition4_dd11",
+                   "_condition5_d111")
+
+
+def test_contact_clauses_decide_exactly():
+    names = {getattr(node, attr) for _, tree in _trees() for node in ast.walk(tree)
+             for attr in ("id", "attr", "name") if isinstance(getattr(node, attr, None), str)}
+    assert not {"_contact_point", "_adjugate_balls"} & names
+    tree = dict(_trees())["arrangements.py"]
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in CONTACT_CLAUSES:
+        assert "vanishes_at" not in _calls(funcs[name]), name
+    assert _references("common_tangents") == [("arrangements.py", "_tangent_contact_verdict")]
+    # each dual intersection sits below the `continue` that skips a pass
+    for name, call, skip in (("_tangent_contact_verdict", "common_tangents", "not hits"),
+                             ("_condition5_d111", "intersection_points", "eval_exact")):
+        func = funcs[name]
+        guard = next(node for node in ast.walk(func) if isinstance(node, ast.If)
+                     and skip in ast.unparse(node.test)
+                     and isinstance(node.body[-1], ast.Continue))
+        calls = [node for node in ast.walk(func) if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", None) == call]
+        assert calls and all(node.lineno > guard.lineno for node in calls), name
+        loop = next(node for node in ast.walk(func) if isinstance(node, ast.For)
+                    and guard in node.body)
+        assert all(node in set(ast.walk(loop)) for node in calls), name
