@@ -259,7 +259,6 @@ class IntersectionRecord:
     point: ProjPointNum
     multiplicity: int
     tangential: Optional[bool]
-    pair: Tuple[int, int] = (0, 1)
 
 
 def _coordinate_changes():
@@ -474,13 +473,12 @@ def _newton_polish(forms: Optional[MpForms], degrees, w, prec):
 
 
 def intersection_points(p: HomPoly, q: HomPoly, *,
-                        precision: PrecisionConfig | None = None,
-                        pair: Tuple[int, int] = (0, 1)) -> List[IntersectionRecord]:
+                        precision: PrecisionConfig | None = None) -> List[IntersectionRecord]:
     """All common projective zeros with exact Bezout multiplicities.
 
     Inside an analysis scope each (p, q, precision) is computed once, a
-    shared component included; ``pair`` only labels the records.  Every
-    call returns fresh records, so editing them never reaches the memo.
+    shared component included.  Every call returns fresh records, so
+    editing them never reaches the memo.
     """
     precision = precision or DEFAULT_PRECISION
     if p.is_zero or q.is_zero:
@@ -491,7 +489,7 @@ def intersection_points(p: HomPoly, q: HomPoly, *,
                    lambda: _intersection_or_shared(p, q, precision))
     if isinstance(found, CommonComponentError):
         raise CommonComponentError(witness=found.witness, factor=found.factor)
-    return [replace(rec, pair=pair) for rec in found]
+    return [replace(rec) for rec in found]
 
 
 def _intersection_or_shared(p, q, precision):
@@ -794,8 +792,7 @@ def _pairwise_data(polys, prec_cfg):
     out = {}
     for i, j in itertools.combinations(range(len(polys)), 2):
         try:
-            out[(i, j)] = intersection_points(polys[i], polys[j],
-                                              precision=prec_cfg, pair=(i, j))
+            out[(i, j)] = intersection_points(polys[i], polys[j], precision=prec_cfg)
         except CommonComponentError as exc:
             out[(i, j)] = exc
     return out
@@ -844,12 +841,19 @@ def _transversality_verdict(polys, pairwise, bits) -> ConditionVerdict:
     for (i, j, k), point in triples:
         witnesses.append(point)
         notes.append(f"components {i},{j},{k} meet at one point")
-    if unsure and not notes and len(polys) == 3 and all(p.degree == 2 for p in polys):
-        # three transversal conics have a triple point iff they share a zero
-        if not conics_share_a_zero(*polys):
-            return ConditionVerdict("pass")
-        witnesses = [point for _, point in unsure]
-        notes.append("components 0,1,2 meet at one point")
+    if unsure and not notes:
+        # three transversal lines and conics have a triple point iff their
+        # resultant vanishes; a line enters as its square, since
+        # Res(l^2, F, G) = Res(l, F, G)^2.  A triple with a cubic stays numeric.
+        met = {}
+        for ijk, point in unsure:
+            t = tuple(sorted(ijk))
+            if t not in met and all(polys[n].degree <= 2 for n in t):
+                met[t] = conics_share_a_zero(*(polys[n] ** (3 - polys[n].degree) for n in t))
+            if met.get(t):
+                witnesses.append(point)
+                notes.append("components {},{},{} meet at one point".format(*t))
+        unsure = [(ijk, point) for ijk, point in unsure if tuple(sorted(ijk)) not in met]
     if notes:
         keys = [repr(w) for w in witnesses]
         uniq = [w for n, w in enumerate(witnesses) if keys[n] not in keys[:n]]
@@ -881,7 +885,7 @@ def conics_share_a_zero(a: HomPoly, b: HomPoly, d1: HomPoly, d2: HomPoly = HomPo
     one ``echelon`` over Z[t], each row scaled to integers.  Where a and b
     share a component the answer is always True."""
     j1, j2 = (dot(a.gradient(), cross(b.gradient(), d.gradient())) for d in (d1, d2))
-    rows = [_poly_coeff_vector(f) + _poly_coeff_vector(g)
+    rows = [f.quadratic_coeffs() + g.quadratic_coeffs()
             for f, g in [(a, HomPoly()), (b, HomPoly()), (d1, d2)]
             + [(j1.derivative(k), j2.derivative(k)) for k in range(3)]]
     gauss = any(isinstance(x, GaussRat) for row in rows for x in row)
@@ -976,7 +980,7 @@ def _tangent_contact_verdict(groups, fail_note, prec_cfg) -> ConditionVerdict:
         qf1, qf2 = quadric_form(c1), quadric_form(c2)
         if qf1.rank != 3 or qf2.rank != 3:
             return ConditionVerdict("undecided", note="needs smooth quadrics")
-        if rank([_poly_coeff_vector(qf1.dual), _poly_coeff_vector(qf2.dual)]) < 2:
+        if rank([qf1.dual.quadratic_coeffs(), qf2.dual.quadratic_coeffs()]) < 2:
             return ConditionVerdict("undecided", note="degenerate dual intersection")
         hits = [(fP, fQ) for fP, fQ in curve_pairs if conics_share_a_zero(
             qf1.dual, qf2.dual, _at_contact(fP, qf1.adjugate), _at_contact(fQ, qf2.adjugate))]
@@ -1128,7 +1132,7 @@ def build_line_system(q1: HomPoly, q2: HomPoly, q3: HomPoly,
     points: Dict[Tuple[int, int], List[ProjPointNum]] = {}
     groups: Dict[Tuple[int, int], List[LineInfo]] = {}
     for i, j in GROUPS:
-        recs = intersection_points(polys[i], polys[j], precision=prec_cfg, pair=(i, j))
+        recs = intersection_points(polys[i], polys[j], precision=prec_cfg)
         if len(recs) != 4 or any(r.multiplicity != 1 for r in recs):
             raise DegenerateIntersectionError(
                 f"components {i} and {j} do not meet in 4 simple points")
@@ -1310,19 +1314,14 @@ def select_general_position(ls: LineSystem) -> List[LineInfo]:
 # Pencils
 # ---------------------------------------------------------------------------
 
-def _poly_coeff_vector(p: HomPoly):
-    basis = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
-    return [p.coeff(e) for e in basis]
-
-
 def pencil_membership(l1: HomPoly, l2: HomPoly, q1: HomPoly, q2: HomPoly):
     """Exact scalars (a, b) with l1*l2 = a*q1 + b*q2."""
     if l1.degree != 1 or l2.degree != 1:
         raise ValueError("l1, l2 must be linear forms")
-    cols = [_poly_coeff_vector(q1), _poly_coeff_vector(q2)]
+    cols = [q1.quadratic_coeffs(), q2.quadratic_coeffs()]
     if rank(cols) < 2:
         raise ValueError("q1, q2 must be linearly independent")
-    sol = solve([[cols[0][r], cols[1][r]] for r in range(6)], _poly_coeff_vector(l1 * l2))
+    sol = solve([[cols[0][r], cols[1][r]] for r in range(6)], (l1 * l2).quadratic_coeffs())
     if sol is None:
         raise NotInPencilError("product of lines is not in the pencil")
     return sol[0], sol[1]
@@ -1427,7 +1426,7 @@ def _contact_tangents(quad: HomPoly, base: HomPoly, prec_cfg):
 
 
 def _square_vector(line: NumLine):
-    """The square of the line's form on the _poly_coeff_vector basis."""
+    """The square of the line's form on ``QUADRATIC_MONOMIALS``."""
     v = line.vec
     return [v[0] * v[0], v[1] * v[1], v[2] * v[2],
             2 * v[0] * v[1], 2 * v[0] * v[2], 2 * v[1] * v[2]]
@@ -1442,14 +1441,14 @@ def _contact_span(q2: HomPoly, ta: NumLine, q3: HomPoly, tb: NumLine):
     """
     if ta.exact is not None and tb.exact is not None:
         sa, sb = ta.exact * ta.exact, tb.exact * tb.exact
-        rows = [_poly_coeff_vector(f) for f in (q2, sa, q3, sb)]
+        rows = [f.quadratic_coeffs() for f in (q2, sa, q3, sb)]
         r = rank(rows)
         if r == 4:
             return r, None
         al, be = nullspace([[rows[i][c] for i in range(4)] for c in range(6)])[0][:2]
         return r, str(q2.scale(al) + sa.scale(be))
-    rows = [_poly_coeff_vector(q2), _square_vector(ta),
-            _poly_coeff_vector(q3), _square_vector(tb)]
+    rows = [q2.quadratic_coeffs(), _square_vector(ta),
+            q3.quadratic_coeffs(), _square_vector(tb)]
     A = np.array([[complex(x) for x in row] for row in rows], dtype=complex)
     s = np.linalg.svd(A, compute_uv=False)
     # uncertified: this fixed cut alone decides a numeric rank 4 (pass)
@@ -1557,14 +1556,15 @@ def common_zeros_of_quadratic_system(forms: Sequence[HomPoly],
     across combinations signal a positive-dimensional solution set, which
     is reported, not enumerated.  Every returned point is exact: a
     candidate is exact exactly when its fiber root is (see the module
-    docstring), and a numeric candidate on which some form is undecided
-    makes its attempt ambiguous, and an ambiguous attempt is discarded.
+    docstring), a candidate that some form excludes is dropped, and one
+    that no form excludes and some form leaves undecided ends the solve
+    with ``PrecisionExhaustedError``.
     """
     prec_cfg = precision or DEFAULT_PRECISION
     live = [f for f in forms if not f.is_zero]
     if not live:
         raise InfinitelyManySolutionsError("every form vanishes identically")
-    if rank([_poly_coeff_vector(f) for f in live]) == 1:
+    if rank([f.quadratic_coeffs() for f in live]) == 1:
         raise InfinitelyManySolutionsError(
             "a single independent form has a curve of zeros")
     rng = random.Random(421731)
@@ -1593,20 +1593,22 @@ def common_zeros_of_quadratic_system(forms: Sequence[HomPoly],
         except (PrecisionExhaustedError, ZeroPolynomialError):
             continue
         sols = []
-        ambiguous = False
         for rec in recs:
-            keep = True
+            undecided = False
             for f in live:
                 on = vanishes_at(f, rec.point)
                 if on is False:
-                    keep = False
                     break
-                if on is None:
-                    ambiguous = True
-            if keep:
+                undecided = undecided or on is None
+            else:
+                if undecided:
+                    # every generic pair passes through a common zero, so
+                    # no other pair can separate this candidate
+                    raise PrecisionExhaustedError(
+                        "a candidate common zero is excluded by no form, and some form is "
+                        f"not separated from zero there ({mp.mp.prec}-bit evaluation, point "
+                        f"radius {mp.nstr(rec.point.radius, 3)})")
                 if not any(rec.point.same_point(s_) for s_ in sols):
                     sols.append(rec.point)
-        if ambiguous:
-            continue
         return sols
     raise PrecisionExhaustedError("quadratic system solver exhausted attempts")

@@ -872,8 +872,7 @@ def _two_term_zeros(g: ExpSum, half_side: float) -> Optional[List[CountedZero]]:
     return out
 
 
-def locate_zeros_in_box(g: ExpSum, half_side: float,
-                        isolate_tol: Optional[float] = None) -> Tuple[List[CountedZero], float]:
+def locate_zeros_in_box(g: ExpSum, half_side: float) -> Tuple[List[CountedZero], float]:
     """All zeros of g in the centered square: (zeros, max winding residual).
 
     A zero is kept when its computed position lies in the square.  A
@@ -905,8 +904,7 @@ def locate_zeros_in_box(g: ExpSum, half_side: float,
         zeros = _two_term_zeros(g, half_side)
         if zeros is not None:
             return zeros, 0.0
-    tol = isolate_tol if isolate_tol is not None else max(half_side * 1e-10, 1e-13)
-    search = _ZeroSearch(g, tol)
+    search = _ZeroSearch(g, max(half_side * 1e-10, 1e-13))
     search.run(-half_side, half_side, -half_side, half_side)
     return search.zeros, search.max_residual
 
@@ -1032,18 +1030,23 @@ class MainTheoremReport:
         }
 
 
+# A radius violates the growth inequality when its slack is below
+# -C_MAX log r; the check passes with at most EXCEPTIONAL_FRACTION of the
+# radii violating it
+C_MAX = 10.0
+EXCEPTIONAL_FRACTION = 0.05
+
+
 def main_theorem_check(curve: ExpCurve, divisors: Sequence[HomPoly],
-                       kind: str, radii: Sequence[float],
-                       c_max: float = 10.0,
-                       exceptional_fraction: float = 0.05) -> MainTheoremReport:
+                       kind: str, radii: Sequence[float]) -> MainTheoremReport:
     """Check the growth inequality of the first or second kind.
 
     first:  N(D, r) <= deg(D) T(r) + O(1) for each divisor.
     second: (q - n - 1) T(r) <= sum_j N(H_j, r) + O(log r) for hyperplanes
             in general position and a linearly nondegenerate curve.
 
-    The verdict allows a configurable exceptional fraction of radii and a
-    fitted log-coefficient cap.
+    The verdict allows an exceptional fraction of radii (``EXCEPTIONAL_FRACTION``)
+    beyond a log-coefficient cap (``C_MAX``).
     """
     rs = sorted(float(r) for r in radii)
     if not rs:
@@ -1089,9 +1092,9 @@ def main_theorem_check(curve: ExpCurve, divisors: Sequence[HomPoly],
     else:
         fitted_two = fitted_C
     violations = sum(1 for s, r in zip(slack, rs)
-                     if r > math.e and s < -c_max * math.log(r))
+                     if r > math.e and s < -C_MAX * math.log(r))
     frac = violations / max(1, len(rs))
-    passed = frac <= exceptional_fraction
+    passed = frac <= EXCEPTIONAL_FRACTION
     return MainTheoremReport(kind, rs, Ts, N_sums, slack, fitted_C, fitted_two,
                              frac, passed)
 

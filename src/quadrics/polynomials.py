@@ -58,6 +58,10 @@ Expo = Tuple[int, int, int]
 
 VAR_NAMES = ("z0", "z1", "z2")
 
+# The one order of a conic's six coefficients: z0^2, z1^2, z2^2, z0z1,
+# z0z2, z1z2 (``HomPoly.quadratic_form`` and ``HomPoly.quadratic_coeffs``)
+QUADRATIC_MONOMIALS = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1))
+
 
 class PolySyntaxError(SyntaxError):
     """Raised on grammar violations; carries the offending position."""
@@ -319,6 +323,15 @@ class HomPoly:
     def linear_coeffs(self) -> List[Scalar]:
         """Coefficients of z0, z1, z2: the inverse of ``linear_form``."""
         return [self.coeff((1, 0, 0)), self.coeff((0, 1, 0)), self.coeff((0, 0, 1))]
+
+    @staticmethod
+    def quadratic_form(coeffs: Sequence) -> "HomPoly":
+        """The conic with the six coefficients on ``QUADRATIC_MONOMIALS``."""
+        return HomPoly(dict(zip(QUADRATIC_MONOMIALS, coeffs)))
+
+    def quadratic_coeffs(self) -> List[Scalar]:
+        """Coefficients on ``QUADRATIC_MONOMIALS``: the inverse of ``quadratic_form``."""
+        return [self.coeff(e) for e in QUADRATIC_MONOMIALS]
 
     # -- ring operations ---------------------------------------------------
 
@@ -822,39 +835,25 @@ def quadric_form(p: HomPoly) -> QuadricForm:
 
 
 def _quadric_form(p: HomPoly) -> QuadricForm:
-    M = [[Fraction(0)] * 3 for _ in range(3)]
-    for e, c in p.terms.items():
-        idx = [i for i in range(3) for _ in range(e[i])]
-        i, j = idx[0], idx[1]
-        if i == j:
-            M[i][i] = coerce_scalar(M[i][i] + c)
-        else:
-            h = c / 2
-            M[i][j] = coerce_scalar(M[i][j] + h)
-            M[j][i] = coerce_scalar(M[j][i] + h)
-    Mt = tuple(tuple(r) for r in M)
+    # the off-diagonal entries are half the cross coefficients
+    c = p.quadratic_coeffs()
+    h = [coerce_scalar(x / 2) for x in c[3:]]
+    Mt = ((c[0], h[0], h[1]), (h[0], c[1], h[2]), (h[1], h[2], c[2]))
     adj = adjugate(Mt)
     # det(M) = r0 . (r1 x r2), and r1 x r2 is the adjugate's first column;
     # a nonzero adjugate is a nonzero 2x2 minor
     d = coerce_scalar(dot(Mt[0], [row[0] for row in adj]))
     rank = 3 if d != 0 else 2 if any(x != 0 for row in adj for x in row) else 1
-    return QuadricForm(Mt, adj, rank, d, poly_from_matrix(adj))
+    dual = HomPoly.quadratic_form([adj[0][0], adj[1][1], adj[2][2],
+                                   2 * adj[0][1], 2 * adj[0][2], 2 * adj[1][2]])
+    return QuadricForm(Mt, adj, rank, d, dual)
 
 
 def pencil_matrix_entry_forms(q1: HomPoly, q2: HomPoly, q3: HomPoly | None = None):
     """Entries of a*M1 + b*M2 (+ c*M3) as linear forms in (a, b, c)."""
     mats = [quadric_form(q).matrix for q in (q1, q2, q3) if q is not None]
-    entries = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            terms = {}
-            for k, M in enumerate(mats):
-                e = [0, 0, 0]
-                e[k] = 1
-                if M[i][j] != 0:
-                    terms[tuple(e)] = M[i][j]
-            entries[i][j] = HomPoly(terms)
-    return entries
+    return [[HomPoly.linear_form([M[i][j] for M in mats] + [0] * (3 - len(mats)))
+             for j in range(3)] for i in range(3)]
 
 
 # ---------------------------------------------------------------------------
@@ -1225,18 +1224,3 @@ def vanishes_at(p: HomPoly, point) -> Optional[bool]:
     if pt.is_exact():
         return p.eval_exact(pt.exact) == 0
     return False if Ball(*gaussian_extension_eval(p, pt)).excludes_zero() else None
-
-
-def poly_from_matrix(M) -> HomPoly:
-    """Quadratic form z^T M z from a symmetric 3x3 exact matrix."""
-    terms: Dict[Expo, Scalar] = {}
-    for i in range(3):
-        for j in range(3):
-            if M[i][j] == 0:
-                continue
-            e = [0, 0, 0]
-            e[i] += 1
-            e[j] += 1
-            e = tuple(e)
-            terms[e] = terms.get(e, 0) + M[i][j]
-    return HomPoly(terms)

@@ -19,7 +19,7 @@ import mpmath as mp
 
 from .arrangements import (CommonComponentError, InfinitelyManySolutionsError,
                            NoSolutionError, _contact_span, _contact_tangents,
-                           _pairwise_data, _poly_coeff_vector, _triple_points,
+                           _pairwise_data, _triple_points,
                            common_zeros_of_quadratic_system,
                            tangent_line_numeric, tangent_to_conic)
 from .config import DEFAULT_PRECISION, PrecisionConfig
@@ -313,7 +313,7 @@ def pencil_rank1_members(q1: HomPoly, q2: HomPoly,
     of whose coefficients are nonzero because the roots t = 0 and t = oo
     are split off exactly.
     """
-    if rank([_poly_coeff_vector(q1), _poly_coeff_vector(q2)]) < 2:
+    if rank([q1.quadratic_coeffs(), q2.quadratic_coeffs()]) < 2:
         raise ValueError("q1, q2 must be linearly independent")
     prec_cfg = precision or DEFAULT_PRECISION
     quadrics = (q1, q2)
@@ -355,7 +355,7 @@ def square_combination(q1: HomPoly, q2: HomPoly, q3: HomPoly,
     for q in quadrics:
         if q.degree != 2:
             raise ValueError("inputs must be quadratic forms")
-    if rank([_poly_coeff_vector(q) for q in quadrics]) < 2:
+    if rank([q.quadratic_coeffs() for q in quadrics]) < 2:
         raise ValueError("quadrics must span at least a pencil")
     minors = _rank_one_minors(pencil_matrix_entry_forms(q1, q2, q3))
     out = []
@@ -393,33 +393,10 @@ def b4_system(c: Sequence, a: Sequence[Sequence], b: Sequence[Sequence]):
     C = [[sum(Ahat[i][k] * B[k][j] for k in range(3)) for j in range(3)]
          for i in range(3)]
     # (k^2, l^2, m^2) . C = 2 det(A) (kl, km, lm) as forms in (z0, z1, z2)
-    sq = [HomPoly.monomial((2, 0, 0)), HomPoly.monomial((0, 2, 0)),
-          HomPoly.monomial((0, 0, 2))]
-    cross = [HomPoly.monomial((1, 1, 0)), HomPoly.monomial((1, 0, 1)),
-             HomPoly.monomial((0, 1, 1))]
-    eqs = []
-    for j in range(3):
-        lhs = HomPoly.zero()
-        for i in range(3):
-            lhs = lhs + sq[i].scale(C[i][j])
-        eqs.append(lhs - cross[j].scale(2 * dA))
+    eqs = [HomPoly.quadratic_form([C[i][j] for i in range(3)]
+                                  + [-2 * dA if k == j else 0 for k in range(3)])
+           for j in range(3)]
     return A, B, Ahat, dA, eqs
-
-
-def _b4_quadrics(A, B) -> List[HomPoly]:
-    """The quadrics Q_i encoded by diagonal rows A and cross rows B."""
-    out = []
-    basis_sq = [(2, 0, 0), (0, 2, 0), (0, 0, 2)]
-    basis_cross = [(1, 1, 0), (1, 0, 1), (0, 1, 1)]
-    for i in range(3):
-        terms = {}
-        for k in range(3):
-            if A[i][k] != 0:
-                terms[basis_sq[k]] = A[i][k]
-            if B[i][k] != 0:
-                terms[basis_cross[k]] = B[i][k]
-        out.append(HomPoly(terms))
-    return out
 
 
 def b4_solve(c: Sequence, a: Sequence[Sequence], b: Sequence[Sequence],
@@ -433,7 +410,8 @@ def b4_solve(c: Sequence, a: Sequence[Sequence], b: Sequence[Sequence],
     """
     prec_cfg = precision or DEFAULT_PRECISION
     A, B, Ahat, dA, eqs = b4_system(c, a, b)
-    quadrics = _b4_quadrics(A, B)
+    # the quadrics Q_i: diagonal row A_i and cross row B_i
+    quadrics = [HomPoly.quadratic_form(a + b) for a, b in zip(A, B)]
     out: List[B4Solution] = []
     for pt in common_zeros_of_quadratic_system(eqs, precision=prec_cfg):
         klm = primitive_vector(pt.exact)
@@ -590,10 +568,10 @@ def _diag_rows(quadrics) -> List[List[Scalar]]:
     for q in quadrics:
         if q.degree != 2:
             raise NotDiagonalError("degree-2 forms required")
-        for e in q.terms:
-            if max(e) != 2:
-                raise NotDiagonalError(f"cross term in {q}")
-        rows.append([q.coeff((2, 0, 0)), q.coeff((0, 2, 0)), q.coeff((0, 0, 2))])
+        c = q.quadratic_coeffs()
+        if any(x != 0 for x in c[3:]):
+            raise NotDiagonalError(f"cross term in {q}")
+        rows.append(c[:3])
     return rows
 
 

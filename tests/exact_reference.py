@@ -14,7 +14,8 @@ on, which the one-pass parser and the term-map kernels took the place
 of, the intersection records' sort key on mpf parts, and the
 Gauss-Jordan elimination on Fractions with the ``rank``, ``nullspace``
 and ``solve`` it served, which the one fraction-free echelon of
-``linalg`` took the place of."""
+``linalg`` took the place of, and the quadratic form z^T M z of a
+symmetric matrix, which ``HomPoly.quadratic_form`` took the place of."""
 
 import cmath
 import itertools
@@ -29,7 +30,7 @@ import numpy as np
 from quadrics.arrangements import (ConditionVerdict, LineInfo, NoValidSelectionError,
                                    _lines_meet_point, lines_concurrent, lines_distinct)
 from quadrics.linalg import mat_copy
-from quadrics.polynomials import (DegenerateLeadingFormError, HomPoly, NotHomogeneousError,
+from quadrics.polynomials import (DegenerateLeadingFormError, Expo, HomPoly, NotHomogeneousError,
                                   PolySyntaxError, _grlex_key, resultant, scalar_to_mp)
 from quadrics.scalars import GaussRat, Scalar, coerce_scalar, scalar_to_complex
 
@@ -777,3 +778,18 @@ def reference_solve(M, rhs) -> Optional[List[Scalar]]:
             return None
         x[pc] = A[r][cols]
     return [coerce_scalar(v) for v in x]
+
+
+def poly_from_matrix(M) -> HomPoly:
+    """Quadratic form z^T M z from a symmetric 3x3 exact matrix."""
+    terms: Dict[Expo, Scalar] = {}
+    for i in range(3):
+        for j in range(3):
+            if M[i][j] == 0:
+                continue
+            e = [0, 0, 0]
+            e[i] += 1
+            e[j] += 1
+            e = tuple(e)
+            terms[e] = terms.get(e, 0) + M[i][j]
+    return HomPoly(terms)

@@ -1067,8 +1067,8 @@ def test_scope_computes_each_intersection_once(monkeypatch):
                         lambda p: forms.append(p) or compute_form(p))
     shared = P1 * parse_poly("z0 + z1")
     with analysis_scope():
-        a = intersection_points(P1, P2, pair=(0, 1))
-        b = intersection_points(P1, P2, pair=(1, 2))
+        a = intersection_points(P1, P2)
+        b = intersection_points(P1, P2)
         errors = []
         for _ in range(2):
             with pytest.raises(CommonComponentError) as info:
@@ -1082,8 +1082,7 @@ def test_scope_computes_each_intersection_once(monkeypatch):
     assert (P1, P2, DEFAULT_PRECISION) in calls and (P1, shared, DEFAULT_PRECISION) in calls
     assert set(calls.values()) == {1}
     assert forms == [P1]
-    # points are shared, the pair label differs
-    assert [r.pair for r in a] == [(0, 1)] * 4 and [r.pair for r in b] == [(1, 2)] * 4
+    # the points are shared
     assert all(ra.point is rb.point for ra, rb in zip(a, b))
     # a fresh error each time, carrying the one witness
     assert errors[0] is not errors[1]

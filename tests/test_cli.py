@@ -639,20 +639,30 @@ IRRATIONAL_TRIPLE_LINE_CONFIG = {  # two of those conics, and z1 = z2 through (+
     "components": ["z0^2 + z1^2 - 3*z2^2", "z0^2 - z1^2 - z2^2", "z1 - z2"],
 }
 
+# two of those conics and the smooth cubic (z1 - z2)(z1^2 + z0 z2) + (z0^2 - 2 z2^2)(z0 + z1)
+# through (+-sqrt 2 : 1 : 1), meeting both conics transversally
+IRRATIONAL_TRIPLE_CUBIC_CONFIG = {
+    "family": [2, 2, 3],
+    "components": ["z0^2 + z1^2 - 3*z2^2", "z0^2 - z1^2 - z2^2",
+                   "z0^3 + z0^2*z1 + z0*z1*z2 - 3*z0*z2^2 + z1^3 - z1^2*z2 - 2*z1*z2^2"],
+}
+
 
 def test_undecided_verdicts_carry_a_note(tmp_path):
     """s6.4 stays undecided on three conics through irrational common
-    points, and s4.2 on two of them and a line through two of those
-    points; each note names its test, what it could not separate and the
-    precision reached."""
+    points, and s4.2 on two of them and a cubic through two of those
+    points (a triple with a cubic is decided numerically only); each note
+    names its test, what it could not separate and the precision
+    reached."""
     code, doc = _run(["check-config", _write(tmp_path, "cfg.json", IRRATIONAL_TRIPLE_CONFIG)],
                      tmp_path)
     s64 = doc["report"]["genericity"]["conditions"]["s6.4"]
     assert s64["verdict"] == "undecided"
     assert s64["note"].startswith("18-line test at 4096 bits: not separated: ")
-    code, doc = _run(["check-config", _write(tmp_path, "line.json", IRRATIONAL_TRIPLE_LINE_CONFIG)],
-                     tmp_path)
+    code, doc = _run(["check-config", _write(tmp_path, "cubic.json",
+                                             IRRATIONAL_TRIPLE_CUBIC_CONFIG)], tmp_path)
     conds = doc["report"]["genericity"]["conditions"]
+    assert conds["s4.1"]["verdict"] == "pass"
     assert conds["s4.2"]["verdict"] == "undecided"
     assert conds["s4.2"]["note"].startswith(
         "triple-point test: component 2 at points of components 0 and 1: "
@@ -661,6 +671,32 @@ def test_undecided_verdicts_carry_a_note(tmp_path):
     assert "256-bit evaluation)" in conds["s4.2"]["note"]
     assert "53-bit" not in conds["s4.2"]["note"]
     assert all(v["note"] for v in conds.values() if v["verdict"] == "undecided")
+
+
+def test_line_through_irrational_common_points_fails_s42_exactly(tmp_path, capsys):
+    """Two conics and the line z1 = z2 through two of their common points
+    (+-sqrt 2 : 1 : 1): the resultant with the line squared decides the
+    triple, so s4.2 fails with those two points as witnesses, exit 1; a
+    line through none of them passes."""
+    import jsonschema
+    code, doc = _run(["check-config", _write(tmp_path, "cfg.json", IRRATIONAL_TRIPLE_LINE_CONFIG)],
+                     tmp_path)
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    jsonschema.validate(doc, _schema())
+    s42 = doc["report"]["genericity"]["conditions"]["s4.2"]
+    assert s42["verdict"] == "fail"
+    assert s42["note"] == "components 0,1,2 meet at one point"
+    signs = set()
+    for w in s42["witnesses"]:
+        x, y, z = (complex(c.replace(" ", "")) for c in w["point"])
+        assert abs(abs(x / z) - math.sqrt(2)) < 1e-12 and abs(y / z - 1) < 1e-12
+        signs.add((x / z).real > 0)
+    assert signs == {True, False}
+    apart = dict(IRRATIONAL_TRIPLE_LINE_CONFIG,
+                 components=IRRATIONAL_TRIPLE_LINE_CONFIG["components"][:2] + ["z1 - 2*z2"])
+    code, doc = _run(["check-config", _write(tmp_path, "apart.json", apart)], tmp_path, "apart.out")
+    assert doc["report"]["genericity"]["conditions"]["s4.2"]["verdict"] == "pass"
 
 
 def test_irrational_triple_point_fails_s42_exactly(tmp_path, capsys):
@@ -711,6 +747,30 @@ def test_failed_root_solve_exits_undecided(tmp_path, monkeypatch, capsys):
     assert doc["report"]["error"] == "undecided: RootFindingError: injected failure"
     jsonschema.validate(doc, schema)
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_net_with_irrational_rank_one_members_exits_undecided_at_once(tmp_path, monkeypatch,
+                                                                   capsys):
+    """The rank-one members of z0^2 + 2 z1^2, z0 z1, z2^2 sit at irrational
+    points, which every generic pair of minor combinations passes
+    through: the solver stops at its first candidate, after one
+    intersection, with exit 3 and the precision in the error."""
+    import jsonschema
+    import quadrics.arrangements as arr
+
+    calls = []
+    intersect = arr.intersection_points
+    monkeypatch.setattr(arr, "intersection_points",
+                        lambda *a, **k: calls.append(a) or intersect(*a, **k))
+    net = {"family": [2, 2, 2], "components": ["z0^2 + 2*z1^2", "z0*z1", "z2^2"]}
+    code, doc = _run(["square", _write(tmp_path, "net.json", net)], tmp_path)
+    assert code == 3
+    assert len(calls) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    jsonschema.validate(doc, _schema())
+    assert doc["report"]["error"].startswith(
+        "undecided: PrecisionExhaustedError: a candidate common zero is excluded by no form")
+    assert "-bit evaluation" in doc["report"]["error"]
 
 
 def test_nevanlinna_searches_zeros_once_per_divisor(tmp_path, monkeypatch):

@@ -15,13 +15,12 @@ from quadrics.polynomials import (MAX_COEFFICIENT_BITS, MAX_DEGREE, MAX_LITERAL_
                                   HomPoly, MpForms, NotHomogeneousError, PolySyntaxError,
                                   ProjPointNum, ZeroPolynomialError,
                                   ball_eval, coord_balls, gaussian_extension_eval,
-                                  parse_poly,
-                                  poly_from_matrix, quadric_form, resultant,
+                                  QUADRATIC_MONOMIALS, parse_poly, quadric_form, resultant,
                                   subresultant, vanishes_at)
 from quadrics.linalg import adjugate, cross, det, dot, echelon
 from quadrics.scalars import GaussRat
 
-from exact_reference import (point_distance, reference_add, reference_compose,
+from exact_reference import (point_distance, poly_from_matrix, reference_add, reference_compose,
                              reference_exact_div, reference_mul, reference_neg,
                              reference_parse_poly, reference_pow)
 
@@ -648,7 +647,16 @@ def test_linear_coeffs_inverts_linear_form():
 
 def test_quadric_form_reconstructs_polynomial():
     p = parse_poly("3*z0^2 - 2*z0*z1 + 5*z1*z2 - z2^2")
-    assert poly_from_matrix(quadric_form(p).matrix) == p
+    c = p.quadratic_coeffs()
+    assert c == [3, 0, -1, -2, 0, 5]
+    assert HomPoly.quadratic_form(c) == p
+    assert [HomPoly.monomial(e) for e in QUADRATIC_MONOMIALS] == [
+        z0 * z0, z1 * z1, z2 * z2, z0 * z1, z0 * z2, z1 * z2]
+    M = quadric_form(p).matrix
+    assert [M[0][0], M[1][1], M[2][2]] == c[:3]
+    assert [M[0][1], M[0][2], M[1][2]] == [x / 2 for x in c[3:]]
+    assert all(M[i][j] == M[j][i] for i in range(3) for j in range(3))
+    assert poly_from_matrix(M) == p
 
 
 def _sum_of_squares(seed, n, gaussian):
@@ -666,6 +674,28 @@ def _sum_of_squares(seed, n, gaussian):
         line = HomPoly.linear_form([scalar() for _ in range(3)])
         p = p + (line * line).scale(scalar())
     return p
+
+
+def _conic_over(seed, ring):
+    """A conic over Z, Q or Z[i], of rank 1, 2 or 3 by the seed (dependent
+    forms can make it lower)."""
+    p = _sum_of_squares(seed, 1 + seed % 3, ring == "gaussian")
+    return p.content_primitive()[1] if ring == "integer" and not p.is_zero else p
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       ring=st.sampled_from(["integer", "rational", "gaussian"]))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_dual_conic_is_the_form_of_the_adjugate(seed, ring):
+    """The dual conic built on the coefficient format equals the
+    reference's form z^T adj(M) z, singular conics included, and the
+    matrix gives the form back."""
+    p = _conic_over(seed, ring)
+    assume(p.degree == 2)
+    qf = quadric_form(p)
+    assert qf.dual == poly_from_matrix(adjugate(qf.matrix))
+    assert poly_from_matrix(qf.matrix) == p
+    assert HomPoly.quadratic_form(p.quadratic_coeffs()) == p
 
 
 def _sympy_matrix(M):

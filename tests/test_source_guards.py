@@ -88,8 +88,17 @@ from the rows' cross products, and no ``_det3``, ``_cross``,
 ``_cross_exact``, ``_dot`` or ``matrix_adjugate`` is left beside them
 (forms and exact points coerce their own coefficients).  ``_quadric_form`` builds each
 form's adjugate, rank, determinant and dual conic in that one pass, with
-no ``rank`` or ``rref``, and is the only caller of ``poly_from_matrix``,
-so each dual conic is built once per form.
+no ``rank``, ``rref`` or ``det``, and is the only code that constructs a
+``QuadricForm``, so each dual conic is built once per form.
+
+One coefficient format for conics: a conic's six coefficients are read
+and written only on ``polynomials.QUADRATIC_MONOMIALS`` (z0^2, z1^2, z2^2,
+z0z1, z0z2, z1z2), through ``HomPoly.quadratic_coeffs`` and
+``HomPoly.quadratic_form``.  No other code writes out a quadratic exponent
+triple, and ``poly_from_matrix``, ``_poly_coeff_vector`` and
+``_b4_quadrics`` are gone: the symmetric matrix is read from the
+coefficients, and the dual conic, the biquadratic system and its
+quadrics are built from them.
 
 One exact decision for the contact clauses: s4.3 (s6.3), s4.4 and s4.5
 decide on exact forms, by ``conics_share_a_zero`` or a cross product,
@@ -390,11 +399,48 @@ def test_one_3x3_kernel():
 
 
 def test_each_dual_conic_is_built_once_per_form():
-    assert _references("poly_from_matrix") == [("polynomials.py", "_quadric_form")]
+    built = [(name, func.name) for name, tree in _trees() for func in ast.walk(tree)
+             if isinstance(func, ast.FunctionDef) for node in ast.walk(func)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "QuadricForm"]
+    assert built == [("polynomials.py", "_quadric_form")]
     tree = dict(_trees())["polynomials.py"]
     func = next(node for node in tree.body
                 if isinstance(node, ast.FunctionDef) and node.name == "_quadric_form")
     assert not {"rank", "rref", "det"} & _calls(func)
+
+
+QUADRATIC_EXPONENTS = {(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)}
+
+
+def test_one_coefficient_format_for_conics():
+    """Every tuple or list of three integer literals that is a quadratic
+    exponent sits in ``QUADRATIC_MONOMIALS``, apart from the probe line
+    z1 + z2 of ``common_component_witness``, a line's coefficients."""
+    names = {getattr(node, attr) for _, tree in _trees() for node in ast.walk(tree)
+             for attr in ("id", "attr", "name") if isinstance(getattr(node, attr, None), str)}
+    assert not {"poly_from_matrix", "_poly_coeff_vector", "_b4_quadrics"} & names
+    found = []
+    for name, tree in _trees():
+        def visit(node, scope):
+            if isinstance(node, ast.FunctionDef):
+                scope = node.name
+            elif isinstance(node, ast.Assign) and scope is None:
+                scope = ast.unparse(node.targets[0])
+            if (isinstance(node, (ast.Tuple, ast.List)) and len(node.elts) == 3
+                    and all(isinstance(e, ast.Constant) and type(e.value) is int
+                            for e in node.elts)
+                    and tuple(e.value for e in node.elts) in QUADRATIC_EXPONENTS):
+                found.append((name, scope, tuple(e.value for e in node.elts)))
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        visit(tree, None)
+    assert sorted(found) == sorted(
+        [("arrangements.py", "common_component_witness", (0, 1, 1))]
+        + [("polynomials.py", "QUADRATIC_MONOMIALS", e) for e in QUADRATIC_EXPONENTS])
+    from quadrics.polynomials import QUADRATIC_MONOMIALS
+    assert QUADRATIC_MONOMIALS == ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1))
 
 
 CONTACT_CLAUSES = ("_tangent_contact_verdict", "_condition3_222", "_condition4_dd11",
