@@ -740,12 +740,12 @@ class GenericityReport:
         }
 
 
-def _unseparated(test: str, cases: Dict[str, List[ProjPointNum]], bits=None) -> str:
+def _unseparated(test: str, cases: Dict[str, List[ProjPointNum]], bits: int) -> str:
     """An undecided note: per thing tested, how many points it was not separated from
     zero at, and the precision reached (their largest radius, the evaluation bits)."""
     return "; ".join(
         f"{test}: {what}: {len(pts)} point(s) not separated from zero (radius up to "
-        f"{mp.nstr(max(pt.radius for pt in pts), 3)}, {bits or mp.mp.prec}-bit evaluation)"
+        f"{mp.nstr(max(pt.radius for pt in pts), 3)}, {bits}-bit evaluation)"
         for what, pts in cases.items())
 
 
@@ -759,32 +759,79 @@ def _smoothness_verdict(p: HomPoly, prec_cfg: PrecisionConfig) -> ConditionVerdi
         kind = "double line" if r == 1 else "two distinct lines"
         return ConditionVerdict("fail", note=f"singular quadric (rank {r}: {kind})")
     # general degree: the three partials must have no common zero
-    gx = [p.derivative(i) for i in range(3)]
-    nz = [g for g in gx if not g.is_zero]
+    nz = [g for g in p.gradient() if not g.is_zero]
     if len(nz) < 2:
         return ConditionVerdict("fail", note="cone or repeated factor")
-    try:
-        pts = intersection_points(nz[0], nz[1], precision=prec_cfg)
-    except CommonComponentError as exc:
-        w = [exc.witness] if exc.witness else []
-        return ConditionVerdict("fail", witnesses=w, note="partials share a component")
-    bad = []
-    unsure = []
-    bits = max(prec_cfg.start_bits, mp.mp.prec)  # the points' precision
-    with mp.workprec(bits):
-        for rec in pts:
-            # with two nonzero partials the third is zero, so it vanishes too
-            on = vanishes_at(nz[2], rec.point) if len(nz) == 3 else True
+    meet, witnesses, unsure, shared = common_zero(nz, prec_cfg)
+    if meet:
+        return ConditionVerdict("fail", witnesses=witnesses, note=(
+            "partials share a component" if shared else "singular point"))
+    if meet is None:
+        return ConditionVerdict("undecided", note=_unseparated("singular-point test", {
+            "the third partial at common zeros of the other two": unsure},
+            max(prec_cfg.start_bits, mp.mp.prec)))
+    return ConditionVerdict("pass")
+
+
+def _on_all(forms, point) -> Optional[bool]:
+    """Do all the forms vanish at the point?  False at the first form that
+    excludes it; else None when some form leaves it unseparated; else True."""
+    on = True
+    for f in forms:
+        v = vanishes_at(f, point)
+        if v is False:
+            return False
+        if v is None:
+            on = None
+    return on
+
+
+def common_zero(forms: Sequence[HomPoly], precision: PrecisionConfig):
+    """Do the plane forms have a common zero?  (True, False or None; the
+    witnesses of True; the points left unseparated under None; whether a
+    pair sharing a component decided it).
+
+    The common zeros lie among the points of the first pair, in index
+    order, that shares no component, and each is tested against the other
+    forms at the points' own precision.  With at most three forms the
+    first pair decides even when it shares a component: that component
+    meets the third form (Bezout), and the witness is the shared
+    component's.  Where points stay unseparated and the forms are three
+    lines and conics, ``_lines_and_conics_meet`` decides; the common zero of
+    a True then lies among those points, which become its witnesses.
+    Raises ValueError when every pair shares a component.
+    """
+    for a, b in itertools.combinations(range(len(forms)), 2):
+        try:
+            recs = intersection_points(forms[a], forms[b], precision=precision)
+            break
+        except CommonComponentError as exc:
+            if len(forms) <= 3:
+                return True, [exc.witness] if exc.witness else [], [], True
+    else:
+        raise ValueError("every pair of components shares a component")
+    rest = [f for n, f in enumerate(forms) if n not in (a, b)]
+    witnesses, unsure = [], []
+    with mp.workprec(max(precision.start_bits, mp.mp.prec)):
+        for rec in recs:
+            on = _on_all(rest, rec.point)
             if on:
-                bad.append(rec.point)
+                witnesses.append(rec.point)
             elif on is None:
                 unsure.append(rec.point)
-    if bad:
-        return ConditionVerdict("fail", witnesses=bad, note="singular point")
-    if unsure:
-        return ConditionVerdict("undecided", note=_unseparated("singular-point test", {
-            "the third partial at common zeros of the other two": unsure}, bits))
-    return ConditionVerdict("pass")
+    exact = _lines_and_conics_meet(forms) if unsure and not witnesses else None
+    if exact is not None:
+        return exact, unsure if exact else [], [], False
+    return (True if witnesses else None if unsure else False), witnesses, unsure, False
+
+
+def _lines_and_conics_meet(forms) -> Optional[bool]:
+    """Do three lines and conics share a zero?  Exact: their resultant
+    vanishes, a line entering as its square, since Res(l^2, F, G) =
+    Res(l, F, G)^2.  None for other forms."""
+    if len(forms) != 3 or any(f.degree > 2 for f in forms):
+        return None
+    return conics_share_a_zero(*(f ** (3 - f.degree) for f in forms))
 
 
 def _pairwise_data(polys, prec_cfg):
@@ -803,7 +850,11 @@ def _triple_points(polys, pairwise):
 
     ``pairwise`` is a _pairwise_data map; pairs sharing a component are
     skipped.  Returns ([((i, j, k), point)], unsure), unsure listing the
-    ((i, j, k), point) whose incidence is certified neither way.
+    ((i, j, k), point) whose incidence is certified neither way.  When no
+    point is found and every pair meets transversally, each unsure triple
+    of lines and conics is decided exactly (``_lines_and_conics_meet``):
+    its unsure points are then found, under the sorted triple, or dropped.
+    A triple with a cubic stays unsure.
     """
     found = []
     unsure = []
@@ -819,7 +870,17 @@ def _triple_points(polys, pairwise):
                     found.append(((i, j, k), rec.point))
                 elif on is None:
                     unsure.append(((i, j, k), rec.point))
-    return found, unsure
+    if found or any(isinstance(recs, CommonComponentError)
+                    or any(rec.multiplicity >= 2 for rec in recs) for recs in pairwise.values()):
+        return found, unsure
+    met = {}
+    for ijk, point in unsure:
+        t = tuple(sorted(ijk))
+        if t not in met:
+            met[t] = _lines_and_conics_meet([polys[n] for n in t])
+        if met[t]:
+            found.append((t, point))
+    return found, [(ijk, point) for ijk, point in unsure if met[tuple(sorted(ijk))] is None]
 
 
 def _transversality_verdict(polys, pairwise, bits) -> ConditionVerdict:
@@ -841,19 +902,6 @@ def _transversality_verdict(polys, pairwise, bits) -> ConditionVerdict:
     for (i, j, k), point in triples:
         witnesses.append(point)
         notes.append(f"components {i},{j},{k} meet at one point")
-    if unsure and not notes:
-        # three transversal lines and conics have a triple point iff their
-        # resultant vanishes; a line enters as its square, since
-        # Res(l^2, F, G) = Res(l, F, G)^2.  A triple with a cubic stays numeric.
-        met = {}
-        for ijk, point in unsure:
-            t = tuple(sorted(ijk))
-            if t not in met and all(polys[n].degree <= 2 for n in t):
-                met[t] = conics_share_a_zero(*(polys[n] ** (3 - polys[n].degree) for n in t))
-            if met.get(t):
-                witnesses.append(point)
-                notes.append("components {},{},{} meet at one point".format(*t))
-        unsure = [(ijk, point) for ijk, point in unsure if tuple(sorted(ijk)) not in met]
     if notes:
         keys = [repr(w) for w in witnesses]
         uniq = [w for n, w in enumerate(witnesses) if keys[n] not in keys[:n]]
@@ -900,7 +948,8 @@ def _pole(adj, ell) -> list:
 
 
 def _at_contact(f: HomPoly, adj) -> HomPoly:
-    """f(adj . l), f at a tangent l's contact point, squared if f is a line."""
+    """f(adj . l), f at a tangent l's contact point, squared if f is a line.
+    With a conic's matrix for adj, f at the conic's tangent at the point l."""
     g = f.compose([HomPoly.linear_form(row) for row in adj])
     return g * g if g.degree == 1 else g
 
@@ -1346,7 +1395,7 @@ class MorphismDescriptor:
     degree: int
     is_morphism: bool
     certified: bool
-    witness: Optional[ProjPointNum] = None
+    witness: Optional[ProjPointNum]
 
 
 def composite_morphism(p1: HomPoly, p2: HomPoly, p3: HomPoly,
@@ -1365,20 +1414,9 @@ def composite_morphism(p1: HomPoly, p2: HomPoly, p3: HomPoly,
     degs = {p.degree * a for p, a in zip(comps, powers)}
     if len(degs) != 1:
         raise DegreeMismatchError(f"component degrees {sorted(degs)} differ")
-    try:
-        pts = intersection_points(p1, p2, precision=prec_cfg)
-    except CommonComponentError as exc:
-        return MorphismDescriptor(comps, tuple(powers), degs.pop(), False, True,
-                                  witness=exc.witness)
-    certified = True
-    for rec in pts:
-        on = vanishes_at(p3, rec.point)
-        if on:
-            return MorphismDescriptor(comps, tuple(powers), degs.pop(),
-                                      False, True, witness=rec.point)
-        if on is None:
-            certified = False
-    return MorphismDescriptor(comps, tuple(powers), degs.pop(), True, certified)
+    meet, witnesses, _, _ = common_zero(comps, prec_cfg)
+    return MorphismDescriptor(comps, tuple(powers), degs.pop(), not meet, meet is not None,
+                              witness=witnesses[0] if witnesses else None)
 
 
 def cor31_hypothesis_check(cfg: Configuration,
@@ -1417,13 +1455,6 @@ def cor31_hypothesis_check(cfg: Configuration,
 # ---------------------------------------------------------------------------
 # Contact obstruction report
 # ---------------------------------------------------------------------------
-
-def _contact_tangents(quad: HomPoly, base: HomPoly, prec_cfg):
-    """(point, tangent of quad there) at each intersection point of base
-    and quad; each tangent is exact when its point is."""
-    return [(r.point, tangent_line_numeric(quad, r.point))
-            for r in intersection_points(base, quad, precision=prec_cfg)]
-
 
 def _square_vector(line: NumLine):
     """The square of the line's form on ``QUADRATIC_MONOMIALS``."""
@@ -1497,23 +1528,26 @@ def contact_obstruction_check(cfg: Configuration,
         "fail" if tangential else "pass", witnesses=witnesses,
         note="tangential contact present" if tangential else "")
 
-    # tangency data at intersections with the first component
-    t2 = _contact_tangents(g2, g1, prec_cfg)
-    t3 = _contact_tangents(g3, g1, prec_cfg)
+    # (point, tangent of g2 or g3 there) at its intersections with the first
+    # component; each tangent is exact when its point is
+    t2, t3 = ([(r.point, tangent_line_numeric(quad, r.point))
+               for r in intersection_points(g1, quad, precision=prec_cfg)] for quad in (g2, g3))
 
-    # clause g
-    touch = [(pt, tangent_to_conic(line, other))
-             for ts, other in ((t2, g3), (t3, g2)) for pt, line in ts]
-    g_wit = [pt for pt, t in touch if t]
-    unsure = [pt for pt, t in touch if t is None]
-    if g_wit:
-        report["g"] = ConditionVerdict(
-            "fail", witnesses=g_wit, note="tangent at a contact point touches the other quadric")
-    elif unsure:
-        report["g"] = ConditionVerdict("undecided", note=_unseparated("tangency test", {
-            "the other quadric's dual at the tangents of contact points": unsure}))
-    else:
-        report["g"] = ConditionVerdict("pass")
+    # clause g, numerically first; where that finds no witness, an order
+    # with an unseparated tangent is decided exactly: the tangent to quad at
+    # P is M . P, which touches the other conic iff its dual vanishes there
+    orders = [(quad, other, [(pt, tangent_to_conic(line, other)) for pt, line in ts])
+              for ts, quad, other in ((t2, g2, g3), (t3, g3, g2))]
+    g_wit = [pt for _, _, touch in orders for pt, t in touch if t]
+    notes = ["tangent at a contact point touches the other quadric"]
+    for quad, other, touch in ([] if g_wit else orders):
+        if any(t is None for _, t in touch) and _lines_and_conics_meet(
+                (g1, quad, _at_contact(quadric_form(other).dual, quadric_form(quad).matrix))):
+            notes.append(f"the tangent to {quad} at a point of {g1} that touches {other} "
+                         "is irrational: no witness point")
+    touches = bool(g_wit) or len(notes) > 1
+    report["g"] = ConditionVerdict("fail" if touches else "pass", witnesses=g_wit,
+                                   note="; ".join(notes) if touches else "")
 
     # clause f: span intersection test, exact on exact tangents
     f_entries = []
@@ -1594,14 +1628,9 @@ def common_zeros_of_quadratic_system(forms: Sequence[HomPoly],
             continue
         sols = []
         for rec in recs:
-            undecided = False
-            for f in live:
-                on = vanishes_at(f, rec.point)
-                if on is False:
-                    break
-                undecided = undecided or on is None
-            else:
-                if undecided:
+            on = _on_all(live, rec.point)
+            if on is not False:
+                if on is None:
                     # every generic pair passes through a common zero, so
                     # no other pair can separate this candidate
                     raise PrecisionExhaustedError(

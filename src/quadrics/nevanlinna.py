@@ -40,9 +40,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import mpmath as mp
 import numpy as np
 
-from .config import scoped
+from .config import DEFAULT_PRECISION, scoped
 from .linalg import nullspace, poly_mul, poly_sub, rank, trim
-from .polynomials import HomPoly, vanishes_at
+from .polynomials import HomPoly
 from .scalars import (GaussRat, coerce_scalar, parse_scalar_string,
                       scalar_to_complex)
 from .univariate import _c2mpc, _derivative, complex_roots, dehomogenize, uni_gcd
@@ -1116,9 +1116,8 @@ def functoriality_check(curve: ExpCurve, morphism: Sequence[HomPoly],
     sum has no T(r) and raises SumComponentError.
     The morphism components must have one common degree p and no common
     zero (checked exactly on a line via the gcd; on the plane two forms
-    always share a zero, three go through ``composite_morphism``, whose
-    undecided answer is refused like a common zero, and four or more are
-    tested at the points of their first pair without a shared component).
+    always share a zero, and more go through ``arrangements.common_zero``,
+    whose undecided answer is refused like a common zero).
     """
     degs = {m.degree for m in morphism}
     if len(degs) != 1:
@@ -1135,30 +1134,13 @@ def functoriality_check(curve: ExpCurve, morphism: Sequence[HomPoly],
     elif len(morphism) == 2:
         # two plane curves always meet (Bezout)
         raise NotAMorphismError("two components share a common zero")
-    elif len(morphism) == 3:
-        from .arrangements import composite_morphism
-        md = composite_morphism(morphism[0], morphism[1], morphism[2], (1, 1, 1))
-        if not md.is_morphism:
-            raise NotAMorphismError("components share a common zero")
-        if not md.certified:
-            raise NotAMorphismError("components may share a common zero: undecided")
     else:
-        # the common zeros lie among the points of the first pair, in index
-        # order, that shares no component
-        from .arrangements import CommonComponentError, intersection_points
-        for a, b in itertools.combinations(range(len(morphism)), 2):
-            try:
-                recs = intersection_points(morphism[a], morphism[b])
-            except CommonComponentError:
-                continue
-            rest = [m for k, m in enumerate(morphism) if k not in (a, b)]
-            if any(all(vanishes_at(m, rec.point) is not False for m in rest)
-                   for rec in recs):
-                raise NotAMorphismError("components share a common zero")
-            break
-        else:
-            # pairwise shared components need not have a common zero
-            raise ValueError("every pair of components shares a component")
+        from .arrangements import common_zero
+        meet = common_zero(morphism, DEFAULT_PRECISION)[0]
+        if meet:
+            raise NotAMorphismError("components share a common zero")
+        if meet is None:
+            raise NotAMorphismError("components may share a common zero: undecided")
     image = ExpCurve([curve.compose(m) for m in morphism])
     rs = sorted(float(r) for r in radii)
     diffs = []

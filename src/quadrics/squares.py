@@ -17,11 +17,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import mpmath as mp
 
-from .arrangements import (CommonComponentError, InfinitelyManySolutionsError,
-                           NoSolutionError, _contact_span, _contact_tangents,
-                           _pairwise_data, _triple_points,
-                           common_zeros_of_quadratic_system,
-                           tangent_line_numeric, tangent_to_conic)
+from .arrangements import (CommonComponentError, Configuration, InfinitelyManySolutionsError,
+                           NoSolutionError, _pairwise_data, _triple_points,
+                           common_zeros_of_quadratic_system, contact_obstruction_check,
+                           tangent_line_numeric)
 from .config import DEFAULT_PRECISION, PrecisionConfig
 from .linalg import adjugate, det as exact_det, nullspace, rank
 from .polynomials import (HomPoly, parse_poly,
@@ -112,16 +111,9 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def coeff(self, e) -> Scalar:
-        return self.terms.get(tuple(e), Fraction(0))
-
     @property
     def degree(self):
         return max((sum(e) for e in self.terms), default=-1)
-
-    @property
-    def is_zero(self):
-        return not self.terms
 
     def __eq__(self, other):
         return isinstance(other, MultiPoly) and self.n == other.n and self.terms == other.terms
@@ -715,28 +707,19 @@ def example_verify(precision: PrecisionConfig | None = None) -> dict:
     report["item1_no_triple_point"] = "fail" if triple else (
         "undecided" if undecided else "pass")
 
-    # item 2: no tangencies anywhere
-    tang = [r for recs in pair_pts.values() for r in recs if r.multiplicity >= 2]
-    report["item2_no_tangency"] = "fail" if tang else "pass"
+    # items 2, 4 and 5 are clauses e, g and f of the contact obstruction
+    # report: no tangencies anywhere; no tangent at a point of the line
+    # tangent to the other smooth quadric; only trivial solutions of the
+    # contact linear systems
+    contact = contact_obstruction_check(Configuration.from_polys(polys), prec_cfg).conditions
+    report["item2_no_tangency"] = contact["e"].status
 
     # item 3: tangents at intersection points contain no further intersection point
     verdict3, wit3 = tangent_incidence_check((1, 2), polys, pair_pts)
     report["item3_tangent_incidence"] = verdict3
 
-    # item 4: tangent at a point of intersection with the line is not
-    # tangent to the other smooth quadric
-    t1 = _contact_tangents(q1, line, prec_cfg)
-    t2 = _contact_tangents(q2, line, prec_cfg)
-    touch = [tangent_to_conic(t, other) for ts, other in ((t1, q2), (t2, q1))
-             for _, t in ts]
-    report["item4_tangent_tangency"] = "fail" if any(touch) else (
-        "undecided" if None in touch else "pass")
-
-    # item 5: the contact linear systems admit only the trivial solution
-    ranks = [_contact_span(q1, tp, q2, tq)[0]
-             for (_, tp), (_, tq) in itertools.product(t1, t2)]
-    report["item5_ranks"] = ranks
-    report["item5_only_trivial"] = all(r == 4 for r in ranks)
+    report["item4_tangent_tangency"] = contact["g"].status
+    report["item5_only_trivial"] = contact["f"].status == "pass"
 
     report["passed"] = all([
         report["square_identity_exact"], report["square_found"],

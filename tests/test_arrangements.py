@@ -775,6 +775,11 @@ def test_classification_consistent_with_rank1_structure():
 # Morphisms
 # ---------------------------------------------------------------------------
 
+# three smooth conics through (+-sqrt 2 : +-1 : 1)
+IRRATIONAL_NET = [parse_poly(f) for f in (
+    "z0^2 + z1^2 - 3*z2^2", "z0^2 - z1^2 - z2^2", "z0^2 + 2*z1^2 - 4*z2^2")]
+
+
 def test_composite_morphism_coordinate_squares():
     md = composite_morphism(parse_poly("z0^2"), parse_poly("z1^2"),
                             parse_poly("z2^2"), (1, 1, 1))
@@ -791,6 +796,15 @@ def test_composite_morphism_example(example_net):
     q0, q1, q2 = example_net
     md = composite_morphism(q0, q1, q2, (1, 1, 1))
     assert md.is_morphism
+
+
+def test_composite_morphism_irrational_common_zero_is_certified():
+    """The three conics of the triple-point net meet at (+-sqrt2 : +-1 : 1):
+    the exact resultant certifies that they are no morphism."""
+    md = composite_morphism(*IRRATIONAL_NET, (1, 1, 1))
+    assert not md.is_morphism and md.certified
+    x, y, z = (complex(c) for c in md.witness.coords)
+    assert abs(abs(x / z) - math.sqrt(2)) < 1e-12 and abs(abs(y / z) - 1) < 1e-12
 
 
 def test_composite_morphism_degree_mismatch():
@@ -839,6 +853,20 @@ def test_contact_obstruction_tangential_pair_fails_e():
         [parse_poly("z0 + z1 + z2"), P2, P3], family=(1, 2, 2))
     rep = contact_obstruction_check(cfg)
     assert rep.conditions["e"].status == "fail"
+
+
+def test_clause_g_fails_on_an_irrational_tangent():
+    """The tangents to the unit circle at its points (1/2 : +-sqrt3/2 : 1) on
+    the line 2 z0 = z2 touch the unit circle about (4, 0): the exact
+    resultant decides clause g, which fails with no witness point."""
+    cfg = Configuration.from_polys([parse_poly(f) for f in (
+        "2*z0 - z2", "z0^2 + z1^2 - z2^2", "z0^2 - 8*z0*z2 + z1^2 + 15*z2^2")])
+    g = contact_obstruction_check(cfg).conditions["g"]
+    assert g.status == "fail"
+    assert g.witnesses == []
+    assert g.note == ("tangent at a contact point touches the other quadric; the tangent to "
+                      "z0^2 + z1^2 - z2^2 at a point of 2*z0 - z2 that touches "
+                      "z0^2 - 8*z0*z2 + z1^2 + 15*z2^2 is irrational: no witness point")
 
 
 def test_contact_obstruction_engineered_span_fails_f():
@@ -1012,6 +1040,22 @@ def test_s4_condition5_engineered_failure():
         parse_poly("z0 - z1")])
     rep = genericity_check_s4(cfg)
     assert rep.conditions["s4.5"].status == "fail"
+
+
+def test_s41_fails_at_irrational_singular_points():
+    """z1 (z0^2 - 2 z2^2 + z1^2) is singular at (+-sqrt2 : 0 : 1), where its
+    three partials, all conics, meet: the exact resultant decides s4.1, with
+    those two points as witnesses."""
+    cfg = Configuration.from_polys([parse_poly("z0^2*z1 - 2*z1*z2^2 + z1^3"),
+                                    parse_poly("z0 + 5*z1 + 7*z2")])
+    s41 = genericity_check_s4(cfg).conditions["s4.1"]
+    assert (s41.status, s41.note) == ("fail", "singular point")
+    signs = set()
+    for w in s41.witnesses:
+        x, y, z = (complex(c) for c in w.coords)
+        assert abs(abs(x / z) - math.sqrt(2)) < 1e-12 and abs(y) < 1e-12
+        signs.add((x / z).real > 0)
+    assert signs == {True, False}
 
 
 def test_s4_smoothness_general_degree():

@@ -673,6 +673,32 @@ def test_undecided_verdicts_carry_a_note(tmp_path):
     assert all(v["note"] for v in conds.values() if v["verdict"] == "undecided")
 
 
+SINGULAR_CUBIC_CONFIG = {  # z1 (z0^2 - 2 z2^2 + z1^2), singular at (+-sqrt 2 : 0 : 1)
+    "family": [3, 1],
+    "components": ["z0^2*z1 - 2*z1*z2^2 + z1^3", "z0 + 5*z1 + 7*z2"],
+}
+
+# the tangents to the unit circle at (1/2 : +-sqrt 3/2 : 1), on the line, touch
+# the unit circle about (4, 0)
+IRRATIONAL_CLAUSE_G_CONFIG = {
+    "family": [1, 2, 2],
+    "components": ["2*z0 - z2", "z0^2 + z1^2 - z2^2", "z0^2 - 8*z0*z2 + z1^2 + 15*z2^2"],
+}
+
+
+@pytest.mark.parametrize("config, section, condition", [
+    (SINGULAR_CUBIC_CONFIG, "genericity", "s4.1"),
+    (IRRATIONAL_CLAUSE_G_CONFIG, "contact_obstruction", "g")])
+def test_irrational_common_zeros_fail_exactly(tmp_path, config, section, condition):
+    """s4.1 on a cubic whose partials are conics, and clause g, are decided
+    by the exact resultant of three conics: exit 1, with no undecided
+    verdict left."""
+    code, doc = _run(["check-config", _write(tmp_path, "cfg.json", config)], tmp_path)
+    assert code == 1
+    assert doc["report"][section]["conditions"][condition]["verdict"] == "fail"
+    assert "undecided" not in json.dumps(doc)
+
+
 def test_line_through_irrational_common_points_fails_s42_exactly(tmp_path, capsys):
     """Two conics and the line z1 = z2 through two of their common points
     (+-sqrt 2 : 1 : 1): the resultant with the line squared decides the

@@ -758,13 +758,26 @@ def test_functoriality_rejects_non_morphism():
 
 
 def test_functoriality_refuses_an_undecided_common_zero():
-    """The three forms share (+-sqrt2 : +-sqrt2 : 1), where the third one's
-    vanishing is undecided at every precision: an uncertified morphism is
-    refused before the image curve is formed."""
-    forms = [parse_poly(f) for f in ("z0^2 - 2*z2^2", "z1^2 - 2*z2^2", "z0^2 - z1^2")]
+    """The three cubics share the nine points (cbrt2 w : cbrt2 w' : 1), w and
+    w' cube roots of unity, where the third one's vanishing is undecided at
+    every precision and no exact test of cubics is made: an uncertified
+    morphism is refused before the image curve is formed."""
+    forms = [parse_poly(f) for f in ("z0^3 - 2*z2^3", "z1^3 - 2*z2^3", "z0^3 - z1^3")]
     f3 = ExpCurve.from_exponents([[0], [0, 1], [1, 2]])
     with pytest.raises(NotAMorphismError, match="undecided"):
         functoriality_check(f3, forms, [10.0, 20.0])
+
+
+@pytest.mark.parametrize("forms", [
+    ("z0^2 - 2*z2^2", "z1^2 - 2*z2^2", "z0^2 - z1^2"),
+    ("z0^2 + z1^2 - 3*z2^2", "z0^2 - z1^2 - z2^2", "z0^2 + 2*z1^2 - 4*z2^2")])
+def test_functoriality_rejects_irrational_common_zeros_exactly(forms):
+    """Three conics through (+-sqrt2 : +-sqrt2 : 1), and the triple-point
+    net through (+-sqrt2 : +-1 : 1): the exact resultant of the three
+    conics decides that they share a zero."""
+    f3 = ExpCurve.from_exponents([[0], [0, 1], [1, 2]])
+    with pytest.raises(NotAMorphismError, match="^components share a common zero$"):
+        functoriality_check(f3, [parse_poly(f) for f in forms], [10.0, 20.0])
 
 
 @pytest.mark.parametrize("forms", [["z0*z1", "z0*z2"], ["z0^2", "z1^2"]])

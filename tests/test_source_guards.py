@@ -106,6 +106,16 @@ with no numeric contact point: ``_contact_point`` and ``_adjugate_balls``
 are gone, and no contact clause calls ``vanishes_at``.  The dual conics
 are intersected only to list the witnesses of a fail, below the test
 that skips a pass.
+
+One common-zero test: "do these forms meet?" is asked of
+``arrangements.common_zero``, for smoothness, morphisms and
+functoriality, with the exact three-conic resultant behind its numeric
+test.  Only its per-point test ``_on_all``, which
+``common_zeros_of_quadratic_system`` shares, and ``_triple_points`` test
+further forms at intersection points: ``vanishes_at`` is read elsewhere
+only by ``_tangential`` (the two curves' own partials at their point) and
+``tangent_to_conic`` (a dual conic at a line).  ``nevanlinna`` imports
+neither ``intersection_points`` nor ``vanishes_at``.
 """
 
 import ast
@@ -469,3 +479,15 @@ def test_contact_clauses_decide_exactly():
         loop = next(node for node in ast.walk(func) if isinstance(node, ast.For)
                     and guard in node.body)
         assert all(node in set(ast.walk(loop)) for node in calls), name
+
+
+def test_one_common_zero_test():
+    assert sorted(set(_references("vanishes_at"))) == [
+        ("arrangements.py", "_on_all"), ("arrangements.py", "_tangential"),
+        ("arrangements.py", "_triple_points"), ("arrangements.py", "tangent_to_conic")]
+    assert sorted(set(_references("_on_all"))) == [
+        ("arrangements.py", "common_zero"), ("arrangements.py", "common_zeros_of_quadratic_system")]
+    tree = dict(_trees())["nevanlinna.py"]
+    names = {getattr(node, attr) for node in ast.walk(tree)
+             for attr in ("id", "attr", "name") if isinstance(getattr(node, attr, None), str)}
+    assert not {"intersection_points", "vanishes_at", "composite_morphism"} & names
