@@ -210,7 +210,7 @@ def _take(vec, idx):
     return tuple(Ball(b.mid[idx], b.rad[idx]) for b in vec)
 
 
-def _double_line_pass(lines: Sequence[NumLine], points: Sequence[ProjPointNum] = ()):
+def _double_line_pass(lines: Sequence[NumLine], points: Sequence[ProjPointNum]):
     """The double pass of the line predicates for every pair, triple and
     incidence at once, on array Balls: which pairs a < b are certainly
     distinct (l_a x l_b excludes zero), which triples a < b < c certainly
@@ -243,11 +243,11 @@ def _double_line_pass(lines: Sequence[NumLine], points: Sequence[ProjPointNum] =
     return distinct, apart, off
 
 
-def _open_rows(table, idx, k: int):
-    """The k-subsets of positions in ``idx`` (combinations order) whose
-    row of ``table``, indexed by the lines idx[.], is not settled."""
-    rows = _subsets(len(idx), k)
-    return rows[:, ~table[tuple(np.asarray(idx)[rows])]].T.tolist()
+def _open_rows(table, k: int):
+    """The k-subsets of the lines (combinations order) whose row of
+    ``table`` is not settled."""
+    rows = _subsets(table.shape[0], k)
+    return rows[:, ~table[tuple(rows)]].T.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -795,11 +795,13 @@ def common_zero(forms: Sequence[HomPoly], precision: PrecisionConfig):
     order, that shares no component, and each is tested against the other
     forms at the points' own precision.  With at most three forms the
     first pair decides even when it shares a component: that component
-    meets the third form (Bezout), and the witness is the shared
-    component's.  Where points stay unseparated and the forms are three
-    lines and conics, ``_lines_and_conics_meet`` decides; the common zero of
-    a True then lies among those points, which become its witnesses.
-    Raises ValueError when every pair shares a component.
+    meets the third form (Bezout), and the witnesses are where it does
+    (the shared component's own witness when there is no third form, or
+    when the third form contains it too).  Where points stay unseparated
+    and the forms are three lines and conics, ``_lines_and_conics_meet``
+    decides; the common zero of a True then lies among those points,
+    which become its witnesses.  Raises ValueError when every pair shares
+    a component.
     """
     for a, b in itertools.combinations(range(len(forms)), 2):
         try:
@@ -807,7 +809,7 @@ def common_zero(forms: Sequence[HomPoly], precision: PrecisionConfig):
             break
         except CommonComponentError as exc:
             if len(forms) <= 3:
-                return True, [exc.witness] if exc.witness else [], [], True
+                return True, _on_shared(exc, forms[2:], precision), [], True
     else:
         raise ValueError("every pair of components shares a component")
     rest = [f for n, f in enumerate(forms) if n not in (a, b)]
@@ -823,6 +825,19 @@ def common_zero(forms: Sequence[HomPoly], precision: PrecisionConfig):
     if exact is not None:
         return exact, unsure if exact else [], [], False
     return (True if witnesses else None if unsure else False), witnesses, unsure, False
+
+
+def _on_shared(exc: CommonComponentError, rest, precision) -> list:
+    """Where the component shared by the first two forms meets the rest
+    (at most one form); with no rest, or a rest that contains it too, the
+    component's own witness."""
+    try:
+        if rest:
+            return [rec.point for rec in intersection_points(exc.factor, rest[0],
+                                                             precision=precision)]
+    except CommonComponentError as inner:
+        exc = inner
+    return [exc.witness] if exc.witness else []
 
 
 def _lines_and_conics_meet(forms) -> Optional[bool]:
@@ -845,48 +860,26 @@ def _pairwise_data(polys, prec_cfg):
     return out
 
 
-def _triple_points(polys, pairwise):
-    """Points where two components meet a third.
-
-    ``pairwise`` is a _pairwise_data map; pairs sharing a component are
-    skipped.  Returns ([((i, j, k), point)], unsure), unsure listing the
-    ((i, j, k), point) whose incidence is certified neither way.  When no
-    point is found and every pair meets transversally, each unsure triple
-    of lines and conics is decided exactly (``_lines_and_conics_meet``):
-    its unsure points are then found, under the sorted triple, or dropped.
-    A triple with a cubic stays unsure.
-    """
-    found = []
-    unsure = []
-    for (i, j), recs in pairwise.items():
-        if isinstance(recs, CommonComponentError):
-            continue
-        for k in range(len(polys)):
-            if k in (i, j):
-                continue
-            for rec in recs:
-                on = vanishes_at(polys[k], rec.point)
-                if on:
-                    found.append(((i, j, k), rec.point))
-                elif on is None:
-                    unsure.append(((i, j, k), rec.point))
-    if found or any(isinstance(recs, CommonComponentError)
-                    or any(rec.multiplicity >= 2 for rec in recs) for recs in pairwise.values()):
-        return found, unsure
-    met = {}
-    for ijk, point in unsure:
-        t = tuple(sorted(ijk))
-        if t not in met:
-            met[t] = _lines_and_conics_meet([polys[n] for n in t])
-        if met[t]:
-            found.append((t, point))
-    return found, [(ijk, point) for ijk, point in unsure if met[tuple(sorted(ijk))] is None]
+def _triple_points(polys, precision):
+    """Where three components meet: one ``common_zero`` per triple
+    i < j < k, in that order.  Returns ([((i, j, k), witnesses)],
+    [((i, j, k), unsure points)]), the unsure points being those of
+    components i and j (the pair ``common_zero`` tests a triple on) that
+    component k leaves unseparated."""
+    found, unsure = [], []
+    for ijk in itertools.combinations(range(len(polys)), 3):
+        meet, witnesses, points, _ = common_zero([polys[n] for n in ijk], precision)
+        if meet:
+            found.append((ijk, witnesses))
+        elif meet is None:
+            unsure.append((ijk, points))
+    return found, unsure
 
 
-def _transversality_verdict(polys, pairwise, bits) -> ConditionVerdict:
+def _transversality_verdict(polys, precision) -> ConditionVerdict:
     witnesses = []
     notes = []
-    for (i, j), val in pairwise.items():
+    for (i, j), val in _pairwise_data(polys, precision).items():
         if isinstance(val, CommonComponentError):
             if val.witness is not None:
                 witnesses.append(val.witness)
@@ -897,20 +890,19 @@ def _transversality_verdict(polys, pairwise, bits) -> ConditionVerdict:
                 witnesses.append(rec.point)
                 notes.append(f"non-transversal contact of {i} and {j} "
                              f"(multiplicity {rec.multiplicity})")
-    with mp.workprec(bits):
-        triples, unsure = _triple_points(polys, pairwise)
-    for (i, j, k), point in triples:
-        witnesses.append(point)
+    triples, unsure = _triple_points(polys, precision)
+    for (i, j, k), points in triples:
+        witnesses.extend(points)
         notes.append(f"components {i},{j},{k} meet at one point")
     if notes:
         keys = [repr(w) for w in witnesses]
         uniq = [w for n, w in enumerate(witnesses) if keys[n] not in keys[:n]]
         return ConditionVerdict("fail", witnesses=uniq, note="; ".join(sorted(set(notes))))
     if unsure:
-        cases: Dict[str, List[ProjPointNum]] = {}
-        for (i, j, k), point in unsure:
-            cases.setdefault(f"component {k} at points of components {i} and {j}", []).append(point)
-        return ConditionVerdict("undecided", note=_unseparated("triple-point test", cases, bits))
+        cases = {f"component {k} at points of components {i} and {j}": points
+                 for (i, j, k), points in unsure}
+        return ConditionVerdict("undecided", note=_unseparated(
+            "triple-point test", cases, max(precision.start_bits, mp.mp.prec)))
     return ConditionVerdict("pass")
 
 
@@ -983,9 +975,7 @@ def genericity_check_s4(cfg: Configuration,
     else:
         report.conditions["s4.1"] = ConditionVerdict("pass")
 
-    pairwise = _pairwise_data(polys, prec_cfg)
-    report.conditions["s4.2"] = _transversality_verdict(
-        polys, pairwise, max(prec_cfg.start_bits, mp.mp.prec))
+    report.conditions["s4.2"] = _transversality_verdict(polys, prec_cfg)
 
     k = cfg.k
 
@@ -1236,61 +1226,68 @@ def genericity_check_s6(q1: HomPoly, q2: HomPoly, q3: HomPoly,
     return report, ls
 
 
-def _condition4_verdict(ls: LineSystem) -> ConditionVerdict:
-    """Concurrency pattern of the 18 lines.
+def _line_table(ls: LineSystem):
+    """Every pair, incidence and triple of the 18 lines that is not
+    certified apart, with its scalar predicate's answer, in the order
+    pairs, incidences, triples (each in combinations order of
+    ``ls.all_lines()`` positions).
 
     A line passes through its two defining intersection points by
     construction, so each of the 12 points carries exactly its three
     own-group lines structurally; what needs certification is only the
-    negative side: no further line through those points, no coincident
-    lines, and no 3-fold concurrency elsewhere (triples consisting of the
-    three own lines of one point are the allowed ones).
+    negative side.  Returns the pairs (a, b, lines_distinct) not certified
+    distinct (False: they coincide); the incidences ((g, idx), n,
+    passes_through) of a line n through point idx of pair g that is not
+    one of its own lines, not certified off it; and the triples ((a, b, c),
+    lines_concurrent) not certified non-concurrent, other than the three
+    own lines of one point (the allowed concurrency).  The double pass
+    settles most rows at once; the scalar predicates decide the rest.
     """
     lines = ls.all_lines()
-    unsure = []  # what stayed inseparable, in the order found
-    witnesses = []
-    notes = []
-    # the double pass settles most rows at once; the rest, in the order
-    # below, go to the scalar predicates
     keys = [(g, idx) for g, pts in ls.points.items() for idx in range(len(pts))]
     distinct, apart, off = _double_line_pass([li.line for li in lines],
                                              [ls.points[g][idx] for g, idx in keys])
-    positions = range(len(lines))
-
-    for a, b in _open_rows(distinct, positions, 2):
-        d = lines_distinct(lines[a].line, lines[b].line)
-        if d is False:
-            notes.append(f"lines {lines[a].label()} and {lines[b].label()} coincide")
-        elif d is None:
-            unsure.append(f"lines {lines[a].label()} and {lines[b].label()} from coincident")
-
+    pairs = [(a, b, d) for a, b in _open_rows(distinct, 2)
+             if (d := lines_distinct(lines[a].line, lines[b].line)) is not True]
     # the three own lines of each intersection point, as index sets
-    own = {(g, idx): frozenset(n for n, li in enumerate(lines)
-                               if li.group == g and idx in li.point_ids)
-           for g, idx in keys}
+    own = [frozenset(n for n, li in enumerate(lines) if li.group == g and idx in li.point_ids)
+           for g, idx in keys]
+    incidences = [((g, idx), n, on) for k, (g, idx) in enumerate(keys)
+                  for n, li in enumerate(lines) if n not in own[k] and not off[k, n]
+                  and (on := li.line.passes_through(ls.points[g][idx])) is not False]
+    allowed = set(own)
+    triples = [(abc, conc) for abc in _open_rows(apart, 3) if frozenset(abc) not in allowed
+               and (conc := lines_concurrent(*(lines[n].line for n in abc))) is not False]
+    return pairs, incidences, triples
 
-    for k, ((g, idx), mine) in enumerate(own.items()):
-        p = ls.points[g][idx]
-        for n, li in enumerate(lines):
-            if n in mine or off[k, n]:
-                continue
-            on = li.line.passes_through(p)
-            if on:
-                witnesses.append(p)
-                notes.append(f"extra line {li.label()} through intersection "
-                             f"point {idx} of pair {g}")
-            elif on is None:
-                unsure.append(f"line {li.label()} from intersection point {idx} of pair {g}")
 
-    allowed = set(own.values())
-    for abc in _open_rows(apart, positions, 3):
-        if frozenset(abc) in allowed:
-            continue  # the allowed 3-fold concurrency at an intersection point
+def _condition4_verdict(ls: LineSystem) -> ConditionVerdict:
+    """Concurrency pattern of the 18 lines: no coincident lines, no
+    further line through an intersection point, and no 3-fold concurrency
+    elsewhere (``_line_table``)."""
+    lines = ls.all_lines()
+    pairs, incidences, triples = _line_table(ls)
+    unsure = []  # what stayed inseparable, in the order found
+    witnesses = []
+    notes = []
+    for a, b, d in pairs:
+        what = f"lines {lines[a].label()} and {lines[b].label()}"
+        if d is False:
+            notes.append(f"{what} coincide")
+        else:
+            unsure.append(f"{what} from coincident")
+    for (g, idx), n, on in incidences:
+        if on:
+            witnesses.append(ls.points[g][idx])
+            notes.append(f"extra line {lines[n].label()} through intersection "
+                         f"point {idx} of pair {g}")
+        else:
+            unsure.append(f"line {lines[n].label()} from intersection point {idx} of pair {g}")
+    for abc, conc in triples:
         trip = tuple(lines[n] for n in abc)
-        conc = lines_concurrent(*(li.line for li in trip))
         if conc is None:
             unsure.append("lines " + ", ".join(li.label() for li in trip) + " from concurrent")
-        elif conc:
+        else:
             pt = _lines_meet_point(trip[0].line, trip[1].line)
             if pt is not None:
                 witnesses.append(pt)
@@ -1324,37 +1321,31 @@ def select_general_position(ls: LineSystem) -> List[LineInfo]:
     """First 12-line selection (canonical order) in general position.
 
     Drops one pairing per quadric pair; candidates are enumerated
-    lexicographically over the dropped indices and certified by the
-    exhaustive 3-subset concurrency test (after dropping a pairing no
-    structural concurrency survives, so every triple must be certified
-    non-concurrent).
+    lexicographically over the dropped indices and read from the 18-line
+    table (``_line_table``): a selection passes when it keeps no pair
+    listed there as not certified distinct and no listed triple.  After
+    dropping a pairing no own triple of a point survives, so the table's
+    triples are every one the selection must certify non-concurrent.
     """
     diagnostics = []
     lines = ls.all_lines()
-    group_of = [gi for gi, g in enumerate(GROUPS) for _ in ls.groups[g]]
-    distinct, apart, _ = _double_line_pass([li.line for li in lines])
     with mp.workprec(max(ls.precision_bits, mp.mp.prec)):
-        for drop in itertools.product(range(3), repeat=3):
-            # the kept lines' positions in ``lines``, in canonical order
-            idx = [n for n, li in enumerate(lines) if li.pairing != drop[group_of[n]]]
-            sel = [lines[n] for n in idx]
-            ok = True
-            for a, b in _open_rows(distinct, idx, 2):
-                if lines_distinct(sel[a].line, sel[b].line) is not True:
-                    ok = False
-                    diagnostics.append((drop, f"lines {a},{b} not distinct"))
-                    break
-            if not ok:
-                continue
-            for a, b, c in _open_rows(apart, idx, 3):
-                conc = lines_concurrent(sel[a].line, sel[b].line, sel[c].line)
-                if conc is not False:
-                    ok = False
-                    diagnostics.append(
-                        (drop, f"lines {sel[a].label()},{sel[b].label()},{sel[c].label()} concurrent"))
-                    break
-            if ok:
-                return sel
+        pairs, _, triples = _line_table(ls)
+    for drop in itertools.product(range(3), repeat=3):
+        # the kept lines' positions in ``lines``, in canonical order
+        idx = [n for n, li in enumerate(lines) if li.pairing != drop[GROUPS.index(li.group)]]
+        kept = set(idx)
+        pair = next(((a, b) for a, b, _ in pairs if {a, b} <= kept), None)
+        if pair is not None:
+            diagnostics.append((drop, f"lines {idx.index(pair[0])},{idx.index(pair[1])} "
+                                      "not distinct"))
+            continue
+        trip = next((abc for abc, _ in triples if kept.issuperset(abc)), None)
+        if trip is not None:
+            diagnostics.append(
+                (drop, f"lines {','.join(lines[n].label() for n in trip)} concurrent"))
+            continue
+        return [lines[n] for n in idx]
     raise NoValidSelectionError(
         "no 12-line selection is in general position", diagnostics)
 

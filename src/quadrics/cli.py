@@ -195,7 +195,6 @@ def cmd_check_config(args, cfg: Configuration):
     s4 = genericity_check_s4(cfg, prec)
     report["genericity"] = s4.to_json()
     all_pass = s4.passed
-    undecided = s4.undecided
 
     if tuple(cfg.family) == (2, 2, 2):
         try:
@@ -205,7 +204,6 @@ def cmd_check_config(args, cfg: Configuration):
             if ls is not None:
                 report["line_system"] = ls.to_json()
             all_pass = all_pass and s6.passed
-            undecided = undecided or s6.undecided
         except DegenerateIntersectionError as exc:
             if exc.report is not None:
                 report["genericity"]["conditions"].update(
@@ -220,12 +218,11 @@ def cmd_check_config(args, cfg: Configuration):
 
     degs = sorted(d for _, d in cfg.components)
     s4_gate = all(s4.conditions[k].status == "pass" for k in ("s4.1", "s4.2"))
-    if degs in ([1, 2, 2], [2, 2, 2]) and len(degs) == 3 and s4_gate:
+    if degs in ([1, 2, 2], [2, 2, 2]) and s4_gate:
         try:
             obs = contact_obstruction_check(cfg, prec)
             report["contact_obstruction"] = obs.to_json()
             all_pass = all_pass and obs.passed
-            undecided = undecided or obs.undecided
         except UnsupportedFamilyError:
             pass
 

@@ -630,7 +630,7 @@ def fermat_check(q1: HomPoly, q2: HomPoly, q3: HomPoly,
         return report
     # condition 3: no pairwise tangency; condition 1: no triple point
     tangency = any(r.multiplicity >= 2 for recs in pair_pts.values() for r in recs)
-    triple, undecided = _triple_points(polys, pair_pts)
+    triple, undecided = _triple_points(polys, prec_cfg)
     report["condition_1_no_triple_point"] = (
         "fail" if triple else ("undecided" if undecided else "pass"))
     report["condition_3_no_tangency"] = "fail" if tangency else "pass"
@@ -703,7 +703,7 @@ def example_verify(precision: PrecisionConfig | None = None) -> dict:
 
     # item 1: no more than two components through any point
     pair_pts = _pairwise_data(polys, prec_cfg)
-    triple, undecided = _triple_points(polys, pair_pts)
+    triple, undecided = _triple_points(polys, prec_cfg)
     report["item1_no_triple_point"] = "fail" if triple else (
         "undecided" if undecided else "pass")
 

@@ -17,7 +17,8 @@ from quadrics.arrangements import (CommonComponentError, Configuration,
                                    DegenerateIntersectionError, LineInfo,
                                    LineSystem, NoValidSelectionError,
                                    NotInPencilError, NumLine,
-                                   build_line_system, common_zeros_of_quadratic_system,
+                                   build_line_system, common_zero,
+                                   common_zeros_of_quadratic_system,
                                    composite_morphism, contact_classification,
                                    contact_obstruction_check,
                                    cor31_hypothesis_check, genericity_check_s4,
@@ -805,6 +806,20 @@ def test_composite_morphism_irrational_common_zero_is_certified():
     assert not md.is_morphism and md.certified
     x, y, z = (complex(c) for c in md.witness.coords)
     assert abs(abs(x / z) - math.sqrt(2)) < 1e-12 and abs(abs(y / z) - 1) < 1e-12
+
+
+def test_composite_morphism_shared_component_witness_lies_on_every_form():
+    """z0*z1 and z0*z2 share z0, which meets the third form at (0 : 1 : +-i):
+    the witness is one of those points, not a point of z0 off the circle."""
+    forms = [parse_poly(f) for f in ("z0*z1", "z0*z2", "z1^2 + z2^2 - z0^2")]
+    md = composite_morphism(*forms, (1, 1, 1))
+    assert not md.is_morphism and md.certified
+    x, y, z = (complex(c) for c in md.witness.coords)
+    assert abs(x) < 1e-30 and abs(abs(z / y) - 1) < 1e-30 and abs((z / y).real) < 1e-30
+    _, witnesses, _, shared = common_zero(forms, DEFAULT_PRECISION)
+    assert shared and len(witnesses) == 2
+    for w in witnesses:
+        assert all(abs(complex(f.eval_mpc(w.coords))) < 1e-30 for f in forms)
 
 
 def test_composite_morphism_degree_mismatch():

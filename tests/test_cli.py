@@ -634,6 +634,32 @@ def test_shared_first_probe_line_fails_without_traceback(tmp_path, capsys):
     assert any(abs(complex(line.eval_mpc(pt))) == 0 for pt in points)
 
 
+SHARED_CONIC_LINE_CONFIG = {  # config-sweep seed 5555, item 0028: the line lies on conic 1
+    "family": [1, 2, 2],
+    "components": ["(-4)*z0 + (4)*z2",
+                   "(2)*z0^2 + (4)*z0*z1 + (1)*z0*z2 + (-4)*z1*z2 + (-3)*z2^2",
+                   "(-1)*z0^2 + (-4)*z0*z1 + (1)*z0*z2 + (2)*z1^2 + (-1)*z1*z2 + (-1)*z2^2"],
+}
+
+
+def test_shared_component_meets_the_third_at_triple_points(tmp_path):
+    """Components 0 and 1 share the line z0 = z2, which meets component 2
+    at (r : 1 : r) and (1 : -r/2 : 1), r = 0.3722...: s4.2 notes the
+    shared component and the triple point, with both points as
+    witnesses, exit 1."""
+    code, doc = _run(["check-config", _write(tmp_path, "cfg.json", SHARED_CONIC_LINE_CONFIG)],
+                     tmp_path)
+    assert code == 1
+    s42 = doc["report"]["genericity"]["conditions"]["s4.2"]
+    assert s42["verdict"] == "fail"
+    assert s42["note"] == ("components 0 and 1 share the component z0 - z2; "
+                           "components 0,1,2 meet at one point")
+    points = [[complex(c.replace(" ", "")) for c in w["point"]] for w in s42["witnesses"]]
+    r = 0.372281323269014329925305734109
+    for want in ([r, 1, r], [1, -r / 2, 1]):
+        assert any(all(abs(x - y) < 1e-12 for x, y in zip(pt, want)) for pt in points)
+
+
 IRRATIONAL_TRIPLE_LINE_CONFIG = {  # two of those conics, and z1 = z2 through (+-sqrt 2 : 1 : 1)
     "family": [2, 2, 1],
     "components": ["z0^2 + z1^2 - 3*z2^2", "z0^2 - z1^2 - z2^2", "z1 - z2"],

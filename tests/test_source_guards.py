@@ -108,14 +108,20 @@ are intersected only to list the witnesses of a fail, below the test
 that skips a pass.
 
 One common-zero test: "do these forms meet?" is asked of
-``arrangements.common_zero``, for smoothness, morphisms and
-functoriality, with the exact three-conic resultant behind its numeric
-test.  Only its per-point test ``_on_all``, which
-``common_zeros_of_quadratic_system`` shares, and ``_triple_points`` test
-further forms at intersection points: ``vanishes_at`` is read elsewhere
-only by ``_tangential`` (the two curves' own partials at their point) and
-``tangent_to_conic`` (a dual conic at a line).  ``nevanlinna`` imports
-neither ``intersection_points`` nor ``vanishes_at``.
+``arrangements.common_zero``, for smoothness, morphisms, functoriality
+and each triple of components in s4.2 (``_triple_points``), with the
+exact three-conic resultant behind its numeric test.  Only its per-point
+test ``_on_all``, which ``common_zeros_of_quadratic_system`` shares,
+tests further forms at intersection points: ``vanishes_at`` is read
+elsewhere only by ``_tangential`` (the two curves' own partials at their
+point) and ``tangent_to_conic`` (a dual conic at a line).  ``nevanlinna``
+imports neither ``intersection_points`` nor ``vanishes_at``.
+
+One table for the 18 lines: ``arrangements._line_table`` is the only
+caller of the array pass ``_double_line_pass`` and of the scalar
+predicates ``lines_distinct`` and ``lines_concurrent``, so the 18-line
+test (s6.4) formats its rows and the 12-line selection reads them, and
+neither decides a pair or a triple of its own.
 """
 
 import ast
@@ -484,10 +490,15 @@ def test_contact_clauses_decide_exactly():
 def test_one_common_zero_test():
     assert sorted(set(_references("vanishes_at"))) == [
         ("arrangements.py", "_on_all"), ("arrangements.py", "_tangential"),
-        ("arrangements.py", "_triple_points"), ("arrangements.py", "tangent_to_conic")]
+        ("arrangements.py", "tangent_to_conic")]
     assert sorted(set(_references("_on_all"))) == [
         ("arrangements.py", "common_zero"), ("arrangements.py", "common_zeros_of_quadratic_system")]
     tree = dict(_trees())["nevanlinna.py"]
     names = {getattr(node, attr) for node in ast.walk(tree)
              for attr in ("id", "attr", "name") if isinstance(getattr(node, attr, None), str)}
     assert not {"intersection_points", "vanishes_at", "composite_morphism"} & names
+
+
+def test_the_line_predicates_are_decided_once_in_the_line_table():
+    for name in ("lines_distinct", "lines_concurrent", "_double_line_pass"):
+        assert sorted(set(_references(name))) == [("arrangements.py", "_line_table")], name
