@@ -67,9 +67,7 @@ class DegenerateIntersectionError(ValueError):
 
 
 class NoValidSelectionError(ValueError):
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics
+    """No 12 of the 18 lines are in general position: s6.4 fails."""
 
 
 class NotInPencilError(ValueError):
@@ -165,89 +163,6 @@ class NumLine:
     @cached_property
     def _double_balls(self):
         return coord_balls(self.vec, self.radius, self.exact and self.exact.linear_coeffs(), True)
-
-
-def lines_concurrent(l1: NumLine, l2: NumLine, l3: NumLine):
-    """True/False/None for det of the three coefficient vectors, l1 . (l2 x l3)."""
-    if all(l.exact is not None for l in (l1, l2, l3)):
-        return det([l.exact.linear_coeffs() for l in (l1, l2, l3)]) == 0
-    return False if excludes_zero(ball_eval(lambda a, b, c: dot(a, cross(b, c)),
-                                            l1, l2, l3)) else None
-
-
-def lines_distinct(l1: NumLine, l2: NumLine):
-    if l1.exact is not None and l2.exact is not None:
-        return l1.exact != l2.exact and l1.exact != -l2.exact
-    return True if excludes_zero(ball_eval(cross, l1, l2)) else None
-
-
-@functools.lru_cache(maxsize=None)
-def _subsets(n: int, k: int) -> np.ndarray:
-    """The k-subsets of range(n) in itertools.combinations order, one
-    column each (read-only: the cache shares it)."""
-    out = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp).reshape(-1, k).T
-    out.flags.writeable = False
-    return out
-
-
-def _stacked(objs):
-    """The double coordinate Balls of lines or points as one vector of
-    array Balls, an element per object.  An object whose doubles overflow
-    gets NaN within an infinite radius, which excludes nothing."""
-    mid = np.full((3, len(objs)), np.nan, dtype=complex)
-    rad = np.full((3, len(objs)), np.inf)
-    for n, obj in enumerate(objs):
-        try:
-            balls = obj.balls(True)
-        except OverflowError:
-            continue
-        mid[:, n] = [b.mid for b in balls]
-        rad[:, n] = [b.rad for b in balls]
-    return tuple(Ball(mid[k], rad[k]) for k in range(3))
-
-
-def _take(vec, idx):
-    return tuple(Ball(b.mid[idx], b.rad[idx]) for b in vec)
-
-
-def _double_line_pass(lines: Sequence[NumLine], points: Sequence[ProjPointNum]):
-    """The double pass of the line predicates for every pair, triple and
-    incidence at once, on array Balls: which pairs a < b are certainly
-    distinct (l_a x l_b excludes zero), which triples a < b < c certainly
-    not concurrent (det = l_a . (l_b x l_c), on the pair's cross product)
-    and which points p certainly off which lines l (l . p), as boolean
-    tables distinct[a, b], apart[a, b, c] and off[p, l].  A row whose
-    operands are all exact is left open for its exact decision, and so is
-    any row that does not exclude zero here: the scalar predicates decide
-    those as before."""
-    n = len(lines)
-    exact = np.array([l.exact is not None for l in lines], dtype=bool)
-    pexact = np.array([p.is_exact() for p in points], dtype=bool)
-    distinct = np.zeros((n, n), dtype=bool)
-    apart = np.zeros((n, n, n), dtype=bool)
-    off = np.zeros((len(points), n), dtype=bool)
-    vecs = _stacked(lines)
-    with np.errstate(all="ignore"):
-        a, b = _subsets(n, 2)
-        cross_ab = cross(_take(vecs, a), _take(vecs, b))
-        distinct[a, b] = ((cross_ab[0].excludes_zero() | cross_ab[1].excludes_zero()
-                           | cross_ab[2].excludes_zero()) & ~(exact[a] & exact[b]))
-        pair = np.zeros((n, n), dtype=np.intp)
-        pair[a, b] = np.arange(a.size)
-        a, b, c = _subsets(n, 3)
-        det_abc = dot(_take(vecs, a), _take(cross_ab, pair[b, c]))
-        apart[a, b, c] = det_abc.excludes_zero() & ~(exact[a] & exact[b] & exact[c])
-        p, l = np.divmod(np.arange(off.size), n)
-        value = dot(_take(vecs, l), _take(_stacked(points), p))
-        off[p, l] = value.excludes_zero() & ~(exact[l] & pexact[p])
-    return distinct, apart, off
-
-
-def _open_rows(table, k: int):
-    """The k-subsets of the lines (combinations order) whose row of
-    ``table`` is not settled."""
-    rows = _subsets(table.shape[0], k)
-    return rows[:, ~table[tuple(rows)]].T.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -1130,7 +1045,11 @@ class LineSystem:
     quadrics: Tuple[HomPoly, HomPoly, HomPoly]
     points: Dict[Tuple[int, int], List[ProjPointNum]]
     groups: Dict[Tuple[int, int], List[LineInfo]]
-    precision_bits: int
+    precision: PrecisionConfig
+
+    @property
+    def precision_bits(self) -> int:
+        return self.precision.start_bits
 
     def all_lines(self) -> List[LineInfo]:
         out = []
@@ -1183,21 +1102,21 @@ def build_line_system(q1: HomPoly, q2: HomPoly, q3: HomPoly,
                 lines.append(LineInfo((i, j), pidx, (a, b),
                                       NumLine.from_points(pts[a], pts[b])))
         groups[(i, j)] = lines
-    return LineSystem((q1, q2, q3), points, groups, prec_cfg.start_bits)
+    return LineSystem((q1, q2, q3), points, groups, prec_cfg)
 
 
 def genericity_check_s6(q1: HomPoly, q2: HomPoly, q3: HomPoly,
                         precision: PrecisionConfig | None = None
-                        ) -> Tuple[GenericityReport, Optional[LineSystem]]:
-    """Line-system genericity of a quadric triple.
+                        ) -> Tuple[GenericityReport, LineSystem]:
+    """Line-system genericity of a quadric triple, and its line system,
+    built once at the start precision.
 
     Conditions: smoothness, pairwise transversality (4 simple points per
     pair), the common-tangent condition, and the 18-line concurrency
     pattern: exactly 3 lines through each of the 12 pairwise intersection
-    points, never 3 through any other point.  Raises
-    DegenerateIntersectionError (carrying the partial report) when the
-    smooth/transversal gate fails.  The concurrency verdict escalates
-    working precision while it stays undecided.
+    points, never 3 through any other point, decided exactly
+    (``_condition4_verdict``).  Raises DegenerateIntersectionError
+    (carrying the partial report) when the smooth/transversal gate fails.
     """
     prec_cfg = precision or DEFAULT_PRECISION
     report = GenericityReport()
@@ -1209,145 +1128,141 @@ def genericity_check_s6(q1: HomPoly, q2: HomPoly, q3: HomPoly,
             "fail", note=f"ranks {ranks}")
         raise DegenerateIntersectionError("singular quadric in triple", report)
 
-    ls = None
-    for bits in prec_cfg.ladder():
-        rung = PrecisionConfig(bits, prec_cfg.cap_bits)
-        with mp.workprec(bits):
-            try:
-                ls = build_line_system(q1, q2, q3, rung)
-                report.conditions["s6.2"] = ConditionVerdict("pass")
-            except (DegenerateIntersectionError, CommonComponentError) as exc:
-                report.conditions["s6.2"] = ConditionVerdict("fail", note=str(exc))
-                raise DegenerateIntersectionError(str(exc), report)
-            report.conditions["s6.4"] = _condition4_verdict(ls)
-        if report.conditions["s6.4"].status != "undecided":
-            break
+    with mp.workprec(prec_cfg.start_bits):
+        try:
+            ls = build_line_system(q1, q2, q3, prec_cfg)
+        except (DegenerateIntersectionError, CommonComponentError) as exc:
+            report.conditions["s6.2"] = ConditionVerdict("fail", note=str(exc))
+            raise DegenerateIntersectionError(str(exc), report)
+    report.conditions["s6.2"] = ConditionVerdict("pass")
+    report.conditions["s6.4"] = _condition4_verdict(ls)
     report.conditions["s6.3"] = _condition3_222([q1, q2, q3], prec_cfg)
     return report, ls
 
 
-def _line_table(ls: LineSystem):
-    """Every pair, incidence and triple of the 18 lines that is not
-    certified apart, with its scalar predicate's answer, in the order
-    pairs, incidences, triples (each in combinations order of
-    ``ls.all_lines()`` positions).
+def _poly_sum(terms) -> list:
+    out = []
+    for t in terms:
+        out = poly_sub(out, [-c for c in t])
+    return out
 
-    A line passes through its two defining intersection points by
-    construction, so each of the 12 points carries exactly its three
-    own-group lines structurally; what needs certification is only the
-    negative side.  Returns the pairs (a, b, lines_distinct) not certified
-    distinct (False: they coincide); the incidences ((g, idx), n,
-    passes_through) of a line n through point idx of pair g that is not
-    one of its own lines, not certified off it; and the triples ((a, b, c),
-    lines_concurrent) not certified non-concurrent, other than the three
-    own lines of one point (the allowed concurrency).  The double pass
-    settles most rows at once; the scalar predicates decide the rest.
-    """
-    lines = ls.all_lines()
-    keys = [(g, idx) for g, pts in ls.points.items() for idx in range(len(pts))]
-    distinct, apart, off = _double_line_pass([li.line for li in lines],
-                                             [ls.points[g][idx] for g, idx in keys])
-    pairs = [(a, b, d) for a, b in _open_rows(distinct, 2)
-             if (d := lines_distinct(lines[a].line, lines[b].line)) is not True]
-    # the three own lines of each intersection point, as index sets
-    own = [frozenset(n for n, li in enumerate(lines) if li.group == g and idx in li.point_ids)
-           for g, idx in keys]
-    incidences = [((g, idx), n, on) for k, (g, idx) in enumerate(keys)
-                  for n, li in enumerate(lines) if n not in own[k] and not off[k, n]
-                  and (on := li.line.passes_through(ls.points[g][idx])) is not False]
-    allowed = set(own)
-    triples = [(abc, conc) for abc in _open_rows(apart, 3) if frozenset(abc) not in allowed
-               and (conc := lines_concurrent(*(lines[n].line for n in abc))) is not False]
-    return pairs, incidences, triples
+
+def _adjugate_det(N):
+    """adj N and det N of a 3x3 matrix over Z[x]: adj's columns are the
+    rows' cross products, and det N = r0 . (r1 x r2)."""
+    cols = [[poly_sub(poly_mul(a[i], b[j]), poly_mul(a[j], b[i]))
+             for i, j in ((1, 2), (2, 0), (0, 1))]
+            for a, b in ((N[1], N[2]), (N[2], N[0]), (N[0], N[1]))]
+    adj = [[col[i] for col in cols] for i in range(3)]
+    return adj, _poly_sum(poly_mul(x, y) for x, y in zip(N[0], cols[0]))
+
+
+def _pencil_cubics(polys):
+    """Per pencil (i, j) of GROUPS: the conics' matrices M_i and M_j, scaled
+    to integers (Z[i] for Gaussian input), adj(M_i + x M_j) and the cubic
+    det(M_i + x M_j), dense lists over Z[x]."""
+    mats = [quadric_form(q).matrix for q in polys]
+    gauss = any(isinstance(x, GaussRat) for M in mats for row in M for x in row)
+    mats = [[m[3 * r:3 * r + 3] for r in range(3)]
+            for m in (integral([x for row in M for x in row], gauss)[0] for M in mats)]
+    return {(i, j): (mats[i], mats[j], *_adjugate_det(
+        [[trim([x, y]) for x, y in zip(ri, rj)] for ri, rj in zip(mats[i], mats[j])]))
+        for i, j in GROUPS}
+
+
+def _pencil_concurrencies(polys) -> List[str]:
+    """A note for each of (A) and (B) of ``_condition4_verdict`` that fails."""
+    pencils = _pencil_cubics(polys)
+    notes = []
+    for X, Y in itertools.permutations(GROUPS, 2):
+        _, _, adj, c_x = pencils[X]
+        # F0 + y F1 = tr(N_Y(y) adj N_X(x)), both matrices symmetric
+        f0, f1 = (_poly_sum([M[i][j] * c for c in adj[i][j]]
+                            for i in range(3) for j in range(3)) for M in pencils[Y][:2])
+        powers0, powers1 = [[1]], [[1]]
+        for _ in range(3):
+            powers0.append(poly_mul(powers0[-1], [-c for c in f0]))
+            powers1.append(poly_mul(powers1[-1], f1))
+        res = _poly_sum(poly_mul([c], poly_mul(powers0[k], powers1[3 - k]))
+                        for k, c in enumerate(pencils[Y][3]))
+        if len(uni_gcd(c_x, res)) > 1:
+            notes.append(f"a vertex of pencil ({X[0]},{X[1]}) lies on a member of "
+                         f"pencil ({Y[0]},{Y[1]}): no witness point")
+    c01, c02, c12 = (pencils[g][3] for g in GROUPS)
+    # Sylvester's matrix of c12(u) and c02(-t u) in u, entries over Z[t]
+    rows = ([[c] if c else [] for c in reversed(c12)],
+            [[0] * k + [(-1) ** k * c] if c else [] for k, c in reversed(list(enumerate(c02)))])
+    sylvester = [[[]] * r + row + [[]] * (2 - r) for row in rows for r in range(3)]
+    if len(uni_gcd(c01, echelon(sylvester)[0][5][5])) > 1:
+        notes.append("members of pencils (0,1), (0,2) and (1,2) meet at one point: "
+                     "no witness point")
+    return notes
 
 
 def _condition4_verdict(ls: LineSystem) -> ConditionVerdict:
-    """Concurrency pattern of the 18 lines: no coincident lines, no
-    further line through an intersection point, and no 3-fold concurrency
-    elsewhere (``_line_table``)."""
-    lines = ls.all_lines()
-    pairs, incidences, triples = _line_table(ls)
-    unsure = []  # what stayed inseparable, in the order found
-    witnesses = []
-    notes = []
-    for a, b, d in pairs:
-        what = f"lines {lines[a].label()} and {lines[b].label()}"
-        if d is False:
-            notes.append(f"{what} coincide")
-        else:
-            unsure.append(f"{what} from coincident")
-    for (g, idx), n, on in incidences:
-        if on:
-            witnesses.append(ls.points[g][idx])
-            notes.append(f"extra line {lines[n].label()} through intersection "
-                         f"point {idx} of pair {g}")
-        else:
-            unsure.append(f"line {lines[n].label()} from intersection point {idx} of pair {g}")
-    for abc, conc in triples:
-        trip = tuple(lines[n] for n in abc)
-        if conc is None:
-            unsure.append("lines " + ", ".join(li.label() for li in trip) + " from concurrent")
-        else:
-            pt = _lines_meet_point(trip[0].line, trip[1].line)
-            if pt is not None:
-                witnesses.append(pt)
-            notes.append("3 lines concurrent: "
-                         + ", ".join(li.label() for li in trip))
-    if witnesses or notes:
-        return ConditionVerdict("fail", witnesses=witnesses,
-                                note="; ".join(sorted(set(notes))[:6]))
-    if unsure:
-        more = [f"{len(unsure) - 3} more"] if len(unsure) > 3 else []
-        return ConditionVerdict("undecided", note=f"18-line test at {ls.precision_bits} "
-                                f"bits: not separated: {'; '.join(unsure[:3] + more)}")
-    return ConditionVerdict("pass")
+    """s6.4: the 18 lines meet only three at a time, at the 12
+    intersection points.  Exact, once per line system in an analysis
+    scope.
 
+    Let M0, M1, M2 be the conics' matrices, smooth (s6.1), each pair
+    meeting in 4 simple points (s6.2), and c01(t) = det(M0 + t M1),
+    c02(s) = det(M0 + s M2), c12(u) = det(M1 + u M2).  The 18 lines are
+    the components of the 9 singular members of the three pencils, line
+    pairs of rank 2 through the pencil's 4 base points, no three of them
+    collinear; the roots are nonzero.  s6.4 fails iff
 
-def _lines_meet_point(l1: NumLine, l2: NumLine) -> Optional[ProjPointNum]:
-    if l1.exact is not None and l2.exact is not None:
-        v = cross(l1.exact.linear_coeffs(), l2.exact.linear_coeffs())
-        if all(x == 0 for x in v):
-            return None
-        return ProjPointNum.from_exact(v)
-    v = cross(l1.vec, l2.vec)
-    s = _sup(v)
-    err = (l1.radius + l2.radius) * 6
-    if s <= err * 4:
-        return None
-    return ProjPointNum(v, err / max(s, 1) * 4)
+    - the three conics meet at one point (``_triple_points``).  It lies
+      on every member, so lines of the other pencils pass through it
+      besides its own three.  Conversely, a line of pencil X through a
+      base point of pencil Y, or in members of both, meets the conic X
+      and Y share where the other two conics vanish as well;
+    - (A) a vertex of a member of pencil X = (i, j) lies on a member of
+      pencil Y = (k, l), X != Y.  For symmetric N of rank 2, adj N is a
+      multiple of v v^T with v its vertex, so tr(N_Y(y) adj N_X(x)) =
+      F0(x) + y F1(x) vanishes at a root pair exactly then; eliminating y,
+      gcd(c_X(x), sum_k c_Y,k (-F0)^k F1^(3-k)) != 1;
+    - (B) three members, one per pencil, share a zero P.  If Q2(P) = 0, P
+      is a triple point; otherwise s = -t u.  Conversely, if s = -t u,
+      Q0 + s Q2 = (Q0 + t Q1) - t (Q1 + u Q2) passes through the 4 points
+      where the other two members meet: gcd(c01(t), Res_u(c12(u),
+      c02(-t u))) != 1, the resultant from one ``echelon`` over Z[t].
+
+    Three concurrent lines not of one point come from one pencil (which
+    takes three collinear base points), from two (two lines of one member
+    meet at its vertex: (A); of two members, at a base point: a triple
+    point) or from all three: (B) or a triple point.  Scaling a matrix
+    rescales its pencils' parameters and keeps s = -t u, so integer
+    multiples serve.  A triple point decides alone, with its witnesses;
+    (A) and (B) are tested only without one, and give no witness point.
+    Raises DegenerateIntersectionError when a conic is singular.
+    """
+    def decide():
+        polys = list(ls.quadrics)
+        if any(quadric_form(q).rank < 3 for q in polys):
+            raise DegenerateIntersectionError("singular quadric in triple")
+        found, _ = _triple_points(polys, ls.precision)
+        if found:
+            return ConditionVerdict("fail", witnesses=[w for _, pts in found for w in pts],
+                                    note="the three conics meet at one point")
+        notes = _pencil_concurrencies(polys)
+        return ConditionVerdict("fail", note="; ".join(notes)) if notes else \
+            ConditionVerdict("pass")
+    return scoped(("s6.4", ls.quadrics, ls.precision), decide)
 
 
 def select_general_position(ls: LineSystem) -> List[LineInfo]:
-    """First 12-line selection (canonical order) in general position.
-
-    Drops one pairing per quadric pair; candidates are enumerated
-    lexicographically over the dropped indices and read from the 18-line
-    table (``_line_table``): a selection passes when it keeps no pair
-    listed there as not certified distinct and no listed triple.  After
-    dropping a pairing no own triple of a point survives, so the table's
-    triples are every one the selection must certify non-concurrent.
-    """
-    diagnostics = []
-    lines = ls.all_lines()
-    with mp.workprec(max(ls.precision_bits, mp.mp.prec)):
-        pairs, _, triples = _line_table(ls)
-    for drop in itertools.product(range(3), repeat=3):
-        # the kept lines' positions in ``lines``, in canonical order
-        idx = [n for n, li in enumerate(lines) if li.pairing != drop[GROUPS.index(li.group)]]
-        kept = set(idx)
-        pair = next(((a, b) for a, b, _ in pairs if {a, b} <= kept), None)
-        if pair is not None:
-            diagnostics.append((drop, f"lines {idx.index(pair[0])},{idx.index(pair[1])} "
-                                      "not distinct"))
-            continue
-        trip = next((abc for abc, _ in triples if kept.issuperset(abc)), None)
-        if trip is not None:
-            diagnostics.append(
-                (drop, f"lines {','.join(lines[n].label() for n in trip)} concurrent"))
-            continue
-        return [lines[n] for n in idx]
-    raise NoValidSelectionError(
-        "no 12-line selection is in general position", diagnostics)
+    """The 12-line selection in general position that drops pairing 0 of
+    each pair.  When s6.4 passes (``_condition4_verdict``) no two of the
+    18 lines coincide and three meet only at one of the 12 points, whose
+    three own lines lie in the three pairings of its pair; dropping one
+    pairing per pair leaves two of them, so every such selection is in
+    general position, and the first in the canonical order is returned.
+    Raises NoValidSelectionError when s6.4 fails."""
+    verdict = _condition4_verdict(ls)
+    if verdict.status != "pass":
+        raise NoValidSelectionError(
+            f"no 12-line selection is in general position: {verdict.note}")
+    return [li for li in ls.all_lines() if li.pairing != 0]
 
 
 # ---------------------------------------------------------------------------

@@ -201,8 +201,7 @@ def cmd_check_config(args, cfg: Configuration):
             s6, ls = genericity_check_s6(*cfg.polys(), precision=prec)
             report["genericity"]["conditions"].update(
                 {k: v.to_json() for k, v in s6.conditions.items()})
-            if ls is not None:
-                report["line_system"] = ls.to_json()
+            report["line_system"] = ls.to_json()
             all_pass = all_pass and s6.passed
         except DegenerateIntersectionError as exc:
             if exc.report is not None:

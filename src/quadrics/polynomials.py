@@ -1008,28 +1008,15 @@ def _mul_up(x, y):
 
 class Ball:
     """A complex ball: the true value lies within ``rad`` of ``mid``, a
-    Python complex and a float, or a numpy complex128 array and a float64
-    array, in the double pass, an mpc at the working precision and a 53-bit
-    mpf in the working pass.  + - * add their own rounding to the radii
-    they carry, so these operations are the one error proof of every
-    numeric predicate (van der Hoeven 2010, "Ball arithmetic"; Rump 2010,
-    Acta Numerica 19, sections 2-3): the midpoint is computed at the pass's
-    precision, and the radius, from moduli of the midpoints, only needs to
-    round outward, by the grow factor in the double pass and by upward
-    rounding in the working pass.  A ball with a double that overflowed
-    excludes nothing.
-
-    Arrays are balls elementwise (midpoint-radius arithmetic in vector
-    form, Rump 1999, BIT 39, "Fast and parallel interval arithmetic"), with
-    the constants of the scalar double pass, and the proof carries over:
-    numpy rounds a complex sum as Python does, and its complex product
-    errs by at most sqrt(5) u relative to |x y| without a fused
-    multiply-add (Brent, Percival & Zimmermann) and 2u with one
-    (Jeannerod, Kornerup, Louvet & Muller 2017, Math. Comp. 86), u = 2^-53,
-    both within eps = 2^-51; its abs() is a hypot within one ulp, like
-    Python's, inside the grow margin.  An overflow gives inf or nan (where
-    Python's abs() raises OverflowError), and ``excludes_zero`` is False
-    there.  Callers wrap array expressions in ``numpy.errstate``.
+    Python complex and a float in the double pass, an mpc at the working
+    precision and a 53-bit mpf in the working pass.  + - * add their own
+    rounding to the radii they carry, so these operations are the one error
+    proof of every numeric predicate (van der Hoeven 2010, "Ball
+    arithmetic"; Rump 2010, Acta Numerica 19, sections 2-3): the midpoint
+    is computed at the pass's precision, and the radius, from moduli of the
+    midpoints, only needs to round outward, by the grow factor in the
+    double pass and by upward rounding in the working pass.  A ball with a
+    double that overflowed excludes nothing.
     """
 
     __slots__ = ("mid", "rad")
@@ -1068,12 +1055,11 @@ class Ball:
         eps, grow, tiny = _pass_of(x)
         return Ball(x * y, (a * s + b * r + r * s + a * b * eps) * grow + tiny)
 
-    def excludes_zero(self):
-        """A bool, or a boolean array elementwise for array balls."""
+    def excludes_zero(self) -> bool:
         if self.mid.__class__ is mp.mpc:
             return libmp.mpf_cmp(self.rad._mpf_, _mag(self.mid._mpc_, "d")) < 0
         m = abs(self.mid)
-        return (self.rad * _pass_of(self.mid)[1] < m) & (m < math.inf)
+        return self.rad * _pass_of(self.mid)[1] < m < math.inf
 
 
 def coord_balls(values, radius, exact, double: bool):

@@ -6,12 +6,12 @@ evaluators that ExpSum._scaled took the place of and its own earlier
 point tail, the zero polish on the replaced single-point evaluator, the
 batched winding with the np.insert merges that one gather per round took
 the place of, T(r) by mpmath quadrature, the 18-line test and the
-12-line selection on one scalar Ball predicate at a time, which the
-array pass of the double Balls took the place of, and the polynomial
-parser that built a tree of ``PolyExprAST`` nodes and evaluated it
-through one ``HomPoly`` per node, with the ring operators it evaluated
-on, which the one-pass parser and the term-map kernels took the place
-of, the intersection records' sort key on mpf parts, and the
+12-line selection on numeric lines, one scalar Ball predicate at a time,
+which the exact test on the pencils' cubics took the place of, and the
+polynomial parser that built a tree of ``PolyExprAST`` nodes and
+evaluated it through one ``HomPoly`` per node, with the ring operators
+it evaluated on, which the one-pass parser and the term-map kernels took
+the place of, the intersection records' sort key on mpf parts, and the
 Gauss-Jordan elimination on Fractions with the ``rank``, ``nullspace``
 and ``solve`` it served, which the one fraction-free echelon of
 ``linalg`` took the place of, and the quadratic form z^T M z of a
@@ -27,11 +27,11 @@ from typing import Dict, List, Optional, Tuple
 import mpmath as mp
 import numpy as np
 
-from quadrics.arrangements import (ConditionVerdict, LineInfo, NoValidSelectionError,
-                                   _lines_meet_point, lines_concurrent, lines_distinct)
-from quadrics.linalg import mat_copy
+from quadrics.arrangements import ConditionVerdict, LineInfo, NoValidSelectionError, NumLine
+from quadrics.linalg import cross, det, dot, mat_copy
 from quadrics.polynomials import (DegenerateLeadingFormError, Expo, HomPoly, NotHomogeneousError,
-                                  PolySyntaxError, _grlex_key, resultant, scalar_to_mp)
+                                  PolySyntaxError, ProjPointNum, _grlex_key, ball_eval,
+                                  excludes_zero, resultant, scalar_to_mp)
 from quadrics.scalars import GaussRat, Scalar, coerce_scalar, scalar_to_complex
 
 
@@ -334,9 +334,38 @@ def reference_characteristic(curve, r, dps=50):
 
 
 # ---------------------------------------------------------------------------
-# The 18-line test and the 12-line selection before the array pass, kept
-# verbatim: every pair, incidence and triple through the scalar predicates.
+# The 18-line test and the 12-line selection on numeric lines, which the
+# exact test on the pencils' cubics took the place of: every pair,
+# incidence and triple through the scalar Ball predicates.
 # ---------------------------------------------------------------------------
+
+def lines_concurrent(l1: NumLine, l2: NumLine, l3: NumLine):
+    """True/False/None for det of the three coefficient vectors, l1 . (l2 x l3)."""
+    if all(l.exact is not None for l in (l1, l2, l3)):
+        return det([l.exact.linear_coeffs() for l in (l1, l2, l3)]) == 0
+    return False if excludes_zero(ball_eval(lambda a, b, c: dot(a, cross(b, c)),
+                                            l1, l2, l3)) else None
+
+
+def lines_distinct(l1: NumLine, l2: NumLine):
+    if l1.exact is not None and l2.exact is not None:
+        return l1.exact != l2.exact and l1.exact != -l2.exact
+    return True if excludes_zero(ball_eval(cross, l1, l2)) else None
+
+
+def _lines_meet_point(l1: NumLine, l2: NumLine) -> Optional[ProjPointNum]:
+    if l1.exact is not None and l2.exact is not None:
+        v = cross(l1.exact.linear_coeffs(), l2.exact.linear_coeffs())
+        if all(x == 0 for x in v):
+            return None
+        return ProjPointNum.from_exact(v)
+    v = cross(l1.vec, l2.vec)
+    s = max(abs(c) for c in v)
+    err = (l1.radius + l2.radius) * 6
+    if s <= err * 4:
+        return None
+    return ProjPointNum(v, err / max(s, 1) * 4)
+
 
 def reference_condition4_verdict(ls) -> ConditionVerdict:
     """Concurrency pattern of the 18 lines.
@@ -411,31 +440,17 @@ def reference_select_general_position(ls):
     structural concurrency survives, so every triple must be certified
     non-concurrent).
     """
-    diagnostics = []
     with mp.workprec(max(ls.precision_bits, mp.mp.prec)):
         for drop in itertools.product(range(3), repeat=3):
             sel: List[LineInfo] = []
             for gi, g in enumerate(((0, 1), (0, 2), (1, 2))):
                 sel.extend(li for li in ls.groups[g] if li.pairing != drop[gi])
-            ok = True
-            for a, b in itertools.combinations(range(12), 2):
-                if lines_distinct(sel[a].line, sel[b].line) is not True:
-                    ok = False
-                    diagnostics.append((drop, f"lines {a},{b} not distinct"))
-                    break
-            if not ok:
-                continue
-            for a, b, c in itertools.combinations(range(12), 3):
-                conc = lines_concurrent(sel[a].line, sel[b].line, sel[c].line)
-                if conc is not False:
-                    ok = False
-                    diagnostics.append(
-                        (drop, f"lines {sel[a].label()},{sel[b].label()},{sel[c].label()} concurrent"))
-                    break
-            if ok:
+            if all(lines_distinct(sel[a].line, sel[b].line) is True
+                   for a, b in itertools.combinations(range(12), 2)) and \
+                    all(lines_concurrent(sel[a].line, sel[b].line, sel[c].line) is False
+                        for a, b, c in itertools.combinations(range(12), 3)):
                 return sel
-    raise NoValidSelectionError(
-        "no 12-line selection is in general position", diagnostics)
+    raise NoValidSelectionError("no 12-line selection is in general position")
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,7 @@ import numpy as np
 
 from quadrics.arrangements import (Configuration, build_line_system,
                                    genericity_check_s4, genericity_check_s6,
-                                   intersection_points, lines_distinct,
-                                   select_general_position)
+                                   intersection_points, select_general_position)
 from quadrics.nevanlinna import (ExpCurve, GrowthSample, characteristic,
                                  counting, defect_estimate,
                                  functoriality_check, main_theorem_check,
@@ -25,7 +24,7 @@ from quadrics.polynomials import HomPoly, ProjPointNum, parse_poly
 from quadrics.squares import (b4_solve, example_verify, expand_S, generate_R,
                               square_combination)
 
-from exact_reference import has_common_component, point_distance
+from exact_reference import has_common_component, lines_distinct, point_distance
 
 QUAD_BASIS = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
 

@@ -2,9 +2,7 @@ import itertools
 import math
 import random
 import time
-import warnings
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -14,8 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quadrics.arrangements import (CommonComponentError, Configuration,
-                                   DegenerateIntersectionError, LineInfo,
-                                   LineSystem, NoValidSelectionError,
+                                   DegenerateIntersectionError, NoValidSelectionError,
                                    NotInPencilError, NumLine,
                                    build_line_system, common_zero,
                                    common_zeros_of_quadratic_system,
@@ -23,18 +20,19 @@ from quadrics.arrangements import (CommonComponentError, Configuration,
                                    contact_obstruction_check,
                                    cor31_hypothesis_check, genericity_check_s4,
                                    genericity_check_s6, intersection_points,
-                                   lines_distinct, pencil_membership,
+                                   pencil_membership,
                                    select_general_position, tangent_line,
                                    tangent_line_numeric, tangent_to_conic,
                                    NotExactPointError,
                                    SingularPointError, InfinitelyManySolutionsError)
 from quadrics.config import DEFAULT_PRECISION, PrecisionConfig
 from quadrics.polynomials import HomPoly, MpForms, ProjPointNum, ZeroPolynomialError, parse_poly
+from quadrics.scalars import GaussRat
 from quadrics.squares import pencil_rank1_members
 
-from exact_reference import (has_common_component, point_distance,
-                             reference_condition4_verdict, reference_newton_polish,
-                             reference_select_general_position)
+from exact_reference import (has_common_component, lines_concurrent, lines_distinct,
+                             point_distance, reference_condition4_verdict,
+                             reference_newton_polish, reference_select_general_position)
 
 P1 = parse_poly("z0^2 - z1*z2")
 P2 = parse_poly("z1^2 - z0*z2")
@@ -496,7 +494,6 @@ def test_record_sort_key_ignores_parts_within_the_radius():
     part of +-1e-79, far below the radius, is ordered by the third
     coordinate whatever that part's sign; exact points keep their key."""
     from quadrics.arrangements import IntersectionRecord, _record_sort_key
-    from quadrics.scalars import GaussRat
 
     def rec(tiny, im):
         pt = ProjPointNum([1, mp.mpc(-0.25, tiny), mp.mpc(-0.5, im)], radius=mp.mpf("1e-70"))
@@ -642,14 +639,15 @@ def test_s6_identical_quadrics_degenerate():
 
 
 def test_s6_cyclic_triple_lines_built(cyclic_triple):
-    """The cyclic triple passes the pairwise gate; its shared chords make
-    the concurrency condition undecidable over the Gaussian rationals."""
-    rep, ls = genericity_check_s6(
-        *cyclic_triple,
-        precision=__import__("quadrics.config", fromlist=["PrecisionConfig"]).PrecisionConfig(192, 384))
+    """The cyclic triple passes the pairwise gate; its conics share the
+    point (1 : 1 : 1), so s6.4 fails there, at the start precision."""
+    rep, ls = genericity_check_s6(*cyclic_triple, precision=PrecisionConfig(192, 384))
     assert rep.conditions["s6.2"].status == "pass"
     assert len(ls.all_lines()) == 18
-    assert rep.conditions["s6.4"].status in ("fail", "undecided")
+    assert ls.precision_bits == 192
+    s64 = rep.conditions["s6.4"]
+    assert (s64.status, s64.note) == ("fail", "the three conics meet at one point")
+    assert [repr(w) for w in s64.witnesses] == ["[1:1:1]"]
 
 
 def test_every_line_passes_through_its_points(generic_triple):
@@ -687,21 +685,20 @@ def _concurrency_oracle(vecs):
     return True
 
 
-def test_select_rejects_forced_concurrency(generic_triple):
-    """Six concurrent lines in one group leave no valid selection."""
-    _, ls = genericity_check_s6(*generic_triple)
-    bad_forms = ["z0 - z1", "z1 - z2", "z0 - z2", "z0 + z1 - 2*z2",
-                 "z0 + 2*z1 - 3*z2", "2*z0 - z1 - z2"]  # all through [1:1:1]
-    bad_lines = []
-    src = ls.groups[(0, 1)]
-    for li, form in zip(src, bad_forms):
-        bad_lines.append(LineInfo(li.group, li.pairing, li.point_ids,
-                                  NumLine.from_exact(parse_poly(form))))
-    groups = dict(ls.groups)
-    groups[(0, 1)] = bad_lines
-    rigged = LineSystem(ls.quadrics, ls.points, groups, ls.precision_bits)
-    with pytest.raises(NoValidSelectionError):
-        select_general_position(rigged)
+def test_select_rejects_forced_concurrency():
+    """Where s6.4 fails, here by (B), there is no selection to return."""
+    _, ls = genericity_check_s6(*(parse_poly(t) for t in CONSTRUCTED_B))
+    with pytest.raises(NoValidSelectionError, match="members of pencils"):
+        select_general_position(ls)
+
+
+def test_select_needs_smooth_conics(generic_triple):
+    """A line pair meets the two conics in 4 simple points each, so its
+    line system builds; s6.4's pencils need smooth conics, and the
+    selection says so by name."""
+    ls = build_line_system(parse_poly("z0^2 - z1^2"), *generic_triple[:2])
+    with pytest.raises(DegenerateIntersectionError, match="singular quadric"):
+        select_general_position(ls)
 
 
 # ---------------------------------------------------------------------------
@@ -1377,7 +1374,6 @@ def _cross_vec(a, b):
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_double_filter_never_changes_a_line_predicate(seed, bits):
     """The ball predicates agree with the mpmath oracle wherever it decides."""
-    from quadrics.arrangements import lines_concurrent
     rng = random.Random(seed)
     with mp.workprec(bits):
         lines = _line_triple(rng)
@@ -1475,7 +1471,6 @@ def test_double_filter_settles_generic_incidences():
 
 def test_double_filter_settles_generic_lines():
     """Generic lines are separated by the double pass alone."""
-    from quadrics.arrangements import lines_concurrent
     from quadrics.linalg import cross, dot
     rng = random.Random(7)
     with mp.workprec(256):
@@ -1498,45 +1493,140 @@ def test_double_filter_settles_generic_lines():
 
 
 # ---------------------------------------------------------------------------
-# The array pass of the 18-line test against the scalar predicates
+# s6.4 from the pencils' cubics against sympy and the numeric 18-line test
 # ---------------------------------------------------------------------------
 
-def _selection(select, ls):
-    try:
-        return select(ls)
-    except NoValidSelectionError as exc:
-        return exc.diagnostics
+# the members Q0 + Q1, Q0 + Q2 and Q1 - Q2 are line pairs through the four
+# points (+-sqrt 2 : +-sqrt 3 : 1), so s = 1 = -t u: (B) fails
+CONSTRUCTED_B = ["z0^2 + z0*z1 + z0*z2 + 2*z1^2 - z1*z2 + 3*z2^2",
+                 "-4*z0^2 - z0*z1 - z0*z2 + z1*z2 - 3*z2^2",
+                 "-4*z0^2 - z0*z1 - z0*z2 - 2*z1^2 + z1*z2 + 3*z2^2"]
+# c01 has the irreducible factor 22 t^2 + 41 t + 16, and Q0 + Q2 is a line
+# pair, one line through the two vertices at its roots: (A) fails at an
+# irrational vertex
+IRRATIONAL_VERTEX_A = ["z0^2 + 3*z0*z1 + z0*z2 + 2*z1*z2 + 2*z2^2",
+                       "z0^2 + 3*z0*z1 + z0*z2 - 3*z1^2 - z1*z2 + z2^2",
+                       "3*z0^2 - z0*z1 - z0*z2 - 6*z1^2 - 7*z1*z2 - 3*z2^2"]
+# config-sweep seed 9191, item 0055: (A) at the rational vertex u = -3
+SWEEP_9191_55 = ["4*z0*z1 + z1^2 + z1*z2 - 4*z2^2",
+                 "-z0^2 + 4*z0*z1 + 3*z0*z2 - 4*z1^2 + 3*z1*z2 + 3*z2^2",
+                 "3*z0*z1 + 2*z0*z2 - 3*z1^2 - 4*z1*z2 - 2*z2^2"]
 
 
-def _same_line_verdicts(ls):
-    """The 18-line test and the 12-line selection decide as their scalar
-    references do: status, note and witnesses (repr and radius), and the
-    selected lines or the diagnostics.  No RuntimeWarning escapes the
-    array pass, overflow included."""
+def _gaussian(texts):
+    """The conics after z1 -> i z1: Gaussian coefficients, the same pattern."""
+    change = [HomPoly.linear_form([1, 0, 0]), HomPoly.linear_form([0, GaussRat(0, 1), 0]),
+              HomPoly.linear_form([0, 0, 1])]
+    return [parse_poly(t).compose(change) for t in texts]
+
+
+def _sympy_matrix(q):
+    import sympy
+    z = sympy.symbols("z0 z1 z2")
+    scalar = (lambda c: sympy.Rational(c.re.numerator, c.re.denominator)
+              + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator)
+              if isinstance(c, GaussRat) else sympy.Rational(c.numerator, c.denominator))
+    f = sum(scalar(c) * z[0] ** e[0] * z[1] ** e[1] * z[2] ** e[2] for e, c in q.terms.items())
+    return sympy.hessian(f, z) / 2
+
+
+def _sympy_pencil_notes(polys):
+    """The notes of (A) and (B), each decided by sympy's resultants:
+    Res_x(c_X, Res_y(c_Y, tr(N_Y(y) adj N_X(x)))) = 0 and
+    Res_t(c01(t), Res_u(c12(u), c02(-t u))) = 0."""
+    import sympy
+    x, y = sympy.symbols("x y")
+    M = [_sympy_matrix(q) for q in polys]
+    pencil = {g: (lambda v, g=g: M[g[0]] + v * M[g[1]]) for g in ((0, 1), (0, 2), (1, 2))}
+    notes = []
+    for X, Y in itertools.permutations(pencil, 2):
+        member = pencil[Y](y)
+        inner = sympy.resultant(member.det(), (member * pencil[X](x).adjugate()).trace(), y)
+        if sympy.expand(sympy.resultant(pencil[X](x).det(), inner, x)) == 0:
+            notes.append(f"a vertex of pencil ({X[0]},{X[1]}) lies on a member of "
+                         f"pencil ({Y[0]},{Y[1]}): no witness point")
+    inner = sympy.resultant(pencil[(1, 2)](y).det(), pencil[(0, 2)](-x * y).det(), y)
+    if sympy.expand(sympy.resultant(pencil[(0, 1)](x).det(), inner, x)) == 0:
+        notes.append("members of pencils (0,1), (0,2) and (1,2) meet at one point: "
+                     "no witness point")
+    return notes
+
+
+def _seeded_triples(count, gauss=False):
+    """Random triples with coefficients in [-4, 4] (Gaussian: parts in
+    [-2, 2]) that pass s6.1 and s6.2, from a fixed seed."""
+    rng = random.Random(4242 + gauss)
+    expos = [(i, j, 2 - i - j) for i in range(3) for j in range(3 - i)]
+    draw = ((lambda: GaussRat(rng.randint(-2, 2), rng.randint(-2, 2))) if gauss
+            else (lambda: rng.randint(-4, 4)))
+    out = []
+    while len(out) < count:
+        quads = [HomPoly({e: draw() for e in expos}) for _ in range(3)]
+        try:
+            genericity_check_s6(*quads)
+        except (DegenerateIntersectionError, ZeroPolynomialError):
+            continue
+        out.append(quads)
+    return out
+
+
+def test_exact_s64_matches_sympy_resultants():
+    """The exact rule's (A) and (B) against sympy's resultants on the same
+    cubics: seeded integer triples, one seeded Gaussian triple, and inputs
+    where (A) fails at a rational and at an irrational vertex and (B)
+    fails, over Z and over Z[i]."""
+    from quadrics.arrangements import _pencil_concurrencies
+    cases = _seeded_triples(8) + _seeded_triples(1, gauss=True) + [_gaussian(CONSTRUCTED_B)] + [
+        [parse_poly(t) for t in texts]
+        for texts in (CONSTRUCTED_B, IRRATIONAL_VERTEX_A, SWEEP_9191_55)]
+    notes = []
+    for polys in cases:
+        got = _pencil_concurrencies(polys)
+        assert got == _sympy_pencil_notes(polys), [str(p) for p in polys]
+        notes += got
+    # both (A) and (B) fail somewhere
+    assert any(n.startswith("a vertex") for n in notes)
+    assert any(n.startswith("members") for n in notes)
+
+
+def test_s64_fails_at_an_irrational_vertex():
+    """(A) on IRRATIONAL_VERTEX_A: the vertices of pencil (0,1) that lie on
+    a member of pencil (0,2) are those at the roots of 22 t^2 + 41 t + 16,
+    irrational."""
+    import sympy
+    x, y = sympy.symbols("x y")
+    polys = [parse_poly(t) for t in IRRATIONAL_VERTEX_A]
+    M = [_sympy_matrix(q) for q in polys]
+    c01 = (M[0] + x * M[1]).det()
+    member = M[0] + y * M[2]
+    inner = sympy.resultant(member.det(), (member * (M[0] + x * M[1]).adjugate()).trace(), y)
+    assert sympy.factor_list(sympy.gcd(c01, inner))[1] == [(22 * x ** 2 + 41 * x + 16, 1)]
+    s64 = genericity_check_s6(*polys)[0].conditions["s6.4"]
+    assert s64.status == "fail" and s64.witnesses == []
+    assert s64.note.startswith("a vertex of pencil (0,1) lies on a member of pencil (0,2)")
+
+
+def test_exact_s64_fails_where_the_line_reference_fails():
+    """config-sweep seed 9191, item 0026: the conics meet at (0 : 1 : 0),
+    and the numeric 18-line test finds an extra line through it."""
     from quadrics.arrangements import _condition4_verdict
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got, ref = _condition4_verdict(ls), reference_condition4_verdict(ls)
-        assert (got.status, got.note) == (ref.status, ref.note)
-        assert [(repr(w), w.radius) for w in got.witnesses] == \
-               [(repr(w), w.radius) for w in ref.witnesses]
-        assert _selection(select_general_position, ls) == \
-               _selection(reference_select_general_position, ls)
-    return got
-
-
-def _rigged(ls, lines):
-    """ls with its first lines replaced, in canonical order, by ``lines``."""
-    new = iter(lines)
-    groups = {g: [replace(li, line=next(new, li.line)) for li in ls.groups[g]]
-              for g in ((0, 1), (0, 2), (1, 2))}
-    return LineSystem(ls.quadrics, ls.points, groups, ls.precision_bits)
+    _, ls = genericity_check_s6(*(parse_poly(t) for t in (
+        "-2*z0^2 + z0*z1 - 4*z0*z2 + z2^2",
+        "3*z0^2 + 2*z0*z1 + 4*z0*z2 - 2*z1*z2 - 3*z2^2",
+        "-z0*z1 - 2*z0*z2 + 2*z1*z2 + z2^2")))
+    with mp.workprec(ls.precision_bits):
+        assert reference_condition4_verdict(ls).status == "fail"
+    got = _condition4_verdict(ls)
+    assert (got.status, [repr(w) for w in got.witnesses]) == ("fail", ["[0:1:0]"])
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), bits=st.sampled_from([256, 512]))
 @settings(max_examples=30, deadline=None, derandomize=True)
-def test_array_pass_never_changes_a_line_verdict(seed, bits):
-    """On random integer quadric triples, at 256 and 512 bits."""
+def test_exact_s64_agrees_with_the_line_reference(seed, bits):
+    """On random integer quadric triples, at 256 and 512 bits, the exact
+    s6.4 and the 12-line selection agree with the numeric 18-line test and
+    its selection wherever the numeric test decides."""
+    from quadrics.arrangements import _condition4_verdict
     rng = random.Random(seed)
     expos = [(i, j, 2 - i - j) for i in range(3) for j in range(3 - i)]
     quads = [HomPoly({e: rng.randint(-4, 4) for e in expos}) for _ in range(3)]
@@ -1546,33 +1636,11 @@ def test_array_pass_never_changes_a_line_verdict(seed, bits):
             ls = build_line_system(*quads, PrecisionConfig(bits, 4096))
         except (DegenerateIntersectionError, CommonComponentError):
             assume(False)
-        _same_line_verdicts(ls)
-
-
-def test_array_pass_on_rigged_line_systems(generic_triple):
-    """Six exact concurrent lines (no valid selection); a near-concurrent
-    triple that no precision separates; exact lines whose double products
-    overflow (10^200) or whose doubles do (10^400)."""
-    _, ls = genericity_check_s6(*generic_triple)
-    assert _same_line_verdicts(ls).status == "pass"
-    concurrent = [NumLine.from_exact(parse_poly(f)) for f in (
-        "z0 - z1", "z1 - z2", "z0 - z2", "z0 + z1 - 2*z2", "z0 + 2*z1 - 3*z2", "2*z0 - z1 - z2")]
-    assert _same_line_verdicts(_rigged(ls, concurrent)).status == "fail"
-    kept = [li.line for li in ls.all_lines()]
-    for bits, seed in itertools.product((256, 512), (5, 6)):
-        with mp.workprec(bits):
-            # seed 6: three distinct lines, not separated from concurrent;
-            # seed 5: two of them not separated from coincident.  In
-            # pairing 1 of each group, so that the first drop keeps them.
-            near = _line_triple(random.Random(seed))
-            system = _rigged(ls, [*kept[:2], near[0], *kept[3:8], near[1],
-                                  *kept[9:14], near[2]])
-            assert _same_line_verdicts(system).status == "undecided"
-    with mp.workprec(256):
-        tiny = mp.mpf(10) ** -400  # NumLine.from_exact cannot form this line in doubles
-        huge = [NumLine.from_exact(parse_poly("10^200*z0 + z1 + z2")),
-                NumLine.from_exact(parse_poly("z0 - 10^200*z1 + 2*z2")),
-                NumLine((mp.mpc(1), mp.mpc(tiny), mp.mpc(-tiny)), mp.mpf(0),
-                        exact=parse_poly("10^400*z0 + z1 - z2"))]
-        _same_line_verdicts(_rigged(ls, huge))
-        _same_line_verdicts(_rigged(ls, [huge[0], huge[1], *concurrent[:4], huge[2]]))
+        ref = reference_condition4_verdict(ls)
+        assume(ref.status != "undecided")
+        assert _condition4_verdict(ls).status == ref.status
+        if ref.status == "pass":
+            assert select_general_position(ls) == reference_select_general_position(ls)
+        else:
+            with pytest.raises(NoValidSelectionError):
+                select_general_position(ls)

@@ -675,16 +675,10 @@ IRRATIONAL_TRIPLE_CUBIC_CONFIG = {
 
 
 def test_undecided_verdicts_carry_a_note(tmp_path):
-    """s6.4 stays undecided on three conics through irrational common
-    points, and s4.2 on two of them and a cubic through two of those
-    points (a triple with a cubic is decided numerically only); each note
-    names its test, what it could not separate and the precision
-    reached."""
-    code, doc = _run(["check-config", _write(tmp_path, "cfg.json", IRRATIONAL_TRIPLE_CONFIG)],
-                     tmp_path)
-    s64 = doc["report"]["genericity"]["conditions"]["s6.4"]
-    assert s64["verdict"] == "undecided"
-    assert s64["note"].startswith("18-line test at 4096 bits: not separated: ")
+    """s4.2 stays undecided on two conics and a cubic through two of their
+    irrational common points (a triple with a cubic is decided
+    numerically only); the note names its test, what it could not
+    separate and the precision reached."""
     code, doc = _run(["check-config", _write(tmp_path, "cubic.json",
                                              IRRATIONAL_TRIPLE_CUBIC_CONFIG)], tmp_path)
     conds = doc["report"]["genericity"]["conditions"]
@@ -697,6 +691,70 @@ def test_undecided_verdicts_carry_a_note(tmp_path):
     assert "256-bit evaluation)" in conds["s4.2"]["note"]
     assert "53-bit" not in conds["s4.2"]["note"]
     assert all(v["note"] for v in conds.values() if v["verdict"] == "undecided")
+
+
+# s6.4 stayed undecided on these at 4096 bits while it was decided on the
+# numeric lines: config-sweep seeds 9191 and 3101, items 0055 and 0017,
+# where a vertex of pencil (1,2) lies on a member of pencil (0,2); and
+# conics whose members Q0 + Q1, Q0 + Q2 and Q1 - Q2 are line pairs through
+# (+-sqrt 2 : +-sqrt 3 : 1), one member of each pencil
+S64_FAILS_BY_PENCILS = {
+    "sweep-9191-0055": ["4*z0*z1 + z1^2 + z1*z2 - 4*z2^2",
+                        "-z0^2 + 4*z0*z1 + 3*z0*z2 - 4*z1^2 + 3*z1*z2 + 3*z2^2",
+                        "3*z0*z1 + 2*z0*z2 - 3*z1^2 - 4*z1*z2 - 2*z2^2"],
+    "sweep-3101-0017": ["-2*z0^2 - z0*z1 + z0*z2 - 4*z1*z2 + 3*z2^2",
+                        "4*z0^2 + 2*z0*z1 - 2*z1^2 - 2*z1*z2 - 4*z2^2",
+                        "2*z0^2 + z0*z1 + 3*z1*z2 + 4*z2^2"],
+    "constructed": ["z0^2 + z0*z1 + z0*z2 + 2*z1^2 - z1*z2 + 3*z2^2",
+                    "2*z1^2 - 3*z0^2 - (z0^2 + z0*z1 + z0*z2 + 2*z1^2 - z1*z2 + 3*z2^2)",
+                    "6*z2^2 - 3*z0^2 - (z0^2 + z0*z1 + z0*z2 + 2*z1^2 - z1*z2 + 3*z2^2)"],
+}
+S64_NOTES = {
+    "sweep-9191-0055": "a vertex of pencil (1,2) lies on a member of pencil (0,2): "
+                       "no witness point",
+    "sweep-3101-0017": "a vertex of pencil (1,2) lies on a member of pencil (0,2): "
+                       "no witness point",
+    "constructed": "members of pencils (0,1), (0,2) and (1,2) meet at one point: "
+                   "no witness point",
+}
+
+
+@pytest.mark.parametrize("command", ["check-config", "lines"])
+@pytest.mark.parametrize("name", sorted(S64_FAILS_BY_PENCILS))
+def test_s64_fails_exactly_on_the_pencils(tmp_path, name, command):
+    """s6.4 fails by the pencils' cubics, with no witness point, and both
+    commands exit 1 from the line system of the start precision."""
+    cfg = _write(tmp_path, "cfg.json", {"family": [2, 2, 2],
+                                        "components": S64_FAILS_BY_PENCILS[name]})
+    code, doc = _run([command, cfg], tmp_path)
+    assert code == 1
+    s64 = doc["report"]["genericity"]["conditions"]["s6.4"]
+    assert (s64["verdict"], s64["note"], s64["witnesses"]) == ("fail", S64_NOTES[name], [])
+    assert doc["report"]["line_system"]["precision_bits"] == 256
+    if command == "lines":
+        assert doc["report"]["selected_12"] is None
+        assert doc["report"]["selection_error"] == (
+            f"no 12-line selection is in general position: {S64_NOTES[name]}")
+
+
+SWEEP_5555_30 = {  # config-sweep seed 5555, item 0030: s4.2 fails
+    "family": [2, 2, 2],
+    "components": ["-z0^2 - 3*z0*z1 - z0*z2 + 3*z1^2 + z1*z2 + 2*z2^2",
+                   "z0^2 + z0*z1 - 3*z0*z2 + 3*z1^2 - 4*z1*z2 + 2*z2^2",
+                   "-z0^2 - 3*z0*z1 - z1^2 - 4*z1*z2 + z2^2"],
+}
+
+
+@pytest.mark.parametrize("config", [IRRATIONAL_TRIPLE_CONFIG, SWEEP_5555_30],
+                         ids=["irrational-triple-point", "sweep-5555-0030"])
+def test_lines_fails_at_a_triple_point_from_the_start_precision(tmp_path, config):
+    code, doc = _run(["lines", _write(tmp_path, "cfg.json", config)], tmp_path)
+    assert code == 1
+    s64 = doc["report"]["genericity"]["conditions"]["s6.4"]
+    assert (s64["verdict"], s64["note"]) == ("fail", "the three conics meet at one point")
+    assert s64["witnesses"]
+    assert doc["report"]["line_system"]["precision_bits"] == 256
+    assert doc["report"]["selected_12"] is None
 
 
 SINGULAR_CUBIC_CONFIG = {  # z1 (z0^2 - 2 z2^2 + z1^2), singular at (+-sqrt 2 : 0 : 1)

@@ -1,11 +1,9 @@
 import itertools
 import math
 import random
-import warnings
 from fractions import Fraction
 
 import mpmath as mp
-import numpy as np
 import pytest
 from mpmath import libmp
 from hypothesis import assume, given, settings
@@ -1136,43 +1134,6 @@ def test_moduli_are_bounded_up_and_down_at_53_bits():
             up, down = (mp.make_mpf(_mag(z._mpc_, rnd)) for rnd in "ud")
             assert down <= t <= up and up - down <= t * mp.mpf(2) ** -46
             assert up._mpf_[3] <= 53 and down._mpf_[3] <= 53
-
-
-@given(seed=st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=200, deadline=None, derandomize=True)
-def test_array_balls_enclose_every_point_of_their_inputs(seed):
-    """The double pass on numpy arrays: each element of the output ball
-    holds the value at 4x the precision at points inside its own inputs.
-    Each array holds the case's inputs and two rows of magnitudes 1e160
-    to 1e308, whose products overflow: an element that overflowed
-    excludes nothing.  Under the numpy.errstate that the library's array
-    expressions run in, no RuntimeWarning escapes."""
-    rng = random.Random(seed)
-    with mp.workprec(rng.choice([53, 106])):
-        expr, inputs = _ball_case(rng)
-        rows = [inputs] + [[(mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                             * mp.mpf(10) ** rng.randint(160, 308), 0) for _ in inputs]
-                           for _ in range(2)]
-        balls = [[_input_ball(m, r, True) for m, r in row] for row in rows]
-    arrays = [Ball(np.array([row[i].mid for row in balls]), np.array([row[i].rad for row in balls]))
-              for i in range(len(inputs))]
-    with warnings.catch_warnings(), np.errstate(all="ignore"):
-        warnings.simplefilter("error")
-        out = expr(arrays)
-        outs = out if isinstance(out, tuple) else (out,)
-        excludes = [b.excludes_zero() for b in outs]
-    for k, row in enumerate(rows):
-        for _ in range(3):
-            with mp.workprec(4 * 53):
-                pts = [m + r * rng.uniform(0, 1) * mp.expjpi(rng.uniform(-1, 1)) for m, r in row]
-                truth = expr(pts)
-                truths = truth if isinstance(truth, tuple) else (truth,)
-                for b, ex, t in zip(outs, excludes, truths):
-                    mid, rad = complex(b.mid[k]), float(b.rad[k])
-                    if not all(map(math.isfinite, (mid.real, mid.imag, rad))):
-                        assert not ex[k]
-                        continue
-                    assert abs(t - mp.mpc(mid)) <= rad
 
 
 def test_ball_exact_scalars_beyond_a_double_go_to_the_working_pass():

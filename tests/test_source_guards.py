@@ -50,7 +50,9 @@ One exact elimination: ``linalg.echelon``, fraction-free on dense
 polynomials over Z or Z[i], is the only code that swaps rows, so the only
 elimination; ``_bareiss_last_row`` and the Gauss-Jordan loop are gone.
 It serves ``polynomials.subresultant``, ``arrangements.conics_share_a_zero``
-(the resultant of three conics, on Z[t]), ``linalg.rank`` (its pivot
+(the resultant of three conics, on Z[t]),
+``arrangements._pencil_concurrencies`` (s6.4's resultant of two pencil
+cubics, on Z[t]), ``linalg.rank`` (its pivot
 count, with no ``rref``) and ``linalg.rref``, which ``nullspace`` reads and
 ``solve`` reads through ``nullspace``; ``linalg`` does not import
 ``fractions``.  ``HomPoly.exact_div`` is left to the shared component of
@@ -60,8 +62,7 @@ One error proof for numeric predicates: the constants of the two ball
 passes, ``_DOUBLE_PASS`` (eps, grow, tiny) and ``_mp_pass`` (the exponent
 of the working pass's eps, whose radii are rounded upward at 53 bits),
 are read only by ``polynomials._pass_of``, which ``Ball``'s operations
-call, so ``Ball`` stays the one error proof: scalar doubles, numpy arrays
-of doubles (the array pass of the 18-line test) and the working
+call, so ``Ball`` stays the one error proof: doubles and the working
 precision alike.
 
 One memo: derived objects are stored only through ``config.scoped``, in
@@ -117,11 +118,11 @@ elsewhere only by ``_tangential`` (the two curves' own partials at their
 point) and ``tangent_to_conic`` (a dual conic at a line).  ``nevanlinna``
 imports neither ``intersection_points`` nor ``vanishes_at``.
 
-One table for the 18 lines: ``arrangements._line_table`` is the only
-caller of the array pass ``_double_line_pass`` and of the scalar
-predicates ``lines_distinct`` and ``lines_concurrent``, so the 18-line
-test (s6.4) formats its rows and the 12-line selection reads them, and
-neither decides a pair or a triple of its own.
+s6.4 without the precision ladder: the 18-line test is decided exactly
+on the pencils' cubics, so ``genericity_check_s6`` builds its line system
+once, at the start precision, and does not read ``ladder``.  No numeric
+line predicate is left: ``arrangements`` uses numpy only in
+``_contact_span``, for clause f's singular values.
 """
 
 import ast
@@ -304,8 +305,8 @@ def test_one_bareiss_elimination_and_no_form_division_in_it():
              for attr in ("id", "attr", "name") if isinstance(getattr(node, attr, None), str)}
     assert "_bareiss_last_row" not in names
     assert sorted(set(_references("echelon"))) == [
-        ("arrangements.py", "conics_share_a_zero"), ("linalg.py", "rank"),
-        ("linalg.py", "rref"), ("polynomials.py", "subresultant")]
+        ("arrangements.py", "_pencil_concurrencies"), ("arrangements.py", "conics_share_a_zero"),
+        ("linalg.py", "rank"), ("linalg.py", "rref"), ("polynomials.py", "subresultant")]
     tree = dict(_trees())["linalg.py"]
     funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert "rref" not in _calls(funcs["rank"])
@@ -499,6 +500,10 @@ def test_one_common_zero_test():
     assert not {"intersection_points", "vanishes_at", "composite_morphism"} & names
 
 
-def test_the_line_predicates_are_decided_once_in_the_line_table():
-    for name in ("lines_distinct", "lines_concurrent", "_double_line_pass"):
-        assert sorted(set(_references(name))) == [("arrangements.py", "_line_table")], name
+def test_s6_reads_no_ladder():
+    assert ("arrangements.py", "genericity_check_s6") not in _references("ladder")
+
+
+def test_only_contact_span_uses_numpy():
+    assert {scope for name, scope in _references("np")
+            if name == "arrangements.py"} == {"_contact_span"}
