@@ -43,7 +43,7 @@ from .polynomials import (Ball, HomPoly, MpForms, PrecisionExhaustedError,
                           ball_eval, coerce_point, coord_balls,
                           excludes_zero, gauss_div, gauss_ints, gauss_mul, quadric_form,
                           resultant, subresultant, vanishes_at)
-from .scalars import GaussRat, integral, scalar_to_complex
+from .scalars import integral, scalar_to_complex
 from .univariate import RootFindingError, binary_form_roots, uni_gcd, yun_squarefree
 
 
@@ -780,15 +780,17 @@ def _triple_points(polys, precision):
     i < j < k, in that order.  Returns ([((i, j, k), witnesses)],
     [((i, j, k), unsure points)]), the unsure points being those of
     components i and j (the pair ``common_zero`` tests a triple on) that
-    component k leaves unseparated."""
-    found, unsure = [], []
-    for ijk in itertools.combinations(range(len(polys)), 3):
-        meet, witnesses, points, _ = common_zero([polys[n] for n in ijk], precision)
-        if meet:
-            found.append((ijk, witnesses))
-        elif meet is None:
-            unsure.append((ijk, points))
-    return found, unsure
+    component k leaves unseparated.  Computed once per analysis scope."""
+    def compute():
+        found, unsure = [], []
+        for ijk in itertools.combinations(range(len(polys)), 3):
+            meet, witnesses, points, _ = common_zero([polys[n] for n in ijk], precision)
+            if meet:
+                found.append((ijk, witnesses))
+            elif meet is None:
+                unsure.append((ijk, points))
+        return found, unsure
+    return scoped(("triple points", tuple(polys), precision, mp.mp.prec), compute)
 
 
 def _transversality_verdict(polys, precision) -> ConditionVerdict:
@@ -827,25 +829,46 @@ def common_tangents(q1: HomPoly, q2: HomPoly, prec_cfg) -> List[ProjPointNum]:
     return [rec.point for rec in intersection_points(d1, d2, precision=prec_cfg)]
 
 
-def conics_share_a_zero(a: HomPoly, b: HomPoly, d1: HomPoly, d2: HomPoly = HomPoly()) -> bool:
+def _hessian(c) -> list:
+    """The Hessian H of the conic of coefficients c: its gradient is H z."""
+    return [[2 * c[0], c[3], c[4]], [c[3], 2 * c[1], c[5]], [c[4], c[5], 2 * c[2]]]
+
+
+def _coeffs(S) -> list:
+    """The coefficients of z^T S z on ``QUADRATIC_MONOMIALS``."""
+    return [S[0][0], S[1][1], S[2][2], S[0][1] + S[1][0], S[0][2] + S[2][0], S[1][2] + S[2][1]]
+
+
+def _jacobian_partials(ha, hb, hd) -> list:
+    """The coefficients of dJ/dz_m of J = det[ha z, hb z, hd z], the sum of
+    T_pqr z_p z_q z_r with T_pqr = ha[p] . (hb[q] x hd[r]) (H symmetric)."""
+    crosses = [[cross(v, w) for w in hd] for v in hb]
+    T = [[[dot(u, c) for c in row] for row in crosses] for u in ha]
+    return [_coeffs([[T[m][x][y] + T[x][m][y] + T[x][y][m] for y in range(3)]
+                     for x in range(3)]) for m in range(3)]
+
+
+def conics_share_a_zero(a: HomPoly, b: HomPoly, d1, d2=HomPoly()) -> bool:
     """Is some common zero of the conics a and b a zero of the quadratic
-    forms d1 and d2 (d2 may be zero)?  Exact.
+    forms d1 and d2 (d2 may be zero)?  Exact.  A form is a HomPoly or its
+    coefficients on ``QUADRATIC_MONOMIALS``, as ``_at_contact`` gives.
 
     Res(a, b, d1 + t d2) is det M / 512 up to sign (Cox, Little and
-    O'Shea, Using Algebraic Geometry, ch. 3 §2): M's rows are the
-    coefficients of the three forms and of the partials of their Jacobian
-    J1 + t J2, so each is linear in t.  If the resultant vanishes for
-    every t, one of the finitely many common zeros of a and b serves two t,
-    so d1 and d2 vanish there.  Hence the answer is rank M < 6 over Q(t):
-    one ``echelon`` over Z[t], each row scaled to integers.  Where a and b
-    share a component the answer is always True."""
-    j1, j2 = (dot(a.gradient(), cross(b.gradient(), d.gradient())) for d in (d1, d2))
-    rows = [f.quadratic_coeffs() + g.quadratic_coeffs()
-            for f, g in [(a, HomPoly()), (b, HomPoly()), (d1, d2)]
-            + [(j1.derivative(k), j2.derivative(k)) for k in range(3)]]
-    gauss = any(isinstance(x, GaussRat) for row in rows for x in row)
-    M = [[trim([x, y]) for x, y in zip(r[:6], r[6:])]
-         for r in (integral(row, gauss)[0] for row in rows)]
+    O'Shea, Using Algebraic Geometry, ch. 3 §2): M's rows, linear in t, are
+    the coefficients of the forms and of their Jacobian's partials, integer
+    from the forms' Hessians over Z or Z[i].  If the resultant vanishes for
+    every t, a common zero of a and b serves two t, so d1 and d2 vanish
+    there: the answer is rank M < 6 over Q(t), False if M(0) has rank 6,
+    else from one ``echelon`` over Z[t].  Where a and b share a component
+    the answer is always True."""
+    c = integral([x for f in (a, b, d1, d2)
+                  for x in (f.quadratic_coeffs() if isinstance(f, HomPoly) else f)])[0]
+    ha, hb, h1, h2 = (_hessian(c[k:k + 6]) for k in range(0, 24, 6))
+    m0 = [_coeffs(h) for h in (ha, hb, h1)] + _jacobian_partials(ha, hb, h1)
+    if len(echelon([[[x] if x else [] for x in row] for row in m0])[1]) == 6:
+        return False
+    m1 = [[0] * 6, [0] * 6, _coeffs(h2)] + _jacobian_partials(ha, hb, h2)
+    M = [[trim([x, y]) for x, y in zip(r0, r1)] for r0, r1 in zip(m0, m1)]
     return len(echelon(M)[1]) < 6
 
 
@@ -854,11 +877,17 @@ def _pole(adj, ell) -> list:
     return [dot(row, ell) for row in adj]
 
 
-def _at_contact(f: HomPoly, adj) -> HomPoly:
-    """f(adj . l), f at a tangent l's contact point, squared if f is a line.
-    With a conic's matrix for adj, f at the conic's tangent at the point l."""
-    g = f.compose([HomPoly.linear_form(row) for row in adj])
-    return g * g if g.degree == 1 else g
+def _at_contact(f: HomPoly, adj) -> list:
+    """f(adj . l) on ``QUADRATIC_MONOMIALS``, f squared if a line, times a
+    positive integer (callers read its zeros): l^T K^T H K l, K and H the
+    integer adj and Hessian of f (g g^T for a line g).  With a conic's
+    matrix for adj, f at the conic's tangent at the point l."""
+    flat = integral([x for row in adj for x in row])[0]
+    cols = [flat[i::3] for i in range(3)]
+    c = integral(f.linear_coeffs() if f.degree == 1 else f.quadratic_coeffs())[0]
+    H = [[x * y for y in c] for x in c] if f.degree == 1 else _hessian(c)
+    hk = [[dot(row, col) for row in H] for col in cols]
+    return _coeffs([[dot(u, v) for v in hk] for u in cols])
 
 
 def genericity_check_s4(cfg: Configuration,
@@ -1158,13 +1187,11 @@ def _adjugate_det(N):
 
 
 def _pencil_cubics(polys):
-    """Per pencil (i, j) of GROUPS: the conics' matrices M_i and M_j, scaled
-    to integers (Z[i] for Gaussian input), adj(M_i + x M_j) and the cubic
-    det(M_i + x M_j), dense lists over Z[x]."""
-    mats = [quadric_form(q).matrix for q in polys]
-    gauss = any(isinstance(x, GaussRat) for M in mats for row in M for x in row)
-    mats = [[m[3 * r:3 * r + 3] for r in range(3)]
-            for m in (integral([x for row in M for x in row], gauss)[0] for M in mats)]
+    """Per pencil (i, j) of GROUPS: the conics' matrices M_i and M_j as
+    their Hessians over Z (Z[i] for Gaussian input), adj(M_i + x M_j) and
+    the cubic det(M_i + x M_j), dense lists over Z[x]."""
+    c = integral([x for q in polys for x in q.quadratic_coeffs()])[0]
+    mats = [_hessian(c[k:k + 6]) for k in range(0, 18, 6)]
     return {(i, j): (mats[i], mats[j], *_adjugate_det(
         [[trim([x, y]) for x, y in zip(ri, rj)] for ri, rj in zip(mats[i], mats[j])]))
         for i, j in GROUPS}
@@ -1448,7 +1475,8 @@ def contact_obstruction_check(cfg: Configuration,
     notes = ["tangent at a contact point touches the other quadric"]
     for quad, other, touch in ([] if g_wit else orders):
         if any(t is None for _, t in touch) and _lines_and_conics_meet(
-                (g1, quad, _at_contact(quadric_form(other).dual, quadric_form(quad).matrix))):
+                (g1, quad, HomPoly.quadratic_form(
+                    _at_contact(quadric_form(other).dual, quadric_form(quad).matrix)))):
             notes.append(f"the tangent to {quad} at a point of {g1} that touches {other} "
                          "is irrational: no witness point")
     touches = bool(g_wit) or len(notes) > 1

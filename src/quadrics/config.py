@@ -48,8 +48,8 @@ _SCOPE: ContextVar[Optional[dict]] = ContextVar("analysis_scope", default=None)
 
 @contextmanager
 def analysis_scope():
-    """Memoize scoped() values until the block exits."""
-    token = _SCOPE.set({})
+    """Memoize scoped() values until the block exits; joins an open scope."""
+    token = _SCOPE.set({} if _SCOPE.get() is None else _SCOPE.get())
     try:
         yield
     finally:

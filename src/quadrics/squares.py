@@ -21,7 +21,7 @@ from .arrangements import (CommonComponentError, Configuration, InfinitelyManySo
                            NoSolutionError, _pairwise_data, _triple_points,
                            common_zeros_of_quadratic_system, contact_obstruction_check,
                            tangent_line_numeric)
-from .config import DEFAULT_PRECISION, PrecisionConfig
+from .config import DEFAULT_PRECISION, PrecisionConfig, analysis_scope
 from .linalg import adjugate, det as exact_det, nullspace, rank
 from .polynomials import (HomPoly, parse_poly,
                           pencil_matrix_entry_forms, quadric_form)
@@ -601,6 +601,7 @@ def tangent_incidence_check(quadric_indices, polys, pairs):
     return "pass", []
 
 
+@analysis_scope()
 def fermat_check(q1: HomPoly, q2: HomPoly, q3: HomPoly,
                  precision: PrecisionConfig | None = None) -> dict:
     """Verdicts for a net of diagonal quadrics.
@@ -610,7 +611,7 @@ def fermat_check(q1: HomPoly, q2: HomPoly, q3: HomPoly,
     point, no tangent through a further intersection point, no pairwise
     tangency), and reports the square combinations of the net (for an
     independent diagonal net these always exist: one per coordinate
-    pair).
+    pair).  In one analysis scope, so each intersection is computed once.
     """
     prec_cfg = precision or DEFAULT_PRECISION
     quadrics = (q1, q2, q3)
@@ -672,14 +673,15 @@ EXAMPLE_COMBINATION = (225, 100, 4)
 EXAMPLE_ROOT = "15*z0 + 10*z1 + 2*z2"
 
 
+@analysis_scope()
 def example_verify(precision: PrecisionConfig | None = None) -> dict:
     """End-to-end verification of the built-in line-plus-two-quadrics net.
 
     Confirms the exact square combination, the five genericity items
     (no triple point, no pairwise tangency, tangent incidence, tangent to
     the other quadric, and the four contact linear solves admitting only
-    the trivial solution), and returns everything in one report.
-    """
+    the trivial solution), and returns everything in one report.  One
+    analysis scope: each intersection is computed once."""
     prec_cfg = precision or DEFAULT_PRECISION
     q0 = parse_poly(EXAMPLE_LINE)
     q1 = parse_poly(EXAMPLE_Q1)

@@ -15,7 +15,11 @@ the place of, the intersection records' sort key on mpf parts, and the
 Gauss-Jordan elimination on Fractions with the ``rank``, ``nullspace``
 and ``solve`` it served, which the one fraction-free echelon of
 ``linalg`` took the place of, and the quadratic form z^T M z of a
-symmetric matrix, which ``HomPoly.quadratic_form`` took the place of."""
+symmetric matrix, which ``HomPoly.quadratic_form`` took the place of,
+and the resultant of three conics with its rows built on ``HomPoly``
+gradients, cross products and partials, and the contact forms by
+``HomPoly.compose``, which the integer rows from the conics' Hessians
+took the place of."""
 
 import cmath
 import itertools
@@ -28,11 +32,11 @@ import mpmath as mp
 import numpy as np
 
 from quadrics.arrangements import ConditionVerdict, LineInfo, NoValidSelectionError, NumLine
-from quadrics.linalg import cross, det, dot, mat_copy
+from quadrics.linalg import cross, det, dot, echelon, mat_copy, trim
 from quadrics.polynomials import (DegenerateLeadingFormError, Expo, HomPoly, NotHomogeneousError,
                                   PolySyntaxError, ProjPointNum, _grlex_key, ball_eval,
                                   excludes_zero, resultant, scalar_to_mp)
-from quadrics.scalars import GaussRat, Scalar, coerce_scalar, scalar_to_complex
+from quadrics.scalars import GaussRat, Scalar, coerce_scalar, integral, scalar_to_complex
 
 
 def has_common_component(p: HomPoly, q: HomPoly) -> bool:
@@ -808,3 +812,24 @@ def poly_from_matrix(M) -> HomPoly:
             e = tuple(e)
             terms[e] = terms.get(e, 0) + M[i][j]
     return HomPoly(terms)
+
+
+def reference_conics_share_a_zero(a: HomPoly, b: HomPoly, d1: HomPoly,
+                                  d2: HomPoly = HomPoly()) -> bool:
+    """arrangements.conics_share_a_zero with its rows on HomPoly, kept
+    verbatim: rank M < 6 over Q(t), one ``echelon`` over Z[t]."""
+    j1, j2 = (dot(a.gradient(), cross(b.gradient(), d.gradient())) for d in (d1, d2))
+    rows = [f.quadratic_coeffs() + g.quadratic_coeffs()
+            for f, g in [(a, HomPoly()), (b, HomPoly()), (d1, d2)]
+            + [(j1.derivative(k), j2.derivative(k)) for k in range(3)]]
+    gauss = any(isinstance(x, GaussRat) for row in rows for x in row)
+    M = [[trim([x, y]) for x, y in zip(r[:6], r[6:])]
+         for r in (integral(row, gauss)[0] for row in rows)]
+    return len(echelon(M)[1]) < 6
+
+
+def reference_at_contact(f: HomPoly, adj) -> HomPoly:
+    """arrangements._at_contact by ``HomPoly.compose``, kept verbatim:
+    f(adj . l), squared if f is a line."""
+    g = f.compose([HomPoly.linear_form(row) for row in adj])
+    return g * g if g.degree == 1 else g

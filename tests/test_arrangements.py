@@ -1226,6 +1226,106 @@ def test_conics_share_a_zero_matches_the_sympy_determinant():
     assert not conics_share_a_zero(*(parse_poly(f"z{i}^2") for i in range(3)))
 
 
+KERNEL_MODES = ("free", "all four", "all but d2", "d2 = 0", "d2 = 0 through the point",
+                "shared component")
+
+
+def _exact(rng, kind):
+    if kind == "int":
+        return Fraction(rng.randint(-5, 5))
+    if kind == "fraction":
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    return GaussRat(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2))
+
+
+def _kernel_forms(rng, kind, mode):
+    """a, b, d1, d2 of one mode: free conics; all four or all but d2 through
+    one point (Gaussian for Gaussian coefficients); d2 = 0, free or with a,
+    b and d1 through the point; a and b sharing a line."""
+    point = (Fraction(rng.randint(1, 3)), _exact(rng, kind), _exact(rng, kind))
+
+    def conic(through=False):
+        f = HomPoly.quadratic_form([_exact(rng, kind) for _ in range(6)])
+        # move the z0^2 coefficient so that f vanishes at the point
+        return f - HomPoly.quadratic_form([f.eval_exact(point) / point[0] ** 2] + [0] * 5) \
+            if through else f
+
+    def line():
+        return HomPoly.linear_form([_exact(rng, kind) for _ in range(3)])
+
+    forms = {"free": lambda: [conic() for _ in range(4)],
+             "all four": lambda: [conic(True) for _ in range(4)],
+             "all but d2": lambda: [conic(True) for _ in range(3)] + [conic()],
+             "d2 = 0": lambda: [conic() for _ in range(3)] + [HomPoly()],
+             "d2 = 0 through the point": lambda: [conic(True) for _ in range(3)] + [HomPoly()],
+             "shared component": lambda: [l * line() for l in [line()] * 2]
+             + [conic(), conic()]}[mode]()
+    return forms
+
+
+def test_conics_share_a_zero_matches_the_reference():
+    """The integer kernel against the rows on HomPoly that it replaced, on
+    integer, Fraction and Gaussian coefficients: the answers agree, forms
+    forced through one point (d2 included, or d2 = 0) or sharing a
+    component meet, and a spy on ``echelon`` sees both exits: rank 6 of
+    the constant matrix M(0), which answers False, and the elimination
+    over Z[t]."""
+    import quadrics.arrangements as ar
+    from unittest import mock
+    from exact_reference import reference_conics_share_a_zero
+    paths = Counter()
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(["int", "fraction", "gauss"]),
+           mode=st.sampled_from(KERNEL_MODES))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def check(seed, kind, mode):
+        forms = _kernel_forms(random.Random(seed), kind, mode)
+        assume(not any(f.is_zero for f in forms[:3]))
+        with mock.patch.object(ar, "echelon", wraps=ar.echelon) as spy:
+            meet = ar.conics_share_a_zero(*forms)
+        assert meet == reference_conics_share_a_zero(*forms), (seed, kind, mode)
+        if mode in ("all four", "d2 = 0 through the point", "shared component"):
+            assert meet
+        matrices = [call.args[0] for call in spy.call_args_list]
+        assert all(len(x) <= 1 for row in matrices[0] for x in row)
+        if len(matrices) == 1:
+            assert not meet
+        else:
+            assert len(matrices) == 2
+            assert all(len(x) <= 2 for row in matrices[1] for x in row)
+        paths["M(0)" if len(matrices) == 1 else "Z[t]", meet] += 1
+
+    check()
+    assert paths["M(0)", False] and paths["Z[t]", True] and paths["Z[t]", False], paths
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(["int", "fraction", "gauss"]),
+       degree=st.sampled_from([1, 2]))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_at_contact_is_a_positive_multiple_of_the_composed_form(seed, kind, degree):
+    """On a conic's adjugate and on its matrix, ``_at_contact`` is the
+    reference ``compose`` form, squared for a line, times a positive
+    integer."""
+    from quadrics.arrangements import _at_contact
+    from quadrics.polynomials import quadric_form
+    from quadrics.scalars import coerce_scalar
+    from exact_reference import reference_at_contact
+    rng = random.Random(seed)
+    conic = HomPoly.quadratic_form([_exact(rng, kind) for _ in range(6)])
+    f = HomPoly({e: _exact(rng, kind) for e in itertools.product(range(degree + 1), repeat=3)
+                 if sum(e) == degree})
+    qf = quadric_form(conic)
+    for adj in (qf.adjugate, qf.matrix):
+        ref, got = reference_at_contact(f, adj), HomPoly.quadratic_form(_at_contact(f, adj))
+        if ref.is_zero:
+            assert got.is_zero
+            continue
+        e = next(iter(ref.terms))
+        factor = coerce_scalar(got.terms[e] / ref.terms[e])
+        assert isinstance(factor, Fraction) and factor > 0 and factor.denominator == 1
+        assert got == ref.scale(factor)
+
+
 UNIT_CIRCLES = ["z0^2 + z1^2 - z2^2", "z0^2 - 6*z0*z2 + z1^2 + 8*z2^2"]
 
 

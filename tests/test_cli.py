@@ -830,6 +830,37 @@ def test_irrational_triple_point_fails_s42_exactly(tmp_path, capsys):
     assert len(found) == 4
 
 
+def test_check_config_decides_each_triple_once(tmp_path, monkeypatch):
+    """On the irrational triple point, s4.2 and s6.4 share one
+    ``_triple_points`` computation: the exact resultant of three conics
+    answers the command's 4 questions in 4 calls, where computing the
+    triple points for each caller takes 2 computations and 5 calls, and
+    the report's bytes are the same."""
+    import quadrics.arrangements as ar
+    path = _write(tmp_path, "cfg.json", IRRATIONAL_TRIPLE_CONFIG)
+    share, store = ar.conics_share_a_zero, ar.scoped
+
+    def run(memo):
+        kernel, computed = [], []
+
+        def scoped(key, compute):
+            if key[0] != "triple points":
+                return store(key, compute)
+            counted = lambda: computed.append(key) or compute()  # noqa: E731
+            return store(key, counted) if memo else counted()
+
+        monkeypatch.setattr(ar, "conics_share_a_zero",
+                            lambda *forms: kernel.append(forms) or share(*forms))
+        monkeypatch.setattr(ar, "scoped", scoped)
+        out = tmp_path / f"memo-{memo}.json"
+        code = main(["--timestamp", "0", "--json-out", str(out), "check-config", path])
+        return code, out.read_bytes(), len(computed), len(kernel)
+
+    code, report, computed, calls = run(memo=True)
+    assert (code, computed, calls) == (1, 1, 4)
+    assert run(memo=False) == (1, report, 2, 5)
+
+
 def test_failed_root_solve_exits_undecided(tmp_path, monkeypatch, capsys):
     """A root solve that does not converge ends its coordinate change;
     when every change fails, check-config is undecided (exit 3) and its

@@ -66,9 +66,10 @@ call, so ``Ball`` stays the one error proof: doubles and the working
 precision alike.
 
 One memo: derived objects are stored only through ``config.scoped``, in
-the analysis scope that ``cli.main`` opens for each command.  No object
-keeps a ``_memo`` of its own, so library calls outside a scope keep no
-state.
+the analysis scope that ``cli.main`` opens for each command, and that
+``squares.example_verify`` and ``squares.fermat_check`` open for their
+call (joining a scope already open).  No object keeps a ``_memo`` of its
+own, so library calls outside a scope keep no state.
 
 One argument parser per process: ``cli.build_parser`` is called only by
 ``cli._parser``, the cached accessor that ``cli.main`` calls, so the
@@ -107,6 +108,12 @@ with no numeric contact point: ``_contact_point`` and ``_adjugate_balls``
 are gone, and no contact clause calls ``vanishes_at``.  The dual conics
 are intersected only to list the witnesses of a fail, below the test
 that skips a pass.
+
+One integer kernel for the resultant of three conics:
+``conics_share_a_zero`` builds its rows from the conics' integer
+Hessians, and ``_at_contact`` its forms from integer matrices; neither
+they nor the helpers they call take a ``HomPoly`` gradient, derivative,
+composition or ``quadratic_form``.
 
 One common-zero test: "do these forms meet?" is asked of
 ``arrangements.common_zero``, for smoothness, morphisms, functoriality
@@ -286,7 +293,8 @@ def test_one_memo():
               if isinstance(node, ast.Attribute) and node.attr == "_memo"
               and isinstance(node.ctx, ast.Store)]
     assert stored == []
-    assert _uses("analysis_scope", {"config"}) == [("cli.py", "main")]
+    assert _uses("analysis_scope", {"config"}) == [
+        ("cli.py", "main"), ("squares.py", "fermat_check"), ("squares.py", "example_verify")]
 
 
 def test_one_bareiss_elimination_and_no_form_division_in_it():
@@ -486,6 +494,19 @@ def test_contact_clauses_decide_exactly():
         loop = next(node for node in ast.walk(func) if isinstance(node, ast.For)
                     and guard in node.body)
         assert all(node in set(ast.walk(loop)) for node in calls), name
+
+
+def test_the_three_conic_kernel_builds_no_form():
+    tree = dict(_trees())["arrangements.py"]
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    kernel = {"conics_share_a_zero", "_at_contact"}
+    kernel |= {name for f in kernel for name in _calls(funcs[f]) if name in funcs}
+    assert kernel == {"conics_share_a_zero", "_at_contact", "_hessian", "_coeffs",
+                      "_jacobian_partials"}
+    for name in kernel:
+        methods = {node.func.attr for node in ast.walk(funcs[name]) if isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Attribute)}
+        assert not {"gradient", "derivative", "compose", "quadratic_form"} & methods, name
 
 
 def test_one_common_zero_test():

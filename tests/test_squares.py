@@ -423,6 +423,29 @@ def test_fermat_rejects_cross_terms():
 # The worked example
 # ---------------------------------------------------------------------------
 
+def test_example_verify_and_fermat_check_intersect_each_pair_once(monkeypatch):
+    """Each entry point runs in one analysis scope: 4 intersections for 4
+    distinct pairs, and no memo left once it returns; inside an open scope
+    it joins that scope, so a second call computes nothing."""
+    import quadrics.arrangements as ar
+    from quadrics.config import _SCOPE, analysis_scope
+    pairs = []
+    compute = ar._intersection_points
+    monkeypatch.setattr(ar, "_intersection_points",
+                        lambda p, q, precision: pairs.append((p, q)) or compute(p, q, precision))
+    fermat = [parse_poly(s) for s in ("z0^2 + z1^2 + z2^2", "z0^2 + 2*z1^2 + 3*z2^2",
+                                      "z0^2 + 4*z1^2 + 9*z2^2")]
+    for run in (example_verify, lambda: fermat_check(*fermat)):
+        pairs.clear()
+        report = run()
+        assert len(pairs) == len(set(pairs)) == 4
+        assert _SCOPE.get() is None
+        with analysis_scope():
+            assert repr(run()) == repr(report)
+            assert repr(run()) == repr(report)
+        assert len(pairs) == 8
+
+
 def test_example_verify_square_identity():
     rep = example_verify()
     assert rep["square_identity_exact"]
