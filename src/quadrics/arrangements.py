@@ -1488,13 +1488,12 @@ def contact_obstruction_check(cfg: Configuration,
     failed = potential = False
     for (pa, ta), (pb, tb) in itertools.product(t2, t3):
         r, detail = _contact_span(g2, ta, g3, tb)
-        pair = (repr(pa), repr(pb))
         if r is None:
-            f_entries.append({"pair": pair, "smallest_singular_value": detail,
+            f_entries.append({"pair": (repr(pa), repr(pb)), "smallest_singular_value": detail,
                               "candidate": None})
             potential = True
         elif r < 4:
-            f_entries.append({"pair": pair, "rank": r, "candidate": detail})
+            f_entries.append({"pair": (repr(pa), repr(pb)), "rank": r, "candidate": detail})
             failed = True
     if failed:
         report["f"] = ConditionVerdict(

@@ -23,6 +23,7 @@ import math
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from typing import List, Optional
 
 import mpmath as mp
@@ -96,9 +97,37 @@ def _manifest(args, input_path: Optional[str]) -> dict:
     }
 
 
+def _float(x: float) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+_LEAVES = {str: encode_basestring_ascii, float: _float, int: int.__repr__,
+           bool: lambda x: "true" if x else "false", type(None): lambda x: "null"}
+
+
+def _dumps(o, pad: str) -> str:
+    """json.dumps(o, indent=2, sort_keys=True, default=str), each line break
+    written as pad (a newline and o's indent): containers by str.join, leaves
+    of exact type by the C helpers, anything else (a subclass, a non-str
+    key, an object for ``default``) by json.dumps."""
+    leaf = _LEAVES.get(type(o))
+    if leaf is not None:
+        return leaf(o)
+    inner = pad + "  "
+    if type(o) is dict and set(map(type, o)) <= {str}:
+        parts, ends = [encode_basestring_ascii(k) + ": " + _dumps(v, inner)
+                       for k, v in sorted(o.items())], "{}"
+    elif type(o) is list or type(o) is tuple:
+        parts, ends = [_dumps(v, inner) for v in o], "[]"
+    else:
+        return json.dumps(o, indent=2, sort_keys=True, default=str).replace("\n", pad)
+    return ends[0] + inner + ("," + inner).join(parts) + pad + ends[1] if parts else ends
+
+
 def _emit(args, manifest: dict, report: dict) -> None:
-    doc = {"manifest": manifest, "report": report}
-    text = json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n"
+    text = _dumps({"manifest": manifest, "report": report}, "\n") + "\n"
     if args.json_out:
         with open(args.json_out, "w") as fh:
             fh.write(text)

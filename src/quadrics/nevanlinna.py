@@ -45,7 +45,7 @@ from .linalg import nullspace, poly_mul, poly_sub, rank, trim
 from .polynomials import HomPoly
 from .scalars import (GaussRat, coerce_scalar, parse_scalar_string,
                       scalar_to_complex)
-from .univariate import _c2mpc, _derivative, complex_roots, dehomogenize, uni_gcd
+from .univariate import _c2mpc, _derivative, companion_eigenvalues, dehomogenize, uni_gcd
 
 
 class QuadratureFailureError(ArithmeticError):
@@ -424,17 +424,18 @@ def _arc_mean(ell: np.ndarray, W: np.ndarray) -> Tuple[float, float]:
     phi_j(t) = ell[j] + sum_k Re(W[j, k-1] e^{ikt}).
 
     Two branches tie where z^d (phi_i - phi_j)(z), z = e^{it}, vanishes,
-    a polynomial of degree 2d in z; the argument of each of its roots is
-    a cut (a root off the unit circle only adds a harmless one).  On each
-    arc between cuts the branch that wins at the midpoint is integrated
-    by its antiderivative ell t + sum_k Im(W_k e^{ikt}) / k.  The bound
+    a polynomial of degree 2d in z; the argument of each of its roots, in
+    double precision (its companion eigenvalues), is a cut (a root off the
+    unit circle only adds a harmless one).  On each arc between cuts the
+    branch that wins at the midpoint is integrated by its antiderivative
+    ell t + sum_k Im(W_k e^{ikt}) / k.  The bound
     covers the rounding of the antiderivatives and, at each cut where the
     winner changes, the cut's angle error times the branch gap there
     (second order, since both branches agree at a true tie): the angle
     error is gap / |slope difference|, a Newton step towards the tie, and
     never more than the longer half arc beside the cut, since the two
-    midpoints are won by different branches.
-    """
+    midpoints are won by different branches.  A failed eigen-solve raises
+    QuadratureFailureError."""
     k = np.arange(1, W.shape[1] + 1)
     cuts = [-math.pi, math.pi]
     for i, j in itertools.combinations(range(len(ell)), 2):
@@ -447,7 +448,10 @@ def _arc_mean(ell: np.ndarray, W: np.ndarray) -> Tuple[float, float]:
         poly[d + 1:] = dw[:d]
         poly[d - 1::-1] = np.conj(dw[:d])
         poly[d] = 2 * (ell[i] - ell[j])
-        cuts += [cmath.phase(complex(z)) for z in complex_roots(poly, 53)]
+        roots = companion_eigenvalues(poly[::-1])
+        if roots is None:
+            raise QuadratureFailureError("a tie of two branches has no finite double roots")
+        cuts += [cmath.phase(z) for z in roots.tolist()]
     theta = np.sort(cuts)
     length = np.diff(theta)
 
@@ -621,10 +625,10 @@ def _windings(g: ExpSum, gp: ExpSum, boxes: np.ndarray,
         if len(new):  # most rounds admit no box
             fresh = np.concatenate([fresh, _rect_boundaries(new).ravel()])
         la_n, ph_n, ok = g.logeval(fresh)
-        lap, _, okp = gp.logeval(fresh)
         # |g'/g|: the a-priori bound on the phase speed along the contour;
         # where g underflowed the box fails below, so its la is not used
-        spd_n = np.where(okp, np.exp(np.minimum(lap - np.where(ok, la_n, 0.0), 700.0)), 0.0)
+        lap = gp.logabs_grid(fresh)
+        spd_n = np.exp(np.minimum(lap - np.where(ok, la_n, 0.0), 700.0))
         # each midpoint goes after its segment's first sample and the new
         # boxes after all others; boxes that are done or underflowed leave
         sizes = np.concatenate([sizes + np.bincount(owner, minlength=ids.size),
@@ -919,19 +923,28 @@ class CountingSample:
     radius: float
     zeros: List[CountedZero]
     winding_residual: float = 0.0
+    _N: Dict[float, float] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def n_at(self, t: float) -> int:
         return sum(z.multiplicity for z in self.zeros if abs(z.position) <= t)
 
+    @functools.cached_property
+    def _n0(self) -> int:
+        return self.n_at(R0)
+
     def N_at(self, r: float) -> float:
+        """n(R0) log(r / R0) + sum of m log(r / |z|) over R0 < |z| <= r, in
+        the zeros' order; one pass per radius and one for n(R0)."""
         if r < R0:
             raise ValueError("radius below the base radius")
-        total = self.n_at(R0) * math.log(r / R0)
-        for z in self.zeros:
-            m = abs(z.position)
-            if R0 < m <= r:
-                total += z.multiplicity * math.log(r / m)
-        return total
+        if r not in self._N:
+            total = self._n0 * math.log(r / R0)
+            for z in self.zeros:
+                m = abs(z.position)
+                if R0 < m <= r:
+                    total += z.multiplicity * math.log(r / m)
+            self._N[r] = total
+        return self._N[r]
 
     @property
     def N(self) -> float:

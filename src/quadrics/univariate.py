@@ -10,20 +10,21 @@ makes a root exact: the closest Gaussian rational with part denominators
 bounded by the norm of the leading coefficient and by the root's radius,
 kept when it lies within that radius and the polynomial vanishes there.
 
-Every polynomial root the library finds comes from this module, and
-every numeric one from one iteration behind ``complex_roots``:
-Aberth-Ehrlich's, in doubling precision on exact Gaussian integers, from
-the companion-matrix eigenvalues of a double copy of the polynomial,
-accepted when the Henrici disks deg * |g(z0)/g'(z0)| of all roots are
-pairwise disjoint.  A numeric root's rigorous radius comes from its last
-disk, widened for the coefficients' rounding: no evaluation of its own."""
+Every polynomial root the library finds comes from this module.  The
+cuts of the closed-form characteristic are the companion-matrix
+eigenvalues of a double copy of the polynomial; every other numeric root
+comes from one iteration behind ``_solve``, Aberth-Ehrlich's in doubling
+precision on exact Gaussian integers from those eigenvalues, accepted
+when the Henrici disks deg * |g(z0)/g'(z0)| of all roots are pairwise
+disjoint.  A numeric root's rigorous radius comes from its last disk,
+widened for the coefficients' rounding: no evaluation of its own."""
 
 from __future__ import annotations
 
 import itertools
 import math
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import mpmath as mp
 import numpy as np
@@ -319,10 +320,25 @@ def _radius(a, root, z: mp.mpc, prec: int) -> mp.mpf:
     return mp.make_mpf(libmp.mpf_shift(libmp.from_float(2.0 ** (lr % 1)), math.floor(lr)))
 
 
+def companion_eigenvalues(dbl: np.ndarray) -> Optional[np.ndarray]:
+    """The companion-matrix eigenvalues of the double polynomial dbl, high
+    to low (``numpy.roots``), or None where that fails or one is not finite:
+    the exact roots of a polynomial within a small multiple of eps |dbl| of
+    dbl (Edelman & Murakami 1995, Math. Comp. 64)."""
+    try:
+        with np.errstate(all="ignore"):
+            z = np.roots(dbl)
+    except np.linalg.LinAlgError:
+        return None
+    return z if np.isfinite(z).all() else None
+
+
 def _solve(coeffs: Sequence, prec: int):
-    """(a, [(z, root)]): the Gaussian-integer coefficients that
-    ``complex_roots`` solves and each root rounded, with its ``_aberth``
-    root, in its order; under ``mp.workprec(prec)``."""
+    """(a, [(z, root)]): the Gaussian-integer coefficients of a polynomial
+    (complex, low to high, trailing zeros dropped) at ``prec`` bits and each
+    root rounded, with its ``_aberth`` root, sorted by (|im|, re, im); the
+    iteration starts from the double companion eigenvalues, or from
+    mpmath's fixed start (0.4 + 0.9i)^k where they are unusable."""
     cs = list(coeffs)
     while cs and abs(cs[-1]) == 0:
         cs.pop()
@@ -330,12 +346,8 @@ def _solve(coeffs: Sequence, prec: int):
     if n <= 0:
         return [], []
     dbl = np.array([complex(c) for c in reversed(cs)])
-    try:
-        with np.errstate(all="ignore"):
-            seeds = np.roots(dbl) if dbl[0] != 0 else None
-    except np.linalg.LinAlgError:
-        seeds = None
-    if seeds is None or not np.isfinite(seeds).all():
+    seeds = companion_eigenvalues(dbl) if dbl[0] != 0 else None
+    if seeds is None:
         seeds = (0.4 + 0.9j) ** np.arange(n)
     else:
         # real seeds of a real polynomial stay real, and miss a complex pair the
@@ -344,19 +356,6 @@ def _solve(coeffs: Sequence, prec: int):
     a, _ = gauss_ints([mp.mpc(c) for c in cs])  # one power of 2 off moves no root
     found = [(_rounded(root, prec), root) for root in _aberth(a, seeds, prec)]
     return a, sorted(found, key=lambda zr: (abs(zr[0].imag), zr[0].real, zr[0].imag))
-
-
-def complex_roots(coeffs: Sequence, prec: int) -> List[mp.mpc]:
-    """Roots of a polynomial with complex coefficients (low to high), sorted
-    by (|im|, re, im), at ``prec`` bits, to which the coefficients are
-    rounded after trailing zeros are dropped.  One iteration, ``_aberth``,
-    finds them all, accepted by pairwise disjoint Henrici disks, from the
-    eigenvalues of a double copy's companion matrix (``numpy.roots``), each
-    moved by a distinct relative 2^-40, or from mpmath's fixed start
-    (0.4 + 0.9i)^k where that copy is unusable (an entry out of double
-    range, or a seed not finite).  Raises RootFindingError past its step cap."""
-    with mp.workprec(prec):
-        return [z for z, _ in _solve(coeffs, prec)[1]]
 
 
 def _vanishes(f: list, c) -> bool:

@@ -19,7 +19,9 @@ symmetric matrix, which ``HomPoly.quadratic_form`` took the place of,
 and the resultant of three conics with its rows built on ``HomPoly``
 gradients, cross products and partials, and the contact forms by
 ``HomPoly.compose``, which the integer rows from the conics' Hessians
-took the place of."""
+took the place of, and the arc mean of T(r) on cuts from the Aberth
+iteration, which the double companion eigenvalues took the place of,
+with the N(r) loop that the per-radius memo took the place of."""
 
 import cmath
 import itertools
@@ -833,3 +835,68 @@ def reference_at_contact(f: HomPoly, adj) -> HomPoly:
     f(adj . l), squared if f is a line."""
     g = f.compose([HomPoly.linear_form(row) for row in adj])
     return g * g if g.degree == 1 else g
+
+
+# ---------------------------------------------------------------------------
+# The arc mean of the closed-form characteristic with its cuts from the
+# Aberth iteration at 53 bits (the removed ``univariate.complex_roots``),
+# which the double companion eigenvalues took the place of, and the N(r)
+# loop that the per-radius memo of ``CountingSample`` took the place of;
+# both kept verbatim but for the root call.
+# ---------------------------------------------------------------------------
+
+def _aberth_roots(coeffs, prec: int):
+    from quadrics.univariate import _solve
+    with mp.workprec(prec):
+        return [z for z, _ in _solve(coeffs, prec)[1]]
+
+
+def reference_arc_mean(ell: np.ndarray, W: np.ndarray) -> Tuple[float, float]:
+    _EPS = 2.0 ** -52
+    k = np.arange(1, W.shape[1] + 1)
+    cuts = [-math.pi, math.pi]
+    for i, j in itertools.combinations(range(len(ell)), 2):
+        dw = W[i] - W[j]
+        nonzero = np.nonzero(dw)[0]
+        if nonzero.size == 0:
+            continue                      # phi_i - phi_j is constant
+        d = nonzero[-1] + 1
+        poly = np.zeros(2 * d + 1, dtype=complex)
+        poly[d + 1:] = dw[:d]
+        poly[d - 1::-1] = np.conj(dw[:d])
+        poly[d] = 2 * (ell[i] - ell[j])
+        cuts += [cmath.phase(complex(z)) for z in _aberth_roots(poly, 53)]
+    theta = np.sort(cuts)
+    length = np.diff(theta)
+
+    def powers(t):                        # e^{ikt}, one row per angle
+        return np.exp(1j * np.outer(t, k))
+
+    win = np.argmax(ell + (powers(theta[:-1] + length / 2) @ W.T).real, axis=1)
+    E = powers(theta)
+    Wk = W[win] / k
+    F = [ell[win] * theta[s] + (E[s] * Wk).imag.sum(axis=1)
+         for s in (slice(None, -1), slice(1, None))]
+    mean = math.fsum(F[1] - F[0]) / (2 * math.pi)
+    mass = np.abs(W[win]) @ (math.pi + 1 / k)   # sum_k |W_k| (|t| + 1/k), |t| <= pi
+    rounding = 8 * _EPS * float(np.sum(np.abs(ell[win]) * math.pi + mass)) / math.pi
+    # the cut at theta[s] lies between arc s - 1 (arc -1 across t = pi) and arc s
+    a, b = np.roll(win, 1), win
+    Es = E[:-1]
+    gap = np.abs(ell[a] - ell[b] + (Es * (W[a] - W[b])).real.sum(axis=1))
+    gap += 8 * _EPS * (np.abs(ell[a]) + np.abs(ell[b])
+                       + np.abs(W[a]).sum(axis=1) + np.abs(W[b]).sum(axis=1))
+    slope = np.abs((Es * 1j * k * (W[a] - W[b])).real.sum(axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta = np.fmin(gap / slope, np.maximum(np.roll(length, 1), length) / 2)
+    cut_err = float(np.sum(np.where(a != b, delta * gap, 0.0))) / (2 * math.pi)
+    return mean, rounding + cut_err
+
+
+def reference_N_at(zeros, r: float, R0: float = 1.0) -> float:
+    total = sum(z.multiplicity for z in zeros if abs(z.position) <= R0) * math.log(r / R0)
+    for z in zeros:
+        m = abs(z.position)
+        if R0 < m <= r:
+            total += z.multiplicity * math.log(r / m)
+    return total

@@ -254,6 +254,71 @@ def test_triple_check_of_nearly_equal_alphas(tmp_path):
     json.dumps(doc, allow_nan=False)
 
 
+@pytest.mark.parametrize("failure", ["raises", "not finite"])
+def test_failed_eigen_solve_exits_undecided(tmp_path, capsys, monkeypatch, failure):
+    """An eigen-solve of a tie polynomial that fails, or that returns a
+    root that is not finite, ends the run with exit 3 and a valid report."""
+    import jsonschema
+
+    def roots(p):
+        if failure == "raises":
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return np.full(len(p) - 1, complex("nan"))
+
+    monkeypatch.setattr(np, "roots", roots)
+    curve = _write(tmp_path, "curve.json", LINE_CURVE)
+    code, doc = _run(["nevanlinna", curve, "--divisor", "z1 - z0", "--radii", "2,4"], tmp_path)
+    assert code == 3
+    assert doc["report"]["error"] == ("undecided: QuadratureFailureError: a tie of two "
+                                      "branches has no finite double roots")
+    assert "Traceback" not in capsys.readouterr().err
+    jsonschema.validate(doc, _schema())
+
+
+class _Named:
+    def __str__(self):
+        return "named \u00e9"
+
+
+_EMIT_LEAF = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf, "", '"\\/\b\f\n\r\t\x00\x1f',
+                     "\u00e9\u2028\U0001f600"]),
+    st.text(), st.builds(np.float64, st.floats()),
+    st.builds(np.int64, st.integers(-2 ** 63, 2 ** 63 - 1)),
+    st.builds(_Named), st.builds(complex, st.floats(-9, 9), st.floats(-9, 9)))
+_EMIT_DOC = st.recursive(_EMIT_LEAF, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    st.dictionaries(st.integers(), inner, max_size=3),
+    st.dictionaries(st.floats(allow_nan=False), inner, max_size=3),
+    st.dictionaries(st.booleans(), inner, max_size=2)),
+    max_leaves=30)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_EMIT_DOC)
+def test_the_emitter_writes_what_json_dumps_writes(doc):
+    """The report emitter against json.dumps(indent=2, sort_keys=True,
+    default=str): nested empties, tuples, NaN and infinities, -0.0,
+    escapes and non-ASCII text, non-str keys, numpy leaves and objects
+    written by str; keys that do not sort raise TypeError, as there."""
+    from quadrics.cli import _dumps
+    assert _dumps(doc, "\n") == json.dumps(doc, indent=2, sort_keys=True, default=str)
+    for unsortable in ({1: 0, "a": 0}, {None: 0, True: 0}):
+        with pytest.raises(TypeError):
+            _dumps([doc, unsortable], "\n")
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(os.path.join(os.path.dirname(__file__),
+                                                                "golden"))))
+def test_the_emitter_rewrites_every_golden_file(name):
+    from quadrics.cli import _dumps
+    with open(os.path.join(os.path.dirname(__file__), "golden", name)) as fh:
+        doc = json.load(fh)
+    assert _dumps(doc, "\n") == json.dumps(doc, indent=2, sort_keys=True, default=str)
+
+
 def test_reports_byte_identical(tmp_path):
     cfg = _write(tmp_path, "cfg.json", EXAMPLE_CONFIG)
     _, _ = _run(["check-config", cfg], tmp_path, "a.json")

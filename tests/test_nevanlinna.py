@@ -25,8 +25,8 @@ from quadrics.polynomials import parse_poly
 from quadrics.scalars import (GaussRat, coerce_scalar, parse_scalar_string,
                               scalar_to_complex)
 
-from exact_reference import (reference_characteristic, reference_eval_one,
-                             reference_log_value, reference_logabs_grid,
+from exact_reference import (reference_N_at, reference_arc_mean, reference_characteristic,
+                             reference_eval_one, reference_log_value, reference_logabs_grid,
                              reference_logeval, reference_polish_zero,
                              reference_scaled, reference_windings)
 
@@ -252,6 +252,51 @@ def test_closed_form_matches_the_mpmath_reference(r):
     value, err = characteristic(MIXED, r)
     assert abs(value - reference_characteristic(MIXED, r)) <= err
     assert err < 1e-12
+
+
+_TIE = Fraction(1, 2 ** 40)
+# Tangential ties (a double root of a tie polynomial on the unit circle)
+# and nearly coincident cuts, of one pair or of two pairs
+_RIGGED_TIES = [
+    ([[0], [-2, 1]], 2.0),                       # -2 + 2 cos t touches 0 at t = 0
+    ([[0], [-2, 1]], 2.0 * (1 + 2.0 ** -40)),    # two cuts about 3e-6 apart
+    ([[0], [-4, 0, 1]], 2.0),                    # -4 + 4 cos 2t touches 0 at 0 and pi
+    ([[0], [0, 1], [_TIE, -1]], 3.0),            # cuts of (0,1) and (0,2) 2^-40 / 3 apart
+    ([[0], [0, 1], [0, -1]], 2.0),               # all three pairs tie at t = +-pi/2
+]
+
+
+def _aberth_characteristic(curve, r):
+    """T(r) and its error as ``characteristic`` computes them, with the
+    cuts from the Aberth iteration at 53 bits (reference_arc_mean)."""
+    import quadrics.nevanlinna as nv
+    ell, W = nv._trig_branches(curve, r)
+    mean, err = reference_arc_mean(ell, W)
+    center = nv._center_value(curve)
+    return mean - center, err + nv._EPS * (abs(mean) + abs(center))
+
+
+def _assert_eigen_cuts_within_error(curve, r):
+    value, err = characteristic(curve, r)
+    ref, ref_err = _aberth_characteristic(curve, r)
+    assert abs(value - ref) <= min(err, ref_err), (value, ref, err, ref_err)
+
+
+@pytest.mark.parametrize("exponents, r", _RIGGED_TIES)
+def test_eigen_cuts_at_tangential_ties_and_close_cuts(exponents, r):
+    """T(r) from the double companion eigenvalues lies within the printed
+    error of T(r) from the Aberth cuts, and within its own, where a tie is
+    tangential or two cuts nearly coincide."""
+    _assert_eigen_cuts_within_error(ExpCurve.from_exponents(exponents), r)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.lists(st.lists(_SMALL, min_size=1, max_size=4), min_size=2, max_size=4),
+       st.sampled_from([1.0, 2.5, 7.0, 30.0]))
+def test_eigen_cuts_stay_within_the_error_of_the_aberth_cuts(exponents, r):
+    """Random curves of up to four components with exponents of degree up
+    to 3: the same bound as at the rigged ties."""
+    _assert_eigen_cuts_within_error(ExpCurve.from_exponents(exponents), r)
 
 
 def test_closed_form_overflow_raises():
@@ -938,6 +983,46 @@ def test_curve_memo_keeps_radii_and_divisors_apart(monkeypatch):
     positions = {k: {z.position for z in s.zeros} for k, s in samples.items()}
     assert not positions["z1 - z0", 10.0] & positions["z1 + z0", 10.0]
     assert samples["z1 - z0", 20.0].n_at(20.0) > samples["z1 - z0", 10.0].n_at(10.0)
+
+
+class _PassCounter(list):
+    """A list that counts the passes over it."""
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def test_n_series_is_summed_once_per_radius(monkeypatch):
+    """In one analysis scope the N series, the defect and the first main
+    theorem read one counting sample at the same ten radii: its N(r) equal
+    the reference loop bit for bit, and the zeros are passed over once per
+    distinct radius and once for n(R0)."""
+    import quadrics.nevanlinna as nv
+    spies = []
+    real = nv._counting
+
+    def spy(*args):
+        smp = real(*args)
+        spies.append(_PassCounter(smp.zeros))
+        return CountingSample(smp.divisor, smp.degree, smp.radius, spies[-1],
+                              smp.winding_residual)
+
+    monkeypatch.setattr(nv, "_counting", spy)
+    curve, d = _fresh(EXP_LINE), parse_poly("z1 - z0")
+    radii = [float(r) for r in np.logspace(0, 2, 10)]
+    with analysis_scope():
+        sample = counting(curve, d, radii[-1])
+        series = [sample.N_at(r) for r in radii]
+        defect = defect_estimate(curve, d, radii)
+        report = main_theorem_check(curve, [d], "first", radii)
+    assert len(spies) == 1 and spies[0].passes == len(radii) + 1
+    assert _bits(series) == _bits([reference_N_at(list(spies[0]), r) for r in radii])
+    assert _bits(report.N_sums) == _bits(series)
+    Ts = [characteristic(curve, r)[0] for r in radii]
+    assert _bits([v for _, v in defect.series]) == _bits(
+        [1.0 - n / T for n, T in zip(series, Ts) if T > 1e-12])
 
 
 def test_failed_calls_are_not_stored():

@@ -1,13 +1,14 @@
 """Source guards: properties of the library's code itself.
 
 One root finder: ``mpmath.polyroots`` is never called under
-``src/quadrics`` and ``numpy.roots`` only by ``univariate._solve``, so
-every numeric polynomial root goes through the same seeded solve:
-Aberth-Ehrlich's iteration in doubling precision from the ``numpy.roots``
-seeds, with no fallback.  ``_solve`` serves only
-``univariate.complex_roots`` and ``univariate.numeric_roots_squarefree``,
-and ``complex_roots`` only the tie polynomials of the closed-form
-characteristic, ``nevanlinna._arc_mean``.
+``src/quadrics`` and ``numpy.roots`` only by
+``univariate.companion_eigenvalues``, the double eigen-solve behind the
+seeds of ``univariate._solve`` and the cuts of the closed-form
+characteristic, ``nevanlinna._arc_mean``, which reads them in double
+precision.  Every other numeric polynomial root goes through the same
+seeded solve: Aberth-Ehrlich's iteration in doubling precision from those
+seeds, with no fallback, for ``univariate.numeric_roots_squarefree``
+alone; ``_arc_mean`` calls neither ``_solve`` nor ``_aberth``.
 
 One recognizer for exact roots and points: ``scalars.reconstruct_gauss``
 is called only by ``univariate.numeric_roots_squarefree``, with a
@@ -248,23 +249,24 @@ def test_polyroots_is_never_called():
     assert _uses("polyroots", {"mp", "mpmath"}) == []
 
 
-def test_numpy_roots_is_called_only_in_complex_roots():
-    """In ``_solve``, the solve behind it."""
-    assert _uses("roots", {"np", "numpy"}) == [("univariate.py", "_solve")]
+def test_numpy_roots_is_called_only_in_companion_eigenvalues():
+    """One eigen-solve, for the seeds of ``_solve`` and the cuts of
+    ``_arc_mean``."""
+    assert _uses("roots", {"np", "numpy"}) == [("univariate.py", "companion_eigenvalues")]
+    assert sorted(set(_references("companion_eigenvalues"))) == [
+        ("nevanlinna.py", "_arc_mean"), ("univariate.py", "_solve")]
 
 
-def test_complex_roots_is_called_only_for_squarefree_roots():
+def test_the_cuts_of_the_characteristic_take_no_root_iteration():
     """Fibers are lifted by the subresultant chain, so no root matching is
-    left outside the root finder; the characteristic's cuts are the
-    arguments of all roots of each tie polynomial, with no matching."""
-    assert _uses("complex_roots", {"univariate"}) == [("nevanlinna.py", "_arc_mean")]
-    calls = [(name, func.name) for name, tree in _trees()
-             for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
-             for node in ast.walk(func) if isinstance(node, ast.Call)
-             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "complex_roots"]
-    assert calls == [("nevanlinna.py", "_arc_mean")]
+    left outside the root finder; the characteristic's cuts are the double
+    eigenvalues of each tie polynomial, with no matching and no iteration:
+    ``_arc_mean`` calls neither ``_solve`` nor ``_aberth``, and ``_solve``
+    serves only ``numeric_roots_squarefree``."""
     assert sorted(set(_references("_solve"))) == [
-        ("univariate.py", "complex_roots"), ("univariate.py", "numeric_roots_squarefree")]
+        ("univariate.py", "numeric_roots_squarefree")]
+    assert _references("_aberth") == [("univariate.py", "_solve")]
+    assert _references("complex_roots") == []
 
 
 def test_numpy_polyval_is_not_used():

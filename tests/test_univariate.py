@@ -14,7 +14,7 @@ from quadrics.linalg import poly_mul
 from quadrics.scalars import (GaussRat, coerce_scalar, parse_scalar_string, primitive_vector,
                               reconstruct_gauss)
 from quadrics import univariate
-from quadrics.univariate import (RootFindingError, binary_form_roots, complex_roots,
+from quadrics.univariate import (RootFindingError, binary_form_roots,
                                  numeric_roots_squarefree, roots_with_multiplicity, uni_gcd,
                                  yun_squarefree)
 
@@ -320,8 +320,14 @@ def test_primitive_vector():
 
 
 # ---------------------------------------------------------------------------
-# complex_roots: companion-matrix seeds against mpmath's own start
+# The seeded solve: companion-matrix seeds against mpmath's own start
 # ---------------------------------------------------------------------------
+
+def complex_roots(coeffs, prec):
+    """The roots ``_solve`` finds, rounded to ``prec`` bits, in its order."""
+    with mp.workprec(prec):
+        return [z for z, _ in univariate._solve(coeffs, prec)[1]]
+
 
 def _default_start_roots(coeffs, prec):
     """mp.polyroots from its fixed start, with complex_roots' settings."""
