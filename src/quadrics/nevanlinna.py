@@ -590,10 +590,17 @@ _MAX_RESIDUAL = 1e-5
 
 
 def _windings(g: ExpSum, gp: ExpSum, boxes: np.ndarray,
-              max_refine=60) -> Tuple[np.ndarray, np.ndarray]:
-    """Winding of g around each row (x0, x1, y0, y1) of boxes, and its residual.
+              max_refine=60) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Winding of g around each row (x0, x1, y0, y1) of boxes, its
+    residual and, for winding 1, the zero's position from the samples.
 
-    gp is g'; the residual is NaN where the box fails.
+    gp is g'; the residual is NaN where the box fails.  A box of winding
+    1 gets the first argument-principle moment, 1/(2 pi i) times the
+    integral of xi g'/g over its boundary, which is the zero it encloses
+    (Delves & Lyness 1967).  It is summed over the segments of the
+    samples that settled the winding, each midpoint times the segment's
+    step of log|g| + i arg g, so it costs no evaluation and a box gets
+    the same moment in a batch as alone.  Every other box gets NaN.
 
     Phase tracking with three refinement criteria per segment: the phase
     jump, the modulus jump, and the segment length against the local
@@ -608,6 +615,7 @@ def _windings(g: ExpSum, gp: ExpSum, boxes: np.ndarray,
     gets alone.
     """
     w_out, res_out = np.zeros(len(boxes), dtype=int), np.full(len(boxes), np.nan)
+    s1_out = np.full(len(boxes), complex(math.nan, math.nan))
     # the samples of the boxes in work, box after box: point, log|g|,
     # phase and |g'/g|; per box its index in boxes, its sample count
     # (closing point included) and rounds, whether it stays in work and
@@ -651,18 +659,22 @@ def _windings(g: ExpSum, gp: ExpSum, boxes: np.ndarray,
         rounds = np.concatenate([rounds + refine, np.zeros(len(new), dtype=int)])[~drop]
         sizes, nxt = sizes[~drop], nxt + len(new)
         starts = np.cumsum(sizes) - sizes
-        dphi = _wrap_angle(ph[1:] - ph[:-1])
-        bad = ((np.abs(dphi) > 0.8) | (np.abs(la[1:] - la[:-1]) > 0.7)
+        dphi, dla = _wrap_angle(ph[1:] - ph[:-1]), la[1:] - la[:-1]
+        bad = ((np.abs(dphi) > 0.8) | (np.abs(dla) > 0.7)
                | (np.abs(pts[1:] - pts[:-1]) * np.maximum(spd[:-1], spd[1:]) > 0.6))
         bad[starts[1:] - 1] = False  # segments joining two boxes
         unsettled = np.logical_or.reduceat(bad, starts)
         live = rounds < max_refine
         for j in np.nonzero(live & ~unsettled)[0]:
-            total = float(dphi[starts[j]:starts[j] + sizes[j] - 1].sum())
+            seg = slice(starts[j], starts[j] + sizes[j] - 1)
+            total = float(dphi[seg].sum())
             w = round(total / (2 * math.pi))
             residual = abs(total - 2 * math.pi * w)
             if residual <= _MAX_RESIDUAL:
                 w_out[ids[j]], res_out[ids[j]] = w, residual
+                if w == 1:
+                    mids = (pts[seg] + pts[seg.start + 1:seg.stop + 1]) / 2
+                    s1_out[ids[j]] = (mids * (dla[seg] + 1j * dphi[seg])).sum() / (2j * math.pi)
         stay = live & unsettled & (sizes <= 4_000_000)
         # the boxes in work refine in order while the samples before them
         # stay under the cap; the others wait, keeping their rounds
@@ -670,16 +682,16 @@ def _windings(g: ExpSum, gp: ExpSum, boxes: np.ndarray,
         refine = stay & (np.cumsum(work) - work < _BATCH_SAMPLES)
         idx = np.nonzero(bad & np.repeat(refine, sizes)[:-1])[0]
         owner = np.searchsorted(starts, idx, side="right") - 1
-    return w_out, res_out
+    return w_out, res_out, s1_out
 
 
 def _winding_with_perturbation(g, gp, x0, x1, y0, y1):
     side = max(x1 - x0, y1 - y0)
     eps = 0.0
     for k in range(8):
-        w, res = _windings(g, gp, np.array([[x0 - eps, x1 + eps, y0 - eps, y1 + eps]]))
+        w, res, s1 = _windings(g, gp, np.array([[x0 - eps, x1 + eps, y0 - eps, y1 + eps]]))
         if not np.isnan(res[0]):
-            return (int(w[0]), float(res[0])), eps
+            return (int(w[0]), float(res[0]), complex(s1[0])), eps
         eps = side * (2.0 ** (-9 + k))
     raise ZeroOnContourError("persistent zero on contour after perturbation")
 
@@ -717,7 +729,9 @@ class _ZeroSearch:
     lands in exactly one cell.  The children of all cells that split at
     one level are wound in one batch, those of the cells that retry with
     the next shifted cut in the next.  Each zero keeps its cell's path
-    in the tree, and sorting by path gives the depth-first order.
+    in the tree, and sorting by path gives the depth-first order.  A cell
+    of winding 1 starts Newton at its contour's first moment (``_windings``)
+    when that lies in the cell, and at its centre otherwise.
     """
 
     def __init__(self, g: ExpSum, tol: float):
@@ -728,17 +742,19 @@ class _ZeroSearch:
         self.max_residual = 0.0
 
     def run(self, x0, x1, y0, y1):
-        (w, residual), eps = _winding_with_perturbation(self.g, self.gp, x0, x1, y0, y1)
+        (w, residual, s1), eps = _winding_with_perturbation(self.g, self.gp, x0, x1, y0, y1)
         self.max_residual = max(self.max_residual, residual)
-        self._descend(x0 - eps, x1 + eps, y0 - eps, y1 + eps, w, 0)
+        self._descend(x0 - eps, x1 + eps, y0 - eps, y1 + eps, w, s1, 0)
 
-    def _leaf(self, x0, x1, y0, y1, w, depth) -> Optional[CountedZero]:
-        """The cell's zero when it needs no split, else None."""
+    def _leaf(self, x0, x1, y0, y1, w, s1, depth) -> Optional[CountedZero]:
+        """The cell's zero when it needs no split, else None; s1 is the
+        first moment of its contour (NaN but for winding 1)."""
         diam = max(x1 - x0, y1 - y0)
         cx, cy = (x0 + x1) / 2, (y0 + y1) / 2
         if w == 1:
-            z, converged = _polish_zero(self.g, self.gp, complex(cx, cy),
-                                        self.tol * 1e-3)
+            # a NaN moment fails the comparisons
+            start = s1 if x0 <= s1.real <= x1 and y0 <= s1.imag <= y1 else complex(cx, cy)
+            z, converged = _polish_zero(self.g, self.gp, start, self.tol * 1e-3)
             inside = (x0 - 1e-12 <= z.real <= x1 + 1e-12
                       and y0 - 1e-12 <= z.imag <= y1 + 1e-12)
             if converged and inside:
@@ -748,8 +764,9 @@ class _ZeroSearch:
             return CountedZero(complex(cx, cy), w, diam)
         return None
 
-    def _descend(self, x0, x1, y0, y1, w, depth):
-        """Add the zeros of the cell of winding w, depth levels down.
+    def _descend(self, x0, x1, y0, y1, w, s1, depth):
+        """Add the zeros of the cell of winding w and first moment s1,
+        depth levels down.
 
         A level's cells are rows in depth-first order.  A cell's key is its
         path, child c at level L adding c * 4**(64 - L), so that the keys
@@ -758,17 +775,19 @@ class _ZeroSearch:
         found = []     # (key, zero)
         failed = None  # (key, message) of the first failure, depth first
         boxes, ws, keys = np.array([[x0, x1, y0, y1]]), np.array([w]), [0]
+        s1s = np.array([s1], dtype=complex)
         level = 0
         while w and ws.size:
             split = []
-            for i, (box, wb) in enumerate(zip(boxes.tolist(), ws.tolist())):
-                zero = self._leaf(*box, wb, depth + level)
+            for i, (box, wb, sb) in enumerate(zip(boxes.tolist(), ws.tolist(), s1s.tolist())):
+                zero = self._leaf(*box, wb, sb, depth + level)
                 if zero is None:
                     split.append(i)
                 else:
                     found.append((keys[i], zero))
             boxes, ws, keys = boxes[split], ws[split], [keys[i] for i in split]
             kid_boxes, kid_ws = np.zeros((len(split), 4, 4)), np.zeros((len(split), 4), dtype=int)
+            kid_s1s = np.zeros((len(split), 4), dtype=complex)
             todo = np.arange(len(split))
             for shift in _CUT_SHIFTS:  # retried cuts of the level share a batch
                 if not todo.size:
@@ -778,12 +797,13 @@ class _ZeroSearch:
                 ym = (b0 + b1) / 2 + shift * (b1 - b0)
                 kids = np.stack([a0, xm, b0, ym, xm, a1, b0, ym,
                                  a0, xm, ym, b1, xm, a1, ym, b1], axis=1).reshape(-1, 4, 4)
-                kw, kr = (a.reshape(-1, 4) for a in _windings(self.g, self.gp, kids.reshape(-1, 4)))
+                kw, kr, ks = (a.reshape(-1, 4) for a in _windings(self.g, self.gp, kids.reshape(-1, 4)))
                 # a cell's residuals count up to its first failed child
                 counted = np.logical_and.accumulate(~np.isnan(kr), axis=1)
                 self.max_residual = max([self.max_residual] + kr[counted].tolist())
                 good = counted[:, -1] & (kw.sum(axis=1) == ws[todo])
                 kid_boxes[todo[good]], kid_ws[todo[good]] = kids[good], kw[good]
+                kid_s1s[todo[good]] = ks[good]
                 todo = todo[~good]
             for i in todo.tolist():
                 (a0, a1, b0, b1), wb = boxes[i].tolist(), int(ws[i])
@@ -802,7 +822,7 @@ class _ZeroSearch:
             keys = [keys[i] + k * 4 ** (64 - level) for i, k in zip(cell.tolist(), c.tolist())]
             live = np.array([failed is None or k < failed[0] for k in keys], dtype=bool)
             # cells after a failure are never reached depth first
-            boxes, ws = kid_boxes[cell, c][live], kid_ws[cell, c][live]
+            boxes, ws, s1s = kid_boxes[cell, c][live], kid_ws[cell, c][live], kid_s1s[cell, c][live]
             keys = [k for k, keep in zip(keys, live) if keep]
         if failed is not None:
             raise ZeroOnContourError(failed[1])

@@ -196,13 +196,15 @@ def reference_log_value(es, xi: complex) -> complex:
 # nevanlinna._windings with the four np.insert merges per refinement round
 # that one gather index per round took the place of, kept verbatim but for
 # the module constants, read from nevanlinna on each call so that a test
-# can monkeypatch them.
+# can monkeypatch them, and the first moment of each winding-1 box, summed
+# from that box's own samples.
 # ---------------------------------------------------------------------------
 
 def reference_windings(g, gp, boxes: np.ndarray, max_refine=60):
     import quadrics.nevanlinna as nv
     _PER_SIDE, _BATCH_SAMPLES = nv._PER_SIDE, nv._BATCH_SAMPLES
     w_out, res_out = np.zeros(len(boxes), dtype=int), np.full(len(boxes), np.nan)
+    s1_out = np.full(len(boxes), complex(math.nan, math.nan))
     # the samples of the boxes in work, box after box: point, log|g|,
     # phase and |g'/g|; per box its index in boxes, its sample count
     # (closing point included) and rounds, whether it stays in work and
@@ -250,6 +252,11 @@ def reference_windings(g, gp, boxes: np.ndarray, max_refine=60):
             residual = abs(total - 2 * math.pi * w)
             if residual <= nv._MAX_RESIDUAL:
                 w_out[ids[j]], res_out[ids[j]] = w, residual
+                if w == 1:
+                    p = pts[starts[j]:starts[j] + sizes[j]]
+                    step = (np.diff(la[starts[j]:starts[j] + sizes[j]])
+                            + 1j * dphi[starts[j]:starts[j] + sizes[j] - 1])
+                    s1_out[ids[j]] = np.sum((p[:-1] + p[1:]) / 2 * step) / (2j * math.pi)
         stay = live & unsettled & (sizes <= 4_000_000)
         # the boxes in work refine in order while the samples before them
         # stay under the cap; the others wait, keeping their rounds
@@ -257,7 +264,7 @@ def reference_windings(g, gp, boxes: np.ndarray, max_refine=60):
         refine = stay & (np.cumsum(work) - work < _BATCH_SAMPLES)
         idx = np.nonzero(bad & np.repeat(refine, sizes)[:-1])[0]
         owner = np.searchsorted(starts, idx, side="right") - 1
-    return w_out, res_out
+    return w_out, res_out, s1_out
 
 
 def reference_scaled(es, xi):

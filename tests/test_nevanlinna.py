@@ -508,7 +508,8 @@ def test_zero_search_rejects_an_unconverged_polish():
     """e^{a xi} - 1, a = 250559/250000: Newton from the centre of this
     winding-1 cell runs all its steps and stops inside the cell at
     0.146 - 668.126i, where |g| is about 2; the cell's zero is
-    2 pi i (-107) / a = -670.80i.  The search must subdivide instead."""
+    2 pi i (-107) / a = -670.80i.  Given a NaN moment the cell starts
+    from its centre, and the search must subdivide instead."""
     from quadrics.nevanlinna import _polish_zero, _ZeroSearch
     a = Fraction(250559, 250000)
     g = ExpSum([([1], [0, a]), ([-1], [])])
@@ -519,10 +520,85 @@ def test_zero_search_rejects_an_unconverged_polish():
     centre = complex((cell[0] + cell[1]) / 2, (cell[2] + cell[3]) / 2)
     z, converged = _polish_zero(g, search.gp, centre, search.tol * 1e-3)
     assert not converged and cell[0] <= z.real <= cell[1] and cell[2] <= z.imag <= cell[3]
-    search._descend(*cell, 1, 8)
+    search._descend(*cell, 1, complex(math.nan, math.nan), 8)
     assert len(search.zeros) == 1
     expected = 2j * math.pi * -107 / float(a)
     assert abs(search.zeros[0].position - expected) < 1e-9
+
+
+def test_the_first_moment_lies_next_to_the_cells_zero():
+    """On cells of e^{a xi} - 1, a = 250559/250000, of sides 0.5, 2 and 6,
+    each around one zero 2 pi i k / a placed at the centre, next to a side
+    or next to a corner, and on the cell above whose centre Newton does
+    not converge, the first moment from _windings lies within 1e-3 of the
+    cell side from the zero."""
+    import quadrics.nevanlinna as nv
+    a = Fraction(250559, 250000)
+    g = ExpSum([([1], [0, a]), ([-1], [])])
+    rows = [(-6.942962646484375, 1.98370361328125, -676.4429321289062, -667.5162658691406)]
+    zeros = [-107]
+    for k in (-107, -3, 0, 1, 40):
+        z = 2j * math.pi * k / float(a)
+        for side in (0.5, 2.0, 6.0):
+            for fx, fy in ((0.5, 0.5), (0.1, 0.5), (0.9, 0.93), (0.03, 0.97), (0.5, 0.02)):
+                x0, y0 = z.real - fx * side, z.imag - fy * side
+                rows.append((x0, x0 + side, y0, y0 + side))
+                zeros.append(k)
+    w, _, s1 = nv._windings(g, g.derivative(), np.array(rows))
+    assert (w == 1).all()
+    for (x0, x1, y0, y1), k, m in zip(rows, zeros, s1.tolist()):
+        assert abs(m - 2j * math.pi * k / float(a)) <= 1e-3 * max(x1 - x0, y1 - y0)
+
+
+@pytest.mark.parametrize("s1, at_centre", [
+    (complex(math.nan, math.nan), True),
+    (complex(0.5, 3.0), True),        # above the cell
+    (complex(-0.25, 0.5), True),      # left of it
+    (complex(0.3, -0.2), False),
+    (complex(1.0, 1.0), False),       # its corner is in the cell
+])
+def test_a_winding_one_cell_starts_at_its_moment_when_it_lies_inside(s1, at_centre):
+    """A winding-1 cell [0, 1] x [-1, 1] starts Newton at the moment it is
+    given when that lies in the closed cell, and at its centre when the
+    moment is NaN or outside."""
+    import quadrics.nevanlinna as nv
+    starts = []
+
+    def polish(g, gp, z0, tol):
+        starts.append(z0)
+        return z0, False
+
+    search = nv._ZeroSearch(_EXP_MINUS_1, 1e-9)
+    with mock.patch.object(nv, "_polish_zero", polish):
+        assert search._leaf(0.0, 1.0, -1.0, 1.0, 1, s1, 3) is None
+    assert _bits(starts) == _bits([complex(0.5, 0.0) if at_centre else s1])
+
+
+def test_each_zero_of_a_three_term_sum_is_polished_once():
+    """1 + e^{3 xi / 2} + e^{(1/4 + i/2) xi^2}, the divisor z0 + z1 + z2 of
+    the quadratic golden curve, at r = 8: Newton runs once per zero, from
+    each cell's first moment, and no cell of winding 1 splits."""
+    import quadrics.nevanlinna as nv
+    curve = ExpCurve.from_exponents([[0], [0, Fraction(3, 2)],
+                                     [0, 0, GaussRat(Fraction(1, 4), Fraction(1, 2))]])
+    polished, split = [], []
+    polish, leaf = nv._polish_zero, nv._ZeroSearch._leaf
+
+    def counted_polish(*args):
+        polished.append(args[2])
+        return polish(*args)
+
+    def counted_leaf(self, x0, x1, y0, y1, w, s1, depth):
+        zero = leaf(self, x0, x1, y0, y1, w, s1, depth)
+        split.append(w == 1 and zero is None)
+        return zero
+
+    with mock.patch.object(nv, "_polish_zero", counted_polish), \
+            mock.patch.object(nv._ZeroSearch, "_leaf", counted_leaf):
+        sample = counting(curve, parse_poly("z0 + z1 + z2"), 8.0)
+    assert len(sample.zeros) == len(polished) > 20
+    assert all(z.multiplicity == 1 for z in sample.zeros)
+    assert not any(split)
 
 
 # e^xi - 1: simple zeros at 2 pi i k
@@ -545,10 +621,10 @@ _WINDING_BOXES = [
 @pytest.mark.parametrize("samples_cap", [1 << 11, 200, 300, 1])
 @pytest.mark.parametrize("max_refine", [60, 51, 50, 1])
 def test_batched_winding_decides_each_box_as_alone(monkeypatch, samples_cap, max_refine):
-    """Each box gets from a batch the (w, residual) or failure it gets
-    alone, whatever the sample cap makes wait or share a round.  The
-    residual bound is lowered to 5e-15 so that the winding-7 box fails on
-    it.  The 20 x 20 box needs two refinement rounds and the last two
+    """Each box gets from a batch the (w, residual, first moment) or
+    failure it gets alone, whatever the sample cap makes wait or share a
+    round, and only a box of winding 1 gets a moment.  The residual bound
+    is lowered to 5e-15 so that the winding-7 box fails on it.  The 20 x 20 box needs two refinement rounds and the last two
     boxes 51, and each fails on a lower round limit; with a cap of 200
     samples the last box waits for the one before it, and waiting must
     not count as a round."""
@@ -558,13 +634,15 @@ def test_batched_winding_decides_each_box_as_alone(monkeypatch, samples_cap, max
     g = _EXP_MINUS_1
     gp = g.derivative()
     alone = [nv._windings(g, gp, np.array([b]), max_refine) for b in _WINDING_BOXES]
-    w, residual = nv._windings(g, gp, np.array(_WINDING_BOXES), max_refine)
+    w, residual, s1 = nv._windings(g, gp, np.array(_WINDING_BOXES), max_refine)
     assert w.tolist() == [int(a[0][0]) for a in alone]
     assert _bits(residual) == _bits([a[1][0] for a in alone])
+    assert _bits(s1) == _bits([a[2][0] for a in alone])
     failed = np.isnan(residual).tolist()
     assert failed == [False, False, True, True, False, False, max_refine == 1, False,
                       max_refine < 51, max_refine < 51]
     assert w.tolist() == [0 if f else k for f, k in zip(failed, [1, 1, 0, 0, 0, 1, 3, 0, 1, 1])]
+    assert (np.isnan(s1) == (w != 1)).all()
 
 
 _EDGE = st.sampled_from([0.0, 2 * math.pi, 2 * math.pi + 1e-9, 2 * math.pi - 1e-9, -2 * math.pi,
@@ -585,19 +663,21 @@ def _corner_box(x, w, y, h, at):
        st.sampled_from([60, 4, 1]), st.booleans())
 def test_the_gathered_merge_matches_the_inserted_one(boxes, samples_cap, max_refine, three):
     """_windings, one gather per refinement round, against its np.insert
-    merges (reference_windings): w and the residual bit for bit, on boxes
-    of e^xi - 1 or 1 + e^xi + e^{xi^2} with corners on or next to zeros of
-    e^xi - 1 (where e^xi - 1 underflows, the box fails), with the sample
-    cap lowered so that boxes wait, and with low round limits."""
+    merges (reference_windings): w, the residual and the first moment bit
+    for bit, on boxes of e^xi - 1 or 1 + e^xi + e^{xi^2} with corners on
+    or next to zeros of e^xi - 1 (where e^xi - 1 underflows, the box
+    fails), with the sample cap lowered so that boxes wait, and with low
+    round limits."""
     import quadrics.nevanlinna as nv
     g = _THREE_TERMS if three else _EXP_MINUS_1
     gp = g.derivative()
     rows = np.array([_corner_box(*b) for b in boxes] + [(0.0, 1.0, 0.0, 1.0)])
     with mock.patch.object(nv, "_BATCH_SAMPLES", samples_cap):
-        w, residual = nv._windings(g, gp, rows, max_refine)
-        w_ref, residual_ref = reference_windings(g, gp, rows, max_refine)
+        w, residual, s1 = nv._windings(g, gp, rows, max_refine)
+        w_ref, residual_ref, s1_ref = reference_windings(g, gp, rows, max_refine)
     assert w.tolist() == w_ref.tolist()
     assert _bits(residual) == _bits(residual_ref)
+    assert _bits(s1) == _bits(s1_ref)
     assert three or np.isnan(residual[-1])  # e^xi - 1 underflows at the corner 0
 
 
@@ -638,7 +718,7 @@ def test_polish_matches_the_reference_polish(tol):
 
 
 # The quadtree on the centered square, as the depth-first,
-# one-rectangle-at-a-time search gave it: (sum, half side, zeros in list
+# one-rectangle-at-a-time search from each cell's centre gave it: (sum, half side, zeros in list
 # order, max residual).
 _ZERO_ORDER_CASES = {
     # the root's centered cut runs through the zeros on the imaginary axis
@@ -681,19 +761,59 @@ _ZERO_ORDER_CASES = {
 }
 
 
+# The same zeros from the search that starts each winding-1 cell at its
+# first moment: positions only, in the same list order.
+_MOMENT_START_POSITIONS = {
+    "exp_minus_1": (
+        ("-0x1.b20f70000015bp-57", "-0x1.2d97c7f3321d2p+4"),
+        ("0x1.db68cafffffd8p-55", "-0x1.921fb54442d18p+3"),
+        ("0x1.4c30744dffff5p-55", "-0x1.921fb54442d18p+2"),
+        ("-0x1.10da1f0000000p-62", "0x1.6000000000000p-115"),
+        ("0x1.ce089ffff7c00p-55", "0x1.921fb54442d18p+2"),
+        ("0x1.e28e4dfffffb0p-56", "0x1.921fb54442d18p+3"),
+        ("-0x1.f883f000000f0p-57", "0x1.2d97c7f3321d2p+4"),
+    ),
+    "exp_square_minus_1": (
+        ("-0x1.40d931ff62706p+1", "-0x1.40d931ff62706p+1"),
+        ("-0x1.c5bf891b4ef6bp+0", "-0x1.c5bf891b4ef6bp+0"),
+        ("-0x1.7400000000000p-32", "-0x1.7400000000000p-32"),
+        ("0x1.40d931ff62706p+1", "-0x1.40d931ff62706p+1"),
+        ("0x1.c5bf891b4ef6ap+0", "-0x1.c5bf891b4ef6bp+0"),
+        ("-0x1.c5bf891b4ef6bp+0", "0x1.c5bf891b4ef6bp+0"),
+        ("-0x1.40d931ff62706p+1", "0x1.40d931ff62706p+1"),
+        ("0x1.c5bf891b4ef6ap+0", "0x1.c5bf891b4ef6bp+0"),
+        ("0x1.40d931ff62706p+1", "0x1.40d931ff62705p+1"),
+    ),
+    "three_terms": (
+        ("-0x1.136d181d80b11p+1", "-0x1.1544cdb88bae6p+1"),
+        ("-0x1.3bb2797a870e8p+0", "-0x1.2d6e638c445fap+0"),
+        ("0x1.cae4a2d1021a3p+0", "-0x1.29067fdb9c50ap+0"),
+        ("-0x1.3bb2797a870e8p+0", "0x1.2d6e638c445fap+0"),
+        ("-0x1.136d181d80b11p+1", "0x1.1544cdb88bae6p+1"),
+        ("0x1.cae4a2d1021a4p+0", "0x1.29067fdb9c50ap+0"),
+    ),
+}
+
+
 @pytest.mark.parametrize("name", sorted(_ZERO_ORDER_CASES))
 def test_zero_search_keeps_depth_first_order_bit_for_bit(name):
     """The level-batched search lists the zeros in depth-first order with
-    the positions, multiplicities and max residual of the depth-first
-    search, bit for bit, so every N(r) sum adds in the same order.  The
-    search runs directly, with the tolerance locate_zeros_in_box gives it,
-    since that solves the two-term sums in closed form."""
+    the multiplicities and max residual of the depth-first search, bit for
+    bit, so every N(r) sum adds in the same order.  Starting Newton at the
+    first moment moves a position by rounding only: each is pinned, and
+    lies within 2^-50 max(|z|, 1) of the depth-first search's.  The search
+    runs directly, with the tolerance locate_zeros_in_box gives it, since
+    that solves the two-term sums in closed form."""
     from quadrics.nevanlinna import _ZeroSearch
     g, half, want, residual = _ZERO_ORDER_CASES[name]
     search = _ZeroSearch(g, max(half * 1e-10, 1e-13))
     search.run(-half, half, -half, half)
-    assert [(z.position.real.hex(), z.position.imag.hex(), z.multiplicity)
-            for z in search.zeros] == list(want)
+    assert [(z.position.real.hex(), z.position.imag.hex()) for z in search.zeros] \
+        == list(_MOMENT_START_POSITIONS[name])
+    assert [z.multiplicity for z in search.zeros] == [m for _, _, m in want]
+    for z, (re, im, _) in zip(search.zeros, want):
+        old = complex(float.fromhex(re), float.fromhex(im))
+        assert abs(z.position - old) <= 2.0 ** -50 * max(abs(old), 1.0)
     assert search.max_residual.hex() == residual
 
 

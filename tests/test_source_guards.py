@@ -134,6 +134,7 @@ line predicate is left: ``arrangements`` uses numpy only in
 """
 
 import ast
+import functools
 import os
 
 import quadrics
@@ -142,11 +143,16 @@ from quadrics.polynomials import MpForms
 PACKAGE = os.path.dirname(os.path.abspath(quadrics.__file__))
 
 
+@functools.lru_cache(maxsize=None)
 def _trees():
+    """(file name, parse tree) of each module of the package, parsed once
+    per session; no guard changes a tree."""
+    trees = []
     for name in sorted(os.listdir(PACKAGE)):
         if name.endswith(".py"):
             with open(os.path.join(PACKAGE, name)) as fh:
-                yield name, ast.parse(fh.read(), filename=name)
+                trees.append((name, ast.parse(fh.read(), filename=name)))
+    return tuple(trees)
 
 
 def _uses(attr: str, modules: set):
