@@ -20,8 +20,10 @@ Zeros of a sum of one term, or of two terms with constant coefficients
 whose exponents differ by a linear polynomial, come in closed form with a
 proved radius each.  Other sums are counted by integer winding numbers
 on a quadtree of rectangles, searched level by level so that each
-refinement round evaluates the contours of many cells at once, then
-Newton polishing.
+refinement round evaluates g and g' on the contours of many cells at
+once, then Newton polishing; a cell of up to _POWER_SUMS zeros starts
+Newton at the roots of the polynomial with its contour's power sums,
+and needs no split when those polish to zeros that small boxes confirm.
 
 Inside an analysis scope each T(r) and counting sample is computed once
 per curve, so the growth checks of one run share them.
@@ -105,13 +107,27 @@ def _plus(a: Sequence, b: Sequence) -> list:
     return poly_sub(list(a), [-c for c in b])
 
 
+def _doubles(p: Sequence) -> tuple:
+    """The coefficients of p as Python complex numbers, highest power
+    first, for Horner; p[-1] != 0.  Raises CoefficientRangeError where a
+    nonzero one over- or underflows."""
+    try:
+        out = tuple(complex(scalar_to_complex(c)) for c in reversed(p))
+    except OverflowError:
+        out = (0j,)
+    if any(c and not z for c, z in zip(reversed(p), out)):
+        raise CoefficientRangeError(
+            "a coefficient of the exponential sum lies beyond the range of a double")
+    return out
+
+
 class ExpSum:
     """Finite sum of c_m(xi) * exp(Q_m(xi)) with exact polynomial data:
     ``terms`` pairs (c_m, Q_m) of canonical coefficient tuples, low to high,
     one per exponent, in the order in which each exponent first came with
     a nonzero coefficient (``_scaled`` sums the terms in that order)."""
 
-    __slots__ = ("terms", "_py_cache")
+    __slots__ = ("terms", "_py_cache", "_dp_cache")
 
     def __init__(self, terms: Sequence[Tuple[Sequence, Sequence]]):
         combined: Dict[tuple, list] = {}
@@ -120,7 +136,7 @@ class ExpSum:
                 k = _canonical(expo)
                 combined[k] = _plus(combined.get(k, []), coeff)
         self.terms = tuple((c, k) for k, v in combined.items() if (c := _canonical(v)))
-        self._py_cache = None
+        self._py_cache = self._dp_cache = None
 
     @staticmethod
     def constant(c) -> "ExpSum":
@@ -163,8 +179,9 @@ class ExpSum:
 
     # -- numeric evaluation -------------------------------------------------
 
-    def _scaled(self, xi):
-        """The value at xi as e^M * h, M the largest real part of an exponent.
+    def _scaled(self, xi, derivative):
+        """The value at xi as e^M * h, M the largest real part of an exponent,
+        and, with derivative, the derivative as e^M * h' (else None).
 
         The one evaluator of the sum: xi is a Python complex or an ndarray,
         and the same Horner loops over the cached Python coefficients run
@@ -173,21 +190,20 @@ class ExpSum:
         first largest real part, as max picks it, and h the sum of the
         v e^(q - M) from the first term, left to right, through cmath.  An
         array, or a point with an exponent that is not finite, ends in
-        numpy with the same operations in the same order.
+        numpy with the same operations in the same order; only there is
+        the derivative taken, h' summing each term's coefficient c' + c Q'
+        at xi times the same e^(q - M), so g' costs one Horner loop per
+        term and no exponential.  Those coefficients are cached on the
+        first such call.
         Factoring out e^M keeps h of moderate size where the value itself
         would overflow.  The empty sum gives M = -inf and h = 0.
         """
         if self._py_cache is None:
-            def conv(p):  # highest power first, for Horner; p[-1] != 0
-                try:
-                    out = tuple(complex(scalar_to_complex(c)) for c in reversed(p))
-                except OverflowError:
-                    out = (0j,)
-                if any(c and not z for c, z in zip(reversed(p), out)):  # over- or underflow
-                    raise CoefficientRangeError(
-                        "a coefficient of the exponential sum lies beyond the range of a double")
-                return out
-            self._py_cache = tuple((conv(cp), conv(ep)) for cp, ep in self.terms)
+            self._py_cache = tuple((_doubles(cp), _doubles(ep)) for cp, ep in self.terms)
+        if derivative and self._dp_cache is None:
+            self._dp_cache = tuple(  # c' + c Q' of each term
+                _doubles(_canonical(_plus(_derivative(cp), poly_mul(cp, _derivative(ep)))))
+                for cp, ep in self.terms)
         vals = []
         for cs, es in self._py_cache:
             q = 0j
@@ -206,40 +222,52 @@ class ExpSum:
                     M = q.real
             else:
                 if not vals:
-                    return M, 0j
+                    return M, 0j, None
                 (v, q), *rest = vals
                 h = v * cmath.exp(q - M)
                 for v, q in rest:
                     h += v * cmath.exp(q - M)
-                return M, h
+                return M, h, None
         M = -math.inf
         for _, q in vals:
             M = np.maximum(M, q.real)
+        scales = [np.exp(q - M) for _, q in vals]
         # 0j * xi gives the empty sum the shape of xi
-        parts = [v * np.exp(q - M) for v, q in vals] or [0j * xi]
+        parts = [v * e for (v, _), e in zip(vals, scales)] or [0j * xi]
         # left to right from the first term
-        return M, sum(parts[1:], parts[0])
+        h = sum(parts[1:], parts[0])
+        if not derivative:
+            return M, h, None
+        dparts = []
+        for ds, e in zip(self._dp_cache, scales):
+            d = 0j
+            for c in ds:
+                d = d * xi + c
+            dparts.append(d * e)
+        dparts = dparts or [0j * xi]
+        return M, h, sum(dparts[1:], dparts[0])
 
     def logeval(self, xi):
-        """log|value| and phase on a 1-d array of points.
+        """log|value|, phase, okmask and log|derivative| on a 1-d array of
+        points, from one evaluation.
 
         okmask is False where the value underflows to zero.
         """
-        M, h = self._scaled(np.atleast_1d(np.asarray(xi, dtype=complex)))
+        M, h, hd = self._scaled(np.atleast_1d(np.asarray(xi, dtype=complex)), True)
         absh = np.abs(h)
         ok = absh > 1e-280
         logabs = np.where(ok, M + np.log(np.maximum(absh, 1e-300)), -np.inf)
-        return logabs, np.angle(h), ok
+        return logabs, np.angle(h), ok, M + np.log(np.maximum(np.abs(hd), 1e-300))
 
     def logabs_grid(self, xi):
         """log|value| on an ndarray (phase-free)."""
-        M, h = self._scaled(np.asarray(xi, dtype=complex))
+        M, h, _ = self._scaled(np.asarray(xi, dtype=complex), False)
         return M + np.log(np.maximum(np.abs(h), 1e-300))
 
 
 def _log_value(es: ExpSum, xi: complex) -> complex:
     """Complex log of the value at one point: log|value| + i * phase."""
-    M, h = es._scaled(xi)
+    M, h, _ = es._scaled(xi, False)
     if h == 0:
         return complex(-math.inf, 0.0)
     return complex(M + math.log(abs(h)), cmath.phase(h))
@@ -587,20 +615,26 @@ def _rect_boundaries(boxes):
 # to refine, so heavily refined boxes cannot pile up.
 _BATCH_SAMPLES = 2048
 _MAX_RESIDUAL = 1e-5
+# A box of winding 1 to this many gets its contour's power sums, and a
+# quadtree cell of that many zeros is taken from them without a split.
+_POWER_SUMS = 6
 
 
-def _windings(g: ExpSum, gp: ExpSum, boxes: np.ndarray,
+def _windings(g: ExpSum, boxes: np.ndarray,
               max_refine=60) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Winding of g around each row (x0, x1, y0, y1) of boxes, its
-    residual and, for winding 1, the zero's position from the samples.
+    residual and, for a winding w of 1 to _POWER_SUMS, the power sums of
+    the zeros it encloses, from the samples.
 
-    gp is g'; the residual is NaN where the box fails.  A box of winding
-    1 gets the first argument-principle moment, 1/(2 pi i) times the
-    integral of xi g'/g over its boundary, which is the zero it encloses
-    (Delves & Lyness 1967).  It is summed over the segments of the
-    samples that settled the winding, each midpoint times the segment's
-    step of log|g| + i arg g, so it costs no evaluation and a box gets
-    the same moment in a batch as alone.  Every other box gets NaN.
+    The residual is NaN where the box fails.  Row i of the third array holds,
+    for a box of winding 1 <= w <= _POWER_SUMS, the power sums s_1 ... s_w,
+    s_p = 1/(2 pi i) times the integral of xi^p g'/g over its boundary,
+    which is the sum of the p-th powers of the zeros it encloses (Delves &
+    Lyness 1967); s_1 of a box of winding 1 is its zero.  Each is summed
+    over the segments of the samples that settled the winding, the p-th
+    power of each midpoint times the segment's step of log|g| + i arg g,
+    so it costs no evaluation and a box gets the same sums in a batch as
+    alone.  Every other entry is NaN.
 
     Phase tracking with three refinement criteria per segment: the phase
     jump, the modulus jump, and the segment length against the local
@@ -610,12 +644,12 @@ def _windings(g: ExpSum, gp: ExpSum, boxes: np.ndarray,
     max_refine rounds or passes 4 M samples, or when its phase sum lies
     more than _MAX_RESIDUAL from a multiple of 2 pi.  The boundaries of
     the boxes in work share one flat array, so each refinement round
-    evaluates g and g' once for all of them and merges the new samples in
-    by one gather; every box keeps the samples, rounds and phase sum it
-    gets alone.
+    evaluates g and g' once for all of them, in one ``logeval`` call, and
+    merges the new samples in by one gather; every box keeps the samples,
+    rounds and phase sum it gets alone.
     """
     w_out, res_out = np.zeros(len(boxes), dtype=int), np.full(len(boxes), np.nan)
-    s1_out = np.full(len(boxes), complex(math.nan, math.nan))
+    sums_out = np.full((len(boxes), _POWER_SUMS), complex(math.nan, math.nan))
     # the samples of the boxes in work, box after box: point, log|g|,
     # phase and |g'/g|; per box its index in boxes, its sample count
     # (closing point included) and rounds, whether it stays in work and
@@ -632,10 +666,9 @@ def _windings(g: ExpSum, gp: ExpSum, boxes: np.ndarray,
         fresh = (pts[idx] + pts[idx + 1]) / 2
         if len(new):  # most rounds admit no box
             fresh = np.concatenate([fresh, _rect_boundaries(new).ravel()])
-        la_n, ph_n, ok = g.logeval(fresh)
+        la_n, ph_n, ok, lap = g.logeval(fresh)
         # |g'/g|: the a-priori bound on the phase speed along the contour;
         # where g underflowed the box fails below, so its la is not used
-        lap = gp.logabs_grid(fresh)
         spd_n = np.exp(np.minimum(lap - np.where(ok, la_n, 0.0), 700.0))
         # each midpoint goes after its segment's first sample and the new
         # boxes after all others; boxes that are done or underflowed leave
@@ -672,9 +705,12 @@ def _windings(g: ExpSum, gp: ExpSum, boxes: np.ndarray,
             residual = abs(total - 2 * math.pi * w)
             if residual <= _MAX_RESIDUAL:
                 w_out[ids[j]], res_out[ids[j]] = w, residual
-                if w == 1:
+                if 1 <= w <= _POWER_SUMS:
                     mids = (pts[seg] + pts[seg.start + 1:seg.stop + 1]) / 2
-                    s1_out[ids[j]] = (mids * (dla[seg] + 1j * dphi[seg])).sum() / (2j * math.pi)
+                    step, power = dla[seg] + 1j * dphi[seg], mids
+                    for p in range(w):
+                        sums_out[ids[j], p] = (power * step).sum() / (2j * math.pi)
+                        power = power * mids
         stay = live & unsettled & (sizes <= 4_000_000)
         # the boxes in work refine in order while the samples before them
         # stay under the cap; the others wait, keeping their rounds
@@ -682,16 +718,16 @@ def _windings(g: ExpSum, gp: ExpSum, boxes: np.ndarray,
         refine = stay & (np.cumsum(work) - work < _BATCH_SAMPLES)
         idx = np.nonzero(bad & np.repeat(refine, sizes)[:-1])[0]
         owner = np.searchsorted(starts, idx, side="right") - 1
-    return w_out, res_out, s1_out
+    return w_out, res_out, sums_out
 
 
-def _winding_with_perturbation(g, gp, x0, x1, y0, y1):
+def _winding_with_perturbation(g, x0, x1, y0, y1):
     side = max(x1 - x0, y1 - y0)
     eps = 0.0
     for k in range(8):
-        w, res, s1 = _windings(g, gp, np.array([[x0 - eps, x1 + eps, y0 - eps, y1 + eps]]))
+        w, res, sums = _windings(g, np.array([[x0 - eps, x1 + eps, y0 - eps, y1 + eps]]))
         if not np.isnan(res[0]):
-            return (int(w[0]), float(res[0]), complex(s1[0])), eps
+            return (int(w[0]), float(res[0]), sums[0].tolist()), eps
         eps = side * (2.0 ** (-9 + k))
     raise ZeroOnContourError("persistent zero on contour after perturbation")
 
@@ -721,6 +757,11 @@ class CountedZero:
 _CUT_SHIFTS = (0.0, 1 / 16, -1 / 16, 1 / 8, -1 / 8, 3 / 16, -3 / 16)
 
 
+def _in_cell(z: complex, x0, x1, y0, y1) -> bool:
+    """z lies in the closed cell, to 1e-12."""
+    return x0 - 1e-12 <= z.real <= x1 + 1e-12 and y0 - 1e-12 <= z.imag <= y1 + 1e-12
+
+
 class _ZeroSearch:
     """Quadtree zero search with winding conservation, a level at a time.
 
@@ -731,7 +772,10 @@ class _ZeroSearch:
     the next shifted cut in the next.  Each zero keeps its cell's path
     in the tree, and sorting by path gives the depth-first order.  A cell
     of winding 1 starts Newton at its contour's first moment (``_windings``)
-    when that lies in the cell, and at its centre otherwise.
+    when that lies in the cell, and at its centre otherwise.  A cell of
+    winding 2 to _POWER_SUMS is taken from its contour's power sums when
+    their zeros polish to distinct zeros in it that small boxes confirm
+    (``_leaf``); otherwise it splits.
     """
 
     def __init__(self, g: ExpSum, tol: float):
@@ -742,52 +786,114 @@ class _ZeroSearch:
         self.max_residual = 0.0
 
     def run(self, x0, x1, y0, y1):
-        (w, residual, s1), eps = _winding_with_perturbation(self.g, self.gp, x0, x1, y0, y1)
+        (w, residual, sums), eps = _winding_with_perturbation(self.g, x0, x1, y0, y1)
         self.max_residual = max(self.max_residual, residual)
-        self._descend(x0 - eps, x1 + eps, y0 - eps, y1 + eps, w, s1, 0)
+        self._descend(x0 - eps, x1 + eps, y0 - eps, y1 + eps, w, sums, 0)
 
-    def _leaf(self, x0, x1, y0, y1, w, s1, depth) -> Optional[CountedZero]:
-        """The cell's zero when it needs no split, else None; s1 is the
-        first moment of its contour (NaN but for winding 1)."""
+    def _leaf(self, x0, x1, y0, y1, w, sums, depth) -> Optional[List[CountedZero]]:
+        """The cell's zeros when it needs no split, else None; sums[p - 1]
+        is the p-th power sum of its contour (``_windings``), NaN where
+        there is none.
+
+        A cell of winding 1 polishes from its first moment when that lies
+        in the cell, from its centre otherwise.  A cell of winding
+        2 <= w <= _POWER_SUMS takes the w roots of the monic polynomial
+        whose power sums are s_1 ... s_w (Newton's identities,
+        ``companion_eigenvalues``) and polishes each; it returns them only
+        when every polish converged inside the cell and their least
+        distance d exceeds 2 tol, and they stand only when ``_confirm``'s
+        boxes of half side d/4 about them each wind exactly 1 (Delves &
+        Lyness 1967; Kravanja & Van Barel 2000).  Newton's steps at a
+        multiple zero are rounding noise, so without those boxes a double
+        zero could pass as two converged simple ones.  A cell below the
+        tolerance, or 60 levels deep, is one zero of multiplicity w.
+        """
         diam = max(x1 - x0, y1 - y0)
         cx, cy = (x0 + x1) / 2, (y0 + y1) / 2
         if w == 1:
+            s1 = sums[0]
             # a NaN moment fails the comparisons
             start = s1 if x0 <= s1.real <= x1 and y0 <= s1.imag <= y1 else complex(cx, cy)
             z, converged = _polish_zero(self.g, self.gp, start, self.tol * 1e-3)
-            inside = (x0 - 1e-12 <= z.real <= x1 + 1e-12
-                      and y0 - 1e-12 <= z.imag <= y1 + 1e-12)
-            if converged and inside:
-                return CountedZero(z, 1, max(self.tol, 0.0))
+            if converged and _in_cell(z, x0, x1, y0, y1):
+                return [CountedZero(z, 1, max(self.tol, 0.0))]
             # polish stalled or escaped the cell: fall through to subdivision
         if diam < self.tol or depth > 60:
-            return CountedZero(complex(cx, cy), w, diam)
-        return None
+            return [CountedZero(complex(cx, cy), w, diam)]
+        if not 2 <= w <= _POWER_SUMS:
+            return None
+        coeffs = [1 + 0j]  # Newton's identities: xi^w + a_1 xi^(w-1) + ... + a_w
+        for k in range(1, w + 1):
+            coeffs.append(-(sums[k - 1] + sum(coeffs[i] * sums[k - 1 - i]
+                                              for i in range(1, k))) / k)
+        roots = companion_eigenvalues(np.array(coeffs))  # None for a NaN sum
+        if roots is None:
+            return None
+        zeros = []
+        for root in roots.tolist():
+            z, converged = _polish_zero(self.g, self.gp, root, self.tol * 1e-3)
+            if not (converged and _in_cell(z, x0, x1, y0, y1)):
+                return None
+            zeros.append(z)
+        if min(abs(a - b) for a, b in itertools.combinations(zeros, 2)) <= 2 * self.tol:
+            return None
+        return [CountedZero(z, 1, max(self.tol, 0.0)) for z in zeros]
 
-    def _descend(self, x0, x1, y0, y1, w, s1, depth):
-        """Add the zeros of the cell of winding w and first moment s1,
-        depth levels down.
+    def _confirm(self, leaves) -> List[bool]:
+        """Whether the zeros of each leaf stand: a list of one zero stands,
+        and the simple zeros z_1 ... z_w of a cell taken from its power sums
+        stand when the disjoint boxes of half side d/4 about them, d their
+        least distance, each wind exactly 1.  The boxes of all the leaves
+        are wound in one batch, and the residuals of the leaves that stand
+        count."""
+        rows, owner = [], []
+        for n, zeros in enumerate(leaves):
+            if len(zeros) > 1:
+                ps = [z.position for z in zeros]
+                h = min(abs(a - b) for a, b in itertools.combinations(ps, 2)) / 4
+                rows += [(p.real - h, p.real + h, p.imag - h, p.imag + h) for p in ps]
+                owner += [n] * len(ps)
+        stands = [True] * len(leaves)
+        if rows:
+            w, res, _ = _windings(self.g, np.array(rows))
+            for n, one in zip(owner, (~np.isnan(res) & (w == 1)).tolist()):
+                stands[n] = stands[n] and one
+            counted = np.array([stands[n] for n in owner])
+            self.max_residual = max([self.max_residual] + res[counted].tolist())
+        return stands
+
+    def _descend(self, x0, x1, y0, y1, w, sums, depth):
+        """Add the zeros of the cell of winding w and contour power sums
+        sums, depth levels down.
 
         A level's cells are rows in depth-first order.  A cell's key is its
         path, child c at level L adding c * 4**(64 - L), so that the keys
-        of all levels sort depth first.
+        of all levels sort depth first.  The zeros of a cell taken whole
+        get the paths that a split at its unshifted midpoints would give
+        them (``_quadrant_keys``).
         """
         found = []     # (key, zero)
         failed = None  # (key, message) of the first failure, depth first
         boxes, ws, keys = np.array([[x0, x1, y0, y1]]), np.array([w]), [0]
-        s1s = np.array([s1], dtype=complex)
+        sums = np.array([sums], dtype=complex)
         level = 0
         while w and ws.size:
-            split = []
-            for i, (box, wb, sb) in enumerate(zip(boxes.tolist(), ws.tolist(), s1s.tolist())):
-                zero = self._leaf(*box, wb, sb, depth + level)
-                if zero is None:
+            split, leaves = [], []
+            for i, (box, wb, sb) in enumerate(zip(boxes.tolist(), ws.tolist(), sums.tolist())):
+                zeros = self._leaf(*box, wb, sb, depth + level)
+                if zeros is None:
                     split.append(i)
                 else:
-                    found.append((keys[i], zero))
+                    leaves.append((i, zeros))
+            for (i, zeros), stands in zip(leaves, self._confirm([zs for _, zs in leaves])):
+                if stands:
+                    found += _quadrant_keys(boxes[i].tolist(), zeros, keys[i], level)
+                else:
+                    split.append(i)
+            split.sort()
             boxes, ws, keys = boxes[split], ws[split], [keys[i] for i in split]
             kid_boxes, kid_ws = np.zeros((len(split), 4, 4)), np.zeros((len(split), 4), dtype=int)
-            kid_s1s = np.zeros((len(split), 4), dtype=complex)
+            kid_sums = np.zeros((len(split), 4, _POWER_SUMS), dtype=complex)
             todo = np.arange(len(split))
             for shift in _CUT_SHIFTS:  # retried cuts of the level share a batch
                 if not todo.size:
@@ -797,13 +903,14 @@ class _ZeroSearch:
                 ym = (b0 + b1) / 2 + shift * (b1 - b0)
                 kids = np.stack([a0, xm, b0, ym, xm, a1, b0, ym,
                                  a0, xm, ym, b1, xm, a1, ym, b1], axis=1).reshape(-1, 4, 4)
-                kw, kr, ks = (a.reshape(-1, 4) for a in _windings(self.g, self.gp, kids.reshape(-1, 4)))
+                kw, kr, ks = _windings(self.g, kids.reshape(-1, 4))
+                kw, kr, ks = kw.reshape(-1, 4), kr.reshape(-1, 4), ks.reshape(-1, 4, _POWER_SUMS)
                 # a cell's residuals count up to its first failed child
                 counted = np.logical_and.accumulate(~np.isnan(kr), axis=1)
                 self.max_residual = max([self.max_residual] + kr[counted].tolist())
                 good = counted[:, -1] & (kw.sum(axis=1) == ws[todo])
                 kid_boxes[todo[good]], kid_ws[todo[good]] = kids[good], kw[good]
-                kid_s1s[todo[good]] = ks[good]
+                kid_sums[todo[good]] = ks[good]
                 todo = todo[~good]
             for i in todo.tolist():
                 (a0, a1, b0, b1), wb = boxes[i].tolist(), int(ws[i])
@@ -817,17 +924,39 @@ class _ZeroSearch:
                     found.append((keys[i], CountedZero(complex(cx, cy), wb, diam)))
                 elif failed is None or keys[i] < failed[0]:
                     failed = (keys[i], f"could not split cell around ({cx}, {cy}) cleanly")
+            # a child that holds all of its refused parent's two or more
+            # zeros takes no power sums and splits on: at a multiple zero
+            # each level would polish the same clustered roots again
+            kid_sums[(kid_ws == ws[:, None]) & (kid_ws > 1)] = complex(math.nan, math.nan)
             level += 1
             cell, c = np.nonzero(kid_ws)
             keys = [keys[i] + k * 4 ** (64 - level) for i, k in zip(cell.tolist(), c.tolist())]
             live = np.array([failed is None or k < failed[0] for k in keys], dtype=bool)
             # cells after a failure are never reached depth first
-            boxes, ws, s1s = kid_boxes[cell, c][live], kid_ws[cell, c][live], kid_s1s[cell, c][live]
+            boxes, ws = kid_boxes[cell, c][live], kid_ws[cell, c][live]
+            sums = kid_sums[cell, c][live]
             keys = [k for k, keep in zip(keys, live) if keep]
         if failed is not None:
             raise ZeroOnContourError(failed[1])
         found.sort(key=lambda f: f[0])
         self.zeros.extend(z for _, z in found)
+
+
+def _quadrant_keys(box, zeros, key, level) -> List[Tuple[int, CountedZero]]:
+    """(key, zero) for the zeros of a cell at level with key: each zero's
+    key adds the quadrants it falls in at the unshifted midpoints, child c
+    at level L adding c * 4**(64 - L) as in ``_ZeroSearch._descend``, until
+    the zeros lie apart, which is the order a split lists them in."""
+    if len(zeros) == 1 or level >= 64:
+        return [(key, z) for z in zeros]
+    x0, x1, y0, y1 = box
+    xm, ym = (x0 + x1) / 2, (y0 + y1) / 2
+    quads = [[], [], [], []]
+    for z in zeros:
+        quads[(z.position.real >= xm) + 2 * (z.position.imag >= ym)].append(z)
+    kids = ((x0, xm, y0, ym), (xm, x1, y0, ym), (x0, xm, ym, y1), (xm, x1, ym, y1))
+    return [kz for c, quad in enumerate(quads) if quad
+            for kz in _quadrant_keys(kids[c], quad, key + c * 4 ** (63 - level), level + 1)]
 
 
 _CF_BITS = 128  # the working precision of the two-term closed form
@@ -936,6 +1065,12 @@ def locate_zeros_in_box(g: ExpSum, half_side: float) -> Tuple[List[CountedZero],
 R0 = 1.0
 
 
+def _round40(x: np.ndarray) -> np.ndarray:
+    """x rounded to 40 significant bits."""
+    m, e = np.frexp(x)
+    return np.ldexp(np.round(m * 2.0 ** 40), e - 40)
+
+
 @dataclass
 class CountingSample:
     divisor: HomPoly
@@ -971,14 +1106,19 @@ class CountingSample:
         return self.N_at(self.radius)
 
     def to_json(self):
+        """The sample as a report; zeros by |z|, then Re z, each rounded
+        to 40 bits, so the conjugate zeros of a real sum, equal in both
+        but for rounding, tie and keep their list order (a stable sort),
+        the tree's."""
+        pos = np.array([z.position for z in self.zeros], dtype=complex)
+        order = np.lexsort((_round40(pos.real), _round40(np.abs(pos))))
         return {
             "divisor": str(self.divisor),
             "degree": self.degree,
             "radius": self.radius,
             "zeros": [{"position": [z.position.real, z.position.imag],
                        "multiplicity": z.multiplicity,
-                       "radius": z.radius} for z in sorted(
-                           self.zeros, key=lambda w: (abs(w.position), w.position.real))],
+                       "radius": z.radius} for z in map(self.zeros.__getitem__, order.tolist())],
             "N": self.N,
             "winding_residual": self.winding_residual,
         }

@@ -196,15 +196,16 @@ def reference_log_value(es, xi: complex) -> complex:
 # nevanlinna._windings with the four np.insert merges per refinement round
 # that one gather index per round took the place of, kept verbatim but for
 # the module constants, read from nevanlinna on each call so that a test
-# can monkeypatch them, and the first moment of each winding-1 box, summed
-# from that box's own samples.
+# can monkeypatch them, g' read off g's own evaluation (the fourth value
+# of ExpSum.logeval), and the power sums of each box of winding 1 to
+# _POWER_SUMS, summed from that box's own samples.
 # ---------------------------------------------------------------------------
 
-def reference_windings(g, gp, boxes: np.ndarray, max_refine=60):
+def reference_windings(g, boxes: np.ndarray, max_refine=60):
     import quadrics.nevanlinna as nv
     _PER_SIDE, _BATCH_SAMPLES = nv._PER_SIDE, nv._BATCH_SAMPLES
     w_out, res_out = np.zeros(len(boxes), dtype=int), np.full(len(boxes), np.nan)
-    s1_out = np.full(len(boxes), complex(math.nan, math.nan))
+    sums_out = np.full((len(boxes), nv._POWER_SUMS), complex(math.nan, math.nan))
     # the samples of the boxes in work, box after box: point, log|g|,
     # phase and |g'/g|; per box its index in boxes, its sample count
     # (closing point included) and rounds, whether it stays in work and
@@ -219,11 +220,10 @@ def reference_windings(g, gp, boxes: np.ndarray, max_refine=60):
         room = (_BATCH_SAMPLES - held) // n0
         new = boxes[nxt:nxt + max(room, int(not stay.any()))]
         fresh = np.concatenate([(pts[idx] + pts[idx + 1]) / 2, nv._rect_boundaries(new).ravel()])
-        la_n, ph_n, ok = g.logeval(fresh)
-        lap, _, okp = gp.logeval(fresh)
+        la_n, ph_n, ok, lap = g.logeval(fresh)
         # |g'/g|: the a-priori bound on the phase speed along the contour;
         # where g underflowed the box fails below, so its la is not used
-        spd_n = np.where(okp, np.exp(np.minimum(lap - np.where(ok, la_n, 0.0), 700.0)), 0.0)
+        spd_n = np.exp(np.minimum(lap - np.where(ok, la_n, 0.0), 700.0))
         # each midpoint goes after its segment's first sample and the new
         # boxes after all others; boxes that are done or underflowed leave
         sizes = np.concatenate([sizes + np.bincount(owner, minlength=ids.size),
@@ -252,11 +252,15 @@ def reference_windings(g, gp, boxes: np.ndarray, max_refine=60):
             residual = abs(total - 2 * math.pi * w)
             if residual <= nv._MAX_RESIDUAL:
                 w_out[ids[j]], res_out[ids[j]] = w, residual
-                if w == 1:
+                if 1 <= w <= nv._POWER_SUMS:
                     p = pts[starts[j]:starts[j] + sizes[j]]
                     step = (np.diff(la[starts[j]:starts[j] + sizes[j]])
                             + 1j * dphi[starts[j]:starts[j] + sizes[j] - 1])
-                    s1_out[ids[j]] = np.sum((p[:-1] + p[1:]) / 2 * step) / (2j * math.pi)
+                    mids = (p[:-1] + p[1:]) / 2
+                    power = mids
+                    for k in range(w):
+                        sums_out[ids[j], k] = np.sum(power * step) / (2j * math.pi)
+                        power = power * mids
         stay = live & unsettled & (sizes <= 4_000_000)
         # the boxes in work refine in order while the samples before them
         # stay under the cap; the others wait, keeping their rounds
@@ -264,7 +268,7 @@ def reference_windings(g, gp, boxes: np.ndarray, max_refine=60):
         refine = stay & (np.cumsum(work) - work < _BATCH_SAMPLES)
         idx = np.nonzero(bad & np.repeat(refine, sizes)[:-1])[0]
         owner = np.searchsorted(starts, idx, side="right") - 1
-    return w_out, res_out, s1_out
+    return w_out, res_out, sums_out
 
 
 def reference_scaled(es, xi):

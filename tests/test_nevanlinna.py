@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -98,6 +99,47 @@ def test_one_kernel_matches_the_replaced_evaluators(terms, points):
             assert abs(got.real - math.log(abs(value))) < 1e-9
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(st.lists(_TERM, min_size=1, max_size=4), _TIED_TERMS),
+       st.lists(_POINT, min_size=1, max_size=9))
+def test_logeval_reads_the_derivative_off_the_values_exponentials(terms, points):
+    """logeval's fourth value, log|g'| from each term's coefficient
+    c' + c Q' times the e^(q - M) of g itself, agrees with logabs_grid of
+    g.derivative() to rounding wherever |g'| is within e^600 of g's
+    largest term e^M, and never lies below it; a g' that vanishes
+    identically reads as e^M times the floor 1e-300."""
+    es = ExpSum(terms)
+    assume(not es.is_zero)
+    xi = np.array(points)
+    got = es.logeval(xi)[3]
+    M = es._scaled(xi, False)[0]
+    gp = es.derivative()
+    if gp.is_zero:
+        assert (got == M + np.log(1e-300)).all()
+        return
+    want = reference_logabs_grid(gp, xi)
+    slack = 1e-9 * np.maximum(1.0, np.abs(want))
+    near = want > M - 600
+    assert (np.abs(got - want)[near] <= slack[near]).all()
+    assert (got >= want - slack).all()
+
+
+def test_a_derivative_beyond_the_double_range_is_refused_only_where_read():
+    """10^308 e^{2 xi} has a double coefficient, but its derivative's,
+    2 10^308, has none: T(r) of [1 : 10^308 e^{2 xi}] and g's own values
+    are computed as before, and only logeval, which reads g', raises
+    CoefficientRangeError."""
+    from quadrics.nevanlinna import CoefficientRangeError
+    big = ExpSum([([10 ** 308], [0, 2]), ([1], [0, 0, 1])])
+    xi = np.array([0.5 + 0.5j, -1.0 + 0j])
+    assert np.isfinite(big.logabs_grid(xi)).all()
+    with pytest.raises(CoefficientRangeError):
+        big.logeval(xi)
+    # the second component wins on all of |xi| = 3 and at 0, so T is 0
+    T, _ = characteristic(ExpCurve([ExpSum.constant(1), ExpSum([([10 ** 308], [0, 2])])]), 3.0)
+    assert T == 0.0
+
+
 _SIGNED = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, math.inf, -math.inf, math.nan])
 _SIGNED_POINT = st.builds(complex, _SIGNED, _SIGNED)
 
@@ -122,7 +164,7 @@ def test_the_point_tail_matches_the_replaced_one(cache, xi):
     es = ExpSum([])
     es._py_cache = tuple((tuple(c), tuple(e)) for c, e in cache)
     with np.errstate(all="ignore"):
-        got, want = es._scaled(xi), reference_scaled(es, xi)
+        got, want = es._scaled(xi, False)[:2], reference_scaled(es, xi)
     assert [type(x) for x in got] == [type(x) for x in want]
     assert float(got[0]).hex() == float(want[0]).hex()
     assert (complex(got[1]).real.hex(), complex(got[1]).imag.hex()) == (
@@ -134,9 +176,9 @@ def test_the_empty_sum_is_zero_everywhere():
 
     empty = ExpSum([])
     xi = np.array([0j, 1 + 2j, -3.0])
-    logabs, phase, ok = empty.logeval(xi)
-    assert logabs.shape == phase.shape == ok.shape == (3,)
-    assert np.all(logabs == -np.inf) and not ok.any()
+    logabs, phase, ok, logderiv = empty.logeval(xi)
+    assert logabs.shape == phase.shape == ok.shape == logderiv.shape == (3,)
+    assert np.all(logabs == -np.inf) and np.all(logderiv == -np.inf) and not ok.any()
     assert np.all(empty.logabs_grid(xi.reshape(3, 1)) == -np.inf)
     assert nv._log_value(empty, 1j) == complex(-math.inf, 0.0)
 
@@ -520,7 +562,7 @@ def test_zero_search_rejects_an_unconverged_polish():
     centre = complex((cell[0] + cell[1]) / 2, (cell[2] + cell[3]) / 2)
     z, converged = _polish_zero(g, search.gp, centre, search.tol * 1e-3)
     assert not converged and cell[0] <= z.real <= cell[1] and cell[2] <= z.imag <= cell[3]
-    search._descend(*cell, 1, complex(math.nan, math.nan), 8)
+    search._descend(*cell, 1, [complex(math.nan, math.nan)], 8)
     assert len(search.zeros) == 1
     expected = 2j * math.pi * -107 / float(a)
     assert abs(search.zeros[0].position - expected) < 1e-9
@@ -544,9 +586,9 @@ def test_the_first_moment_lies_next_to_the_cells_zero():
                 x0, y0 = z.real - fx * side, z.imag - fy * side
                 rows.append((x0, x0 + side, y0, y0 + side))
                 zeros.append(k)
-    w, _, s1 = nv._windings(g, g.derivative(), np.array(rows))
+    w, _, sums = nv._windings(g, np.array(rows))
     assert (w == 1).all()
-    for (x0, x1, y0, y1), k, m in zip(rows, zeros, s1.tolist()):
+    for (x0, x1, y0, y1), k, m in zip(rows, zeros, sums[:, 0].tolist()):
         assert abs(m - 2j * math.pi * k / float(a)) <= 1e-3 * max(x1 - x0, y1 - y0)
 
 
@@ -570,35 +612,191 @@ def test_a_winding_one_cell_starts_at_its_moment_when_it_lies_inside(s1, at_cent
 
     search = nv._ZeroSearch(_EXP_MINUS_1, 1e-9)
     with mock.patch.object(nv, "_polish_zero", polish):
-        assert search._leaf(0.0, 1.0, -1.0, 1.0, 1, s1, 3) is None
+        assert search._leaf(0.0, 1.0, -1.0, 1.0, 1, [s1], 3) is None
     assert _bits(starts) == _bits([complex(0.5, 0.0) if at_centre else s1])
+
+
+def _leaf_log(log):
+    """A _ZeroSearch._leaf that logs (w, cell, zeros or None) of each call."""
+    import quadrics.nevanlinna as nv
+    leaf = nv._ZeroSearch._leaf
+
+    def logged(self, x0, x1, y0, y1, w, sums, depth):
+        zeros = leaf(self, x0, x1, y0, y1, w, sums, depth)
+        log.append((w, (x0, x1, y0, y1), zeros))
+        return zeros
+    return logged
+
+
+def test_a_double_zero_never_passes_as_two_simple_zeros():
+    """e^{xi^2} - 1 on a cell of winding 2 around its double zero 0: the
+    power sums' two roots polish to "converged" points some 1e-9 apart,
+    since Newton's steps there are rounding noise, and the pair is refused
+    by its confirmation boxes.  The cell's descendants that still hold
+    both zeros take no power sums, so the pair is judged once, and the
+    cell splits down to one zero of multiplicity 2, as the search without
+    power sums gives it."""
+    import quadrics.nevanlinna as nv
+    g = ExpSum([([1], [0, 0, 1]), ([-1], [])])
+    cell = (-0.5, 0.5, -0.4, 0.6)
+    w, _, sums = nv._windings(g, np.array([cell]))
+    assert w.tolist() == [2]
+    search, log, confirm, judged = nv._ZeroSearch(g, 3e-10), [], nv._ZeroSearch._confirm, []
+
+    def logged_confirm(self, leaves):
+        stands = confirm(self, leaves)
+        judged.extend(ok for zeros, ok in zip(leaves, stands) if len(zeros) > 1)
+        return stands
+
+    with mock.patch.object(nv._ZeroSearch, "_leaf", _leaf_log(log)), \
+            mock.patch.object(nv._ZeroSearch, "_confirm", logged_confirm):
+        search._descend(*cell, 2, sums[0].tolist(), 0)
+    assert judged == [False]
+    assert [w for w, _, _ in log].count(2) > 20
+    assert [z.multiplicity for z in search.zeros] == [2]
+    assert abs(search.zeros[0].position) < 1e-7
+
+
+@pytest.mark.parametrize("tol, whole", [(1e-9, False), (1e-10, True)])
+def test_two_zeros_closer_than_twice_the_tolerance_split_their_cell(tol, whole):
+    """(xi^2 - d^2)(1 + e^xi), d = 5e-10, has the simple zeros +-d, 1e-9
+    apart, and +-pi i in the box.  With tol = 1e-9 no cell holding both
+    is taken whole (their distance is not above 2 tol): the cells split
+    until a cut parts them, and each is polished alone.  With tol = 1e-10
+    the root cell is taken whole, its four zeros confirmed.  Either way
+    the four zeros are counted once each."""
+    import quadrics.nevanlinna as nv
+    d = Fraction(1, 2 * 10 ** 9)
+    c = [-d * d, 0, 1]
+    g = ExpSum([(c, []), (c, [0, 1])])
+    search, log = nv._ZeroSearch(g, tol), []
+    with mock.patch.object(nv._ZeroSearch, "_leaf", _leaf_log(log)):
+        search.run(-4.63, 5.37, -4.71, 5.29)  # no cut runs between +-d
+    assert [z.multiplicity for z in search.zeros] == [1, 1, 1, 1]
+    want = [-math.pi * 1j, -5e-10, 5e-10, math.pi * 1j]
+    got = sorted((z.position for z in search.zeros), key=lambda z: (z.imag, z.real))
+    assert all(abs(a - b) < 1e-15 for a, b in zip(got, want))
+    both = [zeros for w, (x0, x1, y0, y1), zeros in log
+            if x0 <= -5e-10 and 5e-10 <= x1 and y0 <= 0 <= y1]
+    assert (both[0] is not None) == whole
+    assert whole or (len(both) > 20 and all(zeros is None for zeros in both))
+
+
+def test_a_failed_confirmation_box_splits_its_cell(monkeypatch):
+    """1 + e^xi + e^{xi^2} on the centered square of half side 2.5: with
+    every confirmation box made to fail, each cell taken from its power
+    sums splits instead, and the search ends with the same zeros, in the
+    same order and multiplicities, within rounding."""
+    import quadrics.nevanlinna as nv
+    g, half = _THREE_TERMS, 2.5
+    tol = max(half * 1e-10, 1e-13)
+
+    def search(log):
+        s = nv._ZeroSearch(g, tol)
+        with mock.patch.object(nv._ZeroSearch, "_leaf", _leaf_log(log)):
+            s.run(-half, half, -half, half)
+        return s.zeros
+
+    taken, refused = [], []
+    want = search(taken)
+    windings = nv._windings
+
+    def failing(g, boxes, *rest):
+        w, residual, sums = windings(g, boxes, *rest)
+        if sys._getframe(1).f_code.co_name == "_confirm":
+            residual[0] = math.nan
+        return w, residual, sums
+
+    monkeypatch.setattr(nv, "_windings", failing)
+    got = search(refused)
+    whole = [cell for w, cell, zeros in taken if zeros is not None and len(zeros) > 1]
+    assert whole
+    for x0, x1, y0, y1 in whole:  # the search went on into the cell's quarters
+        assert any(x0 <= a0 < a1 <= x1 and y0 <= b0 < b1 <= y1 and a1 - a0 < x1 - x0
+                   for _, (a0, a1, b0, b1), _ in refused)
+    assert [z.multiplicity for z in got] == [z.multiplicity for z in want]
+    assert all(abs(a.position - b.position) <= 2.0 ** -50 * max(abs(b.position), 1.0)
+               for a, b in zip(got, want))
+
+
+def test_the_power_sums_lie_next_to_the_cells_zeros():
+    """On square cells of e^{a xi} - 1, a = 250559/250000, holding 2 to
+    _POWER_SUMS of its zeros 2 pi i k / a, placed at the centre, next to a
+    side or next to a corner, s_p from _windings lies within 3e-3 R^p of
+    the sum of the zeros' p-th powers, R the largest modulus on the cell
+    (the worst of these 225 cells is 2.0e-3 R^p; measured against the
+    side instead, an off-centre cell is off by 2.1e-2 side^6)."""
+    import quadrics.nevanlinna as nv
+    a = float(_A)
+    g = ExpSum([([1], [0, _A]), ([-1], [])])
+    rows, held = [], []
+    for n in range(2, nv._POWER_SUMS + 1):
+        side = n * 2 * math.pi / a
+        for k0 in (-n - 3, -n, -(n // 2), 0, 4):
+            for fx in (0.5, 0.1, 0.9):
+                for fy in (0.5, 0.1, 0.9):
+                    x0, y0 = -fx * side, 2 * math.pi * (k0 - fy) / a
+                    rows.append((x0, x0 + side, y0, y0 + side))
+                    held.append([2j * math.pi * k / a for k in range(k0, k0 + n)])
+    w, _, sums = nv._windings(g, np.array(rows))
+    assert w.tolist() == [len(zs) for zs in held]
+    for (x0, x1, y0, y1), zs, row in zip(rows, held, sums.tolist()):
+        R = max(abs(complex(x, y)) for x in (x0, x1) for y in (y0, y1))
+        for p in range(1, len(zs) + 1):
+            assert abs(row[p - 1] - sum(z ** p for z in zs)) <= 3e-3 * R ** p
+
+
+@pytest.mark.parametrize("ulps", [1, -1])
+def test_conjugate_zeros_keep_their_list_order_in_the_report(ulps):
+    """A conjugate pair whose moduli differ by one unit in the last place,
+    either way, ties on the report's sort key (|z| and Re z rounded to 40
+    bits) and keeps its list order, whichever zero comes first; a zero
+    farther out still sorts after both."""
+    from quadrics.nevanlinna import CountedZero
+    x, y = 0.03373651982644153, 1.8302772928127902
+    z = complex(x, y)
+    other = complex(x, -math.nextafter(y, ulps * math.inf))
+    assert abs(other) == math.nextafter(abs(z), ulps * math.inf)
+    far = complex(x, 1.9)
+    for first, second in ((z, other), (other, z)):
+        zeros = [CountedZero(far, 1, 1e-9), CountedZero(first, 1, 1e-9),
+                 CountedZero(second, 1, 1e-9)]
+        sample = CountingSample(parse_poly("z0 + z1"), 1, 3.0, zeros)
+        listed = [complex(*zero["position"]) for zero in sample.to_json()["zeros"]]
+        assert listed == [first, second, far]
 
 
 def test_each_zero_of_a_three_term_sum_is_polished_once():
     """1 + e^{3 xi / 2} + e^{(1/4 + i/2) xi^2}, the divisor z0 + z1 + z2 of
     the quadratic golden curve, at r = 8: Newton runs once per zero, from
-    each cell's first moment, and no cell of winding 1 splits."""
+    each cell's first moment or from its power sums' roots, and no cell of
+    winding 1 splits.  Eight cells of winding 2 to 4 are taken whole, with
+    their zeros confirmed; the one of winding 6 falls back to a split
+    after its second root's polish fails, and its two polishes are the
+    only ones beyond one per zero."""
     import quadrics.nevanlinna as nv
     curve = ExpCurve.from_exponents([[0], [0, Fraction(3, 2)],
                                      [0, 0, GaussRat(Fraction(1, 4), Fraction(1, 2))]])
-    polished, split = [], []
+    polished, leaves = [], []
     polish, leaf = nv._polish_zero, nv._ZeroSearch._leaf
 
     def counted_polish(*args):
         polished.append(args[2])
         return polish(*args)
 
-    def counted_leaf(self, x0, x1, y0, y1, w, s1, depth):
-        zero = leaf(self, x0, x1, y0, y1, w, s1, depth)
-        split.append(w == 1 and zero is None)
-        return zero
+    def counted_leaf(self, x0, x1, y0, y1, w, sums, depth):
+        zeros = leaf(self, x0, x1, y0, y1, w, sums, depth)
+        leaves.append((w, zeros is not None))
+        return zeros
 
     with mock.patch.object(nv, "_polish_zero", counted_polish), \
             mock.patch.object(nv._ZeroSearch, "_leaf", counted_leaf):
         sample = counting(curve, parse_poly("z0 + z1 + z2"), 8.0)
-    assert len(sample.zeros) == len(polished) > 20
+    assert len(sample.zeros) == 25 and len(polished) == 27
     assert all(z.multiplicity == 1 for z in sample.zeros)
-    assert not any(split)
+    assert (1, False) not in leaves
+    assert sorted(w for w, taken in leaves if taken and w > 1) == [2, 2, 2, 3, 4, 4, 4, 4]
+    assert sorted(w for w, taken in leaves if not taken) == [6, 7, 8, 25]
 
 
 # e^xi - 1: simple zeros at 2 pi i k
@@ -621,10 +819,12 @@ _WINDING_BOXES = [
 @pytest.mark.parametrize("samples_cap", [1 << 11, 200, 300, 1])
 @pytest.mark.parametrize("max_refine", [60, 51, 50, 1])
 def test_batched_winding_decides_each_box_as_alone(monkeypatch, samples_cap, max_refine):
-    """Each box gets from a batch the (w, residual, first moment) or
-    failure it gets alone, whatever the sample cap makes wait or share a
-    round, and only a box of winding 1 gets a moment.  The residual bound
-    is lowered to 5e-15 so that the winding-7 box fails on it.  The 20 x 20 box needs two refinement rounds and the last two
+    """Each box gets from a batch the (w, residual, power sums) or
+    failure it gets alone, bit for bit, whatever the sample cap makes wait
+    or share a round, and a box of winding w gets its first w power sums
+    and NaN beyond (the 20 x 20 box, of winding 3, three of them).  The
+    residual bound is lowered to 5e-15 so that the winding-7 box fails on
+    it.  The 20 x 20 box needs two refinement rounds and the last two
     boxes 51, and each fails on a lower round limit; with a cap of 200
     samples the last box waits for the one before it, and waiting must
     not count as a round."""
@@ -632,17 +832,16 @@ def test_batched_winding_decides_each_box_as_alone(monkeypatch, samples_cap, max
     monkeypatch.setattr(nv, "_MAX_RESIDUAL", 5e-15)
     monkeypatch.setattr(nv, "_BATCH_SAMPLES", samples_cap)
     g = _EXP_MINUS_1
-    gp = g.derivative()
-    alone = [nv._windings(g, gp, np.array([b]), max_refine) for b in _WINDING_BOXES]
-    w, residual, s1 = nv._windings(g, gp, np.array(_WINDING_BOXES), max_refine)
+    alone = [nv._windings(g, np.array([b]), max_refine) for b in _WINDING_BOXES]
+    w, residual, sums = nv._windings(g, np.array(_WINDING_BOXES), max_refine)
     assert w.tolist() == [int(a[0][0]) for a in alone]
     assert _bits(residual) == _bits([a[1][0] for a in alone])
-    assert _bits(s1) == _bits([a[2][0] for a in alone])
+    assert _bits(sums) == _bits([a[2][0] for a in alone])
     failed = np.isnan(residual).tolist()
     assert failed == [False, False, True, True, False, False, max_refine == 1, False,
                       max_refine < 51, max_refine < 51]
     assert w.tolist() == [0 if f else k for f, k in zip(failed, [1, 1, 0, 0, 0, 1, 3, 0, 1, 1])]
-    assert (np.isnan(s1) == (w != 1)).all()
+    assert (np.isnan(sums) == (np.arange(nv._POWER_SUMS) >= w[:, None])).all()
 
 
 _EDGE = st.sampled_from([0.0, 2 * math.pi, 2 * math.pi + 1e-9, 2 * math.pi - 1e-9, -2 * math.pi,
@@ -670,14 +869,13 @@ def test_the_gathered_merge_matches_the_inserted_one(boxes, samples_cap, max_ref
     round limits."""
     import quadrics.nevanlinna as nv
     g = _THREE_TERMS if three else _EXP_MINUS_1
-    gp = g.derivative()
     rows = np.array([_corner_box(*b) for b in boxes] + [(0.0, 1.0, 0.0, 1.0)])
     with mock.patch.object(nv, "_BATCH_SAMPLES", samples_cap):
-        w, residual, s1 = nv._windings(g, gp, rows, max_refine)
-        w_ref, residual_ref, s1_ref = reference_windings(g, gp, rows, max_refine)
+        w, residual, sums = nv._windings(g, rows, max_refine)
+        w_ref, residual_ref, sums_ref = reference_windings(g, rows, max_refine)
     assert w.tolist() == w_ref.tolist()
     assert _bits(residual) == _bits(residual_ref)
-    assert _bits(s1) == _bits(s1_ref)
+    assert _bits(sums) == _bits(sums_ref)
     assert three or np.isnan(residual[-1])  # e^xi - 1 underflows at the corner 0
 
 
@@ -762,33 +960,34 @@ _ZERO_ORDER_CASES = {
 
 
 # The same zeros from the search that starts each winding-1 cell at its
-# first moment: positions only, in the same list order.
+# first moment and takes each cell of 2 to _POWER_SUMS zeros from its
+# power sums: positions only, in the same list order.
 _MOMENT_START_POSITIONS = {
     "exp_minus_1": (
-        ("-0x1.b20f70000015bp-57", "-0x1.2d97c7f3321d2p+4"),
-        ("0x1.db68cafffffd8p-55", "-0x1.921fb54442d18p+3"),
-        ("0x1.4c30744dffff5p-55", "-0x1.921fb54442d18p+2"),
-        ("-0x1.10da1f0000000p-62", "0x1.6000000000000p-115"),
-        ("0x1.ce089ffff7c00p-55", "0x1.921fb54442d18p+2"),
-        ("0x1.e28e4dfffffb0p-56", "0x1.921fb54442d18p+3"),
-        ("-0x1.f883f000000f0p-57", "0x1.2d97c7f3321d2p+4"),
+        ("-0x1.e30a4900002b6p-58", "-0x1.2d97c7f3321d2p+4"),
+        ("-0x1.9f93358000028p-55", "-0x1.921fb54442d18p+3"),
+        ("-0x1.ab9ff0000005ap-58", "-0x1.921fb54442d18p+2"),
+        ("0x1.159d3a0000000p-56", "0x1.b000000000000p-104"),
+        ("0x1.052dfdffffff5p-55", "0x1.921fb54442d18p+2"),
+        ("0x1.05a7b47fffd7dp-59", "0x1.921fb54442d18p+3"),
+        ("0x1.b224d6bfffa94p-59", "0x1.2d97c7f3321d2p+4"),
     ),
     "exp_square_minus_1": (
         ("-0x1.40d931ff62706p+1", "-0x1.40d931ff62706p+1"),
         ("-0x1.c5bf891b4ef6bp+0", "-0x1.c5bf891b4ef6bp+0"),
         ("-0x1.7400000000000p-32", "-0x1.7400000000000p-32"),
         ("0x1.40d931ff62706p+1", "-0x1.40d931ff62706p+1"),
-        ("0x1.c5bf891b4ef6ap+0", "-0x1.c5bf891b4ef6bp+0"),
-        ("-0x1.c5bf891b4ef6bp+0", "0x1.c5bf891b4ef6bp+0"),
-        ("-0x1.40d931ff62706p+1", "0x1.40d931ff62706p+1"),
-        ("0x1.c5bf891b4ef6ap+0", "0x1.c5bf891b4ef6bp+0"),
-        ("0x1.40d931ff62706p+1", "0x1.40d931ff62705p+1"),
+        ("0x1.c5bf891b4ef6bp+0", "-0x1.c5bf891b4ef6bp+0"),
+        ("-0x1.c5bf891b4ef6ap+0", "0x1.c5bf891b4ef6bp+0"),
+        ("-0x1.40d931ff62705p+1", "0x1.40d931ff62705p+1"),
+        ("0x1.c5bf891b4ef6bp+0", "0x1.c5bf891b4ef6bp+0"),
+        ("0x1.40d931ff62706p+1", "0x1.40d931ff62706p+1"),
     ),
     "three_terms": (
         ("-0x1.136d181d80b11p+1", "-0x1.1544cdb88bae6p+1"),
-        ("-0x1.3bb2797a870e8p+0", "-0x1.2d6e638c445fap+0"),
-        ("0x1.cae4a2d1021a3p+0", "-0x1.29067fdb9c50ap+0"),
-        ("-0x1.3bb2797a870e8p+0", "0x1.2d6e638c445fap+0"),
+        ("-0x1.3bb2797a870e8p+0", "-0x1.2d6e638c445f9p+0"),
+        ("0x1.cae4a2d1021a4p+0", "-0x1.29067fdb9c50ap+0"),
+        ("-0x1.3bb2797a870e8p+0", "0x1.2d6e638c445f9p+0"),
         ("-0x1.136d181d80b11p+1", "0x1.1544cdb88bae6p+1"),
         ("0x1.cae4a2d1021a4p+0", "0x1.29067fdb9c50ap+0"),
     ),
@@ -800,8 +999,10 @@ def test_zero_search_keeps_depth_first_order_bit_for_bit(name):
     """The level-batched search lists the zeros in depth-first order with
     the multiplicities and max residual of the depth-first search, bit for
     bit, so every N(r) sum adds in the same order.  Starting Newton at the
-    first moment moves a position by rounding only: each is pinned, and
-    lies within 2^-50 max(|z|, 1) of the depth-first search's.  The search
+    first moment, and taking a cell of a few zeros from its power sums
+    with each zero listed by its quadrant path, moves a position by
+    rounding only: each is pinned, and lies within 2^-50 max(|z|, 1) of
+    the depth-first search's.  The search
     runs directly, with the tolerance locate_zeros_in_box gives it, since
     that solves the two-term sums in closed form."""
     from quadrics.nevanlinna import _ZeroSearch

@@ -3,12 +3,14 @@
 One root finder: ``mpmath.polyroots`` is never called under
 ``src/quadrics`` and ``numpy.roots`` only by
 ``univariate.companion_eigenvalues``, the double eigen-solve behind the
-seeds of ``univariate._solve`` and the cuts of the closed-form
+seeds of ``univariate._solve``, the cuts of the closed-form
 characteristic, ``nevanlinna._arc_mean``, which reads them in double
-precision.  Every other numeric polynomial root goes through the same
-seeded solve: Aberth-Ehrlich's iteration in doubling precision from those
-seeds, with no fallback, for ``univariate.numeric_roots_squarefree``
-alone; ``_arc_mean`` calls neither ``_solve`` nor ``_aberth``.
+precision, and the Newton starts in a quadtree cell of a few zeros,
+``nevanlinna._ZeroSearch._leaf``.  Every other numeric polynomial root
+goes through the same seeded solve: Aberth-Ehrlich's iteration in
+doubling precision from those seeds, with no fallback, for
+``univariate.numeric_roots_squarefree`` alone; ``_arc_mean`` calls
+neither ``_solve`` nor ``_aberth``.
 
 One recognizer for exact roots and points: ``scalars.reconstruct_gauss``
 is called only by ``univariate.numeric_roots_squarefree``, with a
@@ -19,11 +21,14 @@ recovery of polished points are gone.  ``_try_intersection`` builds
 intersection point is exact exactly when its fiber root is.
 
 One evaluator for exponential sums: ``ExpSum._scaled`` is the only reader
-of the cached term coefficients, and no ``numpy.polyval`` copy of it is
-left, so points and arrays are evaluated by the same code.
+of the cached term coefficients and of the derivative's, and no
+``numpy.polyval`` copy of it is left, so points and arrays are evaluated
+by the same code.
 
-One gather per refinement round: ``nevanlinna`` calls no ``numpy.insert``,
-so the batched winding merges its samples by one index per round.
+One gather and one evaluation per refinement round: ``nevanlinna`` calls
+no ``numpy.insert``, so the batched winding merges its samples by one
+index per round, and ``_windings`` reads g and g' from one ``logeval``
+call per round.
 
 One evaluator for forms at numeric points: ``polynomials.MpForms``
 scales a form once to integer coefficients and sums its terms exactly on
@@ -256,11 +261,31 @@ def test_polyroots_is_never_called():
 
 
 def test_numpy_roots_is_called_only_in_companion_eigenvalues():
-    """One eigen-solve, for the seeds of ``_solve`` and the cuts of
-    ``_arc_mean``."""
+    """One eigen-solve, for the seeds of ``_solve``, the cuts of
+    ``_arc_mean`` and the roots of a quadtree cell's power-sum polynomial
+    in ``_ZeroSearch._leaf``."""
     assert _uses("roots", {"np", "numpy"}) == [("univariate.py", "companion_eigenvalues")]
     assert sorted(set(_references("companion_eigenvalues"))) == [
-        ("nevanlinna.py", "_arc_mean"), ("univariate.py", "_solve")]
+        ("nevanlinna.py", "_ZeroSearch._leaf"), ("nevanlinna.py", "_arc_mean"),
+        ("univariate.py", "_solve")]
+
+
+def test_the_winding_evaluates_once_per_refinement_round():
+    """``_windings`` reads g, its phase and g' from one ``logeval`` call,
+    made once in each pass of its refinement loop, so perfbench's
+    ``contour_points`` (the points ``logeval`` sees) counts each contour
+    sample once; no code of the package calls ``logabs_grid``, which is
+    kept for perfbench's tracer."""
+    assert _references("logeval") == [("nevanlinna.py", "_windings")]
+    assert _references("logabs_grid") == []
+    tree = dict(_trees())["nevanlinna.py"]
+    func = next(node for node in tree.body if getattr(node, "name", None) == "_windings")
+    loop = next(node for node in func.body if isinstance(node, ast.While))
+    calls = [node for node in ast.walk(func) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr == "logeval"]
+    assert len(calls) == 1
+    assert any(calls[0] in set(ast.walk(stmt)) for stmt in loop.body
+               if not isinstance(stmt, (ast.For, ast.While)))
 
 
 def test_the_cuts_of_the_characteristic_take_no_root_iteration():
@@ -284,16 +309,18 @@ def test_the_zero_search_merges_without_insert():
 
 
 def test_term_cache_is_read_only_by_the_kernel():
-    refs = set()
-    for name, tree in _trees():
-        for func in ast.walk(tree):
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for node in ast.walk(func):
-                    if isinstance(node, ast.Attribute) and node.attr == "_py_cache":
-                        refs.add((name, func.name, type(node.ctx).__name__))
-    assert refs == {("nevanlinna.py", "__init__", "Store"),
-                    ("nevanlinna.py", "_scaled", "Load"),
-                    ("nevanlinna.py", "_scaled", "Store")}
+    """The term cache and the cache of the derivative's coefficients."""
+    for cache in ("_py_cache", "_dp_cache"):
+        refs = set()
+        for name, tree in _trees():
+            for func in ast.walk(tree):
+                if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    for node in ast.walk(func):
+                        if isinstance(node, ast.Attribute) and node.attr == cache:
+                            refs.add((name, func.name, type(node.ctx).__name__))
+        assert refs == {("nevanlinna.py", "__init__", "Store"),
+                        ("nevanlinna.py", "_scaled", "Load"),
+                        ("nevanlinna.py", "_scaled", "Store")}, cache
 
 
 def test_one_memo():
