@@ -109,9 +109,10 @@ _LEAVES = {str: encode_basestring_ascii, float: _float, int: int.__repr__,
 
 def _dumps(o, pad: str) -> str:
     """json.dumps(o, indent=2, sort_keys=True, default=str), each line break
-    written as pad (a newline and o's indent): containers by str.join, leaves
-    of exact type by the C helpers, anything else (a subclass, a non-str
-    key, an object for ``default``) by json.dumps."""
+    written as pad (a newline and o's indent): containers by str.join, a
+    list of uniform numeric rows by one template (_rows), leaves of exact
+    type by the C helpers, anything else (a subclass, a non-str key, an
+    object for ``default``) by json.dumps."""
     leaf = _LEAVES.get(type(o))
     if leaf is not None:
         return leaf(o)
@@ -120,10 +121,53 @@ def _dumps(o, pad: str) -> str:
         parts, ends = [encode_basestring_ascii(k) + ": " + _dumps(v, inner)
                        for k, v in sorted(o.items())], "{}"
     elif type(o) is list or type(o) is tuple:
+        rows = _rows(o, inner)
+        if rows is not None:
+            return "[" + inner + rows + pad + "]"
         parts, ends = [_dumps(v, inner) for v in o], "[]"
     else:
         return json.dumps(o, indent=2, sort_keys=True, default=str).replace("\n", pad)
     return ends[0] + inner + ("," + inner).join(parts) + pad + ends[1] if parts else ends
+
+
+def _rows(o, pad: str) -> Optional[str]:
+    """The items of o, joined as _dumps joins them, when o holds two or
+    more dicts of one str key set whose values are ints (not bools),
+    finite floats, or lists of finite floats of one length per key: every
+    row is written by one %-template, where %r is int.__repr__ or
+    float.__repr__.  None for any other o."""
+    first = o[0] if len(o) > 1 else None
+    if type(first) is not dict or not first:
+        return None
+    for value in first.values():          # a dict of strings fails at its first value
+        kind = type(value)
+        if not (kind is int or kind is float
+                or kind is list and value and set(map(type, value)) == {float}):
+            return None
+    keys = first.keys()
+    if (set(map(type, first)) != {str} or set(map(type, o)) != {dict}
+            or not all(map(keys.__eq__, map(dict.keys, o)))):
+        return None
+    inner = pad + "  "
+    fields, columns = [], []
+    for key in sorted(first):
+        column = [row[key] for row in o]
+        name = encode_basestring_ascii(key).replace("%", "%%") + ": "
+        if type(first[key]) is list:
+            width = len(first[key])
+            if set(map(type, column)) != {list} or set(map(len, column)) != {width}:
+                return None
+            fields.append(name + "[" + ",".join([inner + "  %r"] * width) + inner + "]")
+            columns += zip(*column)
+        else:
+            fields.append(name + "%r")
+            columns.append(column)
+    for column in columns:
+        kinds = set(map(type, column))
+        if kinds != {int} and (kinds != {float} or not all(map(math.isfinite, column))):
+            return None
+    template = "{" + inner + ("," + inner).join(fields) + pad + "}"
+    return ("," + pad).join(map(template.__mod__, zip(*columns)))
 
 
 def _emit(args, manifest: dict, report: dict) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Hashable, Optional, TypeVar
+from typing import Callable, Hashable, List, Optional, Sequence, TypeVar
 
 # the ladder starts no lower than double precision
 MIN_BITS = 53
@@ -66,3 +66,17 @@ def scoped(key: Hashable, compute: Callable[[], T]) -> T:
     if key not in memo:
         memo[key] = compute()
     return memo[key]
+
+
+def scoped_many(keys: Sequence[Hashable],
+                compute: Callable[[List[Hashable]], Sequence[T]]) -> List[T]:
+    """[scoped(key, ...) for key in keys], with every distinct key not yet
+    stored computed by one compute(missing) call, whose i-th value belongs
+    to missing[i] (keys in first-seen order).  Outside a scope nothing is
+    kept; an exception from compute() stores none of the missing keys."""
+    memo = _SCOPE.get()
+    store = {} if memo is None else memo
+    missing = list(dict.fromkeys(key for key in keys if key not in store))
+    if missing:
+        store.update(zip(missing, compute(missing)))
+    return [store[key] for key in keys]

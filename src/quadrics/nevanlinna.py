@@ -26,7 +26,8 @@ Newton at the roots of the polynomial with its contour's power sums,
 and needs no split when those polish to zeros that small boxes confirm.
 
 Inside an analysis scope each T(r) and counting sample is computed once
-per curve, so the growth checks of one run share them.
+per curve, so the growth checks of one run share them; the T(r) of all
+of a run's radii come from one pass over (radii x arcs) arrays.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import mpmath as mp
 import numpy as np
 
-from .config import DEFAULT_PRECISION, scoped
+from .config import DEFAULT_PRECISION, scoped, scoped_many
 from .linalg import nullspace, poly_mul, poly_sub, rank, trim
 from .polynomials import HomPoly
 from .scalars import (GaussRat, coerce_scalar, parse_scalar_string,
@@ -401,55 +402,65 @@ def characteristic(curve: ExpCurve, r: float) -> Tuple[float, float]:
     between its kinks (_arc_mean).  Raises SumComponentError for any
     other component, and QuadratureFailureError when the integrand is
     not finite on the circle.  Inside an analysis scope each (curve, r)
-    is computed once.
+    is computed once; GrowthSample.compute stores a run's radii under
+    the same keys.
     """
-    return scoped(("characteristic", curve, r), lambda: _characteristic(curve, r))
+    return scoped(("characteristic", curve, r), lambda: _characteristic(curve, [r])[0])
 
 
-def _characteristic(curve: ExpCurve, r: float) -> Tuple[float, float]:
-    if r <= 0:
+def _characteristic(curve: ExpCurve, radii: Sequence[float]) -> List[Tuple[float, float]]:
+    """(T(r), error) at each radius, all radii in one _arc_mean pass; a
+    failure is the one the first failing radius would raise alone."""
+    if any(r <= 0 for r in radii):
         raise ValueError("radius must be positive")
     try:
-        ell, W = _trig_branches(curve, r)
+        ell, W = _trig_branches(curve, radii)
         center = _center_value(curve)
     except OverflowError:
         # an exact coefficient or exponent beyond the double range
         raise QuadratureFailureError("integrand unbounded on the circle") from None
-    mean, err = _arc_mean(ell, W)
-    return mean - center, err + _EPS * (abs(mean) + abs(center))
+    means, errs = _arc_mean(ell, W)
+    if len(W) < len(radii):
+        raise QuadratureFailureError("integrand unbounded on the circle")
+    return [(mean - center, err + _EPS * (abs(mean) + abs(center)))
+            for mean, err in zip(means.tolist(), errs.tolist())]
 
 
-def _trig_branches(curve: ExpCurve, r: float):
-    """(ell, W) with log|f_j(r e^{it})| = ell[j] + sum_k Re(W[j, k-1] e^{ikt}).
-    Raises SumComponentError when a component is not one term with a
-    constant coefficient, and QuadratureFailureError when a sum formed
-    from the branches in _arc_mean could overflow."""
+def _trig_branches(curve: ExpCurve, radii: Sequence[float]):
+    """(ell, W) with log|f_j(r_s e^{it})| = ell[j] + sum_k Re(W[s, j, k-1] e^{ikt}),
+    for the radii r_s before the first at which a sum formed from the
+    branches in _arc_mean could overflow.  Raises SumComponentError when
+    a component is not one term with a constant coefficient."""
     if any(len(c.terms) != 1 or len(c.terms[0][0]) > 1 for c in curve.components):
         raise SumComponentError("T(r) needs every component to be c e^{Q} with a constant c")
-    ell, rows = [], []
+    ell, qs = [], []
     for comp in curve.components:
         coeff, expo = comp.terms[0]
         q = [complex(scalar_to_complex(x)) for x in expo] or [0j]
         ell.append(math.log(abs(complex(scalar_to_complex(coeff[0])))) + q[0].real)
-        row, rk = [], 1.0
-        for qk in q[1:]:
-            rk *= r          # a float product overflows to inf, where r ** k raises
-            row.append(qk * rk)
-        rows.append(row)
-    # bounds every difference, antiderivative and arc sum of the branches;
-    # Python float sums overflow to inf quietly
-    size = sum(map(abs, ell)) + sum(abs(w.real) + abs(w.imag) for row in rows for w in row)
-    if not math.isfinite(8 * math.pi * size):
-        raise QuadratureFailureError("integrand unbounded on the circle")
-    W = np.zeros((len(rows), max(map(len, rows))), dtype=complex)
-    for j, row in enumerate(rows):
-        W[j, :len(row)] = row
-    return np.array(ell), W
+        qs.append(q[1:])
+    K = max(map(len, qs))
+    branches = []
+    for r in radii:
+        rows = []
+        for q in qs:
+            row, rk = [], 1.0
+            for qk in q:
+                rk *= r          # a float product overflows to inf, where r ** k raises
+                row.append(qk * rk)
+            rows.append(row + [0j] * (K - len(row)))
+        # bounds every difference, antiderivative and arc sum of the branches;
+        # Python float sums overflow to inf quietly
+        size = sum(map(abs, ell)) + sum(abs(w.real) + abs(w.imag) for row in rows for w in row)
+        if not math.isfinite(8 * math.pi * size):
+            break
+        branches.append(rows)
+    return np.array(ell), np.array(branches, dtype=complex).reshape(len(branches), len(qs), K)
 
 
-def _arc_mean(ell: np.ndarray, W: np.ndarray) -> Tuple[float, float]:
-    """(1/2pi) int max_j phi_j(t) dt and its error bound, for the branches
-    phi_j(t) = ell[j] + sum_k Re(W[j, k-1] e^{ikt}).
+def _arc_mean(ell: np.ndarray, W: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(1/2pi) int max_j phi_j(t) dt and its error bound at each radius s,
+    for the branches phi_j(t) = ell[j] + sum_k Re(W[s, j, k-1] e^{ikt}).
 
     Two branches tie where z^d (phi_i - phi_j)(z), z = e^{it}, vanishes,
     a polynomial of degree 2d in z; the argument of each of its roots, in
@@ -463,48 +474,63 @@ def _arc_mean(ell: np.ndarray, W: np.ndarray) -> Tuple[float, float]:
     error is gap / |slope difference|, a Newton step towards the tie, and
     never more than the longer half arc beside the cut, since the two
     midpoints are won by different branches.  A failed eigen-solve raises
-    QuadratureFailureError."""
-    k = np.arange(1, W.shape[1] + 1)
-    cuts = [-math.pi, math.pi]
-    for i, j in itertools.combinations(range(len(ell)), 2):
-        dw = W[i] - W[j]
-        nonzero = np.nonzero(dw)[0]
-        if nonzero.size == 0:
-            continue                      # phi_i - phi_j is constant
-        d = nonzero[-1] + 1
-        poly = np.zeros(2 * d + 1, dtype=complex)
-        poly[d + 1:] = dw[:d]
-        poly[d - 1::-1] = np.conj(dw[:d])
-        poly[d] = 2 * (ell[i] - ell[j])
-        roots = companion_eigenvalues(poly[::-1])
-        if roots is None:
-            raise QuadratureFailureError("a tie of two branches has no finite double roots")
-        cuts += [cmath.phase(z) for z in roots.tolist()]
-    theta = np.sort(cuts)
-    length = np.diff(theta)
+    QuadratureFailureError.
 
-    def powers(t):                        # e^{ikt}, one row per angle
-        return np.exp(1j * np.outer(t, k))
+    The eigen-solves run one radius at a time; the arcs of all radii with
+    the same number of cuts are summed on (radii x arcs) arrays, by the
+    operations a radius alone would take, so each radius gets the same
+    bits alone or in a batch."""
+    R, m, K = W.shape
+    k = np.arange(1, K + 1)
+    cuts = [[-math.pi, math.pi] for _ in range(R)]
+    for i, j in itertools.combinations(range(m), 2):
+        dw = W[:, i] - W[:, j]
+        degrees = ((dw != 0) * k).max(axis=1, initial=0)
+        # z^K (phi_i - phi_j)(z), low to high: the tie polynomial of degree
+        # 2d is its middle 2d + 1 coefficients
+        poly = np.concatenate((np.conj(dw[:, ::-1]), np.full((R, 1), 2 * (ell[i] - ell[j])), dw),
+                              axis=1)
+        for s, d in enumerate(degrees.tolist()):
+            if d == 0:
+                continue                  # phi_i - phi_j is constant
+            roots = companion_eigenvalues(poly[s, K - d:K + d + 1][::-1])
+            if roots is None:
+                raise QuadratureFailureError("a tie of two branches has no finite double roots")
+            cuts[s] += [cmath.phase(z) for z in roots.tolist()]
 
-    win = np.argmax(ell + (powers(theta[:-1] + length / 2) @ W.T).real, axis=1)
-    E = powers(theta)
-    Wk = W[win] / k
-    F = [ell[win] * theta[s] + (E[s] * Wk).imag.sum(axis=1)
-         for s in (slice(None, -1), slice(1, None))]
-    mean = math.fsum(F[1] - F[0]) / (2 * math.pi)
-    mass = np.abs(W[win]) @ (math.pi + 1 / k)   # sum_k |W_k| (|t| + 1/k), |t| <= pi
-    rounding = 8 * _EPS * float(np.sum(np.abs(ell[win]) * math.pi + mass)) / math.pi
-    # the cut at theta[s] lies between arc s - 1 (arc -1 across t = pi) and arc s
-    a, b = np.roll(win, 1), win
-    Es = E[:-1]
-    gap = np.abs(ell[a] - ell[b] + (Es * (W[a] - W[b])).real.sum(axis=1))
-    gap += 8 * _EPS * (np.abs(ell[a]) + np.abs(ell[b])
-                       + np.abs(W[a]).sum(axis=1) + np.abs(W[b]).sum(axis=1))
-    slope = np.abs((Es * 1j * k * (W[a] - W[b])).real.sum(axis=1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        delta = np.fmin(gap / slope, np.maximum(np.roll(length, 1), length) / 2)
-    cut_err = float(np.sum(np.where(a != b, delta * gap, 0.0))) / (2 * math.pi)
-    return mean, rounding + cut_err
+    def powers(t):                        # e^{ikt}, k along a new last axis
+        return np.exp(1j * (t[..., None] * k))
+
+    means, errs = np.empty(R), np.empty(R)
+    for n in set(map(len, cuts)):
+        group = [s for s, c in enumerate(cuts) if len(c) == n]
+        theta = np.sort(np.array([cuts[s] for s in group]), axis=1)
+        length = np.diff(theta, axis=1)
+        Wr = W[group]
+        win = np.argmax(ell + (powers(theta[:, :-1] + length / 2) @ Wr.transpose(0, 2, 1)).real,
+                        axis=2)
+        g = np.arange(len(group))[:, None]
+        E = powers(theta)
+        Wb = Wr[g, win]
+        Wk = Wb / k
+        F = [ell[win] * theta[:, s] + (E[:, s] * Wk).imag.sum(axis=2)
+             for s in (slice(None, -1), slice(1, None))]
+        means[group] = [math.fsum(arcs) / (2 * math.pi) for arcs in (F[1] - F[0]).tolist()]
+        mass = np.abs(Wb) @ (math.pi + 1 / k)   # sum_k |W_k| (|t| + 1/k), |t| <= pi
+        rounding = 8 * _EPS * np.sum(np.abs(ell[win]) * math.pi + mass, axis=1) / math.pi
+        # the cut at theta[s] lies between arc s - 1 (arc -1 across t = pi) and arc s
+        a, b = np.roll(win, 1, axis=1), win
+        Wa = Wr[g, a]
+        Es = E[:, :-1]
+        gap = np.abs(ell[a] - ell[b] + (Es * (Wa - Wb)).real.sum(axis=2))
+        gap += 8 * _EPS * (np.abs(ell[a]) + np.abs(ell[b])
+                           + np.abs(Wa).sum(axis=2) + np.abs(Wb).sum(axis=2))
+        slope = np.abs((Es * 1j * k * (Wa - Wb)).real.sum(axis=2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            delta = np.fmin(gap / slope, np.maximum(np.roll(length, 1, axis=1), length) / 2)
+        cut_err = np.sum(np.where(a != b, delta * gap, 0.0), axis=1) / (2 * math.pi)
+        errs[group] = rounding + cut_err
+    return means, errs
 
 
 @dataclass
@@ -515,15 +541,14 @@ class GrowthSample:
 
     @staticmethod
     def compute(curve: ExpCurve, radii: Sequence[float]) -> "GrowthSample":
+        """T(r) at the radii, sorted; every radius not yet stored in the
+        analysis scope in one _characteristic pass."""
         rs = sorted(float(r) for r in radii)
         if rs and rs[0] < 1.0:
             raise ValueError("radii must be >= 1")
-        vals, errs = [], []
-        for r in rs:
-            v, e = characteristic(curve, r)
-            vals.append(v)
-            errs.append(e)
-        return GrowthSample(rs, vals, errs)
+        Ts = scoped_many([("characteristic", curve, r) for r in rs],
+                         lambda keys: _characteristic(curve, [key[2] for key in keys]))
+        return GrowthSample(rs, [v for v, _ in Ts], [e for _, e in Ts])
 
 
 def order_estimate(samples: GrowthSample) -> Tuple[float, bool]:

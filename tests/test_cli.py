@@ -254,13 +254,19 @@ def test_triple_check_of_nearly_equal_alphas(tmp_path):
     json.dumps(doc, allow_nan=False)
 
 
-@pytest.mark.parametrize("failure", ["raises", "not finite"])
+@pytest.mark.parametrize("failure", ["raises", "not finite", "at the second radius"])
 def test_failed_eigen_solve_exits_undecided(tmp_path, capsys, monkeypatch, failure):
     """An eigen-solve of a tie polynomial that fails, or that returns a
-    root that is not finite, ends the run with exit 3 and a valid report."""
+    root that is not finite, ends the run with exit 3 and a valid report,
+    also where it fails at one radius of the run's one T(r) pass."""
     import jsonschema
+    solves = []
+    numpy_roots = np.roots
 
     def roots(p):
+        solves.append(p)
+        if failure == "at the second radius" and len(solves) != 2:
+            return numpy_roots(p)
         if failure == "raises":
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return np.full(len(p) - 1, complex("nan"))
@@ -269,6 +275,7 @@ def test_failed_eigen_solve_exits_undecided(tmp_path, capsys, monkeypatch, failu
     curve = _write(tmp_path, "curve.json", LINE_CURVE)
     code, doc = _run(["nevanlinna", curve, "--divisor", "z1 - z0", "--radii", "2,4"], tmp_path)
     assert code == 3
+    assert len(solves) == (2 if failure == "at the second radius" else 1)
     assert doc["report"]["error"] == ("undecided: QuadratureFailureError: a tie of two "
                                       "branches has no finite double roots")
     assert "Traceback" not in capsys.readouterr().err
@@ -287,6 +294,39 @@ _EMIT_LEAF = st.one_of(
     st.text(), st.builds(np.float64, st.floats()),
     st.builds(np.int64, st.integers(-2 ** 63, 2 ** 63 - 1)),
     st.builds(_Named), st.builds(complex, st.floats(-9, 9), st.floats(-9, 9)))
+_ROW_FLOAT = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from([0.0, -0.0, 1e-320, 1e300]))
+_ROW_ODD = st.one_of(st.booleans(), st.sampled_from([math.nan, math.inf, -math.inf, None, "1"]),
+                     st.builds(np.float64, st.floats()), st.lists(_ROW_FLOAT, max_size=3),
+                     st.just([1, 2.0]))
+
+
+@st.composite
+def _emit_rows(draw):
+    """Two or more dicts of one key set with int, float or float-list
+    values of one length per key, and now and then one odd row or value:
+    a bool, NaN, an infinity, a numpy float, a float list of another
+    length, an empty dict or a dict with another key set."""
+    keys = draw(st.lists(st.sampled_from(["r", "T", "error", "position", "%r", "a%%s", "\u00e9"])
+                         | st.text(max_size=3), min_size=1, max_size=4, unique=True))
+    values = {}
+    for key in keys:
+        width = draw(st.integers(0, 3))
+        values[key] = draw(st.sampled_from([st.integers(), _ROW_FLOAT,
+                                            st.lists(_ROW_FLOAT, min_size=width, max_size=width)]))
+    rows = [{key: draw(value) for key, value in values.items()}
+            for _ in range(draw(st.integers(2, 5)))]
+    odd = draw(st.sampled_from(["none", "none", "value", "empty dict", "other keys"]))
+    at = draw(st.integers(0, len(rows) - 1))
+    if odd == "value":
+        rows[at][draw(st.sampled_from(keys))] = draw(_ROW_ODD)
+    elif odd == "empty dict":
+        rows[at] = {}
+    elif odd == "other keys":
+        rows[at] = {key + "x": value for key, value in rows[at].items()}
+    return rows
+
+
 _EMIT_DOC = st.recursive(_EMIT_LEAF, lambda inner: st.one_of(
     st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
     st.dictionaries(st.text(max_size=6), inner, max_size=4),
@@ -297,17 +337,49 @@ _EMIT_DOC = st.recursive(_EMIT_LEAF, lambda inner: st.one_of(
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(_EMIT_DOC)
-def test_the_emitter_writes_what_json_dumps_writes(doc):
+@given(_EMIT_DOC, _emit_rows())
+def test_the_emitter_writes_what_json_dumps_writes(doc, rows):
     """The report emitter against json.dumps(indent=2, sort_keys=True,
     default=str): nested empties, tuples, NaN and infinities, -0.0,
     escapes and non-ASCII text, non-str keys, numpy leaves and objects
-    written by str; keys that do not sort raise TypeError, as there."""
+    written by str, lists of same-key numeric dicts that one template
+    writes and lists that break that rule at one row or value; keys that
+    do not sort raise TypeError, as there."""
     from quadrics.cli import _dumps
-    assert _dumps(doc, "\n") == json.dumps(doc, indent=2, sort_keys=True, default=str)
+    for value in (doc, rows, {"doc": [doc], "rows": rows}):
+        assert _dumps(value, "\n") == json.dumps(value, indent=2, sort_keys=True, default=str)
     for unsortable in ({1: 0, "a": 0}, {None: 0, True: 0}):
         with pytest.raises(TypeError):
             _dumps([doc, unsortable], "\n")
+
+
+@pytest.mark.parametrize("rows, templated", [
+    ([{"multiplicity": 1, "position": [0.0, -0.0], "radius": 1e-320},
+      {"multiplicity": 2, "position": [1e300, 2.5], "radius": 0.1}], True),
+    ([{"%r": 1, "a%%s": [2.0]}, {"%r": -3, "a%%s": [0.5]}], True),
+    ([{"r": 1.0}], False),
+    ([{"r": 1.0, "T": 2}, {"r": math.nan, "T": 3}], False),
+    ([{"p": [0.0, 1.0]}, {"p": [0.0]}], False),
+    ([{"p": [0.0, 1.0]}, {"p": [1, 2.0]}], False),
+    ([{"p": [0.0]}, {"p": [-math.inf]}], False),
+    ([{"m": 1}, {"m": True}], False),
+    ([{"r": 1.0}, {"r": np.float64(2.0)}], False),
+    ([{"r": 1.0}, {}], False),
+    ([{"r": 1.0}, {"s": 1.0}], False),
+    ([{"p": []}, {"p": []}], False),
+    ([{"n": 1}, {"n": 2.0}], False),
+    ([{"verdict": "pass", "r": 1.0}, {"verdict": "fail", "r": 2.0}], False),
+])
+def test_the_row_rule_writes_what_json_dumps_writes(rows, templated):
+    """Each branch of the row rule: the rows one template writes, and a
+    bool, NaN, infinity, numpy float, int in a float list, list of another
+    length, empty list, mixed int and float column, empty dict, other key
+    set or string value that sends a list back to the per-node path; at
+    every depth the text is json.dumps's."""
+    from quadrics.cli import _dumps, _rows
+    assert (_rows(rows, "\n  ") is not None) == templated
+    for value in (rows, {"a": {"b": rows}}, [rows, rows]):
+        assert _dumps(value, "\n") == json.dumps(value, indent=2, sort_keys=True, default=str)
 
 
 @pytest.mark.parametrize("name", sorted(os.listdir(os.path.join(os.path.dirname(__file__),

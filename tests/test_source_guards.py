@@ -300,6 +300,19 @@ def test_the_cuts_of_the_characteristic_take_no_root_iteration():
     assert _references("complex_roots") == []
 
 
+def test_one_arc_sum_serves_every_radius():
+    """T(r) has one path: ``_arc_mean`` is the one function of
+    ``nevanlinna`` that sums arcs (its only ``math.fsum``), only
+    ``_characteristic`` calls it, and ``characteristic`` (one radius) and
+    ``GrowthSample.compute`` (a run's radii) reach it only through
+    ``_characteristic``."""
+    assert [use for use in _uses("fsum", {"math"}) if use[0] == "nevanlinna.py"] == [
+        ("nevanlinna.py", "_arc_mean")]
+    assert _references("_arc_mean") == [("nevanlinna.py", "_characteristic")]
+    assert sorted(set(_references("_characteristic"))) == [
+        ("nevanlinna.py", "GrowthSample.compute"), ("nevanlinna.py", "characteristic")]
+
+
 def test_numpy_polyval_is_not_used():
     assert _uses("polyval", {"np", "numpy"}) == []
 
