@@ -109,25 +109,43 @@ _LEAVES = {str: encode_basestring_ascii, float: _float, int: int.__repr__,
 
 def _dumps(o, pad: str) -> str:
     """json.dumps(o, indent=2, sort_keys=True, default=str), each line break
-    written as pad (a newline and o's indent): containers by str.join, a
-    list of uniform numeric rows by one template (_rows), leaves of exact
-    type by the C helpers, anything else (a subclass, a non-str key, an
-    object for ``default``) by json.dumps."""
+    written as pad (a newline and o's indent): the pieces of _write,
+    joined once."""
+    out = []
+    _write(o, pad, out)
+    return "".join(out)
+
+
+def _write(o, pad: str, out: list) -> None:
+    """Append o's text to out piece by piece, so that no container's text
+    is copied into its parent's: a list of uniform numeric rows by one
+    template (_rows), leaves of exact type by the C helpers, anything else
+    (a subclass, a non-str key, an object for ``default``) by json.dumps."""
     leaf = _LEAVES.get(type(o))
     if leaf is not None:
-        return leaf(o)
+        out.append(leaf(o))
+        return
     inner = pad + "  "
     if type(o) is dict and set(map(type, o)) <= {str}:
-        parts, ends = [encode_basestring_ascii(k) + ": " + _dumps(v, inner)
-                       for k, v in sorted(o.items())], "{}"
+        items, ends = [(encode_basestring_ascii(k) + ": ", v) for k, v in sorted(o.items())], "{}"
     elif type(o) is list or type(o) is tuple:
         rows = _rows(o, inner)
         if rows is not None:
-            return "[" + inner + rows + pad + "]"
-        parts, ends = [_dumps(v, inner) for v in o], "[]"
+            out += ("[", inner, rows, pad, "]")
+            return
+        items, ends = [("", v) for v in o], "[]"
     else:
-        return json.dumps(o, indent=2, sort_keys=True, default=str).replace("\n", pad)
-    return ends[0] + inner + ("," + inner).join(parts) + pad + ends[1] if parts else ends
+        out.append(json.dumps(o, indent=2, sort_keys=True, default=str).replace("\n", pad))
+        return
+    if not items:
+        out.append(ends)
+        return
+    sep = ends[0] + inner
+    for head, value in items:
+        out.append(sep + head)
+        _write(value, inner, out)
+        sep = "," + inner
+    out.append(pad + ends[1])
 
 
 def _rows(o, pad: str) -> Optional[str]:
@@ -171,12 +189,12 @@ def _rows(o, pad: str) -> Optional[str]:
 
 
 def _emit(args, manifest: dict, report: dict) -> None:
-    text = _dumps({"manifest": manifest, "report": report}, "\n") + "\n"
+    text = _dumps({"manifest": manifest, "report": report}, "\n")
     if args.json_out:
         with open(args.json_out, "w") as fh:
-            fh.write(text)
+            print(text, file=fh)
     else:
-        sys.stdout.write(text)
+        print(text)
 
 
 # The most radii a 'logspace:a:b:n' list may ask for; n is checked before

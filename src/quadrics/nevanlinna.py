@@ -21,9 +21,11 @@ whose exponents differ by a linear polynomial, come in closed form with a
 proved radius each.  Other sums are counted by integer winding numbers
 on a quadtree of rectangles, searched level by level so that each
 refinement round evaluates g and g' on the contours of many cells at
-once, then Newton polishing; a cell of up to _POWER_SUMS zeros starts
-Newton at the roots of the polynomial with its contour's power sums,
-and needs no split when those polish to zeros that small boxes confirm.
+once, then Newton polishing, each step reading g and g' off one
+evaluation of g's terms; a cell of 1 to _POWER_SUMS zeros starts Newton
+at the zeros whose power sums its contour gives, and needs no split
+when those polish to zeros in it (that small boxes confirm, for two or
+more).
 
 Inside an analysis scope each T(r) and counting sample is computed once
 per curve, so the growth checks of one run share them; the T(r) of all
@@ -175,9 +177,6 @@ class ExpSum:
         return ExpSum([(_plus(_derivative(c), poly_mul(c, _derivative(e))), e)
                        for c, e in self.terms])
 
-    def max_exponent_degree(self) -> int:
-        return max((len(e) - 1 for _, e in self.terms), default=-1)
-
     # -- numeric evaluation -------------------------------------------------
 
     def _scaled(self, xi, derivative):
@@ -191,13 +190,13 @@ class ExpSum:
         first largest real part, as max picks it, and h the sum of the
         v e^(q - M) from the first term, left to right, through cmath.  An
         array, or a point with an exponent that is not finite, ends in
-        numpy with the same operations in the same order; only there is
-        the derivative taken, h' summing each term's coefficient c' + c Q'
-        at xi times the same e^(q - M), so g' costs one Horner loop per
-        term and no exponential.  Those coefficients are cached on the
-        first such call.
+        numpy with the same operations in the same order.  On either tail
+        h' sums each term's coefficient c' + c Q' at xi times the same
+        e^(q - M), so g' costs one Horner loop per term and no
+        exponential; those coefficients are cached on the first call that
+        asks for g'.
         Factoring out e^M keeps h of moderate size where the value itself
-        would overflow.  The empty sum gives M = -inf and h = 0.
+        would overflow.  The empty sum gives M = -inf and h = h' = 0.
         """
         if self._py_cache is None:
             self._py_cache = tuple((_doubles(cp), _doubles(ep)) for cp, ep in self.terms)
@@ -214,28 +213,17 @@ class ExpSum:
             for c in cs:
                 v = v * xi + c
             vals.append((v, q))
-        if isinstance(xi, complex):
+        if isinstance(xi, complex) and all(cmath.isfinite(q) for _, q in vals):
+            M = max((q.real for _, q in vals), default=-math.inf)
+            scales, zero = [cmath.exp(q - M) for _, q in vals], 0j
+        else:
             M = -math.inf
             for _, q in vals:
-                if not cmath.isfinite(q):
-                    break
-                if q.real > M:
-                    M = q.real
-            else:
-                if not vals:
-                    return M, 0j, None
-                (v, q), *rest = vals
-                h = v * cmath.exp(q - M)
-                for v, q in rest:
-                    h += v * cmath.exp(q - M)
-                return M, h, None
-        M = -math.inf
-        for _, q in vals:
-            M = np.maximum(M, q.real)
-        scales = [np.exp(q - M) for _, q in vals]
-        # 0j * xi gives the empty sum the shape of xi
-        parts = [v * e for (v, _), e in zip(vals, scales)] or [0j * xi]
+                M = np.maximum(M, q.real)
+            # 0j * xi gives the empty sum the shape of xi
+            scales, zero = [np.exp(q - M) for _, q in vals], 0j * xi
         # left to right from the first term
+        parts = [v * e for (v, _), e in zip(vals, scales)] or [zero]
         h = sum(parts[1:], parts[0])
         if not derivative:
             return M, h, None
@@ -245,7 +233,7 @@ class ExpSum:
             for c in ds:
                 d = d * xi + c
             dparts.append(d * e)
-        dparts = dparts or [0j * xi]
+        dparts = dparts or [zero]
         return M, h, sum(dparts[1:], dparts[0])
 
     def logeval(self, xi):
@@ -274,18 +262,6 @@ def _log_value(es: ExpSum, xi: complex) -> complex:
     return complex(M + math.log(abs(h)), cmath.phase(h))
 
 
-def _ratio_newton_step(g: ExpSum, gp: ExpSum, xi: complex) -> complex:
-    """g(xi)/g'(xi) computed through log values for overflow safety."""
-    lg = _log_value(g, xi)
-    lgp = _log_value(gp, xi)
-    if lg.real == -math.inf:
-        return 0j
-    d = lg - lgp
-    if d.real > 200:
-        raise ArithmeticError("derivative vanishes near the point")
-    return cmath.exp(d)
-
-
 # ---------------------------------------------------------------------------
 # Entire curves
 # ---------------------------------------------------------------------------
@@ -301,15 +277,13 @@ class ExpCurve:
     computed on it.
     """
 
-    def __init__(self, components: Sequence[ExpSum], order_bound: Optional[int] = None):
+    def __init__(self, components: Sequence[ExpSum]):
         comps = tuple(components)
         if any(c.is_zero for c in comps):
             raise ValueError("zero component")
         if len(comps) < 2:
             raise ValueError("a curve needs at least two components")
         self.components = comps
-        lam = max(c.max_exponent_degree() for c in comps)
-        self.order_bound = order_bound if order_bound is not None else max(lam, 0)
 
     @staticmethod
     def from_exponents(exponents: Sequence[Sequence]) -> "ExpCurve":
@@ -757,15 +731,27 @@ def _winding_with_perturbation(g, x0, x1, y0, y1):
     raise ZeroOnContourError("persistent zero on contour after perturbation")
 
 
-def _polish_zero(g: ExpSum, gp: ExpSum, z0: complex,
-                 tol: float) -> Tuple[complex, bool]:
-    """Newton from z0: (point, whether the last step was below tol)."""
+def _polish_zero(g: ExpSum, z0: complex, tol: float) -> Tuple[complex, bool]:
+    """Newton from z0: (point, whether the last step was below tol).
+
+    Each step g/g' = exp(log(e^M h) - log(e^M h')) comes from one
+    ``_scaled`` evaluation of g and g' and is taken through the logs for
+    overflow safety.  A zero g gives a zero step; the polish stops,
+    unconverged, where g' vanishes against g (log|g/g'| > 200) or after
+    60 steps."""
     z = z0
     for _ in range(60):
-        try:
-            step = _ratio_newton_step(g, gp, z)
-        except ArithmeticError:
+        M, h, hp = g._scaled(z, True)
+        if h == 0:
+            step = 0j
+        elif hp == 0:
             return z, False
+        else:
+            d = complex((M + math.log(abs(h))) - (M + math.log(abs(hp))),
+                        cmath.phase(h) - cmath.phase(hp))
+            if d.real > 200:
+                return z, False
+            step = cmath.exp(d)
         z = z - step
         if abs(step) < tol:
             return z, True
@@ -796,16 +782,14 @@ class _ZeroSearch:
     one level are wound in one batch, those of the cells that retry with
     the next shifted cut in the next.  Each zero keeps its cell's path
     in the tree, and sorting by path gives the depth-first order.  A cell
-    of winding 1 starts Newton at its contour's first moment (``_windings``)
-    when that lies in the cell, and at its centre otherwise.  A cell of
-    winding 2 to _POWER_SUMS is taken from its contour's power sums when
-    their zeros polish to distinct zeros in it that small boxes confirm
-    (``_leaf``); otherwise it splits.
+    of winding 1 to _POWER_SUMS is taken from its contour's power sums
+    (``_windings``) when the zeros they give polish to zeros in it, for
+    winding 2 or more distinct ones that small boxes confirm (``_leaf``);
+    otherwise it splits.
     """
 
     def __init__(self, g: ExpSum, tol: float):
         self.g = g
-        self.gp = g.derivative()
         self.tol = tol
         self.zeros: List[CountedZero] = []
         self.max_residual = 0.0
@@ -820,49 +804,43 @@ class _ZeroSearch:
         is the p-th power sum of its contour (``_windings``), NaN where
         there is none.
 
-        A cell of winding 1 polishes from its first moment when that lies
-        in the cell, from its centre otherwise.  A cell of winding
-        2 <= w <= _POWER_SUMS takes the w roots of the monic polynomial
-        whose power sums are s_1 ... s_w (Newton's identities,
-        ``companion_eigenvalues``) and polishes each; it returns them only
-        when every polish converged inside the cell and their least
-        distance d exceeds 2 tol, and they stand only when ``_confirm``'s
+        A cell of winding 1 <= w <= _POWER_SUMS starts Newton at the w
+        zeros whose power sums are s_1 ... s_w: s_1 itself for w = 1, the
+        roots of the monic polynomial with those power sums (Newton's
+        identities, ``companion_eigenvalues``) for w >= 2, none where a
+        sum is not finite.  It returns the polished zeros when every
+        polish converged inside the cell and, for w >= 2, their least
+        distance d exceeds 2 tol; those stand only when ``_confirm``'s
         boxes of half side d/4 about them each wind exactly 1 (Delves &
         Lyness 1967; Kravanja & Van Barel 2000).  Newton's steps at a
         multiple zero are rounding noise, so without those boxes a double
-        zero could pass as two converged simple ones.  A cell below the
-        tolerance, or 60 levels deep, is one zero of multiplicity w.
+        zero could pass as two converged simple ones.  Otherwise a cell
+        below the tolerance, or 60 levels deep, is one zero of
+        multiplicity w.
         """
+        if 1 <= w <= _POWER_SUMS:
+            if w == 1:
+                starts = [sums[0]] if cmath.isfinite(sums[0]) else []
+            else:
+                coeffs = [1 + 0j]  # Newton's identities: xi^w + a_1 xi^(w-1) + ... + a_w
+                for k in range(1, w + 1):
+                    coeffs.append(-(sums[k - 1] + sum(coeffs[i] * sums[k - 1 - i]
+                                                      for i in range(1, k))) / k)
+                roots = companion_eigenvalues(np.array(coeffs))  # None for a NaN sum
+                starts = [] if roots is None else roots.tolist()
+            zeros = []
+            for start in starts:
+                z, converged = _polish_zero(self.g, start, self.tol * 1e-3)
+                if not (converged and _in_cell(z, x0, x1, y0, y1)):
+                    break
+                zeros.append(z)
+            if len(zeros) == w and (w == 1 or min(
+                    abs(a - b) for a, b in itertools.combinations(zeros, 2)) > 2 * self.tol):
+                return [CountedZero(z, 1, max(self.tol, 0.0)) for z in zeros]
         diam = max(x1 - x0, y1 - y0)
-        cx, cy = (x0 + x1) / 2, (y0 + y1) / 2
-        if w == 1:
-            s1 = sums[0]
-            # a NaN moment fails the comparisons
-            start = s1 if x0 <= s1.real <= x1 and y0 <= s1.imag <= y1 else complex(cx, cy)
-            z, converged = _polish_zero(self.g, self.gp, start, self.tol * 1e-3)
-            if converged and _in_cell(z, x0, x1, y0, y1):
-                return [CountedZero(z, 1, max(self.tol, 0.0))]
-            # polish stalled or escaped the cell: fall through to subdivision
         if diam < self.tol or depth > 60:
-            return [CountedZero(complex(cx, cy), w, diam)]
-        if not 2 <= w <= _POWER_SUMS:
-            return None
-        coeffs = [1 + 0j]  # Newton's identities: xi^w + a_1 xi^(w-1) + ... + a_w
-        for k in range(1, w + 1):
-            coeffs.append(-(sums[k - 1] + sum(coeffs[i] * sums[k - 1 - i]
-                                              for i in range(1, k))) / k)
-        roots = companion_eigenvalues(np.array(coeffs))  # None for a NaN sum
-        if roots is None:
-            return None
-        zeros = []
-        for root in roots.tolist():
-            z, converged = _polish_zero(self.g, self.gp, root, self.tol * 1e-3)
-            if not (converged and _in_cell(z, x0, x1, y0, y1)):
-                return None
-            zeros.append(z)
-        if min(abs(a - b) for a, b in itertools.combinations(zeros, 2)) <= 2 * self.tol:
-            return None
-        return [CountedZero(z, 1, max(self.tol, 0.0)) for z in zeros]
+            return [CountedZero(complex((x0 + x1) / 2, (y0 + y1) / 2), w, diam)]
+        return None
 
     def _confirm(self, leaves) -> List[bool]:
         """Whether the zeros of each leaf stand: a list of one zero stands,

@@ -298,16 +298,34 @@ def reference_scaled(es, xi):
     return M, sum(parts[1:], parts[0])
 
 
-def reference_polish_zero(g, gp, z0: complex, tol: float):
-    """nevanlinna._polish_zero with its Newton step g/g' on
-    reference_log_value: (point, whether the last step was below tol)."""
+def reference_polish_zero(g, z0: complex, tol: float):
+    """nevanlinna._polish_zero with its Newton step g/g' read off one pass
+    over g's terms (_term_values): g' sums each term's coefficient
+    c' + c Q', taken from g.derivative() by exponent, at the point times
+    the term's own e^(q - best), and both logs carry g's best:
+    (point, whether the last step was below tol)."""
+    deriv = {e: c for c, e in g.derivative().terms}
+    dterms = [tuple(complex(scalar_to_complex(c)) for c in reversed(deriv.get(e, ())))
+              for _, e in g.terms]
     z = z0
     for _ in range(60):
-        lg = reference_log_value(g, z)
-        if lg.real == -math.inf:
+        vals = _term_values(g, z)
+        best = max(q.real for _, q in vals)
+        scales = [cmath.exp(q - best) for _, q in vals]
+        h = sum(cv * s for (cv, _), s in zip(vals, scales))
+        if h == 0:
             step = 0j
         else:
-            d = lg - reference_log_value(gp, z)
+            hp = 0j
+            for ds, s in zip(dterms, scales):
+                dv = 0j
+                for c in ds:
+                    dv = dv * z + c
+                hp += dv * s
+            if hp == 0:
+                return z, False
+            d = (complex(best + math.log(abs(h)), cmath.phase(h))
+                 - complex(best + math.log(abs(hp)), cmath.phase(hp)))
             if d.real > 200:
                 return z, False
             step = cmath.exp(d)

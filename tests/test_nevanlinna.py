@@ -126,6 +126,35 @@ def test_logeval_reads_the_derivative_off_the_values_exponentials(terms, points)
     assert (got >= want - slack).all()
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(st.lists(_TERM, min_size=1, max_size=4), _TIED_TERMS),
+       st.lists(_POINT, min_size=1, max_size=5))
+def test_the_point_tail_reads_the_derivative_as_the_array_tail(terms, points):
+    """ExpSum._scaled at one point gives g' = e^M h' as on a one-point
+    array, to rounding: within 1e-13 of the mass
+    sum |c' + c Q'| e^(Re q - M) (1 + |Q|) of its terms, |Q| the sum of
+    the moduli of the exponent's terms at the point, which bounds the
+    rounding of q that e^q carries on; the two tails may put M an ulp
+    apart."""
+    es = ExpSum(terms)
+    assume(not es.is_zero)
+    deriv = {e: c for c, e in es.derivative().terms}
+
+    def value(p, z):
+        return sum(complex(scalar_to_complex(c)) * z ** k for k, c in enumerate(p))
+
+    def modulus(p, z):
+        return sum(abs(complex(scalar_to_complex(c))) * abs(z) ** k for k, c in enumerate(p))
+
+    for z in points:
+        M, _, hp = es._scaled(z, True)
+        M_a, _, hp_a = es._scaled(np.array([z]), True)
+        assert isinstance(hp, complex)
+        mass = sum(abs(value(deriv.get(e, ()), z)) * math.exp(value(e, z).real - M)
+                   * (1 + modulus(e, z)) for _, e in es.terms)
+        assert abs(hp - np.ravel(hp_a)[0] * math.exp(np.ravel(M_a)[0] - M)) <= 1e-13 * mass
+
+
 def test_a_derivative_beyond_the_double_range_is_refused_only_where_read():
     """10^308 e^{2 xi} has a double coefficient, but its derivative's,
     2 10^308, has none: T(r) of [1 : 10^308 e^{2 xi}] and g's own values
@@ -216,7 +245,7 @@ def test_characteristic_monotone():
 def test_characteristic_scale_invariance():
     """Multiplying every component by e^Q leaves T unchanged."""
     common = ExpSum.exponential([Fraction(2), Fraction(-1, 3), Fraction(1, 7)])
-    shifted = ExpCurve([c * common for c in EXP_LINE.components], EXP_LINE.order_bound)
+    shifted = ExpCurve([c * common for c in EXP_LINE.components])
     for r in (5.0, 25.0):
         t0, e0 = characteristic(EXP_LINE, r)
         t1, e1 = characteristic(shifted, r)
@@ -226,7 +255,7 @@ def test_characteristic_scale_invariance():
 def _fresh(curve):
     """A new curve with the same components: no analysis-scope entry of
     the original can answer for it."""
-    return ExpCurve(curve.components, curve.order_bound)
+    return ExpCurve(curve.components)
 
 
 def test_a_sum_component_has_no_characteristic():
@@ -635,8 +664,8 @@ def test_zero_search_rejects_an_unconverged_polish():
     """e^{a xi} - 1, a = 250559/250000: Newton from the centre of this
     winding-1 cell runs all its steps and stops inside the cell at
     0.146 - 668.126i, where |g| is about 2; the cell's zero is
-    2 pi i (-107) / a = -670.80i.  Given a NaN moment the cell starts
-    from its centre, and the search must subdivide instead."""
+    2 pi i (-107) / a = -670.80i.  Given the centre as its moment the
+    cell starts there, and the search must subdivide instead."""
     from quadrics.nevanlinna import _polish_zero, _ZeroSearch
     a = Fraction(250559, 250000)
     g = ExpSum([([1], [0, a]), ([-1], [])])
@@ -645,9 +674,9 @@ def test_zero_search_rejects_an_unconverged_polish():
     half = 1000.0 * (1 + 1 / 64) + 1 / 32  # the box counting(curve, D, 1000) searches
     search = _ZeroSearch(g, half * 1e-10)
     centre = complex((cell[0] + cell[1]) / 2, (cell[2] + cell[3]) / 2)
-    z, converged = _polish_zero(g, search.gp, centre, search.tol * 1e-3)
+    z, converged = _polish_zero(g, centre, search.tol * 1e-3)
     assert not converged and cell[0] <= z.real <= cell[1] and cell[2] <= z.imag <= cell[3]
-    search._descend(*cell, 1, [complex(math.nan, math.nan)], 8)
+    search._descend(*cell, 1, [centre], 8)
     assert len(search.zeros) == 1
     expected = 2j * math.pi * -107 / float(a)
     assert abs(search.zeros[0].position - expected) < 1e-9
@@ -677,28 +706,29 @@ def test_the_first_moment_lies_next_to_the_cells_zero():
         assert abs(m - 2j * math.pi * k / float(a)) <= 1e-3 * max(x1 - x0, y1 - y0)
 
 
-@pytest.mark.parametrize("s1, at_centre", [
+@pytest.mark.parametrize("s1, outside", [
     (complex(math.nan, math.nan), True),
     (complex(0.5, 3.0), True),        # above the cell
     (complex(-0.25, 0.5), True),      # left of it
     (complex(0.3, -0.2), False),
     (complex(1.0, 1.0), False),       # its corner is in the cell
 ])
-def test_a_winding_one_cell_starts_at_its_moment_when_it_lies_inside(s1, at_centre):
+def test_a_winding_one_cell_starts_at_its_moment_when_it_lies_inside(s1, outside):
     """A winding-1 cell [0, 1] x [-1, 1] starts Newton at the moment it is
-    given when that lies in the closed cell, and at its centre when the
-    moment is NaN or outside."""
+    given, in the closed cell or outside it, and polishes nothing when
+    the moment is NaN; a cell whose polish fails splits."""
     import quadrics.nevanlinna as nv
     starts = []
 
-    def polish(g, gp, z0, tol):
+    def polish(g, z0, tol):
         starts.append(z0)
         return z0, False
 
     search = nv._ZeroSearch(_EXP_MINUS_1, 1e-9)
     with mock.patch.object(nv, "_polish_zero", polish):
         assert search._leaf(0.0, 1.0, -1.0, 1.0, 1, [s1], 3) is None
-    assert _bits(starts) == _bits([complex(0.5, 0.0) if at_centre else s1])
+    assert nv._in_cell(s1, 0.0, 1.0, -1.0, 1.0) != outside
+    assert _bits(starts) == _bits([] if math.isnan(s1.real) else [s1])
 
 
 def _leaf_log(log):
@@ -866,7 +896,7 @@ def test_each_zero_of_a_three_term_sum_is_polished_once():
     polish, leaf = nv._polish_zero, nv._ZeroSearch._leaf
 
     def counted_polish(*args):
-        polished.append(args[2])
+        polished.append(args[1])
         return polish(*args)
 
     def counted_leaf(self, x0, x1, y0, y1, w, sums, depth):
@@ -982,22 +1012,63 @@ _POLISH_CASES = [
 @pytest.mark.parametrize("tol", [1e-10, 1e-13])
 def test_polish_matches_the_reference_polish(tol):
     """_polish_zero against the same Newton iteration on the replaced
-    single-point evaluator (reference_polish_zero): the point, part by
-    part, and the converged flag, bit for bit.  Besides the starts next to
-    zeros: at -800 on e^xi - 1 g' underflows against g (the d.real > 200
-    stop), at 0 g is exactly 0 (a zero step, converged), and at 10^200 the
-    exponent xi^2 of 1 + e^xi + e^{xi^2} is not finite."""
+    single-point evaluator (reference_polish_zero), g and g' from one pass
+    over g's terms: the point, part by part, and the converged flag, bit
+    for bit.  Besides the starts next to zeros: at -800 on e^xi - 1 g'
+    underflows against g (the d.real > 200 stop), at 0 g is exactly 0 (a
+    zero step, converged), and at 10^200 the exponent xi^2 of
+    1 + e^xi + e^{xi^2} is not finite."""
     from quadrics.nevanlinna import _polish_zero
     special = [(_EXP_MINUS_1, -800 + 0j), (_EXP_MINUS_1, 0j), (_THREE_TERMS, 1e200 + 0j)]
     got = []
     for g, z0 in _POLISH_CASES + special:
-        gp = g.derivative()
-        (z, ok), (z_ref, ok_ref) = _polish_zero(g, gp, z0, tol), reference_polish_zero(g, gp, z0, tol)
+        (z, ok), (z_ref, ok_ref) = _polish_zero(g, z0, tol), reference_polish_zero(g, z0, tol)
         assert (z.real.hex(), z.imag.hex(), ok) == (z_ref.real.hex(), z_ref.imag.hex(), ok_ref)
         got.append((z, ok))
     assert got[-3] == (-800 + 0j, False) and got[-2] == (0j, True)
     assert math.isnan(got[-1][0].real) and not got[-1][1]
     assert sum(ok for _, ok in got) > len(_POLISH_CASES) // 2
+
+
+def test_each_newton_step_evaluates_g_once():
+    """In the zero search on 1 + e^xi + e^{xi^2} every Newton step of
+    _polish_zero makes one ExpSum._scaled call, of g with g', as many as
+    reference_polish_zero makes passes over g's terms (one _term_values
+    call per step) from the same start, and locate_zeros_in_box never
+    calls ExpSum.derivative."""
+    import exact_reference
+    import quadrics.nevanlinna as nv
+    polishes, scaled, polish = [], nv.ExpSum._scaled, nv._polish_zero
+
+    def counted_polish(g, z0, tol):
+        polishes.append(((g, z0, tol), []))
+        return polish(g, z0, tol)
+
+    def counted_scaled(self, xi, derivative):
+        if sys._getframe(1).f_code is polish.__code__:
+            polishes[-1][1].append((self, derivative))
+        return scaled(self, xi, derivative)
+
+    def no_derivative(self):
+        raise AssertionError("the zero search took g.derivative()")
+
+    with mock.patch.object(nv, "_polish_zero", counted_polish), \
+            mock.patch.object(nv.ExpSum, "_scaled", counted_scaled), \
+            mock.patch.object(nv.ExpSum, "derivative", no_derivative):
+        zeros, _ = nv.locate_zeros_in_box(_THREE_TERMS, 2.5)
+    assert len(polishes) >= len(zeros) > 5
+    passes, term_values = [], exact_reference._term_values
+
+    def counted_term_values(es, xi):
+        passes[-1] += 1
+        return term_values(es, xi)
+
+    with mock.patch.object(exact_reference, "_term_values", counted_term_values):
+        for (g, z0, tol), calls in polishes:
+            passes.append(0)
+            reference_polish_zero(g, z0, tol)
+            assert calls == [(g, True)] * passes[-1]
+    assert sum(passes) > 2 * len(polishes)
 
 
 # The quadtree on the centered square, as the depth-first,

@@ -30,6 +30,11 @@ no ``numpy.insert``, so the batched winding merges its samples by one
 index per round, and ``_windings`` reads g and g' from one ``logeval``
 call per round.
 
+One Newton path: each step of ``_polish_zero`` reads g and g' from one
+``_scaled`` call, and neither it nor ``_ZeroSearch`` builds the sum
+``g.derivative()``; ``_ZeroSearch._leaf`` starts every cell of winding 1
+to ``_POWER_SUMS`` at the zeros of its contour's power sums.
+
 One evaluator for forms at numeric points: ``polynomials.MpForms``
 scales a form once to integer coefficients and sums its terms exactly on
 Gaussian integers, over one power table per point; no other code sums a
@@ -286,6 +291,24 @@ def test_the_winding_evaluates_once_per_refinement_round():
     assert len(calls) == 1
     assert any(calls[0] in set(ast.walk(stmt)) for stmt in loop.body
                if not isinstance(stmt, (ast.For, ast.While)))
+
+
+def test_newton_reads_g_prime_off_g():
+    """One Newton path: ``_polish_zero`` and ``_ZeroSearch`` name no
+    ``derivative``, so each step reads g and g' from one ``_scaled``
+    call on g's own exponentials, ``_ratio_newton_step`` is gone, and
+    ``_ZeroSearch._leaf`` polishes in one place, every cell of winding 1
+    to ``_POWER_SUMS`` from the zeros of its power sums."""
+    tree = dict(_trees())["nevanlinna.py"]
+    for name in ("_polish_zero", "_ZeroSearch"):
+        node = next(n for n in tree.body if getattr(n, "name", None) == name)
+        names = {getattr(n, attr) for n in ast.walk(node) for attr in ("id", "attr", "arg")
+                 if isinstance(getattr(n, attr, None), str)}
+        assert "derivative" not in names, name
+    names = {getattr(n, attr) for n in ast.walk(tree) for attr in ("id", "attr", "name")
+             if isinstance(getattr(n, attr, None), str)}
+    assert "_ratio_newton_step" not in names
+    assert _references("_polish_zero") == [("nevanlinna.py", "_ZeroSearch._leaf")]
 
 
 def test_the_cuts_of_the_characteristic_take_no_root_iteration():
