@@ -22,10 +22,11 @@ proved radius each.  Other sums are counted by integer winding numbers
 on a quadtree of rectangles, searched level by level so that each
 refinement round evaluates g and g' on the contours of many cells at
 once, then Newton polishing, each step reading g and g' off one
-evaluation of g's terms; a cell of 1 to _POWER_SUMS zeros starts Newton
-at the zeros whose power sums its contour gives, and needs no split
-when those polish to zeros in it (that small boxes confirm, for two or
-more).
+evaluation of g's terms.  The root cell is taken whole when it holds as
+many zeros polished from the closed-form zeros of g's two-term pairs as
+its winding, and any cell of 1 to _POWER_SUMS zeros when its contour's
+power sums give zeros that polish to zeros in it; otherwise it splits
+(small boxes confirm two or more zeros taken either way).
 
 Inside an analysis scope each T(r) and counting sample is computed once
 per curve, so the growth checks of one run share them; the T(r) of all
@@ -773,6 +774,104 @@ def _in_cell(z: complex, x0, x1, y0, y1) -> bool:
     return x0 - 1e-12 <= z.real <= x1 + 1e-12 and y0 - 1e-12 <= z.imag <= y1 + 1e-12
 
 
+def _least_distance(points: Sequence[complex]) -> float:
+    """The least distance between two of points, inf for fewer than two:
+    the two halves by real part, then the pairs across the middle within
+    the least distance of either half, swept by imaginary part, so that
+    points along any line take O(n log^2 n) steps."""
+    def least(ps):  # sorted by real part
+        if len(ps) < 4:
+            return min((abs(a - b) for a, b in itertools.combinations(ps, 2)), default=math.inf)
+        mid = len(ps) // 2
+        xm, best = ps[mid].real, min(least(ps[:mid]), least(ps[mid:]))
+        strip = sorted((z for z in ps if abs(z.real - xm) < best), key=lambda z: z.imag)
+        for i, a in enumerate(strip):
+            for b in strip[i + 1:]:
+                if b.imag - a.imag >= best:
+                    break
+                best = min(best, abs(a - b))
+        return best
+    return least(sorted(points, key=lambda z: z.real))
+
+
+def _merged(points: Sequence[complex], sep: float) -> List[complex]:
+    """points in order of real part, then imaginary part, less each that
+    lies within sep > 0 of one kept before it; the kept points are filed
+    on a grid of side sep, so each is measured against the few in the
+    nine cells about it."""
+    kept, grid = [], {}
+    for z in sorted(points, key=lambda z: (z.real, z.imag)):
+        i, j = math.floor(z.real / sep), math.floor(z.imag / sep)
+        if all(abs(z - a) >= sep for di in (-1, 0, 1) for dj in (-1, 0, 1)
+               for a in grid.get((i + di, j + dj), ())):
+            grid.setdefault((i, j), []).append(z)
+            kept.append(z)
+    return kept
+
+
+def _pair_points(g: ExpSum, x0, x1, y0, y1, tol) -> List[complex]:
+    """Zeros of g in the box, polished from the zeros of its two-term
+    pairs and merged within 2 tol (``_merged``); none unless every
+    coefficient of g is constant.
+
+    The pair c_i e^{Q_i} + c_j e^{Q_j} vanishes where
+    Q_i - Q_j = log(-c_j / c_i) + 2 pi i k, for each integer k one linear
+    or quadratic equation when Q_i - Q_j has degree 1 or 2 (pairs of any
+    other degree give no start).  In the box |xi| <= R, its half
+    diagonal, so 2 pi |k| <= |log(-c_j / c_i)| + sum_m |d_m| R^m over the
+    coefficients d_m of Q_i - Q_j.  A root is a start where the pair's
+    modulus |c_i e^{Q_i}| is at least every other term's, which is where
+    g is that pair plus smaller terms (Langer 1931; Polya 1920), and
+    where it lies in the box or within half a step in k,
+    pi / |Q_i' - Q_j'|, outside it: a zero just inside an edge can lie
+    nearer the pair zero just outside.  Each start is polished once (``_polish_zero``), and the
+    converged points in the box are kept.  The pair data are read from
+    g.terms.
+    """
+    terms = g.terms
+    if any(len(c) > 1 for c, _ in terms):
+        return []
+    logc = [cmath.log(complex(scalar_to_complex(c[0]))) for c, _ in terms]
+    expos = [_doubles(Q) for _, Q in terms]  # highest power first
+    R = math.hypot(max(abs(x0), abs(x1)), max(abs(y0), abs(y1)))
+    starts = []
+    for i, j in itertools.combinations(range(len(terms)), 2):
+        D = _canonical(poly_sub(list(terms[i][1]), list(terms[j][1])))
+        if len(D) not in (2, 3):
+            continue
+        d = _doubles(D)[::-1]  # low to high
+        L = logc[j] - logc[i] + 1j * math.pi
+        # one more k than the box needs, for the roots just outside it
+        K = int((abs(L) + sum(abs(c) * R ** m for m, c in enumerate(d))) / (2 * math.pi)) + 2
+        c0 = d[0] - (L + 2j * math.pi * np.arange(-K, K + 1))
+        with np.errstate(all="ignore"):
+            if len(d) == 2:
+                roots = -c0 / d[1]
+            else:  # d_2 xi^2 + d_1 xi + c0 = 0, the larger root first
+                s = np.sqrt(d[1] * d[1] - 4 * d[2] * c0)
+                s = np.where((np.conj(d[1]) * s).real >= 0, s, -s)
+                q = -(d[1] + s) / 2
+                roots = np.concatenate([q / d[2], c0 / q])
+            step = np.pi / np.abs(d[1] + (2 * d[2] * roots if len(d) == 3 else 0))
+            roots = roots[np.isfinite(roots) & (x0 - step <= roots.real) & (roots.real <= x1 + step)
+                          & (y0 - step <= roots.imag) & (roots.imag <= y1 + step)]
+            # log of each term's modulus there; the pair's two are equal
+            mod = np.empty((len(terms), roots.size))
+            for m, (lc, e) in enumerate(zip(logc, expos)):
+                q = 0j
+                for c in e:
+                    q = q * roots + c
+                mod[m] = lc.real + np.real(q)
+        others = np.delete(mod, [i, j], axis=0)
+        starts += roots[(others <= mod[i]).all(axis=0)].tolist()
+    found = []
+    for start in starts:
+        z, converged = _polish_zero(g, start, tol * 1e-3)
+        if converged and x0 <= z.real <= x1 and y0 <= z.imag <= y1:
+            found.append(z)
+    return _merged(found, 2 * tol)
+
+
 class _ZeroSearch:
     """Quadtree zero search with winding conservation, a level at a time.
 
@@ -781,11 +880,15 @@ class _ZeroSearch:
     lands in exactly one cell.  The children of all cells that split at
     one level are wound in one batch, those of the cells that retry with
     the next shifted cut in the next.  Each zero keeps its cell's path
-    in the tree, and sorting by path gives the depth-first order.  A cell
-    of winding 1 to _POWER_SUMS is taken from its contour's power sums
-    (``_windings``) when the zeros they give polish to zeros in it, for
-    winding 2 or more distinct ones that small boxes confirm (``_leaf``);
-    otherwise it splits.
+    in the tree, and sorting by path gives the depth-first order.  The
+    root is first taken whole from the zeros of g's two-term pairs
+    (``run``).  A cell of winding 1 to _POWER_SUMS is taken from its
+    contour's power sums (``_windings``) when the zeros they give polish
+    to zeros in it, for winding 2 or more distinct ones that small boxes
+    confirm (``_leaf``); otherwise it splits.  Where no pair reaches, in
+    the core where all terms are comparable or for a coefficient that is
+    not constant, the root's pair points fall short of its winding and
+    the power sums and the splits find the zeros.
     """
 
     def __init__(self, g: ExpSum, tol: float):
@@ -795,14 +898,39 @@ class _ZeroSearch:
         self.max_residual = 0.0
 
     def run(self, x0, x1, y0, y1):
+        """Add the zeros of g in the box, perturbed off any zero on its
+        contour.
+
+        The root cell, of winding w >= 1, is taken whole when it holds
+        exactly w pair points (``_pair_points``) that ``_confirm``'s boxes
+        confirm for w >= 2.  They are converged Newton points in the cell,
+        at least 2 tol apart, each with a box of winding 1 about it: the
+        evidence a power-sum leaf stands on.  Where the starts came from
+        plays no part in it, so the root taken this way is as much proved
+        as a cell taken from its power sums.  Otherwise the root is
+        searched as a quadtree (``_descend``); when its boxes refused the
+        points, as at a multiple zero, it takes no power sums either,
+        since they would give the same clustered points.
+        """
         (w, residual, sums), eps = _winding_with_perturbation(self.g, x0, x1, y0, y1)
         self.max_residual = max(self.max_residual, residual)
-        self._descend(x0 - eps, x1 + eps, y0 - eps, y1 + eps, w, sums, 0)
+        box = [x0 - eps, x1 + eps, y0 - eps, y1 + eps]
+        if w:
+            zeros = [CountedZero(z, 1, max(self.tol, 0.0))
+                     for z in _pair_points(self.g, *box, self.tol)]
+            if len(zeros) == w:
+                if self._confirm([zeros])[0]:
+                    found = sorted(_quadrant_keys(box, zeros, 0, 0), key=lambda f: f[0])
+                    self.zeros.extend(z for _, z in found)
+                    return
+                sums = [complex(math.nan, math.nan)] * len(sums)
+        self._descend(*box, w, sums, 0)
 
     def _leaf(self, x0, x1, y0, y1, w, sums, depth) -> Optional[List[CountedZero]]:
         """The cell's zeros when it needs no split, else None; sums[p - 1]
         is the p-th power sum of its contour (``_windings``), NaN where
-        there is none.
+        there is none.  (The root is first tried whole from its pair
+        points, on the same evidence: ``run``.)
 
         A cell of winding 1 <= w <= _POWER_SUMS starts Newton at the w
         zeros whose power sums are s_1 ... s_w: s_1 itself for w = 1, the
@@ -845,15 +973,15 @@ class _ZeroSearch:
     def _confirm(self, leaves) -> List[bool]:
         """Whether the zeros of each leaf stand: a list of one zero stands,
         and the simple zeros z_1 ... z_w of a cell taken from its power sums
-        stand when the disjoint boxes of half side d/4 about them, d their
-        least distance, each wind exactly 1.  The boxes of all the leaves
-        are wound in one batch, and the residuals of the leaves that stand
-        count."""
+        or its pair points stand when the disjoint boxes of half side d/4
+        about them, d their least distance, each wind exactly 1.  The boxes
+        of all the leaves are wound in one batch, and the residuals of the
+        leaves that stand count."""
         rows, owner = [], []
         for n, zeros in enumerate(leaves):
             if len(zeros) > 1:
                 ps = [z.position for z in zeros]
-                h = min(abs(a - b) for a, b in itertools.combinations(ps, 2)) / 4
+                h = _least_distance(ps) / 4
                 rows += [(p.real - h, p.real + h, p.imag - h, p.imag + h) for p in ps]
                 owner += [n] * len(ps)
         stands = [True] * len(leaves)
@@ -872,8 +1000,7 @@ class _ZeroSearch:
         A level's cells are rows in depth-first order.  A cell's key is its
         path, child c at level L adding c * 4**(64 - L), so that the keys
         of all levels sort depth first.  The zeros of a cell taken whole
-        get the paths that a split at its unshifted midpoints would give
-        them (``_quadrant_keys``).
+        get the paths that a split would give them (``_quadrant_keys``).
         """
         found = []     # (key, zero)
         failed = None  # (key, message) of the first failure, depth first
@@ -947,16 +1074,31 @@ class _ZeroSearch:
 
 def _quadrant_keys(box, zeros, key, level) -> List[Tuple[int, CountedZero]]:
     """(key, zero) for the zeros of a cell at level with key: each zero's
-    key adds the quadrants it falls in at the unshifted midpoints, child c
-    at level L adding c * 4**(64 - L) as in ``_ZeroSearch._descend``, until
-    the zeros lie apart, which is the order a split lists them in."""
+    key adds the quadrants it falls in, child c at level L adding
+    c * 4**(64 - L) as in ``_ZeroSearch._descend``, until the zeros lie
+    apart, which is the order a split lists them in.  The cut is the
+    split's first (``_CUT_SHIFTS``) that meets no zero's disk.
+
+    That guesses at the split, which shifts its cut only when a child's
+    winding fails or the children's windings do not add up: a zero on the
+    cut does that, one off it by more than rounding does not.  A zero is
+    known only to within its radius, so one whose disk the cut meets is
+    taken to lie on it; a zero truly off the cut by less than its radius,
+    or a shift made for a residual, can list the zeros of a cell taken
+    whole in another order than a split would."""
     if len(zeros) == 1 or level >= 64:
         return [(key, z) for z in zeros]
     x0, x1, y0, y1 = box
-    xm, ym = (x0 + x1) / 2, (y0 + y1) / 2
-    quads = [[], [], [], []]
-    for z in zeros:
-        quads[(z.position.real >= xm) + 2 * (z.position.imag >= ym)].append(z)
+    for shift in _CUT_SHIFTS:
+        xm = (x0 + x1) / 2 + shift * (x1 - x0)
+        ym = (y0 + y1) / 2 + shift * (y1 - y0)
+        quads, on_cut = [[], [], [], []], False
+        for z in zeros:
+            dx, dy = z.position.real - xm, z.position.imag - ym
+            on_cut = on_cut or min(abs(dx), abs(dy)) <= z.radius
+            quads[(dx >= 0) + 2 * (dy >= 0)].append(z)
+        if not on_cut:
+            break
     kids = ((x0, xm, y0, ym), (xm, x1, y0, ym), (x0, xm, ym, y1), (xm, x1, ym, y1))
     return [kz for c, quad in enumerate(quads) if quad
             for kz in _quadrant_keys(kids[c], quad, key + c * 4 ** (63 - level), level + 1)]

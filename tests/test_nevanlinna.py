@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -801,7 +802,10 @@ def test_a_failed_confirmation_box_splits_its_cell(monkeypatch):
     """1 + e^xi + e^{xi^2} on the centered square of half side 2.5: with
     every confirmation box made to fail, each cell taken from its power
     sums splits instead, and the search ends with the same zeros, in the
-    same order and multiplicities, within rounding."""
+    same order and multiplicities, within rounding.  The search to compare
+    with has no pair points, so that its cells are taken from their power
+    sums; the one with failing boxes has them, and its root, refused,
+    takes no power sums and splits."""
     import quadrics.nevanlinna as nv
     g, half = _THREE_TERMS, 2.5
     tol = max(half * 1e-10, 1e-13)
@@ -813,7 +817,8 @@ def test_a_failed_confirmation_box_splits_its_cell(monkeypatch):
         return s.zeros
 
     taken, refused = [], []
-    want = search(taken)
+    with mock.patch.object(nv, "_pair_points", lambda *args: []):
+        want = search(taken)
     windings = nv._windings
 
     def failing(g, boxes, *rest):
@@ -824,6 +829,7 @@ def test_a_failed_confirmation_box_splits_its_cell(monkeypatch):
 
     monkeypatch.setattr(nv, "_windings", failing)
     got = search(refused)
+    assert refused[0][0] == len(want) and refused[0][2] is None
     whole = [cell for w, cell, zeros in taken if zeros is not None and len(zeros) > 1]
     assert whole
     for x0, x1, y0, y1 in whole:  # the search went on into the cell's quarters
@@ -881,22 +887,20 @@ def test_conjugate_zeros_keep_their_list_order_in_the_report(ulps):
         assert listed == [first, second, far]
 
 
-def test_each_zero_of_a_three_term_sum_is_polished_once():
-    """1 + e^{3 xi / 2} + e^{(1/4 + i/2) xi^2}, the divisor z0 + z1 + z2 of
-    the quadratic golden curve, at r = 8: Newton runs once per zero, from
-    each cell's first moment or from its power sums' roots, and no cell of
-    winding 1 splits.  Eight cells of winding 2 to 4 are taken whole, with
-    their zeros confirmed; the one of winding 6 falls back to a split
-    after its second root's polish fails, and its two polishes are the
-    only ones beyond one per zero."""
+_GOLDEN_QUADRATIC = ExpCurve.from_exponents([[0], [0, Fraction(3, 2)],
+                                             [0, 0, GaussRat(Fraction(1, 4), Fraction(1, 2))]])
+
+
+def _search_log(run):
+    """run() with _polish_zero, _ZeroSearch._leaf and _windings spied on:
+    (the callers of _polish_zero, (w, taken) per _leaf call, (caller,
+    boxes) per _windings call, what run returned)."""
     import quadrics.nevanlinna as nv
-    curve = ExpCurve.from_exponents([[0], [0, Fraction(3, 2)],
-                                     [0, 0, GaussRat(Fraction(1, 4), Fraction(1, 2))]])
-    polished, leaves = [], []
-    polish, leaf = nv._polish_zero, nv._ZeroSearch._leaf
+    polished, leaves, wound = [], [], []
+    polish, leaf, windings = nv._polish_zero, nv._ZeroSearch._leaf, nv._windings
 
     def counted_polish(*args):
-        polished.append(args[1])
+        polished.append(sys._getframe(1).f_code.co_name)
         return polish(*args)
 
     def counted_leaf(self, x0, x1, y0, y1, w, sums, depth):
@@ -904,14 +908,164 @@ def test_each_zero_of_a_three_term_sum_is_polished_once():
         leaves.append((w, zeros is not None))
         return zeros
 
+    def counted_windings(g, boxes, *rest):
+        wound.append((sys._getframe(1).f_code.co_name, len(boxes)))
+        return windings(g, boxes, *rest)
+
     with mock.patch.object(nv, "_polish_zero", counted_polish), \
-            mock.patch.object(nv._ZeroSearch, "_leaf", counted_leaf):
-        sample = counting(curve, parse_poly("z0 + z1 + z2"), 8.0)
-    assert len(sample.zeros) == 25 and len(polished) == 27
+            mock.patch.object(nv._ZeroSearch, "_leaf", counted_leaf), \
+            mock.patch.object(nv, "_windings", counted_windings):
+        out = run()
+    return polished, leaves, wound, out
+
+
+def test_each_zero_of_a_three_term_sum_is_polished_once():
+    """1 + e^{3 xi / 2} + e^{(1/4 + i/2) xi^2}, the divisor z0 + z1 + z2 of
+    the quadratic golden curve, at r = 8: Newton runs once per start, each
+    a zero of one of the sum's two-term pairs where that pair dominates.
+    The 25 starts in the searched square converge to distinct zeros in
+    it, and the 4 within half a step outside it to zeros outside it.
+    The root cell, of winding 25, holds those 25 points and is taken
+    whole: 25 confirmation boxes confirm them in one batch, and no _leaf
+    runs and no cell splits."""
+    polished, leaves, wound, sample = _search_log(
+        lambda: counting(_GOLDEN_QUADRATIC, parse_poly("z0 + z1 + z2"), 8.0))
+    assert len(sample.zeros) == 25 and polished == ["_pair_points"] * 29
     assert all(z.multiplicity == 1 for z in sample.zeros)
-    assert (1, False) not in leaves
-    assert sorted(w for w, taken in leaves if taken and w > 1) == [2, 2, 2, 3, 4, 4, 4, 4]
-    assert sorted(w for w, taken in leaves if not taken) == [6, 7, 8, 25]
+    assert leaves == []
+    assert wound == [("_winding_with_perturbation", 1), ("_confirm", 25)]
+
+
+def test_a_growth_quadratic_root_cell_is_taken_whole():
+    """[1 : e^{b xi} : e^{c xi^2}] at growth-quadratic's base (b, c), with
+    z0 + z1 + z2 at r = 8: the root cell of the searched
+    square is taken whole from its pair points, with one _windings call
+    for the root and one for its confirmation boxes, one box per zero,
+    and no split; a second run repeats every count."""
+    b, c = GaussRat(Fraction(3, 5), Fraction(4, 5)), GaussRat(Fraction(4, 5), Fraction(-3, 5))
+    curve = ExpCurve.from_exponents([[0], [0, b], [0, 0, c]])
+    logs = [_search_log(lambda: counting(curve, parse_poly("z0 + z1 + z2"), 8.0))
+            for _ in range(2)]
+    polished, leaves, wound, sample = logs[0]
+    w = wound[-1][1]  # the root's winding, the zeros in the square
+    assert w >= len(sample.zeros) > 40 and leaves == []
+    assert all(z.multiplicity == 1 for z in sample.zeros)
+    assert wound == [("_winding_with_perturbation", 1), ("_confirm", w)]
+    assert set(polished) == {"_pair_points"} and len(polished) >= w
+    assert logs[1][:3] == logs[0][:3]
+    assert len(logs[1][3].zeros) == len(sample.zeros)
+
+
+def test_a_refused_double_zero_is_not_polished_again():
+    """(1 + e^xi)^2 = 1 + 2 e^xi + e^{2 xi} on the centered square of half
+    side 6, which holds its double zeros +-i pi.  The pairs' zeros
+    -+log 2 +- i pi polish to clustered points next to each double zero,
+    since Newton's steps there are rounding noise; the root holds 4 of
+    them, as many as its winding, and its confirmation boxes refuse them.
+    The root then takes no power sums and splits, and no pair start is
+    polished again, so the search polishes 8 times, as many as the search
+    without pair points, and both zeros come back with multiplicity 2."""
+    from quadrics.nevanlinna import locate_zeros_in_box
+    polished, leaves, wound, (zeros, _) = _search_log(
+        lambda: locate_zeros_in_box(ExpSum([([1], []), ([2], [0, 1]), ([1], [0, 2])]), 6.0))
+    assert [z.multiplicity for z in zeros] == [2, 2]
+    assert all(abs(z.position - p) < 1e-7 for z, p in zip(zeros, (-math.pi * 1j, math.pi * 1j)))
+    assert wound[:2] == [("_winding_with_perturbation", 1), ("_confirm", 4)]
+    assert leaves[0] == (4, False)
+    assert polished[:4] == ["_pair_points"] * 4
+    assert "_pair_points" not in polished[4:] and len(polished) <= 8
+
+
+@pytest.mark.parametrize("r", [2.0, 4.0, 8.0])
+def test_counting_matches_jensens_formula(r):
+    """Jensen's formula as an oracle that shares no code with the windings
+    or Newton: N(r) of z0 + z1 + z2 on the quadratic golden curve equals
+    J(r) - J(1), J(s) the mean of log|1 + e^{3 xi / 2} + e^{(1/4 + i/2) xi^2}|
+    over |xi| = s by the periodic trapezoidal rule on 16,384 nodes."""
+    def J(s):
+        xi = s * np.exp(2j * np.pi * np.arange(16384) / 16384)
+        return np.log(np.abs(1 + np.exp(1.5 * xi) + np.exp((0.25 + 0.5j) * xi * xi))).mean()
+
+    assert abs(counting(_GOLDEN_QUADRATIC, parse_poly("z0 + z1 + z2"), r).N - (J(r) - J(1.0))) < 1e-9
+
+
+def test_zeros_along_one_line_take_few_neighbour_steps():
+    """1 + e^xi + e^{2 xi} has its zeros at i(+-2 pi / 3 + 2 pi k), all on
+    the imaginary axis, with real parts at rounding level.  On the
+    centered square of half side 3200 the root, of winding 2036, is taken
+    whole from its pair points.  Merging those points and finding their
+    least distance for the confirmation boxes measure about 11 distances
+    per zero, log2 of their number, where sweeps by real part alone would
+    measure about 2 million in all."""
+    import builtins
+    import quadrics.nevanlinna as nv
+    half, steps = 3200.0, collections.Counter()
+
+    def counted_abs(x):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name == "<genexpr>":
+            frame = frame.f_back
+        steps[frame.f_code.co_name] += 1
+        return builtins.abs(x)
+
+    with mock.patch.object(nv, "abs", counted_abs, create=True):
+        _, leaves, wound, (zeros, _) = _search_log(lambda: nv.locate_zeros_in_box(
+            ExpSum([([1], []), ([1], [0, 1]), ([1], [0, 2])]), half))
+    want = [2 * math.pi * m / 3 for m in range(-1529, 1530) if m % 3 and 2 * math.pi * abs(m) / 3 < half]
+    assert len(zeros) == len(want) == 2036 and leaves == []
+    assert wound == [("_winding_with_perturbation", 1), ("_confirm", 2036)]
+    assert all(z.multiplicity == 1 and abs(z.position - 1j * y) < 1e-9 * half
+               for z, y in zip(sorted(zeros, key=lambda z: z.position.imag), want))
+    assert steps["least"] + steps["_merged"] < 20 * len(zeros)
+
+
+def test_least_distance_and_merge_agree_with_all_pairs():
+    """_least_distance is the least of all pairwise distances, and _merged
+    keeps what a greedy pass over all kept points keeps, on points along
+    a vertical or a horizontal line, on a grid, in clusters and at random,
+    with repeats."""
+    from quadrics.nevanlinna import _least_distance, _merged
+    rng = np.random.default_rng(5)
+    line = 1e-17 * rng.standard_normal(300) + 1j * np.arange(300) * 2.1
+    sets = [line, 1j * line, (np.arange(20)[:, None] + 1j * np.arange(15)).ravel() * 0.3,
+            np.repeat(rng.standard_normal(40) + 1j * rng.standard_normal(40), 3)
+            + 1e-3 * (rng.standard_normal(120) + 1j * rng.standard_normal(120)),
+            rng.standard_normal(200) * 5 + 1j * rng.standard_normal(200), np.array([1 + 1j] * 4)]
+    for points in sets:
+        points = points.tolist()
+        assert _least_distance(points) == min(abs(a - b) for a, b in itertools.combinations(points, 2))
+        for sep in (1e-3, 0.05, 0.4):
+            kept = []
+            for z in sorted(points, key=lambda z: (z.real, z.imag)):
+                if all(abs(z - a) >= sep for a in kept):
+                    kept.append(z)
+            assert _merged(points, sep) == kept
+    assert _least_distance([1j]) == math.inf and _merged([], 0.1) == []
+
+
+@pytest.mark.parametrize("off", [0.0, 1.1, 10.0])
+def test_a_root_taken_whole_lists_its_zeros_as_a_split_would(off):
+    """e^{(1 - i) xi} - 1, zeros pi k (i - 1) on a line across the box, on a
+    box whose vertical midline passes off times the search tolerance (the
+    zeros' radius) left of the zero 0.  The root is taken whole from its
+    pair points, and lists its zeros in the order of the search that
+    splits it instead: on the midline both shift the cut, and a little
+    over a radius off it neither does, which moves the zero 0 from first
+    to the middle of the list."""
+    import quadrics.nevanlinna as nv
+    g, tol, half = ExpSum([([1], [0, GaussRat(1, -1)]), ([-1], [])]), 1e-9, 20.0
+    box = (-half - off * tol, half - off * tol, -half + 0.5, half + 0.5)
+
+    def order(points):
+        search, log = nv._ZeroSearch(g, tol), []
+        with mock.patch.object(nv._ZeroSearch, "_leaf", _leaf_log(log)), \
+                mock.patch.object(nv, "_pair_points", points):
+            search.run(*box)
+        return [round(z.position.imag / math.pi) for z in search.zeros], log
+
+    (whole, no_leaf), (split, leaves) = order(nv._pair_points), order(lambda *args: [])
+    assert no_leaf == [] and leaves[0][2] is None and whole == split
+    assert sorted(whole) == list(range(-6, 7)) and (whole[0] == 0) == (off == 0.0)
 
 
 # e^xi - 1: simple zeros at 2 pi i k
@@ -1115,18 +1269,20 @@ _ZERO_ORDER_CASES = {
 }
 
 
-# The same zeros from the search that starts each winding-1 cell at its
-# first moment and takes each cell of 2 to _POWER_SUMS zeros from its
-# power sums: positions only, in the same list order.
+# The same zeros from the search that takes the root whole from the zeros
+# of its two-term pairs when it holds as many of them as its winding,
+# starts each other winding-1 cell at its first moment and takes each
+# other cell of 2 to _POWER_SUMS zeros from its power sums: positions
+# only, in the same list order.
 _MOMENT_START_POSITIONS = {
     "exp_minus_1": (
-        ("-0x1.e30a4900002b6p-58", "-0x1.2d97c7f3321d2p+4"),
-        ("-0x1.9f93358000028p-55", "-0x1.921fb54442d18p+3"),
-        ("-0x1.ab9ff0000005ap-58", "-0x1.921fb54442d18p+2"),
-        ("0x1.159d3a0000000p-56", "0x1.b000000000000p-104"),
-        ("0x1.052dfdffffff5p-55", "0x1.921fb54442d18p+2"),
-        ("0x1.05a7b47fffd7dp-59", "0x1.921fb54442d18p+3"),
-        ("0x1.b224d6bfffa94p-59", "0x1.2d97c7f3321d2p+4"),
+        ("-0x1.5ae2655fbe039p-101", "-0x1.2d97c7f3321d2p+4"),
+        ("-0x1.4152003c5a7bcp-102", "-0x1.921fb54442d18p+3"),
+        ("-0x1.68419d476f35bp-104", "-0x1.921fb54442d18p+2"),
+        ("-0x0.0p+0", "0x0.0p+0"),
+        ("-0x1.68419d476f35bp-104", "0x1.921fb54442d18p+2"),
+        ("-0x1.4152003c5a7bcp-102", "0x1.921fb54442d18p+3"),
+        ("-0x1.5ae2655fbe039p-101", "0x1.2d97c7f3321d2p+4"),
     ),
     "exp_square_minus_1": (
         ("-0x1.40d931ff62706p+1", "-0x1.40d931ff62706p+1"),
@@ -1158,9 +1314,12 @@ def test_zero_search_keeps_depth_first_order_bit_for_bit(name):
     first moment, and taking a cell of a few zeros from its power sums
     with each zero listed by its quadrant path, moves a position by
     rounding only: each is pinned, and lies within 2^-50 max(|z|, 1) of
-    the depth-first search's.  The search
-    runs directly, with the tolerance locate_zeros_in_box gives it, since
-    that solves the two-term sums in closed form."""
+    the depth-first search's, and so does taking the root whole from
+    the zeros of its two-term pairs (that of e^xi - 1 and of
+    1 + e^xi + e^{xi^2}; at e^{xi^2} - 1 the pair zeros count 1 for the
+    double zero's winding of 2, so its root is searched as before).
+    The search runs directly, with the tolerance locate_zeros_in_box
+    gives it, since that solves the two-term sums in closed form."""
     from quadrics.nevanlinna import _ZeroSearch
     g, half, want, residual = _ZERO_ORDER_CASES[name]
     search = _ZeroSearch(g, max(half * 1e-10, 1e-13))

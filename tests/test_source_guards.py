@@ -298,7 +298,8 @@ def test_newton_reads_g_prime_off_g():
     ``derivative``, so each step reads g and g' from one ``_scaled``
     call on g's own exponentials, ``_ratio_newton_step`` is gone, and
     ``_ZeroSearch._leaf`` polishes in one place, every cell of winding 1
-    to ``_POWER_SUMS`` from the zeros of its power sums."""
+    to ``_POWER_SUMS`` from the zeros of its power sums; the one other
+    caller, ``_pair_points``, polishes the zeros of the two-term pairs."""
     tree = dict(_trees())["nevanlinna.py"]
     for name in ("_polish_zero", "_ZeroSearch"):
         node = next(n for n in tree.body if getattr(n, "name", None) == name)
@@ -308,7 +309,8 @@ def test_newton_reads_g_prime_off_g():
     names = {getattr(n, attr) for n in ast.walk(tree) for attr in ("id", "attr", "name")
              if isinstance(getattr(n, attr, None), str)}
     assert "_ratio_newton_step" not in names
-    assert _references("_polish_zero") == [("nevanlinna.py", "_ZeroSearch._leaf")]
+    assert _references("_polish_zero") == [("nevanlinna.py", "_pair_points"),
+                                           ("nevanlinna.py", "_ZeroSearch._leaf")]
 
 
 def test_the_cuts_of_the_characteristic_take_no_root_iteration():
